@@ -1,10 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test api-surface bench-smoke bench-oracle bench-exact bench campaign-smoke fabric-smoke crash-smoke churn-smoke integrity-smoke help
+.PHONY: test loc api-surface bench-smoke bench-oracle bench-exact bench campaign-smoke fabric-smoke crash-smoke churn-smoke integrity-smoke help
 
 help:
 	@echo "test           - tier-1 test suite (pytest -x -q)"
+	@echo "loc            - src/ Python line count (a tracked metric: it should go down)"
 	@echo "api-surface    - public-API snapshot check (tests/test_api_surface.py)"
 	@echo "bench-smoke    - ~40s perf subset; writes benchmarks/results/BENCH_oracle.json + BENCH_exact.json"
 	@echo "bench-oracle   - full oracle perf run (includes the minutes-long seed path at n=500)"
@@ -18,6 +19,10 @@ help:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+loc:
+	@find src -name '*.py' | xargs cat | wc -l | xargs echo "src/ python lines:"
+	@cat src/repro/campaign/fabric/*.py | wc -l | xargs echo "  of which campaign/fabric/:"
 
 api-surface:
 	$(PYTHON) -m pytest tests/test_api_surface.py -q

@@ -12,11 +12,12 @@ over the REST surface (:mod:`~repro.campaign.fabric.transport`):
   re-leases a timed-out cell once with a larger budget before recording
   ``timeout``, and folds shards through the unchanged store path so the
   fleet's ``results.jsonl`` stays byte-identical to a 1-worker run;
-* the coordinator itself is crash-tolerant: every state transition is
-  write-ahead journaled (:mod:`~repro.campaign.fabric.journal`) before it
-  is acknowledged, a restarted ``repro campaign serve`` recovers by
-  replaying snapshot + journal, and workers ride out the outage by
-  reconnecting with capped exponential backoff;
+* the coordinator itself is crash-tolerant by event sourcing: its durable
+  state (:mod:`~repro.campaign.fabric.state`) changes only by applying a
+  record that is already in the write-ahead journal
+  (:mod:`~repro.campaign.fabric.journal`), so a restarted ``repro campaign
+  serve`` recovers by folding that same ``apply`` over snapshot events +
+  journal, and workers ride out the outage by reconnecting with backoff;
 * :mod:`~repro.campaign.fabric.chaos` injects worker deaths, frozen
   heartbeats, dropped / duplicated / delayed submissions, and coordinator
   kills at journaled-but-unacked accepts to prove it.

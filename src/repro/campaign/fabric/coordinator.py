@@ -20,15 +20,15 @@ reclaimed (stale) lease is still accepted when the cell is incomplete --
 the work is deterministic, so whichever copy arrives first wins and the
 rest are no-ops.
 
-Crash tolerance: every state transition -- lease grant, accept (including
-out-of-order shards parked in the buffer), transient retry, escalation,
-terminal failure -- is written to the run directory's write-ahead
+Crash tolerance by event sourcing (:mod:`~repro.campaign.fabric.state`):
+everything durable changes only by applying a journal record.  A handler
+here *decides*, commits the event (``_commit``: fsynced to the write-ahead
 :class:`~repro.campaign.fabric.journal.FabricJournal` *before* it is
-acknowledged.  A restarted coordinator replays snapshot + journal:
-buffered shards are re-admitted (completed work is never re-run), retry
-and escalation budgets carry over, and every pre-crash lease is expired
-so open cells re-lease cleanly.  A recovered run stays byte-identical to
-an uncrashed one.
+applied or acknowledged) and then does only volatile work: lease table,
+backoff, per-worker tallies, spans, flushing the buffer through the store.
+A restarted coordinator applies the same events read back from snapshot
+(``{"events": [...]}``) + journal, so recovery cannot drift from the live
+path, and a recovered run stays byte-identical to an uncrashed one.
 
 Result integrity (PR 10): the coordinator stops *trusting* well-formed
 payloads.  Submissions carry a canonical-JSON sha256 over the record plus
@@ -42,8 +42,8 @@ leases, in-flight leases requeued, their unflushed unaudited accepts
 retracted and re-run.  A cell whose worker dies while computing it is
 charged a *kill*; ``poison_kill_threshold`` distinct dead workers mark
 the cell poisoned and terminally recorded instead of looping through the
-retry budget.  All of it -- rejects, candidates, quarantines, kills,
-poisonings -- is journaled, so the verdicts survive coordinator crashes.
+retry budget.  All of it -- candidates, quarantines, kills, poisonings --
+is journaled, so the verdicts survive coordinator crashes.
 """
 
 from __future__ import annotations
@@ -51,17 +51,17 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Any, Mapping
 
 from repro.errors import CampaignError
 from repro.obs import trace as obs
 from repro.campaign.fabric.journal import FabricJournal
-from repro.campaign.fabric.leases import LeaseTable
-from repro.campaign.runner import _truncate
+from repro.campaign.fabric.leases import Lease, LeaseTable
+from repro.campaign.fabric.state import CellState, FabricState
+from repro.campaign.runner import new_record
 from repro.campaign.schedulers import resolve
 from repro.campaign.spec import (
-    Cell,
     CampaignSpec,
     derive_seed,
     payload_identity_hash,
@@ -97,26 +97,24 @@ COUNTERS = (
     "recovered_audit_candidates",
 )
 
+#: Per-worker tallies (``telemetry()``); those that are also fabric
+#: counters are bumped by the same ``_count`` call.
+TALLIES = (
+    "cells_leased",
+    "cells_done",
+    "timeouts",
+    "escalations",
+    "transient_failures",
+    "stale_submits",
+    "duplicate_submits",
+    "integrity_rejects",
+)
 
-@dataclass
-class _CellState:
-    """Coordinator-side lifecycle of one cell."""
 
-    cell: Cell
-    payload: dict
-    status: str = "pending"  # pending | leased | audit | audit_leased | done
-    attempts: int = 0
-    escalated: bool = False
-    eligible_at: float = 0.0
-    on_disk: bool = False  # completed by a previous run; already in results
-    #: worker *name* whose record is buffered (None for coordinator-made
-    #: terminal records); quarantining that name retracts the record
-    accepted_by: str | None = None
-    #: the buffered record was confirmed byte-for-byte by a second worker
-    audited: bool = False
-    #: distinct worker names that died while computing this cell
-    killers: set[str] = field(default_factory=set)
-    poisoned: bool = False
+def _refusal(reason: str) -> dict:
+    """The reply to a submission a quarantine verdict rules out."""
+    return {"accepted": False, "rejected": True, "reason": reason,
+            "quarantined": True}
 
 
 class Coordinator:
@@ -179,20 +177,16 @@ class Coordinator:
         cells = spec.expand()
         self.store.initialize(spec, n_cells=len(cells))
         completed = self.store.completed_ids()
-        self._states = [
-            _CellState(cell=cell, payload=cell.payload()) for cell in cells
-        ]
+        #: Everything that survives a crash; changed only by ``_commit``
+        #: (live) and ``_recover_locked`` (replay), both through ``apply``.
+        self._state = FabricState(cells, completed)
         self._by_id = {cell.cell_id: i for i, cell in enumerate(cells)}
-        for state in self._states:
-            if state.cell.cell_id in completed:
-                state.status = "done"
-                state.on_disk = True
         # in-order folding relies on the resumed prefix being canonical
         # (both the pool runner and this coordinator only ever write
         # canonical prefixes, so anything else is a corrupted directory)
         done_prefix = 0
-        for state in self._states:
-            if not state.on_disk:
+        for state in self._state.cells:
+            if state.status != "done":
                 break
             done_prefix += 1
         if done_prefix != len(completed):
@@ -202,13 +196,6 @@ class Coordinator:
                 "directory is corrupt -- delete it to start over"
             )
         self._next_flush = done_prefix
-        self._buffer: dict[int, tuple[dict, dict]] = {}
-        #: Audit candidates per cell index: ``{"worker", "record",
-        #: "timing", "encoded"}`` -- resolution needs byte comparison.
-        self._audit: dict[int, list[dict]] = {}
-        #: Quarantined worker *names* (ids are per-epoch; a re-registered
-        #: bad worker must stay quarantined).
-        self._quarantined: set[str] = set()
         self._started_at = self._clock()
         #: Per-worker telemetry.  Keyed by worker id and kept *forever*
         #: (the lease table forgets dead workers; the telemetry endpoint
@@ -230,289 +217,128 @@ class Coordinator:
     # crash recovery (constructor-time; the lock is not yet contended)
     # ------------------------------------------------------------------
     def _recover_locked(self) -> None:
-        """Replay snapshot + journal from a previous coordinator's life.
+        """Re-apply snapshot + journal from a previous coordinator's life.
 
-        Re-admits buffered out-of-order shards (journaled accepts that
-        never made it into ``results.jsonl``), restores retry/escalation
-        budgets, and expires every pre-crash lease.  Finishes with a
-        compaction so the next incarnation replays from a snapshot.
+        The fold re-admits buffered out-of-order shards (journaled accepts
+        that never made it into ``results.jsonl``) and restores budgets,
+        verdicts and quarantines; then every pre-crash lease is expired.
+        Finishes with a compaction so the next incarnation replays from a
+        snapshot.
         """
         snapshot, records = self._journal.load()
         if snapshot is None and not records:
             return  # first incarnation: nothing to recover
-        with obs.span(
-            "fabric.recover", campaign=self.spec.campaign_id
-        ) as span:
-            if snapshot:
-                self._apply_snapshot_locked(snapshot)
-            open_leases: dict[str, tuple[str, set[int]]] = {}
-            for record in records:
-                self._replay_locked(record, open_leases)
-            # a crash can land between a journaled kill (reaching the
-            # poison threshold) and the poison record itself, or between
-            # a matching audit candidate and its accept -- settle both
-            for index, state in enumerate(self._states):
-                if (
-                    state.status != "done"
-                    and len(state.killers) >= self.poison_kill_threshold
-                ):
-                    self._poison_locked(index, 0.0)
-            for index in list(self._audit):
-                state = self._states[index]
-                if state.status != "done":
-                    self._resolve_audit_locked(index, state, 0.0)
-            for lease_id, (worker_id, indices) in open_leases.items():
-                if not any(
-                    self._states[i].status != "done" for i in indices
-                ):
-                    continue  # fully settled before the crash
-                self.counters["recovered_leases_expired"] += 1
-                obs.event(
-                    "fabric.lease_expired_on_recovery",
-                    lease_id=lease_id,
-                    worker_id=worker_id,
-                )
-            self._flush_locked()
-            span.set_attrs(
-                recovered_buffered=self.counters["recovered_buffered"],
-                recovered_retries=self.counters["recovered_retries"],
-                recovered_escalations=self.counters["recovered_escalations"],
-                recovered_leases_expired=(
-                    self.counters["recovered_leases_expired"]
-                ),
-                journal_records=len(records),
+        if snapshot is not None and "events" not in snapshot:
+            # the pre-event-model per-cell snapshot; reading the parts
+            # that look familiar would silently forget its quarantines
+            raise CampaignError(
+                f"{self._journal.snapshot_path} is in the old per-cell "
+                "snapshot format; finish the campaign with the version that "
+                "wrote it, or delete it and "
+                f"{self._journal.journal_path.name} to resume from "
+                "results.jsonl alone (unflushed shards re-run; retry "
+                "budgets and quarantines are forgotten)"
             )
-            for name in (
-                "recovered_buffered",
-                "recovered_retries",
-                "recovered_escalations",
-                "recovered_leases_expired",
-                "recovered_quarantines",
-                "recovered_audit_candidates",
-            ):
-                if self.counters[name]:
-                    global_collector().increment(
-                        f"fabric.{name}", self.counters[name]
-                    )
-            obs.event(
-                "fabric.recovered",
-                campaign=self.spec.campaign_id,
-                buffered=self.counters["recovered_buffered"],
-                leases_expired=self.counters["recovered_leases_expired"],
-            )
-            # fold everything recovered into a fresh snapshot so the
-            # journal starts this incarnation bounded and empty
-            self._compact_locked()
-
-    def _apply_snapshot_locked(self, snapshot: Mapping[str, Any]) -> None:
-        for name in snapshot.get("quarantined", ()):
-            if str(name) not in self._quarantined:
-                self._quarantined.add(str(name))
-                self.counters["recovered_quarantines"] += 1
-        for key, entry in dict(snapshot.get("cells", {})).items():
-            index = int(key)
-            if not 0 <= index < len(self._states):
-                continue
-            state = self._states[index]
-            if entry.get("attempts"):
-                state.attempts = max(state.attempts, int(entry["attempts"]))
-                self.counters["recovered_retries"] += 1
-            if entry.get("escalated"):
-                state.escalated = True
-                if entry.get("timeout_s") is not None:
-                    state.payload["timeout_s"] = float(entry["timeout_s"])
-                if entry.get("scheduler_params"):
-                    state.payload["scheduler_params"] = dict(
-                        entry["scheduler_params"]
-                    )
-                self.counters["recovered_escalations"] += 1
-            if entry.get("killers"):
-                state.killers.update(str(k) for k in entry["killers"])
-            if entry.get("poisoned"):
-                state.poisoned = True
-            if entry.get("audit") and not entry.get("done"):
-                candidates = self._audit.setdefault(index, [])
-                for candidate in entry["audit"]:
-                    rec = dict(candidate["record"])
-                    candidates.append({
-                        "worker": str(candidate["worker"]),
-                        "record": rec,
-                        "timing": dict(candidate["timing"]),
-                        "encoded": encode_record(rec),
-                    })
-                    self.counters["recovered_audit_candidates"] += 1
-                if candidates and state.status != "done":
-                    state.status = "audit"
-            if entry.get("done") and not state.on_disk and (
-                state.status != "done"
-            ):
-                self._buffer[index] = (
-                    dict(entry["record"]), dict(entry["timing"])
-                )
-                state.status = "done"
-                state.accepted_by = entry.get("accepted_by")
-                state.audited = bool(entry.get("audited"))
-                self.counters["recovered_buffered"] += 1
+        state = self._state
+        with obs.span("fabric.recover", campaign=self.campaign_id) as span:
+            #: cell index -> (lease_id, worker_id) of its latest grant
+            holder: dict[int, tuple[str, str]] = {}
+            for event in [*(snapshot or {}).get("events", ()), *records]:
+                state.apply(event, 0.0)
+                if event["kind"] == "lease":
+                    for index in event["cells"]:
+                        holder[index] = (event["lease_id"], event["worker_id"])
+            # the lease table is rebuilt empty: whatever is still leased
+            # was held by a lease that died with the old coordinator
+            expired = set()
+            for index, lease in holder.items():
+                if state.release(index, 0.0):
+                    expired.add(lease)
+            # counted off the recovered state, not off the records, so a
+            # compacted history and an uncompacted one report the same
+            open_cells = [c for c in state.cells if c.status != "done"]
+            recovered = {
+                "recovered_buffered": len(state.buffer),
+                "recovered_retries": sum(c.attempts > 0 for c in open_cells),
+                "recovered_escalations": sum(c.escalated for c in open_cells),
+                "recovered_leases_expired": len(expired),
+                "recovered_quarantines": len(state.quarantined),
+                "recovered_audit_candidates": sum(map(len, state.audit.values())),
+            }
+            for name, value in recovered.items():
+                self.counters[name] = value
+                if value:
+                    global_collector().increment(f"fabric.{name}", value)
+            for index in sorted(state.buffer):
                 # the accept's span may have died unwritten with the old
                 # coordinator; this event is the durable trace of the
                 # settlement (verify_lifecycles treats it as one)
                 obs.event(
                     "fabric.recovered_cell",
-                    cell_id=state.cell.cell_id,
+                    cell_id=state.cells[index].cell.cell_id,
                 )
-
-    def _replay_locked(
-        self,
-        record: Mapping[str, Any],
-        open_leases: dict[str, tuple[str, set[int]]],
-    ) -> None:
-        kind = record.get("kind")
-        if kind == "lease":
-            # pre-crash grants: the lease itself is dead (the table is
-            # rebuilt empty) -- remember which cells it held so the
-            # recovery can report how many live leases it expired
-            if record.get("lease_id"):
-                open_leases[record["lease_id"]] = (
-                    str(record.get("worker_id", "")),
-                    {int(i) for i in record.get("cells", ())},
+            for lease_id, worker_id in sorted(expired):
+                obs.event(
+                    "fabric.lease_expired_on_recovery",
+                    lease_id=lease_id,
+                    worker_id=worker_id,
                 )
-            return
-        if kind == "quarantine":
-            name = str(record.get("worker", ""))
-            if name and name not in self._quarantined:
-                self._quarantined.add(name)
-                self.counters["recovered_quarantines"] += 1
-                # the pre-crash coordinator retracted this worker's
-                # buffered accepts when it quarantined them; replaying
-                # the same retraction keeps both histories identical
-                self._retract_accepts_locked(name, 0.0)
-            return
-        index = record.get("index")
-        if not isinstance(index, int) or not 0 <= index < len(self._states):
-            return
-        state = self._states[index]
-        if kind in ("accept", "terminal", "poison"):
-            lease_id = record.get("lease_id")
-            if lease_id in open_leases:
-                open_leases[lease_id][1].discard(index)
-            if kind == "poison":
-                state.poisoned = True
-                state.killers.update(
-                    str(k) for k in record.get("killers", ())
-                )
-            if state.on_disk or state.status == "done":
-                return  # already flushed by a previous incarnation
-            self._audit.pop(index, None)  # settled: candidates obsolete
-            self._buffer[index] = (
-                dict(record["record"]), dict(record["timing"])
-            )
-            state.status = "done"
-            state.accepted_by = record.get("worker")
-            state.audited = bool(record.get("audited"))
-            self.counters["recovered_buffered"] += 1
+            # a crash can land between a journaled kill (reaching the
+            # poison threshold) and the poison record itself, or between
+            # a matching audit candidate and its accept -- settle both
+            for index in range(len(state.cells)):
+                self._poison_locked(index, 0.0)
+            for index in list(state.audit):
+                if index in state.audit:
+                    self._resolve_audit_locked(index, 0.0)
+            self._flush_locked()
+            span.set_attrs(**recovered, journal_records=len(records))
             obs.event(
-                "fabric.recovered_cell", cell_id=state.cell.cell_id
+                "fabric.recovered",
+                campaign=self.spec.campaign_id,
+                buffered=recovered["recovered_buffered"],
+                leases_expired=recovered["recovered_leases_expired"],
             )
-        elif kind == "audit_candidate":
-            if state.on_disk or state.status == "done":
-                return
-            name = str(record.get("worker", ""))
-            if name in self._quarantined:
-                return  # verdict already reached on this worker
-            candidates = self._audit.setdefault(index, [])
-            if any(c["worker"] == name for c in candidates):
-                return
-            rec = dict(record["record"])
-            candidates.append({
-                "worker": name,
-                "record": rec,
-                "timing": dict(record["timing"]),
-                "encoded": encode_record(rec),
-            })
-            state.status = "audit"
-            self.counters["recovered_audit_candidates"] += 1
-        elif kind == "kill":
-            if state.status != "done":
-                state.killers.add(str(record.get("worker", "")))
-        elif kind == "retry":
-            if state.status != "done":
-                state.attempts = max(
-                    state.attempts, int(record.get("attempts", 0))
-                )
-                self.counters["recovered_retries"] += 1
-        elif kind == "escalate":
-            if state.status != "done":
-                state.escalated = True
-                if record.get("timeout_s") is not None:
-                    state.payload["timeout_s"] = float(record["timeout_s"])
-                if record.get("scheduler_params"):
-                    state.payload["scheduler_params"] = dict(
-                        record["scheduler_params"]
-                    )
-                self.counters["recovered_escalations"] += 1
+            # fold everything recovered into a fresh snapshot so the
+            # journal starts this incarnation bounded and empty
+            self._compact_locked()
 
     # ------------------------------------------------------------------
     # journaling (call with the lock held)
     # ------------------------------------------------------------------
-    def _journal_locked(self, kind: str, **fields: Any) -> None:
+    def _commit(self, kind: str, now: float, **fields: Any) -> None:
+        """Make one transition durable, then real.
+
+        The only way a live coordinator changes durable state: the event
+        is journaled (on disk before ``append`` returns) and then applied
+        by the same function recovery folds over the journal.
+        """
         self._journal.append(kind, **fields)
         self._count("journal_records")
-
-    def _snapshot_state_locked(self) -> dict:
-        """The complete recoverable state, for compaction."""
-        cells: dict[str, dict] = {}
-        for index, state in enumerate(self._states):
-            entry: dict[str, Any] = {}
-            if state.attempts:
-                entry["attempts"] = state.attempts
-            if state.escalated:
-                entry["escalated"] = True
-                entry["timeout_s"] = state.payload.get("timeout_s")
-                entry["scheduler_params"] = state.payload.get(
-                    "scheduler_params"
-                )
-            if state.killers:
-                entry["killers"] = sorted(state.killers)
-            if state.poisoned:
-                entry["poisoned"] = True
-            candidates = self._audit.get(index)
-            if candidates and state.status != "done":
-                entry["audit"] = [
-                    {
-                        "worker": c["worker"],
-                        "record": c["record"],
-                        "timing": c["timing"],
-                    }
-                    for c in candidates
-                ]
-            if state.status == "done" and not state.on_disk:
-                buffered = self._buffer.get(index)
-                if buffered is not None:
-                    entry["done"] = True
-                    entry["record"], entry["timing"] = buffered
-                    if state.accepted_by:
-                        entry["accepted_by"] = state.accepted_by
-                    if state.audited:
-                        entry["audited"] = True
-            if entry:
-                cells[str(index)] = entry
-        snapshot: dict[str, Any] = {"cells": cells}
-        if self._quarantined:
-            snapshot["quarantined"] = sorted(self._quarantined)
-        return snapshot
+        self._state.apply({"kind": kind, **fields}, now)
+        # the state is the fold of the events so far after *every* commit,
+        # so any of them may be the one that folds the journal away
+        if self._journal.due_for_compaction:
+            self._compact_locked()
 
     def _compact_locked(self) -> None:
         with obs.span(
             "fabric.journal.compact", campaign=self.spec.campaign_id
         ) as span:
-            state = self._snapshot_state_locked()
-            self._journal.compact(state)
-            span.set_attrs(snapshot_cells=len(state["cells"]))
+            events = self._state.snapshot_events()
+            # last, so no budget event above re-opens a leased cell
+            events.extend(
+                {
+                    "kind": "lease",
+                    "lease_id": lease.lease_id,
+                    "worker_id": lease.worker_id,
+                    "cells": list(lease.cell_indices),
+                }
+                for lease in self._table.leases()
+            )
+            self._journal.compact({"events": events})
+            span.set_attrs(snapshot_events=len(events))
         self._count("journal_compactions")
-
-    def _maybe_compact_locked(self) -> None:
-        if self._journal.due_for_compaction:
-            self._compact_locked()
 
     # ------------------------------------------------------------------
     # worker-facing protocol (every payload/return is JSON-compatible)
@@ -529,14 +355,7 @@ class Coordinator:
             self._wstats[state.worker_id] = {
                 "name": state.name,
                 "registered_at": now,
-                "cells_leased": 0,
-                "cells_done": 0,
-                "timeouts": 0,
-                "escalations": 0,
-                "transient_failures": 0,
-                "stale_submits": 0,
-                "duplicate_submits": 0,
-                "integrity_rejects": 0,
+                **dict.fromkeys(TALLIES, 0),
             }
             obs.event(
                 "fabric.register",
@@ -548,7 +367,7 @@ class Coordinator:
                 "lease_ttl_s": self.lease_ttl_s,
                 "heartbeat_interval_s": self.heartbeat_interval_s,
                 "lease_cells": self.lease_cells,
-                "quarantined": state.name in self._quarantined,
+                "quarantined": state.name in self._state.quarantined,
             }
 
     def heartbeat(self, worker_id: str) -> dict:
@@ -572,21 +391,23 @@ class Coordinator:
             if self._finished_locked():
                 return {"cells": [], "done": True}
             name = self._worker_name(worker_id)
-            if name in self._quarantined:
+            if name in self._state.quarantined:
                 return {
                     "cells": [],
                     "done": False,
                     "quarantined": True,
                     "retry_after_s": self.heartbeat_interval_s,
                 }
+            cells = self._state.cells
             indices = []
-            for i, state in enumerate(self._states):
+            for i, state in enumerate(cells):
                 if len(indices) >= limit:
                     break
                 if state.status == "pending" and state.eligible_at <= now:
                     indices.append(i)
-                elif state.status == "audit" and not any(
-                    c["worker"] == name for c in self._audit.get(i, ())
+                elif (
+                    state.status == "audit"
+                    and self._state.candidate(i, name) is None
                 ):
                     # audit re-execution must come from a worker that has
                     # not already answered for this cell
@@ -600,32 +421,25 @@ class Coordinator:
             lease = self._table.grant(worker_id, indices, now)
             # journaled before the grant is acknowledged: a recovered
             # coordinator expires it, so the cells re-lease cleanly
-            self._journal_locked(
+            self._commit(
                 "lease",
+                now,
                 lease_id=lease.lease_id,
                 worker_id=worker_id,
-                cells=list(indices),
+                cells=indices,
             )
             for i in indices:
-                state = self._states[i]
-                state.status = (
-                    "audit_leased" if state.status == "audit" else "leased"
-                )
                 obs.event(
                     "fabric.lease_cell",
-                    cell_id=state.cell.cell_id,
+                    cell_id=cells[i].cell.cell_id,
                     worker_id=worker_id,
                     lease_id=lease.lease_id,
                 )
             self._count("leases_granted")
             self._count("cells_leased", len(indices), worker_id)
-            stats = self._wstats.get(worker_id)
-            if stats is not None:
-                stats["cells_leased"] += len(indices)
-            self._maybe_compact_locked()
             return {
                 "lease_id": lease.lease_id,
-                "cells": [dict(self._states[i].payload) for i in indices],
+                "cells": [dict(cells[i].payload) for i in indices],
                 "done": False,
             }
 
@@ -647,14 +461,13 @@ class Coordinator:
         quarantines the submitter.  Legacy submissions without it are
         folded unvalidated.
         """
+        entry = {"cell_id": cell_id, "record": record, "timing": timing,
+                 "integrity": integrity}
         with self._lock:
             now = self._clock()
             self._table.touch(worker_id, now)
-            reply = self._submit_one_locked(
-                worker_id, lease_id, cell_id, record, timing, integrity, now
-            )
+            reply = self._submit_one_locked(worker_id, lease_id, entry, now)
             self._reap(now)
-            self._maybe_compact_locked()
             reply["done"] = self._finished_locked()
             return reply
 
@@ -675,54 +488,43 @@ class Coordinator:
         with self._lock:
             now = self._clock()
             self._table.touch(worker_id, now)
-            results = []
-            for entry in entries:
-                results.append(self._submit_one_locked(
-                    worker_id,
-                    lease_id,
-                    str(entry["cell_id"]),
-                    entry["record"],
-                    entry["timing"],
-                    entry.get("integrity"),
-                    now,
-                ))
+            results = [
+                self._submit_one_locked(worker_id, lease_id, entry, now)
+                for entry in entries
+            ]
             self._count("batch_submits", worker_id=worker_id)
             self._reap(now)
-            self._maybe_compact_locked()
             return {"results": results, "done": self._finished_locked()}
 
     def _submit_one_locked(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        record: Mapping[str, Any],
-        timing: Mapping[str, Any],
-        integrity: Mapping[str, Any] | None,
-        now: float,
+        self, worker_id: str, lease_id: str, entry: Mapping[str, Any], now: float
     ) -> dict:
+        """Fold one ``{"cell_id", "record", "timing", "integrity"?}``."""
+        cell_id = str(entry["cell_id"])
+        integrity = entry.get("integrity")
         with obs.span(
             "fabric.submit", cell_id=cell_id, worker_id=worker_id
-        ) as submit_span:
+        ) as span:
+
+            def reply(outcome: str, fields: dict) -> dict:
+                span.set_attrs(outcome=outcome)
+                return fields
+
             index = self._by_id.get(cell_id)
             if index is None:
                 raise CampaignError(f"unknown cell {cell_id!r}")
-            state = self._states[index]
-            stats = self._wstats.get(worker_id)
+            state = self._state.cells[index]
             name = self._worker_name(worker_id)
-            if name in self._quarantined:
+            if name in self._state.quarantined:
                 # a quarantined worker's results are suspect by verdict;
                 # nothing it delivers is folded
-                submit_span.set_attrs(outcome="quarantined")
-                return {"accepted": False, "rejected": True,
-                        "reason": "quarantined", "quarantined": True}
+                return reply("quarantined", _refusal("quarantined"))
+            record = dict(entry["record"])
+            timing = dict(entry["timing"])
             if integrity is not None and not self._integrity_ok_locked(
-                state, cell_id, record, integrity
+                state, record, integrity
             ):
                 self._count("integrity_rejects", worker_id=worker_id)
-                if stats is not None:
-                    stats["integrity_rejects"] += 1
-                submit_span.set_attrs(outcome="rejected")
                 obs.event(
                     "fabric.integrity_reject",
                     cell_id=cell_id,
@@ -731,72 +533,50 @@ class Coordinator:
                 self._quarantine_locked(
                     name, f"integrity reject on {cell_id}", now
                 )
-                return {"accepted": False, "rejected": True,
-                        "reason": "integrity", "quarantined": True}
+                return reply("rejected", _refusal("integrity"))
             fresh_lease = self._table.release_cell(lease_id, index)
-            submit_span.set_attrs(stale=not fresh_lease)
+            span.set_attrs(stale=not fresh_lease)
             if not fresh_lease:
                 self._count("stale_submits", worker_id=worker_id)
-                if stats is not None:
-                    stats["stale_submits"] += 1
             if state.status == "done":
                 self._count("duplicate_submits", worker_id=worker_id)
-                if stats is not None:
-                    stats["duplicate_submits"] += 1
-                submit_span.set_attrs(outcome="duplicate")
-                return {"accepted": False, "duplicate": True}
-            record = dict(record)
-            if stats is not None and record.get("status") == "timeout":
-                stats["timeouts"] += 1
-            if state.status in ("audit", "audit_leased"):
-                return self._audit_submit_locked(
-                    submit_span, index, state, worker_id, name,
-                    record, dict(timing), now,
-                )
+                return reply("duplicate", {"accepted": False, "duplicate": True})
+            timed_out = record.get("status") == "timeout"
+            if timed_out:
+                self._tally(worker_id, "timeouts")
+            if index in self._state.audit or (
+                not timed_out and self._audit_selected(cell_id)
+            ):
+                # under audit already, or deterministically sampled for
+                # it: the record becomes a candidate and the cell waits
+                # for a different worker's byte-identical confirmation
+                return reply(*self._audit_submit_locked(
+                    index, worker_id, name, record, timing, now
+                ))
             if (
-                record.get("status") == "timeout"
+                timed_out
                 and self.escalation_factor > 1.0
                 and not state.escalated
                 and state.payload.get("timeout_s")
             ):
-                self._escalate_locked(state, now)
-                if stats is not None:
-                    stats["escalations"] += 1
-                submit_span.set_attrs(outcome="escalated")
-                return {"accepted": True, "escalated": True}
-            if record.get("status") != "timeout" and self._audit_selected(
-                cell_id
-            ):
-                # deterministically sampled for audit: the record becomes
-                # the first candidate and the cell waits for a different
-                # worker's byte-identical confirmation
-                return self._audit_submit_locked(
-                    submit_span, index, state, worker_id, name,
-                    record, dict(timing), now,
-                )
+                self._escalate_locked(index, worker_id, now)
+                return reply("escalated", {"accepted": True, "escalated": True})
             # write-ahead: the accept is durable before the worker hears
             # "accepted", so a crash after this line can never re-run the
             # cell -- recovery re-admits the journaled record instead
-            self._journal_locked(
+            self._commit(
                 "accept",
+                now,
                 index=index,
                 cell_id=cell_id,
                 lease_id=lease_id,
                 worker=name,
                 record=record,
-                timing=dict(timing),
+                timing=timing,
             )
-            if self.chaos is not None:
-                self.chaos.on_accept()
-            state.accepted_by = name
-            self._complete_locked(index, record, dict(timing))
-            if stats is not None:
-                stats["cells_done"] += 1
-            submit_span.set_attrs(outcome="accepted")
-            global_collector().observe(
-                "fabric.cell_wall_ms", float(timing.get("wall_ms") or 0.0)
-            )
-            return {"accepted": True, "duplicate": False}
+            self._accepted_locked(timing)
+            self._tally(worker_id, "cells_done")
+            return reply("accepted", {"accepted": True, "duplicate": False})
 
     def fail(
         self,
@@ -829,18 +609,13 @@ class Coordinator:
                 cell_id=cell_id,
                 worker_id=worker_id,
                 requeue=bool(requeue),
-                detail=_truncate(detail, 120),
+                detail=detail[:120],
             )
             if requeue:
-                self._requeue_locked(index, now)
-                self._maybe_compact_locked()
+                self._state.release(index, now)
                 return {"retried": True, "done": self._finished_locked()}
             self._count("transient_failures", worker_id=worker_id)
-            stats = self._wstats.get(worker_id)
-            if stats is not None:
-                stats["transient_failures"] += 1
             retried = self._retry_locked(index, now, f"transient: {detail}")
-            self._maybe_compact_locked()
             return {"retried": retried, "done": self._finished_locked()}
 
     def deregister(self, worker_id: str) -> dict:
@@ -852,18 +627,9 @@ class Coordinator:
         """
         with self._lock:
             now = self._clock()
-            requeued = 0
-            for lease in self._table.deregister_worker(worker_id):
-                for index in lease.cell_indices:
-                    state = self._states[index]
-                    if state.status == "audit_leased":
-                        state.status = "audit"
-                        requeued += 1
-                        continue
-                    if state.status != "leased":
-                        continue
-                    self._requeue_locked(index, now)
-                    requeued += 1
+            requeued = self._release_locked(
+                self._table.deregister_worker(worker_id), now
+            )
             self._count("deregisters")
             obs.event(
                 "fabric.deregister",
@@ -905,10 +671,11 @@ class Coordinator:
             now = self._clock()
             self._reap(now)
             data = self.store.status()
-            buffered = len(self._buffer)
+            state = self._state
+            buffered = len(state.buffer)
             data["done"] += buffered
             data["remaining"] = max(0, data["total"] - data["done"])
-            for record, _ in self._buffer.values():
+            for record, _ in state.buffer.values():
                 data["by_status"][record["status"]] = (
                     data["by_status"].get(record["status"], 0) + 1
                 )
@@ -920,10 +687,10 @@ class Coordinator:
                 "active_leases": len(self._table.leases()),
                 "buffered": buffered,
                 "pending": sum(
-                    1 for s in self._states if s.status != "done"
+                    1 for s in state.cells if s.status != "done"
                 ),
-                "audits_pending": len(self._audit),
-                "quarantined_workers": sorted(self._quarantined),
+                "audits_pending": len(state.audit),
+                "quarantined_workers": sorted(state.quarantined),
             }
             return data
 
@@ -963,22 +730,15 @@ class Coordinator:
                     "name": stats["name"],
                     "alive": live is not None,
                     "last_seen_age_s": age_s,
-                    "cells_leased": stats["cells_leased"],
-                    "cells_done": stats["cells_done"],
+                    **{name: stats[name] for name in TALLIES},
                     "cells_per_s": round(stats["cells_done"] / active_s, 3),
                     "in_flight": in_flight.get(worker_id, 0),
                     "lease_ages_s": sorted(lease_ages.get(worker_id, [])),
-                    "timeouts": stats["timeouts"],
-                    "escalations": stats["escalations"],
-                    "transient_failures": stats["transient_failures"],
-                    "stale_submits": stats["stale_submits"],
-                    "duplicate_submits": stats["duplicate_submits"],
-                    "integrity_rejects": stats.get("integrity_rejects", 0),
-                    "quarantined": stats["name"] in self._quarantined,
+                    "quarantined": stats["name"] in self._state.quarantined,
                 })
             workers.sort(key=lambda w: w["worker_id"])
-            total = len(self._states)
-            done = sum(1 for s in self._states if s.status == "done")
+            total = len(self._state.cells)
+            done = sum(1 for s in self._state.cells if s.status == "done")
             return {
                 "campaign": self.spec.campaign_id,
                 "total": total,
@@ -987,8 +747,8 @@ class Coordinator:
                 "finished": self._finished_locked(),
                 "uptime_s": round(now - self._started_at, 3),
                 "counters": dict(self.counters),
-                "audits_pending": len(self._audit),
-                "quarantined_workers": sorted(self._quarantined),
+                "audits_pending": len(self._state.audit),
+                "quarantined_workers": sorted(self._state.quarantined),
                 "workers": workers,
             }
 
@@ -996,12 +756,24 @@ class Coordinator:
     # internals (call with the lock held)
     # ------------------------------------------------------------------
     def _finished_locked(self) -> bool:
-        return self._next_flush == len(self._states) and not self._buffer
+        return (
+            self._next_flush == len(self._state.cells)
+            and not self._state.buffer
+        )
+
+    def _tally(self, worker_id: str | None, name: str, by: int = 1) -> None:
+        """Bump one worker's telemetry tally (unknown workers have none)."""
+        stats = self._wstats.get(worker_id)
+        if stats is not None and name in TALLIES:
+            stats[name] += by
 
     def _count(
         self, name: str, by: int = 1, worker_id: str | None = None
     ) -> None:
+        """Bump a fabric counter, the process metric behind it and, for
+        the per-worker ones, the worker's own tally."""
         self.counters[name] += by
+        self._tally(worker_id, name, by)
         global_collector().increment(
             f"fabric.{name}",
             by,
@@ -1018,134 +790,114 @@ class Coordinator:
     def _retry_after_locked(self, now: float) -> float:
         waits = [
             state.eligible_at - now
-            for state in self._states
+            for state in self._state.cells
             if state.status == "pending"
         ]
         if not waits:
             return self.heartbeat_interval_s
         return min(max(min(waits), 0.01), self.heartbeat_interval_s)
 
-    def _requeue_locked(self, index: int, now: float) -> None:
-        """Hand a cell straight back to the pending pool (clean drain)."""
-        state = self._states[index]
-        if state.status == "done":
-            return
-        state.status = "pending"
-        state.eligible_at = now
+    def _release_locked(self, leases: list[Lease], now: float) -> int:
+        """Hand the still-leased cells of removed leases straight back to
+        the pool (clean drain, quarantine: nothing failed, so no attempt
+        bump and no backoff); returns how many."""
+        return sum(
+            self._state.release(index, now)
+            for lease in leases
+            for index in lease.cell_indices
+        )
 
     def _retry_locked(self, index: int, now: float, detail: str) -> bool:
         """Requeue a transiently-failed/reclaimed cell, or give up on it."""
-        state = self._states[index]
+        state = self._state.cells[index]
         if state.status == "done":
             return False
-        state.attempts += 1
-        if state.attempts > self.max_transient_retries:
-            record = self._terminal_error_record(state, detail)
-            timing = {"id": state.cell.cell_id, "wall_ms": 0.0}
-            self._journal_locked(
+        attempts = state.attempts + 1
+        cell_id = state.cell.cell_id
+        if attempts > self.max_transient_retries:
+            self._give_up_locked(
                 "terminal",
-                index=index,
-                cell_id=state.cell.cell_id,
-                record=record,
-                timing=timing,
+                index,
+                now,
+                f"{detail} (gave up after {attempts} attempts)",
             )
-            self._complete_locked(index, record, timing)
             obs.event(
-                "fabric.terminal_error",
-                cell_id=state.cell.cell_id,
-                attempts=state.attempts,
+                "fabric.terminal_error", cell_id=cell_id, attempts=attempts
             )
             return False
-        state.status = "pending"
-        state.eligible_at = now + self._backoff_locked(state.attempts)
-        self._journal_locked(
-            "retry", index=index, attempts=state.attempts
-        )
+        self._commit("retry", now, index=index, attempts=attempts)
+        state.eligible_at = now + self._backoff_locked(attempts)
         self._count("retries")
-        obs.event(
-            "fabric.retry_cell",
-            cell_id=state.cell.cell_id,
-            attempts=state.attempts,
-        )
+        obs.event("fabric.retry_cell", cell_id=cell_id, attempts=attempts)
         return True
 
-    def _terminal_error_record(self, state: _CellState, detail: str) -> dict:
-        cell = state.cell
-        return {
-            "cell": cell.index,
-            "id": cell.cell_id,
-            "family": cell.family,
-            "size": cell.size,
-            "repeat": cell.repeat,
-            "seed": cell.seed,
-            "scheduler": cell.scheduler,
-            "status": "error",
-            "rounds": None,
-            "touches": None,
-            "verified": None,
-            "detail": _truncate(
-                f"{detail} (gave up after {state.attempts} attempts)"
-            ),
-        }
+    def _give_up_locked(
+        self, kind: str, index: int, now: float, detail: str, **fields: Any
+    ) -> None:
+        """Settle a cell with a coordinator-made error record."""
+        state = self._state.cells[index]
+        cell_id = state.cell.cell_id
+        self._commit(
+            kind,
+            now,
+            index=index,
+            cell_id=cell_id,
+            record=new_record(state.payload, "error", detail),
+            timing={"id": cell_id, "wall_ms": 0.0},
+            **fields,
+        )
+        self._flush_locked()
 
-    def _escalate_locked(self, state: _CellState, now: float) -> None:
+    def _escalate_locked(self, index: int, worker_id: str, now: float) -> None:
         """Re-lease a timed-out cell once, with a larger budget.
 
         The wall-clock limit grows by ``escalation_factor``; when the
         scheduler accepts explicit search budgets (the exact engines'
         ``node_budget`` / ``time_limit_s``), those grow with it.
         """
-        state.escalated = True
-        payload = state.payload
-        old_timeout = float(payload["timeout_s"])
-        payload["timeout_s"] = old_timeout * self.escalation_factor
-        scheduler = resolve(payload["scheduler"])
+        state = self._state.cells[index]
+        timeout_s = float(state.payload["timeout_s"]) * self.escalation_factor
+        scheduler = resolve(state.payload["scheduler"])
         extra: dict[str, Any] = {}
-        if "time_limit_s" in scheduler.accepts:
-            bound = scheduler.params.get("time_limit_s")
-            if bound is not None:
-                extra["time_limit_s"] = float(bound) * self.escalation_factor
-        if "node_budget" in scheduler.accepts:
-            budget = scheduler.params.get("node_budget")
-            if budget is not None:
-                extra["node_budget"] = int(budget * self.escalation_factor)
-        if extra:
-            payload["scheduler_params"] = extra
-        index = self._by_id[state.cell.cell_id]
-        self._journal_locked(
+        for budget, number in (("time_limit_s", float), ("node_budget", int)):
+            bound = scheduler.params.get(budget)
+            if budget in scheduler.accepts and bound is not None:
+                extra[budget] = number(bound * self.escalation_factor)
+        self._commit(
             "escalate",
+            now,
             index=index,
-            timeout_s=payload["timeout_s"],
+            timeout_s=timeout_s,
             scheduler_params=extra or None,
         )
-        state.status = "pending"
-        state.eligible_at = now
         self._count("escalations")
+        self._tally(worker_id, "escalations")
         obs.event(
             "fabric.escalate_cell",
             cell_id=state.cell.cell_id,
-            timeout_s=payload["timeout_s"],
+            timeout_s=timeout_s,
         )
 
-    def _complete_locked(self, index: int, record: dict, timing: dict) -> None:
-        state = self._states[index]
-        state.status = "done"
-        self._buffer[index] = (record, timing)
+    def _accepted_locked(self, timing: Mapping[str, Any]) -> None:
+        """Volatile tail of a journaled worker accept."""
+        if self.chaos is not None:
+            self.chaos.on_accept()
         self._flush_locked()
+        global_collector().observe(
+            "fabric.cell_wall_ms", float(timing.get("wall_ms") or 0.0)
+        )
 
     def _flush_locked(self) -> None:
         """Write the grown canonical prefix through the store."""
-        while self._next_flush < len(self._states):
-            index = self._next_flush
-            if self._states[index].on_disk:
-                self._next_flush += 1
-                continue
-            buffered = self._buffer.pop(index, None)
-            if buffered is None:
-                break
-            record, timing = buffered
-            self.store.append(record, timing)
-            self._states[index].on_disk = True
+        cells = self._state.cells
+        while (
+            self._next_flush < len(cells)
+            and cells[self._next_flush].status == "done"
+        ):
+            # settled and not buffered: flushed by a previous incarnation
+            buffered = self._state.buffer.pop(self._next_flush, None)
+            if buffered is not None:
+                self.store.append(*buffered)
             self._next_flush += 1
 
     def _reap(self, now: float) -> None:
@@ -1160,50 +912,38 @@ class Coordinator:
         same name fall through to the retry path so a respawning worker
         looping on one cell stays bounded either way.
         """
+        cells = self._state.cells
         for lease, reason in self._table.reap(now):
             suspect = None
-            charged = False
             if reason == "worker-dead":
                 suspect = next(
-                    (
-                        i for i in lease.cell_indices
-                        if self._states[i].status in ("leased", "audit_leased")
-                    ),
+                    (i for i in lease.cell_indices if cells[i].status == "leased"),
                     None,
                 )
-                if suspect is not None:
-                    charged = self._record_kill_locked(
-                        suspect, self._worker_name(lease.worker_id), now
-                    )
+                if suspect is not None and not self._record_kill_locked(
+                    suspect, self._worker_name(lease.worker_id), now
+                ):
+                    suspect = None  # a repeat killer: charge the retry
             for index in lease.cell_indices:
-                state = self._states[index]
-                if state.status == "audit_leased":
-                    # the re-execution never arrived; the cell goes back
-                    # to waiting for a different worker (no retry charge)
-                    state.status = "audit"
-                    self._count("reclaims", worker_id=lease.worker_id)
-                    obs.event(
-                        "fabric.reclaim_cell",
-                        cell_id=state.cell.cell_id,
-                        worker_id=lease.worker_id,
-                        reason=reason,
-                    )
-                    continue
-                if state.status != "leased":
+                if cells[index].status != "leased":
                     continue
                 self._count("reclaims", worker_id=lease.worker_id)
                 obs.event(
                     "fabric.reclaim_cell",
-                    cell_id=state.cell.cell_id,
+                    cell_id=cells[index].cell.cell_id,
                     worker_id=lease.worker_id,
                     reason=reason,
                 )
-                if charged and index == suspect:
-                    self._requeue_locked(index, now)
-                    continue
-                self._retry_locked(
-                    index, now, f"lease {lease.lease_id} reclaimed ({reason})"
-                )
+                if index in self._state.audit or index == suspect:
+                    # an audit re-execution that never arrived just waits
+                    # for a different worker; the suspect paid with a kill
+                    self._state.release(index, now)
+                else:
+                    self._retry_locked(
+                        index,
+                        now,
+                        f"lease {lease.lease_id} reclaimed ({reason})",
+                    )
 
     # ------------------------------------------------------------------
     # integrity, audit, quarantine, poison (call with the lock held)
@@ -1217,8 +957,7 @@ class Coordinator:
 
     def _integrity_ok_locked(
         self,
-        state: _CellState,
-        cell_id: str,
+        state: CellState,
         record: Mapping[str, Any],
         integrity: Mapping[str, Any],
     ) -> bool:
@@ -1251,110 +990,85 @@ class Coordinator:
 
     def _audit_submit_locked(
         self,
-        span,
         index: int,
-        state: _CellState,
         worker_id: str,
         name: str,
         record: dict,
         timing: dict,
         now: float,
-    ) -> dict:
-        """Fold one submission into the cell's audit candidate set."""
-        cell_id = state.cell.cell_id
+    ) -> tuple[str, dict]:
+        """Fold one submission into the cell's audit candidate set;
+        returns the submit span's outcome and the worker's reply."""
+        cell_id = self._state.cells[index].cell.cell_id
         if record.get("status") == "timeout":
             # a timed-out (re-)execution is no evidence either way; the
             # cell keeps waiting for a conclusive run
-            if state.status in ("leased", "audit_leased"):
-                state.status = "audit" if index in self._audit else "pending"
-            span.set_attrs(outcome="audit_inconclusive")
-            return {"accepted": True, "audit_pending": True}
-        candidates = self._audit.setdefault(index, [])
-        encoded = encode_record(record)
-        mine = next((c for c in candidates if c["worker"] == name), None)
+            self._state.release(index, now)
+            return "audit_inconclusive", {"accepted": True, "audit_pending": True}
+        mine = self._state.candidate(index, name)
         if mine is not None:
-            if mine["encoded"] == encoded:
+            if mine["encoded"] == encode_record(record):
                 # duplicate delivery of an already-held candidate
                 self._count("duplicate_submits", worker_id=worker_id)
-                span.set_attrs(outcome="duplicate")
-                return {"accepted": False, "duplicate": True,
-                        "audit_pending": True}
+                return "duplicate", {"accepted": False, "duplicate": True,
+                                     "audit_pending": True}
             # the worker contradicted its own earlier answer: whichever
             # copy is right, the worker is not trustworthy
             self._count("audit_mismatches", worker_id=worker_id)
             self._quarantine_locked(
                 name, f"self-contradictory candidates on {cell_id}", now
             )
-            span.set_attrs(outcome="quarantined")
-            return {"accepted": False, "rejected": True,
-                    "reason": "audit", "quarantined": True}
+            return "quarantined", _refusal("audit")
         # journaled before the candidate counts: a restarted coordinator
         # re-derives the same verdict from the same candidate set
-        self._journal_locked(
+        self._commit(
             "audit_candidate",
+            now,
             index=index,
             cell_id=cell_id,
             worker=name,
             record=record,
             timing=timing,
         )
-        candidates.append({
-            "worker": name,
-            "record": record,
-            "timing": timing,
-            "encoded": encoded,
-        })
-        state.status = "audit"
         obs.event(
             "fabric.audit_candidate",
             cell_id=cell_id,
             worker=name,
-            candidates=len(candidates),
+            candidates=len(self._state.audit[index]),
         )
-        verdict = self._resolve_audit_locked(index, state, now)
-        if verdict is None:
-            span.set_attrs(outcome="audit_pending")
-            return {"accepted": True, "audit_pending": True}
-        if name in verdict["losers"]:
-            span.set_attrs(outcome="quarantined")
-            return {"accepted": False, "rejected": True,
-                    "reason": "audit", "quarantined": True}
-        span.set_attrs(outcome="accepted")
-        return {"accepted": True, "audited": True}
+        losers = self._resolve_audit_locked(index, now)
+        if losers is None:
+            return "audit_pending", {"accepted": True, "audit_pending": True}
+        if name in losers:
+            return "quarantined", _refusal("audit")
+        return "accepted", {"accepted": True, "audited": True}
 
-    def _resolve_audit_locked(
-        self, index: int, state: _CellState, now: float
-    ) -> dict | None:
+    def _resolve_audit_locked(self, index: int, now: float) -> list[str] | None:
         """Settle a cell's audit once the candidate set is conclusive.
 
         Any two byte-identical candidates win -- a lying worker cannot
         outvote two honest runs of deterministic work -- and every
         non-matching candidate's worker is quarantined.  Three mutually
         distinct candidates mean nothing is corroborated: all three
-        claimants are quarantined and the cell recomputes from scratch.
-        Returns ``None`` while the set is still inconclusive.
+        claimants are quarantined, which withdraws their candidates, and
+        the cell recomputes from scratch.  Returns the quarantined names,
+        or ``None`` while the set is still inconclusive.
         """
-        if state.status == "done":
-            self._audit.pop(index, None)
-            return None
-        candidates = self._audit.get(index) or []
-        cell_id = state.cell.cell_id
-        winner = None
-        for i, first in enumerate(candidates):
-            if any(
-                other["encoded"] == first["encoded"]
-                for other in candidates[i + 1:]
-            ):
-                winner = first
-                break
+        candidates = self._state.audit[index]
+        cell_id = self._state.cells[index].cell.cell_id
+        votes = Counter(c["encoded"] for c in candidates)
+        winner = next(
+            (c for c in candidates if votes[c["encoded"]] > 1), None
+        )
         if winner is not None:
             losers = [
                 c["worker"] for c in candidates
                 if c["encoded"] != winner["encoded"]
             ]
             self._count("audits_run")
-            self._journal_locked(
+            self._commit(
                 "accept",
+                now,
                 index=index,
                 cell_id=cell_id,
                 lease_id=None,
@@ -1363,112 +1077,49 @@ class Coordinator:
                 record=winner["record"],
                 timing=winner["timing"],
             )
-            if self.chaos is not None:
-                self.chaos.on_accept()
-            state.accepted_by = winner["worker"]
-            state.audited = True
-            self._audit.pop(index, None)
             for candidate in candidates:
                 if candidate["encoded"] == winner["encoded"]:
                     self._credit_locked(candidate["worker"])
-            self._complete_locked(
-                index, dict(winner["record"]), dict(winner["timing"])
-            )
-            global_collector().observe(
-                "fabric.cell_wall_ms",
-                float(winner["timing"].get("wall_ms") or 0.0),
-            )
+            self._accepted_locked(winner["timing"])
             obs.event(
                 "fabric.audit_confirmed",
                 cell_id=cell_id,
                 mismatches=len(losers),
             )
-            for loser in losers:
-                self._count("audit_mismatches")
-                self._quarantine_locked(
-                    loser, f"audit mismatch on {cell_id}", now
-                )
-            return {"winner": winner["worker"], "losers": losers}
-        if len(candidates) >= 3:
+            reason = f"audit mismatch on {cell_id}"
+        elif len(candidates) >= 3:
             losers = [c["worker"] for c in candidates]
             self._count("audits_run")
-            self._audit.pop(index, None)
-            state.status = "pending"
-            state.eligible_at = now
             obs.event("fabric.audit_deadlock", cell_id=cell_id)
-            for loser in losers:
-                self._count("audit_mismatches")
-                self._quarantine_locked(
-                    loser, f"three-way audit disagreement on {cell_id}", now
-                )
-            return {"winner": None, "losers": losers}
-        return None
+            reason = f"three-way audit disagreement on {cell_id}"
+        else:
+            return None
+        for loser in losers:
+            self._count("audit_mismatches")
+            self._quarantine_locked(loser, reason, now)
+        return losers
 
     def _quarantine_locked(self, name: str, reason: str, now: float) -> None:
-        """Stop trusting a worker *name*: journal the verdict, requeue
-        its in-flight leases, drop its audit candidates, and retract its
-        buffered unaudited accepts so the cells re-run elsewhere."""
-        if name in self._quarantined:
+        """Stop trusting a worker *name*: journal the verdict (applying
+        it drops the worker's audit candidates and retracts its buffered
+        unaudited accepts so the cells re-run elsewhere), then requeue
+        its in-flight leases."""
+        if name in self._state.quarantined:
             return
-        self._quarantined.add(name)
+        retracted = self._state.retractable(name)
+        self._commit("quarantine", now, worker=name, reason=reason)
         self._count("quarantines")
-        self._journal_locked("quarantine", worker=name, reason=reason)
-        obs.event(
-            "fabric.quarantine",
-            worker=name,
-            reason=_truncate(reason, 120),
-        )
-        for worker in list(self._table.workers()):
-            if worker.name != name:
-                continue
-            for lease in self._table.release_worker_leases(worker.worker_id):
-                for index in lease.cell_indices:
-                    state = self._states[index]
-                    if state.status == "audit_leased":
-                        state.status = "audit"
-                    elif state.status == "leased":
-                        self._requeue_locked(index, now)
-        self._retract_accepts_locked(name, now)
-
-    def _retract_accepts_locked(self, name: str, now: float) -> None:
-        """Withdraw a quarantined worker's unconfirmed contributions.
-
-        Audit candidates it holds are dropped (a cell left with none
-        goes back to pending), and its buffered unaudited accepts are
-        pulled out of the flush buffer and re-run.  Audited accepts and
-        anything already flushed to ``results.jsonl`` stay: those were
-        byte-confirmed by an independent worker or are immutably on disk.
-        """
-        for index in list(self._audit):
-            state = self._states[index]
-            kept = [
-                c for c in self._audit[index] if c["worker"] != name
-            ]
-            if len(kept) == len(self._audit[index]):
-                continue
-            if kept:
-                self._audit[index] = kept
-            else:
-                del self._audit[index]
-                if state.status == "audit":
-                    state.status = "pending"
-                    state.eligible_at = now
-        for index, state in enumerate(self._states):
-            if (
-                state.status == "done"
-                and not state.on_disk
-                and not state.audited
-                and state.accepted_by == name
-                and index in self._buffer
-            ):
-                del self._buffer[index]
-                state.status = "pending"
-                state.eligible_at = now
-                state.accepted_by = None
-                obs.event(
-                    "fabric.retract_cell",
-                    cell_id=state.cell.cell_id,
-                    worker=name,
+        obs.event("fabric.quarantine", worker=name, reason=reason[:120])
+        for index in retracted:
+            obs.event(
+                "fabric.retract_cell",
+                cell_id=self._state.cells[index].cell.cell_id,
+                worker=name,
+            )
+        for worker in self._table.workers():
+            if worker.name == name:
+                self._release_locked(
+                    self._table.release_worker_leases(worker.worker_id), now
                 )
 
     def _record_kill_locked(self, index: int, name: str, now: float) -> bool:
@@ -1478,11 +1129,10 @@ class Coordinator:
         caller then requeues without a retry charge); reaching
         ``poison_kill_threshold`` distinct killers poisons the cell.
         """
-        state = self._states[index]
+        state = self._state.cells[index]
         if state.status == "done" or name in state.killers:
             return False
-        state.killers.add(name)
-        self._journal_locked("kill", index=index, worker=name)
+        self._commit("kill", now, index=index, worker=name)
         self._count("kills")
         obs.event(
             "fabric.kill",
@@ -1490,49 +1140,30 @@ class Coordinator:
             worker=name,
             distinct_killers=len(state.killers),
         )
-        if len(state.killers) >= self.poison_kill_threshold:
-            self._poison_locked(index, now)
+        self._poison_locked(index, now)
         return True
 
     def _poison_locked(self, index: int, now: float) -> None:
-        """Terminally record a cell that keeps killing fresh workers."""
-        state = self._states[index]
-        if state.status == "done":
+        """Terminally record a cell once it has killed
+        ``poison_kill_threshold`` distinct workers."""
+        state = self._state.cells[index]
+        if (
+            state.status == "done"
+            or len(state.killers) < self.poison_kill_threshold
+        ):
             return
-        state.poisoned = True
-        cell = state.cell
         killers = sorted(state.killers)
-        record = {
-            "cell": cell.index,
-            "id": cell.cell_id,
-            "family": cell.family,
-            "size": cell.size,
-            "repeat": cell.repeat,
-            "seed": cell.seed,
-            "scheduler": cell.scheduler,
-            "status": "error",
-            "rounds": None,
-            "touches": None,
-            "verified": None,
-            "detail": _truncate(
-                f"poisoned: killed {len(killers)} distinct workers "
-                f"({', '.join(killers)})"
-            ),
-        }
-        timing = {"id": cell.cell_id, "wall_ms": 0.0}
-        self._journal_locked(
+        self._give_up_locked(
             "poison",
-            index=index,
-            cell_id=cell.cell_id,
+            index,
+            now,
+            f"poisoned: killed {len(killers)} distinct workers "
+            f"({', '.join(killers)})",
             killers=killers,
-            record=record,
-            timing=timing,
         )
-        self._audit.pop(index, None)
-        self._complete_locked(index, record, timing)
         self._count("poisoned_cells")
         obs.event(
             "fabric.poison_cell",
-            cell_id=cell.cell_id,
+            cell_id=state.cell.cell_id,
             killers=len(killers),
         )

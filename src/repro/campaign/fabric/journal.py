@@ -1,13 +1,13 @@
 """Write-ahead journal for the campaign fabric coordinator.
 
-The coordinator's in-memory state -- the out-of-order shard buffer,
-retry/backoff counters, escalation flags, and lease grants -- dies with
-its process.  This module makes every one of those transitions durable
-*before* it is acknowledged to a worker, so a SIGKILLed coordinator can
-be restarted over the same run directory and pick up exactly where it
-died: completed-but-unflushed cells are re-admitted (never re-run),
-retry and escalation budgets carry over, and pre-crash leases are
-expired so cells re-lease cleanly.
+The coordinator is event-sourced (:mod:`repro.campaign.fabric.state`): its
+durable state changes only by applying a journal record, and every record
+is on disk *before* the transition it describes is acknowledged to a
+worker.  So a SIGKILLed coordinator restarted over the same run directory
+re-applies the records and is back exactly where it died:
+completed-but-unflushed cells are re-admitted (never re-run), budgets and
+verdicts carry over, and pre-crash leases are expired so cells re-lease
+cleanly.
 
 Layout inside ``campaign-runs/<id>/``::
 
@@ -17,11 +17,13 @@ Layout inside ``campaign-runs/<id>/``::
                              carrying the sequence number it covers
 
 Each journal record is ``{"seq": n, "kind": ..., ...}`` with a strictly
-increasing ``seq``.  Compaction writes the whole recoverable state as a
-snapshot stamped with the latest ``seq`` and then truncates the journal,
-so the journal stays bounded by the compaction interval.  A crash
-*between* snapshot write and journal truncation is safe: replay skips
-every record whose ``seq`` the snapshot already covers.
+increasing ``seq`` and a ``kind`` out of :data:`KINDS`.  Compaction writes
+a snapshot ``{"events": [...]}`` -- the shortest list of the same records
+that rebuilds the current state -- stamped with the latest ``seq`` and
+then truncates the journal, so the journal stays bounded by the compaction
+interval and recovery is one fold over snapshot events + journal records.
+A crash *between* snapshot write and journal truncation is safe: replay
+skips every record whose ``seq`` the snapshot already covers.
 
 Crash conventions mirror :mod:`repro.campaign.store`: appends are one
 full line + flush + fsync, snapshots go through
@@ -38,13 +40,16 @@ import os
 import pathlib
 from typing import Any, Iterator, Mapping
 
+from repro.errors import CampaignError
 from repro.campaign.store import atomic_write_text
 from repro.campaign.spec import canonical_json
 
 JOURNAL = "fabric-journal.jsonl"
 SNAPSHOT = "fabric-snapshot.json"
 
-#: Journal record kinds (every coordinator state transition).
+#: Journal record kinds, one per coordinator state transition.  This is
+#: the vocabulary both ends are checked against: :meth:`FabricJournal.append`
+#: refuses anything else, and ``FabricState`` must hold a handler for each.
 KINDS = (
     "lease",
     "accept",
@@ -85,7 +90,13 @@ class FabricJournal:
 
         The record is on disk (flushed, and fsynced unless disabled)
         before this returns -- callers ack the transition only after.
+        A ``kind`` outside :data:`KINDS` is refused here, at write time:
+        no replay could apply it.
         """
+        if kind not in KINDS:
+            raise CampaignError(
+                f"unknown journal record kind {kind!r}; known: {KINDS}"
+            )
         self._seq += 1
         record = {"seq": self._seq, "kind": kind, **fields}
         if self._handle is None:
@@ -105,9 +116,10 @@ class FabricJournal:
     def compact(self, state: Mapping[str, Any]) -> None:
         """Fold the journal into a snapshot and truncate it.
 
-        ``state`` must be the complete recoverable state as of the last
-        appended record; the snapshot is stamped with that ``seq`` so a
-        crash before the truncation lands replays nothing twice.
+        ``state`` must rebuild everything recoverable as of the last
+        appended record (the coordinator passes ``{"events": [...]}``);
+        the snapshot is stamped with that ``seq`` so a crash before the
+        truncation lands replays nothing twice.
         """
         atomic_write_text(
             self.snapshot_path,

@@ -102,14 +102,7 @@ class LeaseTable:
         instead of waiting for the TTL to expire.  Unknown workers (never
         registered, already reaped) simply return no leases."""
         self._workers.pop(worker_id, None)
-        released = [
-            lease
-            for lease in self._leases.values()
-            if lease.worker_id == worker_id
-        ]
-        for lease in released:
-            del self._leases[lease.lease_id]
-        return released
+        return self.release_worker_leases(worker_id)
 
     def release_worker_leases(self, worker_id: str) -> list[Lease]:
         """Remove and return a worker's leases, keeping it registered.

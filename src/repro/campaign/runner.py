@@ -86,6 +86,28 @@ def _truncate(text: str, limit: int = 300) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+def new_record(
+    payload: Mapping[str, Any], status: str = "ok", detail: str | None = None
+) -> dict:
+    """The result record of one cell before (or instead of) a run: what
+    ``run_cell`` fills in, and what the fabric coordinator writes for a
+    cell it gives up on."""
+    return {
+        "cell": payload["index"],
+        "id": payload["cell_id"],
+        "family": payload["family"],
+        "size": payload["size"],
+        "repeat": payload["repeat"],
+        "seed": payload["seed"],
+        "scheduler": payload["scheduler"],
+        "status": status,
+        "rounds": None,
+        "touches": None,
+        "verified": None,
+        "detail": None if detail is None else _truncate(detail),
+    }
+
+
 def _vm_size_bytes() -> int | None:
     """Current virtual-memory size of this process (linux procfs)."""
     try:
@@ -199,20 +221,7 @@ def run_cell(payload: Mapping[str, Any]) -> tuple[dict, dict]:
 
     Top-level so pool workers can unpickle it regardless of start method.
     """
-    record = {
-        "cell": payload["index"],
-        "id": payload["cell_id"],
-        "family": payload["family"],
-        "size": payload["size"],
-        "repeat": payload["repeat"],
-        "seed": payload["seed"],
-        "scheduler": payload["scheduler"],
-        "status": "ok",
-        "rounds": None,
-        "touches": None,
-        "verified": None,
-        "detail": None,
-    }
+    record = new_record(payload)
     started = time.perf_counter()
     api_wall_ms = 0.0
     oracle_totals: dict[str, int] = {}

@@ -24,9 +24,16 @@ from repro.campaign.fabric import (
     LocalClient,
     run_local_fleet,
 )
-from repro.campaign.fabric.journal import JOURNAL, SNAPSHOT, FabricJournal
+from repro.campaign.fabric.journal import (
+    JOURNAL,
+    KINDS,
+    SNAPSHOT,
+    FabricJournal,
+)
 from repro.campaign.runner import run_cell
-from repro.errors import TransportError
+from repro.campaign.spec import payload_identity_hash
+from repro.campaign.store import record_checksum
+from repro.errors import CampaignError, TransportError
 
 SWEEP = {
     "name": "fabrec",
@@ -267,7 +274,8 @@ class TestJournalRecovery:
         journal = FabricJournal(tmp_path, compact_every=100)
         journal.append("retry", index=0, attempts=1)
         journal.append("retry", index=1, attempts=1)
-        journal.compact({"cells": {"0": {"attempts": 1}}})
+        events = [{"kind": "retry", "index": i, "attempts": 1} for i in (0, 1)]
+        journal.compact({"events": events})
         journal.append("retry", index=2, attempts=2)
         journal.close()
 
@@ -280,7 +288,7 @@ class TestJournalRecovery:
 
         reopened = FabricJournal(tmp_path, compact_every=100)
         snapshot, records = reopened.load()
-        assert snapshot == {"cells": {"0": {"attempts": 1}}}
+        assert snapshot == {"events": events}
         assert [r["seq"] for r in records] == [3]
         assert reopened.append("retry", index=3, attempts=1) == 4
         reopened.close()
@@ -444,9 +452,6 @@ class TestIntegrityRecovery:
         assert third.store.results_bytes() == baseline
 
     def test_audit_candidate_survives_restart(self, tmp_path, baseline):
-        from repro.campaign.spec import payload_identity_hash
-        from repro.campaign.store import record_checksum
-
         options = dict(lease_cells=1, audit_fraction=1.0)
         first = _coordinator(tmp_path, **options)
         worker_id = first.register({"name": "first"})["worker_id"]
@@ -598,3 +603,224 @@ class TestHttpRestartEndToEnd:
         assert summaries and summaries[0]["reconnects"] >= 1
         assert not summaries[0]["gave_up_offline"]
         assert second.store.results_bytes() == baseline
+
+
+
+#: A ``journal_compact_every`` that never fires (1 fires on every record).
+NEVER = 10**9
+
+
+class _HostileLife:
+    """One scripted coordinator life that journals all nine record kinds
+    and is then abandoned mid-flight.
+
+    Injected clock, so the same calls make the same history however the
+    journal is compacted.  At the crash, in canonical cell order: 0 settled
+    by audit (the liar that lost it quarantined) and 1 given up on after
+    three failures, both flushed; 2 failed twice and under an open lease;
+    3 poisoned by two worker deaths, buffered; 4 escalated and under an
+    open lease; 5 an audited out-of-order accept, buffered; 6 holding one
+    audit candidate; 7 untouched.
+    """
+
+    RECOVERED = {
+        "recovered_buffered": 2,
+        "recovered_retries": 1,
+        "recovered_escalations": 1,
+        "recovered_leases_expired": 2,
+        "recovered_quarantines": 1,
+        "recovered_audit_candidates": 1,
+    }
+    RESULTS: dict = {}
+
+    def __init__(self, tmp_path, compact_every):
+        self.now = 0.0
+        self.tmp_path = tmp_path
+        self.options = dict(
+            clock=lambda: self.now,
+            journal_fsync=False,
+            journal_compact_every=compact_every,
+            lease_ttl_s=1000.0,
+            heartbeat_timeout_s=1.0,
+            lease_cells=1,
+            max_transient_retries=2,
+            poison_kill_threshold=2,
+            audit_fraction=1.0,
+        )
+        self.coordinator = self.open()
+        self.ids = {}
+        self.play()
+        _crash(self.coordinator)
+
+    def open(self):
+        return _coordinator(
+            self.tmp_path, dict(SWEEP, timeout_s=30), **self.options
+        )
+
+    def tick(self, silent=()):
+        """A second passes (any backoff elapses); workers not named in
+        ``silent`` heartbeat through it, the silent ones are reaped."""
+        for _ in range(2):
+            self.now += 0.6
+            for name, worker_id in self.ids.items():
+                if name not in silent:
+                    self.coordinator.heartbeat(worker_id)
+
+    def lease(self, name, expect):
+        if name not in self.ids:
+            reply = self.coordinator.register({"name": name})
+            self.ids[name] = reply["worker_id"]
+        self.tick()
+        reply = self.coordinator.lease(self.ids[name], 1)
+        assert [c["index"] for c in reply["cells"]] == [expect]
+        return reply["lease_id"], reply["cells"][0]
+
+    def submit(self, name, grant, **damage):
+        lease_id, payload = grant
+        # one run per cell for all lives: timings differ run to run
+        cell_id = payload["cell_id"]
+        if cell_id not in self.RESULTS:
+            self.RESULTS[cell_id] = run_cell(payload)
+        record, timing = map(dict, self.RESULTS[cell_id])
+        record.update(damage)
+        return self.coordinator.submit(
+            self.ids[name], lease_id, payload["cell_id"], record, timing,
+            {
+                "record_sha256": record_checksum(record),
+                "cell_hash": payload_identity_hash(payload),
+            },
+        )
+
+    def fail(self, name, grant):
+        lease_id, payload = grant
+        return self.coordinator.fail(
+            self.ids[name], lease_id, payload["cell_id"], "boom"
+        )["retried"]
+
+    def play(self):
+        # cell 0: the liar's candidate is outvoted by two honest ones
+        assert self.submit("liar", self.lease("liar", 0), touches=99)[
+            "audit_pending"
+        ]
+        assert self.submit("ann", self.lease("ann", 0))["audit_pending"]
+        assert self.submit("bob", self.lease("bob", 0))["audited"]
+        # cell 1: a retry budget of two is exhausted by the third failure
+        assert [self.fail("ann", self.lease("ann", 1)) for _ in range(3)] == [
+            True, True, False,
+        ]
+        # cell 2: two failures, then parked under bob's lease
+        for _ in range(2):
+            assert self.fail("ann", self.lease("ann", 2))
+        self.lease("bob", 2)
+        # cell 3: two distinct workers die holding it
+        for doomed in ("k1", "k2"):
+            self.lease(doomed, 3)
+            self.tick(silent=(doomed,))
+            del self.ids[doomed]
+        assert self.coordinator.counters["poisoned_cells"] == 1
+        # cell 4: a timeout escalates once; ann keeps the re-lease
+        assert self.submit("ann", self.lease("ann", 4), status="timeout")[
+            "escalated"
+        ]
+        self.lease("ann", 4)
+        # cell 5: audited, but cells 2 and 4 block the flush
+        assert self.submit("cat", self.lease("cat", 5))["audit_pending"]
+        assert self.submit("dan", self.lease("dan", 5))["audited"]
+        # cell 6: a lone candidate
+        assert self.submit("cat", self.lease("cat", 6))["audit_pending"]
+        assert self.coordinator.store.status()["done"] == 2
+
+
+class TestEventSourcing:
+    """Recovery folds the live transition function over the journal, so
+    it must not matter whether a history comes back as journal records or
+    as a compacted snapshot -- and whatever was written must be handled."""
+
+    def test_compacted_and_uncompacted_histories_recover_alike(
+        self, tmp_path
+    ):
+        # the same life, journaled once into a snapshot after every
+        # record and once into a journal that is never compacted
+        lives = [
+            _HostileLife(tmp_path / "snapshot", 1),
+            _HostileLife(tmp_path / "journal", NEVER),
+        ]
+        assert not lives[0].coordinator._journal.journal_path.read_text()
+        assert not lives[1].coordinator._journal.snapshot_path.exists()
+
+        recovered = [life.open() for life in lives]
+        assert recovered[0].counters == recovered[1].counters
+        assert {
+            name: recovered[0].counters[name]
+            for name in _HostileLife.RECOVERED
+        } == _HostileLife.RECOVERED
+        assert (
+            recovered[0]._state.snapshot_events()
+            == recovered[1]._state.snapshot_events()
+        )
+        folds = []
+        for coordinator in recovered:
+            run_local_fleet(coordinator, 3)
+            coordinator.close()
+            assert coordinator.finished
+            folds.append(coordinator.store.results_bytes())
+        assert folds[0] == folds[1]
+        statuses = [json.loads(line)["status"] for line in folds[0].splitlines()]
+        assert statuses == ["ok", "error", "ok", "error", "ok", "ok", "ok", "ok"]
+
+    def test_recovered_retries_counts_cells_not_records(self, tmp_path):
+        # the drift this class guards against, at its smallest: two
+        # failures of one cell used to recover as 2 (journal records)
+        # or 1 (snapshot entries) depending on compaction
+        counters = []
+        for compact_every in (1, NEVER):
+            options = dict(
+                lease_cells=1,
+                journal_fsync=False,
+                journal_compact_every=compact_every,
+                backoff_base_s=0.0,
+            )
+            root = tmp_path / str(compact_every)
+            first = _coordinator(root, TINY, **options)
+            worker_id = first.register({"name": "w"})["worker_id"]
+            for _ in range(2):
+                reply = first.lease(worker_id, 1)
+                cell_id = reply["cells"][0]["cell_id"]
+                assert first.fail(worker_id, reply["lease_id"], cell_id)[
+                    "retried"
+                ]
+            _crash(first)
+            second = _coordinator(root, TINY, **options)
+            counters.append(second.counters)
+            second.close()
+        assert counters[0] == counters[1]
+        assert counters[0]["recovered_retries"] == 1
+
+    def test_every_journaled_kind_has_a_handler(self, tmp_path):
+        life = _HostileLife(tmp_path, NEVER)
+        journal = life.coordinator._journal
+        written = {
+            json.loads(line)["kind"]
+            for line in journal.journal_path.read_text().splitlines()
+        }
+        # the scripted life exercises the whole vocabulary, and the state
+        # machine dispatches on exactly that vocabulary
+        assert written == set(KINDS)
+        assert set(life.coordinator._state._handlers) == set(KINDS)
+        # a kind nothing could replay is refused at write time
+        reopened = FabricJournal(tmp_path / "other")
+        with pytest.raises(CampaignError, match="unknown journal record kind"):
+            reopened.append("requeue", index=0)
+        assert not reopened.journal_path.exists()
+
+    def test_old_per_cell_snapshot_is_refused_not_half_read(self, tmp_path):
+        first = _coordinator(tmp_path)
+        first.close()
+        journal = FabricJournal(first.store.directory)
+        journal.append("retry", index=0, attempts=1)
+        journal.compact(
+            {"cells": {"0": {"attempts": 1}}, "quarantined": ["shady"]}
+        )
+        journal.close()
+        with pytest.raises(CampaignError, match="old per-cell snapshot"):
+            _coordinator(tmp_path)
