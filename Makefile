@@ -1,12 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc api-surface bench-smoke bench-oracle bench-exact bench campaign-smoke fabric-smoke crash-smoke churn-smoke integrity-smoke help
+.PHONY: test loc api-surface ledger bench-smoke bench-oracle bench-exact bench campaign-smoke fabric-smoke crash-smoke churn-smoke integrity-smoke help
 
 help:
 	@echo "test           - tier-1 test suite (pytest -x -q)"
 	@echo "loc            - src/ Python line count (a tracked metric: it should go down)"
 	@echo "api-surface    - public-API snapshot check (tests/test_api_surface.py)"
+	@echo "ledger         - one timed perf-ledger pass: make ledger WORKLOAD=serve_large (names in BENCHMARK.json)"
 	@echo "bench-smoke    - ~40s perf subset; writes benchmarks/results/BENCH_oracle.json + BENCH_exact.json"
 	@echo "bench-oracle   - full oracle perf run (includes the minutes-long seed path at n=500)"
 	@echo "bench-exact    - full exact-search perf run (mask engine vs the PR 1 frozenset BFS)"
@@ -26,6 +27,11 @@ loc:
 
 api-surface:
 	$(PYTHON) -m pytest tests/test_api_surface.py -q
+
+WORKLOAD ?= serve_large
+
+ledger:
+	$(PYTHON) benchmarks/ledger/run.py --workload $(WORKLOAD) --seed 1 --seconds 10 --trace 0
 
 bench-smoke:
 	$(PYTHON) benchmarks/run_smoke.py

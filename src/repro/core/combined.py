@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from repro.errors import InfeasibleUpdateError, UpdateModelError
 from repro.core.oracle import SafetyOracle, oracle_for
-from repro.core.problem import UpdateKind, UpdateProblem
+from repro.core.packing import install_round, packed_schedule_rounds
+from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import Property
-from repro.topology.graph import NodeId
 
 
 def combined_greedy_schedule(
@@ -38,7 +38,8 @@ def combined_greedy_schedule(
     greedies); installs go first, deletions last.  Raises
     :class:`InfeasibleUpdateError` on deadlock.  Every candidate is an
     apply/revert delta against the shared multi-property
-    :class:`SafetyOracle`.
+    :class:`SafetyOracle`; probes <= pending nodes + wake-ups
+    (:mod:`repro.core.packing`).
     """
     if not properties:
         raise UpdateModelError("combined scheduling needs at least one property")
@@ -52,56 +53,22 @@ def combined_greedy_schedule(
     else:
         oracle.ensure_matches(problem, properties, rlf_budget=rlf_budget)
 
-    install = {
-        node
-        for node in problem.required_updates
-        if problem.kind(node) is UpdateKind.INSTALL
-    }
-    rounds: list[set] = []
-    round_names: list[str] = []
-    updated: set = set()
-    if install:
-        if not oracle.round_is_safe(updated, install):
-            raise InfeasibleUpdateError(
-                "installing new-only rules already violates "
-                f"{[p.value for p in properties]}"
-            )
-        rounds.append(install)
-        round_names.append("install")
-        updated |= install
-
-    oracle.reset(updated)
-    new_pos = {node: i for i, node in enumerate(problem.new_path.nodes)}
-    pending = sorted(
-        problem.required_updates - install,
-        key=lambda n: new_pos[n],
-        reverse=True,
+    install = install_round(problem)
+    if install and not oracle.round_is_safe((), install):
+        raise InfeasibleUpdateError(
+            "installing new-only rules already violates "
+            f"{[p.value for p in properties]}"
+        )
+    rounds, round_names = packed_schedule_rounds(
+        problem,
+        oracle,
+        "flip",
+        include_cleanup,
+        stalled=lambda stuck: InfeasibleUpdateError(
+            f"greedy deadlock under {[p.value for p in properties]}: "
+            f"none of {stuck!r} can be updated safely"
+        ),
     )
-    flip_round = 0
-    while pending:
-        round_nodes: set = set()
-        kept: list[NodeId] = []
-        for node in pending:
-            if oracle.try_apply(node):
-                round_nodes.add(node)
-            else:
-                kept.append(node)
-        if not round_nodes:
-            raise InfeasibleUpdateError(
-                f"greedy deadlock under {[p.value for p in properties]}: "
-                f"none of {kept!r} can be updated safely"
-            )
-        flip_round += 1
-        rounds.append(round_nodes)
-        round_names.append(f"flip-{flip_round}")
-        updated |= round_nodes
-        oracle.commit_round()
-        pending = kept
-
-    if include_cleanup and problem.cleanup_updates:
-        rounds.append(set(problem.cleanup_updates))
-        round_names.append("cleanup")
-
     return UpdateSchedule(
         problem,
         rounds,

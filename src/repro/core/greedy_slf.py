@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from repro.errors import UpdateModelError
 from repro.core.oracle import SafetyOracle, oracle_for
-from repro.core.problem import UpdateKind, UpdateProblem
+from repro.core.packing import packed_schedule_rounds
+from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import Property
-from repro.topology.graph import NodeId
 
 
 def greedy_slf_schedule(
@@ -31,10 +31,11 @@ def greedy_slf_schedule(
     """Compute a strong-loop-free schedule with greedy maximal rounds.
 
     Each candidate is an apply/revert delta against the persistent union
-    graph of the shared :class:`SafetyOracle`; the Pearce-Kelly order
+    graph of the shared :class:`SafetyOracle`, whose Pearce-Kelly order
     maintenance answers the acyclicity query in amortized near-constant
-    time, so scheduling is no longer quadratically many full-graph cycle
-    checks.
+    time.  A rejected candidate is probed again only once a node its
+    violation witness needs OLD has been committed, so probes <= pending
+    nodes + wake-ups, not pending x rounds (:mod:`repro.core.packing`).
     """
     if not problem.required_updates:
         raise UpdateModelError(
@@ -45,48 +46,15 @@ def greedy_slf_schedule(
     else:
         oracle.ensure_matches(problem, (Property.SLF,))
 
-    install = {
-        node
-        for node in problem.required_updates
-        if problem.kind(node) is UpdateKind.INSTALL
-    }
-    switches = set(problem.required_updates) - install
-
-    rounds: list[set] = []
-    round_names: list[str] = []
-    updated: set = set()
-    if install:
-        rounds.append(install)
-        round_names.append("install")
-        updated |= install
-    oracle.reset(updated)
-
-    new_pos = {node: i for i, node in enumerate(problem.new_path.nodes)}
-    pending = sorted(switches, key=lambda n: new_pos[n], reverse=True)
-    flip_round = 0
-    while pending:
-        round_nodes: set = set()
-        kept: list[NodeId] = []
-        for node in pending:
-            if oracle.try_apply(node):
-                round_nodes.add(node)
-            else:
-                kept.append(node)
-        if not round_nodes:
-            raise UpdateModelError(
-                f"greedy SLF made no progress with pending nodes {kept!r}"
-            )
-        flip_round += 1
-        rounds.append(round_nodes)
-        round_names.append(f"flip-{flip_round}")
-        updated |= round_nodes
-        oracle.commit_round()
-        pending = kept
-
-    if include_cleanup and problem.cleanup_updates:
-        rounds.append(set(problem.cleanup_updates))
-        round_names.append("cleanup")
-
+    rounds, round_names = packed_schedule_rounds(
+        problem,
+        oracle,
+        "flip",
+        include_cleanup,
+        stalled=lambda stuck: UpdateModelError(
+            f"greedy SLF made no progress with pending nodes {stuck!r}"
+        ),
+    )
     return UpdateSchedule(
         problem,
         rounds,

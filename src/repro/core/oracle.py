@@ -28,10 +28,13 @@ persistent union graph per problem**:
   exact search can probe millions of rounds without building a single
   frozenset.
 
-The oracle returns **boolean verdicts only**.  Witness-producing
-verification (and the exhaustive configuration oracle) deliberately stays
-in :mod:`repro.core.verify`, which doubles as the reference implementation
-the oracle is cross-checked against in the equivalence test suite.
+The oracle returns **boolean verdicts only** -- plus, for a rejected
+:meth:`SafetyOracle.try_apply_watched` probe, the set of nodes whose commit
+could lift the rejection (what :mod:`repro.core.packing` watches).
+Witness-producing verification (and the exhaustive configuration oracle)
+deliberately stays in :mod:`repro.core.verify`, which doubles as the
+reference implementation the oracle is cross-checked against in the
+equivalence test suite.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ class OracleStats:
     memo_evictions: int = 0
     nogood_hits: int = 0
     nogoods_learned: int = 0
+    #: candidates a round packer passed over because their last rejection
+    #: still stood (:mod:`repro.core.packing`): over a packing run,
+    #: ``applies + nogood_hits + watch_skips`` is the number of probes the
+    #: probe-everything loop would have made
+    watch_skips: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -473,17 +481,36 @@ class SafetyOracle:
         graph at all -- this is how greedy schedulers profit from the
         patterns the exact search learns.
         """
+        return self._probe(node, want_watch=False)[0]
+
+    def try_apply_watched(self, node: NodeId) -> "tuple[bool, int | None]":
+        """:meth:`try_apply` that also says how long a rejection lasts.
+
+        Returns ``(kept, watch)``.  For a rejected candidate ``watch`` is
+        the ``need_old`` mask of the violation witness (or of the nogood
+        that matched -- the nogood *is* the witness): as long as edges are
+        only added (more nodes applied) and none of the ``watch`` nodes is
+        committed NEW, the same witness exists, so probing ``node`` again
+        is rejected again.  ``None`` means the rejection carries no
+        witness (conservative RLF) and holds for the current state only.
+        """
+        return self._probe(node, want_watch=True)
+
+    def _probe(self, node: NodeId, want_watch: bool) -> "tuple[bool, int | None]":
         bit_index = self._node_bit.get(node)
-        if bit_index is not None and self._nogoods and self._nogood_match(
-            self._new_mask, self._flex_mask | (1 << bit_index)
-        ):
-            self.stats.nogood_hits += 1
-            return False
+        if bit_index is not None and self._nogoods:
+            nogood = self._nogood_match(
+                self._new_mask, self._flex_mask | (1 << bit_index)
+            )
+            if nogood is not None:
+                self.stats.nogood_hits += 1
+                return False, nogood[1]
         self.apply(node)
         if self.current_round_safe():
-            return True
+            return True, None
+        pattern = self._violation_pattern() if want_watch else None
         self.revert(node)
-        return False
+        return False, None if pattern is None else pattern[1]
 
     def updated_nodes(self) -> frozenset:
         return frozenset(self._new)
@@ -723,13 +750,16 @@ class SafetyOracle:
         self._nogoods.clear()
         self._nogood_seen.clear()
 
-    def _nogood_match(self, updated_mask: int, round_mask: int) -> bool:
+    def _nogood_match(
+        self, updated_mask: int, round_mask: int
+    ) -> "tuple[int, int] | None":
+        """The first learned pattern the round re-creates, if any."""
         available = updated_mask | round_mask
         committed = updated_mask & ~round_mask
         for need_new, need_old in self._nogoods:
             if need_new & ~available == 0 and need_old & committed == 0:
-                return True
-        return False
+                return need_new, need_old
+        return None
 
     def _learn_nogood(self) -> None:
         """Distill the current (violating) union graph into a pattern."""

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from repro.errors import UpdateModelError
 from repro.core.oracle import SafetyOracle, oracle_for
+from repro.core.packing import packed_schedule_rounds
 from repro.core.problem import UpdateKind, UpdateProblem
 from repro.core.schedule import UpdateSchedule
-from repro.topology.graph import NodeId
 from repro.core.verify import Property
 
 
@@ -78,7 +78,9 @@ def peacock_schedule(
     Backward-round packing runs as apply/revert deltas against the shared
     :class:`SafetyOracle`: when the incremental topological order proves
     the union graph acyclic, the RLF query short-circuits without any
-    reachability work.
+    reachability work.  Probes <= backward nodes + wake-ups
+    (:mod:`repro.core.packing`); ``exact=False`` rejections carry no
+    witness to watch and are probed again every round.
     """
     if not problem.required_updates:
         raise UpdateModelError("Peacock invoked on a problem with no rule changes")
@@ -91,54 +93,19 @@ def peacock_schedule(
             problem, (Property.RLF,), exact_rlf=exact, rlf_budget=rlf_budget
         )
 
-    install = {
-        node
-        for node in problem.required_updates
-        if problem.kind(node) is UpdateKind.INSTALL
-    }
-    forward, backward = classify_forward_backward(problem)
-
-    rounds: list[set] = []
-    round_names: list[str] = []
-    updated: set = set()
-    if install:
-        rounds.append(install)
-        round_names.append("install")
-        updated |= install
-    if forward:
-        rounds.append(forward)
-        round_names.append("forward")
-        updated |= forward
-    oracle.reset(updated)
-
-    new_pos = {node: i for i, node in enumerate(problem.new_path.nodes)}
-    pending = sorted(backward, key=lambda n: new_pos[n], reverse=True)
-    backward_round = 0
-    while pending:
-        round_nodes: set = set()
-        kept: list[NodeId] = []
-        for node in pending:
-            if oracle.try_apply(node):
-                round_nodes.add(node)
-            else:
-                kept.append(node)
-        if not round_nodes:
-            # The progress argument guarantees this cannot happen; guard
-            # anyway so a modelling bug surfaces loudly instead of looping.
-            raise UpdateModelError(
-                f"Peacock made no progress with pending nodes {kept!r}"
-            )
-        backward_round += 1
-        rounds.append(round_nodes)
-        round_names.append(f"backward-{backward_round}")
-        updated |= round_nodes
-        oracle.commit_round()
-        pending = kept
-
-    if include_cleanup and problem.cleanup_updates:
-        rounds.append(set(problem.cleanup_updates))
-        round_names.append("cleanup")
-
+    forward, _ = classify_forward_backward(problem)
+    # The progress argument guarantees packing cannot stall; guard anyway
+    # so a modelling bug surfaces loudly instead of looping.
+    rounds, round_names = packed_schedule_rounds(
+        problem,
+        oracle,
+        "backward",
+        include_cleanup,
+        stalled=lambda stuck: UpdateModelError(
+            f"Peacock made no progress with pending nodes {stuck!r}"
+        ),
+        forward=forward,
+    )
     return UpdateSchedule(
         problem,
         rounds,

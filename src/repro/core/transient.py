@@ -68,11 +68,24 @@ class EdgeChoice:
         return self.target is None
 
 
+def _options(problem, node: NodeId, phase: NodePhase) -> tuple[EdgeChoice, ...]:
+    """The behaviours ``node`` may show while in ``phase``."""
+    if phase is NodePhase.FIXED_OLD:
+        return (EdgeChoice(RuleState.OLD, problem.next_hop(node, RuleState.OLD)),)
+    if phase is NodePhase.FIXED_NEW:
+        return (EdgeChoice(RuleState.NEW, problem.next_hop(node, RuleState.NEW)),)
+    old = EdgeChoice(RuleState.OLD, problem.next_hop(node, RuleState.OLD))
+    new = EdgeChoice(RuleState.NEW, problem.next_hop(node, RuleState.NEW))
+    return (old,) if old.target == new.target else (old, new)
+
+
 class UnionGraph:
     """All possible out-edges of every node during one round.
 
     Construct with :meth:`for_round`.  Nodes with a single fixed state
-    contribute one choice; flexible nodes contribute (up to) two.
+    contribute one choice; flexible nodes contribute (up to) two.  The
+    graph queries run over a plain successor tuple per node, derived from
+    the choices and kept beside them.
     """
 
     def __init__(
@@ -84,6 +97,18 @@ class UnionGraph:
         self.problem = problem
         self._choices = choices
         self.flexible = flexible
+        self._succ: dict[NodeId, tuple] = {}
+        self._may_drop: set = set()
+        for node, options in choices.items():
+            self._index(node, options)
+
+    def _index(self, node: NodeId, options: tuple[EdgeChoice, ...]) -> None:
+        targets = tuple(c.target for c in options if c.target is not None)
+        self._succ[node] = targets
+        if len(targets) < len(options):
+            self._may_drop.add(node)
+        else:
+            self._may_drop.discard(node)
 
     @classmethod
     def for_round(cls, schedule: UpdateSchedule, round_index: int) -> "UnionGraph":
@@ -104,16 +129,9 @@ class UnionGraph:
         flexible: set = set()
         for node in problem.forwarding_nodes:
             phase = phases.get(node, NodePhase.FIXED_OLD)
-            if phase is NodePhase.FIXED_OLD:
-                options = (EdgeChoice(RuleState.OLD, problem.next_hop(node, RuleState.OLD)),)
-            elif phase is NodePhase.FIXED_NEW:
-                options = (EdgeChoice(RuleState.NEW, problem.next_hop(node, RuleState.NEW)),)
-            else:
+            if phase is NodePhase.FLEXIBLE:
                 flexible.add(node)
-                old = EdgeChoice(RuleState.OLD, problem.next_hop(node, RuleState.OLD))
-                new = EdgeChoice(RuleState.NEW, problem.next_hop(node, RuleState.NEW))
-                options = (old,) if old.target == new.target else (old, new)
-            choices[node] = options
+            choices[node] = _options(problem, node, phase)
         return cls(problem, choices, frozenset(flexible))
 
     @classmethod
@@ -125,6 +143,22 @@ class UnionGraph:
         phases.update({node: NodePhase.FLEXIBLE for node in in_flight})
         return cls.from_phases(problem, phases)
 
+    def advance(self, settled: frozenset, in_flight: frozenset) -> None:
+        """Step to the next round in place: ``settled`` (the round that
+        just completed) becomes FIXED_NEW, ``in_flight`` FLEXIBLE.  Only
+        those nodes are re-derived; choices and node order end up exactly
+        as :meth:`for_round` would build them."""
+        problem, choices = self.problem, self._choices
+        for nodes, phase in (
+            (settled, NodePhase.FIXED_NEW),
+            (in_flight, NodePhase.FLEXIBLE),
+        ):
+            for node in nodes:
+                if node in choices:
+                    choices[node] = _options(problem, node, phase)
+                    self._index(node, choices[node])
+        self.flexible = frozenset(node for node in in_flight if node in choices)
+
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -134,11 +168,11 @@ class UnionGraph:
 
     def successors(self, node: NodeId) -> list[NodeId]:
         """Possible forwarding targets of ``node`` (drops excluded)."""
-        return [c.target for c in self.choices(node) if c.target is not None]
+        return list(self._succ.get(node, ()))
 
     def may_drop(self, node: NodeId) -> bool:
         """True when some configuration drops packets at ``node``."""
-        return any(c.drops for c in self.choices(node))
+        return node in self._may_drop
 
     def nodes(self) -> Iterator[NodeId]:
         return iter(self._choices)
@@ -148,12 +182,13 @@ class UnionGraph:
     # ------------------------------------------------------------------
     def reachable_from(self, start: NodeId) -> dict[NodeId, NodeId | None]:
         """BFS over union edges; returns ``{node: parent}`` for reached nodes."""
+        succ = self._succ
         parents: dict[NodeId, NodeId | None] = {start: None}
         frontier = [start]
         while frontier:
             next_frontier = []
             for node in frontier:
-                for target in self.successors(node):
+                for target in succ.get(node, ()):
                     if target not in parents:
                         parents[target] = node
                         next_frontier.append(target)
@@ -167,12 +202,13 @@ class UnionGraph:
         start = self.problem.source
         if start == avoid:
             return None
+        succ = self._succ
         parents: dict[NodeId, NodeId | None] = {start: None}
         frontier = [start]
         while frontier:
             next_frontier = []
             for node in frontier:
-                for target in self.successors(node):
+                for target in succ.get(node, ()):
                     if target == avoid or target in parents:
                         continue
                     parents[target] = node
@@ -192,43 +228,37 @@ class UnionGraph:
             self.problem.destination
         }
         WHITE, GREY, BLACK = 0, 1, 2
-        color = {node: WHITE for node in allowed}
+        color = dict.fromkeys(allowed, WHITE)
+        succ = self._succ
         on_stack: list[NodeId] = []
-
-        def targets(node: NodeId) -> list[NodeId]:
-            return [t for t in self.successors(node) if t in color]
-
         for root in allowed:
             if color[root] != WHITE:
                 continue
-            stack: list[tuple[NodeId, Iterator[NodeId]]] = [(root, iter(targets(root)))]
+            stack: list[Iterator[NodeId]] = [iter(succ.get(root, ()))]
             color[root] = GREY
             on_stack.append(root)
             while stack:
-                node, it = stack[-1]
-                advanced = False
-                for target in it:
-                    if color[target] == GREY:
+                for target in stack[-1]:
+                    state = color.get(target)  # None: outside ``within``
+                    if state == GREY:
                         cycle_start = on_stack.index(target)
                         return tuple(on_stack[cycle_start:]) + (target,)
-                    if color[target] == WHITE:
+                    if state == WHITE:
                         color[target] = GREY
                         on_stack.append(target)
-                        stack.append((target, iter(targets(target))))
-                        advanced = True
+                        stack.append(iter(succ.get(target, ())))
                         break
-                if not advanced:
+                else:
                     stack.pop()
-                    on_stack.pop()
-                    color[node] = BLACK
+                    color[on_stack.pop()] = BLACK
         return None
 
     def reachable_drop(self) -> tuple[tuple[NodeId, ...], NodeId] | None:
         """A ``(path, node)`` where ``node`` is s-reachable and may drop."""
-        start = self.problem.source
-        parents = self.reachable_from(start)
+        parents = self.reachable_from(self.problem.source)
+        may_drop = self._may_drop
         for node in parents:
-            if node in self._choices and self.may_drop(node):
+            if node in may_drop:
                 return _unwind(parents, node), node
         return None
 

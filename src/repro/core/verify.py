@@ -206,23 +206,12 @@ def _rlf_trajectory_witness(
     destination = problem.destination
     states_explored = 0
 
-    def targets_of(node: NodeId) -> list[NodeId]:
-        seen: set = set()
-        result: list[NodeId] = []
-        for choice in union.choices(node):
-            target = choice.target
-            if target is None or target in seen:
-                continue  # drops are blackhole territory, not loops
-            seen.add(target)
-            result.append(target)
-        return result
-
     source = problem.source
     if source == destination:  # degenerate, excluded by Path validation
         return None
     walk: list[NodeId] = [source]
     on_walk: set = {source}
-    pending: list[list[NodeId]] = [targets_of(source)]
+    pending: list[list[NodeId]] = [union.successors(source)]
 
     while pending:
         states_explored += 1
@@ -242,7 +231,7 @@ def _rlf_trajectory_witness(
             continue
         walk.append(target)
         on_walk.add(target)
-        pending.append(targets_of(target))
+        pending.append(union.successors(target))
     return None
 
 
@@ -250,15 +239,14 @@ def _rlf_trajectory_witness(
 # schedule-level verification
 # ---------------------------------------------------------------------------
 
-def verify_round(
-    schedule: UpdateSchedule,
+def _check_union(
+    union: UnionGraph,
     round_index: int,
     properties: tuple[Property, ...],
-    exact_rlf: bool = True,
-    rlf_budget: int = 200_000,
+    exact_rlf: bool,
+    rlf_budget: int,
 ) -> tuple[list[Violation], int]:
-    """Check one round; returns ``(violations, conservative_hits)``."""
-    union = UnionGraph.for_round(schedule, round_index)
+    """Run every property check on one round's union graph."""
     violations: list[Violation] = []
     conservative_hits = 0
     for prop in properties:
@@ -281,6 +269,19 @@ def verify_round(
     return violations, conservative_hits
 
 
+def verify_round(
+    schedule: UpdateSchedule,
+    round_index: int,
+    properties: tuple[Property, ...],
+    exact_rlf: bool = True,
+    rlf_budget: int = 200_000,
+) -> tuple[list[Violation], int]:
+    """Check one round on a union graph built from scratch; returns
+    ``(violations, conservative_hits)``."""
+    union = UnionGraph.for_round(schedule, round_index)
+    return _check_union(union, round_index, properties, exact_rlf, rlf_budget)
+
+
 def verify_schedule(
     schedule: UpdateSchedule,
     properties: tuple[Property, ...] | None = None,
@@ -294,17 +295,23 @@ def verify_schedule(
     apply.  The report's ``ok`` is True iff no violation was found; in
     conservative RLF mode a reported violation may be spurious and
     ``conservative_hits`` counts those.
+
+    One union graph is built for round 0 and walked from round to round
+    (:meth:`UnionGraph.advance` re-derives the nodes of the two rounds
+    involved, nothing else); every round then gets the same whole-graph
+    checks, with the same witnesses, as :func:`verify_round` gives it.
     """
     if properties is None:
         properties = default_properties(schedule.problem)
     report = VerificationReport(ok=True, properties=tuple(properties))
-    for round_index in range(schedule.n_rounds):
-        violations, conservative_hits = verify_round(
-            schedule,
-            round_index,
-            properties,
-            exact_rlf=exact_rlf,
-            rlf_budget=rlf_budget,
+    rounds = schedule.rounds
+    for round_index, round_nodes in enumerate(rounds):
+        if round_index == 0:
+            union = UnionGraph.for_round(schedule, 0)
+        else:
+            union.advance(rounds[round_index - 1], round_nodes)
+        violations, conservative_hits = _check_union(
+            union, round_index, properties, exact_rlf, rlf_budget
         )
         report.rounds_checked += 1
         report.conservative_hits += conservative_hits

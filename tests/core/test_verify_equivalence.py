@@ -1,0 +1,200 @@
+"""``verify_schedule`` (one union graph walked round to round) must report
+exactly what a fold of from-scratch ``verify_round`` calls reports.
+
+Same ``ok``, same ``Violation`` objects (property, round index, witness,
+description), same ``rounds_checked`` / ``conservative_hits``, same
+``stop_at_first`` cut-off and same errors -- on safe schedules and on
+deliberately broken ones, for every property, and on duck-typed problems
+that offer nothing but ``next_hop``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.greedy_slf import greedy_slf_schedule
+from repro.core.hardness import (
+    crossing_clash_instance,
+    crossing_instance,
+    reversal_instance,
+    sawtooth_instance,
+    waypoint_slalom_instance,
+)
+from repro.core.multipolicy import (
+    JointUpdateProblem,
+    PolicyView,
+    greedy_joint_schedule,
+)
+from repro.core.oneshot import oneshot_schedule
+from repro.core.peacock import peacock_schedule
+from repro.core.problem import UpdateProblem
+from repro.core.schedule import UpdateSchedule, sequential_schedule
+from repro.core.transient import UnionGraph
+from repro.core.verify import (
+    Property,
+    VerificationReport,
+    verify_round,
+    verify_schedule,
+)
+from repro.core.wayup import wayup_schedule
+from repro.errors import ReproError
+from repro.topology.random_graphs import random_update_instance
+
+SLF, RLF, WPE, BH = Property.SLF, Property.RLF, Property.WPE, Property.BLACKHOLE
+RLF_BUDGET = 5_000  # broken rounds may blow the exact search: compare that too
+
+
+def fold_of_verify_round(schedule, properties, exact_rlf, stop_at_first):
+    """The reference: every round on a union graph built from scratch."""
+    report = VerificationReport(ok=True, properties=tuple(properties))
+    for round_index in range(schedule.n_rounds):
+        violations, conservative_hits = verify_round(
+            schedule, round_index, properties,
+            exact_rlf=exact_rlf, rlf_budget=RLF_BUDGET,
+        )
+        report.rounds_checked += 1
+        report.conservative_hits += conservative_hits
+        if violations:
+            report.ok = False
+            report.violations.extend(violations)
+            if stop_at_first:
+                break
+    return report
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
+def assert_equivalent(schedule, waypointed: bool) -> int:
+    """Compare under every property alone and all together; returns the
+    number of violations seen (so callers can tell the unsafe path ran)."""
+    seen = 0
+    singles = [(SLF,), (RLF,), (BH,)] + ([(WPE,)] if waypointed else [])
+    everything = (BH, RLF, SLF) + ((WPE,) if waypointed else ())
+    for properties in singles + [everything]:
+        for exact_rlf in (True, False) if RLF in properties else (True,):
+            for stop_at_first in (False, True):
+                got = _outcome(lambda: verify_schedule(
+                    schedule, properties, exact_rlf=exact_rlf,
+                    rlf_budget=RLF_BUDGET, stop_at_first=stop_at_first,
+                ))
+                want = _outcome(lambda: fold_of_verify_round(
+                    schedule, properties, exact_rlf, stop_at_first
+                ))
+                assert got == want, (schedule, properties, exact_rlf, stop_at_first)
+                if isinstance(got, VerificationReport):
+                    seen += len(got.violations)
+    return seen
+
+
+def schedules_of(problem: UpdateProblem, rng: random.Random):
+    """Safe schedules of ``problem`` and broken variants of each."""
+    safe = [
+        greedy_slf_schedule(problem),
+        peacock_schedule(problem),
+        sequential_schedule(problem),
+    ]
+    if problem.waypoint is not None:
+        safe.append(wayup_schedule(problem))
+    yield from safe
+    yield oneshot_schedule(problem)
+    for schedule in safe:
+        yield schedule.merged()
+        rounds = list(schedule.rounds)
+        if len(rounds) < 2:
+            continue
+        shuffled = rounds[:]
+        rng.shuffle(shuffled)
+        yield UpdateSchedule(problem, shuffled, algorithm="shuffled")
+        i, j = rng.sample(range(len(rounds)), 2)
+        rounds[i], rounds[j] = rounds[j], rounds[i]
+        yield UpdateSchedule(problem, rounds, algorithm="swapped")
+
+
+FAMILIES = [
+    reversal_instance(6),
+    reversal_instance(19),
+    sawtooth_instance(14, 3),
+    sawtooth_instance(23, 6),
+    crossing_instance(),
+    crossing_clash_instance(9),
+    waypoint_slalom_instance(3),
+]
+
+
+@pytest.mark.parametrize("problem", FAMILIES, ids=lambda p: p.name)
+def test_families_safe_and_broken(problem):
+    rng = random.Random(problem.name)
+    seen = sum(
+        assert_equivalent(schedule, problem.waypoint is not None)
+        for schedule in schedules_of(problem, rng)
+    )
+    assert seen > 0  # the broken variants did produce witnesses to compare
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_random_instances_safe_and_broken(chunk):
+    seen = 0
+    for index in range(chunk * 10, chunk * 10 + 10):
+        rng = random.Random(f"verify-{index}")
+        with_waypoint = index % 2 == 1
+        old, new, waypoint = random_update_instance(
+            rng.randint(6, 20), seed=rng,
+            overlap=rng.choice((0.4, 0.7, 1.0)), with_waypoint=with_waypoint,
+        )
+        problem = UpdateProblem(old, new, waypoint=waypoint)
+        if not problem.required_updates:
+            continue
+        for schedule in schedules_of(problem, rng):
+            seen += assert_equivalent(schedule, with_waypoint)
+    assert seen > 0
+
+
+class _ViewSchedule:
+    """A schedule over a duck-typed problem: what the verifier itself reads."""
+
+    def __init__(self, problem, rounds) -> None:
+        self.problem = problem
+        self.rounds = tuple(frozenset(r) for r in rounds)
+        self.n_rounds = len(self.rounds)
+        self._round_of = {n: i for i, r in enumerate(self.rounds) for n in r}
+
+    def round_of(self, node):
+        return self._round_of.get(node)
+
+
+def test_policy_views_that_only_offer_next_hop():
+    p1 = UpdateProblem([1, 3, 4, 7, 6], [1, 3, 5, 4, 6], name="p1")
+    p2 = UpdateProblem([2, 3, 4, 7, 6], [2, 3, 5, 4, 6], name="p2")
+    joint = JointUpdateProblem([p1, p2])
+    safe = greedy_joint_schedule(joint, (RLF, BH))
+    rounds = list(safe.rounds)
+    variants = [rounds, rounds[::-1], [frozenset().union(*rounds)]]
+    seen = 0
+    for policy in joint.policies:
+        view = PolicyView(joint, policy)
+        for variant in variants:
+            seen += assert_equivalent(_ViewSchedule(view, variant), waypointed=False)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("problem", FAMILIES, ids=lambda p: p.name)
+def test_walked_graph_equals_the_graph_built_from_scratch(problem):
+    schedule = greedy_slf_schedule(problem)
+    walked = UnionGraph.for_round(schedule, 0)
+    for index in range(schedule.n_rounds):
+        if index:
+            walked.advance(schedule.rounds[index - 1], schedule.rounds[index])
+        fresh = UnionGraph.for_round(schedule, index)
+        assert list(walked.nodes()) == list(fresh.nodes())
+        assert walked.flexible == fresh.flexible
+        for node in fresh.nodes():
+            assert walked.choices(node) == fresh.choices(node)
+            assert walked.successors(node) == fresh.successors(node)
+            assert walked.may_drop(node) == fresh.may_drop(node)
