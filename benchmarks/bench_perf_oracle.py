@@ -21,19 +21,27 @@ Acceptance targets (tracked in the emitted JSON):
 * ``minimal_round_schedule(reversal_instance(10), (RLF,))``: >= 3x vs seed;
 * every greedy-SLF row on the reversal family: ``applies <= 3 * n`` (the
   probe count, which does not move with machine noise; the probe-all loop
-  needed ~n^2/2).
+  needed ~n^2/2);
+* a request costs the same however many oracles are alive in the process:
+  ``execute_request`` on a fresh reversal(10) with 1000 live shared oracles
+  takes <= 1.3x the time it takes with none (a ratio of two medians from
+  one run, so host speed cancels; summing every live oracle twice per
+  request, as PR 13 and earlier did, read 5.9-6.6x).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import platform
+import statistics
 import sys
 import time
 
 from _provenance import provenance
+from repro.core.api import schedule_update
 from repro.core.greedy_slf import greedy_slf_schedule
 from repro.core.hardness import reversal_instance
 from repro.core.optimal import minimal_round_schedule
@@ -48,6 +56,9 @@ DEFAULT_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_oracle.json"
 GREEDY_TARGET_SPEEDUP = 10.0
 OPTIMAL_TARGET_SPEEDUP = 3.0
 MAX_PROBES_PER_NODE = 3
+MAX_LIVE_ORACLE_COST_RATIO = 1.3
+LIVE_ORACLE_COUNTS = (0, 100, 1000)
+LIVE_ORACLE_REQUESTS = 300
 
 
 def _legacy_greedy_slf(problem):
@@ -217,6 +228,54 @@ def bench_memoization() -> dict:
     }
 
 
+def _median_request_us(live: int) -> float:
+    clear_registry()
+    bystanders = [reversal_instance(6) for _ in range(live)]
+    for problem in bystanders:
+        oracle_for(problem, (Property.SLF,)).round_is_safe(set(), {2})
+    samples = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(LIVE_ORACLE_REQUESTS):
+            problem = reversal_instance(10)
+            start = time.perf_counter()
+            schedule_update(problem, "greedy-slf", verify=True)
+            samples.append(time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return statistics.median(samples) * 1e6
+
+
+def bench_live_oracles() -> dict:
+    """Cost of one request against the number of live shared oracles.
+
+    Every request gets a fresh problem (it builds its own oracle, as a
+    ``POST /schedule`` does); the collector is off while timing, so what
+    is compared is the request path, not the cost of tracing a larger
+    heap.  Three passes over the counts, best median per count.
+    """
+    best = {live: float("inf") for live in LIVE_ORACLE_COUNTS}
+    for _ in range(3):
+        for live in LIVE_ORACLE_COUNTS:
+            best[live] = min(best[live], _median_request_us(live))
+    clear_registry()
+    ratio = best[LIVE_ORACLE_COUNTS[-1]] / best[LIVE_ORACLE_COUNTS[0]]
+    return {
+        "description": (
+            "median execute_request(greedy-slf, reversal-10, verify) vs "
+            "live shared oracles in the process"
+        ),
+        "rows": [
+            {"live_oracles": live, "request_us": round(best[live], 1)}
+            for live in LIVE_ORACLE_COUNTS
+        ],
+        "cost_ratio_at_1000": round(ratio, 3),
+        "max_cost_ratio": MAX_LIVE_ORACLE_COST_RATIO,
+        "meets_target": ratio <= MAX_LIVE_ORACLE_COST_RATIO,
+    }
+
+
 def bench_scaling(quick: bool) -> dict:
     """Oracle-backed schedulers at sizes the seed could not touch."""
     rows = []
@@ -267,6 +326,7 @@ def main(argv=None) -> int:
         ("minimal_rounds_rlf_n10", lambda: bench_optimal(args.quick)),
         ("memoization", bench_memoization),
         ("oracle_scaling", lambda: bench_scaling(args.quick)),
+        ("request_cost_vs_live_oracles", bench_live_oracles),
     ):
         section_start = time.time()
         payload["results"][name] = fn()
@@ -295,10 +355,20 @@ def main(argv=None) -> int:
         f"{worst['reverts']} reverts; bound {MAX_PROBES_PER_NODE}, "
         f"meets={greedy['meets_probe_bound']})"
     )
+    live = payload["results"]["request_cost_vs_live_oracles"]
+    print(
+        "  request cost vs live oracles: "
+        + ", ".join(
+            f"{row['live_oracles']}: {row['request_us']}us" for row in live["rows"]
+        )
+        + f" (ratio {live['cost_ratio_at_1000']}, bound "
+        f"{MAX_LIVE_ORACLE_COST_RATIO}, meets={live['meets_target']})"
+    )
     ok = (
         greedy["meets_target"]
         and greedy["meets_probe_bound"]
         and optimal["meets_target"]
+        and live["meets_target"]
     )
     return 0 if ok else 1
 

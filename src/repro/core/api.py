@@ -13,9 +13,12 @@ individual scheduler functions with their private kwargs:
   if given, else against the scheduler's realized guarantee -- a
   guarantee-free baseline has nothing to verify), and packages everything
   into a :class:`ScheduleResult` with wall time and the
-  :class:`~repro.core.oracle.SafetyOracle` counter deltas observed across
-  the request (published through :mod:`repro.metrics`; the counters are
-  process-wide, so under concurrent requests the deltas interleave);
+  :class:`~repro.core.oracle.SafetyOracle` counter deltas of the request:
+  what the oracles handed out to *this* request (through
+  :func:`~repro.core.oracle.oracle_for`, or passed in as ``oracle``)
+  counted between hand-out and the end of the request -- a
+  :class:`~repro.core.oracle.RequestScope`, so the figures are exact per
+  thread under concurrent requests and cost O(oracles touched);
 * :func:`schedule_update` is the one-line convenience wrapper::
 
       from repro import schedule_update
@@ -42,7 +45,7 @@ from typing import Any, Mapping
 
 from repro.errors import ScheduleTimeoutError, UpdateModelError, VerificationError
 from repro.obs import trace as obs
-from repro.core.oracle import SafetyOracle, aggregate_stats
+from repro.core.oracle import RequestScope, SafetyOracle
 from repro.core.problem import UpdateProblem
 from repro.core.registry import PROPERTY_NAMES, Scheduler, resolve_scheduler
 from repro.core.twophase import TwoPhaseSchedule
@@ -173,11 +176,10 @@ class ScheduleResult:
     ``scheduler`` is the canonical registry name actually used (aliases
     and property lists normalized); ``guarantee`` the realized property
     tuple; ``report`` the verification outcome (``None`` when nothing was
-    verified); ``oracle_stats`` the :class:`SafetyOracle` counter deltas
-    observed while the request ran (memo hits/misses, applies,
-    Pearce-Kelly work).  The counters are summed process-wide, so when
-    requests run concurrently their deltas interleave -- exact
-    per-request attribution holds only for serial callers.
+    verified); ``oracle_stats`` the counter deltas (memo hits/misses,
+    applies, Pearce-Kelly work) of the :class:`SafetyOracle` objects this
+    request was handed, zero ones omitted -- other requests' work never
+    shows, whichever thread they run on.
     """
 
     scheduler: str
@@ -264,14 +266,15 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
         raise UpdateModelError(
             f"scheduler {scheduler.name!r} requires a waypointed problem"
         )
-    before = aggregate_stats().as_dict()
     started = time.perf_counter()
-    with obs.span(
+    with RequestScope() as scope, obs.span(
         "api.execute_request",
         scheduler=scheduler.name,
         problem=problem.name,
         updates=len(problem.required_updates),
     ) as request_span:
+        if request.oracle is not None:
+            scope.note(request.oracle)
         with time_limit(request.timeout_s):
             with obs.span("api.search", scheduler=scheduler.name):
                 run = scheduler.run(
@@ -288,12 +291,7 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
             else:
                 report = None
         wall_ms = (time.perf_counter() - started) * 1000.0
-        after = aggregate_stats().as_dict()
-        oracle_stats = {
-            key: value - before.get(key, 0)
-            for key, value in after.items()
-            if value - before.get(key, 0) > 0
-        }
+        oracle_stats = scope.deltas()
         request_span.set_attrs(
             rounds=run.schedule.n_rounds,
             wall_ms=round(wall_ms, 3),

@@ -28,6 +28,14 @@ persistent union graph per problem**:
   exact search can probe millions of rounds without building a single
   frozenset.
 
+Every oracle counts its own work (:class:`OracleStats`).  Two readings
+exist: a request reads the deltas of the oracles *it* was handed
+(:class:`RequestScope`, opened by :func:`repro.core.api.execute_request`
+and fed by :func:`oracle_for`; exact per thread, O(oracles touched)), and
+:func:`aggregate_stats` is the process-wide total over shared oracles,
+live and dead, that ``GET /metrics`` renders -- monotone, O(live oracles),
+on no request path.
+
 The oracle returns **boolean verdicts only** -- plus, for a rejected
 :meth:`SafetyOracle.try_apply_watched` probe, the set of nodes whose commit
 could lift the rejection (what :mod:`repro.core.packing` watches).
@@ -39,8 +47,11 @@ equivalence test suite.
 
 from __future__ import annotations
 
+import threading
 import weakref
-from dataclasses import asdict, dataclass, fields
+from collections import deque
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 from repro.errors import UpdateModelError, VerificationBudgetError, VerificationError
 from repro.core.problem import UpdateProblem
@@ -83,7 +94,13 @@ class OracleStats:
     watch_skips: int = 0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # every field is an int: a copy of the instance dict is the dump
+        return dict(vars(self))
+
+    def add(self, other: "OracleStats") -> None:
+        mine = vars(self)
+        for name, value in vars(other).items():
+            mine[name] += value
 
 
 class SafetyOracle:
@@ -977,9 +994,90 @@ class SafetyOracle:
 #: cycle is ordinary garbage once the caller drops the problem.
 _CACHE_ATTR = "_safety_oracle_cache"
 
-#: Weak views over everything handed out, for stats and test isolation.
+#: Weak views over everything handed out, for stats and test isolation:
+#: the problems carrying a cache, and per shared oracle a weak reference
+#: mapped to its counters (which hold no reference back to the oracle).
 _PROBLEMS: "weakref.WeakSet[UpdateProblem]" = weakref.WeakSet()
-_ALL_ORACLES: "weakref.WeakSet[SafetyOracle]" = weakref.WeakSet()
+_LIVE: "dict[weakref.ref[SafetyOracle], OracleStats]" = {}
+
+#: Counters of shared oracles that have died, so that :func:`aggregate_stats`
+#: never decreases.  A dying oracle's weak-reference callback only moves its
+#: stats from ``_LIVE`` to ``_RETIRING`` (two atomic operations, so safe on
+#: whatever thread the collector runs it, even in the middle of a fold);
+#: ordinary code folds them into ``_RETIRED`` under the lock.
+_RETIRED = OracleStats()
+_RETIRING: "deque[OracleStats]" = deque()
+_RETIRED_LOCK = threading.Lock()
+
+
+def _retire(reference: "weakref.ref[SafetyOracle]") -> None:
+    stats = _LIVE.pop(reference, None)
+    if stats is not None:
+        _RETIRING.append(stats)
+
+
+def _retired_total() -> OracleStats:
+    """Fold in what died since the last call; a copy of the total."""
+    total = OracleStats()
+    with _RETIRED_LOCK:
+        while _RETIRING:
+            _RETIRED.add(_RETIRING.popleft())
+        total.add(_RETIRED)
+    return total
+
+
+def _live_oracles() -> "list[SafetyOracle]":
+    return [
+        oracle for reference in list(_LIVE) if (oracle := reference()) is not None
+    ]
+
+
+#: The innermost open :class:`RequestScope` of this thread / task.
+_SCOPE: "ContextVar[RequestScope | None]" = ContextVar(
+    "repro_oracle_request_scope", default=None
+)
+
+
+class RequestScope:
+    """Counter deltas of the oracles handed out while the scope is open.
+
+    :func:`repro.core.api.execute_request` opens one per request.  Inside
+    it :func:`oracle_for` (and the request, for an explicit ``oracle``)
+    :meth:`note` each oracle with its counters at first hand-out, and
+    :meth:`deltas` sums what those oracles have counted since.  The scope
+    lives in a context variable, so every thread has its own, the cost is
+    O(oracles the request touched), and what happens to unrelated oracles
+    (other requests' work, garbage collection) cannot show.  A scope
+    opened inside another folds its oracles into the outer one on exit.
+    """
+
+    def __init__(self) -> None:
+        #: oracle (by identity) -> its counters at first hand-out
+        self._noted: dict[SafetyOracle, dict[str, int]] = {}
+
+    def __enter__(self) -> "RequestScope":
+        self._token = _SCOPE.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _SCOPE.reset(self._token)
+        outer = _SCOPE.get()
+        if outer is not None:
+            for oracle, before in self._noted.items():
+                outer._noted.setdefault(oracle, before)
+
+    def note(self, oracle: SafetyOracle) -> None:
+        if oracle not in self._noted:
+            self._noted[oracle] = oracle.stats.as_dict()
+
+    def deltas(self) -> dict[str, int]:
+        """Summed counter increases since hand-out (zero ones omitted)."""
+        total: dict[str, int] = {}
+        for oracle, before in self._noted.items():
+            for name, value in vars(oracle.stats).items():
+                if value != before[name]:
+                    total[name] = total.get(name, 0) + value - before[name]
+        return total
 
 
 def oracle_for(
@@ -1020,7 +1118,12 @@ def oracle_for(
                 problem, properties, exact_rlf=exact_rlf, rlf_budget=rlf_budget
             )
         cache[key] = oracle
-        _ALL_ORACLES.add(oracle)
+        _LIVE[weakref.ref(oracle, _retire)] = oracle.stats
+        if _RETIRING:
+            _retired_total()  # keeps the queue short where nobody scrapes
+    scope = _SCOPE.get()
+    if scope is not None:
+        scope.note(oracle)
     return oracle
 
 
@@ -1029,8 +1132,10 @@ def clear_registry() -> None:
 
     Also drops the per-problem forced-precedence caches of
     :mod:`repro.core.bnb` (named literally to avoid the import cycle), so
-    a cleared problem is genuinely cold for benchmark purposes.
+    a cleared problem is genuinely cold for benchmark purposes, and zeroes
+    the retired counters: :func:`aggregate_stats` starts again from 0.
     """
+    global _RETIRED
     for problem in list(_PROBLEMS):
         for attribute in (_CACHE_ATTR, "_bnb_precedence_cache"):
             try:
@@ -1038,7 +1143,10 @@ def clear_registry() -> None:
             except AttributeError:
                 pass
     _PROBLEMS.clear()
-    _ALL_ORACLES.clear()
+    _LIVE.clear()  # a dropped weak reference never calls back
+    with _RETIRED_LOCK:
+        _RETIRING.clear()
+        _RETIRED = OracleStats()
 
 
 def clear_nogoods() -> None:
@@ -1049,18 +1157,21 @@ def clear_nogoods() -> None:
     then poison verdicts for every later cell reusing the cached
     problem, so timeout handlers wipe all tables wholesale.
     """
-    for oracle in list(_ALL_ORACLES):
+    for oracle in _live_oracles():
         oracle.clear_nogoods()
 
 
 def aggregate_stats() -> OracleStats:
-    """Summed counters over all live shared oracles."""
-    total = OracleStats()
-    for oracle in _ALL_ORACLES:
-        for spec in fields(OracleStats):
-            setattr(
-                total,
-                spec.name,
-                getattr(total, spec.name) + getattr(oracle.stats, spec.name),
-            )
+    """Summed counters over all shared oracles, live and dead.
+
+    Monotone between two :func:`clear_registry` calls (``GET /metrics``
+    renders it as Prometheus counters).  O(live oracles): no request path
+    calls it -- per-request figures come from :class:`RequestScope`.
+    """
+    # strong references first: an oracle in ``live`` cannot retire while
+    # it is being summed, one that died earlier is already in the queue
+    live = _live_oracles()
+    total = _retired_total()
+    for oracle in live:
+        total.add(oracle.stats)
     return total

@@ -9,8 +9,23 @@ multi-machine fleets) requires a shared-secret ``token``: every request
 must then carry it in the ``X-Repro-Auth`` header or is refused with a
 401 before reaching the router.
 
+The server speaks HTTP/1.1 with persistent connections: a client that
+keeps its connection open pays connect, accept and a handler thread once,
+not per request.  HTTP/1.0 peers and ``Connection: close`` requests are
+answered and then closed (the reply says ``Connection: close``).  Replies
+are written through a :data:`REPLY_BUFFER_BYTES` buffer and flushed once,
+so headers and body leave in one segment, and accepted sockets have
+``TCP_NODELAY`` set, so a reply larger than the buffer is not held back by
+Nagle's algorithm waiting for the client's delayed ACK.  A connection on
+which nothing arrives for :data:`IDLE_TIMEOUT_S` is dropped, and
+:meth:`RestHttpServer.stop` closes the ones still open, so no handler
+thread outlives the server.  A request that is refused before its body
+was read (401, bad or oversized ``Content-Length``) closes the connection:
+the unread bytes must not be parsed as the next request.
+
 The client side, :class:`HttpClient`, is what fabric workers (and any
-other library-internal caller) use to talk to a server: connection errors
+other library-internal caller) use to talk to a server, over one
+persistent connection per calling thread: connection errors
 and 5xx responses get bounded exponential backoff with jitter -- the
 server may be restarting, the network blipping -- while 4xx responses
 (including an auth mismatch's 401) fail fast with
@@ -20,13 +35,13 @@ not get better by retrying.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socket
-import time
-import urllib.error
-import urllib.request
 import threading
+import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import HttpStatusError, TransportError
@@ -40,11 +55,26 @@ SPAN_HEADER = "X-Repro-Span"
 #: Shared-secret header checked when the server was given a token.
 AUTH_HEADER = "X-Repro-Auth"
 
+#: Seconds a connection may sit without a byte arriving (between requests
+#: or inside one) before the server drops it.  Fabric workers heartbeat
+#: every 2 s, so theirs stay open.
+IDLE_TIMEOUT_S = 30.0
+#: Largest request body accepted (413 above).  A batched fabric submit of
+#: a thousand records is well under 1 MiB.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Reply buffer: headers + body up to this size leave in one ``send``.
+REPLY_BUFFER_BYTES = 64 * 1024
+
 
 def _make_handler(
     api: RestApi, token: str | None = None
 ) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = IDLE_TIMEOUT_S
+        disable_nagle_algorithm = True
+        wbufsize = REPLY_BUFFER_BYTES
+
         # one simulated network is not thread-safe; serialize requests
         _lock = threading.Lock()
 
@@ -52,10 +82,23 @@ def _make_handler(
             if token is not None and self.headers.get(AUTH_HEADER) != token:
                 # 401 is a 4xx: clients fast-fail instead of retrying --
                 # a wrong secret will not get better with backoff
-                self._write(401, {"error": "missing or bad X-Repro-Auth"})
+                self._refuse(401, "missing or bad X-Repro-Auth")
                 return
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0 or self.headers.get("Transfer-Encoding"):
+                self._refuse(400, "a body needs a non-negative Content-Length")
+                return
+            if length > MAX_BODY_BYTES:
+                self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+                return
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                self.close_connection = True  # the body never arrived
+                return
             body = None
             if raw:
                 try:
@@ -83,6 +126,11 @@ def _make_handler(
                 response.status, response.body, response.content_type
             )
 
+        def _refuse(self, status: int, message: str) -> None:
+            """Answer without having read the body, then hang up."""
+            self.close_connection = True
+            self._write(status, {"error": message})
+
         def _write(
             self, status: int, payload, content_type: str | None = None
         ) -> None:
@@ -94,8 +142,10 @@ def _make_handler(
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection or self.server.stopping:
+                self.send_header("Connection", "close")  # also hangs up
             self.end_headers()
-            self.wfile.write(data)
+            self.wfile.write(data)  # flushed once, after the handler returns
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             self._respond("GET")
@@ -107,6 +157,34 @@ def _make_handler(
             pass
 
     return Handler
+
+
+class _Server(ThreadingHTTPServer):
+    """Knows its handler threads and their sockets, so they can be ended."""
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self.handlers: dict[threading.Thread, socket.socket] = {}
+        #: set by ``RestHttpServer.stop``: every reply is now the last one
+        #: on its connection
+        self.stopping = False
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        # registered by the accepting thread, so that nothing accepted
+        # before shutdown() returned is missing when stop() looks
+        self.handlers[thread] = request
+        thread.start()
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            del self.handlers[threading.current_thread()]
 
 
 class RestHttpServer:
@@ -133,9 +211,7 @@ class RestHttpServer:
             )
         self.api = api
         self.host = host
-        self.server = ThreadingHTTPServer(
-            (host, port), _make_handler(api, token)
-        )
+        self.server = _Server((host, port), _make_handler(api, token))
         self.port = self.server.server_address[1]
         self._thread: threading.Thread | None = None
 
@@ -145,10 +221,25 @@ class RestHttpServer:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop accepting, end the open connections, join their threads.
+
+        Only the read side of a connection is shut down: a handler waiting
+        for the next request sees end-of-file and returns, one in the
+        middle of a request gets its reply out first and then hangs up.
+        """
+        # first, or a busy kept-alive connection is served for as long as
+        # shutdown() waits for the accept loop to look up (0.5 s)
+        self.server.stopping = True
         self.server.shutdown()
         self.server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+        for thread, connection in list(self.server.handlers.items()):
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the handler closed it in the meantime
+            thread.join(timeout=5)
 
     @property
     def url(self) -> str:
@@ -169,6 +260,13 @@ class HttpClient:
     :class:`~repro.errors.HttpStatusError` immediately -- the request is
     wrong, not the weather.  Retries are counted on the process
     collector (``http_client.retries``).
+
+    Each calling thread keeps one connection open across requests (a
+    fabric worker's heartbeat thread shares the client with its main
+    loop; neither waits for the other's I/O).  A kept connection the
+    server has dropped in the meantime -- restart, idle timeout -- fails
+    the next request on it; that closes it and is one attempt like any
+    other transport failure, and the retry connects afresh.
     """
 
     def __init__(
@@ -191,6 +289,8 @@ class HttpClient:
         self.token = token
         self._rng = random.Random(jitter_seed)
         self._sleep = sleep
+        self._parts = urllib.parse.urlsplit(self.base_url)
+        self._connections = threading.local()
 
     def get(self, path: str):
         return self.request("GET", path)
@@ -198,8 +298,23 @@ class HttpClient:
     def post(self, path: str, body=None):
         return self.request("POST", path, body)
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it connects on first use and
+        again after every ``close()``)."""
+        connection = getattr(self._connections, "connection", None)
+        if connection is None:
+            factory = (
+                http.client.HTTPSConnection
+                if self._parts.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            connection = factory(self._parts.netloc, timeout=self.timeout_s)
+            self._connections.connection = connection
+        return connection
+
     def request(self, method: str, path: str, body=None):
         url = self.base_url + path
+        target = self._parts.path + path
         data = None
         headers = {"Accept": "application/json"}
         if self.token is not None:
@@ -212,28 +327,33 @@ class HttpClient:
             headers[TRACE_HEADER] = context["trace"]
             if context.get("parent"):
                 headers[SPAN_HEADER] = context["parent"]
+        connection = self._connection()
         last_error: str = ""
         for attempt in range(1, self.max_attempts + 1):
-            req = urllib.request.Request(
-                url, data=data, headers=headers, method=method.upper()
-            )
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout_s) as reply:
-                    return self._decode(reply.read())
-            except urllib.error.HTTPError as exc:
-                payload = self._decode(exc.read())
-                if 400 <= exc.code < 500:
+                connection.request(
+                    method.upper(), target, body=data, headers=headers
+                )
+                reply = connection.getresponse()
+                payload = self._decode(reply.read())
+            except (http.client.HTTPException, OSError) as exc:
+                # refused, reset, timed out, or a kept connection the
+                # server dropped: start the next attempt from a new one
+                connection.close()
+                last_error = f"{type(exc).__name__}: {exc}"
+            else:
+                if 200 <= reply.status < 300:
+                    return payload
+                if 400 <= reply.status < 500:
                     detail = ""
                     if isinstance(payload, dict) and payload.get("error"):
                         detail = f": {payload['error']}"
                     raise HttpStatusError(
-                        f"{method} {url} -> {exc.code}{detail}",
-                        status=exc.code,
+                        f"{method} {url} -> {reply.status}{detail}",
+                        status=reply.status,
                         body=payload,
-                    ) from None
-                last_error = f"HTTP {exc.code}"
-            except (urllib.error.URLError, ConnectionError, socket.timeout, OSError) as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
+                    )
+                last_error = f"HTTP {reply.status}"
             if attempt < self.max_attempts:
                 global_collector().increment("http_client.retries")
                 self._sleep(self._backoff(attempt))

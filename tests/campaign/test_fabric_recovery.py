@@ -558,11 +558,18 @@ class TestHttpRestartEndToEnd:
         server1 = RestHttpServer(api1, port=port)
         server1.start()
 
+        class PacedClient(HttpClient):
+            # over a kept-alive connection all eight cells can be through
+            # between two looks of the 20 ms poll below
+            def request(self, method, path, body=None):
+                time.sleep(0.01)
+                return super().request(method, path, body)
+
         worker = FabricWorker(
             HttpFabricClient(
                 url,
                 spec.campaign_id,
-                http=HttpClient(
+                http=PacedClient(
                     url,
                     max_attempts=2,
                     backoff_base_s=0.01,

@@ -131,3 +131,97 @@ class TestRetryPolicy:
         method, path, raw = server.requests[0]
         assert (method, path) == ("POST", "/things")
         assert json.loads(raw) == {"a": 1}
+
+
+class TestConnectionReuse:
+    """One kept-alive connection per calling thread, against the real
+    binding (the scripted server above speaks HTTP/1.0)."""
+
+    @pytest.fixture
+    def connects(self, monkeypatch):
+        """Thread idents, one per ``HTTPConnection.connect`` made."""
+        import http.client
+
+        made = []
+        real = http.client.HTTPConnection.connect
+
+        def counting(connection):
+            made.append(threading.get_ident())
+            real(connection)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+        return made
+
+    @pytest.fixture
+    def api(self, tmp_path):
+        from repro.rest.api import build_campaign_api
+
+        api = build_campaign_api(campaign_root=str(tmp_path))
+        yield api
+        api.campaigns.close()
+
+    def test_many_rpcs_one_connect(self, api, connects):
+        from repro.rest.http_binding import RestHttpServer
+
+        server = RestHttpServer(api, port=0)
+        server.start()
+        try:
+            client = HttpClient(server.url, sleep=lambda s: None)
+            for _ in range(25):
+                assert client.get("/campaigns") == []
+                with pytest.raises(HttpStatusError):  # a 4xx keeps it open too
+                    client.get("/campaigns/nope")
+            assert len(connects) == 1
+        finally:
+            server.stop()
+
+    def test_server_restart_costs_exactly_one_retry(self, api, connects):
+        from repro.metrics import global_collector
+        from repro.rest.http_binding import RestHttpServer
+
+        first = RestHttpServer(api, port=0)
+        first.start()
+        sleeps = []
+        client = HttpClient(first.url, jitter_seed=0, sleep=sleeps.append)
+        assert client.get("/campaigns") == []
+        first.stop()
+        second = RestHttpServer(api, port=first.port)
+        second.start()
+        try:
+            retries = global_collector().counter("http_client.retries")
+            assert client.get("/campaigns") == []  # no error surfaces
+            assert len(sleeps) == 1
+            assert global_collector().counter("http_client.retries") == retries + 1
+            assert client.get("/campaigns") == []
+            assert len(sleeps) == 1 and len(connects) == 2
+        finally:
+            second.stop()
+
+    def test_two_threads_two_connections(self, api, connects):
+        from repro.rest.http_binding import RestHttpServer
+
+        server = RestHttpServer(api, port=0)
+        server.start()
+        try:
+            client = HttpClient(server.url, sleep=lambda s: None)
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def caller():
+                try:
+                    for _ in range(10):
+                        barrier.wait(timeout=10)
+                        assert client.get("/campaigns") == []
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert not errors
+            assert len(connects) == 2 and len(set(connects)) == 2
+        finally:
+            server.stop()

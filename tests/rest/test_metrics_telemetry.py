@@ -69,6 +69,35 @@ class TestMetricsRoute:
         body = api.handle("GET", "/metrics").body
         assert "repro_oracle_" in body
 
+    def test_oracle_counters_never_fall(self, api):
+        # Prometheus counters: freeing a problem must not take its
+        # oracle's work back out of the totals
+        import gc
+
+        from repro.core.hardness import reversal_instance
+        from repro.core.api import schedule_update
+
+        def scrape():
+            return {
+                name: float(value)
+                for name, _, value in (
+                    line.rpartition(" ")
+                    for line in api.handle("GET", "/metrics").body.splitlines()
+                    if line.startswith("repro_oracle_")
+                )
+            }
+
+        problems = [reversal_instance(n) for n in (6, 8, 10)]
+        for problem in problems:
+            schedule_update(problem, "greedy-slf")
+        before = scrape()
+        assert before["repro_oracle_applies"] > 0
+        del problems, problem
+        gc.collect()
+        after = scrape()
+        assert after.keys() == before.keys()
+        assert all(after[name] >= before[name] for name in before)
+
     def test_served_on_the_full_api_too(self, tmp_path):
         from repro.controller.ofctl_rest import OfctlRestApp
         from repro.controller.ofctl_rest_own import TransientUpdateApp
