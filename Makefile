@@ -8,9 +8,9 @@ help:
 	@echo "loc            - src/ Python line count (a tracked metric: it should go down)"
 	@echo "api-surface    - public-API snapshot check (tests/test_api_surface.py)"
 	@echo "ledger         - one timed perf-ledger pass: make ledger WORKLOAD=serve_large (names in BENCHMARK.json)"
-	@echo "bench-smoke    - ~40s perf subset; writes benchmarks/results/BENCH_oracle.json + BENCH_exact.json"
-	@echo "bench-oracle   - full oracle perf run (includes the minutes-long seed path at n=500)"
-	@echo "bench-exact    - full exact-search perf run (mask engine vs the PR 1 frozenset BFS)"
+	@echo "bench-smoke    - ~5s perf subset; writes benchmarks/results/BENCH_oracle.json + BENCH_exact.json"
+	@echo "bench-oracle   - full oracle perf run (greedy-SLF ladder to n=2000, live-oracle sweep)"
+	@echo "bench-exact    - full exact-search perf run (past-the-cap rows, iddfs vs bnb mode, n=24 instances)"
 	@echo "bench          - full pytest-benchmark experiment suite (E1-E10 tables)"
 	@echo "campaign-smoke - ~20s tiny campaign (260 cells, 7 family entries, 5 schedulers)"
 	@echo "fabric-smoke   - ~15s faulty 3-worker fleet (one SIGKILLed, one frozen) vs 1-worker baseline"

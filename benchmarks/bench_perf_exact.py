@@ -1,24 +1,19 @@
-"""Perf benchmark: the bitmask exact-search engine vs the PR 1 path.
+"""Perf benchmark: the exact search on its target worst cases.
 
-Tracks what the integer-state rewrite of :mod:`repro.core.optimal` buys
-over the frozenset BFS it replaced (the PR 1 path: oracle-backed
-``engine="sets"``).  Three series go into ``BENCH_exact.json``:
+Three series go into ``BENCH_exact.json`` (the historical rows against
+the frozenset BFS and the mask BFS are frozen in ``EXPERIMENTS.md``;
+those engines no longer exist):
 
-* **mask_vs_pr1** -- ``minimal_round_schedule(reversal(n), RLF)`` at
-  n=10/12/14 on the PR 1 sets engine, the mask BFS (canonical order,
-  bit-identical schedules -- asserted) and the mask IDDFS mode (the
-  default for campaign ground-truthing);
 * **cap_lift** -- instances beyond the old ``DEFAULT_MAX_NODES = 12``
   cap: reversal n=16/18 and sawtooth-18-4 (15--17 required updates),
   plus a waypointed slalom row for the WPE property mix (its update
   count is constant at 4: only the nodes adjacent to the crossing ever
-  switch), all settled by IDDFS;
+  switch), all settled by plain deepening;
 * **warm_memo** -- a warm repeat against the shared int-keyed verdict
   memo;
-* **bnb** -- the branch-and-bound engine against IDDFS on its target
-  worst cases: the WPE+SLF infeasible clash family (forced-order
-  certificates and conflict-learned nogoods vs deepening
-  re-expansion) and the lifted n=24 cap.
+* **bnb** -- the two modes of the one search against each other on
+  clash-16 under SLF (plain deepening vs bounds + nogoods + incumbent
+  short-cut), and the n=24 cap instances only the bounds settle.
 
 Usage::
 
@@ -27,11 +22,10 @@ Usage::
 Acceptance targets (gated by the exit status, wired into
 ``make bench-smoke`` via ``benchmarks/run_smoke.py``):
 
-* IDDFS speedup over the PR 1 path at n=12 under RLF: >= 5x;
 * reversal n=16 (15 required updates, beyond the old cap) completes;
-* bnb over IDDFS on the infeasible clash family at n=16: >= 5x;
-* bnb settles the clash-24 infeasibility proof and reversal-24 under
-  RLF within the smoke budget.
+* the bounds mode over plain deepening on clash-16 under SLF: >= 3x;
+* the clash-24 infeasibility proof and reversal-24 under RLF and SLF
+  settle within the smoke budget.
 """
 
 from __future__ import annotations
@@ -57,9 +51,8 @@ from repro.errors import InfeasibleUpdateError
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_exact.json"
 
-IDDFS_TARGET_SPEEDUP = 5.0
 CAP_LIFT_BUDGET_S = 30.0
-BNB_INFEASIBLE_TARGET_SPEEDUP = 5.0
+BNB_TARGET_SPEEDUP = 3.0
 BNB_BUDGET_S = 30.0
 
 
@@ -74,56 +67,8 @@ def _time(fn, repeats=3):
     return best, result
 
 
-def bench_mask_vs_pr1(quick: bool) -> dict:
-    """reversal(n) under RLF: PR 1 sets engine vs mask BFS vs mask IDDFS."""
-    rows = []
-    pr1_repeats = {10: 3, 12: 3 if not quick else 2, 14: 1}
-    for n in (10, 12, 14):
-        problem = reversal_instance(n)
-        properties = (Property.RLF,)
-
-        def cold(engine, search="bfs"):
-            clear_registry()
-            return minimal_round_schedule(
-                problem, properties, engine=engine, search=search
-            )
-
-        pr1_s, pr1 = _time(lambda: cold("sets"), repeats=pr1_repeats[n])
-        bfs_s, bfs = _time(lambda: cold("mask"), repeats=pr1_repeats[n])
-        iddfs_s, iddfs = _time(
-            lambda: cold("mask", "iddfs"), repeats=5 if quick else 10
-        )
-        assert bfs.rounds == pr1.rounds, (
-            "mask BFS must be bit-identical to the PR 1 path"
-        )
-        assert iddfs.n_rounds == pr1.n_rounds, (
-            "IDDFS must agree on the optimal round count"
-        )
-        rows.append({
-            "n": n,
-            "required_updates": len(problem.required_updates),
-            "rounds": pr1.n_rounds,
-            "pr1_sets_ms": round(pr1_s * 1000, 2),
-            "mask_bfs_ms": round(bfs_s * 1000, 2),
-            "mask_iddfs_ms": round(iddfs_s * 1000, 3),
-            "bfs_speedup": round(pr1_s / bfs_s, 2),
-            "iddfs_speedup": round(pr1_s / iddfs_s, 1),
-        })
-    at_12 = next(r for r in rows if r["n"] == 12)
-    return {
-        "description": (
-            "minimal_round_schedule(reversal(n), RLF): PR 1 frozenset BFS "
-            "vs bitmask BFS (bit-identical schedules) vs bitmask IDDFS"
-        ),
-        "target_iddfs_speedup_at_12": IDDFS_TARGET_SPEEDUP,
-        "rows": rows,
-        "iddfs_speedup_at_12": at_12["iddfs_speedup"],
-        "meets_target": at_12["iddfs_speedup"] >= IDDFS_TARGET_SPEEDUP,
-    }
-
-
 def bench_cap_lift(quick: bool) -> dict:
-    """Instances beyond the old n=12 cap, settled by the IDDFS mode."""
+    """Instances beyond the old n=12 cap, settled by plain deepening."""
     cases = [
         ("reversal-16", reversal_instance(16), (Property.RLF,)),
         ("reversal-18", reversal_instance(18), (Property.RLF,)),
@@ -172,8 +117,7 @@ def bench_cap_lift(quick: bool) -> dict:
 
 
 def bench_bnb(quick: bool) -> dict:
-    """Branch-and-bound vs IDDFS on infeasibility proofs and the new cap."""
-    clash_props = (Property.WPE, Property.SLF)
+    """The bounds mode vs plain deepening, and the n=24 cap instances."""
 
     def settle(problem, properties, search):
         clear_registry()
@@ -185,41 +129,24 @@ def bench_bnb(quick: bool) -> dict:
             return "infeasible"
         return schedule.n_rounds
 
-    def settle_raw_iddfs(problem, properties):
-        # The PR 3 baseline: the raw deepening engine.  The public entry
-        # point now short-circuits certified-infeasible instances for
-        # every engine (the certificates are shared), so the honest
-        # before-number must invoke the engine underneath it.
-        from repro.core.optimal import _MaskSearch, _search_mask_iddfs
-
-        clear_registry()
-        state = _MaskSearch(problem, properties, None, True)
-        try:
-            _search_mask_iddfs(state, properties, None)
-        except InfeasibleUpdateError:
-            return "infeasible"
-        raise AssertionError("the clash family must be infeasible")
-
-    # --- infeasible clash family at n=16: the 5x gate ------------------
+    # --- clash-16 under SLF: the mode-vs-mode gate ---------------------
     clash16 = crossing_clash_instance(16)
-    iddfs_s, iddfs_verdict = _time(
-        lambda: settle_raw_iddfs(clash16, clash_props),
+    iddfs_s, iddfs_rounds = _time(
+        lambda: settle(clash16, (Property.SLF,), "iddfs"),
         repeats=3 if quick else 5,
     )
-    bnb_s, bnb_verdict = _time(
-        lambda: settle(clash16, clash_props, "bnb"),
+    bnb_s, bnb_rounds = _time(
+        lambda: settle(clash16, (Property.SLF,), "bnb"),
         repeats=5 if quick else 10,
     )
-    assert iddfs_verdict == bnb_verdict == "infeasible", (
-        "both engines must prove the clash infeasible"
-    )
+    assert iddfs_rounds == bnb_rounds == 3, "both modes must find the optimum"
     speedup = iddfs_s / bnb_s
 
     # --- worst cases only bnb settles inside the budget ----------------
     rows = []
     for label, problem, properties, expected in (
-        ("clash-24 (wpe+slf)", crossing_clash_instance(24), clash_props,
-         "infeasible"),
+        ("clash-24 (wpe+slf)", crossing_clash_instance(24),
+         (Property.WPE, Property.SLF), "infeasible"),
         ("reversal-24 (rlf)", reversal_instance(24), (Property.RLF,), 3),
         ("reversal-24 (slf)", reversal_instance(24), (Property.SLF,), 22),
     ):
@@ -239,18 +166,18 @@ def bench_bnb(quick: bool) -> dict:
         })
     return {
         "description": (
-            "branch-and-bound (forced-chain bounds, nogood learning, "
-            "incumbent seeding) vs IDDFS on the WPE+SLF infeasible clash "
-            "family and the n=24 cap instances"
+            "search='bnb' (forced-chain bounds, nogood learning, incumbent "
+            "short-cut) vs search='iddfs' on clash-16 under SLF, and the "
+            "n=24 cap instances"
         ),
-        "target_infeasible_speedup_at_16": BNB_INFEASIBLE_TARGET_SPEEDUP,
+        "target_speedup_at_16": BNB_TARGET_SPEEDUP,
         "clash16_iddfs_ms": round(iddfs_s * 1000, 2),
         "clash16_bnb_ms": round(bnb_s * 1000, 3),
-        "infeasible_speedup_at_16": round(speedup, 1),
+        "speedup_at_16": round(speedup, 1),
         "budget_seconds": BNB_BUDGET_S,
         "rows": rows,
         "meets_target": bool(
-            speedup >= BNB_INFEASIBLE_TARGET_SPEEDUP
+            speedup >= BNB_TARGET_SPEEDUP
             and all(row["within_budget"] for row in rows)
         ),
     }
@@ -269,7 +196,7 @@ def bench_warm_memo() -> dict:
     )
     oracle = oracle_for(problem, properties)
     return {
-        "description": "repeat mask BFS on a warm shared oracle memo",
+        "description": "repeat the exact search on a warm shared oracle memo",
         "cold_ms": round(cold_s * 1000, 2),
         "warm_ms": round(warm_s * 1000, 2),
         "warm_speedup": round(cold_s / warm_s, 1),
@@ -283,7 +210,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="~10s subset (fewer repeats), for make bench-smoke",
+        help="fewer repeats, for make bench-smoke",
     )
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
@@ -300,7 +227,6 @@ def main(argv=None) -> int:
     }
     print(f"[bench_perf_exact] mode={payload['mode']}")
     for name, fn in (
-        ("mask_vs_pr1", lambda: bench_mask_vs_pr1(args.quick)),
         ("cap_lift", lambda: bench_cap_lift(args.quick)),
         ("warm_memo", bench_warm_memo),
         ("bnb", lambda: bench_bnb(args.quick)),
@@ -314,29 +240,19 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"[bench_perf_exact] wrote {args.out} ({payload['wall_seconds']}s)")
 
-    versus = payload["results"]["mask_vs_pr1"]
     cap = payload["results"]["cap_lift"]
     bnb = payload["results"]["bnb"]
-    print(
-        f"  iddfs speedup at n=12: {versus['iddfs_speedup_at_12']}x "
-        f"(target {IDDFS_TARGET_SPEEDUP}x, meets={versus['meets_target']})"
-    )
     print(
         f"  cap lift: {[r['instance'] for r in cap['rows'] if r['completed']]} "
         f"completed (meets={cap['meets_target']})"
     )
     print(
-        f"  bnb infeasible clash-16: {bnb['infeasible_speedup_at_16']}x over "
-        f"iddfs (target {BNB_INFEASIBLE_TARGET_SPEEDUP}x); "
+        f"  clash-16 (slf): bnb {bnb['speedup_at_16']}x over iddfs "
+        f"(target {BNB_TARGET_SPEEDUP}x); "
         f"{[r['instance'] for r in bnb['rows'] if r['within_budget']]} within "
         f"{BNB_BUDGET_S}s (meets={bnb['meets_target']})"
     )
-    ok = (
-        versus["meets_target"]
-        and cap["meets_target"]
-        and bnb["meets_target"]
-    )
-    return 0 if ok else 1
+    return 0 if cap["meets_target"] and bnb["meets_target"] else 1
 
 
 if __name__ == "__main__":

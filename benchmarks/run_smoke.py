@@ -1,16 +1,16 @@
-"""Benchmark smoke runner: a ~40-second perf subset with JSON artifacts.
+"""Benchmark smoke runner: a seconds-long perf subset with JSON artifacts.
 
-Runs the quick modes of :mod:`benchmarks.bench_perf_oracle` (incremental
-oracle vs from-scratch verification, ``BENCH_oracle.json``) and
-:mod:`benchmarks.bench_perf_exact` (bitmask exact-search engine vs the
-PR 1 path, plus the branch-and-bound engine vs IDDFS,
+Runs the quick modes of :mod:`benchmarks.bench_perf_oracle` (greedy-SLF
+probe counts, request cost vs live oracles, ``BENCH_oracle.json``) and
+:mod:`benchmarks.bench_perf_exact` (the exact search past the old cap,
+its two modes against each other, the n=24 instances,
 ``BENCH_exact.json``).  Wired as ``make bench-smoke``; exit status is
 non-zero when any perf target regresses, so it can gate CI.
 
-After both benchmarks the runner prints a before/after speedup table
-(the seed-era path vs the current engines) and rewrites the
-marker-delimited smoke section of ``benchmarks/results/tables.txt``, so
-the checked-in tables never go stale.
+After both benchmarks the runner prints one table of what it measured
+and rewrites the marker-delimited smoke section of
+``benchmarks/results/tables.txt``, so the checked-in tables never go
+stale.
 
 The run is also a tracing-overhead guard: the core is instrumented with
 :mod:`repro.obs` spans, and the perf gates in ``BENCH_oracle.json`` /
@@ -38,7 +38,7 @@ import bench_perf_exact  # noqa: E402  (sibling import by path)
 import bench_perf_oracle  # noqa: E402
 
 TABLES_PATH = pathlib.Path(__file__).parent / "results" / "tables.txt"
-SMOKE_BEGIN = "=== PERF smoke: before/after speedups (auto-generated) ==="
+SMOKE_BEGIN = "=== PERF smoke (auto-generated) ==="
 SMOKE_END = "=== end PERF smoke ==="
 
 #: Ceiling on the per-call cost of a *disabled* ``obs.span()``.  The
@@ -91,53 +91,47 @@ def _fmt_ms(value) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
-def speedup_table(oracle_payload: dict, exact_payload: dict) -> str:
-    """Before/after wall-clock per headline benchmark, seed path vs now."""
+def smoke_table(oracle_payload: dict, exact_payload: dict) -> str:
+    """One row per measured case, with the gate it answers to."""
     from repro.metrics.report import ascii_table
 
     rows = []
     greedy = oracle_payload["results"]["greedy_slf_reversal"]
+    bound = greedy["max_probes_per_node"]
     for row in greedy["rows"]:
-        if row.get("legacy_s") is not None:
-            rows.append([
-                f"greedy_slf(reversal-{row['n']})",
-                _fmt_ms(row["legacy_s"] * 1000),
-                _fmt_ms(row["oracle_s"] * 1000),
-                f"{row['speedup']}x",
-            ])
-    optimal = oracle_payload["results"]["minimal_rounds_rlf_n10"]
-    rows.append([
-        "minimal_rounds(reversal-10, rlf)",
-        _fmt_ms(optimal["legacy_ms"]),
-        _fmt_ms(optimal["oracle_ms"]),
-        f"{optimal['speedup']}x",
-    ])
-    for row in exact_payload["results"]["mask_vs_pr1"]["rows"]:
         rows.append([
-            f"exact(reversal-{row['n']}, rlf) iddfs",
-            _fmt_ms(row["pr1_sets_ms"]),
-            _fmt_ms(row["mask_iddfs_ms"]),
-            f"{row['iddfs_speedup']}x",
+            f"greedy_slf(reversal-{row['n']})",
+            _fmt_ms(row["oracle_s"] * 1000),
+            f"{row['applies'] / row['n']:.2f} applies/node (<= {bound})",
+        ])
+    for row in exact_payload["results"]["cap_lift"]["rows"]:
+        rows.append([
+            f"exact {row['instance']} (iddfs)",
+            _fmt_ms(row["seconds"] * 1000 if row["completed"] else None),
+            f"{row['rounds']} rounds" if row["completed"] else row["error"],
         ])
     bnb = exact_payload["results"]["bnb"]
     rows.append([
-        "infeasible clash-16 (wpe+slf) bnb",
+        "exact clash-16 (slf) iddfs",
         _fmt_ms(bnb["clash16_iddfs_ms"]),
+        "",
+    ])
+    rows.append([
+        "exact clash-16 (slf) bnb",
         _fmt_ms(bnb["clash16_bnb_ms"]),
-        f"{bnb['infeasible_speedup_at_16']}x",
+        f"{bnb['speedup_at_16']}x (>= {bnb['target_speedup_at_16']}x)",
     ])
     for row in bnb["rows"]:
         rows.append([
-            f"bnb {row['instance']}",
-            "-",
+            f"exact {row['instance']} (bnb)",
             _fmt_ms(row["seconds"] * 1000),
             "within budget" if row["within_budget"] else "OVER BUDGET",
         ])
     sha = (exact_payload.get("provenance") or {}).get("git_sha") or "unknown"
     return ascii_table(
-        ["benchmark", "before ms", "after ms", "speedup"],
+        ["benchmark", "ms", "gate"],
         rows,
-        title=f"bench-smoke speedups @ {sha[:12]}",
+        title=f"bench-smoke @ {sha[:12]}",
     )
 
 
@@ -176,9 +170,9 @@ def main(argv=None) -> int:
     try:
         oracle_payload = json.loads(args.oracle_out.read_text(encoding="utf-8"))
         exact_payload = json.loads(args.exact_out.read_text(encoding="utf-8"))
-        table = speedup_table(oracle_payload, exact_payload)
+        table = smoke_table(oracle_payload, exact_payload)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"[run_smoke] could not build the speedup table: {exc}")
+        print(f"[run_smoke] could not build the smoke table: {exc}")
     else:
         print(table)
         rewrite_smoke_section(table)

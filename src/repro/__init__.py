@@ -17,7 +17,7 @@ Quick taste::
 
 Every scheduler resolves through one registry (``scheduler_names()``
 lists them; specs like ``"combined:wpe+rlf"`` or
-``"optimal:slf?search=bfs"`` parameterize them) and returns the same
+``"optimal:slf?max_rounds=4"`` parameterize them) and returns the same
 ``ScheduleResult`` envelope across the CLI, REST, and campaign layers.
 See ``examples/quickstart.py`` for the end-to-end network-lab version.
 """

@@ -4,7 +4,7 @@ A campaign spec's ``schedulers`` list holds registry spec strings
 (:mod:`repro.core.registry` grammar): plain names (``peacock``,
 ``greedy-slf``, ``two-phase``, ``strongest``, ...), any registered alias
 (``greedy_slf``), and the parameterized forms ``combined:<p1+p2+...>`` /
-``optimal:<p1+p2+...>[?search=...]``.  This module no longer keeps its
+``optimal:<p1+p2+...>[?time_limit_s=...]``.  This module no longer keeps its
 own name→callable map -- it translates registry errors into
 :class:`~repro.errors.CampaignSpecError` so spec validation keeps its
 error taxonomy, and re-exports the property-list parser the spec layer

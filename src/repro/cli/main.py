@@ -158,33 +158,27 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _exact_round_cell(problem, args) -> tuple:
-    """The ``--engine`` exact column of ``repro rounds``: ``(cell, record)``.
+    """The ``--exact-properties`` column of ``repro rounds``: ``(cell, record)``.
 
     ``cell`` is the human table entry; ``record`` the JSON fields.  A
-    branch-and-bound budget exhaustion degrades to the proven anytime
+    ``--time-limit`` running out degrades to the proven anytime
     ``[lower, upper]`` interval instead of failing the sweep.
     """
     from repro.errors import (
         ExactSearchBudgetError,
         InfeasibleUpdateError,
-        ScheduleTimeoutError,
         UpdateModelError,
         VerificationError,
     )
 
-    params: dict = {"search": args.engine}
-    timeout_s = None
+    params: dict = {}
     if args.time_limit is not None:
-        if args.engine == "bnb":
-            # internal deadline: the search raises with proven bounds
-            params["time_limit_s"] = args.time_limit
-        else:
-            timeout_s = args.time_limit
+        # internal deadline: the search raises with proven bounds
+        params["time_limit_s"] = args.time_limit
     spec = f"optimal:{args.exact_properties}"
     try:
         result = schedule_update(
-            problem, spec, include_cleanup=False,
-            params=params, timeout_s=timeout_s,
+            problem, spec, include_cleanup=False, params=params
         )
     except ExactSearchBudgetError as exc:
         upper = "?" if exc.upper is None else exc.upper
@@ -197,8 +191,6 @@ def _exact_round_cell(problem, args) -> tuple:
                 "optimal_upper": exc.upper,
             },
         )
-    except ScheduleTimeoutError:
-        return "timeout", {"optimal": None, "optimal_status": "timeout"}
     except InfeasibleUpdateError:
         return "infeasible", {"optimal": None, "optimal_status": "infeasible"}
     except (VerificationError, UpdateModelError) as exc:
@@ -227,10 +219,11 @@ def cmd_rounds(args: argparse.Namespace) -> int:
         "random": lambda n, seed: _random(n, seed, waypointed=False),
         "random-wp": lambda n, seed: _random(n, seed, waypointed=True),
     }
-    if args.engine is not None:
+    exact = args.exact_properties is not None
+    if exact:
         # validate the property list before sweeping, not per row
-        parse_properties(args.exact_properties.replace(",", "+"))
         args.exact_properties = args.exact_properties.replace(",", "+")
+        parse_properties(args.exact_properties)
     family = families[args.family]
     rows = []
     records = []
@@ -239,9 +232,9 @@ def cmd_rounds(args: argparse.Namespace) -> int:
         problem = family(n, derive_seed(args.seed, args.family, n, 0))
         if not problem.required_updates:
             # a no-op instance has a valid zero-round optimal schedule
-            rows.append([n, 0, 0, "-"] + ([0] if args.engine else []))
+            rows.append([n, 0, 0, "-"] + ([0] if exact else []))
             record = {"n": n, "peacock": 0, "greedy-slf": 0, "ok": True}
-            if args.engine is not None:
+            if exact:
                 record.update({"optimal": 0, "optimal_status": "ok"})
             records.append(record)
             continue
@@ -271,7 +264,7 @@ def cmd_rounds(args: argparse.Namespace) -> int:
             results["greedy-slf"].schedule.n_rounds,
             results["wayup"].schedule.n_rounds if "wayup" in results else "-",
         ]
-        if args.engine is not None:
+        if exact:
             cell, exact_record = _exact_round_cell(problem, args)
             row.append(cell)
             record.update(exact_record)
@@ -281,8 +274,8 @@ def cmd_rounds(args: argparse.Namespace) -> int:
         print(json.dumps(records, indent=2, sort_keys=True))
         return 0 if all_ok else 1
     headers = ["n", "peacock (RLF)", "greedy (SLF)", "wayup (WPE)"]
-    if args.engine is not None:
-        headers.append(f"optimal:{args.exact_properties} ({args.engine})")
+    if exact:
+        headers.append(f"optimal:{args.exact_properties}")
     print(
         ascii_table(
             headers,
@@ -757,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="registry scheduler spec: "
                               f"{', '.join(available_schedulers())}; "
                               "aliases and parameterized forms like "
-                              "'combined:wpe+rlf' or 'optimal:slf?search=bfs' "
+                              "'combined:wpe+rlf' or 'optimal:slf?max_rounds=4' "
                               "resolve too")
     p_sched.add_argument("--properties", default=None,
                          help="comma-separated: wpe,slf,rlf,blackhole")
@@ -775,18 +768,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rounds.add_argument("--step", type=int, default=5)
     p_rounds.add_argument("--seed", type=int, default=0,
                           help="seed for the randomized families")
-    p_rounds.add_argument("--engine", default=None,
-                          choices=["bfs", "iddfs", "bnb"],
-                          help="add an exact minimum-round column computed "
-                               "by this search engine of optimal:<props>")
-    p_rounds.add_argument("--exact-properties", default="rlf",
+    p_rounds.add_argument("--exact-properties", default=None,
                           metavar="P1+P2",
-                          help="properties the --engine column optimizes "
-                               "(default rlf)")
+                          help="add an exact minimum-round column, "
+                               "optimal:<P1+P2> (e.g. rlf)")
     p_rounds.add_argument("--time-limit", type=float, default=None,
                           metavar="SECONDS",
-                          help="per-instance budget for the --engine column; "
-                               "with bnb a timeout degrades to the proven "
+                          help="per-instance budget for the exact column; "
+                               "running out degrades to the proven "
                                "[lower, upper] round interval")
     p_rounds.add_argument("--json", action="store_true",
                           help="machine output; verifies every schedule and "

@@ -22,7 +22,7 @@ Public surface:
   :func:`resolve_scheduler`, :func:`register_scheduler`,
   :func:`scheduler_names`, :class:`Scheduler`, :data:`SCHEDULER_REGISTRY`
   (spec grammar ``name[:<p1+p2>][?key=value]`` -- e.g. ``combined:wpe+rlf``,
-  ``optimal:slf?search=bfs``; aliases like ``greedy_slf`` resolve too)
+  ``optimal:slf?max_rounds=4``; aliases like ``greedy_slf`` resolve too)
 * model -- :class:`UpdateProblem`, :class:`UpdateSchedule`, :class:`RuleState`,
   :class:`UpdateKind`, :class:`Configuration`
 * verification -- :func:`verify_schedule`, :func:`verify_exhaustive`,

@@ -97,8 +97,6 @@ def is_order_forced(
     u: NodeId,
     properties: tuple[Property, ...],
     max_nodes: int = 10,
-    use_oracle: bool = True,
-    search: str = "bfs",
 ) -> bool:
     """Must ``v`` be updated strictly before ``u`` in *every* safe schedule?
 
@@ -106,9 +104,7 @@ def is_order_forced(
     than ``v``'s (enforced with a transition filter on the exhaustive
     search); if none exists, the order is forced.  Infeasible instances
     force nothing (there are no safe schedules to constrain).  Exponential
-    -- intended for the small diagnostic instances.  ``use_oracle`` and
-    ``search`` are forwarded to the exact search (the filtered queries
-    were previously stuck on the default path).
+    -- intended for the small diagnostic instances.
     """
     required = problem.required_updates
     for node in (v, u):
@@ -123,39 +119,20 @@ def is_order_forced(
             return u in updated or u in round_nodes
         return True
 
-    from repro.core.optimal import minimal_round_schedule
+    from repro.core.optimal import is_feasible
 
-    try:
-        minimal_round_schedule(
-            problem,
-            properties,
-            max_nodes=max_nodes,
-            round_filter=u_not_after_v,
-            use_oracle=use_oracle,
-            search=search,
-        )
-    except InfeasibleUpdateError:
-        # no safe schedule with u <= v; forced only if some schedule exists
-        try:
-            minimal_round_schedule(
-                problem,
-                properties,
-                max_nodes=max_nodes,
-                use_oracle=use_oracle,
-                search=search,
-            )
-        except InfeasibleUpdateError:
-            return False
-        return True
-    return False
+    if is_feasible(
+        problem, properties, max_nodes=max_nodes, round_filter=u_not_after_v
+    ):
+        return False
+    # no safe schedule with u <= v; forced only if some schedule exists
+    return is_feasible(problem, properties, max_nodes=max_nodes)
 
 
 def dependency_graph(
     problem: UpdateProblem,
     properties: tuple[Property, ...],
     max_nodes: int = 10,
-    use_oracle: bool = True,
-    search: str = "bfs",
 ) -> nx.DiGraph:
     """Forced-precedence edges ``v -> u`` (v strictly before u, exactly).
 
@@ -168,9 +145,7 @@ def dependency_graph(
     graph.add_nodes_from(nodes)
     for v in nodes:
         for u in nodes:
-            if v != u and is_order_forced(
-                problem, v, u, properties, max_nodes, use_oracle, search
-            ):
+            if v != u and is_order_forced(problem, v, u, properties, max_nodes):
                 graph.add_edge(v, u)
     return graph
 
@@ -183,10 +158,10 @@ def forced_precedence_graph(
     Edges come from the universally quantified reachability certificates
     of :mod:`repro.core.bnb` (forced SLF loops, forced WPE bypasses)
     instead of exponentially many exact searches, so this scales to the
-    instances the exact engines ground-truth.  Every edge is a true
+    instances the exact search ground-truths.  Every edge is a true
     forced order (``v`` strictly before ``u`` in every safe schedule);
     the exact graph may contain more.  The longest path is the
-    admissible rounds lower bound the branch-and-bound engine prunes
+    admissible rounds lower bound the exact search prunes
     with (:func:`repro.core.bnb.rounds_lower_bound`).
     """
     from repro.core.bnb import precedence_for

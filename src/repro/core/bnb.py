@@ -1,11 +1,13 @@
-"""Branch-and-bound exact engine with conflict-learned nogoods.
+"""The exact search, and the certificates that bound and short-cut it.
 
-The IDDFS mode of :mod:`repro.core.optimal` made *finding* optimal
-schedules fast, but its worst cases stayed exponential for a structural
-reason: iterative deepening re-expands the whole state space once per
-budget level, which is exactly what infeasibility proofs (every level
-fails) and forced-linear instances (the optimum sits at the top of the
-deepening range) maximize.  This module removes both walls:
+:func:`search_mask_bnb` is the one exact search of the code base: a
+depth-limited DFS over bitmask states, deepened one round limit at a
+time (:func:`repro.core.optimal.minimal_round_schedule` is its only
+caller).  Plain deepening re-expands the state space once per limit,
+which is exactly what infeasibility proofs (every limit fails) and
+forced-linear instances (the optimum sits at the top of the range)
+maximize.  Three things, switched on together as the ``bounds`` mode,
+remove both walls:
 
 * an **admissible rounds-remaining lower bound** from the dependency
   structure of the instance.  :class:`PrecedenceAnalysis` derives a
@@ -29,11 +31,10 @@ deepening range) maximize.  This module removes both walls:
   Because any safe round containing ``u`` makes the singleton ``{u}``
   safe by monotonicity, each certificate forbids ``u`` from flipping
   before ``v`` is *committed* -- so the longest chain in the precedence
-  graph is a true lower bound on the remaining rounds, a precedence
-  *cycle* (or a node blocked with no pin at all) is an immediate
-  infeasibility proof, and :func:`rounds_lower_bound` is shared with
-  :func:`~repro.core.optimal.minimal_round_count` /
-  :func:`~repro.core.optimal.is_feasible` as a pre-search short-circuit.
+  graph is a true lower bound on the remaining rounds
+  (:func:`rounds_lower_bound`), and a precedence *cycle* (or a node
+  blocked with no pin at all) is an infeasibility proof that needs no
+  search at all -- in either mode.
 
 * **conflict-driven nogood learning** -- every unsafe verdict the search
   triggers makes the shared :class:`~repro.core.oracle.SafetyOracle`
@@ -43,25 +44,28 @@ deepening range) maximize.  This module removes both walls:
   conflict are rejected in two int ops from *every* state -- the
   cross-state generalization of the per-state monotonicity memo.
 
-* **incumbent seeding and anytime intervals** -- the search starts from
-  the greedy witness (:func:`~repro.core.combined
-  .combined_greedy_schedule`) as upper bound, returns it immediately
-  when the lower bound already matches, proves infeasibility in a
-  *single* memoized pass (no deepening re-expansion), and otherwise
-  deepens only through the window ``[lower bound, incumbent - 1]``.
-  When a node or wall-clock budget runs out it raises
-  :class:`~repro.errors.ExactSearchBudgetError` carrying the proven
-  ``lower``/``upper`` interval, so callers degrade to bounds instead of
-  nothing.
+* **the incumbent short-cut** -- the search starts from the greedy
+  witness (:func:`~repro.core.combined.combined_greedy_schedule`) as
+  upper bound, returns it immediately when the lower bound already
+  matches, and otherwise deepens only through the window
+  ``[lower bound, incumbent - 1]``.
 
-Registered through the scheduler registry as
-``optimal:<props>?search=bnb`` (or ``?engine=bnb``); campaigns route
-``optimal:<props>`` cells here automatically above n=18.
+In both modes an instance without a witness gets its feasibility settled
+in a *single* memoized pass (no deepening re-expansion), and when a node
+or wall-clock budget runs out the search raises
+:class:`~repro.errors.ExactSearchBudgetError` carrying the proven
+``lower``/``upper`` interval, so callers degrade to bounds instead of
+nothing.
+
+Reached through the scheduler registry as ``optimal:<props>``; the
+``bounds`` mode is what runs above n=18 and for
+``optimal:<props>?time_limit_s=2`` / ``?node_budget=...``.
 """
 
 from __future__ import annotations
 
 import time
+from math import inf
 
 from repro.errors import (
     ExactSearchBudgetError,
@@ -74,11 +78,14 @@ from repro.core.oracle import DEFAULT_NOGOOD_LIMIT
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import Property
 
-#: ``proven`` value marking a state dead at every remaining-round budget.
+#: Fixpoint counter start that no run of decrements brings to zero.
 _DEAD = 1 << 30
 
 #: Node-expansion interval between ``bnb.milestone`` trace events.
 _MILESTONE_EVERY = 5_000
+
+#: Candidate rounds tried between two looks at the clock.
+_DEADLINE_POLL_EVERY = 1024
 
 #: Entries above which a per-analysis chain-bound cache is dropped.
 _CHAIN_CACHE_LIMIT = 200_000
@@ -486,10 +493,7 @@ def rounds_lower_bound(problem, properties: tuple[Property, ...]) -> int:
     """Admissible lower bound on the rounds of *any* safe schedule.
 
     0 for no-op instances; raises :class:`InfeasibleUpdateError` when the
-    precedence certificates already prove no schedule exists.  Shared by
-    the branch-and-bound engine and the
-    :func:`~repro.core.optimal.minimal_round_count` /
-    :func:`~repro.core.optimal.is_feasible` short-circuits.
+    precedence certificates already prove no schedule exists.
     """
     if not problem.required_updates:
         return 0
@@ -513,75 +517,88 @@ def infeasibility_certificate(
 
 
 # ---------------------------------------------------------------------------
-# the branch-and-bound search
+# the search
 # ---------------------------------------------------------------------------
 
 def search_mask_bnb(
     search,
     properties: tuple[Property, ...],
     max_rounds: int | None = None,
+    bounds: bool = True,
     node_budget: int | None = None,
     time_limit_s: float | None = None,
     nogood_limit: int | None = None,
 ) -> UpdateSchedule:
-    """Branch-and-bound over the mask engine's shared search state.
+    """The exact search: one depth-limited DFS, iteratively deepened.
 
     ``search`` is the :class:`repro.core.optimal._MaskSearch` verdict
-    layer (monotonicity memo included).  Infeasibility is decided in one
-    memoized pass -- dead states stay dead, there is no deepening
-    re-expansion -- and optimality by deepening only through
-    ``[lower bound, incumbent - 1]``.  ``node_budget`` /
-    ``time_limit_s`` turn the search anytime: exhausting either raises
+    layer (monotonicity memo included).  Certified-infeasible instances
+    are answered from the precedence certificates; an instance without a
+    greedy witness gets one unbounded pass that finds *some* schedule or
+    proves there is none (dead states stay dead, so that proof is a
+    single pass); then the round limit deepens from the lower bound to
+    the best schedule known, and the first limit that succeeds is the
+    optimum.
+
+    With ``bounds`` (the ``"bnb"`` mode) the lower bound is the forced
+    chain of :class:`PrecedenceAnalysis`, successors whose pending chain
+    no longer fits the limit are skipped, the oracle learns nogoods, and
+    an incumbent that meets the bound is returned as proven optimal
+    without deepening to its level.  Without (the ``"iddfs"`` mode) the
+    limit deepens from one round through the witness's own level and
+    none of the three is in play.  ``node_budget`` / ``time_limit_s``
+    turn the search anytime: exhausting either raises
     :class:`ExactSearchBudgetError` with the proven interval.
     """
     problem = search.problem
     properties = tuple(properties)
     full = search.full
     classes = search.classes
-    k = search.k
     oracle = search.oracle
+    within = f" within {max_rounds} rounds" if max_rounds is not None else ""
+    infeasible = f"no schedule satisfies {[p.value for p in properties]}{within}"
 
     analysis = precedence_for(problem, properties)
     if analysis.infeasible_reason is not None:
         raise InfeasibleUpdateError(analysis.infeasible_reason)
-    root_lb = max(1, analysis.chain_bound(full))
-    if max_rounds is not None and root_lb > max_rounds:
+    chain_lb = max(1, analysis.chain_bound(full))
+    if max_rounds is not None and chain_lb > max_rounds:
         raise InfeasibleUpdateError(
-            f"no schedule satisfies {[p.value for p in properties]} within "
-            f"{max_rounds} rounds (forced-chain lower bound is {root_lb})"
+            f"{infeasible} (forced-chain lower bound is {chain_lb})"
         )
+    root_lb = chain_lb if bounds else 1
 
-    if nogood_limit is None:
-        nogood_limit = DEFAULT_NOGOOD_LIMIT
-    if nogood_limit:
-        oracle.enable_nogood_learning(nogood_limit)
-    else:
-        # a nogood-free run must really be one: stop learning and drop
-        # whatever a previous search left in the shared table
-        oracle.disable_nogood_learning()
+    if bounds:
+        if nogood_limit is None:
+            nogood_limit = DEFAULT_NOGOOD_LIMIT
+        if nogood_limit:
+            oracle.enable_nogood_learning(nogood_limit)
+        else:
+            # a nogood-free run must really be one: stop learning and
+            # drop whatever a previous search left in the shared table
+            oracle.disable_nogood_learning()
 
     best: int | None = None
     incumbent: list[int] | None = None
     if search.round_filter is None:
+        # a greedy witness upper-bounds the optimum (only valid when no
+        # filter constrains the schedule space the witness lives in)
         try:
             witness = combined_greedy_schedule(
                 problem, properties, include_cleanup=False
             )
         except (InfeasibleUpdateError, UpdateModelError):
-            witness = None
-        if witness is not None:
+            pass
+        else:
             best = witness.n_rounds
             incumbent = [oracle.mask_of(nodes) for nodes in witness.rounds]
-    if (
-        best is not None
-        and best <= root_lb
-        and (max_rounds is None or best <= max_rounds)
-    ):
+    if bounds and best is not None and best <= root_lb:
         return _mask_schedule(search, incumbent, properties)
 
-    from repro.core.optimal import _canonicalize
-
-    proven: dict[int, int] = {}
+    #: state key -> highest remaining-round budget already proven
+    #: fruitless (persists across deepening limits: larger budgets
+    #: re-open the state, smaller ones are settled; ``inf`` = dead)
+    proven: dict[int, float] = {}
     expanded = 0
     deadline = (
         time.monotonic() + time_limit_s if time_limit_s is not None else None
@@ -590,7 +607,18 @@ def search_mask_bnb(
     def current_lower(limit: int | None) -> int:
         return root_lb if limit is None else max(root_lb, limit)
 
-    def charge(limit: int | None) -> None:
+    def out_of_budget(what: str, limit: int | None) -> ExactSearchBudgetError:
+        return ExactSearchBudgetError(
+            f"exact search exceeded {what}",
+            lower=current_lower(limit),
+            upper=best,
+            nodes_expanded=expanded,
+        )
+
+    def dfs(state: int, remaining: float, limit: int | None) -> list[int] | None:
+        """Rounds completing ``state`` within ``remaining`` rounds, or
+        ``None``.  ``limit`` is the deepening level (for the interval a
+        budget overrun reports); ``remaining=inf`` is the unbounded pass."""
         nonlocal expanded
         expanded += 1
         if expanded % _MILESTONE_EVERY == 0 and obs.tracing_enabled():
@@ -601,45 +629,8 @@ def search_mask_bnb(
                 upper=best,
             )
         if node_budget is not None and expanded > node_budget:
-            raise ExactSearchBudgetError(
-                f"exact search exceeded {node_budget} node expansions",
-                lower=current_lower(limit),
-                upper=best,
-                nodes_expanded=expanded,
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise ExactSearchBudgetError(
-                f"exact search exceeded {time_limit_s}s",
-                lower=current_lower(limit),
-                upper=best,
-                nodes_expanded=expanded,
-            )
-
-    def dfs_any(state: int) -> list[int] | None:
-        """Find *any* completion; states without one are marked dead
-        permanently, so the infeasibility proof is a single pass."""
-        charge(None)
+            raise out_of_budget(f"{node_budget} node expansions", limit)
         safe_mask = search.safe_singleton_mask(state)
-        sub = safe_mask
-        while sub:
-            successor = state | sub
-            key = _canonicalize(successor, classes, k) if classes else successor
-            if proven.get(key, -1) < _DEAD:
-                if search.filter_ok(state, sub) and search.round_ok(state, sub):
-                    if successor == full:
-                        return [sub]
-                    tail = dfs_any(successor)
-                    if tail is not None:
-                        return [sub, *tail]
-                    proven[key] = _DEAD
-            sub = (sub - 1) & safe_mask
-        return None
-
-    def dfs_bounded(state: int, remaining: int, limit: int) -> list[int] | None:
-        charge(limit)
-        safe_mask = search.safe_singleton_mask(state)
-        if not safe_mask:
-            return None
         if remaining == 1:
             pending = full & ~state
             if (
@@ -649,62 +640,66 @@ def search_mask_bnb(
             ):
                 return [pending]
             return None
+        prune_chains = bounds and remaining != inf
         sub = safe_mask
+        tried = 0
         while sub:
+            # one node can enumerate 2^|safe_mask| subsets, so the
+            # deadline is polled here and not once per node
+            if deadline is not None:
+                if not tried % _DEADLINE_POLL_EVERY and time.monotonic() > deadline:
+                    raise out_of_budget(f"{time_limit_s}s", limit)
+                tried += 1
             successor = state | sub
-            key = _canonicalize(successor, classes, k) if classes else successor
-            if proven.get(key, -1) < remaining - 1:
+            key = search.state_key(successor) if classes else successor
+            if (
+                proven.get(key, -1) < remaining - 1
+                and (
+                    not prune_chains
+                    or analysis.chain_bound(full & ~successor) <= remaining - 1
+                )
+                and search.filter_ok(state, sub)
+                and search.round_ok(state, sub)
+            ):
                 if successor == full:
-                    if search.filter_ok(state, sub) and search.round_ok(
-                        state, sub
-                    ):
-                        return [sub]
-                elif analysis.chain_bound(full & ~successor) <= remaining - 1:
-                    if search.filter_ok(state, sub) and search.round_ok(
-                        state, sub
-                    ):
-                        tail = dfs_bounded(successor, remaining - 1, limit)
-                        if tail is not None:
-                            return [sub, *tail]
-                        previous = proven.get(key, -1)
-                        if remaining - 1 > previous:
-                            proven[key] = remaining - 1
+                    return [sub]
+                tail = dfs(successor, remaining - 1, limit)
+                if tail is not None:
+                    return [sub, *tail]
+                proven[key] = remaining - 1
             sub = (sub - 1) & safe_mask
         return None
 
     if best is None:
         # No greedy witness (infeasible instance, or a filtered search
         # the witness cannot speak for): establish feasibility first.
-        found = dfs_any(0)
-        if found is None:
-            raise InfeasibleUpdateError(
-                f"no schedule satisfies {[p.value for p in properties]}"
-            )
-        best = len(found)
-        incumbent = found
+        incumbent = dfs(0, inf, None)
+        if incumbent is None:
+            raise InfeasibleUpdateError(infeasible)
+        best = len(incumbent)
 
-    ceiling = best - 1
+    # with bounds an incumbent that survives every lower limit is
+    # optimal as it stands; without, its own level is searched as well
+    ceiling = best - 1 if bounds else best
     if max_rounds is not None:
         ceiling = min(ceiling, max_rounds)
     for limit in range(root_lb, ceiling + 1):
-        rounds = dfs_bounded(0, limit, limit)
+        rounds = dfs(0, limit, limit)
         if rounds is not None:
             return _mask_schedule(search, rounds, properties)
-
     if max_rounds is not None and best > max_rounds:
-        raise InfeasibleUpdateError(
-            f"no schedule satisfies {[p.value for p in properties]} "
-            f"within {max_rounds} rounds"
-        )
+        raise InfeasibleUpdateError(infeasible)
     return _mask_schedule(search, incumbent, properties)
 
 
 def _mask_schedule(
     search, masks: list[int], properties: tuple[Property, ...]
 ) -> UpdateSchedule:
+    # the oracle shares the problem's node<->bit index, so its decoder
+    # is the canonical one
     return UpdateSchedule(
         search.problem,
-        [search.round_nodes(mask) for mask in masks],
+        [search.oracle.nodes_of(mask) for mask in masks],
         algorithm="optimal",
         metadata={"properties": [p.value for p in properties]},
     )

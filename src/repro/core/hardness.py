@@ -128,15 +128,13 @@ def hardness_profile(
     problem: UpdateProblem,
     properties: tuple[Property, ...],
     max_nodes: int | None = None,
-    search: str = "bnb",
 ) -> dict:
     """Exact-vs-greedy round profile of one instance.
 
-    Runs the bitmask exact engine (branch-and-bound by default, so the
-    hardness families are profiled through the full n=24 cap -- its
-    certificates also settle infeasible clashes instantly) next to the
-    combined greedy scheduler and reports the round gap -- the quantity
-    the paper's E3 separations are about.  ``exact_rounds`` /
+    Runs the exact search (through the full n=24 cap; its certificates
+    settle infeasible clashes instantly) next to the combined greedy
+    scheduler and reports the round gap -- the quantity the paper's E3
+    separations are about.  ``exact_rounds`` /
     ``greedy_rounds`` are ``None`` when the respective scheduler proves
     or hits infeasibility; an instance over the exact-search cap keeps
     ``exact_rounds=None`` and sets ``capped`` instead of raising, so
@@ -160,9 +158,7 @@ def hardness_profile(
         profile["capped"] = True
     else:
         try:
-            exact = minimal_round_schedule(
-                problem, properties, max_nodes=cap, search=search
-            )
+            exact = minimal_round_schedule(problem, properties, max_nodes=cap)
         except InfeasibleUpdateError:
             pass
         else:

@@ -237,7 +237,6 @@ def greedy_joint_schedule(
     joint: JointUpdateProblem,
     properties: tuple[Property, ...] = (Property.RLF, Property.BLACKHOLE),
     include_cleanup: bool = True,
-    use_oracle: bool = True,
 ) -> UpdateSchedule:
     """Greedy maximal safe rounds over the shared rule set.
 
@@ -245,34 +244,28 @@ def greedy_joint_schedule(
     policies can deadlock each other (DSN'16), in which case
     :class:`InfeasibleUpdateError` is raised.
 
-    By default every round-safety probe runs against one persistent
+    Every round-safety probe runs against one persistent
     :class:`~repro.core.oracle.SafetyOracle` per policy view, so the
     candidate walk is a sequence of one-node deltas on maintained union
-    graphs instead of per-probe rebuilds; ``use_oracle=False`` restores
-    the from-scratch :func:`verify_joint_round` pipeline (the reference
-    the oracle path is cross-checked against in the tests).
+    graphs instead of per-probe rebuilds (the tests cross-check it
+    against a packer probing through the from-scratch
+    :func:`verify_joint_round`).
     """
     properties = tuple(properties)
-    if use_oracle:
-        oracles = []
-        for policy in joint.policies:
-            view_props = tuple(
-                prop
-                for prop in properties
-                if prop is not Property.WPE or policy.waypoint is not None
-            )
-            if view_props:
-                oracles.append(SafetyOracle(PolicyView(joint, policy), view_props))
+    oracles = []
+    for policy in joint.policies:
+        view_props = tuple(
+            prop
+            for prop in properties
+            if prop is not Property.WPE or policy.waypoint is not None
+        )
+        if view_props:
+            oracles.append(SafetyOracle(PolicyView(joint, policy), view_props))
 
-        def round_unsafe(updated: set, candidate: set) -> bool:
-            return any(
-                not oracle.round_is_safe(updated, candidate) for oracle in oracles
-            )
-
-    else:
-
-        def round_unsafe(updated: set, candidate: set) -> bool:
-            return bool(verify_joint_round(joint, updated, candidate, properties))
+    def round_unsafe(updated: set, candidate: set) -> bool:
+        return any(
+            not oracle.round_is_safe(updated, candidate) for oracle in oracles
+        )
 
     install = {
         node

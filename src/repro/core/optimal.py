@@ -7,41 +7,38 @@ against in tests and in the E3 ablations, and it doubles as an
 infeasibility prover (e.g. WPE together with strong loop freedom can be
 unachievable).
 
-Two engines implement the search:
+There is one search: the depth-limited, iteratively deepened DFS of
+:func:`repro.core.bnb.search_mask_bnb`.  Every state, round and memo key
+is a plain int over the problem's canonical node↔bit index
+(:attr:`~repro.core.problem.UpdateProblem.node_bit`); per state the
+candidate rounds are the subsets of the safe singletons, biggest first
+(``sub = (sub - 1) & safe_mask``).  :class:`_MaskSearch` is the verdict
+layer under it: the shared :class:`SafetyOracle` behind a monotonicity
+memo (a round containing a known-unsafe round is unsafe, a round inside
+a known-safe round is safe -- so one "roof" query per state often
+settles thousands of candidates) plus symmetry reduction over
+interchangeable nodes.
 
-* the **mask engine** (default) encodes every state, round and oracle
-  memo key as a plain int over the problem's canonical node↔bit index
-  (:attr:`~repro.core.problem.UpdateProblem.node_bit`).  On top of the
-  integer state space it layers monotonicity memoization (a round
-  containing a known-unsafe round is unsafe, a round contained in a
-  known-safe round is safe -- so one "roof" query per state often settles
-  thousands of combinations), symmetry reduction over interchangeable
-  nodes, and an optional iterative-deepening mode (``search="iddfs"``)
-  that enumerates big rounds first via ``sub = (sub - 1) & pending`` and
-  is bounded by the greedy schedule's round count;
-* the **sets engine** (``engine="sets"``) is the original breadth-first
-  search over ``frozenset`` states, kept byte-for-byte as the
-  cross-checked reference -- with ``use_oracle=False`` it additionally
-  swaps every verdict for the from-scratch
-  :func:`round_is_safe_reference` pipeline, the seed-era ground truth.
+:func:`minimal_round_schedule` runs that DFS in one of two modes and
+picks the mode itself, from the instance size: up to
+:data:`DEEPENING_MAX_UPDATES` required updates it deepens from one round
+up to the greedy witness (``search="iddfs"``); above, or when a node or
+time budget is given, it also prunes with the forced-chain lower bounds,
+learns nogoods and returns the greedy incumbent once it is proven
+optimal (``search="bnb"``).  Both modes answer certified-infeasible
+instances from the polynomial certificates of :mod:`repro.core.bnb`
+without expanding a state.
 
-Both engines visit transitions in the same canonical order, so for the
-BFS mode they return *bit-identical* schedules (pinned by the
-equivalence suite in ``tests/core/test_optimal_mask.py``).
-
-On top of the mask engine, ``search="bnb"`` (equivalently
-``engine="bnb"``) runs the branch-and-bound mode of
-:mod:`repro.core.bnb`: admissible forced-chain lower bounds, greedy
-incumbent seeding, single-pass infeasibility proofs and conflict-learned
-nogoods shared through the :class:`SafetyOracle` -- the mode that lifts
-the cap past n=18 and makes infeasibility proofs (WPE+SLF clashes) fast.
+The from-scratch breadth-first reference the search is checked against
+lives in ``tests/core/reference_exact.py``; its verdict function,
+:func:`round_is_safe_reference`, stays here because the verifier tests
+and the nogood tests use it too.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from repro.errors import InfeasibleUpdateError, VerificationError
+from repro.core.bnb import search_mask_bnb
 from repro.core.oracle import SafetyOracle, oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
@@ -55,12 +52,17 @@ from repro.core.verify import (
 )
 
 #: Safety limit on the number of required updates the exact search
-#: accepts.  The mask engine's integer states, monotonicity memo and
-#: IDDFS mode made 18 nodes tractable (the seed-era frozenset BFS was
-#: capped at 12); the branch-and-bound mode's forced-chain bounds,
-#: incumbent seeding and conflict-learned nogoods lift the default to
-#: 24.  Beyond that, wall clock -- not memory -- is the limit.
+#: accepts.  Integer states, the monotonicity memo and big-rounds-first
+#: deepening made 18 nodes tractable (the seed-era frozenset BFS was
+#: capped at 12); forced-chain bounds, incumbent seeding and
+#: conflict-learned nogoods lift the default to 24.  Beyond that, wall
+#: clock -- not memory -- is the limit.
 DEFAULT_MAX_NODES = 24
+
+#: Required-update count up to which plain deepening is the mode of
+#: choice; past it the bounds and nogoods are what keep exact cells
+#: (campaign ground-truthing included) inside their budgets.
+DEEPENING_MAX_UPDATES = 18
 
 
 def round_is_safe_reference(
@@ -156,44 +158,30 @@ def symmetry_classes(problem) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _canonical_perm(state: int, classes, k: int) -> list[int]:
-    """Bit permutation ``sigma`` with ``sigma(state)`` class-canonical.
+def _canonicalize(state: int, classes) -> int:
+    """``state`` with every class's set bits moved onto the class's
+    lowest positions; bits outside the classes stay put.
 
-    Within every class the set bits of ``state`` are moved onto the
-    class's lowest positions; bits outside the classes stay put.  Any
-    such permutation is a problem automorphism (see
-    :func:`symmetry_classes`), so verdicts are preserved.
+    Any permutation inside a class is a problem automorphism (see
+    :func:`symmetry_classes`), so the result has the same verdicts.
     """
-    sigma = list(range(k))
     for cls in classes:
-        inside = [b for b in cls if (state >> b) & 1]
-        if not inside or len(inside) == len(cls):
-            continue
-        outside = [b for b in cls if not (state >> b) & 1]
-        for src, dst in zip(inside + outside, cls):
-            sigma[src] = dst
-    return sigma
-
-
-def _apply_perm(sigma, mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << sigma[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _canonicalize(state: int, classes, k: int) -> int:
-    return _apply_perm(_canonical_perm(state, classes, k), state)
+        inside = 0
+        for bit in cls:
+            if (state >> bit) & 1:
+                state ^= 1 << bit
+                inside += 1
+        for bit in cls[:inside]:
+            state |= 1 << bit
+    return state
 
 
 # ---------------------------------------------------------------------------
-# the mask engine
+# the verdict layer
 # ---------------------------------------------------------------------------
 
 class _MaskSearch:
-    """Shared state of one exact-search invocation (mask engine).
+    """Shared state of one exact-search invocation.
 
     Wraps the oracle behind a monotonicity-memoizing verdict layer:
     verdicts are cached under single-int ``(state << k) | round`` keys,
@@ -203,14 +191,12 @@ class _MaskSearch:
     only add union edges and configurations).
     """
 
-    def __init__(self, problem, properties, round_filter, monotone_prune):
+    def __init__(self, problem, properties, round_filter):
         self.problem = problem
-        self.canonical = problem.canonical_updates
-        self.k = len(self.canonical)
+        self.k = len(problem.canonical_updates)
         self.full = (1 << self.k) - 1
         self.oracle = oracle_for(problem, properties)
         self.round_filter = round_filter
-        self.monotone_prune = monotone_prune
         # symmetry canonicalization would permute the node labels the
         # caller's filter refers to, so filtered searches disable it
         self.classes = () if round_filter is not None else symmetry_classes(
@@ -220,59 +206,48 @@ class _MaskSearch:
         self._max_safe: dict[int, list[int]] = {}
         self._min_unsafe: dict[int, list[int]] = {}
 
-    # -- verdict layer -------------------------------------------------
     def round_ok(self, state: int, rmask: int) -> bool:
         key = (state << self.k) | rmask
         verdicts = self._verdicts
         cached = verdicts.get(key)
         if cached is not None:
             return cached
-        if self.monotone_prune:
-            for unsafe in self._min_unsafe.get(state, ()):
-                if unsafe & rmask == unsafe:
-                    verdicts[key] = False
-                    return False
-            for safe in self._max_safe.get(state, ()):
-                if rmask & safe == rmask:
-                    verdicts[key] = True
-                    return True
+        for unsafe in self._min_unsafe.get(state, ()):
+            if unsafe & rmask == unsafe:
+                verdicts[key] = False
+                return False
+        for safe in self._max_safe.get(state, ()):
+            if rmask & safe == rmask:
+                verdicts[key] = True
+                return True
         verdict = self.oracle.round_is_safe(state, rmask)
         verdicts[key] = verdict
-        if self.monotone_prune:
-            if verdict:
-                known = self._max_safe.setdefault(state, [])
-                known[:] = [s for s in known if s & rmask != s]
-                known.append(rmask)
-            else:
-                known = self._min_unsafe.setdefault(state, [])
-                known[:] = [u for u in known if u & rmask != rmask]
-                known.append(rmask)
+        if verdict:
+            known = self._max_safe.setdefault(state, [])
+            known[:] = [s for s in known if s & rmask != s]
+        else:
+            known = self._min_unsafe.setdefault(state, [])
+            known[:] = [u for u in known if u & rmask != rmask]
+        known.append(rmask)
         return verdict
 
     def safe_singleton_mask(self, state: int) -> int:
         """OR of the pending bits that are safe to flip alone from ``state``.
 
         A combination containing an unsafe singleton is unsafe by
-        monotonicity, so the IDDFS enumeration is restricted to subsets
-        of this mask.  When more than one bit survives, the whole
-        surviving mask is probed once (the "roof" query): if it is safe,
-        *every* subset is settled for free by the safe-subset memo.
-
-        The BFS mode deliberately does *not* pre-scan singletons: it
-        checks the visited-set first and only pays a safety query for
-        genuinely new successors, so states whose expansions are fully
-        deduplicated cost no graph work at all (the per-state scan was
-        the dominant query load of the PR 1 search).
+        monotonicity, so the search enumerates subsets of this mask
+        only.  When more than one bit survives, the whole surviving mask
+        is probed once (the "roof" query): if it is safe, *every* subset
+        is settled for free by the safe-subset memo.
         """
-        pending = self.full & ~state
         mask = 0
-        scan = pending
+        scan = self.full & ~state
         while scan:
             low = scan & -scan
             if self.round_ok(state, low):
                 mask |= low
             scan ^= low
-        if self.monotone_prune and mask & (mask - 1):
+        if mask & (mask - 1):
             self.round_ok(state, mask)
         return mask
 
@@ -282,282 +257,9 @@ class _MaskSearch:
         nodes = self.oracle.nodes_of
         return self.round_filter(set(nodes(state)), set(nodes(rmask)))
 
-    def round_nodes(self, rmask: int) -> frozenset:
-        # the oracle shares the problem's node<->bit index, so its
-        # decoder is the canonical one
-        return self.oracle.nodes_of(rmask)
-
-
-def _bits_ascending(mask: int) -> list[int]:
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low)
-        mask ^= low
-    return bits
-
-
-def _search_mask_bfs(
-    search: _MaskSearch,
-    properties: tuple[Property, ...],
-    max_rounds: int | None,
-) -> UpdateSchedule:
-    """Breadth-first mask search, canonical (reference-matching) order.
-
-    Per state, candidate rounds are enumerated by ascending size and
-    lexicographic canonical node order -- exactly the order the sets
-    reference engine visits them -- so the first-found optimal schedule
-    is bit-identical across engines.
-    """
-    full = search.full
-    classes = search.classes
-    k = search.k
-    parents: dict[int, tuple[int, int] | None] = {0: None}
-    frontier = [0]
-    depth = 0
-    while frontier:
-        depth += 1
-        if max_rounds is not None and depth > max_rounds:
-            break
-        next_frontier: list[int] = []
-        for state in frontier:
-            bits = _bits_ascending(full & ~state)
-            for size in range(1, len(bits) + 1):
-                for combo in itertools.combinations(bits, size):
-                    rmask = sum(combo)
-                    successor = state | rmask
-                    if classes:
-                        successor = _canonicalize(successor, classes, k)
-                    if successor in parents:
-                        continue
-                    if not search.filter_ok(state, rmask):
-                        continue
-                    if not search.round_ok(state, rmask):
-                        continue
-                    parents[successor] = (state, rmask)
-                    if successor == full:
-                        return _unwind_mask(search, parents, properties)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    raise InfeasibleUpdateError(
-        f"no schedule satisfies {[p.value for p in properties]}"
-        + (f" within {max_rounds} rounds" if max_rounds is not None else "")
-    )
-
-
-def _search_mask_iddfs(
-    search: _MaskSearch,
-    properties: tuple[Property, ...],
-    max_rounds: int | None,
-) -> UpdateSchedule:
-    """Iterative-deepening mask search: big rounds first, greedy-bounded.
-
-    Depth-limited DFS enumerates each state's candidate rounds largest
-    first via ``sub = (sub - 1) & safe_mask``, so on permissive property
-    sets the maximal round is tried immediately and deep frontiers are
-    skipped.  The deepening limit is capped by the greedy schedule's
-    round count when one exists (the optimum can never exceed a witness),
-    else by the update count (every round flips at least one node).
-    Iterating limits from 1 upward keeps the first schedule found
-    minimal.
-    """
-    full = search.full
-    classes = search.classes
-    k = search.k
-    bound = k
-    if max_rounds is not None:
-        bound = min(bound, max_rounds)
-    elif search.round_filter is None:
-        # a greedy witness upper-bounds the optimum (only valid when no
-        # filter constrains the schedule space the witness lives in)
-        from repro.errors import UpdateModelError
-        from repro.core.combined import combined_greedy_schedule
-
-        try:
-            witness = combined_greedy_schedule(
-                search.problem, properties, include_cleanup=False
-            )
-        except (InfeasibleUpdateError, UpdateModelError):
-            pass
-        else:
-            bound = min(bound, witness.n_rounds)
-
-    #: canonical state -> highest remaining-round budget already proven
-    #: fruitless (persists across deepening iterations: larger budgets
-    #: re-open the state, smaller ones are settled)
-    failed: dict[int, int] = {}
-
-    def dfs(state: int, remaining: int) -> list[int] | None:
-        safe_mask = search.safe_singleton_mask(state)
-        if not safe_mask:
-            return None
-        if remaining == 1:
-            pending = full & ~state
-            if (
-                safe_mask == pending
-                and search.filter_ok(state, pending)
-                and search.round_ok(state, pending)
-            ):
-                return [pending]
-            return None
-        sub = safe_mask
-        while sub:
-            successor = state | sub
-            key = (
-                _canonicalize(successor, classes, k) if classes else successor
-            )
-            if failed.get(key, -1) < remaining - 1:
-                if search.filter_ok(state, sub) and search.round_ok(state, sub):
-                    if successor == full:
-                        return [sub]
-                    tail = dfs(successor, remaining - 1)
-                    if tail is not None:
-                        return [sub, *tail]
-                    failed[key] = remaining - 1
-            sub = (sub - 1) & safe_mask
-        return None
-
-    for limit in range(1, bound + 1):
-        rounds = dfs(0, limit)
-        if rounds is not None:
-            return UpdateSchedule(
-                search.problem,
-                [search.round_nodes(rmask) for rmask in rounds],
-                algorithm="optimal",
-                metadata={"properties": [p.value for p in properties]},
-            )
-    raise InfeasibleUpdateError(
-        f"no schedule satisfies {[p.value for p in properties]}"
-        + (f" within {max_rounds} rounds" if max_rounds is not None else "")
-    )
-
-
-def _unwind_mask(
-    search: _MaskSearch, parents: dict, properties: tuple[Property, ...]
-) -> UpdateSchedule:
-    """Rebuild the schedule from mask parent pointers.
-
-    With symmetry reduction active the stored chain lives in canonical
-    labels: each stored round is safe *from its canonical predecessor*.
-    The replay keeps a running automorphism ``sigma`` mapping the actual
-    state onto its canonical twin and plays every stored round through
-    ``sigma``'s inverse, which preserves safety verdict-for-verdict.
-    """
-    chain: list[int] = []
-    state = search.full
-    while parents[state] is not None:
-        previous, rmask = parents[state]
-        chain.append(rmask)
-        state = previous
-    chain.reverse()
-    classes, k = search.classes, search.k
-    if classes:
-        sigma = list(range(k))  # actual -> canonical
-        canonical_state = 0
-        rounds_masks: list[int] = []
-        for stored in chain:
-            inverse = [0] * k
-            for src, dst in enumerate(sigma):
-                inverse[dst] = src
-            rounds_masks.append(_apply_perm(inverse, stored))
-            merged = canonical_state | stored
-            tau = _canonical_perm(merged, classes, k)
-            canonical_state = _apply_perm(tau, merged)
-            sigma = [tau[dst] for dst in sigma]
-    else:
-        rounds_masks = chain
-    return UpdateSchedule(
-        search.problem,
-        [search.round_nodes(rmask) for rmask in rounds_masks],
-        algorithm="optimal",
-        metadata={"properties": [p.value for p in properties]},
-    )
-
-
-# ---------------------------------------------------------------------------
-# the sets engine (cross-checked reference, byte-compatible with PR 1)
-# ---------------------------------------------------------------------------
-
-def _search_sets(
-    problem,
-    properties: tuple[Property, ...],
-    max_rounds: int | None,
-    round_filter,
-    use_oracle: bool,
-) -> UpdateSchedule:
-    """The original frozenset BFS, kept as the reference implementation."""
-    todo = frozenset(problem.required_updates)
-    oracle = oracle_for(problem, properties) if use_oracle else None
-    canonical = problem.canonical_updates
-
-    start: frozenset = frozenset()
-    parents: dict[frozenset, tuple[frozenset, frozenset] | None] = {start: None}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        if max_rounds is not None and depth > max_rounds:
-            break
-        next_frontier: list[frozenset] = []
-        for state in frontier:
-            pending = [node for node in canonical if node not in state]
-            if oracle is not None:
-                # Round safety is monotone in the in-flight set (more
-                # flexible nodes only add union edges and configurations),
-                # so a combo containing an unsafe singleton is unsafe:
-                # enumerate combos over the safe singletons only.
-                pending = [
-                    node
-                    for node in pending
-                    if oracle.round_is_safe(state, frozenset((node,)))
-                ]
-            for size in range(1, len(pending) + 1):
-                for combo in itertools.combinations(pending, size):
-                    round_nodes = frozenset(combo)
-                    successor = state | round_nodes
-                    if successor in parents:
-                        continue
-                    if round_filter is not None and not round_filter(
-                        set(state), set(round_nodes)
-                    ):
-                        continue
-                    if oracle is not None:
-                        safe = oracle.round_is_safe(state, round_nodes)
-                    else:
-                        safe = round_is_safe_reference(
-                            problem, set(state), set(round_nodes), properties
-                        )
-                    if not safe:
-                        continue
-                    parents[successor] = (state, round_nodes)
-                    if successor == todo:
-                        return _unwind_schedule(problem, parents, successor, properties)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    raise InfeasibleUpdateError(
-        f"no schedule satisfies {[p.value for p in properties]}"
-        + (f" within {max_rounds} rounds" if max_rounds is not None else "")
-    )
-
-
-def _unwind_schedule(
-    problem,
-    parents: dict,
-    state: frozenset,
-    properties: tuple[Property, ...],
-) -> UpdateSchedule:
-    rounds: list[frozenset] = []
-    while parents[state] is not None:
-        previous, round_nodes = parents[state]
-        rounds.append(round_nodes)
-        state = previous
-    rounds.reverse()
-    return UpdateSchedule(
-        problem,
-        rounds,
-        algorithm="optimal",
-        metadata={"properties": [p.value for p in properties]},
-    )
+    def state_key(self, state: int) -> int:
+        """One key per class of states no verdict tells apart."""
+        return _canonicalize(state, self.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +272,7 @@ def minimal_round_schedule(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_rounds: int | None = None,
     round_filter=None,
-    use_oracle: bool = True,
-    engine: str | None = None,
-    search: str = "bfs",
-    monotone_prune: bool = True,
+    search: str | None = None,
     node_budget: int | None = None,
     time_limit_s: float | None = None,
     nogood_limit: int | None = None,
@@ -590,28 +289,22 @@ def minimal_round_schedule(
     when no schedule of any length exists (or none within ``max_rounds``),
     and :class:`VerificationError` when the instance exceeds ``max_nodes``.
 
-    ``engine`` selects the state representation: ``"mask"`` (default when
-    the oracle is on) runs the integer-bitmask engine with monotonicity
-    memoization and symmetry reduction; ``"sets"`` runs the frozenset
-    reference BFS, with ``use_oracle=False`` further downgrading every
-    verdict to the from-scratch :func:`round_is_safe_reference` pipeline.
-    ``search`` picks ``"bfs"`` (canonical order, bit-identical to the
-    reference engine), ``"iddfs"`` (mask engine only: big-rounds-first
-    iterative deepening bounded by the greedy witness) or ``"bnb"``
-    (mask engine only: the branch-and-bound mode of
-    :mod:`repro.core.bnb` -- forced-chain lower bounds, incumbent
-    seeding, conflict-learned nogoods, single-pass infeasibility
-    proofs; ``engine="bnb"`` is shorthand for it).  The branch-and-bound
-    knobs -- ``node_budget`` (search-node cap), ``time_limit_s``
-    (internal wall-clock deadline) and ``nogood_limit`` (learned-pattern
-    table size, 0 disables learning) -- turn the search *anytime*: on an
-    exhausted budget it raises
+    ``node_budget`` (search-node cap), ``time_limit_s`` (wall-clock
+    deadline, polled inside the search) and ``nogood_limit``
+    (learned-pattern table size, 0 disables learning) make the search
+    *anytime*: on an exhausted budget it raises
     :class:`~repro.errors.ExactSearchBudgetError` carrying the proven
-    lower/upper round interval.  ``monotone_prune=False`` disables the
-    sub-/super-set verdict memo, for cross-checking.
+    lower/upper round interval.
+
+    ``search`` is left ``None`` by every caller but the perf ledger: the
+    mode follows from the instance (``"iddfs"``, plain deepening, up to
+    :data:`DEEPENING_MAX_UPDATES` required updates; ``"bnb"``, the same
+    DFS with bounds, nogoods and the incumbent short-cut, above that or
+    when one of the three budgets is given).  Both return optimal
+    schedules; naming one only serves comparing them.
     """
     properties = tuple(properties)
-    todo = frozenset(problem.required_updates)
+    todo = problem.required_updates
     if not todo:
         return UpdateSchedule(
             problem,
@@ -623,186 +316,46 @@ def minimal_round_schedule(
         raise VerificationError(
             f"instance has {len(todo)} updates; exact search capped at {max_nodes}"
         )
-    if engine == "bnb":  # shorthand: the bnb search on the mask engine
-        engine, search = "mask", "bnb"
-    if engine is None:
-        engine = "mask" if use_oracle else "sets"
-    if search != "bnb" and (
+    budgeted = (
         node_budget is not None
         or time_limit_s is not None
         or nogood_limit is not None
-    ):
+    )
+    if search is None:
+        deepening = len(todo) <= DEEPENING_MAX_UPDATES and not budgeted
+        search = "iddfs" if deepening else "bnb"
+    elif search not in ("iddfs", "bnb"):
+        raise VerificationError(
+            f"unknown search mode {search!r}; accepted: 'iddfs', 'bnb'"
+        )
+    elif search == "iddfs" and budgeted:
         raise VerificationError(
             "node_budget/time_limit_s/nogood_limit are branch-and-bound "
-            "knobs; select search='bnb' (or engine='bnb') to use them"
+            "knobs; leave search unset (or pass 'bnb') to use them"
         )
-    # The polynomial certificates settle provably infeasible instances
-    # for every oracle-backed engine -- without this, a certified clash
-    # handed to BFS/IDDFS would still exhaust the exponential state
-    # space.  The oracle-free sets path stays the unassisted reference.
-    reason = _precheck_infeasible(
-        problem, properties, max_nodes, max_rounds, use_oracle, engine
-    )
-    if reason is not None:
-        raise InfeasibleUpdateError(reason)
-    if engine == "mask":
-        if not use_oracle:
-            raise VerificationError(
-                "the mask engine runs on the safety oracle; "
-                "use engine='sets' for the oracle-free reference path"
-            )
-        state = _MaskSearch(problem, properties, round_filter, monotone_prune)
-        if search == "bfs":
-            return _search_mask_bfs(state, properties, max_rounds)
-        if search == "iddfs":
-            return _search_mask_iddfs(state, properties, max_rounds)
-        if search == "bnb":
-            from repro.core.bnb import search_mask_bnb
-
-            return search_mask_bnb(
-                state,
-                properties,
-                max_rounds,
-                node_budget=node_budget,
-                time_limit_s=time_limit_s,
-                nogood_limit=nogood_limit,
-            )
-        raise VerificationError(f"unknown search mode {search!r}")
-    if engine != "sets":
-        raise VerificationError(f"unknown exact-search engine {engine!r}")
-    if search != "bfs":
-        raise VerificationError("the sets reference engine only supports BFS")
-    return _search_sets(problem, properties, max_rounds, round_filter, use_oracle)
-
-
-def _precheck_infeasible(
-    problem,
-    properties: tuple[Property, ...],
-    max_nodes: int,
-    max_rounds: int | None,
-    use_oracle: bool,
-    engine: str | None,
-) -> str | None:
-    """Polynomial infeasibility reason, or ``None`` (then search decides).
-
-    The dependency-graph certificates of :mod:`repro.core.bnb` prove
-    infeasibility without touching the state space: a never-applicable
-    update, a forced-order cycle, or a forced-chain lower bound already
-    above ``max_rounds``.  Sound for *every* engine (a filter or an
-    engine switch only shrinks the schedule space), but kept off the
-    oracle-free reference path, which must stay the unassisted ground
-    truth.
-    """
-    if not use_oracle or engine == "sets":
-        return None
-    todo = problem.required_updates
-    if not todo or len(todo) > max_nodes:
-        return None
-    from repro.core.bnb import precedence_for
-
-    analysis = precedence_for(problem, tuple(properties))
-    if analysis.infeasible_reason is not None:
-        return analysis.infeasible_reason
-    if max_rounds is not None:
-        bound = analysis.chain_bound(analysis.full_mask)
-        if bound > max_rounds:
-            return (
-                f"no schedule satisfies {[p.value for p in properties]} "
-                f"within {max_rounds} rounds (forced-chain lower bound is "
-                f"{bound})"
-            )
-    return None
-
-
-def minimal_round_count(
-    problem: UpdateProblem,
-    properties: tuple[Property, ...],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_rounds: int | None = None,
-    round_filter=None,
-    use_oracle: bool = True,
-    engine: str | None = None,
-    search: str = "bfs",
-    monotone_prune: bool = True,
-    node_budget: int | None = None,
-    time_limit_s: float | None = None,
-    nogood_limit: int | None = None,
-) -> int:
-    """Round count of the optimal schedule (see :func:`minimal_round_schedule`).
-
-    All search knobs -- including ``round_filter`` and ``use_oracle`` --
-    are forwarded, so forced-order analyses and reference cross-checks
-    can use the counting shorthand too.  Counting queries short-circuit
-    through the dependency-graph lower bound first, so provably
-    infeasible combinations fail fast on every engine.
-    """
-    reason = _precheck_infeasible(
-        problem, tuple(properties), max_nodes, max_rounds, use_oracle, engine
-    )
-    if reason is not None:
-        raise InfeasibleUpdateError(reason)
-    return minimal_round_schedule(
-        problem,
+    return search_mask_bnb(
+        _MaskSearch(problem, properties, round_filter),
         properties,
-        max_nodes=max_nodes,
-        max_rounds=max_rounds,
-        round_filter=round_filter,
-        use_oracle=use_oracle,
-        engine=engine,
-        search=search,
-        monotone_prune=monotone_prune,
+        max_rounds,
+        bounds=search == "bnb",
         node_budget=node_budget,
         time_limit_s=time_limit_s,
         nogood_limit=nogood_limit,
-    ).n_rounds
+    )
 
 
-def is_feasible(
-    problem: UpdateProblem,
-    properties: tuple[Property, ...],
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_rounds: int | None = None,
-    round_filter=None,
-    use_oracle: bool = True,
-    engine: str | None = None,
-    search: str = "bfs",
-    monotone_prune: bool = True,
-    node_budget: int | None = None,
-    time_limit_s: float | None = None,
-    nogood_limit: int | None = None,
-) -> bool:
-    """Does *any* round schedule satisfy ``properties``?
+def minimal_round_count(problem, properties, **options) -> int:
+    """Round count of the optimal schedule; ``options`` are those of
+    :func:`minimal_round_schedule`."""
+    return minimal_round_schedule(problem, properties, **options).n_rounds
 
-    Forwards the same knobs as :func:`minimal_round_schedule` (a no-op
-    instance is trivially feasible via its zero-round schedule).
-    Feasibility probes short-circuit through the dependency-graph lower
-    bound first, so provably infeasible combinations -- the
-    WPE-versus-loop-freedom clashes -- answer without expanding any
-    state, whichever engine is selected.
-    """
-    if (
-        _precheck_infeasible(
-            problem, tuple(properties), max_nodes, max_rounds, use_oracle,
-            engine,
-        )
-        is not None
-    ):
-        return False
+
+def is_feasible(problem, properties, **options) -> bool:
+    """Does *any* round schedule satisfy ``properties``?  ``options`` are
+    those of :func:`minimal_round_schedule` (a no-op instance is feasible
+    via its zero-round schedule; a budget overrun still raises)."""
     try:
-        minimal_round_schedule(
-            problem,
-            properties,
-            max_nodes=max_nodes,
-            max_rounds=max_rounds,
-            round_filter=round_filter,
-            use_oracle=use_oracle,
-            engine=engine,
-            search=search,
-            monotone_prune=monotone_prune,
-            node_budget=node_budget,
-            time_limit_s=time_limit_s,
-            nogood_limit=nogood_limit,
-        )
+        minimal_round_schedule(problem, properties, **options)
     except InfeasibleUpdateError:
         return False
     return True

@@ -18,7 +18,7 @@ scheduler promises.  The registry replaces all of them:
   - ``wayup``, ``peacock``, ``two-phase`` -- plain names (any alias);
   - ``combined:wpe+rlf``, ``optimal:slf`` -- parameterized forms bound to
     a property set (their guarantee *is* that set);
-  - ``optimal:slf?search=bfs&max_rounds=4``, ``peacock?exact=false`` --
+  - ``optimal:slf?max_rounds=4&time_limit_s=2``, ``peacock?exact=false`` --
     engine options, validated against the definition's ``accepts`` set
     (values are coerced: ``true``/``false``, ints, floats, else strings);
 
@@ -438,38 +438,8 @@ def _run_combined(problem, cleanup, oracle, properties, params):
     return SchedulerRun(schedule, None, tuple(properties))
 
 
-#: Required-update count above which ``optimal:<props>`` defaults to the
-#: branch-and-bound mode: past the old IDDFS frontier the forced-chain
-#: bounds, incumbent seeding and nogood learning of
-#: :mod:`repro.core.bnb` are what keep exact cells (campaign
-#: ground-truthing included) inside their budgets.
-BNB_DEFAULT_THRESHOLD = 18
-
-#: Params only the branch-and-bound search understands; their presence
-#: selects it, so ``optimal:slf?time_limit_s=2`` just works.
-_BNB_ONLY_PARAMS = frozenset({"node_budget", "time_limit_s", "nogood_limit"})
-
-
 def _run_optimal(problem, cleanup, oracle, properties, params):
-    # the reference modes (?search=bfs, ?engine=sets, ?use_oracle=false)
-    # only speak BFS, so the default must not override them; otherwise
-    # iterative deepening is the small-instance default and
-    # branch-and-bound takes over above BNB_DEFAULT_THRESHOLD (or when a
-    # bnb-only knob is present)
-    options = dict(params)
-    if (
-        "search" not in options
-        and options.get("engine") not in ("sets", "bnb")
-        and options.get("use_oracle", True)
-    ):
-        if (
-            _BNB_ONLY_PARAMS & options.keys()
-            or len(problem.required_updates) > BNB_DEFAULT_THRESHOLD
-        ):
-            options["search"] = "bnb"
-        else:
-            options["search"] = "iddfs"
-    schedule = minimal_round_schedule(problem, properties, **options)
+    schedule = minimal_round_schedule(problem, properties, **params)
     if cleanup:
         schedule = schedule.with_cleanup()
     return SchedulerRun(schedule, None, tuple(properties))
@@ -538,13 +508,12 @@ for _definition in (
         aliases=("minimal",),
         parameterized=True,
         accepts=frozenset(
-            {"search", "engine", "use_oracle", "monotone_prune",
-             "max_rounds", "max_nodes",
+            {"max_rounds", "max_nodes",
              "node_budget", "time_limit_s", "nogood_limit"}
         ),
         description=(
-            "exact minimum-round search (mask engine; IDDFS default, "
-            "branch-and-bound with nogood learning above n=18)"
+            "exact minimum-round search (iterative deepening; with bounds "
+            "and nogood learning above n=18 or under a budget)"
         ),
     ),
 ):

@@ -252,7 +252,7 @@ def build_rest_api(
             )
         except (SchedulerSpecError, UpdateModelError, VerificationError) as exc:
             # bad spec, model precondition, or an engine refusing the
-            # request (size cap, unknown search mode, WPE sans waypoint)
+            # request (size cap, WPE sans waypoint)
             raise BadRequestError(str(exc)) from None
         except (TypeError, ValueError) as exc:
             # client-supplied params of the wrong type reach the engines

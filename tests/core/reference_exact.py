@@ -154,6 +154,15 @@ def reference_joint_schedule(joint, properties, include_cleanup=True) -> list[se
     return rounds
 
 
+#: Transition filters the differential and golden runs are repeated
+#: under (a filtered search has no greedy witness to lean on, so it must
+#: establish feasibility itself).
+FILTERS = {
+    "sequential": lambda updated, round_nodes: len(round_nodes) == 1,
+    "pairs": lambda updated, round_nodes: len(round_nodes) <= 2,
+}
+
+
 class TwinFlows:
     """Duck-typed multi-source problem with interchangeable parallel sources.
 

@@ -56,7 +56,7 @@ def sweepable_specs():
         "combined:rlf+blackhole",
         "combined:slf+blackhole",
         "optimal:slf",
-        "optimal:rlf?search=bfs",
+        "optimal:rlf?node_budget=10000",
     ]
 
 
@@ -126,15 +126,24 @@ class TestRegistryParity:
         assert resolve_scheduler("twophase").name == "two-phase"
         assert resolve_scheduler("minimal:slf").name == "optimal:slf"
 
-    def test_reference_engine_specs_stay_reachable(self):
-        # the documented PR 1 / PR 3 reference modes must not be broken
-        # by the iddfs default
-        problem = reversal_instance(6)
-        baseline = schedule_update(problem, "optimal:rlf", include_cleanup=False)
-        for spec in ("optimal:rlf?engine=sets", "optimal:rlf?use_oracle=false",
-                     "optimal:rlf?search=bfs"):
-            result = schedule_update(problem, spec, include_cleanup=False)
-            assert result.n_rounds == baseline.n_rounds, spec
+    @pytest.mark.parametrize(
+        "query",
+        ["engine=sets", "use_oracle=false", "search=bfs", "search=bnb",
+         "monotone_prune=false"],
+    )
+    def test_removed_engine_params_are_refused_by_name(self, query):
+        # the exact search picks its own mode; the spec grammar has no
+        # say in it any more, and says what it does accept
+        with pytest.raises(SchedulerSpecError) as excinfo:
+            resolve_scheduler(f"optimal:rlf?{query}")
+        message = str(excinfo.value)
+        assert query.split("=")[0] in message
+        for accepted in resolve_scheduler("optimal:rlf").accepts:
+            assert accepted in message
+        assert sorted(resolve_scheduler("optimal:rlf").accepts) == [
+            "max_nodes", "max_rounds", "node_budget", "nogood_limit",
+            "time_limit_s",
+        ]
 
     def test_property_lists_normalize_to_one_spelling(self):
         a = resolve_scheduler("combined:rlf+wpe")
@@ -145,9 +154,9 @@ class TestRegistryParity:
         assert a.guarantee == (Property.WPE, Property.RLF)
 
     def test_canonical_name_normalizes_params(self):
-        scheduler = resolve_scheduler("optimal:slf?use_oracle=true&search=bfs")
-        assert scheduler.name == "optimal:slf?search=bfs&use_oracle=true"
-        assert scheduler.params == {"search": "bfs", "use_oracle": True}
+        scheduler = resolve_scheduler("optimal:slf?node_budget=50&max_rounds=4")
+        assert scheduler.name == "optimal:slf?max_rounds=4&node_budget=50"
+        assert scheduler.params == {"max_rounds": 4, "node_budget": 50}
 
     def test_spec_grammar_errors(self):
         with pytest.raises(SchedulerSpecError):
@@ -203,8 +212,7 @@ class TestEnvelope:
 
         with pytest.raises(ScheduleTimeoutError):
             schedule_update(
-                reversal_instance(12), "optimal:rlf?search=bfs",
-                timeout_s=0.001,
+                reversal_instance(16), "optimal:rlf", timeout_s=0.001,
             )
 
     def test_two_phase_rides_the_envelope(self):

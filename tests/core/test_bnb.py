@@ -2,10 +2,10 @@
 
 Three contracts are pinned here:
 
-* **cross-engine equivalence** -- ``search="bnb"`` must agree with the
-  BFS reference (and IDDFS) on optimal round counts for every feasible
-  instance, and on infeasibility verdicts, randomized and on the
-  hardness families;
+* **equivalence** -- ``search="bnb"`` must agree with the from-scratch
+  BFS of ``reference_exact.py`` (and with the plain deepening mode) on
+  optimal round counts for every feasible instance, and on infeasibility
+  verdicts, randomized and on the hardness families;
 * **certificate soundness** -- the forced-order precedence relation and
   the rounds lower bound must never contradict the exhaustive search
   (admissibility), and the polynomial infeasibility certificates must
@@ -48,6 +48,7 @@ from repro.core.problem import UpdateProblem
 from repro.core.verify import Property, verify_schedule
 from repro.errors import ExactSearchBudgetError, InfeasibleUpdateError
 from repro.topology.random_graphs import random_update_instance
+from tests.core.reference_exact import reference_round_count
 
 _RELAXED = settings(
     max_examples=30,
@@ -96,8 +97,7 @@ class TestCrossEngineEquivalence:
         if len(problem.required_updates) > 8:
             return
         for properties in PROPERTY_SETS:
-            clear_registry()
-            reference = _rounds_or_none(problem, properties, search="bfs")
+            reference = reference_round_count(problem, properties)
             clear_registry()
             bnb = _rounds_or_none(problem, properties, search="bnb")
             assert bnb == reference, (properties, problem.old_path, problem.new_path)
@@ -108,8 +108,7 @@ class TestCrossEngineEquivalence:
         if len(problem.required_updates) > 8:
             return
         for properties in WAYPOINT_PROPERTY_SETS:
-            clear_registry()
-            reference = _rounds_or_none(problem, properties, search="bfs")
+            reference = reference_round_count(problem, properties)
             clear_registry()
             bnb = _rounds_or_none(problem, properties, search="bnb")
             assert bnb == reference, (properties, problem.old_path, problem.new_path)
@@ -177,10 +176,10 @@ class TestLowerBound:
             (Property.WPE,),
             (Property.WPE, Property.SLF),
         ):
-            clear_registry()
-            optimum = _rounds_or_none(problem, properties, search="bfs")
+            optimum = reference_round_count(problem, properties)
             if optimum is None:
                 continue
+            clear_registry()
             bound = rounds_lower_bound(problem, properties)
             assert bound <= optimum, (properties, problem.old_path, problem.new_path)
 
@@ -280,6 +279,43 @@ class TestAnytimeInterval:
             )
         assert excinfo.value.lower >= 1
 
+    def test_time_limit_is_polled_inside_the_round_enumeration(self, monkeypatch):
+        # random-22/seed 0 under SLF: the root's safe mask has 19 bits,
+        # so the second search node enumerates 2^19 candidate rounds;
+        # a clock looked at once per node notices a 50 ms limit after 1.2 s
+        from types import SimpleNamespace
+
+        from repro.core import bnb
+
+        old, new, _ = random_update_instance(22, seed=0)
+        problem = UpdateProblem(old.nodes, new.nodes)
+        properties = (Property.SLF,)
+        clear_registry()
+        analysis = precedence_for(problem, properties)
+        clock = SimpleNamespace(now=0.0, reads=0)
+
+        def monotonic():  # every look at the clock costs 10 ms
+            clock.reads += 1
+            clock.now += 0.01
+            return clock.now
+
+        bounded = []
+        real_chain_bound = analysis.chain_bound
+        monkeypatch.setattr(
+            analysis, "chain_bound",
+            lambda mask: bounded.append(mask) or real_chain_bound(mask),
+        )
+        monkeypatch.setattr(bnb, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(ExactSearchBudgetError) as excinfo:
+            minimal_round_schedule(
+                problem, properties, search="bnb", time_limit_s=0.05
+            )
+        assert excinfo.value.lower >= 2 and excinfo.value.upper == 4
+        # the limit is five clock reads away, so about five poll
+        # intervals of candidate rounds were tried (it was 524,288)
+        assert clock.reads <= 8
+        assert len(bounded) <= 6 * bnb._DEADLINE_POLL_EVERY
+
     def test_matching_bounds_return_instead_of_raising(self):
         # greedy incumbent == chain bound: proven optimal with zero
         # expansions, so even a zero-ish budget succeeds
@@ -371,9 +407,8 @@ class TestNogoodCorrectness:
         filtered_bnb = minimal_round_count(
             problem, properties, round_filter=sequential_only, search="bnb"
         )
-        clear_registry()
-        filtered_reference = minimal_round_count(
-            problem, properties, round_filter=sequential_only, search="bfs"
+        filtered_reference = reference_round_count(
+            problem, properties, round_filter=sequential_only
         )
         assert filtered_bnb == filtered_reference == 5
 
@@ -440,12 +475,12 @@ class TestNogoodCorrectness:
                 )
 
     def test_certificates_short_circuit_iddfs_and_bfs_schedules(self):
-        # a certified clash handed to the deepening engines must answer
-        # from the certificate, not by exhausting the state space --
-        # clash-24 would take tens of seconds on IDDFS otherwise
+        # a certified clash must answer from the certificate in every
+        # mode, not by exhausting the state space -- clash-24 would take
+        # tens of seconds of plain deepening otherwise
         problem = crossing_clash_instance(24)
         started = time.perf_counter()
-        for search in ("bfs", "iddfs"):
+        for search in ("iddfs", "bnb", None):
             with pytest.raises(InfeasibleUpdateError):
                 minimal_round_schedule(
                     problem, (Property.WPE, Property.SLF), search=search
@@ -457,16 +492,26 @@ class TestRegistryIntegration:
     def test_bnb_reachable_through_specs(self):
         from repro.core.api import schedule_update
 
-        problem = reversal_instance(10)
-        for spec in ("optimal:rlf?search=bnb", "optimal:rlf?engine=bnb"):
-            result = schedule_update(problem, spec, include_cleanup=False)
-            assert result.schedule.n_rounds == 3
+        # a budget in the spec is what selects the bounds mode: only it
+        # can run out of nodes, and only it proves reversal-20 under SLF
+        # optimal (greedy incumbent == chain bound) without expanding one
+        with pytest.raises(ExactSearchBudgetError) as excinfo:
+            schedule_update(
+                sawtooth_instance(16, 4), "optimal:rlf?node_budget=3",
+                include_cleanup=False,
+            )
+        assert excinfo.value.lower <= 3 <= excinfo.value.upper
+        result = schedule_update(
+            reversal_instance(20), "optimal:slf?node_budget=1",
+            include_cleanup=False,
+        )
+        assert result.schedule.n_rounds == 18
 
     def test_large_instances_default_to_bnb(self):
         from repro.core.api import schedule_update
 
-        # 19 required updates: above BNB_DEFAULT_THRESHOLD, inside the
-        # new cap -- the plain spec must route through branch-and-bound
+        # 20 required updates: above DEEPENING_MAX_UPDATES, inside the
+        # cap -- the plain spec must run with bounds and nogoods
         result = schedule_update(
             reversal_instance(21), "optimal:rlf", include_cleanup=False
         )

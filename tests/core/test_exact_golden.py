@@ -32,7 +32,7 @@ from repro.core.problem import UpdateProblem
 from repro.core.registry import parse_properties
 from repro.errors import ExactSearchBudgetError, InfeasibleUpdateError
 from repro.topology.random_graphs import random_update_instance
-from tests.core.reference_exact import TwinFlows
+from tests.core.reference_exact import FILTERS, TwinFlows
 
 GOLDEN = Path(__file__).parent / "data" / "exact_golden.json"
 
@@ -68,14 +68,6 @@ FAMILIES = {
 
 PLAIN_PROPERTIES = ("slf", "rlf", "slf+blackhole")
 WAYPOINT_PROPERTIES = PLAIN_PROPERTIES + ("wpe", "wpe+slf", "wpe+rlf")
-
-#: Filters a golden row can name (they veto transitions, so the search
-#: has no greedy witness and must establish feasibility itself).
-FILTERS = {
-    "sequential": lambda updated, round_nodes: len(round_nodes) == 1,
-    "pairs": lambda updated, round_nodes: len(round_nodes) <= 2,
-}
-
 
 def cases() -> list[dict]:
     """Every (instance, properties, mode, options) row of the golden."""
@@ -161,17 +153,18 @@ def outcome(row: dict) -> dict:
     }
 
 
-def _golden() -> dict:
+@pytest.fixture(scope="module")
+def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def test_golden_covers_every_case():
-    assert sorted(_golden()) == sorted(case_id(row) for row in cases())
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(case_id(row) for row in cases())
 
 
 @pytest.mark.parametrize("row", cases(), ids=case_id)
-def test_search_reproduces_the_recorded_outcome(row):
-    assert outcome(row) == _golden()[case_id(row)]
+def test_search_reproduces_the_recorded_outcome(row, golden):
+    assert outcome(row) == golden[case_id(row)]
 
 
 if __name__ == "__main__":

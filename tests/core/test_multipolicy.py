@@ -14,6 +14,7 @@ from repro.core.peacock import peacock_schedule
 from repro.core.problem import RuleState, UpdateKind, UpdateProblem
 from repro.core.verify import Property
 from repro.errors import InfeasibleUpdateError, UpdateModelError
+from tests.core.reference_exact import reference_joint_schedule
 
 
 @pytest.fixture
@@ -124,35 +125,27 @@ class TestJointOracleEquivalence:
             (Property.SLF, Property.BLACKHOLE),
             (Property.BLACKHOLE,),
         ):
-            fast = greedy_joint_schedule(
-                joint, properties=properties, use_oracle=True
-            )
-            slow = greedy_joint_schedule(
-                joint, properties=properties, use_oracle=False
-            )
-            assert fast.rounds == slow.rounds, properties
+            fast = greedy_joint_schedule(joint, properties=properties)
+            slow = reference_joint_schedule(joint, properties)
+            assert list(fast.rounds) == slow, properties
 
     def test_schedules_identical_with_mixed_waypoints(self):
         p1 = UpdateProblem([1, 3, 4, 6], [1, 3, 5, 6], waypoint=3, name="wp1")
         p2 = UpdateProblem([2, 3, 4, 6], [2, 3, 5, 6], name="plain")
         joint = JointUpdateProblem([p1, p2])
         properties = (Property.WPE, Property.RLF, Property.BLACKHOLE)
-        fast = greedy_joint_schedule(joint, properties=properties, use_oracle=True)
-        slow = greedy_joint_schedule(joint, properties=properties, use_oracle=False)
-        assert fast.rounds == slow.rounds
+        fast = greedy_joint_schedule(joint, properties=properties)
+        assert list(fast.rounds) == reference_joint_schedule(joint, properties)
         assert verify_joint_schedule(joint, fast, properties).ok
 
     def test_deadlock_raised_on_both_paths(self):
         from repro.core.hardness import crossing_instance
 
         joint = JointUpdateProblem([crossing_instance()])
-        for use_oracle in (True, False):
+        properties = (Property.WPE, Property.SLF)
+        for packer in (greedy_joint_schedule, reference_joint_schedule):
             with pytest.raises(InfeasibleUpdateError):
-                greedy_joint_schedule(
-                    joint,
-                    properties=(Property.WPE, Property.SLF),
-                    use_oracle=use_oracle,
-                )
+                packer(joint, properties)
 
     def test_policy_view_duck_surface(self, two_policies):
         joint = JointUpdateProblem(two_policies)

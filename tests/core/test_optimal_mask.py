@@ -1,17 +1,18 @@
-"""Equivalence suite: the bitmask exact-search engine vs the frozenset reference.
+"""Differential suite: the exact search vs the from-scratch reference.
 
-The mask engine must be a pure re-encoding of the search: for the BFS
-mode it visits transitions in the same canonical order as the sets
-reference, so it has to return *bit-identical* round counts **and**
-schedules -- including with the monotonicity prune disabled, which pins
-that the sub-/super-set verdict memo never changes a verdict.  The IDDFS
-mode may pick a different optimal schedule but must agree on the round
-count and produce verified-safe rounds.
+``tests/core/reference_exact.py`` is a breadth-first search over node
+sets that rebuilds the union graph for every verdict; it shares nothing
+with the production DFS.  Both modes of the search (``"iddfs"``,
+``"bnb"``) must agree with it on feasibility and on the optimal round
+count -- free, under a ``round_filter`` and under ``max_rounds`` -- and
+every schedule they return must pass :func:`verify_schedule` and a
+round-by-round replay through ``round_is_safe_reference``.  Which of the
+optimal schedules comes back is pinned separately, by
+``test_exact_golden.py``; here only that a cold rerun returns the same
+one.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,19 +30,27 @@ from repro.core.optimal import (
     is_feasible,
     minimal_round_count,
     minimal_round_schedule,
-    round_is_safe_reference,
     symmetry_classes,
 )
-from repro.core.problem import RuleState, UpdateKind, UpdateProblem
+from repro.core.oracle import clear_registry
+from repro.core.problem import UpdateProblem
 from repro.core.verify import Property, verify_schedule
 from repro.errors import InfeasibleUpdateError, VerificationError
 from repro.topology.random_graphs import random_update_instance
+from tests.core.reference_exact import (
+    FILTERS,
+    TwinFlows,
+    reference_round_count,
+    replay_is_safe,
+)
 
 _RELAXED = settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+MODES = ("iddfs", "bnb")
 
 ALL_PROPERTY_SETS = [
     (Property.SLF,),
@@ -57,10 +66,9 @@ WAYPOINT_PROPERTY_SETS = ALL_PROPERTY_SETS + [
     (Property.WPE, Property.RLF),
 ]
 
-
 @st.composite
 def instances(draw, with_waypoint: bool = False):
-    n = draw(st.integers(min_value=4, max_value=8))
+    n = draw(st.integers(min_value=4, max_value=9))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     overlap = draw(st.floats(min_value=0.0, max_value=1.0))
     old, new, waypoint = random_update_instance(
@@ -69,54 +77,73 @@ def instances(draw, with_waypoint: bool = False):
     return UpdateProblem(old, new, waypoint=waypoint if with_waypoint else None)
 
 
-def _schedules_or_infeasible(problem, properties, **kwargs):
+def _solve_cold(problem, properties, search, **options):
+    clear_registry()
     try:
-        return minimal_round_schedule(problem, properties, **kwargs)
+        return minimal_round_schedule(problem, properties, search=search, **options)
     except InfeasibleUpdateError:
         return None
 
 
+def assert_matches_reference(problem, properties, **options):
+    """Both modes agree with the reference under ``options``; what they
+    return is safe by two independent checks and stable across reruns."""
+    expected = reference_round_count(problem, properties, **options)
+    context = (properties, options, problem.old_path, problem.new_path)
+    for search in MODES:
+        schedule = _solve_cold(problem, properties, search, **options)
+        if expected is None:
+            assert schedule is None, (search, *context)
+            continue
+        assert schedule is not None, (search, *context)
+        assert schedule.n_rounds == expected, (search, *context)
+        assert replay_is_safe(problem, schedule, properties), (search, *context)
+        if isinstance(problem, UpdateProblem):
+            assert verify_schedule(schedule, properties=properties).ok
+        rerun = _solve_cold(problem, properties, search, **options)
+        assert rerun.rounds == schedule.rounds, (search, *context)
+
+
 class TestBitIdenticalEquivalence:
-    """Mask BFS vs the frozenset reference: identical schedules, always."""
+    """Both modes vs the frozenset reference; cold reruns bit-identical."""
 
     @_RELAXED
     @given(instances())
     def test_matches_sets_reference(self, problem):
-        if len(problem.required_updates) > 7:
+        if len(problem.required_updates) > 8:
             return
         for properties in ALL_PROPERTY_SETS:
-            mask = _schedules_or_infeasible(problem, properties, engine="mask")
-            reference = _schedules_or_infeasible(
-                problem, properties, engine="sets", use_oracle=False
-            )
-            pr1 = _schedules_or_infeasible(
-                problem, properties, engine="sets", use_oracle=True
-            )
-            if mask is None:
-                assert reference is None and pr1 is None, properties
-                continue
-            assert reference is not None and pr1 is not None, properties
-            assert mask.rounds == reference.rounds == pr1.rounds, (
-                properties, problem.old_path, problem.new_path,
-            )
+            assert_matches_reference(problem, properties)
 
     @_RELAXED
     @given(instances(with_waypoint=True))
     def test_matches_sets_reference_with_waypoint(self, problem):
-        if len(problem.required_updates) > 7:
+        if len(problem.required_updates) > 8:
             return
         for properties in WAYPOINT_PROPERTY_SETS:
-            mask = _schedules_or_infeasible(problem, properties, engine="mask")
-            reference = _schedules_or_infeasible(
-                problem, properties, engine="sets", use_oracle=False
+            assert_matches_reference(problem, properties)
+
+    @_RELAXED
+    @given(
+        instances(with_waypoint=True),
+        st.sampled_from(sorted(FILTERS)),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_reference_under_filter_and_round_cap(
+        self, problem, filter_name, max_rounds
+    ):
+        if len(problem.required_updates) > 6:
+            return
+        for properties in (
+            (Property.SLF,),
+            (Property.RLF, Property.BLACKHOLE),
+            (Property.WPE,),
+            (Property.WPE, Property.SLF),
+        ):
+            assert_matches_reference(
+                problem, properties, round_filter=FILTERS[filter_name]
             )
-            if mask is None:
-                assert reference is None, properties
-                continue
-            assert reference is not None, properties
-            assert mask.rounds == reference.rounds, (
-                properties, problem.old_path, problem.new_path,
-            )
+            assert_matches_reference(problem, properties, max_rounds=max_rounds)
 
     @pytest.mark.parametrize(
         "factory",
@@ -136,59 +163,7 @@ class TestBitIdenticalEquivalence:
             else ALL_PROPERTY_SETS
         )
         for properties in sets_:
-            mask = _schedules_or_infeasible(problem, properties, engine="mask")
-            reference = _schedules_or_infeasible(
-                problem, properties, engine="sets", use_oracle=False
-            )
-            if mask is None:
-                assert reference is None, properties
-            else:
-                assert reference is not None, properties
-                assert mask.rounds == reference.rounds, properties
-
-
-class TestMonotonePruneInvariance:
-    """The sub-/super-set verdict memo must never change a verdict."""
-
-    @_RELAXED
-    @given(instances(with_waypoint=True))
-    def test_prune_off_is_bit_identical(self, problem):
-        if len(problem.required_updates) > 7:
-            return
-        for properties in (
-            (Property.RLF,),
-            (Property.WPE, Property.BLACKHOLE),
-        ):
-            pruned = _schedules_or_infeasible(
-                problem, properties, engine="mask", monotone_prune=True
-            )
-            bare = _schedules_or_infeasible(
-                problem, properties, engine="mask", monotone_prune=False
-            )
-            if pruned is None:
-                assert bare is None, properties
-            else:
-                assert bare is not None and pruned.rounds == bare.rounds, properties
-
-    def test_prune_off_on_hardness_families(self):
-        for factory in (lambda: reversal_instance(8), crossing_instance):
-            problem = factory()
-            sets_ = (
-                [(Property.WPE,), (Property.WPE, Property.SLF)]
-                if problem.waypoint is not None
-                else [(Property.SLF,), (Property.RLF,)]
-            )
-            for properties in sets_:
-                pruned = _schedules_or_infeasible(
-                    problem, properties, engine="mask", monotone_prune=True
-                )
-                bare = _schedules_or_infeasible(
-                    problem, properties, engine="mask", monotone_prune=False
-                )
-                if pruned is None:
-                    assert bare is None
-                else:
-                    assert bare is not None and pruned.rounds == bare.rounds
+            assert_matches_reference(problem, properties)
 
 
 class TestIddfs:
@@ -203,9 +178,8 @@ class TestIddfs:
             ),
         ]:
             problem = factory()
-            bfs = minimal_round_schedule(problem, properties, search="bfs")
             iddfs = minimal_round_schedule(problem, properties, search="iddfs")
-            assert iddfs.n_rounds == bfs.n_rounds
+            assert iddfs.n_rounds == reference_round_count(problem, properties)
             assert verify_schedule(iddfs, properties=properties).ok
 
     @_RELAXED
@@ -213,13 +187,11 @@ class TestIddfs:
     def test_random_counts_match_bfs(self, problem):
         if len(problem.required_updates) > 6:
             return
+        # what a caller who names no mode gets (deepening at this size)
         for properties in ((Property.RLF,), (Property.SLF,)):
-            bfs = _schedules_or_infeasible(problem, properties, search="bfs")
-            iddfs = _schedules_or_infeasible(problem, properties, search="iddfs")
-            if bfs is None:
-                assert iddfs is None
-            else:
-                assert iddfs is not None and iddfs.n_rounds == bfs.n_rounds
+            chosen = _solve_cold(problem, properties, search=None)
+            rounds = None if chosen is None else chosen.n_rounds
+            assert rounds == reference_round_count(problem, properties)
 
     def test_iddfs_infeasibility_matches(self):
         problem = crossing_instance()
@@ -257,23 +229,39 @@ class TestIddfs:
 
 
 class TestSearchKnobValidation:
-    def test_mask_engine_requires_oracle(self):
-        with pytest.raises(VerificationError, match="oracle"):
-            minimal_round_schedule(
-                reversal_instance(6), (Property.SLF,),
-                engine="mask", use_oracle=False,
-            )
-
     def test_unknown_engine_and_search_rejected(self):
         problem = reversal_instance(6)
-        with pytest.raises(VerificationError):
-            minimal_round_schedule(problem, (Property.SLF,), engine="tarot")
-        with pytest.raises(VerificationError):
-            minimal_round_schedule(problem, (Property.SLF,), search="dfs?")
-        with pytest.raises(VerificationError):
-            minimal_round_schedule(
-                problem, (Property.SLF,), engine="sets", search="iddfs"
-            )
+        for gone in ("bfs", "sets", "mask", "dfs?"):
+            with pytest.raises(VerificationError, match="iddfs"):
+                minimal_round_schedule(problem, (Property.SLF,), search=gone)
+        for knob in ("engine", "use_oracle", "monotone_prune"):
+            with pytest.raises(TypeError):
+                minimal_round_schedule(problem, (Property.SLF,), **{knob: True})
+
+    def test_mode_follows_size_and_budget(self, monkeypatch):
+        """No caller names a mode: deepening up to 18 required updates,
+        bounds above or under a budget -- for direct callers and
+        ``optimal:<props>`` alike."""
+        from repro.core import optimal
+        from repro.core.api import schedule_update
+
+        seen = []
+        real = optimal.search_mask_bnb
+
+        def spy(search, properties, max_rounds, **options):
+            seen.append(options["bounds"])
+            return real(search, properties, max_rounds, **options)
+
+        monkeypatch.setattr(optimal, "search_mask_bnb", spy)
+        small, large = reversal_instance(19), reversal_instance(20)
+        assert len(small.required_updates) == optimal.DEEPENING_MAX_UPDATES
+        minimal_round_schedule(small, (Property.RLF,))
+        minimal_round_schedule(large, (Property.RLF,))
+        minimal_round_schedule(small, (Property.RLF,), node_budget=10_000)
+        schedule_update(small, "optimal:rlf", include_cleanup=False)
+        schedule_update(large, "optimal:rlf", include_cleanup=False)
+        schedule_update(small, "optimal:rlf?time_limit_s=30", include_cleanup=False)
+        assert seen == [False, True, True, False, True, True]
 
 
 class TestKwargThreading:
@@ -288,10 +276,6 @@ class TestKwargThreading:
         )
         assert free == 4
         assert forced == len(problem.required_updates) == 5
-
-    def test_use_oracle_threads_through_count(self):
-        problem = crossing_instance()
-        assert minimal_round_count(problem, (Property.WPE,), use_oracle=False) == 3
 
     def test_max_rounds_threads_through_is_feasible(self):
         problem = reversal_instance(6)
@@ -310,49 +294,6 @@ class TestKwargThreading:
         )
 
 
-class _TwinFlows:
-    """Duck-typed multi-source problem with interchangeable parallel sources.
-
-    Three roots ``s``, ``a``, ``b`` are rewired from ``u`` onto ``v``
-    while the shared tail segment ``u -> v`` reverses to ``v -> u``.
-    ``a`` and ``b`` share their old/new next hops and are nobody's next
-    hop, so swapping them is a problem automorphism: the exact search
-    may collapse their states.  (On a single path-pair UpdateProblem
-    this situation cannot arise -- every on-path node has a predecessor
-    -- which is exactly why this test needs a duck.)
-    """
-
-    name = "twin-flows"
-    waypoint = None
-
-    def __init__(self):
-        self.source = "s"
-        self.destination = "d"
-        self.old_next = {"s": "u", "a": "u", "b": "u", "u": "v", "v": "d"}
-        self.new_next = {"s": "v", "a": "v", "b": "v", "u": "d", "v": "u"}
-        self.forwarding_nodes = frozenset(self.old_next)
-        self.nodes = self.forwarding_nodes | {"d"}
-        self.required_updates = frozenset(
-            node
-            for node in self.forwarding_nodes
-            if self.old_next[node] != self.new_next[node]
-        )
-        self.canonical_updates = tuple(sorted(self.required_updates))
-        self.cleanup_updates = frozenset()
-        self.all_updates = self.required_updates
-        self.old_path = SimpleNamespace(nodes=("s", "u", "v", "d"))
-        self.new_path = SimpleNamespace(nodes=("s", "a", "b", "v", "u", "d"))
-
-    def kind(self, node):
-        if node in self.required_updates:
-            return UpdateKind.SWITCH
-        return UpdateKind.NOOP
-
-    def next_hop(self, node, state):
-        table = self.old_next if state is RuleState.OLD else self.new_next
-        return table.get(node)
-
-
 class TestSymmetryReduction:
     def test_single_path_problems_have_trivial_classes(self):
         for factory in (
@@ -364,27 +305,31 @@ class TestSymmetryReduction:
             assert symmetry_classes(factory()) == ()
 
     def test_twin_flows_classes(self):
-        problem = _TwinFlows()
+        problem = TwinFlows()
         classes = symmetry_classes(problem)
         assert len(classes) == 1
         names = {problem.canonical_updates[bit] for bit in classes[0]}
         assert names == {"a", "b"}
 
     def test_twin_flows_search_matches_reference(self):
-        problem = _TwinFlows()
-        properties = (Property.SLF,)
-        reference = minimal_round_schedule(
-            problem, properties, engine="sets", use_oracle=False
+        problem = TwinFlows()
+        assert reference_round_count(problem, (Property.SLF,)) == 2
+        assert_matches_reference(problem, (Property.SLF,))
+        assert_matches_reference(problem, (Property.RLF,))
+
+    def test_twins_share_a_state_key(self):
+        from repro.core.optimal import _MaskSearch
+
+        problem = TwinFlows()
+        search = _MaskSearch(problem, (Property.SLF,), None)
+        bit = {node: 1 << i for i, node in enumerate(problem.canonical_updates)}
+        assert search.state_key(bit["a"]) == search.state_key(bit["b"])
+        assert search.state_key(bit["a"] | bit["u"]) == search.state_key(
+            bit["b"] | bit["u"]
         )
-        mask = minimal_round_schedule(problem, properties, engine="mask")
-        iddfs = minimal_round_schedule(problem, properties, search="iddfs")
-        assert reference.n_rounds == mask.n_rounds == iddfs.n_rounds == 2
-        # the replayed schedule must be genuinely safe round by round
-        for schedule in (mask, iddfs):
-            updated: set = set()
-            for round_nodes in schedule.rounds:
-                assert round_is_safe_reference(
-                    problem, updated, set(round_nodes), properties
-                )
-                updated |= round_nodes
-            assert updated == set(problem.required_updates)
+        assert search.state_key(bit["a"]) != search.state_key(bit["u"])
+        both = bit["a"] | bit["b"]
+        assert search.state_key(both) == both
+        # a filter names nodes, so a filtered search tells the twins apart
+        filtered = _MaskSearch(problem, (Property.SLF,), lambda done, flip: True)
+        assert filtered.state_key(bit["b"]) == bit["b"]

@@ -34,6 +34,7 @@ from repro.core.wayup import wayup_schedule
 from repro.errors import InfeasibleUpdateError, VerificationError
 from repro.metrics import MetricsCollector
 from repro.topology.random_graphs import random_update_instance
+from tests.core.reference_exact import reference_round_count
 
 _RELAXED = settings(
     max_examples=60,
@@ -207,25 +208,17 @@ class TestExactSearchEquivalence:
             return
         for properties in ((Property.RLF,), (Property.SLF,)):
             try:
-                fast = minimal_round_schedule(
-                    problem, properties, use_oracle=True
-                ).n_rounds
+                fast = minimal_round_schedule(problem, properties).n_rounds
             except InfeasibleUpdateError:
-                with pytest.raises(InfeasibleUpdateError):
-                    minimal_round_schedule(problem, properties, use_oracle=False)
-                continue
-            slow = minimal_round_schedule(
-                problem, properties, use_oracle=False
-            ).n_rounds
-            assert fast == slow
+                fast = None
+            assert fast == reference_round_count(problem, properties)
 
     def test_crossing_infeasibility_matches(self):
         problem = crossing_instance()
-        for use_oracle in (True, False):
-            with pytest.raises(InfeasibleUpdateError):
-                minimal_round_schedule(
-                    problem, (Property.WPE, Property.SLF), use_oracle=use_oracle
-                )
+        properties = (Property.WPE, Property.SLF)
+        with pytest.raises(InfeasibleUpdateError):
+            minimal_round_schedule(problem, properties)
+        assert reference_round_count(problem, properties) is None
 
 
 class TestMemoAndRegistry:

@@ -214,10 +214,28 @@ class TestScheduleEndpoint:
         assert response.body["scheduler"] == "greedy-slf"
         response = rest.handle(
             "POST", "/schedule",
-            self._body(scheduler="optimal:slf?search=bfs"),
+            self._body(scheduler="optimal:slf?max_rounds=4"),
         )
         assert response.status == 200
-        assert response.body["scheduler"] == "optimal:slf?search=bfs"
+        assert response.body["scheduler"] == "optimal:slf?max_rounds=4"
+
+    @pytest.mark.parametrize(
+        "removed",
+        [{"engine": "sets"}, {"use_oracle": False}, {"search": "bfs"},
+         {"monotone_prune": False}],
+    )
+    def test_removed_engine_params_are_a_400(self, api, removed):
+        _, rest = api
+        (key, value), = removed.items()
+        in_spec = f"optimal:rlf?{key}={str(value).lower()}"
+        for body in (
+            self._body(scheduler=in_spec),
+            self._body(scheduler="optimal:rlf", params=removed),
+        ):
+            response = rest.handle("POST", "/schedule", body)
+            assert response.status == 400
+            assert key in response.body["error"]
+            assert "time_limit_s" in response.body["error"]  # what is accepted
 
     def test_two_phase_by_construction(self, api):
         _, rest = api
@@ -301,6 +319,11 @@ class TestScheduleEndpoint:
         wayup = next(row for row in response.body if row["name"] == "wayup")
         assert wayup["requires_waypoint"] is True
         assert wayup["guarantee"] == ["wpe", "blackhole"]
+        optimal = next(row for row in response.body if row["name"] == "optimal")
+        assert optimal["accepts"] == [
+            "max_nodes", "max_rounds", "node_budget", "nogood_limit",
+            "time_limit_s",
+        ]
 
 
 CAMPAIGN_SPEC = {
