@@ -5,7 +5,19 @@ lifecycle machinery (cancel windows, preempt vs defer, failure-driven
 re-planning, restorations); generated fat-tree traces check the
 system-level contracts (scheduled runs are violation-free, the
 unscheduled baseline is not, same trace → same metrics).
+
+``data/churn_golden.json`` holds the full ``run_churn(...).to_dict()``
+(lifecycles included) of :data:`GOLDEN_ROWS`, recorded at commit ddfcba9
+*before* the audit walk moved onto ``UpdateProblem.walk``.  The
+``scheduled=False`` rows are the ones whose probes loop, drop, bypass
+the waypoint and cross failed links, which the perf ledger's digest
+(scheduled runs only) never sees.  Re-record (only from a commit whose
+results are the contract) with
+``PYTHONPATH=src python tests/churn/test_controller.py``.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +33,40 @@ from repro.churn.traces import ChurnTrace, FlowSpec, generate_trace
 from repro.topology.graph import Topology
 
 OLD_PATH = (1, 2, 3, 5)
+
+GOLDEN = Path(__file__).parent / "data" / "churn_golden.json"
+
+#: (kind, size, seed, scheduled, preempt) -- 100 arrivals/s over 200 ms
+#: with two link failures each.
+GOLDEN_ROWS = (
+    ("fat-tree", 4, 15, True, True),
+    ("fat-tree", 4, 16, False, True),
+    ("fat-tree", 4, 17, False, False),
+    ("fat-tree", 6, 17, True, True),
+    ("fat-tree", 6, 18, False, True),
+    ("fat-tree", 6, 19, True, False),
+    ("wan", 24, 35, True, True),
+    ("wan", 24, 36, False, True),
+    ("wan", 24, 37, False, False),
+    ("wan", 48, 59, True, True),
+    ("wan", 48, 60, False, True),
+    ("wan", 48, 61, True, False),
+)
+
+
+def golden_id(row) -> str:
+    kind, size, seed, scheduled, preempt = row
+    mode = "scheduled" if scheduled else "oneshot"
+    return f"{kind}-{size}-s{seed}-{mode}-{'preempt' if preempt else 'defer'}"
+
+
+def golden_run(row) -> dict:
+    kind, size, seed, scheduled, preempt = row
+    trace = generate_trace(
+        kind, size, seed, rate_per_s=100.0, duration_ms=200.0, link_failures=2
+    )
+    policy = ChurnPolicy(scheduled=scheduled, preempt=preempt)
+    return run_churn(trace, policy).to_dict()
 
 
 def diamond(extra_links=()) -> Topology:
@@ -269,3 +315,40 @@ class TestSystemContracts:
         first = run_churn(trace, ChurnPolicy(scheduled=True)).to_dict()
         second = run_churn(trace, ChurnPolicy(scheduled=True)).to_dict()
         assert first == second
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+class TestGoldenReplay:
+    @pytest.mark.parametrize("row", GOLDEN_ROWS, ids=golden_id)
+    def test_run_reproduces_the_recorded_metrics(self, row, golden):
+        recorded = golden[golden_id(row)]
+        replayed = golden_run(row)
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(
+            recorded, sort_keys=True
+        )
+
+    def test_oneshot_rows_exercise_every_violation_kind(self, golden):
+        totals = dict.fromkeys(("looped", "dropped", "bypassed_waypoint"), 0)
+        crossings = 0
+        for row in GOLDEN_ROWS:
+            metrics = golden[golden_id(row)]
+            crossings += metrics["failed_link_crossings"]
+            if row[3]:
+                assert metrics["transient_violations"] == 0
+            else:
+                for kind in totals:
+                    totals[kind] += metrics["violations"][kind]
+        assert all(totals.values()) and crossings, (totals, crossings)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps({golden_id(row): golden_run(row) for row in GOLDEN_ROWS},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+    )
+    print(f"recorded {len(GOLDEN_ROWS)} runs -> {GOLDEN}")
