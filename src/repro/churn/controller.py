@@ -32,8 +32,10 @@ restarts the update from its *effective* current path -- the walk under
 the committed-only configuration -- with a freshly sampled target that
 avoids all failed links.
 
-Safety is audited from the outside: every flip triggers a probe walk of
-the transient configuration, classified with the dataplane vocabulary
+Safety is audited from the outside: every flip triggers one probe walk
+from the source over the update's next-hop tables with the committed
+nodes in their NEW state (:meth:`~repro.core.problem.UpdateProblem.walk`),
+classified with the dataplane vocabulary
 (:class:`~repro.dataplane.violations.PacketFate`).  In scheduled mode
 the oracle guarantees every probe is clean -- any subset of an
 oracle-safe round's flips is a configuration the FLEX phase already
@@ -58,7 +60,7 @@ from repro.churn.metrics import ChurnMetrics, UpdateLifecycle
 from repro.churn.traces import ChurnTrace, sample_simple_path
 from repro.controller.update_queue import RoundTiming
 from repro.core.oracle import oracle_for
-from repro.core.problem import Configuration, RuleState, UpdateProblem, trace_walk
+from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
 from repro.dataplane.violations import PacketFate
 from repro.obs import trace as obs
@@ -479,13 +481,9 @@ class OnlineChurnController:
 
     def _probe(self, active: _ActiveUpdate) -> None:
         """Audit the transient configuration with a dataplane-style walk."""
-        problem = active.problem
-        config = Configuration(
-            problem, {node: RuleState.NEW for node in active.committed}
-        )
-        walk = config.walk_from_source()
+        walk = active.problem.walk(active.committed)
         if walk.delivered:
-            waypoint = problem.waypoint
+            waypoint = active.problem.waypoint
             if waypoint is not None and not walk.traversed(waypoint):
                 fate = PacketFate.BYPASSED_WAYPOINT
             else:
@@ -494,10 +492,7 @@ class OnlineChurnController:
             fate = PacketFate.LOOPED
         else:
             fate = PacketFate.DROPPED
-        crossed = any(
-            (a, b) in self.failed_links
-            for a, b in zip(walk.visited, walk.visited[1:])
-        )
+        crossed = self._crosses_failed(walk.visited)
         self.metrics.record_probe(active.record, fate, crossed)
 
     def _complete_round(self, active: _ActiveUpdate) -> None:
@@ -627,17 +622,10 @@ class OnlineChurnController:
         path) when the partial state does not deliver -- only reachable
         in the unscheduled baseline, whose transient states may drop.
         """
-        committed = active.committed
-        problem = active.problem
-
-        def next_hop(node):
-            state = RuleState.NEW if node in committed else RuleState.OLD
-            return problem.next_hop(node, state)
-
-        walk = trace_walk(problem, next_hop)
+        walk = active.problem.walk(active.committed)
         if walk.delivered:
-            return tuple(walk.visited)
-        return tuple(problem.old_path.nodes)
+            return walk.visited
+        return tuple(active.problem.old_path.nodes)
 
     def _crosses_failed(self, path) -> bool:
         if not self.failed_links:

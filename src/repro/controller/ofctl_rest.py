@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.errors import BadRequestError, ControllerError
+from repro.errors import BadRequestError, ControllerError, OpenFlowError
 from repro.controller.app import RyuLikeApp
 from repro.controller.datapath_handle import Datapath
 from repro.openflow.constants import FlowModCommand
@@ -87,7 +87,10 @@ class OfctlRestApp(RyuLikeApp):
         if self.controller is None:
             raise ControllerError("app not registered with a controller")
         dpid = int(body["dpid"])
-        mod = FlowMod.from_ofctl(body, command=command)
+        try:
+            mod = FlowMod.from_ofctl(body, command=command)
+        except OpenFlowError as exc:
+            raise BadRequestError(f"bad flow entry: {exc}") from None
         datapath = self.controller.datapath(dpid)
         xid = datapath.send_msg(mod)
         self.log.flow_mods_sent += 1

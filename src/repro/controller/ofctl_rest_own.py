@@ -31,6 +31,7 @@ from repro.errors import (
     BadRequestError,
     ControllerError,
     InfeasibleUpdateError,
+    OpenFlowError,
     SchedulerSpecError,
     UpdateModelError,
     VerificationError,
@@ -80,9 +81,12 @@ class TransientUpdateApp(RyuLikeApp):
         problem = self._parse_problem(body)
         algorithm = str(body.get("algorithm", "wayup")).lower()
         interval_ms = float(body.get("interval", 0.0))
-        match = (
-            Match.from_ofctl(body["match"]) if "match" in body else self.default_match
-        )
+        match = self.default_match
+        if "match" in body:
+            try:
+                match = Match.from_ofctl(body["match"])
+            except OpenFlowError as exc:
+                raise BadRequestError(f"bad match: {exc}") from None
         priority = int(body.get("priority", POLICY_PRIORITY))
 
         try:
@@ -186,8 +190,12 @@ class TransientUpdateApp(RyuLikeApp):
                         f"{command_key!r} override without 'dpid': {entry!r}"
                     )
                 dpid = int(entry["dpid"])
-                mod = FlowMod.from_ofctl(entry, command=command_key.upper()
-                                         if command_key != "add" else "ADD")
+                try:
+                    mod = FlowMod.from_ofctl(entry, command=command_key.upper())
+                except OpenFlowError as exc:
+                    raise BadRequestError(
+                        f"bad {command_key!r} override: {exc}"
+                    ) from None
                 for compiled_round in compiled.rounds:
                     if dpid in compiled_round.mods_by_dpid:
                         compiled_round.mods_by_dpid[dpid] = [mod]

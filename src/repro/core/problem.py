@@ -196,6 +196,18 @@ class UpdateProblem:
         except KeyError:
             raise UpdateModelError(f"{node!r} is not part of {self!r}") from None
 
+    def walk(self, updated) -> WalkResult:
+        """Walk from the source with exactly the nodes in ``updated`` NEW.
+
+        ``updated`` is any container of nodes; every other node applies its
+        OLD rule.  A hop is one lookup in :attr:`new_next` or
+        :attr:`old_next` -- no per-configuration state is built.
+        """
+        old_next, new_next = self.old_next, self.new_next
+        return trace_walk(
+            self, lambda node: (new_next if node in updated else old_next)[node]
+        )
+
     @cached_property
     def required_updates(self) -> frozenset:
         """Nodes that *must* be updated for traffic to move: INSTALL + SWITCH."""
@@ -345,9 +357,11 @@ class Configuration:
     def next_hop(self, node: NodeId) -> NodeId | None:
         return self.problem.next_hop(node, self.state_of(node))
 
-    def walk_from_source(self, max_steps: int | None = None):
-        """Follow the configuration from ``s``; see :func:`trace_walk`."""
-        return trace_walk(self.problem, self.next_hop, max_steps=max_steps)
+    def walk_from_source(self) -> WalkResult:
+        """Follow the configuration from ``s``; see :meth:`UpdateProblem.walk`."""
+        return self.problem.walk(
+            {node for node, state in self.states.items() if state is RuleState.NEW}
+        )
 
 
 @dataclass(frozen=True)
@@ -386,20 +400,22 @@ def trace_walk(problem: UpdateProblem, next_hop_fn, max_steps: int | None = None
     the node count, which suffices to detect any loop.
     """
     limit = max_steps if max_steps is not None else len(problem.nodes) + 1
+    destination = problem.destination
     node = problem.source
     visited: list = [node]
     seen = {node}
-    for _ in range(limit):
-        if node == problem.destination:
-            return WalkResult(outcome="delivered", visited=tuple(visited))
-        successor = next_hop_fn(node)
-        if successor is None:
-            return WalkResult(outcome="dropped", visited=tuple(visited))
-        visited.append(successor)
-        if successor in seen:
-            return WalkResult(outcome="looped", visited=tuple(visited))
-        seen.add(successor)
-        node = successor
-    if node == problem.destination:
-        return WalkResult(outcome="delivered", visited=tuple(visited))
-    raise UpdateModelError("walk exceeded its step limit without resolution")
+    outcome = "delivered"
+    while node != destination:
+        if limit <= 0:
+            raise UpdateModelError("walk exceeded its step limit without resolution")
+        limit -= 1
+        node = next_hop_fn(node)
+        if node is None:
+            outcome = "dropped"
+            break
+        visited.append(node)
+        if node in seen:
+            outcome = "looped"
+            break
+        seen.add(node)
+    return WalkResult(outcome=outcome, visited=tuple(visited))

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import VerificationBudgetError, VerificationError
-from repro.core.problem import RuleState, UpdateProblem, trace_walk
+from repro.core.problem import RuleState, UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.transient import (
     UnionGraph,
@@ -366,7 +366,7 @@ def verify_exhaustive(
         for config in enumerate_round_configurations(
             schedule, round_index, max_flexible=max_flexible
         ):
-            walk = trace_walk(problem, config.next_hop)
+            walk = config.walk_from_source()
             if want_wpe and walk.delivered and not walk.traversed(problem.waypoint):
                 report.violations.append(
                     Violation(

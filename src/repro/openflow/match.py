@@ -14,7 +14,8 @@ supported for the IPv4 fields only (enough for destination-based policies).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, replace as dataclass_replace
+from functools import lru_cache
 from typing import Any, Iterator, Mapping
 
 from repro.errors import OpenFlowError
@@ -29,6 +30,19 @@ from repro.openflow.constants import (
 # value helpers
 # ---------------------------------------------------------------------------
 
+def _decimal(text: str, most: int) -> int | None:
+    """``text`` as an int in ``0..most``, else None.  ASCII digits only:
+    ``int()`` alone also takes ``_``, a sign, blanks and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # past the interpreter's int-conversion digit limit
+        return None
+    return value if value <= most else None
+
+
+@lru_cache(maxsize=4096)  # a packet's address is looked up at every hop
 def ip_to_int(address: str) -> int:
     """``"10.0.0.1"`` -> 0x0a000001 (with validation)."""
     parts = address.split(".")
@@ -36,11 +50,8 @@ def ip_to_int(address: str) -> int:
         raise OpenFlowError(f"bad IPv4 address {address!r}")
     value = 0
     for part in parts:
-        try:
-            octet = int(part)
-        except ValueError:
-            raise OpenFlowError(f"bad IPv4 address {address!r}") from None
-        if not 0 <= octet <= 255:
+        octet = _decimal(part, 255)
+        if octet is None:
             raise OpenFlowError(f"bad IPv4 address {address!r}")
         value = (value << 8) | octet
     return value
@@ -57,11 +68,8 @@ def parse_ipv4_prefix(spec: str) -> tuple[int, int]:
     """``"10.0.0.0/24"`` -> (address_int, mask_int); bare IPs get /32."""
     if "/" in spec:
         address, prefix_str = spec.split("/", 1)
-        try:
-            prefix = int(prefix_str)
-        except ValueError:
-            raise OpenFlowError(f"bad prefix length in {spec!r}") from None
-        if not 0 <= prefix <= 32:
+        prefix = _decimal(prefix_str, 32)
+        if prefix is None:
             raise OpenFlowError(f"bad prefix length in {spec!r}")
     else:
         address, prefix = spec, 32
@@ -131,6 +139,9 @@ class Match:
     True
     >>> m.matches({"eth_type": 0x0806})
     False
+
+    The constrained fields are resolved, and IPv4 prefixes parsed, once at
+    construction (a malformed prefix raises there, not inside a lookup).
     """
 
     in_port: int | None = None
@@ -146,45 +157,51 @@ class Match:
     udp_src: int | None = None
     udp_dst: int | None = None
 
+    def __post_init__(self) -> None:
+        # (name, wanted, mask) per constrained field, in field order; mask
+        # is None for an exact field, else ``wanted`` is the masked address.
+        # Not a dataclass field, so equality, hash and repr do not see it.
+        constraints = []
+        for name, field in _FIELD_BY_NAME.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if field in _MASKABLE:
+                constraints.append((name, *parse_ipv4_prefix(str(value))))
+            else:
+                constraints.append((name, value, None))
+        object.__setattr__(self, "_constraints", tuple(constraints))
+
     # ------------------------------------------------------------------
     # basics
     # ------------------------------------------------------------------
     def set_fields(self) -> dict[str, Any]:
         """The non-wildcard constraints as a name->value dict."""
-        result = {}
-        for field_info in dataclass_fields(self):
-            value = getattr(self, field_info.name)
-            if value is not None:
-                result[field_info.name] = value
-        return result
+        return {name: getattr(self, name) for name, _, _ in self._constraints}
 
     def is_wildcard(self) -> bool:
-        return not self.set_fields()
+        return not self._constraints
 
     def specificity(self) -> int:
         """How many fields are constrained (tie-breaker in tests/reports)."""
-        return len(self.set_fields())
+        return len(self._constraints)
 
     def replace(self, **changes: Any) -> "Match":
         """A copy with some fields changed (None clears a field)."""
-        current = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-        current.update(changes)
-        return Match(**current)
+        return dataclass_replace(self, **changes)
 
     # ------------------------------------------------------------------
     # packet matching
     # ------------------------------------------------------------------
     def matches(self, packet_fields: Mapping[str, Any]) -> bool:
         """Do a packet's header fields satisfy every constraint?"""
-        for name, wanted in self.set_fields().items():
-            actual = packet_fields.get(name)
-            if name in ("ipv4_src", "ipv4_dst"):
-                if actual is None:
+        get = packet_fields.get
+        for name, wanted, mask in self._constraints:
+            actual = get(name)
+            if mask is None:
+                if actual != wanted:
                     return False
-                want_addr, want_mask = parse_ipv4_prefix(str(wanted))
-                if ip_to_int(str(actual)) & want_mask != want_addr:
-                    return False
-            elif actual != wanted:
+            elif actual is None or ip_to_int(str(actual)) & mask != wanted:
                 return False
         return True
 
@@ -194,18 +211,15 @@ class Match:
         Used for OFPFC_DELETE (non-strict) semantics: a delete with match M
         removes entries whose match is *at least as specific* as M.
         """
-        for name, wanted in self.set_fields().items():
-            other_value = getattr(other, name)
-            if other_value is None:
+        theirs = {name: rest for name, *rest in other._constraints}
+        for name, wanted, mask in self._constraints:
+            if name not in theirs:
                 return False
-            if name in ("ipv4_src", "ipv4_dst"):
-                want_addr, want_mask = parse_ipv4_prefix(str(wanted))
-                other_addr, other_mask = parse_ipv4_prefix(str(other_value))
-                if other_mask & want_mask != want_mask:
+            other_wanted, other_mask = theirs[name]
+            if mask is None:
+                if other_wanted != wanted:
                     return False
-                if other_addr & want_mask != want_addr:
-                    return False
-            elif other_value != wanted:
+            elif other_mask & mask != mask or other_wanted & mask != wanted:
                 return False
         return True
 

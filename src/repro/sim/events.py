@@ -47,6 +47,9 @@ class ScheduledEvent:
 class EventQueue:
     """A deterministic min-heap of :class:`ScheduledEvent`.
 
+    Heap entries are ``(time, seq, event)``: ``seq`` is unique, so the
+    heap's ordering is a tuple compare that never reaches the event object.
+
     Cancellation is *lazy*: a cancelled event keeps its heap slot and is
     skipped (and physically dropped) when it surfaces in :meth:`pop` /
     :meth:`peek_time`.  A live-entry counter keeps ``len()`` O(1) even
@@ -54,7 +57,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -63,7 +66,7 @@ class EventQueue:
             time=time, seq=next(self._counter), callback=callback, args=args,
             _queue=self,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
@@ -73,7 +76,7 @@ class EventQueue:
     def pop(self) -> ScheduledEvent | None:
         """Pop the earliest non-cancelled event, or None when drained."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 event.fired = True
                 self._live -= 1
@@ -82,9 +85,9 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Earliest pending event time (skipping cancelled), or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return self._live

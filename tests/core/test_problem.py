@@ -1,6 +1,8 @@
 """Unit tests for the update-problem model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import (
     Configuration,
@@ -153,6 +155,68 @@ class TestWalks:
         problem = UpdateProblem([1, 2, 3], [1, 2, 3])
         with pytest.raises(UpdateModelError):
             trace_walk(problem, lambda n: 1 if n == 2 else 2, max_steps=1)
+
+
+def reference_next_hop(old, new, updated):
+    """The forwarding table of the module docstring, read off the raw paths."""
+    def next_hop(node):
+        path = new if node in updated else old
+        if node not in path:
+            return None  # OLD at an install node / NEW at a deleted one
+        return path[path.index(node) + 1]
+    return next_hop
+
+
+@st.composite
+def walk_cases(draw):
+    """Two simple paths 0 -> 1 over a shared pool, an optional common
+    waypoint, and a random subset of forwarding nodes in the NEW state."""
+    interior = st.lists(st.integers(2, 9), unique=True, max_size=8)
+    old = (0, *draw(interior), 1)
+    new = (0, *draw(interior), 1)
+    common = sorted(set(old[1:-1]) & set(new[1:-1]))
+    waypoint = draw(st.sampled_from(common)) if common and draw(st.booleans()) else None
+    forwarding = sorted((set(old) | set(new)) - {1})
+    updated = draw(st.sets(st.sampled_from(forwarding)))
+    return old, new, waypoint, updated
+
+
+class TestTableWalkAgainstTraceWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_walk_equals_the_generic_walk(self, case):
+        old, new, waypoint, updated = case
+        problem = UpdateProblem(old, new, waypoint=waypoint)
+        expected = trace_walk(problem, reference_next_hop(old, new, updated))
+        for container in (updated, frozenset(updated), dict.fromkeys(updated)):
+            walk = problem.walk(container)
+            assert (walk.outcome, walk.visited) == (expected.outcome, expected.visited)
+        states = {node: RuleState.NEW for node in updated}
+        states.update({node: RuleState.OLD for node in set(old) - updated})
+        assert Configuration(problem, states).walk_from_source() == expected
+
+    @pytest.mark.parametrize(
+        "updated, outcome, visited",
+        [
+            (set(), "delivered", (1, 2, 3, 6)),
+            ({1, 4}, "delivered", (1, 4, 3, 6)),
+            ({1}, "dropped", (1, 4)),           # 4 is INSTALL, still OLD
+            ({2}, "dropped", (1, 2)),           # 2 is DELETE, already NEW
+            ({1, 4, 3, 5, 2}, "delivered", (1, 4, 3, 5, 6)),
+        ],
+    )
+    def test_drops_at_install_and_delete_nodes(self, updated, outcome, visited):
+        problem = UpdateProblem([1, 2, 3, 6], [1, 4, 3, 5, 6], waypoint=3)
+        walk = problem.walk(updated)
+        assert (walk.outcome, walk.visited) == (outcome, visited)
+
+    def test_loop_repeats_the_closing_node(self):
+        problem = UpdateProblem([1, 2, 3, 4], [1, 3, 2, 4])
+        walk = problem.walk({1, 3})  # 1->3 (new), 3->2 (new), 2->3 (old)
+        assert walk.looped and walk.visited == (1, 3, 2, 3)
+        assert walk == trace_walk(
+            problem, reference_next_hop((1, 2, 3, 4), (1, 3, 2, 4), {1, 3})
+        )
 
 
 class TestSerialization:

@@ -108,6 +108,10 @@ class TestSchemas:
             validate_flowentry_body(body)
 
 
+def to_switch_sent(network) -> int:
+    return sum(s.to_switch_sent for s in network.channel_stats().values())
+
+
 @pytest.fixture
 def api(tmp_path):
     network = Network(figure1(with_hosts=True), seed=0)
@@ -169,6 +173,48 @@ class TestWiredApi:
         _, rest = api
         response = rest.handle("POST", "/update/wayup", {"oldpath": [1]})
         assert response.status == 400
+
+    @pytest.mark.parametrize(
+        "match", [{"dl_type": 2048, "nw_dst": "10.0.0.999"}, {"bogus": 1}]
+    )
+    def test_update_with_malformed_match_is_400_and_sends_nothing(self, api, match):
+        network, rest = api
+        problem = figure1_problem()
+        body = {
+            "oldpath": list(problem.old_path.nodes),
+            "newpath": list(problem.new_path.nodes),
+            "wp": problem.waypoint,
+            "match": match,
+        }
+        before = to_switch_sent(network)
+        response = rest.handle("POST", "/update/wayup", body)
+        assert response.status == 400
+        assert "bad match" in response.body["error"]
+        network.flush()
+        assert to_switch_sent(network) == before
+        assert not rest.update_app.submitted
+
+    @pytest.mark.parametrize(
+        "match", [{"dl_type": 2048, "nw_dst": "10.0.0.999"}, {"bogus": 1}]
+    )
+    def test_malformed_match_in_flowentry_or_override_is_400(self, api, match):
+        network, rest = api
+        before = to_switch_sent(network)
+        entry = {"dpid": 5, "priority": 11, "match": match, "actions": []}
+        response = rest.handle("POST", "/stats/flowentry/add", entry)
+        assert response.status == 400 and "bad flow entry" in response.body["error"]
+        problem = figure1_problem()
+        body = {
+            "oldpath": list(problem.old_path.nodes),
+            "newpath": list(problem.new_path.nodes),
+            "wp": problem.waypoint,
+            "add": [entry],
+        }
+        response = rest.handle("POST", "/update/wayup", body)
+        assert response.status == 400 and "override" in response.body["error"]
+        network.flush()
+        assert to_switch_sent(network) == before
+        assert not rest.update_app.submitted
 
     def test_unknown_update_404(self, api):
         _, rest = api

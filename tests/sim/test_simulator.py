@@ -1,9 +1,13 @@
 """Tests for the discrete-event simulator and RNG streams."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.random_source import RandomStreams, derive_seed
 from repro.sim.simulator import Simulator
 
@@ -225,3 +229,73 @@ class TestEventCancellation:
         sim.run()
         assert fired == []
         assert sim.now == 1.0  # the cancelled tail never advanced the clock
+
+
+def _never_compared(self, other):
+    raise AssertionError("the heap compared two events")
+
+
+class TestQueueOrderAgainstModel:
+    """Random schedule / cancel / step interleavings against a sorted list."""
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+            st.tuples(st.just("schedule_at"), st.sampled_from([0.0, 1.0, 3.0])),
+            st.tuples(st.just("cancel"), st.integers(0, 40)),
+            st.tuples(st.just("step"), st.none()),
+        ),
+        max_size=80,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(OPS)
+    def test_fires_in_time_then_scheduling_order(self, ops):
+        sim = Simulator()
+        fired: list = []
+        handles: list = []
+        pending: dict = {}  # id -> (time, id); ids grow in scheduling order
+
+        def fire_next():
+            due = min(pending.values(), default=None)
+            assert sim.step() is (due is not None)
+            if due is not None:
+                assert (sim.now, fired[-1]) == due
+                del pending[due[1]]
+                assert not handles[due[1]].pending
+
+        # a lambda per event and a dict argument: neither can be ordered,
+        # and the events themselves refuse to be
+        with mock.patch.object(ScheduledEvent, "__lt__", _never_compared):
+            for op, arg in ops:
+                if op == "cancel":
+                    if handles:
+                        ident = arg % len(handles)
+                        assert handles[ident].cancel() is (ident in pending)
+                        pending.pop(ident, None)
+                elif op == "step":
+                    fire_next()
+                else:
+                    ident = len(handles)
+                    callback = lambda payload: fired.append(payload["id"])  # noqa: E731
+                    at = sim.now + arg
+                    if op == "schedule":
+                        handles.append(sim.schedule(arg, callback, {"id": ident}))
+                    else:
+                        handles.append(sim.schedule_at(at, callback, {"id": ident}))
+                    pending[ident] = (at, ident)
+                assert sim.pending_events == len(sim._queue) == len(pending)
+            while pending:
+                fire_next()
+            assert not sim.step() and sim.pending_events == 0
+        cancelled = [i for i, handle in enumerate(handles) if handle.cancelled]
+        assert sorted(fired + cancelled) == list(range(len(handles)))
+        assert not set(fired) & set(cancelled)
+
+    def test_equal_times_never_reach_the_event(self):
+        queue = EventQueue()
+        with mock.patch.object(ScheduledEvent, "__lt__", _never_compared):
+            for index in range(50):
+                queue.push(1.0, lambda: None, {"n": index})
+            order = [queue.pop().args[0]["n"] for _ in range(50)]
+        assert order == list(range(50))
