@@ -24,6 +24,7 @@ def provenance() -> dict:
         "platform": platform.platform(),
         "git_sha": None,
         "git_dirty": None,
+        "src_dirty": None,
     }
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     try:
@@ -38,6 +39,9 @@ def provenance() -> dict:
             check=True,
         ).stdout
         record["git_dirty"] = bool(status.strip())
+        record["src_dirty"] = any(
+            line[3:].startswith("src/") for line in status.splitlines()
+        )
     except (OSError, subprocess.SubprocessError):
         pass  # not a git checkout (e.g. a source tarball): sha stays None
     return record

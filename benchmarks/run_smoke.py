@@ -1,7 +1,8 @@
 """Benchmark smoke runner: a seconds-long perf subset with JSON artifacts.
 
 Runs the quick modes of :mod:`benchmarks.bench_perf_oracle` (greedy-SLF
-probe counts, request cost vs live oracles, ``BENCH_oracle.json``) and
+probe counts, what doubling a many-round instance costs, request cost vs
+live oracles, ``BENCH_oracle.json``) and
 :mod:`benchmarks.bench_perf_exact` (the exact search past the old cap,
 its two modes against each other, the n=24 instances,
 ``BENCH_exact.json``).  Wired as ``make bench-smoke``; exit status is
@@ -104,6 +105,16 @@ def smoke_table(oracle_payload: dict, exact_payload: dict) -> str:
             _fmt_ms(row["oracle_s"] * 1000),
             f"{row['applies'] / row['n']:.2f} applies/node (<= {bound})",
         ])
+    scaling = oracle_payload["results"]["oracle_scaling"]
+    for row in scaling["rows"][1:]:
+        rows.append([
+            f"greedy_slf+verify(reversal-{row['n']})",
+            _fmt_ms((row["greedy_slf_s"] + row["greedy_verify_s"]) * 1000),
+            "" if row["n"] == 1000 else (
+                f"{scaling['doubling_cost_ratio']}x reversal-1000 "
+                f"(<= {scaling['max_doubling_cost_ratio']}x)"
+            ),
+        ])
     for row in exact_payload["results"]["cap_lift"]["rows"]:
         rows.append([
             f"exact {row['instance']} (iddfs)",
@@ -165,10 +176,13 @@ def main(argv=None) -> int:
         for failure in guard_failures:
             print(f"FAIL: {failure}")
         return 1
-    oracle_rc = bench_perf_oracle.main(["--quick", "--out", str(args.oracle_out)])
+    # the oracle artifact is not rewritten over a dirty src/: gate and
+    # tabulate what was just measured, not what the file holds
+    oracle_payload = bench_perf_oracle.measure(quick=True)
+    bench_perf_oracle.write(oracle_payload, args.oracle_out)
+    oracle_rc = bench_perf_oracle.gate(oracle_payload)
     exact_rc = bench_perf_exact.main(["--quick", "--out", str(args.exact_out)])
     try:
-        oracle_payload = json.loads(args.oracle_out.read_text(encoding="utf-8"))
         exact_payload = json.loads(args.exact_out.read_text(encoding="utf-8"))
         table = smoke_table(oracle_payload, exact_payload)
     except (OSError, KeyError, ValueError) as exc:

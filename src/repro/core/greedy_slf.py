@@ -32,8 +32,8 @@ def greedy_slf_schedule(
 
     Each candidate is an apply/revert delta against the persistent union
     graph of the shared :class:`SafetyOracle`, whose Pearce-Kelly order
-    maintenance answers the acyclicity query in amortized near-constant
-    time.  A rejected candidate is probed again only once a node its
+    maintenance answers the acyclicity query by moving the candidate
+    alone.  A rejected candidate is probed again only once a node its
     violation witness needs OLD has been committed, so probes <= pending
     nodes + wake-ups, not pending x rounds (:mod:`repro.core.packing`).
     """

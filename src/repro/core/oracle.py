@@ -3,21 +3,22 @@
 Every scheduling decision in this reproduction reduces to a *round-safety
 query*: "if the nodes in ``updated`` are already NEW and the nodes in
 ``round_nodes`` flip now, does some transient configuration violate a
-property?".  The from-scratch verifiers (:mod:`repro.core.verify` /
-:mod:`repro.core.transient`) answer each query by rebuilding the full union
-graph and re-running whole-graph cycle/reachability checks -- O(n) per
-query, O(n^2) queries per greedy schedule, O(3^n) rebuilds in the exact
-BFS.  The :class:`SafetyOracle` answers the same queries over **one
-persistent union graph per problem**:
+property?".  The from-scratch reference (:func:`repro.core.verify.verify_round`
+over a fresh :class:`~repro.core.transient.UnionGraph`) answers one query
+by rebuilding the union graph and searching all of it -- O(n) a query,
+which a many-round scheduler or an exact search asks thousands of times.
+The :class:`SafetyOracle` answers the same queries over **one persistent
+union graph per problem**:
 
 * ``apply`` / ``commit`` / ``revert`` move a single node between its
   OLD / FLEXIBLE / NEW phases in O(degree) edge operations;
 * strong loop freedom is maintained **incrementally** with Pearce--Kelly
   topological-order maintenance (Pearce & Kelly, *A dynamic topological
-  sort algorithm for directed acyclic graphs*, JEA 2006): inserting an
-  edge that respects the current order is O(1), and reorderings only touch
-  the affected region -- amortized near-O(1) on the sparse path instances
-  the schedulers run on;
+  sort algorithm for directed acyclic graphs*, JEA 2006) over sparse
+  labels: an edge that respects the current order costs O(1), one against
+  it a two-way search that ends with its smaller side and relabels only
+  that side into a gap -- the node being flipped, not the chain settled
+  behind it, on the many-round families (no bound is claimed in general);
 * forward/backward reachability frontiers (for WPE, BLACKHOLE and the RLF
   pre-filter) are extended incrementally on edge insertions and recomputed
   lazily only when an edge removal actually touched them;
@@ -60,6 +61,7 @@ from repro.topology.graph import NodeId
 
 #: Node phases, kept as plain ints on the hot path.
 _OLD, _FLEX, _NEW = 0, 1, 2
+_INF = float("inf")
 
 #: Entries above which a verdict memo is dropped wholesale (backstop only).
 DEFAULT_MEMO_LIMIT = 1_000_000
@@ -178,8 +180,11 @@ class SafetyOracle:
         # --- Pearce-Kelly topological order over the non-blocked edges
         # (skipped entirely when no property ever consults acyclicity)
         self._needs_pk = Property.SLF in properties or Property.RLF in properties
-        self._ord: dict[NodeId, int] = {}
+        # (labels start as ranks; a reorder writes floats into the gaps)
+        self._ord: dict[NodeId, float] = {}
+        self._relabelled = 0  # labels written by reorders (work-bound tests)
         self._blocked: set[tuple[NodeId, NodeId]] = set()
+        self._blocked_tails: set[NodeId] = set()  # {u for (u, _) in _blocked}
         self._blocked_stale = False
         for index, node in enumerate(problem.old_path.nodes):
             self._ord[node] = index
@@ -219,30 +224,6 @@ class SafetyOracle:
     # ------------------------------------------------------------------
     # per-node phase semantics
     # ------------------------------------------------------------------
-    def _edges_for(self, node: NodeId, state: int) -> tuple:
-        old, new = self._old_next[node], self._new_next[node]
-        if state == _OLD:
-            return () if old is None else (old,)
-        if state == _NEW:
-            return () if new is None else (new,)
-        if old == new:
-            return () if old is None else (old,)
-        if old is None:
-            return (new,)
-        if new is None:
-            return (old,)
-        return (old, new)
-
-    def _drops_in(self, node: NodeId, state: int) -> bool:
-        old, new = self._old_next[node], self._new_next[node]
-        if state == _OLD:
-            return old is None
-        if state == _NEW:
-            return new is None
-        if old == new:
-            return old is None
-        return old is None or new is None
-
     def _set_state(self, node: NodeId, state: int) -> None:
         try:
             current = self._state[node]
@@ -252,18 +233,26 @@ class SafetyOracle:
             ) from None
         if current == state:
             return
-        before = self._edges_for(node, current)
-        after = self._edges_for(node, state)
-        for target in before:
-            if target not in after:
-                self._remove_edge(node, target)
-        for target in after:
-            if target not in before:
-                self._add_edge(node, target)
-        if self._drops_in(node, state):
-            self._drop.add(node)
-        else:
-            self._drop.discard(node)
+        # OLD offers the old rule, NEW the new one, FLEX both: a transition
+        # drops at most one edge and then adds at most one.
+        old, new = self._old_next[node], self._new_next[node]
+        if old != new:
+            if state == _NEW:
+                if old is not None:
+                    self._remove_edge(node, old)
+            elif state == _OLD and new is not None:
+                self._remove_edge(node, new)
+            if current == _NEW:
+                if old is not None:
+                    self._add_edge(node, old)
+            elif current == _OLD and new is not None:
+                self._add_edge(node, new)
+            if old is None or new is None:
+                # it may drop in every phase but the one with only its rule
+                if state != (_NEW if old is None else _OLD):
+                    self._drop.add(node)
+                else:
+                    self._drop.discard(node)
         bit = 1 << self._node_bit[node]
         if current == _NEW:
             self._new.discard(node)
@@ -285,8 +274,8 @@ class SafetyOracle:
     def _add_edge(self, u: NodeId, v: NodeId) -> None:
         self._succ[u].add(v)
         self._pred[v].add(u)
-        if self._needs_pk:
-            self._pk_insert(u, v)
+        if self._needs_pk and self._ord[u] >= self._ord[v]:
+            self._pk_insert(u, v)  # (an edge along the order needs no call)
         fwd = self._fwd
         if fwd is not None:
             if u in fwd and v not in fwd:
@@ -307,7 +296,7 @@ class SafetyOracle:
         self._pred[v].discard(u)
         if (u, v) in self._blocked:
             # A blocked edge never entered the PK graph: nothing to restore.
-            self._blocked.discard((u, v))
+            self._unblock(u, v)
         elif self._blocked:
             # Removing a live edge may unblock previously refused ones;
             # defer the re-validation until a query actually consults the
@@ -335,11 +324,16 @@ class SafetyOracle:
         if not self._blocked_stale:
             return
         self._blocked_stale = False
-        for edge in list(self._blocked):
-            self._blocked.discard(edge)
-            a, b = edge
+        for a, b in list(self._blocked):
+            self._unblock(a, b)
             if b in self._succ[a]:
                 self._pk_insert(a, b)
+
+    def _unblock(self, u: NodeId, v: NodeId) -> None:
+        blocked = self._blocked
+        blocked.discard((u, v))
+        if not any((u, target) in blocked for target in self._succ[u]):
+            self._blocked_tails.discard(u)
 
     def _pk_insert(self, u: NodeId, v: NodeId) -> None:
         """Record edge ``u -> v`` in the incremental topological order.
@@ -347,56 +341,74 @@ class SafetyOracle:
         If the edge closes a cycle it is *blocked* (kept out of the PK
         graph, remembered in ``self._blocked``); the union graph is
         acyclic exactly when no edge is blocked.
+
+        An edge against the order starts two searches in lockstep: forward
+        from ``v`` over labels up to ``u``'s, backward from ``u`` over
+        labels down to ``v``'s.  Where they meet there is a path ``v ~> u``:
+        a cycle.  Otherwise the side that runs dry first is all of ``v``'s
+        descendants below ``u`` (or all of ``u``'s ancestors above ``v``),
+        so moving just that side past the other endpoint repairs the order
+        -- the cost follows the smaller side, not the affected region.
         """
         order = self._ord
         lower, upper = order[v], order[u]
         if upper < lower:
             return
         blocked = self._blocked
-        succ = self._succ
-        # Forward discovery from v, restricted to order positions <= upper.
-        forward: list[NodeId] = []
-        stack = [v]
-        seen = {v}
-        while stack:
-            node = stack.pop()
-            forward.append(node)
+        succ, pred = self._succ, self._pred
+        forward, backward = [v], [u]
+        fseen, bseen = {v}, {u}
+        at = 0
+        while at < len(forward) and at < len(backward):
+            node = forward[at]
             for target in succ[node]:
-                if target == u:
-                    if (node, target) not in blocked:
-                        blocked.add((u, v))
-                        self.stats.pk_cycles += 1
-                        return
+                if blocked and (node, target) in blocked:
                     continue
-                if (
-                    target not in seen
-                    and order[target] <= upper
-                    and (node, target) not in blocked
-                ):
-                    seen.add(target)
-                    stack.append(target)
-        # Backward discovery from u, restricted to order positions >= lower.
-        pred = self._pred
-        backward: list[NodeId] = []
-        stack = [u]
-        bseen = {u}
-        while stack:
-            node = stack.pop()
-            backward.append(node)
-            for origin in pred[node]:
-                if (
-                    origin not in bseen
-                    and order[origin] >= lower
-                    and (origin, node) not in blocked
-                ):
-                    bseen.add(origin)
-                    stack.append(origin)
-        backward.sort(key=order.__getitem__)
-        forward.sort(key=order.__getitem__)
-        affected = backward + forward
-        slots = sorted(order[node] for node in affected)
-        for node, slot in zip(affected, slots):
-            order[node] = slot
+                if target in bseen:
+                    break
+                if target not in fseen and order[target] <= upper:
+                    fseen.add(target)
+                    forward.append(target)
+            else:
+                node = backward[at]
+                for origin in pred[node]:
+                    if blocked and (origin, node) in blocked:
+                        continue
+                    if origin in fseen:
+                        break
+                    if origin not in bseen and order[origin] >= lower:
+                        bseen.add(origin)
+                        backward.append(origin)
+                else:
+                    at += 1
+                    continue
+            blocked.add((u, v))
+            self._blocked_tails.add(u)
+            self.stats.pk_cycles += 1
+            return
+        # The moved side lands between the other endpoint and the nearest
+        # label beyond it that one of its own neighbours holds.
+        if at == len(forward):
+            moved, low = forward, upper
+            beyond = [order[t] for n in moved for t in succ[n] if order[t] > upper]
+            high = min(beyond, default=_INF)
+        else:
+            moved, high = backward, lower
+            beyond = [order[o] for n in moved for o in pred[n] if order[o] < lower]
+            low = max(beyond, default=high - len(moved) - 1)
+        moved.sort(key=order.__getitem__)
+        count = len(moved)
+        step = 1.0 if high == _INF else (high - low) / (count + 1)
+        labels = [low + step * rank for rank in range(1, count + 1)]
+        if not all(a < b for a, b in zip([low, *labels], [*labels, high])):
+            # the gap is out of float precision: back to ranks, and retry
+            for rank, node in enumerate(sorted(order, key=order.__getitem__)):
+                order[node] = rank
+            self._relabelled += len(order)
+            return self._pk_insert(u, v)
+        for node, label in zip(moved, labels):
+            order[node] = label
+        self._relabelled += count
         self.stats.pk_reorders += 1
 
     def _extend_frontier(
@@ -562,7 +574,7 @@ class SafetyOracle:
         return frozenset(nodes)
 
     def _morph(self, target_new: int, target_flex: int) -> None:
-        touched = (self._new_mask | self._flex_mask | target_new | target_flex)
+        touched = (self._new_mask ^ target_new) | (self._flex_mask ^ target_flex)
         states = self._state
         set_state = self._set_state
         order = self._bit_node
@@ -649,8 +661,7 @@ class SafetyOracle:
         # subgraph is acyclic by PK invariant), and the source-reachable
         # set is successor-closed -- so a cycle lies inside it if and only
         # if some blocked edge's tail is reachable.
-        reachable = self._fwd_set()
-        if all(u not in reachable for u, _ in self._blocked):
+        if self._fwd_set().isdisjoint(self._blocked_tails):
             return True
         self.stats.rlf_fallbacks += 1
         if not self.exact_rlf:

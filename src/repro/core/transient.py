@@ -101,6 +101,10 @@ class UnionGraph:
         self._may_drop: set = set()
         for node, options in choices.items():
             self._index(node, options)
+        #: both paths' nodes and positions, set by the first
+        #: :meth:`cycle_through_flexible` together with the phase masks
+        self._runs: tuple | None = None
+        self._hops = 0  # stretches crossed so far (work-bound tests)
 
     def _index(self, node: NodeId, options: tuple[EdgeChoice, ...]) -> None:
         targets = tuple(c.target for c in options if c.target is not None)
@@ -157,7 +161,21 @@ class UnionGraph:
                 if node in choices:
                     choices[node] = _options(problem, node, phase)
                     self._index(node, choices[node])
+                    if self._runs is not None:
+                        self._mark(node, phase)
         self.flexible = frozenset(node for node in in_flight if node in choices)
+
+    def _mark(self, node: NodeId, phase: NodePhase) -> None:
+        """Note a node leaving FIXED_OLD: bit i of ``_not_old`` says the
+        i-th old-path node is not FIXED_OLD, ``_not_new`` likewise."""
+        _, old_pos, _, new_pos = self._runs
+        if node in old_pos:
+            self._not_old |= 1 << old_pos[node]
+        if node in new_pos:
+            if phase is NodePhase.FIXED_NEW:
+                self._not_new &= ~(1 << new_pos[node])
+            else:
+                self._not_new |= 1 << new_pos[node]
 
     # ------------------------------------------------------------------
     # structure
@@ -253,8 +271,86 @@ class UnionGraph:
                     color[on_stack.pop()] = BLACK
         return None
 
+    def cycle_through_flexible(self) -> bool:
+        """Could a cycle run through a flexible node?  False is definite.
+
+        If the graph one :meth:`advance` ago was acyclic, every cycle of
+        this one uses a rule that step added, so it passes a flexible
+        node; a False here then proves the whole graph acyclic.  Between
+        two flexible nodes a walk has one way to go: a FIXED_OLD node
+        follows the old path until the first node that is not FIXED_OLD, a
+        FIXED_NEW node the new path likewise, and either stretch is one
+        scan for the next set bit of a phase mask.  The graph contracted
+        to the flexible nodes is then checked by peeling off nodes nothing
+        points at.  True (for :meth:`find_cycle` to settle) also covers
+        problems that are not two paths and walks longer than the graph.
+        """
+        problem = self.problem
+        if not isinstance(problem, UpdateProblem):
+            return True
+        if self._runs is None:
+            old_nodes, new_nodes = problem.old_path.nodes, problem.new_path.nodes
+            self._runs = (
+                old_nodes, {node: i for i, node in enumerate(old_nodes)},
+                new_nodes, {node: i for i, node in enumerate(new_nodes)},
+            )
+            # all FIXED_OLD; the destination's bit ends either path's last run
+            self._not_old = 1 << len(old_nodes) - 1
+            self._not_new = (1 << len(new_nodes)) - 1
+            for node, options in self._choices.items():
+                if node in self.flexible:
+                    self._mark(node, NodePhase.FLEXIBLE)
+                elif options[0].state is RuleState.NEW:
+                    self._mark(node, NodePhase.FIXED_NEW)
+        old_nodes, old_pos, new_nodes, new_pos = self._runs
+        not_old, not_new = self._not_old, self._not_new
+        flexible, destination = self.flexible, problem.destination
+        limit = self._hops + len(self._choices)  # a hop per fixed node at most
+        ends: dict[NodeId, NodeId] = {}  # fixed node -> where its walk gets to
+        landings: dict[NodeId, list] = {}
+        for start in flexible:
+            landings[start] = landed = []
+            for node in self._succ[start]:
+                trail = []
+                while node not in flexible and node != destination:
+                    if node in ends:
+                        node = ends[node]
+                        break
+                    trail.append(node)
+                    self._hops += 1
+                    if self._hops > limit:
+                        return True
+                    at = old_pos.get(node)
+                    if at is not None and not not_old >> at & 1:
+                        ahead = not_old >> at + 1
+                        node = old_nodes[at + (ahead & -ahead).bit_length()]
+                        continue
+                    at = new_pos.get(node)
+                    if at is None or not_new >> at & 1:
+                        node = destination  # no rule in its phase: dropped,
+                        break               # which closes no cycle either
+                    ahead = not_new >> at + 1
+                    node = new_nodes[at + (ahead & -ahead).bit_length()]
+                for passed in trail:
+                    ends[passed] = node
+                if node != destination:
+                    landed.append(node)
+        incoming = dict.fromkeys(flexible, 0)
+        for landed in landings.values():
+            for node in landed:
+                incoming[node] += 1
+        free = [node for node, count in incoming.items() if not count]
+        for start in free:  # grows as peeling frees more nodes
+            for node in landings[start]:
+                incoming[node] -= 1
+                if not incoming[node]:
+                    free.append(node)
+        return len(free) < len(flexible)
+
     def reachable_drop(self) -> tuple[tuple[NodeId, ...], NodeId] | None:
         """A ``(path, node)`` where ``node`` is s-reachable and may drop."""
+        if not self._may_drop:
+            return None
         parents = self.reachable_from(self.problem.source)
         may_drop = self._may_drop
         for node in parents:

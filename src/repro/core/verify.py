@@ -13,10 +13,13 @@ Four properties from the paper and its companion papers are supported:
   without an applicable rule.
 
 WPE, SLF and BLACKHOLE have exact polynomial checks on the round's union
-graph (see :mod:`repro.core.transient`).  RLF is checked exactly by a
-branching trajectory search with a cheap sound pre-filter; a conservative
-mode answers "maybe unsafe" instead of paying the worst-case exponential
-cost.  An exhaustive oracle validates all of the above in the test suite.
+graph (see :mod:`repro.core.transient`); across the rounds of one schedule
+SLF is checked in time linear in what each round changes
+(:func:`verify_schedule`), with :func:`verify_round` as the from-scratch
+reference.  RLF is checked exactly by a branching trajectory search with a
+cheap sound pre-filter; a conservative mode answers "maybe unsafe" instead
+of paying the worst-case exponential cost.  An exhaustive oracle validates
+all of the above in the test suite.
 """
 
 from __future__ import annotations
@@ -114,8 +117,18 @@ def check_wpe(union: UnionGraph, round_index: int) -> Violation | None:
     )
 
 
-def check_slf(union: UnionGraph, round_index: int) -> Violation | None:
-    """Strong loop freedom via union-graph acyclicity (exact)."""
+def check_slf(
+    union: UnionGraph, round_index: int, settled: bool = False
+) -> Violation | None:
+    """Strong loop freedom via union-graph acyclicity (exact).
+
+    ``settled`` vouches that the union graph one round earlier (the old
+    path, before round 0) was acyclic: a new cycle then runs through a
+    flexible node, and only when :meth:`UnionGraph.cycle_through_flexible`
+    cannot rule that out does the whole graph get searched.
+    """
+    if settled and not union.cycle_through_flexible():
+        return None
     cycle = union.find_cycle()
     if cycle is None:
         return None
@@ -245,15 +258,17 @@ def _check_union(
     properties: tuple[Property, ...],
     exact_rlf: bool,
     rlf_budget: int,
+    settled: bool = False,
 ) -> tuple[list[Violation], int]:
-    """Run every property check on one round's union graph."""
+    """Run every property check on one round's union graph (``settled``:
+    see :func:`check_slf`)."""
     violations: list[Violation] = []
     conservative_hits = 0
     for prop in properties:
         if prop is Property.WPE:
             found = check_wpe(union, round_index)
         elif prop is Property.SLF:
-            found = check_slf(union, round_index)
+            found = check_slf(union, round_index, settled)
         elif prop is Property.BLACKHOLE:
             found = check_blackhole(union, round_index)
         elif prop is Property.RLF:
@@ -298,24 +313,30 @@ def verify_schedule(
 
     One union graph is built for round 0 and walked from round to round
     (:meth:`UnionGraph.advance` re-derives the nodes of the two rounds
-    involved, nothing else); every round then gets the same whole-graph
-    checks, with the same witnesses, as :func:`verify_round` gives it.
+    involved, nothing else).  Strong loop freedom goes by induction over
+    the rounds: while every round so far was clean, only cycles through
+    the round's own nodes are looked for (:func:`check_slf`); the first
+    violation ends that, and from there every round gets the whole-graph
+    search again.  Reports, witnesses included, are those of a fold of
+    :func:`verify_round`.
     """
     if properties is None:
         properties = default_properties(schedule.problem)
     report = VerificationReport(ok=True, properties=tuple(properties))
     rounds = schedule.rounds
+    settled = True  # the old path has no cycle
     for round_index, round_nodes in enumerate(rounds):
         if round_index == 0:
             union = UnionGraph.for_round(schedule, 0)
         else:
             union.advance(rounds[round_index - 1], round_nodes)
         violations, conservative_hits = _check_union(
-            union, round_index, properties, exact_rlf, rlf_budget
+            union, round_index, properties, exact_rlf, rlf_budget, settled
         )
         report.rounds_checked += 1
         report.conservative_hits += conservative_hits
         if violations:
+            settled = False
             report.ok = False
             report.violations.extend(violations)
             if stop_at_first:

@@ -9,16 +9,27 @@ cross-checks the oracle's incremental verdict and node bookkeeping
 against :func:`round_is_safe_reference`, which rebuilds the union graph
 from scratch.  A divergence here means the incremental maintenance lost
 track of the graph somewhere along a delta sequence.
+
+After every operation the order labels are audited too: each edge the
+oracle has not blocked runs from a lower label to a higher one, and the
+blocked set is the one :class:`ClassicOrderOracle` -- the dense
+Pearce-Kelly reorder this oracle used to do, kept here as the reference --
+arrives at over the same operations (which edges close a cycle when they
+are inserted does not depend on the labels).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.greedy_slf import greedy_slf_schedule
+from repro.core.hardness import reversal_instance
 from repro.core.oracle import SafetyOracle
 from repro.core.optimal import round_is_safe_reference
 from repro.core.problem import UpdateProblem
+from repro.core.transient import UnionGraph
 from repro.core.verify import Property
 from repro.topology.random_graphs import random_update_instance
 
@@ -68,31 +79,95 @@ def _subset(nodes, mask):
     return {node for bit, node in enumerate(nodes) if mask & (1 << bit)}
 
 
+class ClassicOrderOracle(SafetyOracle):
+    """Reference: Pearce-Kelly as published -- discover the whole affected
+    region on both sides, then hand its own label slots back out."""
+
+    def _pk_insert(self, u, v) -> None:
+        order = self._ord
+        lower, upper = order[v], order[u]
+        if upper < lower:
+            return
+        blocked = self._blocked
+        forward, stack, seen = [], [v], {v}
+        while stack:
+            node = stack.pop()
+            forward.append(node)
+            for target in self._succ[node]:
+                if (node, target) in blocked:
+                    continue
+                if target == u:
+                    blocked.add((u, v))
+                    self._blocked_tails.add(u)
+                    self.stats.pk_cycles += 1
+                    return
+                if target not in seen and order[target] <= upper:
+                    seen.add(target)
+                    stack.append(target)
+        backward, stack, seen = [], [u], {u}
+        while stack:
+            node = stack.pop()
+            backward.append(node)
+            for origin in self._pred[node]:
+                if (
+                    origin not in seen
+                    and order[origin] >= lower
+                    and (origin, node) not in blocked
+                ):
+                    seen.add(origin)
+                    stack.append(origin)
+        affected = sorted(backward, key=order.get) + sorted(forward, key=order.get)
+        for node, slot in zip(affected, sorted(order[node] for node in affected)):
+            order[node] = slot
+        self.stats.pk_reorders += 1
+
+
+def assert_order_is_sound(oracle: SafetyOracle, classic: SafetyOracle) -> None:
+    oracle._validate_blocked()
+    classic._validate_blocked()
+    assert oracle._blocked == classic._blocked
+    assert oracle._blocked_tails == {u for u, _ in oracle._blocked}
+    for u, targets in oracle._succ.items():
+        for v in targets:
+            assert (u, v) in oracle._blocked or oracle._ord[u] < oracle._ord[v]
+    assert oracle.stats.pk_cycles == classic.stats.pk_cycles
+    from_scratch = UnionGraph.from_update_sets(
+        oracle.problem, oracle.updated_nodes(), oracle.in_flight_nodes()
+    )
+    assert (from_scratch.find_cycle() is None) == (not oracle._blocked)
+
+
 class TestOracleInterleaving:
     @_RELAXED
     @given(oracle_scripts())
     def test_random_delta_sequences_match_reference(self, script):
         problem, nodes, properties, ops = script
         oracle = SafetyOracle(problem, properties)
+        classic = ClassicOrderOracle(problem, properties)
         updated: set = set()
         in_flight: set = set()
+
+        def both(method: str, *args):
+            """The reference takes the very same operation."""
+            getattr(classic, method)(*args)
+            return getattr(oracle, method)(*args)
 
         for name, a, b in ops:
             node = nodes[a % len(nodes)]
             if name == "apply":
-                oracle.apply(node)
+                both("apply", node)
                 updated.discard(node)
                 in_flight.add(node)
             elif name == "revert":
-                oracle.revert(node)
+                both("revert", node)
                 updated.discard(node)
                 in_flight.discard(node)
             elif name == "commit":
-                oracle.commit(node)
+                both("commit", node)
                 in_flight.discard(node)
                 updated.add(node)
             elif name == "commit_round":
-                oracle.commit_round()
+                both("commit_round")
                 updated |= in_flight
                 in_flight.clear()
             elif name == "try_apply":
@@ -103,7 +178,7 @@ class TestOracleInterleaving:
                     in_flight | {node},
                     properties,
                 )
-                verdict = oracle.try_apply(node)
+                verdict = both("try_apply", node)
                 assert verdict == expect
                 updated.discard(node)
                 if verdict:
@@ -113,19 +188,52 @@ class TestOracleInterleaving:
             elif name == "reset":
                 updated = _subset(nodes, a)
                 in_flight = _subset(nodes, b) - updated
-                oracle.reset(updated, in_flight)
+                both("reset", updated, in_flight)
             elif name == "query":
                 query_updated = _subset(nodes, a)
                 query_round = _subset(nodes, b) - query_updated
-                verdict = oracle.round_is_safe(query_updated, query_round)
+                verdict = both("round_is_safe", query_updated, query_round)
                 assert verdict == round_is_safe_reference(
                     problem, query_updated, query_round, properties
                 )
                 # round_is_safe morphs the live graph; put the round back
-                oracle.reset(updated, in_flight)
+                both("reset", updated, in_flight)
 
             assert oracle.updated_nodes() == frozenset(updated)
             assert oracle.in_flight_nodes() == frozenset(in_flight)
             assert oracle.current_round_safe() == round_is_safe_reference(
                 problem, updated, in_flight, properties
             )
+            assert_order_is_sound(oracle, classic)
+
+
+def test_a_gap_out_of_float_precision_is_reopened_by_a_renumber():
+    """Nodes 2 and 3 of ``1 2 3 4 5 => 1 3 2 4 5`` want each other's place
+    in turn; each swap lands in what is left of the gap below node 4, so
+    the gap halves until a float cannot split it and every label is
+    rewritten -- with the order still sound and the verdicts unmoved."""
+    problem = UpdateProblem([1, 2, 3, 4, 5], [1, 3, 2, 4, 5])
+    oracle = SafetyOracle(problem, (Property.SLF,))
+    classic = ClassicOrderOracle(problem, (Property.SLF,))
+    renumbers = 0
+    for _ in range(60):
+        for name, node in (("commit", 2), ("apply", 3), ("revert", 3), ("revert", 2)):
+            written = oracle._relabelled
+            getattr(oracle, name)(node)
+            getattr(classic, name)(node)
+            renumbers += oracle._relabelled - written >= len(problem.nodes)
+            assert oracle.current_round_safe() and classic.current_round_safe()
+            assert_order_is_sound(oracle, classic)
+    assert renumbers >= 1
+    assert oracle.stats.pk_reorders == 120 == classic.stats.pk_reorders
+
+
+@pytest.mark.parametrize("n", (500, 1000, 2000))
+def test_a_reorder_rewrites_a_handful_of_labels_whatever_the_size(n):
+    """On the reversal family every greedy-SLF reorder moves the one node
+    being flipped, not the chain already settled behind it."""
+    oracle = SafetyOracle(reversal_instance(n), (Property.SLF,))
+    schedule = greedy_slf_schedule(oracle.problem, oracle=oracle)
+    assert schedule.n_rounds >= n - 2
+    assert oracle.stats.pk_reorders >= n - 3
+    assert oracle._relabelled <= 4 * oracle.stats.pk_reorders

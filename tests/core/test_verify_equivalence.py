@@ -1,11 +1,13 @@
-"""``verify_schedule`` (one union graph walked round to round) must report
-exactly what a fold of from-scratch ``verify_round`` calls reports.
+"""``verify_schedule`` (one union graph walked round to round, strong loop
+freedom by induction over the rounds) must report exactly what a fold of
+from-scratch ``verify_round`` calls reports.
 
 Same ``ok``, same ``Violation`` objects (property, round index, witness,
 description), same ``rounds_checked`` / ``conservative_hits``, same
 ``stop_at_first`` cut-off and same errors -- on safe schedules and on
-deliberately broken ones, for every property, and on duck-typed problems
-that offer nothing but ``next_hop``.
+deliberately broken ones, for every property, on random partitions with
+install and cleanup rounds and a violation in the middle, and on
+duck-typed problems that offer nothing but ``next_hop``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.greedy_slf import greedy_slf_schedule
 from repro.core.hardness import (
@@ -198,3 +202,116 @@ def test_walked_graph_equals_the_graph_built_from_scratch(problem):
             assert walked.choices(node) == fresh.choices(node)
             assert walked.successors(node) == fresh.successors(node)
             assert walked.may_drop(node) == fresh.may_drop(node)
+
+
+# ---------------------------------------------------------------------------
+# random partitions: the induction over rounds against the from-scratch fold
+# ---------------------------------------------------------------------------
+
+@st.composite
+def partitioned_instances(draw):
+    """A random instance and an ordered partition of its updates: either
+    drawn blind (unsafe nearly always, install and cleanup nodes anywhere)
+    or a safe greedy schedule damaged somewhere in the middle, so clean
+    rounds come before the violation and more rounds after it."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    with_waypoint = draw(st.booleans())
+    old, new, waypoint = random_update_instance(
+        draw(st.integers(5, 18)), seed=seed,
+        overlap=draw(st.sampled_from((0.4, 0.7, 1.0))),
+        with_waypoint=with_waypoint,
+    )
+    problem = UpdateProblem(old, new, waypoint=waypoint)
+    if not problem.required_updates:
+        problem = reversal_instance(draw(st.integers(5, 12)))
+    rng = random.Random(seed)
+    if draw(st.booleans()):
+        nodes = sorted(problem.required_updates, key=repr)
+        nodes += [n for n in sorted(problem.cleanup_updates, key=repr)
+                  if draw(st.booleans())]
+        rng.shuffle(nodes)
+        cuts = sorted({0, *(c for c in range(1, len(nodes)) if draw(st.booleans()))})
+        rounds = [nodes[a:b] for a, b in zip(cuts, cuts[1:] + [len(nodes)])]
+    else:
+        rounds = [set(r) for r in greedy_slf_schedule(problem).rounds]
+        for _ in range(draw(st.integers(0, 2))):
+            if len(rounds) < 2:
+                break
+            source = rng.randrange(len(rounds))
+            target = rng.randrange(len(rounds))
+            rounds[target].add(rounds[source].pop())  # safe when source == target
+            rounds = [r for r in rounds if r]
+    return UpdateSchedule(problem, rounds, algorithm="partition")
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(partitioned_instances())
+def test_random_partitions_report_what_the_round_fold_reports(schedule):
+    assert_equivalent(schedule, schedule.problem.waypoint is not None)
+    got = verify_schedule(schedule, (SLF,))
+    want = [
+        violation
+        for index in range(schedule.n_rounds)
+        for violation in verify_round(schedule, index, (SLF,))[0]
+    ]
+    assert got.violations == want
+
+
+def test_a_violation_in_the_middle_ends_the_induction_not_the_checking():
+    """Rounds before the damage are clean, the damaged round and later
+    damaged rounds are reported with the from-scratch witnesses, and the
+    clean rounds after a violation are still found clean."""
+    problem = reversal_instance(40)
+    rounds = [set(r) for r in greedy_slf_schedule(problem).rounds]
+    rounds[10] |= rounds.pop(11)
+    rounds[24] |= rounds.pop(25)
+    schedule = UpdateSchedule(problem, rounds, algorithm="damaged")
+    report = verify_schedule(schedule, (SLF,))
+    assert [v.round_index for v in report.violations] == [10, 24]
+    assert report.rounds_checked == len(rounds)
+    assert assert_equivalent(schedule, waypointed=False) > 0
+
+
+@pytest.mark.parametrize("problem", FAMILIES, ids=lambda p: p.name)
+def test_contracted_check_agrees_with_the_whole_graph_search(problem):
+    """Round by round along a safe schedule, then with every later round
+    pulled into the current one: no cycle through a flexible node exactly
+    when the whole graph has none."""
+    schedule = greedy_slf_schedule(problem)
+    walked = UnionGraph.for_round(schedule, 0)
+    updated: set = set()
+    for index, round_nodes in enumerate(schedule.rounds):
+        if index:
+            walked.advance(schedule.rounds[index - 1], round_nodes)
+        assert not walked.cycle_through_flexible()
+        assert walked.find_cycle() is None
+        rest = set().union(*schedule.rounds[index:])
+        merged = UnionGraph.from_update_sets(problem, updated, rest)
+        assert merged.cycle_through_flexible() == (merged.find_cycle() is not None)
+        updated |= round_nodes
+
+
+def test_what_the_contracted_check_cannot_tell_goes_to_the_whole_graph_search():
+    """A cycle among fixed nodes (the premise is broken: 3 went NEW in no
+    round) and a problem that is not two paths both answer 'maybe'."""
+    union = UnionGraph.from_update_sets(reversal_instance(6), {3}, {1})
+    assert union.find_cycle() is not None
+    assert union.cycle_through_flexible()
+    p1 = UpdateProblem([1, 3, 4, 7, 6], [1, 3, 5, 4, 6], name="p1")
+    p2 = UpdateProblem([2, 3, 4, 7, 6], [2, 3, 5, 4, 6], name="p2")
+    view = PolicyView(JointUpdateProblem([p1, p2]), p1)
+    assert UnionGraph.from_update_sets(view, set(), {5}).cycle_through_flexible()
+
+
+@pytest.mark.parametrize("n", (500, 1000, 2000))
+def test_stretches_crossed_per_round_do_not_grow_with_the_instance(n):
+    schedule = greedy_slf_schedule(reversal_instance(n))
+    walked = UnionGraph.for_round(schedule, 0)
+    for index, round_nodes in enumerate(schedule.rounds):
+        if index:
+            walked.advance(schedule.rounds[index - 1], round_nodes)
+        before = walked._hops
+        assert not walked.cycle_through_flexible()
+        assert walked._hops - before <= 4 * len(round_nodes)
+    assert schedule.n_rounds >= n - 2  # one node a round: the many-round case
