@@ -14,7 +14,7 @@ help:
 	@echo "bench          - full pytest-benchmark experiment suite (E1-E10 tables)"
 	@echo "campaign-smoke - ~20s tiny campaign (260 cells, 7 family entries, 5 schedulers)"
 	@echo "fabric-smoke   - ~15s faulty 3-worker fleet (one SIGKILLed, one frozen) vs 1-worker baseline"
-	@echo "crash-smoke    - ~30s coordinator SIGKILLed twice mid-campaign; journal recovery vs 1-worker baseline"
+	@echo "crash-smoke    - ~10s coordinator SIGKILLed twice mid-campaign, the second time losing the unsynced results/timings tail; journal recovery vs 1-worker baseline"
 	@echo "churn-smoke    - ~5s online-churn grid: quiescence, zero violations, same-seed determinism"
 	@echo "integrity-smoke - ~30s hostile fleet (liar + corruptor + OOM cell + poison cell) vs 1-worker baseline"
 

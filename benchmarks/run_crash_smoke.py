@@ -10,6 +10,13 @@ cover -- then restart the coordinator on the same port after a delay.
 Workers ride out each outage by reconnecting with capped exponential
 backoff and resubmitting their undelivered records.
 
+The second death is made a power cut: the journal is the only file the
+coordinator fsyncs per record, ``results.jsonl`` / ``timings.jsonl`` are
+synced once per compaction, so before the third incarnation starts every
+line of theirs whose cell still has an accept in the surviving journal is
+taken away -- all of them from one file, half from the other -- and
+recovery has to re-derive them.
+
 Gates (non-zero exit on any miss, so it can gate CI):
 
 * the final ``results.jsonl`` is byte-identical to a 1-worker
@@ -32,6 +39,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import multiprocessing
 import os
 import socket
@@ -42,7 +50,7 @@ import time
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign.fabric import CoordinatorKillSchedule, worker_main
 from repro.campaign.fabric.journal import JOURNAL
-from repro.campaign.store import RunStore
+from repro.campaign.store import RESULTS, TIMINGS, RunStore
 from repro.obs import (
     load_trace,
     reconstruct_cell_lifecycles,
@@ -110,6 +118,31 @@ def serve_once(
         server.stop()
         api.campaigns.close()
     sys.exit(0 if finished else 3)
+
+
+def cut_power(directory) -> dict[str, int]:
+    """Take from the projection what a power cut may: the lines whose
+    cells the surviving journal still holds an accept for (everything
+    older was synced before the compaction that dropped its accept).
+    ``results.jsonl`` loses all of them, ``timings.jsonl`` the later
+    half; returns the lines lost per file."""
+    with open(os.path.join(directory, JOURNAL), encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.endswith("\n")]
+    journaled = {r["cell_id"] for r in records if r["kind"] == "accept"}
+    lost = {}
+    for name in (RESULTS, TIMINGS):
+        path = os.path.join(directory, name)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        unsynced = [json.loads(line)["id"] in journaled for line in lines]
+        keep = unsynced.index(True) if True in unsynced else len(lines)
+        assert all(unsynced[keep:]), "journaled cells are a suffix"
+        if name == TIMINGS:
+            keep += (len(lines) - keep + 1) // 2
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[:keep])
+        lost[name] = len(lines) - keep
+    return lost
 
 
 def _free_port() -> int:
@@ -207,6 +240,7 @@ def main(argv=None) -> int:
     ]
     failures: list[str] = []
     exitcodes: list[int | None] = []
+    lost: dict[str, int] = {}
     try:
         started_workers = False
         for incarnation, kill_after in enumerate(schedule, start=1):
@@ -242,6 +276,9 @@ def main(argv=None) -> int:
                         "expected SIGKILL (-9)"
                     )
                     break
+                if incarnation == len(KILLS):
+                    lost = cut_power(f"{fleet_root}/{spec.campaign_id}")
+                    print(f"power cut: projection lines lost {lost}")
                 time.sleep(KILLS[incarnation - 1].restart_delay_s)
             elif coord.exitcode != 0:
                 failures.append(
@@ -256,6 +293,12 @@ def main(argv=None) -> int:
         os.environ.pop("REPRO_TRACE_DIR", None)
     print(f"coordinator exitcodes: {exitcodes} (expect [-9, -9, 0])")
 
+    if lost and not lost[RESULTS] > lost[TIMINGS]:
+        failures.append(
+            f"the power cut took {lost}; it has to leave results.jsonl "
+            "behind timings.jsonl"
+        )
+
     store = RunStore(fleet_root, spec.campaign_id)
     status = store.status()
     fleet_bytes = store.results_bytes()
@@ -265,6 +308,8 @@ def main(argv=None) -> int:
         failures.append(
             "fleet results.jsonl differs from 1-worker baseline"
         )
+    if [t["id"] for t in store.timings()] != [r["id"] for r in store.records()]:
+        failures.append("timings.jsonl is not one line per result")
 
     journal_lines = 0
     journal_path = os.path.join(store.directory, JOURNAL)
@@ -315,8 +360,10 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}")
         return 1
     print(f"crash-smoke OK: {n_cells} cells survived {len(KILLS)} "
-          "coordinator SIGKILLs byte-identical to the 1-worker baseline; "
-          "no journaled accept was re-executed")
+          "coordinator SIGKILLs (the second a power cut that took "
+          f"{lost[RESULTS]} results / {lost[TIMINGS]} timings lines) "
+          "byte-identical to the 1-worker baseline; no journaled accept "
+          "was re-executed")
     return 0
 
 

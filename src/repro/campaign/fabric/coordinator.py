@@ -26,6 +26,9 @@ here *decides*, commits the event (``_commit``: fsynced to the write-ahead
 :class:`~repro.campaign.fabric.journal.FabricJournal` *before* it is
 applied or acknowledged) and then does only volatile work: lease table,
 backoff, per-worker tallies, spans, flushing the buffer through the store.
+The journal is the only file fsynced per record: ``results.jsonl`` and
+``timings.jsonl`` are its projection, synced once before each compaction,
+so whatever tail of them a power cut takes is still in the journal.
 A restarted coordinator applies the same events read back from snapshot
 (``{"events": [...]}``) + journal, so recovery cannot drift from the live
 path, and a recovered run stays byte-identical to an uncrashed one.
@@ -48,6 +51,7 @@ is journaled, so the verdicts survive coordinator crashes.
 
 from __future__ import annotations
 
+import copy
 import random
 import threading
 import time
@@ -66,7 +70,7 @@ from repro.campaign.spec import (
     derive_seed,
     payload_identity_hash,
 )
-from repro.campaign.store import RunStore, encode_record, record_checksum
+from repro.campaign.store import RunStore, encode_record, record_checksum, tally
 from repro.metrics import global_collector
 
 #: Fabric counter names (exposed via ``repro.metrics`` and ``status()``).
@@ -176,7 +180,10 @@ class Coordinator:
 
         cells = spec.expand()
         self.store.initialize(spec, n_cells=len(cells))
-        completed = self.store.completed_ids()
+        flushed = self.store.records()
+        completed = {record["id"] for record in flushed}
+        #: ``store.status()``, kept current by ``_flush_locked``
+        self._progress = self.store.status(flushed)
         #: Everything that survives a crash; changed only by ``_commit``
         #: (live) and ``_recover_locked`` (replay), both through ``apply``.
         self._state = FabricState(cells, completed)
@@ -219,11 +226,17 @@ class Coordinator:
     def _recover_locked(self) -> None:
         """Re-apply snapshot + journal from a previous coordinator's life.
 
-        The fold re-admits buffered out-of-order shards (journaled accepts
-        that never made it into ``results.jsonl``) and restores budgets,
-        verdicts and quarantines; then every pre-crash lease is expired.
-        Finishes with a compaction so the next incarnation replays from a
-        snapshot.
+        The fold re-admits journaled accepts that are not in
+        ``results.jsonl`` (buffered out of order, or flushed into a tail
+        the projection then lost) and restores budgets, verdicts and
+        quarantines; then every pre-crash lease is expired.  Finishes with
+        a compaction so the next incarnation replays from a snapshot.
+
+        The replay flushes after every event, as the live coordinator
+        did: a quarantine retracts only what is still buffered.  Cells
+        found in the projection count as flushed from the start, so it
+        holds off until the last event about one of them -- live, those
+        after them were all still buffered until then.
         """
         snapshot, records = self._journal.load()
         if snapshot is None and not records:
@@ -243,11 +256,20 @@ class Coordinator:
         with obs.span("fabric.recover", campaign=self.campaign_id) as span:
             #: cell index -> (lease_id, worker_id) of its latest grant
             holder: dict[int, tuple[str, str]] = {}
-            for event in [*(snapshot or {}).get("events", ()), *records]:
+            events = [*(snapshot or {}).get("events", ()), *records]
+            found = self._next_flush
+            hold = 0
+            for n, event in enumerate(events):
+                if event.get("index", found) < found:
+                    hold = n
+            for n, event in enumerate(events):
                 state.apply(event, 0.0)
+                if n >= hold:
+                    self._flush_locked()
                 if event["kind"] == "lease":
                     for index in event["cells"]:
                         holder[index] = (event["lease_id"], event["worker_id"])
+            readmitted = [*range(found, self._next_flush), *sorted(state.buffer)]
             # the lease table is rebuilt empty: whatever is still leased
             # was held by a lease that died with the old coordinator
             expired = set()
@@ -258,7 +280,7 @@ class Coordinator:
             # compacted history and an uncompacted one report the same
             open_cells = [c for c in state.cells if c.status != "done"]
             recovered = {
-                "recovered_buffered": len(state.buffer),
+                "recovered_buffered": len(readmitted),
                 "recovered_retries": sum(c.attempts > 0 for c in open_cells),
                 "recovered_escalations": sum(c.escalated for c in open_cells),
                 "recovered_leases_expired": len(expired),
@@ -269,7 +291,7 @@ class Coordinator:
                 self.counters[name] = value
                 if value:
                     global_collector().increment(f"fabric.{name}", value)
-            for index in sorted(state.buffer):
+            for index in readmitted:
                 # the accept's span may have died unwritten with the old
                 # coordinator; this event is the durable trace of the
                 # settlement (verify_lifecycles treats it as one)
@@ -291,7 +313,6 @@ class Coordinator:
             for index in list(state.audit):
                 if index in state.audit:
                     self._resolve_audit_locked(index, 0.0)
-            self._flush_locked()
             span.set_attrs(**recovered, journal_records=len(records))
             obs.event(
                 "fabric.recovered",
@@ -336,6 +357,8 @@ class Coordinator:
                 }
                 for lease in self._table.leases()
             )
+            # the snapshot forgets flushed cells: on disk with them first
+            self.store.sync()
             self._journal.compact({"events": events})
             span.set_attrs(snapshot_events=len(events))
         self._count("journal_compactions")
@@ -400,9 +423,11 @@ class Coordinator:
                 }
             cells = self._state.cells
             indices = []
-            for i, state in enumerate(cells):
+            # everything below the flushed prefix is settled for good
+            for i in range(self._next_flush, len(cells)):
                 if len(indices) >= limit:
                     break
+                state = cells[i]
                 if state.status == "pending" and state.eligible_at <= now:
                     indices.append(i)
                 elif (
@@ -662,6 +687,7 @@ class Coordinator:
         return True
 
     def close(self) -> None:
+        self.store.sync()
         self.store.close()
         self._journal.close()
 
@@ -670,25 +696,16 @@ class Coordinator:
         with self._lock:
             now = self._clock()
             self._reap(now)
-            data = self.store.status()
             state = self._state
-            buffered = len(state.buffer)
-            data["done"] += buffered
-            data["remaining"] = max(0, data["total"] - data["done"])
+            data = copy.deepcopy(self._progress)
             for record, _ in state.buffer.values():
-                data["by_status"][record["status"]] = (
-                    data["by_status"].get(record["status"], 0) + 1
-                )
-                if record.get("verified") is False:
-                    data["verification_failures"] += 1
+                tally(data, record)
             data["fabric"] = {
                 **self.counters,
                 "workers": len(self._table.workers()),
                 "active_leases": len(self._table.leases()),
-                "buffered": buffered,
-                "pending": sum(
-                    1 for s in state.cells if s.status != "done"
-                ),
+                "buffered": len(state.buffer),
+                "pending": len(state.cells) - data["done"],
                 "audits_pending": len(state.audit),
                 "quarantined_workers": sorted(state.quarantined),
             }
@@ -738,7 +755,7 @@ class Coordinator:
                 })
             workers.sort(key=lambda w: w["worker_id"])
             total = len(self._state.cells)
-            done = sum(1 for s in self._state.cells if s.status == "done")
+            done = self._next_flush + len(self._state.buffer)
             return {
                 "campaign": self.spec.campaign_id,
                 "total": total,
@@ -790,7 +807,7 @@ class Coordinator:
     def _retry_after_locked(self, now: float) -> float:
         waits = [
             state.eligible_at - now
-            for state in self._state.cells
+            for state in self._state.cells[self._next_flush:]
             if state.status == "pending"
         ]
         if not waits:
@@ -888,7 +905,7 @@ class Coordinator:
         )
 
     def _flush_locked(self) -> None:
-        """Write the grown canonical prefix through the store."""
+        """Write the grown canonical prefix through the store, unsynced."""
         cells = self._state.cells
         while (
             self._next_flush < len(cells)
@@ -897,7 +914,8 @@ class Coordinator:
             # settled and not buffered: flushed by a previous incarnation
             buffered = self._state.buffer.pop(self._next_flush, None)
             if buffered is not None:
-                self.store.append(*buffered)
+                self.store.write(*buffered)
+                tally(self._progress, buffered[0])
             self._next_flush += 1
 
     def _reap(self, now: float) -> None:

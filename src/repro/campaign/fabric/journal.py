@@ -12,9 +12,13 @@ cleanly.
 Layout inside ``campaign-runs/<id>/``::
 
     fabric-journal.jsonl  -- one fsync'd record per state transition,
-                             appended *before* the transition is acked
+                             appended *before* the transition is acked;
+                             the run's only file fsynced per record
     fabric-snapshot.json  -- periodic compaction target (atomic rename),
                              carrying the sequence number it covers
+    results.jsonl,        -- the store's files, here a projection of the
+    timings.jsonl            accepts: written without fsync, synced by the
+                             coordinator before each compaction
 
 Each journal record is ``{"seq": n, "kind": ..., ...}`` with a strictly
 increasing ``seq`` and a ``kind`` out of :data:`KINDS`.  Compaction writes
@@ -25,12 +29,16 @@ interval and recovery is one fold over snapshot events + journal records.
 A crash *between* snapshot write and journal truncation is safe: replay
 skips every record whose ``seq`` the snapshot already covers.
 
-Crash conventions mirror :mod:`repro.campaign.store`: appends are one
-full line + flush + fsync, snapshots go through
-:func:`~repro.campaign.store.atomic_write_text`, and a torn trailing
-line (the writer died mid-record) is truncated away on open -- the torn
-transition was never acknowledged, so dropping it merely re-opens the
-cell for leasing.
+Crash conventions: appends are one full line + flush + fsync, snapshots
+go through :func:`~repro.campaign.store.atomic_write_text`, and a torn
+trailing line (the writer died mid-record) is truncated away on open --
+the torn transition was never acknowledged, so dropping it merely re-opens
+the cell for leasing.  The coordinator syncs the projection *before* it
+compacts, so an acknowledged accept is always on disk: in the journal
+tail, in the snapshot (still buffered) or as a synced ``results.jsonl``
+line.  Whatever unsynced tail of either projection file a power cut takes,
+:class:`~repro.campaign.store.RunStore` cuts both back to the records they
+share and the replay writes the rest again.
 """
 
 from __future__ import annotations

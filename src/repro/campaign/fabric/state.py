@@ -19,7 +19,11 @@ Two things move state without an event, both re-derivable after a crash:
 :meth:`FabricState.release` un-leases a cell (a recovered coordinator
 releases every lease anyway, so handing one back early needs no record),
 and the coordinator's flush moves the buffer's canonical prefix into
-``results.jsonl`` (recovery simply flushes again).
+``results.jsonl`` -- after every settling event, live and on replay alike,
+because a quarantine retracts only accepts that are still buffered.  What
+it writes is synced at the next compaction; until then the accept is still
+in the journal, and a replay over a projection that lost its tail buffers
+and flushes it again.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class FabricState:
 
         An event that no longer applies -- its cell settled, its worker
         already quarantined -- is a no-op, which is what makes replaying a
-        journal over a half-flushed ``results.jsonl`` safe.
+        journal over a ``results.jsonl`` that is ahead of it safe.
         """
         kind = event.get("kind")
         if kind not in self._handlers:
@@ -121,7 +125,7 @@ class FabricState:
     def retractable(self, name: str) -> list[int]:
         """Buffered accepts that quarantining ``name`` withdraws: its own
         and unaudited.  Audited accepts were byte-confirmed by a second
-        worker, and anything flushed is immutably on disk."""
+        worker, and anything flushed is past retracting."""
         return [
             index
             for index in self.buffer
@@ -135,7 +139,9 @@ class FabricState:
         Order matters: quarantines first (nothing after them comes from
         a quarantined worker, so they retract nothing), and per cell the
         budget events before the accept that would make them no-ops.
-        Flushed cells need nothing -- ``results.jsonl`` is their record.
+        Flushed cells need nothing -- ``results.jsonl`` is their record,
+        *because the coordinator syncs it before it writes these events
+        as a snapshot* (until then their accepts are in the journal).
         """
         events: list[dict] = []
 

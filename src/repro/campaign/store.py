@@ -13,9 +13,13 @@ Layout of ``<root>/<campaign_id>/``::
                        reproducible
 
 Resumability: completed cell ids are read back from ``results.jsonl`` and
-skipped on the next run; a trailing partially-written line (killed run) is
-truncated away first, so an interrupted campaign always restarts from a
-clean prefix.
+skipped on the next run; both files are first cut back to the whole records
+they have in common (a killed writer leaves a partial last line, a power
+cut may take a different unsynced tail from each), so an interrupted
+campaign always restarts from a clean prefix with one timing per result.
+The pool runner's :meth:`RunStore.append` fsyncs every record; the fabric
+coordinator, whose journal is the durable record, uses the two halves of
+it apart: :meth:`RunStore.write` per cell, :meth:`RunStore.sync` per batch.
 """
 
 from __future__ import annotations
@@ -53,6 +57,16 @@ def record_checksum(record: Mapping[str, Any]) -> str:
     return hashlib.sha256(
         canonical_json(dict(record)).encode("utf-8")
     ).hexdigest()
+
+
+def tally(progress: dict, record: Mapping[str, Any]) -> None:
+    """Count one more finished cell into a :meth:`RunStore.status` reply."""
+    progress["done"] += 1
+    progress["remaining"] = max(0, progress["total"] - progress["done"])
+    by_status = progress["by_status"]
+    by_status[record["status"]] = by_status.get(record["status"], 0) + 1
+    if record.get("verified") is False:
+        progress["verification_failures"] += 1
 
 
 def _fsync_directory(directory: pathlib.Path) -> None:
@@ -145,17 +159,19 @@ class RunStore:
         )
 
     def _repair(self) -> None:
-        """Drop trailing partial lines left behind by a killed writer."""
-        for filename in (RESULTS, TIMINGS):
-            path = self.directory / filename
-            if not path.is_file():
-                continue
-            data = path.read_bytes()
-            if not data or data.endswith(b"\n"):
-                continue
-            keep = data.rfind(b"\n") + 1
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
+        """Cut both files back to the whole records they have in common:
+        a result without its timing would lose the timing for good, a
+        timing without its result would be written twice.  What goes was
+        never synced -- the pool runner re-runs it, the fabric re-derives
+        it from its journal."""
+        paths = [self.directory / RESULTS, self.directory / TIMINGS]
+        files = [p.read_bytes() if p.is_file() else b"" for p in paths]
+        keep = min(data.count(b"\n") for data in files)
+        for path, data in zip(paths, files):
+            end = sum(len(line) + 1 for line in data.split(b"\n")[:keep])
+            if end < len(data):
+                with open(path, "r+b") as handle:
+                    handle.truncate(end)
 
     def manifest(self) -> dict:
         path = self.directory / MANIFEST
@@ -167,11 +183,30 @@ class RunStore:
     # writing
     # ------------------------------------------------------------------
     def append(self, record: Mapping[str, Any], timing: Mapping[str, Any]) -> None:
-        """Persist one finished cell (record flushed -- and by default
-        fsynced -- to disk before returning, so a SIGKILL right after
-        ``append`` can never lose the record; a SIGKILL *during* it leaves
-        at most one partial trailing line, which ``_repair`` truncates on
-        the next run)."""
+        """Persist one finished cell, fsynced (unless disabled) before
+        returning: a SIGKILL or power cut right after ``append`` can never
+        lose the record; one *during* it leaves at most a partial line or
+        a result without its timing, which ``_repair`` cuts on the next
+        run."""
+        self.write(record, timing)
+        self.sync()
+
+    def write(self, record: Mapping[str, Any], timing: Mapping[str, Any]) -> None:
+        """Hand both lines to the OS, flushed but not fsynced: safe from
+        a SIGKILL, not from a power cut before the next :meth:`sync`."""
+        results, timings = self._handles()
+        results.write(encode_record(record))
+        results.flush()
+        timings.write(encode_record(timing))
+        timings.flush()
+
+    def sync(self) -> None:
+        """fsync both files, whichever process wrote their unsynced tail."""
+        if self.fsync:
+            for handle in self._handles():
+                os.fsync(handle.fileno())
+
+    def _handles(self) -> tuple:
         if self._results_handle is None:
             self._results_handle = open(
                 self.directory / RESULTS, "a", encoding="utf-8"
@@ -179,15 +214,7 @@ class RunStore:
             self._timings_handle = open(
                 self.directory / TIMINGS, "a", encoding="utf-8"
             )
-        self._results_handle.write(encode_record(record))
-        self._flush(self._results_handle)
-        self._timings_handle.write(encode_record(timing))
-        self._flush(self._timings_handle)
-
-    def _flush(self, handle) -> None:
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
+        return self._results_handle, self._timings_handle
 
     def close(self) -> None:
         for handle in (self._results_handle, self._timings_handle):
@@ -228,22 +255,21 @@ class RunStore:
         path = self.directory / RESULTS
         return path.read_bytes() if path.is_file() else b""
 
-    def status(self) -> dict:
-        """Progress counters for ``repro campaign status`` and REST."""
+    def status(self, records: list[dict] | None = None) -> dict:
+        """Progress counters for ``repro campaign status`` and REST
+        (over ``records`` when the caller has already read them)."""
         manifest = self.manifest()
-        records = self.records()
-        by_status = {status: 0 for status in STATUSES}
-        for record in records:
-            by_status[record["status"]] = by_status.get(record["status"], 0) + 1
+        records = self.records() if records is None else records
         total = manifest.get("n_cells", len(records))
-        return {
+        progress = {
             "campaign_id": self.campaign_id,
             "name": manifest.get("name"),
             "total": total,
-            "done": len(records),
-            "remaining": max(0, total - len(records)),
-            "by_status": by_status,
-            "verification_failures": sum(
-                1 for record in records if record.get("verified") is False
-            ),
+            "done": 0,
+            "remaining": total,
+            "by_status": {status: 0 for status in STATUSES},
+            "verification_failures": 0,
         }
+        for record in records:
+            tally(progress, record)
+        return progress

@@ -831,3 +831,153 @@ class TestEventSourcing:
         journal.close()
         with pytest.raises(CampaignError, match="old per-cell snapshot"):
             _coordinator(tmp_path)
+
+
+def _keep_lines(path, lines):
+    """Cut ``path`` back to its first ``lines`` lines (a power cut takes
+    the unsynced tail of a file, and not the same tail of every file)."""
+    data = path.read_bytes().splitlines(keepends=True) if path.is_file() else []
+    path.write_bytes(b"".join(data[:lines]))
+
+
+class TestProjectionBehindTheJournal:
+    """``results.jsonl`` / ``timings.jsonl`` are a projection of the
+    journal, synced once per compaction: whatever tails of them a power
+    cut takes, recovery re-derives from the journaled accepts."""
+
+    def finish(self, tmp_path, journaled, baseline):
+        """Reopen, let one worker finish, and check the three verdicts."""
+        executed = []
+
+        def run_and_note(payload):
+            executed.append(payload["cell_id"])
+            return run_cell(payload)
+
+        second = _coordinator(tmp_path)
+        worker = FabricWorker(
+            LocalClient(second), name="finisher", run_cell_fn=run_and_note
+        )
+        worker.run()
+        second.close()
+        assert second.finished
+        assert second.store.results_bytes() == baseline
+        assert not set(executed) & set(journaled)
+        assert len(executed) == N_CELLS - len(journaled)
+        assert [t["id"] for t in second.store.timings()] == [
+            r["id"] for r in second.store.records()
+        ]
+        return second
+
+    @pytest.mark.parametrize(
+        "results_kept, timings_kept",
+        [(6, 2), (2, 6), (0, 0), (3, 5), (6, 6)],
+        ids=["results-ahead", "timings-ahead", "both-empty", "uneven", "intact"],
+    )
+    def test_lost_tails_are_rederived_not_rerun(
+        self, tmp_path, baseline, results_kept, timings_kept
+    ):
+        first = _coordinator(
+            tmp_path, lease_cells=N_CELLS, journal_compact_every=NEVER
+        )
+        worker_id = first.register({"name": "doomed"})["worker_id"]
+        lease_id, shards = _compute_all(first, worker_id)
+        for cell_id, record, timing in shards[:6]:
+            first.submit(worker_id, lease_id, cell_id, record, timing)
+        assert first.status()["done"] == 6
+        _crash(first)
+        _keep_lines(first.store.directory / "results.jsonl", results_kept)
+        _keep_lines(first.store.directory / "timings.jsonl", timings_kept)
+
+        second = self.finish(
+            tmp_path, [cell_id for cell_id, _, _ in shards[:6]], baseline
+        )
+        assert second.counters["recovered_buffered"] == 6 - min(
+            results_kept, timings_kept
+        )
+
+    def test_snapshot_only_directory(self, tmp_path, baseline):
+        # compaction after every record: the journal is always empty and
+        # the seven out-of-order accepts live in the snapshot alone
+        first = _coordinator(
+            tmp_path, lease_cells=N_CELLS, journal_compact_every=1
+        )
+        worker_id = first.register({"name": "doomed"})["worker_id"]
+        lease_id, shards = _compute_all(first, worker_id)
+        for cell_id, record, timing in reversed(shards[1:]):
+            first.submit(worker_id, lease_id, cell_id, record, timing)
+        _crash(first)
+        directory = first.store.directory
+        assert not (directory / JOURNAL).read_text()
+        for name in ("results.jsonl", "timings.jsonl"):
+            (directory / name).unlink(missing_ok=True)
+
+        second = self.finish(
+            tmp_path, [cell_id for cell_id, _, _ in shards[1:]], baseline
+        )
+        assert second.counters["recovered_buffered"] == N_CELLS - 1
+
+    @pytest.fixture
+    def unsynced(self, monkeypatch):
+        """``unsynced(directory)``: bytes of each projection file that no
+        ``os.fsync`` has covered since this fixture was set up."""
+        import os
+
+        synced = {}
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            real_fsync(fd)
+            synced[os.fstat(fd).st_ino] = os.fstat(fd).st_size
+
+        def unsynced(directory):
+            stats = [
+                (directory / name).stat()
+                for name in ("results.jsonl", "timings.jsonl")
+            ]
+            return [s.st_size - synced.get(s.st_ino, 0) for s in stats]
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return unsynced
+
+    def test_compaction_syncs_the_projection_before_the_snapshot(
+        self, tmp_path, monkeypatch, unsynced
+    ):
+        # the snapshot forgets flushed cells, so at the moment it is
+        # written nothing of either file may still be unsynced
+        from repro.campaign.fabric import journal
+
+        first = _coordinator(tmp_path, journal_compact_every=4)
+        at_snapshot = []
+        real_write = journal.atomic_write_text
+
+        def atomic_write_text(path, text):
+            at_snapshot.append(unsynced(first.store.directory))
+            real_write(path, text)
+
+        monkeypatch.setattr(journal, "atomic_write_text", atomic_write_text)
+        run_local_fleet(first, 1)
+        assert first.counters["journal_compactions"] >= 2
+        assert any(unsynced(first.store.directory))  # the tail since
+        assert at_snapshot and not any(map(any, at_snapshot))
+        first.close()
+        assert not any(unsynced(first.store.directory))
+
+    def test_recovery_syncs_what_a_killed_coordinator_only_flushed(
+        self, tmp_path, unsynced
+    ):
+        # SIGKILL loses nothing of the projection, but nobody has synced
+        # it either: the recovery's compaction must, before its snapshot
+        # drops those cells, though this process never wrote to the files
+        first = _coordinator(tmp_path, lease_cells=N_CELLS)
+        worker_id = first.register({"name": "doomed"})["worker_id"]
+        lease_id, shards = _compute_all(first, worker_id)
+        for cell_id, record, timing in shards[:3]:
+            first.submit(worker_id, lease_id, cell_id, record, timing)
+        _crash(first)
+        assert all(unsynced(first.store.directory))
+
+        second = _coordinator(tmp_path)
+        assert second.counters["recovered_buffered"] == 0
+        assert not any(unsynced(second.store.directory))
+        assert not second._journal.journal_path.read_text()
+        second.close()

@@ -3,23 +3,31 @@
 A hypothesis state machine plays a small fleet -- workers registering,
 leasing, submitting honest / duplicate / stale / corrupted / lying /
 timed-out records, failing and requeueing cells, dying of heartbeat
-timeout, deregistering -- and SIGKILLs the coordinator at arbitrary points
-with compaction forced on either side of the crash.  After *every* step:
+timeout, deregistering -- and SIGKILLs the coordinator, or cuts its power,
+at arbitrary points with compaction forced on either side of the crash.  A
+power cut besides takes from ``results.jsonl`` and from ``timings.jsonl``,
+independently, any whole lines written since the store's last ``sync()``:
+the journal is the only file fsynced per record.  After *every* step:
 
-* ``results.jsonl`` is a canonical prefix with no cell twice;
+* ``results.jsonl`` is a canonical prefix with no cell twice, and
+  ``timings.jsonl`` holds one line per result;
 * no open cell's retry count or killer set ever shrinks;
-* a fresh ``Coordinator`` over a copy of the run directory recovers the
-  very state the live one is in -- replay is the live path, checked here
-  rather than argued.
+* a fresh ``Coordinator`` over a copy of the run directory -- as it is,
+  and with either or both projection files cut back to the last sync --
+  recovers the very state the live one is in: replay is the live path,
+  checked here rather than argued.
 
 Deterministic: derandomized hypothesis, injected clock, seeded jitter.
 """
 
 import json
+import pathlib
 import shutil
 import tempfile
+from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -33,7 +41,7 @@ from repro.campaign import CampaignSpec
 from repro.campaign.fabric import Coordinator
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
-from repro.campaign.store import record_checksum
+from repro.campaign.store import RESULTS, TIMINGS, RunStore, record_checksum
 
 SPEC = CampaignSpec.from_dict({
     "name": "fabsm",
@@ -84,7 +92,20 @@ def durable(coordinator):
         "audit": dict(state.audit),
         "quarantined": sorted(state.quarantined),
         "results": coordinator.store.results_bytes(),
+        "timed": [timing["id"] for timing in coordinator.store.timings()],
     }
+
+
+def line_ends(path):
+    """Every size ``path`` has had at the end of a whole line."""
+    data = path.read_bytes() if path.is_file() else b""
+    return [0] + [n + 1 for n, byte in enumerate(data) if byte == 0x0A]
+
+
+def truncate(path, size):
+    if path.is_file():
+        with open(path, "r+b") as handle:
+            handle.truncate(size)
 
 
 class FabricMachine(RuleBasedStateMachine):
@@ -97,6 +118,19 @@ class FabricMachine(RuleBasedStateMachine):
         #: rule picks among the last ``RECENT``)
         self.grants: list[tuple[str, str, list[dict]]] = []
         self.floor: dict[int, tuple[int, set]] = {}
+        #: run directory -> (results, timings) sizes at its last ``sync()``
+        self.synced: dict[pathlib.Path, list[int]] = {}
+        real_sync = RunStore.sync
+
+        def sync(store):
+            real_sync(store)
+            self.synced[store.directory] = [
+                line_ends(store.directory / name)[-1]
+                for name in (RESULTS, TIMINGS)
+            ]
+
+        self._sync_patch = mock.patch.object(RunStore, "sync", sync)
+        self._sync_patch.start()
         self.coordinator = self._open(NEVER)
 
     def _open(self, compact_every, root=None):
@@ -120,7 +154,18 @@ class FabricMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.coordinator.close()
+        self._sync_patch.stop()
         shutil.rmtree(self.root, ignore_errors=True)
+
+    def losable(self):
+        """Per projection file: the sizes a power cut may leave it at --
+        any line end not before what the last ``sync()`` saw."""
+        directory = self.coordinator.store.directory
+        synced = self.synced.get(directory, [0, 0])
+        return [
+            [end for end in line_ends(directory / name) if end >= floor]
+            for name, floor in zip((RESULTS, TIMINGS), synced)
+        ]
 
     # ------------------------------------------------------------------
     @initialize()
@@ -153,7 +198,9 @@ class FabricMachine(RuleBasedStateMachine):
         """Fresh, duplicate or stale (the grant may be settled, reclaimed
         or from a dead incarnation), and honest or not."""
         worker_id, lease_id, cells = data.draw(st.sampled_from(self.grants[-RECENT:]))
-        payload = data.draw(st.sampled_from(cells))
+        self.deliver(worker_id, lease_id, data.draw(st.sampled_from(cells)), mode)
+
+    def deliver(self, worker_id, lease_id, payload, mode="honest"):
         record, timing = honest(payload)
         if mode == "lie":
             record["touches"] = (record["touches"] or 0) + 1
@@ -167,7 +214,7 @@ class FabricMachine(RuleBasedStateMachine):
         }
         if mode == "corrupt":
             integrity["record_sha256"] = "0" * 64
-        self.coordinator.submit(
+        return self.coordinator.submit(
             worker_id, lease_id, payload["cell_id"], record, timing, integrity
         )
 
@@ -212,12 +259,27 @@ class FabricMachine(RuleBasedStateMachine):
         self.coordinator = self._open(compact_every)
         self.fleet()  # the workers reconnect, as new epochs
 
+    @rule(compact_every=st.sampled_from([1, 3, NEVER]), data=st.data())
+    def power_cut_and_reopen(self, compact_every, data):
+        """``crash_and_reopen`` with the machine going down too: each
+        projection file keeps a drawn prefix of its unsynced lines."""
+        directory = self.coordinator.store.directory
+        sizes = [data.draw(st.sampled_from(ends)) for ends in self.losable()]
+        self.coordinator.store.close()
+        self.coordinator._journal.close()
+        for name, size in zip((RESULTS, TIMINGS), sizes):
+            truncate(directory / name, size)
+        self.workers.clear()
+        self.coordinator = self._open(compact_every)
+        self.fleet()
+
     # ------------------------------------------------------------------
     @invariant()
     def results_are_a_canonical_prefix(self):
         lines = self.coordinator.store.results_bytes().splitlines()
         ids = [json.loads(line)["id"] for line in lines]
         assert ids == CELL_IDS[: len(ids)]
+        assert [t["id"] for t in self.coordinator.store.timings()] == ids
 
     @invariant()
     def budgets_never_shrink(self):
@@ -239,18 +301,42 @@ class FabricMachine(RuleBasedStateMachine):
             elif cell.status == "pending":
                 assert index not in state.audit
 
-    @invariant()
-    def a_restart_would_recover_this_state(self):
+    def recovers(self, sizes=None):
+        """A fresh coordinator over a copy of the run directory, its
+        projection files first cut to ``sizes``, is where the live one is."""
         copy = tempfile.mkdtemp(prefix="fabsm-copy-")
         try:
             shutil.copytree(self.root, copy, dirs_exist_ok=True)
+            for name, size in zip((RESULTS, TIMINGS), sizes or ()):
+                truncate(pathlib.Path(copy, SPEC.campaign_id, name), size)
             fresh = self._open(NEVER, root=copy)
             try:
-                assert durable(fresh) == durable(self.coordinator)
+                assert durable(fresh) == durable(self.coordinator), sizes
             finally:
                 fresh.close()
         finally:
             shutil.rmtree(copy, ignore_errors=True)
+
+    @invariant()
+    def a_restart_would_recover_this_state(self):
+        self.recovers()
+
+    @invariant()
+    def a_power_cut_would_recover_this_state(self):
+        """The three worst cuts: either file, or both, back to the sync."""
+        results, timings = self.losable()
+        for sizes in {
+            (results[0], timings[-1]),
+            (results[-1], timings[0]),
+            (results[0], timings[0]),
+        } - {(results[-1], timings[-1])}:
+            self.recovers(sizes)
+
+    @rule(data=st.data())
+    def a_drawn_power_cut_would_recover_this_state(self, data):
+        self.recovers(
+            [data.draw(st.sampled_from(ends)) for ends in self.losable()]
+        )
 
 
 FabricMachine.TestCase.settings = settings(
@@ -261,3 +347,51 @@ FabricMachine.TestCase.settings = settings(
     database=None,
 )
 TestFabricStateMachine = FabricMachine.TestCase
+
+
+class TestQuarantineAcrossAPowerCut:
+    """Two histories the machine rarely draws, where a replay that does
+    not flush exactly where the live coordinator did goes wrong: a
+    quarantine retracts a worker's unaudited accepts only while they are
+    still buffered."""
+
+    @pytest.fixture
+    def machine(self):
+        machine = FabricMachine()
+        machine.fleet()
+        yield machine
+        machine.teardown()
+
+    @staticmethod
+    def grant(machine, worker_id, index):
+        reply = machine.coordinator.lease(worker_id, 1)
+        assert [cell["index"] for cell in reply["cells"]] == [index]
+        assert not machine.coordinator._audit_selected(CELL_IDS[index])
+        return worker_id, reply["lease_id"], reply["cells"][0]
+
+    def test_quarantined_after_its_accept_was_flushed(self, machine):
+        _, bob, _ = machine.workers
+        lied = self.grant(machine, bob, 0)
+        assert machine.deliver(*lied, "lie")["accepted"]  # and flushed
+        assert machine.deliver(*lied, "corrupt")["quarantined"]
+        assert durable(machine.coordinator)["cells"][0] == "flushed"
+        # cell 0's line is lost; a replay flushing only at its end would
+        # find the accept still buffered at the quarantine and retract it
+        machine.recovers((0, 0))
+        machine.a_power_cut_would_recover_this_state()
+
+    def test_quarantined_before_the_prefix_reached_its_accept(self, machine):
+        ann, bob, _ = machine.workers
+        slow = self.grant(machine, ann, 0)
+        lied = self.grant(machine, bob, 1)
+        assert machine.deliver(*lied, "lie")["accepted"]  # buffered behind 0
+        assert machine.deliver(*lied, "corrupt")["quarantined"]  # retracted
+        assert machine.deliver(*slow)["accepted"]
+        assert machine.deliver(*self.grant(machine, ann, 1))["accepted"]
+        results, timings = machine.losable()
+        assert len(results) == 3
+        # cell 1's line is lost, cell 0's is not: a replay flushing from
+        # its first event would see the lie unbuffered by the quarantine
+        machine.recovers((results[1], timings[1]))
+        machine.recovers((results[1], timings[2]))
+        machine.a_power_cut_would_recover_this_state()

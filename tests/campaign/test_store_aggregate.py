@@ -74,9 +74,8 @@ class TestRunStore:
         assert path.read_bytes().endswith(b"\n")
 
     def test_repair_after_kill_between_record_and_timing(self, tmp_path):
-        # a SIGKILL can land after the results line hit disk but before
-        # the timing sidecar did; the record must survive and a dangling
-        # partial timing line must be truncated away
+        # a SIGKILL inside the timing write: the record before it has
+        # both its lines and survives, the dangling partial line goes
         store = RunStore(str(tmp_path), SPEC.campaign_id)
         store.initialize(SPEC, n_cells=2)
         store.append(_record("a"), {"id": "a", "wall_ms": 1.0})
@@ -87,6 +86,50 @@ class TestRunStore:
         assert store.completed_ids() == {"a"}
         assert [t["id"] for t in store.timings()] == ["a"]
         assert timings.read_bytes().endswith(b"\n")
+
+    @pytest.mark.parametrize("ahead", ["results.jsonl", "timings.jsonl"])
+    def test_repair_cuts_both_files_to_their_common_records(
+        self, tmp_path, ahead
+    ):
+        # a kill between the two writes, or a power cut over unsynced
+        # tails, leaves one file a record ahead: a result without its
+        # timing would lose the timing for good, a timing without its
+        # result would be written twice -- so the extra line goes and the
+        # cell runs (or is re-derived from the fabric journal) again
+        store = RunStore(str(tmp_path), SPEC.campaign_id)
+        store.initialize(SPEC, n_cells=2)
+        store.append(_record("a"), {"id": "a", "wall_ms": 1.0})
+        store.append(_record("b"), {"id": "b", "wall_ms": 2.0})
+        store.close()
+        behind = ({"results.jsonl", "timings.jsonl"} - {ahead}).pop()
+        path = store.directory / behind
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[1][:5])  # b's line torn
+        store.initialize(SPEC, n_cells=2)
+        assert store.completed_ids() == {"a"}
+        assert [t["id"] for t in store.timings()] == ["a"]
+        store.append(_record("b"), {"id": "b", "wall_ms": 2.0})
+        store.close()
+        assert [r["id"] for r in store.records()] == ["a", "b"]
+        assert [t["id"] for t in store.timings()] == ["a", "b"]
+
+    def test_write_is_append_without_the_sync(self, tmp_path, monkeypatch):
+        import os as _os
+
+        calls = []
+        real = _os.fsync
+        monkeypatch.setattr(_os, "fsync", lambda fd: (calls.append(fd), real(fd)))
+        store = RunStore(str(tmp_path), SPEC.campaign_id)
+        store.initialize(SPEC, n_cells=2)
+        del calls[:]
+        store.write(_record("a"), {"id": "a", "wall_ms": 1.0})
+        assert not calls
+        assert store.completed_ids() == {"a"}  # flushed: readable at once
+        store.sync()
+        assert len(set(calls)) == 2
+        store.append(_record("b"), {"id": "b", "wall_ms": 2.0})
+        assert len(calls) == 4
+        store.close()
 
     def test_record_without_timing_tolerated(self, tmp_path):
         # the complementary crash: record flushed, timing lost entirely
