@@ -3,10 +3,10 @@
 A worker registers with the coordinator, then loops: lease a batch of
 cells, execute each through the unchanged
 :func:`~repro.campaign.runner.run_cell` (deterministic records, per-cell
-SIGALRM timeouts, error capture), and stream each finished cell straight
-back -- one shard per cell, so a death loses at most the cell in flight.
-A daemon heartbeat thread keeps the worker's leases alive while a long
-cell computes.
+timeouts that hold on the worker's own thread, error capture), and stream
+each finished cell straight back -- one shard per cell, so a death loses
+at most the cell in flight.  A daemon heartbeat thread keeps the worker's
+leases alive while a long cell computes.
 
 Infrastructure failures around ``run_cell`` (the cell itself never
 raises) are reported to the coordinator as *transient* via ``fail``, to

@@ -13,8 +13,15 @@ when workers finish out of order (``Pool.imap`` preserves input order), so
 to the ``timings.jsonl`` sidecar.
 
 Every cell is fault-isolated: scheduler bugs, infeasible property
-combinations, and per-cell timeouts (SIGALRM-based, worker-local) become
-``status`` values in the record instead of killing the campaign.
+combinations, and per-cell timeouts become ``status`` values in the
+record instead of killing the campaign.  ``timeout_s`` is the polled
+per-thread deadline of :mod:`repro.core.deadline`, so it holds on
+whichever thread runs the cell -- the serial loop, a pool worker, a fabric
+worker thread or a REST handler -- and stops search, verification and
+churn planning at points that leave the cached unit and its oracles
+intact for the next cell; ``mem_limit_mb`` / ``cpu_limit_s``
+(:func:`resource_guard`) are the rlimit backstop for code that never
+polls, such as a family builder.
 """
 
 from __future__ import annotations
@@ -171,6 +178,9 @@ def resource_guard(
             budget = min(budget, hard)
 
         def _on_xcpu(signum, frame):
+            # unlike the polled deadline this lands anywhere, possibly
+            # inside an oracle delta: no later cell may see these units
+            _unit_cache().clear()
             raise ScheduleTimeoutError(f"cpu limit exceeded ({cpu_limit_s}s)")
 
         try:
@@ -301,21 +311,10 @@ def run_cell(payload: Mapping[str, Any]) -> tuple[dict, dict]:
                     record["detail"] = _truncate("; ".join(details))
     except ScheduleTimeoutError as exc:
         record["status"] = "timeout"
-        # str(exc) distinguishes the wall-clock alarm from the CPU rlimit
-        # (both deterministic given the same limits)
-        record["detail"] = _truncate(
-            str(exc) or f"exceeded {payload.get('timeout_s')}s"
-        )
+        # str(exc) distinguishes the wall-clock deadline from the CPU
+        # rlimit (both deterministic given the same limits)
+        record["detail"] = _truncate(str(exc))
         record["rounds"] = record["touches"] = record["verified"] = None
-        # the alarm can interrupt an oracle mid-delta; drop the cached
-        # problems so no later cell sees a half-morphed union graph, and
-        # wipe every learned-nogood table -- extraction interrupted
-        # mid-witness must not leak a poisoned pattern into later cells
-        # that still hold a reference to a shared oracle
-        _unit_cache().clear()
-        from repro.core.oracle import clear_nogoods
-
-        clear_nogoods()
     except InfeasibleUpdateError as exc:
         record["status"] = "infeasible"
         record["detail"] = _truncate(str(exc))
@@ -371,18 +370,8 @@ class CampaignRunner:
         payloads = [cell.payload() for cell in pending]
         total = len(cells)
         done = total - len(pending)
-        # a timed spec must run in pool workers even at workers=1: only a
-        # process main thread can arm SIGALRM, and e.g. REST runs us from
-        # a handler thread where the inline path would drop the limit
-        inline = self.workers == 1 and (
-            self.spec.timeout_s is None
-            or (
-                hasattr(signal, "SIGALRM")
-                and threading.current_thread() is threading.main_thread()
-            )
-        )
         try:
-            if inline or not payloads:
+            if self.workers == 1 or not payloads:
                 results = map(run_cell, payloads)
                 self._drain(results, progress, done, total)
             else:

@@ -59,6 +59,7 @@ from repro.churn.events import (
 from repro.churn.metrics import ChurnMetrics, UpdateLifecycle
 from repro.churn.traces import ChurnTrace, sample_simple_path
 from repro.controller.update_queue import RoundTiming
+from repro.core.deadline import check_deadline
 from repro.core.oracle import oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
@@ -407,6 +408,7 @@ class OnlineChurnController:
         return min(common, key=repr)
 
     def _plan_round(self, active: _ActiveUpdate) -> None:
+        check_deadline()  # a timed churn cell stops between two rounds
         active.next_plan_event = None
         if active.cancel_requested:
             self._finish_active(active, "cancelled")

@@ -7,7 +7,10 @@ individual scheduler functions with their private kwargs:
 * a :class:`ScheduleRequest` carries the problem, the registry spec string
   (see :mod:`repro.core.registry` for the grammar), cleanup and verify
   flags, an explicit verification target, an oracle-reuse handle, engine
-  params, and an optional wall-clock budget;
+  params, and an optional wall-clock budget (``timeout_s``: a
+  :func:`~repro.core.deadline.time_limit` around search and
+  verification, polled by their loops, so it holds on whichever thread
+  executes the request -- cooperative, exact to one poll interval);
 * :func:`execute_request` resolves the scheduler, runs it under the
   budget, verifies the produced schedule (against the explicit properties
   if given, else against the scheduler's realized guarantee -- a
@@ -35,85 +38,19 @@ rounds / ``total_updates`` / ``to_dict`` surface).
 
 from __future__ import annotations
 
-import contextlib
 import json
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.errors import ScheduleTimeoutError, UpdateModelError, VerificationError
+from repro.errors import UpdateModelError, VerificationError
 from repro.obs import trace as obs
+from repro.core.deadline import time_limit
 from repro.core.oracle import RequestScope, SafetyOracle
 from repro.core.problem import UpdateProblem
 from repro.core.registry import PROPERTY_NAMES, Scheduler, resolve_scheduler
 from repro.core.twophase import TwoPhaseSchedule
 from repro.core.verify import Property, VerificationReport, verify_schedule
-
-
-@contextlib.contextmanager
-def time_limit(seconds: float | None):
-    """Raise :class:`ScheduleTimeoutError` after ``seconds`` of wall clock.
-
-    Uses ``SIGALRM``, so it only arms on the main thread of a process with
-    alarm support (true for campaign pool workers and plain scripts);
-    elsewhere -- e.g. a REST service thread -- the limit is silently
-    skipped (the campaign runner routes timed cells into pool workers for
-    exactly this reason).
-
-    Nesting-safe: an already-armed alarm (an outer ``time_limit`` or a
-    worker-level watchdog) is suspended, not cancelled.  While the inner
-    limit is active the alarm fires at whichever deadline comes first --
-    chaining to the *outer* handler when the outer deadline is the earlier
-    one -- and on exit the outer handler is restored and re-armed with its
-    remaining time.
-    """
-    usable = (
-        seconds is not None
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    previous = signal.getsignal(signal.SIGALRM)
-    prior_delay, _ = signal.setitimer(signal.ITIMER_REAL, 0.0)
-    start = time.monotonic()
-    outer_deadline = start + prior_delay if prior_delay > 0.0 else None
-    inner_deadline = start + seconds
-    outer_fired = False
-
-    def on_alarm(signum, frame):
-        nonlocal outer_fired
-        if (
-            outer_deadline is not None
-            and outer_deadline <= inner_deadline
-            and time.monotonic() >= outer_deadline
-            and callable(previous)
-        ):
-            outer_fired = True
-            previous(signum, frame)
-            return
-        raise ScheduleTimeoutError(f"exceeded {seconds}s")
-
-    arm = seconds
-    if outer_deadline is not None:
-        arm = min(seconds, max(outer_deadline - start, 1e-6))
-    signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, arm)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-        if outer_deadline is not None and not outer_fired:
-            # hand the remaining budget back to the outer alarm; if the
-            # outer deadline slipped past while we held the timer, fire
-            # it (almost) immediately rather than swallowing it
-            remaining = outer_deadline - time.monotonic()
-            signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-6))
 
 
 @dataclass(frozen=True)
@@ -125,6 +62,9 @@ class ScheduleRequest:
     caller thread a pre-warmed :class:`SafetyOracle` through (schedulers
     that take no oracle ignore it via their registry adapter).  ``params``
     are engine options merged over the spec string's ``?key=value`` ones.
+    ``timeout_s`` bounds search plus verification in wall-clock seconds
+    on the executing thread (:mod:`repro.core.deadline`); running out
+    raises :class:`~repro.errors.ScheduleTimeoutError`.
     """
 
     problem: UpdateProblem
@@ -267,7 +207,9 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
             f"scheduler {scheduler.name!r} requires a waypointed problem"
         )
     started = time.perf_counter()
-    with RequestScope() as scope, obs.span(
+    # the budget opens first: the problem tables the span's attributes
+    # pull in are part of what the request costs
+    with time_limit(request.timeout_s), RequestScope() as scope, obs.span(
         "api.execute_request",
         scheduler=scheduler.name,
         problem=problem.name,
@@ -275,21 +217,20 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
     ) as request_span:
         if request.oracle is not None:
             scope.note(request.oracle)
-        with time_limit(request.timeout_s):
-            with obs.span("api.search", scheduler=scheduler.name):
-                run = scheduler.run(
-                    problem,
-                    include_cleanup=request.include_cleanup,
-                    oracle=request.oracle,
-                    params=request.params,
+        with obs.span("api.search", scheduler=scheduler.name):
+            run = scheduler.run(
+                problem,
+                include_cleanup=request.include_cleanup,
+                oracle=request.oracle,
+                params=request.params,
+            )
+        if request.verify:
+            with obs.span("api.verify"):
+                report = _verify_outcome(
+                    run.schedule, request.properties or run.guarantee
                 )
-            if request.verify:
-                with obs.span("api.verify"):
-                    report = _verify_outcome(
-                        run.schedule, request.properties or run.guarantee
-                    )
-            else:
-                report = None
+        else:
+            report = None
         wall_ms = (time.perf_counter() - started) * 1000.0
         oracle_stats = scope.deltas()
         request_span.set_attrs(

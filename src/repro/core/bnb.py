@@ -74,6 +74,7 @@ from repro.errors import (
 )
 from repro.obs import trace as obs
 from repro.core.combined import combined_greedy_schedule
+from repro.core.deadline import check_deadline
 from repro.core.oracle import DEFAULT_NOGOOD_LIMIT
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import Property
@@ -615,12 +616,20 @@ def search_mask_bnb(
             nodes_expanded=expanded,
         )
 
+    def poll(limit: int | None) -> None:
+        """Both clocks, read between two oracle queries: the request's
+        deadline, and ``time_limit_s`` with its proven interval."""
+        check_deadline()
+        if deadline is not None and time.monotonic() > deadline:
+            raise out_of_budget(f"{time_limit_s}s", limit)
+
     def dfs(state: int, remaining: float, limit: int | None) -> list[int] | None:
         """Rounds completing ``state`` within ``remaining`` rounds, or
         ``None``.  ``limit`` is the deepening level (for the interval a
         budget overrun reports); ``remaining=inf`` is the unbounded pass."""
         nonlocal expanded
         expanded += 1
+        poll(limit)  # an expansion below costs ~1 ms at n = 24
         if expanded % _MILESTONE_EVERY == 0 and obs.tracing_enabled():
             obs.event(
                 "bnb.milestone",
@@ -645,11 +654,10 @@ def search_mask_bnb(
         tried = 0
         while sub:
             # one node can enumerate 2^|safe_mask| subsets, so the
-            # deadline is polled here and not once per node
-            if deadline is not None:
-                if not tried % _DEADLINE_POLL_EVERY and time.monotonic() > deadline:
-                    raise out_of_budget(f"{time_limit_s}s", limit)
-                tried += 1
+            # clocks are also read here and not only once per node
+            tried += 1
+            if not tried % _DEADLINE_POLL_EVERY:
+                poll(limit)
             successor = state | sub
             key = search.state_key(successor) if classes else successor
             if (

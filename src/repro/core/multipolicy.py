@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Sequence
 
 from repro.errors import InfeasibleUpdateError, UpdateModelError
+from repro.core.deadline import check_deadline
 from repro.core.oracle import SafetyOracle
 from repro.core.problem import RuleState, UpdateKind, UpdateProblem
 from repro.core.schedule import UpdateSchedule
@@ -286,6 +287,7 @@ def greedy_joint_schedule(
         round_nodes: set = set()
         kept: list = []
         for node in pending:
+            check_deadline()
             candidate = round_nodes | {node}
             if not round_unsafe(updated, candidate):
                 round_nodes = candidate

@@ -773,8 +773,7 @@ class SafetyOracle:
         return tuple(self._nogoods)
 
     def clear_nogoods(self) -> None:
-        """Drop every learned pattern (the table may be mid-poisoned
-        after an asynchronous interrupt such as a cell timeout)."""
+        """Drop every learned pattern."""
         self._nogoods.clear()
         self._nogood_seen.clear()
 
@@ -1158,18 +1157,6 @@ def clear_registry() -> None:
     with _RETIRED_LOCK:
         _RETIRING.clear()
         _RETIRED = OracleStats()
-
-
-def clear_nogoods() -> None:
-    """Drop the learned-nogood tables of every live shared oracle.
-
-    Learning can be interrupted asynchronously (the campaign runner's
-    per-cell SIGALRM fires mid-extraction); a half-written table would
-    then poison verdicts for every later cell reusing the cached
-    problem, so timeout handlers wipe all tables wholesale.
-    """
-    for oracle in _live_oracles():
-        oracle.clear_nogoods()
 
 
 def aggregate_stats() -> OracleStats:

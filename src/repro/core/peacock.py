@@ -44,16 +44,17 @@ def classify_forward_backward(problem: UpdateProblem) -> tuple[set, set]:
     exit sits strictly later on the old path than the node itself.
     """
     old_pos = {node: i for i, node in enumerate(problem.old_path.nodes)}
+    new_nodes = problem.new_path.nodes
     forward: set = set()
     backward: set = set()
     for node in problem.required_updates:
         if problem.kind(node) is not UpdateKind.SWITCH:
             continue
         exit_node = node
-        position = problem.new_path.index_of(node)
-        for candidate in problem.new_path.nodes[position + 1 :]:
-            if candidate in old_pos:
-                exit_node = candidate
+        # by index: a slice would copy the rest of the path per node
+        for index in range(problem.new_path.index_of(node) + 1, len(new_nodes)):
+            if new_nodes[index] in old_pos:
+                exit_node = new_nodes[index]
                 break
         if old_pos[exit_node] > old_pos[node]:
             forward.add(node)

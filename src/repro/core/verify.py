@@ -28,6 +28,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import VerificationBudgetError, VerificationError
+from repro.core.deadline import check_deadline
 from repro.core.problem import RuleState, UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.transient import (
@@ -326,6 +327,7 @@ def verify_schedule(
     rounds = schedule.rounds
     settled = True  # the old path has no cycle
     for round_index, round_nodes in enumerate(rounds):
+        check_deadline()
         if round_index == 0:
             union = UnionGraph.for_round(schedule, 0)
         else:

@@ -77,10 +77,6 @@ class OpenFlowError(ReproError):
     """An OpenFlow message is malformed or cannot be encoded/decoded."""
 
 
-class WireFormatError(OpenFlowError):
-    """Binary wire encoding or decoding failed."""
-
-
 class SwitchError(ReproError):
     """A simulated switch rejected an operation."""
 

@@ -1,8 +1,6 @@
 """OpenFlow 1.3 protocol constants (the subset the prototype uses).
 
-Numeric values follow the OpenFlow 1.3.5 specification so the binary wire
-codec in :mod:`repro.openflow.wire` produces frames a real dissector would
-recognize for the implemented subset.
+Numeric values follow the OpenFlow 1.3.5 specification.
 """
 
 from __future__ import annotations

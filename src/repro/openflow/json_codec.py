@@ -1,7 +1,7 @@
 """JSON-dict codec for OpenFlow messages (trace export / REST bodies).
 
-Binary framing is :mod:`repro.openflow.wire`; this module provides the
-human-readable form used by the REST layer, scenario traces and the CLI.
+The human-readable form used by the REST layer, scenario traces and the CLI
+(the simulator passes message objects; there is no binary framing).
 Only the message types that travel through those layers are covered.
 """
 

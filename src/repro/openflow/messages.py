@@ -1,8 +1,8 @@
 """OpenFlow control messages (everything except FlowMod and stats).
 
-Messages are plain dataclasses with an ``xid`` transaction id; the binary
-framing lives in :mod:`repro.openflow.wire`.  Barrier request/reply are the
-stars of the show -- the paper's rounds are fenced with them.
+Messages are plain dataclasses with an ``xid`` transaction id.  Barrier
+request/reply are the stars of the show -- the paper's rounds are fenced
+with them.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ Routes (mirroring ofctl_rest plus the paper's update endpoint):
 * ``POST /update/<algorithm>``        -- ditto with the algorithm in the path
 * ``GET  /update/<update_id>``        -- execution status / timings
 * ``POST /schedule``                  -- scheduler service: compute + verify a
-  schedule through the registry envelope, without executing it
+  schedule through the registry envelope, without executing it; bounded
+  by :data:`REQUEST_DEADLINE_S` on the thread that serves it (408)
 * ``GET  /schedulers``                -- registry capability listing
 * ``POST /campaigns``                 -- run a declarative scenario campaign
 * ``GET  /campaigns``                 -- known campaign ids
@@ -50,6 +51,7 @@ from repro.errors import (
     InfeasibleUpdateError,
     NotFoundError,
     RestError,
+    ScheduleTimeoutError,
     SchedulerSpecError,
     UnknownDatapathError,
     UpdateModelError,
@@ -68,6 +70,12 @@ from repro.rest.schemas import (
     validate_schedule_body,
     validate_update_body,
 )
+
+#: Wall-clock seconds ``POST /schedule`` gives search plus verification
+#: (408 past it).  The third request limit, next to
+#: ``http_binding.MAX_BODY_BYTES`` and ``IDLE_TIMEOUT_S`` -- it lives here
+#: because in-process callers of :meth:`RestApi.handle` are bound as well.
+REQUEST_DEADLINE_S = 30.0
 
 
 @dataclass
@@ -221,7 +229,7 @@ def build_rest_api(
         _flush()
         return summary
 
-    def post_schedule(body: Any) -> dict:
+    def post_schedule(body: Any) -> dict | RestResponse:
         """Scheduler-service endpoint: the envelope over the wire."""
         validate_schedule_body(body)
         try:
@@ -249,7 +257,12 @@ def build_rest_api(
                 verify=body.get("verify", True),
                 properties=properties,
                 params=body.get("params") or {},
+                timeout_s=REQUEST_DEADLINE_S,
             )
+        except ScheduleTimeoutError as exc:
+            # 4xx, not 5xx: HttpClient re-sends on 5xx, and a body that
+            # ran out of time once would be computed max_attempts times
+            return RestResponse(status=408, body={"error": str(exc)})
         except (SchedulerSpecError, UpdateModelError, VerificationError) as exc:
             # bad spec, model precondition, or an engine refusing the
             # request (size cap, WPE sans waypoint)

@@ -21,7 +21,8 @@ which nothing arrives for :data:`IDLE_TIMEOUT_S` is dropped, and
 :meth:`RestHttpServer.stop` closes the ones still open, so no handler
 thread outlives the server.  A request that is refused before its body
 was read (401, bad or oversized ``Content-Length``) closes the connection:
-the unread bytes must not be parsed as the next request.
+the unread bytes must not be parsed as the next request.  (The compute
+limit of ``POST /schedule``, 408, is :data:`repro.rest.api.REQUEST_DEADLINE_S`.)
 
 The client side, :class:`HttpClient`, is what fabric workers (and any
 other library-internal caller) use to talk to a server, over one

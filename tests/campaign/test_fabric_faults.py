@@ -267,8 +267,8 @@ class TestEscalation:
 
     def test_escalated_rerun_recovers_end_to_end(self, tmp_path):
         # a sleeper scheduler that outlives the first wall budget but
-        # fits the escalated one; the worker runs on the *main* thread so
-        # run_cell's SIGALRM timeout is live
+        # fits the escalated one; the worker is a fleet *thread*: the
+        # deadline is noticed by the first poll after the nap
         import time
 
         from repro.core.registry import (
@@ -293,7 +293,7 @@ class TestEscalation:
                 tmp_path, spec_dict=spec,
                 lease_ttl_s=5.0, escalation_factor=8.0,
             )
-            FabricWorker(LocalClient(coordinator), name="mt").run()
+            run_local_fleet(coordinator, 1)
             coordinator.close()
             assert coordinator.finished
             assert coordinator.counters["escalations"] == 1
@@ -302,6 +302,23 @@ class TestEscalation:
             assert record["scheduler"] == "napper"
         finally:
             REGISTRY.unregister("napper")
+
+    def test_fleet_thread_honours_the_cell_timeout(self, tmp_path):
+        spec = {
+            "name": "slow-fleet",
+            "families": [{"family": "reversal", "sizes": [12]}],
+            "schedulers": ["optimal:rlf"],
+            "timeout_s": 0.001,
+        }
+        coordinator = _coordinator(
+            tmp_path, spec_dict=spec, escalation_factor=0
+        )
+        run_local_fleet(coordinator, 1)
+        coordinator.close()
+        assert coordinator.finished
+        [record] = coordinator.store.records()
+        assert record["status"] == "timeout"
+        assert record["detail"] == "exceeded 0.001s"
 
 
 class TestHttpFleet:

@@ -62,8 +62,8 @@ class TestRunCell:
         assert "no-such-scheduler" in record["detail"]
 
     def test_timeout_is_captured(self):
-        # the exact minimum-round search on a 12-node reversal takes far
-        # longer than a millisecond; the alarm must cut it off
+        # the exact minimum-round search on a 12-node reversal takes
+        # longer than a millisecond; the deadline must cut it off
         spec = {
             "name": "slow",
             "families": [{"family": "reversal", "sizes": [12],
@@ -88,12 +88,50 @@ class TestRunCell:
         assert status["by_status"]["ok"] == 1
         assert status["verification_failures"] == 1
 
-    def test_timeout_enforced_from_worker_thread(self, tmp_path):
-        # e.g. the REST service runs campaigns from an HTTP handler thread,
-        # where SIGALRM cannot be armed inline; the runner must fall back
-        # to a pool worker so the cell still times out
+    def test_timeout_leaves_the_cached_unit_usable(self):
+        # nothing is wiped after a timeout: the search stopped at a safe
+        # point, so the cells that follow on the same cached problem (and
+        # its shared oracles, memos and nogoods) record what a cold run does
+        from repro.campaign.runner import _unit_cache
+        from repro.core.oracle import clear_registry
+
+        spec = {
+            "name": "after",
+            "families": [{"family": "reversal", "sizes": [12]}],
+            "schedulers": [
+                "optimal:rlf", "optimal:slf", "peacock", "greedy-slf",
+                "combined:slf+blackhole",
+            ],
+            "verify": True,
+        }
+        payloads = [cell.payload() for cell in CampaignSpec.from_dict(spec).expand()]
+
+        def cold():
+            _unit_cache().clear()
+            clear_registry()
+
+        cold()
+        expected = [run_cell(payload)[0] for payload in payloads]
+        for victim in payloads[:2]:
+            cold()
+            record, _ = run_cell({**victim, "timeout_s": 0.001})
+            assert record["status"] == "timeout"
+            [unit] = _unit_cache().values()
+            assert [run_cell(payload)[0] for payload in payloads] == expected
+            assert list(_unit_cache().values()) == [unit]
+
+    def test_timeout_enforced_from_worker_thread(self, tmp_path, monkeypatch):
+        # e.g. the REST service runs campaigns from an HTTP handler thread;
+        # the deadline is per thread, so the cell times out right there --
+        # no pool, no child process
         import threading
 
+        from repro.campaign import runner as runner_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must not create a pool")
+
+        monkeypatch.setattr(runner_module.multiprocessing, "Pool", no_pool)
         spec = CampaignSpec.from_dict({
             "name": "slow-thread",
             "families": [{"family": "reversal", "sizes": [12]}],

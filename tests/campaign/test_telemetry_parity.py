@@ -14,7 +14,7 @@ import pytest
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign.fabric import Coordinator, run_local_fleet
 from repro.campaign.runner import _unit_cache
-from repro.core.oracle import clear_nogoods, clear_registry
+from repro.core.oracle import clear_registry
 from repro.metrics import global_collector, reset_global_collector
 
 #: The ``make fabric-smoke`` grid (benchmarks/run_fabric_smoke.py).
@@ -36,7 +36,6 @@ N_CELLS = 42
 def _cold_start():
     """Both runs must see identical (cold) oracle/unit caches."""
     clear_registry()
-    clear_nogoods()
     _unit_cache().clear()
 
 

@@ -87,3 +87,24 @@ class TestRunCell:
         first, _ = run_cell(payload)
         second, _ = run_cell(payload)
         assert first == second
+
+    def test_timed_cell_stops_in_the_round_planner(self, monkeypatch):
+        # a churn cell goes through neither pack_rounds nor verify_schedule:
+        # the controller's own planner is what looks at the deadline
+        from repro.churn import controller
+        from repro.core.deadline import check_deadline
+
+        payload = _payload(CHURN_SPEC, "churn-fat-tree-duration_ms150-rate_per_s40-n4-r0@greedy-slf")
+        untimed, _ = run_cell(payload)
+        polls = []
+        monkeypatch.setattr(
+            controller, "check_deadline",
+            lambda: polls.append(1) or check_deadline(),
+        )
+        record, _ = run_cell({**payload, "timeout_s": 0.001})
+        assert record["status"] == "timeout"
+        assert record["detail"] == "exceeded 0.001s"
+        assert polls
+        # the cached trace unit serves the next cell as if nothing happened
+        again, _ = run_cell(payload)
+        assert again == untimed

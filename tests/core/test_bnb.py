@@ -316,6 +316,40 @@ class TestAnytimeInterval:
         assert clock.reads <= 8
         assert len(bounded) <= 6 * bnb._DEADLINE_POLL_EVERY
 
+    def test_every_expansion_looks_at_the_clock(self, monkeypatch):
+        # an expansion costs a singleton sweep (~0.7 ms at n = 24) and a
+        # leaf (one round left) returns before the round enumeration, so
+        # a clock read only there let 1023 leaves pass between two looks:
+        # a 0.05 s limit on crossing-clash-24 came back after 0.255 s
+        from types import SimpleNamespace
+
+        from repro.core import bnb, optimal
+
+        problem = crossing_clash_instance(12)
+        clear_registry()
+        counts = SimpleNamespace(reads=0, expansions=0)
+
+        def monotonic():
+            counts.reads += 1
+            return 0.0
+
+        sweep = optimal._MaskSearch.safe_singleton_mask
+
+        def counted_sweep(self, state):
+            counts.expansions += 1
+            return sweep(self, state)
+
+        monkeypatch.setattr(bnb, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(
+            optimal._MaskSearch, "safe_singleton_mask", counted_sweep
+        )
+        minimal_round_schedule(
+            problem, (Property.RLF,), search="bnb", time_limit_s=60.0
+        )
+        assert counts.expansions > 20
+        # one read sets the deadline; then at least one per expansion
+        assert counts.reads - 1 >= counts.expansions
+
     def test_matching_bounds_return_instead_of_raising(self):
         # greedy incumbent == chain bound: proven optimal with zero
         # expansions, so even a zero-ish budget succeeds
@@ -428,13 +462,11 @@ class TestNogoodCorrectness:
         )
         assert warmed.rounds == baseline.rounds
 
-    def test_clear_nogoods_wipes_every_oracle(self):
-        from repro.core.oracle import clear_nogoods
-
+    def test_clear_nogoods_empties_the_table(self):
         problem = reversal_instance(6)
         oracle = _learn_by_enumeration(problem, (Property.SLF,))
         assert oracle.nogoods()
-        clear_nogoods()
+        oracle.clear_nogoods()
         assert not oracle.nogoods()
 
     def test_nogood_limit_zero_disables_learning(self):

@@ -1,4 +1,4 @@
-"""Tests for the nesting-safe SIGALRM wall-clock limiter."""
+"""Tests for the polled per-thread deadline (``repro.core.deadline``)."""
 
 import signal
 import threading
@@ -6,105 +6,194 @@ import time
 
 import pytest
 
-from repro.core.api import time_limit
-from repro.errors import ScheduleTimeoutError
+from repro.core.api import schedule_update, time_limit
+from repro.core.deadline import check_deadline
+from repro.core.hardness import crossing_clash_instance, reversal_instance
+from repro.errors import ExactSearchBudgetError, ScheduleTimeoutError
 
 
-def _spin(seconds: float) -> None:
-    """Busy-wait so the alarm has something to interrupt."""
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        pass
+def _poll_for(seconds: float) -> None:
+    """A loop that behaves: it looks at the deadline as it goes."""
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        check_deadline()
 
 
-def _alarm_cleared() -> bool:
-    return signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
+@pytest.fixture(autouse=True)
+def signals_untouched():
+    """No test here may leave a trace in the process's alarm state."""
+    handler = signal.getsignal(signal.SIGALRM)
+    yield
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 class TestTimeLimit:
     def test_expiry_raises(self):
-        with pytest.raises(ScheduleTimeoutError):
-            with time_limit(0.05):
-                _spin(5.0)
-        assert _alarm_cleared()
+        # ... at the next poll, not before and not by itself
+        with time_limit(0.02):
+            check_deadline()  # in time: nothing
+            time.sleep(0.05)  # nothing interrupts code that does not poll
+            with pytest.raises(ScheduleTimeoutError, match="0.02"):
+                check_deadline()
 
     def test_none_is_a_noop(self):
         with time_limit(None):
-            pass
-        assert _alarm_cleared()
+            check_deadline()
+        with time_limit(0.0):
+            with time_limit(None):  # sets no limit, lifts none either
+                with pytest.raises(ScheduleTimeoutError):
+                    check_deadline()
 
     def test_completion_disarms(self):
+        with pytest.raises(ScheduleTimeoutError):
+            with time_limit(0.0):
+                check_deadline()
+        check_deadline()  # the limit went with its block
         with time_limit(5.0):
             pass
-        assert _alarm_cleared()
+        check_deadline()
+
+    def test_never_arms_an_alarm(self):
+        with time_limit(0.01):
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            time.sleep(0.03)  # a SIGALRM would land here
 
 
 class TestNesting:
     def test_inner_expiry_keeps_outer_armed(self):
         with time_limit(30.0):
             with pytest.raises(ScheduleTimeoutError) as excinfo:
-                with time_limit(0.05):
-                    _spin(5.0)
-            assert "0.05" in str(excinfo.value)
-            # the outer limit survived the inner expiry: its alarm is
-            # re-armed with (close to) its remaining budget
-            remaining = signal.getitimer(signal.ITIMER_REAL)[0]
-            assert 25.0 < remaining <= 30.0
-        assert _alarm_cleared()
+                with time_limit(0.02):
+                    _poll_for(5.0)
+            assert "0.02" in str(excinfo.value)
+            check_deadline()  # the outer limit has 30 s left
 
     def test_outer_deadline_wins_inside_inner(self):
-        # the outer budget expires while the inner (longer) one is
-        # active; the inner arming must chain to the outer handler
         with pytest.raises(ScheduleTimeoutError) as excinfo:
-            with time_limit(0.08):
+            with time_limit(0.03):
                 with time_limit(30.0):
-                    _spin(5.0)
-        assert "0.08" in str(excinfo.value)
-        assert _alarm_cleared()
+                    _poll_for(5.0)
+        assert "0.03" in str(excinfo.value)
 
     def test_inner_completion_restores_outer_remaining(self):
+        from repro.core.deadline import _LOCAL
+
         with time_limit(30.0):
-            before = signal.getitimer(signal.ITIMER_REAL)[0]
+            armed = (_LOCAL.deadline, _LOCAL.seconds)
             with time_limit(1.0):
-                pass
-            after = signal.getitimer(signal.ITIMER_REAL)[0]
-            assert 25.0 < after <= before
-            handler = signal.getsignal(signal.SIGALRM)
-            assert callable(handler)
-        assert _alarm_cleared()
+                assert _LOCAL.seconds == 1.0 and _LOCAL.deadline < armed[0]
+            assert (_LOCAL.deadline, _LOCAL.seconds) == armed
+            with time_limit(60.0):  # a later inner deadline never extends
+                assert (_LOCAL.deadline, _LOCAL.seconds) == armed
+        assert (_LOCAL.deadline, _LOCAL.seconds) == (None, None)
 
     def test_outer_still_fires_after_inner_ran(self):
         with pytest.raises(ScheduleTimeoutError) as excinfo:
-            with time_limit(0.1):
-                with time_limit(0.02):
-                    pass  # completes well inside both budgets
-                _spin(5.0)  # now the outer limit must still be live
-        assert "0.1" in str(excinfo.value)
-        assert _alarm_cleared()
+            with time_limit(0.05):
+                with time_limit(0.01):
+                    pass  # completes inside both budgets
+                _poll_for(5.0)  # now the outer limit must still be live
+        assert "0.05" in str(excinfo.value)
 
     def test_two_level_nesting_both_complete(self):
         with time_limit(10.0):
             with time_limit(5.0):
                 with time_limit(2.0):
-                    pass
-        assert _alarm_cleared()
+                    check_deadline()
+        check_deadline()
+
+
+def _in_thread(body):
+    """Run ``body`` on a fresh non-main thread; its return value or error."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = body()
+        except BaseException as exc:  # noqa: BLE001 - handed to the asserting thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return outcome
 
 
 class TestThreadSafety:
-    def test_skipped_off_main_thread(self):
-        # SIGALRM only works on the main thread; elsewhere the limit is
-        # silently skipped rather than crashing or leaking alarms
-        outcome = {}
+    def test_works_off_the_main_thread(self):
+        def body():
+            with time_limit(0.02):
+                _poll_for(5.0)
+
+        assert isinstance(_in_thread(body).get("error"), ScheduleTimeoutError)
+
+    def test_threads_hold_independent_deadlines(self):
+        armed = threading.Event()
+        checked = threading.Event()
+
+        def expired():
+            with time_limit(0.0):
+                armed.set()
+                assert checked.wait(timeout=30)
+                check_deadline()
+
+        thread_outcome = {}
+        thread = threading.Thread(
+            target=lambda: thread_outcome.update(_in_thread(expired))
+        )
+        thread.start()
+        assert armed.wait(timeout=30)
+        # another thread's limit has run out; this one has none ...
+        check_deadline()
+        with time_limit(30.0):  # ... and its own is its own
+            check_deadline()
+            checked.set()
+            thread.join(timeout=60)
+            check_deadline()
+        assert isinstance(thread_outcome.get("error"), ScheduleTimeoutError)
+
+    @pytest.mark.parametrize(
+        "spec, problem, fraction",
+        [
+            ("optimal:rlf", lambda: crossing_clash_instance(24), 0.1),
+            ("greedy-slf", lambda: reversal_instance(20000), 0.5),
+            # a quarter in, Peacock is packing its big backward round; the
+            # one probe after it re-validates ~20,000 blocked edges inside
+            # the oracle, a third of the run that no poll can interrupt
+            ("peacock", lambda: reversal_instance(20000), 0.25),
+        ],
+    )
+    def test_request_bound_holds_on_a_worker_thread(self, spec, problem, fraction):
+        # the limit is a fraction of what the request takes on this
+        # machine (1.8 s / 1.0 s / 0.75 s where this was written), so the
+        # test asks the same question on a slower or busier one
+        started = time.monotonic()
+        schedule_update(problem(), spec, verify=True)
+        limit = round(fraction * (time.monotonic() - started), 3)
+        instance = problem()
 
         def body():
-            try:
-                with time_limit(0.01):
-                    _spin(0.1)
-                outcome["ok"] = True
-            except Exception as exc:  # pragma: no cover - failure path
-                outcome["error"] = exc
+            started = time.monotonic()
+            with pytest.raises(ScheduleTimeoutError):
+                schedule_update(instance, spec, verify=True, timeout_s=limit)
+            return time.monotonic() - started
 
-        thread = threading.Thread(target=body)
-        thread.start()
-        thread.join()
-        assert outcome.get("ok") is True
+        outcome = _in_thread(body)
+        assert "error" not in outcome, outcome
+        assert outcome["value"] <= 1.25 * limit
+
+    def test_exact_search_budget_keeps_its_interval(self):
+        problem = crossing_clash_instance(24)
+
+        def body():
+            started = time.monotonic()
+            with pytest.raises(ExactSearchBudgetError) as excinfo:
+                schedule_update(problem, "optimal:rlf?time_limit_s=0.5")
+            return time.monotonic() - started, excinfo.value
+
+        wall, error = _in_thread(body)["value"]
+        assert wall <= 0.55
+        assert error.lower >= 1 and error.upper is not None
+        assert error.lower < error.upper

@@ -10,11 +10,14 @@ rest.
 import http.client
 import json
 import socket
+import threading
 import time
 
 import pytest
 
+import repro.rest.api as rest_api
 import repro.rest.http_binding as http_binding
+from repro.core.hardness import crossing_clash_instance, reversal_instance
 from repro.netlab.figure1 import build_figure1_scenario
 from repro.rest.api import build_rest_api
 from repro.rest.http_binding import AUTH_HEADER, RestHttpServer
@@ -241,3 +244,73 @@ class TestRefusalsCannotPoisonTheConnection:
         assert reply.status == 200 and got["status"] == "ok"
         assert connection.connects == 1
         connection.close()
+
+
+def _schedule_body(problem, scheduler):
+    body = {
+        "oldpath": list(problem.old_path.nodes),
+        "newpath": list(problem.new_path.nodes),
+        "scheduler": scheduler,
+        "verify": True,
+    }
+    if problem.waypoint is not None:
+        body["wp"] = problem.waypoint
+    return body
+
+
+class TestRequestDeadline:
+    """``POST /schedule`` is bounded on the handler thread that serves it:
+    a body that would compute for seconds is answered 408 close to
+    ``REQUEST_DEADLINE_S``, and the connection goes on serving."""
+
+    @pytest.mark.parametrize(
+        "scheduler, problem, fraction",
+        [
+            ("optimal:rlf", lambda: crossing_clash_instance(24), 0.1),
+            ("greedy-slf", lambda: reversal_instance(20000), 0.5),
+            # see tests/core/test_time_limit.py for the quarter
+            ("peacock", lambda: reversal_instance(20000), 0.25),
+        ],
+    )
+    def test_hostile_body_is_408_and_the_connection_lives(
+        self, api, server, monkeypatch, scheduler, problem, fraction
+    ):
+        body = _schedule_body(problem(), scheduler)
+        # the deadline is a fraction of what the body costs on this
+        # machine, measured in-process (1.8 s / 1.0 s / 0.75 s here)
+        started = time.monotonic()
+        assert api.handle("POST", "/schedule", body).status == 200
+        deadline_s = round(fraction * (time.monotonic() - started), 3)
+
+        serving_threads = []
+        schedule_update = rest_api.schedule_update
+
+        def spy(*args, **kwargs):
+            serving_threads.append(threading.current_thread())
+            return schedule_update(*args, **kwargs)
+
+        monkeypatch.setattr(rest_api, "schedule_update", spy)
+        monkeypatch.setattr(rest_api, "REQUEST_DEADLINE_S", deadline_s)
+        payload = json.dumps(body).encode()
+        connection = CountingConnection("127.0.0.1", server.port, timeout=30)
+        connection.connect()
+        started = time.monotonic()
+        connection.request("POST", "/schedule", body=payload, headers=JSON_HEADERS)
+        reply = connection.getresponse()
+        answer = json.loads(reply.read())
+        wall = time.monotonic() - started
+        assert reply.status == 408 and not reply.will_close
+        assert answer == {"error": f"exceeded {deadline_s}s"}
+        assert wall <= 1.25 * deadline_s
+        assert serving_threads and threading.main_thread() not in serving_threads
+        reply, got = _post(connection, BODIES[0])
+        assert reply.status == 200 and got["status"] == "ok"
+        assert connection.connects == 1
+        connection.close()
+
+    def test_in_process_callers_are_bound_too(self, api, monkeypatch):
+        monkeypatch.setattr(rest_api, "REQUEST_DEADLINE_S", 0.05)
+        body = _schedule_body(crossing_clash_instance(24), "optimal:rlf")
+        response = api.handle("POST", "/schedule", body)
+        assert response.status == 408
+        assert response.body == {"error": "exceeded 0.05s"}

@@ -20,7 +20,6 @@ class TestHierarchy:
     def test_specific_parentage(self):
         assert issubclass(errors.PathError, errors.TopologyError)
         assert issubclass(errors.TableFullError, errors.SwitchError)
-        assert issubclass(errors.WireFormatError, errors.OpenFlowError)
         assert issubclass(errors.ChannelClosedError, errors.ChannelError)
         assert issubclass(errors.VerificationBudgetError, errors.VerificationError)
         assert issubclass(errors.UnknownDatapathError, errors.ControllerError)
