@@ -16,17 +16,18 @@ remove both walls:
   must be committed strictly before ``u`` whenever flipping ``u`` alone
   is provably unsafe in *every* configuration that still has ``v`` on
   its old rule.  Two certificates establish that universally quantified
-  statement with one least-fixpoint computation each (no state
-  enumeration):
+  statement by least fixpoints (no state enumeration) -- one run per
+  certificate and ``u``, continued on copies for the ``v`` whose pin can
+  change it (:func:`_pin_forces`), not one per pair:
 
   - **SLF** -- if every adversarial old/new assignment of the other
     nodes forces a walk from ``new_next[u]`` back to ``u``, the new rule
-    of ``u`` always closes a loop (``_slf_blocks``);
+    of ``u`` always closes a loop;
   - **WPE** -- if under every assignment the union graph contains a
     source→destination path avoiding the waypoint while ``u`` is
     in flight (an AND-OR reachability fixpoint: ``u`` contributes both
     rules, everyone else is adversarial), flipping ``u`` always bypasses
-    the waypoint (``_wpe_blocks``).
+    the waypoint.
 
   Because any safe round containing ``u`` makes the singleton ``{u}``
   safe by monotonicity, each certificate forbids ``u`` from flipping
@@ -96,45 +97,35 @@ _CHAIN_CACHE_LIMIT = 200_000
 # universally quantified reachability certificates
 # ---------------------------------------------------------------------------
 
-def _choice_table(problem, required, flex=None, pinned=None) -> dict:
+def _choice_table(problem, required) -> dict:
     """Per-node successor choices under adversarial old/new assignment.
 
-    Models the union graph of an arbitrary state ``S'`` probed by the
-    singleton query ``{flex}``: every *required* node other than
-    ``pinned``/``flex`` may sit on either rule (the adversary picks),
-    ``pinned`` is frozen on its old rule, ``flex`` is in flight (both
-    rules live), and non-required nodes never move off their old rule
+    Models the union graph of an arbitrary state ``S'``: every
+    *required* node may sit on either rule (the adversary picks; for the
+    node probed by a singleton query both rules are live, the same two
+    choices), and non-required nodes never move off their old rule
     (deletions are appended after the exact search).  ``None`` next hops
     (installs before install, deletes after delete) are kept: a walk
-    dies there, which must count as an adversarial escape.
+    dies there, which must count as an adversarial escape.  Freezing one
+    node on its old rule is not a second table: see :func:`_pin_forces`.
     """
     old_next, new_next = problem.old_next, problem.new_next
-    table: dict = {}
-    for node in problem.forwarding_nodes:
-        if node == flex:
-            options = {old_next.get(node), new_next.get(node)}
-        elif node == pinned or node not in required:
-            options = {old_next.get(node)}
-        else:
-            options = {old_next.get(node), new_next.get(node)}
-        table[node] = tuple(options)
-    return table
+    return {
+        node: tuple({old_next.get(node), new_next.get(node)})
+        if node in required
+        else (old_next.get(node),)
+        for node in problem.forwarding_nodes
+    }
 
 
-def _reach_fixpoint(choices, target, any_nodes=frozenset(), avoid=None):
-    """Nodes from which ``target`` is reached under *every* assignment.
+def _fixpoint_tables(choices, avoid=None) -> tuple[dict, dict]:
+    """``(preds, remaining)`` that :func:`_reach_fixpoint` propagates over.
 
-    Least fixpoint seeded by ``target``: an ordinary node joins when
-    **all** of its choices already force the target (the adversary picks
-    the edge), a node in ``any_nodes`` when **some** choice does (its
-    union-graph presence offers every edge at once).  ``avoid`` never
-    joins and is never traversed.  An ordinary node with a ``None``
-    choice (the walk can die there) or an ``avoid`` choice can never be
-    forced, and neither can any cycle the adversary can trap a walk in
-    -- which is exactly what makes membership a certificate.
+    ``remaining[node]`` counts the choices of ``node`` not yet known to
+    force the target; a node with a ``None`` choice (the walk can die
+    there) or an ``avoid`` choice starts at :data:`_DEAD`, and ``avoid``
+    itself is left out: it never joins and is never traversed.
     """
-    if target == avoid:
-        return frozenset()
     preds: dict = {}
     remaining: dict = {}
     for node, options in choices.items():
@@ -148,59 +139,61 @@ def _reach_fixpoint(choices, target, any_nodes=frozenset(), avoid=None):
         remaining[node] = len(live) if len(live) == len(options) else _DEAD
         for option in live:
             preds.setdefault(option, []).append(node)
-    forced = {target}
-    queue = [target]
+    return preds, remaining
+
+
+def _reach_fixpoint(preds, remaining, forced, queue, any_node=None) -> None:
+    """Grow ``forced`` to the nodes from which its seed is reached under
+    *every* assignment; ``queue`` holds the members not yet propagated.
+
+    Least fixpoint: an ordinary node joins when **all** of its choices
+    already force the target (the adversary picks the edge), ``any_node``
+    when **some** choice does (its union-graph presence offers every edge
+    at once).  A node that starts at :data:`_DEAD` can never be forced,
+    and neither can any cycle the adversary can trap a walk in -- which
+    is exactly what makes membership a certificate.  ``forced`` and
+    ``remaining`` are updated in place, so a later call continues where
+    this one stopped.
+    """
     while queue:
         reached = queue.pop()
         for node in preds.get(reached, ()):
             if node in forced:
                 continue
-            if node in any_nodes:
-                forced.add(node)
-                queue.append(node)
-                continue
-            remaining[node] -= 1
-            if remaining[node] == 0:
-                forced.add(node)
-                queue.append(node)
-    return forced
+            if node != any_node:
+                remaining[node] -= 1
+                if remaining[node]:
+                    continue
+            forced.add(node)
+            queue.append(node)
 
 
-def _slf_blocks(problem, required, u, pinned=None) -> bool:
-    """Does flipping ``u`` alone *always* close a loop while ``pinned``
-    (when given) still runs its old rule?
+def _forced_from(tables, target, any_node=None) -> tuple[set, dict]:
+    """One fixpoint run seeded by ``target``: the forced set and the
+    ``remaining`` counters it leaves (what :func:`_pin_forces` continues)."""
+    preds, remaining = tables
+    forced, remaining = {target}, dict(remaining)
+    _reach_fixpoint(preds, remaining, forced, [target], any_node)
+    return forced, remaining
 
-    True when ``new_next[u]`` force-reaches ``u``: every adversarial
-    assignment walks the new edge of ``u`` back into ``u``, so the union
-    graph of every such singleton query contains a cycle.
+
+def _pin_forces(tables, base, pinned, old_target, goal, any_node=None) -> bool:
+    """Is ``goal`` forced once ``pinned`` is frozen on its old rule?
+
+    ``base`` is the ``(forced, remaining)`` a finished fixpoint left
+    behind, with ``goal`` outside it.  Freezing a node only takes the
+    adversary a choice away, so the forced set can only grow, and it
+    grows exactly when the frozen node itself joins: it is not forced
+    yet and its old next hop is.  Then the same propagation continues
+    from it on copies; otherwise the base verdict stands.
     """
-    new_target = problem.new_next.get(u)
-    if new_target is None:
+    forced, remaining = base
+    preds, start = tables
+    if pinned in forced or pinned not in start or old_target not in forced:
         return False
-    choices = _choice_table(problem, required, pinned=pinned)
-    return new_target in _reach_fixpoint(choices, target=u)
-
-
-def _wpe_blocks(problem, required, u, pinned=None) -> bool:
-    """Does flipping ``u`` *always* open a waypoint bypass while
-    ``pinned`` (when given) still runs its old rule?
-
-    AND-OR certificate: ``u`` is in flight (both rules in the union
-    graph, so *one* forcing choice suffices), everyone else adversarial.
-    Truth means every reachable configuration's union graph routes
-    source→destination around the waypoint.
-    """
-    waypoint = problem.waypoint
-    if waypoint is None:
-        return False
-    choices = _choice_table(problem, required, flex=u, pinned=pinned)
-    forced = _reach_fixpoint(
-        choices,
-        target=problem.destination,
-        any_nodes=frozenset((u,)),
-        avoid=waypoint,
-    )
-    return problem.source in forced
+    forced = {*forced, pinned}
+    _reach_fixpoint(preds, dict(remaining), forced, [pinned], any_node)
+    return goal in forced
 
 
 def _mixed_blocks(problem, required, u, pinned=None, enum_cap=8) -> bool:
@@ -379,11 +372,34 @@ class PrecedenceAnalysis:
         successors: list[list[int]] = [[] for _ in canonical]
         edge_count = 0
         if use_slf or use_wpe:
+            old_next, new_next = problem.old_next, problem.new_next
+            choices = _choice_table(problem, required)
+            slf_tables = _fixpoint_tables(choices) if use_slf else None
+            wpe_tables = (
+                _fixpoint_tables(choices, avoid=problem.waypoint)
+                if use_wpe
+                else None
+            )
             for u in canonical:
-                if (
-                    (use_slf and _slf_blocks(problem, required, u))
-                    or (use_wpe and _wpe_blocks(problem, required, u))
-                    or (use_mixed and _mixed_blocks(problem, required, u))
+                # one fixpoint per certificate and ``u``, as ``(tables,
+                # (forced, remaining), goal, any_node)``: ``u`` alone is
+                # stuck when the goal is forced, and stuck behind ``v``
+                # when pinning ``v`` forces it
+                runs = []
+                if use_slf:
+                    # every assignment walks the new edge of ``u`` back
+                    # into ``u``: flipping it always closes a loop
+                    base = _forced_from(slf_tables, u)
+                    runs.append((slf_tables, base, new_next.get(u), None))
+                if use_wpe:
+                    # AND-OR: ``u`` is in flight (both rules in the union
+                    # graph, one forcing choice suffices), everyone else
+                    # adversarial; the source forced means every
+                    # configuration routes around the waypoint
+                    base = _forced_from(wpe_tables, problem.destination, u)
+                    runs.append((wpe_tables, base, problem.source, u))
+                if any(goal in base[0] for _, base, goal, _ in runs) or (
+                    use_mixed and _mixed_blocks(problem, required, u)
                 ):
                     self.infeasible_reason = (
                         f"update {u!r} can never be applied: every "
@@ -392,12 +408,9 @@ class PrecedenceAnalysis:
                     )
                     return
                 for v in canonical:
-                    if v == u:
-                        continue
-                    if (
-                        use_slf and _slf_blocks(problem, required, u, pinned=v)
-                    ) or (
-                        use_wpe and _wpe_blocks(problem, required, u, pinned=v)
+                    if v != u and any(
+                        _pin_forces(tables, base, v, old_next.get(v), goal, any_node)
+                        for tables, base, goal, any_node in runs
                     ):
                         successors[index[v]].append(index[u])
                         edge_count += 1

@@ -17,7 +17,9 @@ layer under it: the shared :class:`SafetyOracle` behind a monotonicity
 memo (a round containing a known-unsafe round is unsafe, a round inside
 a known-safe round is safe -- so one "roof" query per state often
 settles thousands of candidates) plus symmetry reduction over
-interchangeable nodes.
+interchangeable nodes.  The safe singletons of a state come from one
+read-only oracle pass (:meth:`SafetyOracle.safe_singletons`); only
+rounds of two or more nodes morph the oracle's graph.
 
 :func:`minimal_round_schedule` runs that DFS in one of two modes and
 picks the mode itself, from the instance size: up to
@@ -203,6 +205,7 @@ class _MaskSearch:
             problem
         )
         self._verdicts: dict[int, bool] = {}
+        self._safe_masks: dict[int, int] = {}
         self._max_safe: dict[int, list[int]] = {}
         self._min_unsafe: dict[int, list[int]] = {}
 
@@ -236,19 +239,29 @@ class _MaskSearch:
 
         A combination containing an unsafe singleton is unsafe by
         monotonicity, so the search enumerates subsets of this mask
-        only.  When more than one bit survives, the whole surviving mask
-        is probed once (the "roof" query): if it is safe, *every* subset
-        is settled for free by the safe-subset memo.
+        only.  All pending singletons are judged by one
+        :meth:`~repro.core.oracle.SafetyOracle.safe_singletons` pass, and
+        the safe ones (the only singletons the enumeration asks about)
+        are filed where :meth:`round_ok` looks first; the mask is kept
+        per state, since deepening re-expands a state once per limit.
+        When more than one bit survives, the whole surviving mask is
+        probed once (the "roof" query): if it is safe, *every* subset is
+        settled for free by the safe-subset memo.
         """
-        mask = 0
-        scan = self.full & ~state
+        mask = self._safe_masks.get(state)
+        if mask is not None:
+            return mask
+        mask = self.oracle.safe_singletons(state)
+        verdicts = self._verdicts
+        base = state << self.k
+        scan = mask
         while scan:
             low = scan & -scan
-            if self.round_ok(state, low):
-                mask |= low
+            verdicts[base | low] = True
             scan ^= low
         if mask & (mask - 1):
             self.round_ok(state, mask)
+        self._safe_masks[state] = mask
         return mask
 
     def filter_ok(self, state: int, rmask: int) -> bool:

@@ -27,7 +27,13 @@ union graph per problem**:
   memo keys are plain-int bitmasks over the problem's canonical node↔bit
   index (:attr:`~repro.core.problem.UpdateProblem.node_bit`), so the
   exact search can probe millions of rounds without building a single
-  frozenset.
+  frozenset;
+* "which pending nodes may flip alone from this state" -- what the exact
+  search asks at every expansion -- is one read-only pass
+  (:meth:`SafetyOracle.safe_singletons`): with a single flexible node
+  every other node has exactly one out-edge, so all n verdicts fall out
+  of one walk table of that functional graph and the persistent graph,
+  the memo and the nogoods are not touched.
 
 Every oracle counts its own work (:class:`OracleStats`).  Two readings
 exist: a request reads the deltas of the oracles *it* was handed
@@ -62,6 +68,10 @@ from repro.topology.graph import NodeId
 #: Node phases, kept as plain ints on the hot path.
 _OLD, _FLEX, _NEW = 0, 1, 2
 _INF = float("inf")
+
+#: How a walk over single out-edges ends (:meth:`SafetyOracle.safe_singletons`);
+#: 0 is "not walked yet".
+_ON_PATH, _ENDS_AT_DESTINATION, _ENDS_IN_DROP, _ENDS_IN_CYCLE = -1, 1, 2, 3
 
 #: Entries above which a verdict memo is dropped wholesale (backstop only).
 DEFAULT_MEMO_LIMIT = 1_000_000
@@ -119,7 +129,8 @@ class SafetyOracle:
       the round is final;
     * **memoized queries** (exact search, analysis): :meth:`round_is_safe`
       morphs the graph to the queried round via the smallest delta and
-      caches the verdict.
+      caches the verdict; :meth:`safe_singletons` answers all one-node
+      rounds of a state at once without morphing anything.
 
     ``properties`` is fixed per oracle; use :func:`oracle_for` to share
     oracles (and their memo tables) per ``(problem, properties)``.
@@ -206,6 +217,7 @@ class SafetyOracle:
                 self._add_edge(node, target)
 
         self._memo: dict[int, bool] = {}
+        self._walk_tables: tuple | None = None  # see safe_singletons
 
         # --- conflict-learned nogoods (cross-state unsafe patterns) ---
         # Each entry is an int pair ``(need_new, need_old)`` distilled
@@ -649,6 +661,151 @@ class SafetyOracle:
             self.stats.memo_evictions += 1
         memo[key] = verdict
         return verdict
+
+    def safe_singletons(self, updated_mask: int) -> int:
+        """Mask of the pending required updates that may flip *alone*.
+
+        Bit ``v`` is set iff ``round_is_safe(updated_mask, 1 << v)``,
+        for every install / switch ``v`` outside ``updated_mask`` -- all
+        of them from one O(n) pass, read-only: the persistent graph, the
+        memo, the nogoods and the counters stay as they are.
+
+        With ``v`` the only flexible node, every other node has exactly
+        one out-edge (its new rule inside ``updated_mask``, its old one
+        outside), so the union graph is a functional graph plus the one
+        edge ``v -> t``, ``t`` the new next hop of ``v``.  One memoized
+        walk gives every node the mask of nodes downstream of it and how
+        its walk ends; each property is then a few bit tests per ``v``:
+        SLF fails iff ``t`` leads back to ``v``; RLF (exact and
+        conservative coincide for one flexible node) iff that happens on
+        the source walk, or ``t``'s walk ends in a cycle there;
+        BLACKHOLE iff ``v`` is on the source walk and ``t``'s walk ends
+        in a drop; WPE iff ``v`` is on the source walk before the
+        waypoint and ``t`` reaches the destination without it.  A base
+        state that already violates a property answers 0 (verdicts are
+        monotone in the in-flight set).
+        """
+        tables = self._walk_tables
+        if tables is None:
+            tables = self._walk_tables = self._build_walk_tables()
+        old, new, flippable, source, waypoint, slf, rlf, blackhole, wpe = tables
+        n = self._width
+        succ = old.copy()
+        scan = updated_mask
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            index = low.bit_length() - 1
+            succ[index] = new[index]
+        # down[i]: nodes strictly downstream of i (a cycle's nodes are
+        # downstream of each other and of themselves); end[i]: how the
+        # walk from i ends.  Index n is the destination.
+        down = [0] * (n + 1)
+        end = [0] * n
+        end.append(_ENDS_AT_DESTINATION)
+        cyclic = False
+        for start in range(n):
+            if end[start]:
+                continue
+            path = []
+            at = start
+            while at >= 0 and not end[at]:
+                end[at] = _ON_PATH
+                path.append(at)
+                at = succ[at]
+            if at < 0:
+                kind, below = _ENDS_IN_DROP, 0
+            elif end[at] == _ON_PATH:
+                cyclic = True
+                kind, below = _ENDS_IN_CYCLE, 0
+                first = path.index(at)
+                cycle = path[first:]
+                del path[first:]
+                for member in cycle:
+                    below |= 1 << member
+                for member in cycle:
+                    down[member], end[member] = below, kind
+            else:
+                kind, below = end[at], down[at] | 1 << at
+            for member in reversed(path):
+                down[member], end[member] = below, kind
+                below |= 1 << member
+        source_end = end[source]
+        on_walk = down[source] | 1 << source
+        if (
+            (slf and cyclic)
+            or (rlf and source_end == _ENDS_IN_CYCLE)
+            or (blackhole and source_end == _ENDS_IN_DROP)
+        ):
+            return 0
+        before_waypoint = 0
+        if wpe:
+            if source_end == _ENDS_AT_DESTINATION and not on_walk >> waypoint & 1:
+                return 0
+            # walked, not derived from the masks: the source walk may run
+            # into a cycle through the waypoint
+            at = source
+            while 0 <= at < n and at != waypoint and not before_waypoint >> at & 1:
+                before_waypoint |= 1 << at
+                at = succ[at]
+        safe = 0
+        scan = flippable & ~updated_mask
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            target = new[low.bit_length() - 1]
+            reach = down[target] | 1 << target
+            if low & reach and (slf or (rlf and low & on_walk)):
+                continue
+            if low & on_walk:
+                target_end = end[target]
+                if (rlf and target_end == _ENDS_IN_CYCLE) or (
+                    blackhole and target_end == _ENDS_IN_DROP
+                ):
+                    continue
+            if (
+                low & before_waypoint
+                and target != waypoint
+                and end[target] == _ENDS_AT_DESTINATION
+                and not reach >> waypoint & 1
+            ):
+                continue
+            safe |= low
+        return safe
+
+    def _build_walk_tables(self) -> tuple:
+        """Int-indexed next-hop tables for :meth:`safe_singletons` (built
+        on its first call: the delta-walk schedulers never need them).
+
+        Positions follow ``_bit_node``, the destination is one extra
+        index and a missing rule is -1.
+        """
+        index = dict(self._node_bit)
+        n = index[self._destination] = self._width
+        old = [
+            -1 if (hop := self._old_next.get(node)) is None else index[hop]
+            for node in self._bit_node
+        ]
+        new = [
+            -1 if (hop := self._new_next.get(node)) is None else index[hop]
+            for node in self._bit_node
+        ]
+        flippable = 0  # the required updates: installs and switches
+        for position in range(n):
+            if new[position] >= 0 and new[position] != old[position]:
+                flippable |= 1 << position
+        properties = self.properties
+        return (
+            old,
+            new,
+            flippable,
+            index[self._source],
+            index.get(self._waypoint, -1),
+            Property.SLF in properties,
+            Property.RLF in properties,
+            Property.BLACKHOLE in properties,
+            Property.WPE in properties,
+        )
 
     def _rlf_safe(self) -> bool:
         # Fast path: the PK structure already knows the graph is acyclic,

@@ -10,9 +10,6 @@ import enum
 #: Protocol version byte for OpenFlow 1.3.
 OFP_VERSION = 0x04
 
-#: Standard OpenFlow header length in bytes.
-OFP_HEADER_LEN = 8
-
 #: "No buffer" sentinel for buffer_id fields.
 OFP_NO_BUFFER = 0xFFFFFFFF
 
@@ -167,10 +164,6 @@ class ActionType(enum.IntEnum):
     SET_FIELD = 25
 
 
-#: OXM class for the OpenFlow basic match fields.
-OXM_CLASS_OPENFLOW_BASIC = 0x8000
-
-
 class OxmField(enum.IntEnum):
     """OXM match field ids (OFPXMT_OFB_*)."""
 
@@ -187,25 +180,6 @@ class OxmField(enum.IntEnum):
     UDP_SRC = 15
     UDP_DST = 16
 
-
-#: Payload length (bytes) of each supported OXM field.
-OXM_LENGTHS: dict[OxmField, int] = {
-    OxmField.IN_PORT: 4,
-    OxmField.ETH_DST: 6,
-    OxmField.ETH_SRC: 6,
-    OxmField.ETH_TYPE: 2,
-    OxmField.VLAN_VID: 2,
-    OxmField.IP_PROTO: 1,
-    OxmField.IPV4_SRC: 4,
-    OxmField.IPV4_DST: 4,
-    OxmField.TCP_SRC: 2,
-    OxmField.TCP_DST: 2,
-    OxmField.UDP_SRC: 2,
-    OxmField.UDP_DST: 2,
-}
-
-#: Bit OR-ed into VLAN_VID OXM values to indicate "a tag is present".
-OFPVID_PRESENT = 0x1000
 
 # Common ethertypes / IP protocol numbers used by the simulator.
 ETH_TYPE_IP = 0x0800

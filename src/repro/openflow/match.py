@@ -1,10 +1,9 @@
-"""OpenFlow match structure with OXM TLV encoding.
+"""OpenFlow match structure over the OXM basic fields.
 
 A :class:`Match` holds the subset of OXM basic fields the prototype needs
 (port, Ethernet, VLAN, IPv4, TCP/UDP).  It can
 
 * test a packet's header fields (:meth:`Match.matches`),
-* encode itself to spec-conformant OXM TLV bytes and back,
 * convert to/from the ofctl-style JSON dicts used in the paper's REST body.
 
 IPv4 fields accept ``"10.0.0.1"`` or ``"10.0.0.0/24"``; masked matching is
@@ -13,18 +12,12 @@ supported for the IPv4 fields only (enough for destination-based policies).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace as dataclass_replace
 from functools import lru_cache
 from typing import Any, Iterator, Mapping
 
 from repro.errors import OpenFlowError
-from repro.openflow.constants import (
-    OFPVID_PRESENT,
-    OXM_CLASS_OPENFLOW_BASIC,
-    OXM_LENGTHS,
-    OxmField,
-)
+from repro.openflow.constants import OxmField
 
 # ---------------------------------------------------------------------------
 # value helpers
@@ -124,7 +117,6 @@ _FIELD_BY_NAME: dict[str, OxmField] = {
     "udp_src": OxmField.UDP_SRC,
     "udp_dst": OxmField.UDP_DST,
 }
-_NAME_BY_FIELD = {field: name for name, field in _FIELD_BY_NAME.items()}
 
 #: Fields that may carry a mask in this implementation.
 _MASKABLE = {OxmField.IPV4_SRC, OxmField.IPV4_DST}
@@ -224,67 +216,6 @@ class Match:
         return True
 
     # ------------------------------------------------------------------
-    # OXM binary encoding
-    # ------------------------------------------------------------------
-    def to_oxm_bytes(self) -> bytes:
-        """Encode the constraints as a sequence of OXM TLVs."""
-        out = bytearray()
-        for name in _FIELD_BY_NAME:  # deterministic spec-ish ordering
-            value = getattr(self, name)
-            if value is None:
-                continue
-            field = _FIELD_BY_NAME[name]
-            payload, mask = _encode_oxm_value(field, value)
-            has_mask = mask is not None
-            length = len(payload) * (2 if has_mask else 1)
-            out += struct.pack(
-                "!HBB",
-                OXM_CLASS_OPENFLOW_BASIC,
-                (field << 1) | (1 if has_mask else 0),
-                length,
-            )
-            out += payload
-            if has_mask:
-                out += mask
-        return bytes(out)
-
-    @classmethod
-    def from_oxm_bytes(cls, data: bytes) -> "Match":
-        """Decode a sequence of OXM TLVs."""
-        offset = 0
-        values: dict[str, Any] = {}
-        while offset < len(data):
-            if offset + 4 > len(data):
-                raise OpenFlowError("truncated OXM TLV header")
-            oxm_class, field_hm, length = struct.unpack_from("!HBB", data, offset)
-            offset += 4
-            if oxm_class != OXM_CLASS_OPENFLOW_BASIC:
-                raise OpenFlowError(f"unsupported OXM class 0x{oxm_class:04x}")
-            has_mask = bool(field_hm & 1)
-            try:
-                field = OxmField(field_hm >> 1)
-            except ValueError:
-                raise OpenFlowError(f"unsupported OXM field {field_hm >> 1}") from None
-            payload_len = OXM_LENGTHS[field]
-            expected = payload_len * (2 if has_mask else 1)
-            if length != expected:
-                raise OpenFlowError(
-                    f"OXM field {field.name} length {length} != {expected}"
-                )
-            if offset + length > len(data):
-                raise OpenFlowError("truncated OXM TLV payload")
-            payload = data[offset : offset + payload_len]
-            mask = (
-                data[offset + payload_len : offset + 2 * payload_len]
-                if has_mask
-                else None
-            )
-            offset += length
-            name = _NAME_BY_FIELD[field]
-            values[name] = _decode_oxm_value(field, payload, mask)
-        return cls(**values)
-
-    # ------------------------------------------------------------------
     # ofctl-style dicts (the REST body format)
     # ------------------------------------------------------------------
     def to_ofctl(self) -> dict[str, Any]:
@@ -304,44 +235,6 @@ class Match:
                 raise OpenFlowError(f"unknown match field {key!r}")
             values[name] = value
         return cls(**values)
-
-
-def _encode_oxm_value(field: OxmField, value: Any) -> tuple[bytes, bytes | None]:
-    """Encode one field value; returns ``(payload, mask_or_None)``."""
-    if field in (OxmField.ETH_DST, OxmField.ETH_SRC):
-        return mac_to_bytes(str(value)), None
-    if field in (OxmField.IPV4_SRC, OxmField.IPV4_DST):
-        address, mask = parse_ipv4_prefix(str(value))
-        if mask == 0xFFFFFFFF:
-            return struct.pack("!I", address), None
-        return struct.pack("!I", address), struct.pack("!I", mask)
-    if field is OxmField.VLAN_VID:
-        return struct.pack("!H", int(value) | OFPVID_PRESENT), None
-    if field is OxmField.IN_PORT:
-        return struct.pack("!I", int(value)), None
-    if field is OxmField.IP_PROTO:
-        return struct.pack("!B", int(value)), None
-    # remaining 2-byte fields: eth_type, l4 ports
-    return struct.pack("!H", int(value)), None
-
-
-def _decode_oxm_value(field: OxmField, payload: bytes, mask: bytes | None) -> Any:
-    if mask is not None and field not in _MASKABLE:
-        raise OpenFlowError(f"mask not supported for {field.name}")
-    if field in (OxmField.ETH_DST, OxmField.ETH_SRC):
-        return bytes_to_mac(payload)
-    if field in (OxmField.IPV4_SRC, OxmField.IPV4_DST):
-        (address,) = struct.unpack("!I", payload)
-        mask_int = struct.unpack("!I", mask)[0] if mask is not None else 0xFFFFFFFF
-        return format_ipv4_prefix(address, mask_int)
-    if field is OxmField.VLAN_VID:
-        (raw,) = struct.unpack("!H", payload)
-        return raw & ~OFPVID_PRESENT
-    if field is OxmField.IN_PORT:
-        return struct.unpack("!I", payload)[0]
-    if field is OxmField.IP_PROTO:
-        return payload[0]
-    return struct.unpack("!H", payload)[0]
 
 
 def iter_supported_fields() -> Iterator[str]:

@@ -303,13 +303,19 @@ class TestEscalation:
         finally:
             REGISTRY.unregister("napper")
 
-    def test_fleet_thread_honours_the_cell_timeout(self, tmp_path):
+    def test_fleet_thread_honours_the_cell_timeout(self, tmp_path, monkeypatch):
+        from repro.core import deadline
+        from tests.core.test_deadline_safe_points import _PollClock
+
         spec = {
             "name": "slow-fleet",
             "families": [{"family": "reversal", "sizes": [12]}],
             "schedulers": ["optimal:rlf"],
-            "timeout_s": 0.001,
+            "timeout_s": 1.0,
         }
+        # the search is over in about a millisecond: instead of racing a
+        # real limit, the fifth of its 14 polls reads a clock past it
+        monkeypatch.setattr(deadline, "time", _PollClock(fire_at=5))
         coordinator = _coordinator(
             tmp_path, spec_dict=spec, escalation_factor=0
         )
@@ -318,7 +324,7 @@ class TestEscalation:
         assert coordinator.finished
         [record] = coordinator.store.records()
         assert record["status"] == "timeout"
-        assert record["detail"] == "exceeded 0.001s"
+        assert record["detail"] == "exceeded 1.0s"
 
 
 class TestHttpFleet:

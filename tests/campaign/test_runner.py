@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, RunStore, run_cell
+from repro.core import deadline
 from repro.errors import CampaignError
+from tests.core.test_deadline_safe_points import _PollClock
 
 SWEEP = {
     "name": "sweep",
@@ -61,18 +63,22 @@ class TestRunCell:
         assert record["status"] == "error"
         assert "no-such-scheduler" in record["detail"]
 
-    def test_timeout_is_captured(self):
-        # the exact minimum-round search on a 12-node reversal takes
-        # longer than a millisecond; the deadline must cut it off
+    def test_timeout_is_captured(self, monkeypatch):
+        # the exact minimum-round search on a 12-node reversal polls the
+        # deadline 14 times (and is done in about a millisecond, so no
+        # real limit is short enough to race it): the fifth poll reads a
+        # clock past the limit and must cut the search off
         spec = {
             "name": "slow",
             "families": [{"family": "reversal", "sizes": [12],
                           "schedulers": ["optimal:rlf"]}],
             "schedulers": ["peacock"],
-            "timeout_s": 0.001,
+            "timeout_s": 1.0,
         }
+        monkeypatch.setattr(deadline, "time", _PollClock(fire_at=5))
         record, _ = run_cell(_payload(spec, "reversal-n12-r0@optimal:rlf"))
         assert record["status"] == "timeout"
+        assert "exceeded 1.0s" in record["detail"]
 
     def test_verification_failure_is_recorded_and_counted(self, tmp_path):
         # one-shot on a reversal breaks relaxed loop freedom: the record
@@ -88,7 +94,7 @@ class TestRunCell:
         assert status["by_status"]["ok"] == 1
         assert status["verification_failures"] == 1
 
-    def test_timeout_leaves_the_cached_unit_usable(self):
+    def test_timeout_leaves_the_cached_unit_usable(self, monkeypatch):
         # nothing is wiped after a timeout: the search stopped at a safe
         # point, so the cells that follow on the same cached problem (and
         # its shared oracles, memos and nogoods) record what a cold run does
@@ -114,7 +120,10 @@ class TestRunCell:
         expected = [run_cell(payload)[0] for payload in payloads]
         for victim in payloads[:2]:
             cold()
-            record, _ = run_cell({**victim, "timeout_s": 0.001})
+            with monkeypatch.context() as patch:
+                # stopped at its fifth poll, in the middle of the search
+                patch.setattr(deadline, "time", _PollClock(fire_at=5))
+                record, _ = run_cell({**victim, "timeout_s": 1.0})
             assert record["status"] == "timeout"
             [unit] = _unit_cache().values()
             assert [run_cell(payload)[0] for payload in payloads] == expected
@@ -136,8 +145,11 @@ class TestRunCell:
             "name": "slow-thread",
             "families": [{"family": "reversal", "sizes": [12]}],
             "schedulers": ["optimal:rlf"],
-            "timeout_s": 0.001,
+            "timeout_s": 1.0,
         })
+        # the deadline is polled, not signalled: the fifth poll on the
+        # worker thread reads a clock past the limit
+        monkeypatch.setattr(deadline, "time", _PollClock(fire_at=5))
         outcome = {}
 
         def run():

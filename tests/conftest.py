@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.problem import UpdateProblem
 from repro.netlab.figure1 import figure1_problem
 from repro.sim.simulator import Simulator
 from repro.topology.builders import figure1, linear
 from repro.topology.graph import Topology
+
+# ``pytest --hypothesis-profile=nightly``: the budget of the generated
+# tests that ask for it (tests/core/generated.py); tier-1 does not.
+settings.register_profile(
+    "nightly",
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""From-scratch exact search and joint packer, as differential references.
+"""From-scratch exact search, singleton scan, precedence certificates and
+joint packer, as differential references.
 
 Until the exact engines were folded into one DFS these lived in ``src/``
 as ``minimal_round_schedule(engine="sets", use_oracle=False)`` and
@@ -9,6 +10,14 @@ and every verdict rebuilds the union graph through
 :func:`~repro.core.multipolicy.verify_joint_round`) -- no oracle, no
 memo, no certificates, no bounds.  That independence is the point; do
 not optimise them.
+
+Two more references left ``src/`` when the exact search learned to
+judge every pending singleton in one oracle pass and to derive the
+precedence certificates from one fixpoint per node:
+:func:`reference_safe_singletons` is the per-bit ``round_is_safe`` scan
+``_MaskSearch.safe_singleton_mask`` used to run, and
+:func:`reference_precedence` the pair-wise analysis that rebuilt a choice
+table and a least fixpoint from scratch for every ordered pair.
 """
 
 from __future__ import annotations
@@ -16,11 +25,16 @@ from __future__ import annotations
 import itertools
 from types import SimpleNamespace
 
+from repro.core.bnb import _mixed_blocks
 from repro.core.multipolicy import verify_joint_round
 from repro.core.optimal import round_is_safe_reference
 from repro.core.problem import RuleState, UpdateKind
 from repro.core.schedule import UpdateSchedule
+from repro.core.verify import Property
 from repro.errors import InfeasibleUpdateError
+
+#: Fixpoint counter start that no run of decrements brings to zero.
+_DEAD = 1 << 30
 
 
 def reference_minimal_schedule(
@@ -108,6 +122,175 @@ def replay_is_safe(problem, schedule, properties) -> bool:
             return False
         updated |= round_nodes
     return updated == set(problem.required_updates)
+
+
+def reference_safe_singletons(round_ok, state: int, pending: int) -> int:
+    """The ``pending`` bits safe to flip alone from ``state``, one
+    question per bit -- the scan ``_MaskSearch.safe_singleton_mask`` ran
+    at every expansion.  ``round_ok(state, round_mask)`` is the judge:
+    ``SafetyOracle.round_is_safe`` (morph the graph, check, memoize) or
+    ``_MaskSearch.round_ok`` in front of it."""
+    mask = 0
+    scan = pending & ~state
+    while scan:
+        low = scan & -scan
+        if round_ok(state, low):
+            mask |= low
+        scan ^= low
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# pair-wise precedence certificates: one table + one fixpoint per (u, v)
+# ---------------------------------------------------------------------------
+
+def _choice_table(problem, required, flex=None, pinned=None) -> dict:
+    """Per-node successor choices under adversarial old/new assignment.
+
+    Models the union graph of an arbitrary state ``S'`` probed by the
+    singleton query ``{flex}``: every *required* node other than
+    ``pinned``/``flex`` may sit on either rule (the adversary picks),
+    ``pinned`` is frozen on its old rule, ``flex`` is in flight (both
+    rules live), and non-required nodes never move off their old rule
+    (deletions are appended after the exact search).  ``None`` next hops
+    (installs before install, deletes after delete) are kept: a walk
+    dies there, which must count as an adversarial escape.
+    """
+    old_next, new_next = problem.old_next, problem.new_next
+    table: dict = {}
+    for node in problem.forwarding_nodes:
+        if node == flex:
+            options = {old_next.get(node), new_next.get(node)}
+        elif node == pinned or node not in required:
+            options = {old_next.get(node)}
+        else:
+            options = {old_next.get(node), new_next.get(node)}
+        table[node] = tuple(options)
+    return table
+
+
+def _reach_fixpoint(choices, target, any_nodes=frozenset(), avoid=None):
+    """Nodes from which ``target`` is reached under *every* assignment.
+
+    Least fixpoint seeded by ``target``: an ordinary node joins when
+    **all** of its choices already force the target (the adversary picks
+    the edge), a node in ``any_nodes`` when **some** choice does (its
+    union-graph presence offers every edge at once).  ``avoid`` never
+    joins and is never traversed.  An ordinary node with a ``None``
+    choice (the walk can die there) or an ``avoid`` choice can never be
+    forced, and neither can any cycle the adversary can trap a walk in
+    -- which is exactly what makes membership a certificate.
+    """
+    if target == avoid:
+        return frozenset()
+    preds: dict = {}
+    remaining: dict = {}
+    for node, options in choices.items():
+        if node == avoid:
+            continue
+        live = [
+            option
+            for option in options
+            if option is not None and option != avoid
+        ]
+        remaining[node] = len(live) if len(live) == len(options) else _DEAD
+        for option in live:
+            preds.setdefault(option, []).append(node)
+    forced = {target}
+    queue = [target]
+    while queue:
+        reached = queue.pop()
+        for node in preds.get(reached, ()):
+            if node in forced:
+                continue
+            if node in any_nodes:
+                forced.add(node)
+                queue.append(node)
+                continue
+            remaining[node] -= 1
+            if remaining[node] == 0:
+                forced.add(node)
+                queue.append(node)
+    return forced
+
+
+def _slf_blocks(problem, required, u, pinned=None) -> bool:
+    """Does flipping ``u`` alone *always* close a loop while ``pinned``
+    (when given) still runs its old rule?
+
+    True when ``new_next[u]`` force-reaches ``u``: every adversarial
+    assignment walks the new edge of ``u`` back into ``u``, so the union
+    graph of every such singleton query contains a cycle.
+    """
+    new_target = problem.new_next.get(u)
+    if new_target is None:
+        return False
+    choices = _choice_table(problem, required, pinned=pinned)
+    return new_target in _reach_fixpoint(choices, target=u)
+
+
+def _wpe_blocks(problem, required, u, pinned=None) -> bool:
+    """Does flipping ``u`` *always* open a waypoint bypass while
+    ``pinned`` (when given) still runs its old rule?
+
+    AND-OR certificate: ``u`` is in flight (both rules in the union
+    graph, so *one* forcing choice suffices), everyone else adversarial.
+    Truth means every reachable configuration's union graph routes
+    source→destination around the waypoint.
+    """
+    waypoint = problem.waypoint
+    if waypoint is None:
+        return False
+    choices = _choice_table(problem, required, flex=u, pinned=pinned)
+    forced = _reach_fixpoint(
+        choices,
+        target=problem.destination,
+        any_nodes=frozenset((u,)),
+        avoid=waypoint,
+    )
+    return problem.source in forced
+
+
+def reference_precedence(problem, properties) -> tuple[str | None, tuple]:
+    """``(infeasible_reason, forced_pairs)`` of
+    :class:`~repro.core.bnb.PrecedenceAnalysis`, with a choice table and
+    a least fixpoint built from scratch for every node and for every
+    ordered pair (``forced_pairs`` is empty when a node alone is stuck:
+    the analysis stops there)."""
+    properties = tuple(properties)
+    names = [p.value for p in properties]
+    canonical = tuple(problem.canonical_updates)
+    required = frozenset(problem.required_updates)
+    use_slf = Property.SLF in properties
+    use_wpe = Property.WPE in properties and problem.waypoint is not None
+    before: dict = {u: [] for u in canonical}  # u -> the v forced ahead of it
+    for u in canonical:
+        if (
+            (use_slf and _slf_blocks(problem, required, u))
+            or (use_wpe and _wpe_blocks(problem, required, u))
+            or (use_slf and use_wpe and _mixed_blocks(problem, required, u))
+        ):
+            return (
+                f"update {u!r} can never be applied: every reachable "
+                f"configuration violates {names}"
+            ), ()
+        for v in canonical:
+            if v != u and (
+                (use_slf and _slf_blocks(problem, required, u, pinned=v))
+                or (use_wpe and _wpe_blocks(problem, required, u, pinned=v))
+            ):
+                before[u].append(v)
+    pairs = tuple((v, u) for v in canonical for u in canonical if v in before[u])
+    # peel nodes nothing left is forced ahead of; what stays is cyclic
+    left = set(canonical)
+    while free := {u for u in left if not left.intersection(before[u])}:
+        left -= free
+    if left:
+        return (
+            f"forced-order cycle among {sorted(map(repr, left))}: no "
+            f"ordering can satisfy {names}"
+        ), pairs
+    return None, pairs
 
 
 def reference_joint_schedule(joint, properties, include_cleanup=True) -> list[set]:

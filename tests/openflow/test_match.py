@@ -256,30 +256,6 @@ class TestSubsumption:
         assert a.subsumes(a)
 
 
-class TestOxmEncoding:
-    @pytest.mark.parametrize("match", [
-        Match(),
-        Match(in_port=7),
-        Match(eth_type=0x0800, ipv4_dst="10.0.0.1"),
-        Match(eth_type=0x0800, ipv4_src="10.0.0.0/24", ipv4_dst="10.1.0.0/16"),
-        Match(eth_src="00:11:22:33:44:55", eth_dst="66:77:88:99:aa:bb"),
-        Match(vlan_vid=2),
-        Match(ip_proto=6, tcp_src=1234, tcp_dst=80),
-        Match(ip_proto=17, udp_src=53, udp_dst=5353),
-    ])
-    def test_roundtrip(self, match):
-        assert Match.from_oxm_bytes(match.to_oxm_bytes()) == match
-
-    def test_truncated_rejected(self):
-        data = Match(in_port=1).to_oxm_bytes()
-        with pytest.raises(OpenFlowError):
-            Match.from_oxm_bytes(data[:-1])
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(OpenFlowError, match="class"):
-            Match.from_oxm_bytes(b"\x00\x01\x00\x04\x00\x00\x00\x00")
-
-
 class TestOfctlCodec:
     def test_roundtrip(self):
         match = Match(in_port=1, eth_type=0x0800, ipv4_dst="10.0.0.0/24")
