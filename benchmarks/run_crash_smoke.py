@@ -48,7 +48,12 @@ import tempfile
 import time
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import CoordinatorKillSchedule, worker_main
+from repro.campaign.fabric import (
+    CoordinatorChaos,
+    CoordinatorChaosConfig,
+    CoordinatorKillSchedule,
+    worker_main,
+)
 from repro.campaign.fabric.journal import JOURNAL
 from repro.campaign.store import RESULTS, TIMINGS, RunStore
 from repro.obs import (
@@ -103,12 +108,12 @@ def serve_once(
         "lease_cells": 4,
         "journal_compact_every": JOURNAL_COMPACT_EVERY,
     }
+    chaos = None
     if kill_after_accepts is not None:
-        body["chaos"] = {
-            "kill_after_accepts": kill_after_accepts,
-            "kill_mode": "sigkill",
-        }
-    api.campaigns.serve(body)
+        chaos = CoordinatorChaos(CoordinatorChaosConfig(
+            kill_after_accepts=kill_after_accepts, kill_mode="sigkill"
+        ))
+    api.campaigns.serve(body, chaos=chaos)
     coordinator = api.campaigns.fabric(spec.campaign_id)
     server = RestHttpServer(api, port=port)
     server.start()

@@ -215,20 +215,6 @@ class CoordinatorChaosConfig:
     kill_after_accepts: int | None = None
     kill_mode: str = "sigkill"  # "sigkill" | "exception"
 
-    def to_dict(self) -> dict:
-        """Plain-JSON form (rides the ``serve`` body into the process)."""
-        return {
-            "kill_after_accepts": self.kill_after_accepts,
-            "kill_mode": self.kill_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CoordinatorChaosConfig":
-        return cls(
-            kill_after_accepts=data.get("kill_after_accepts"),
-            kill_mode=data.get("kill_mode", "sigkill"),
-        )
-
 
 class CoordinatorChaos:
     """Coordinator-side fault runtime; ``on_accept`` is called by the

@@ -475,16 +475,15 @@ class Coordinator:
         cell_id: str,
         record: Mapping[str, Any],
         timing: Mapping[str, Any],
-        integrity: Mapping[str, Any] | None = None,
+        integrity: Mapping[str, Any],
     ) -> dict:
         """Fold one finished cell; idempotent under at-least-once delivery.
 
-        ``integrity`` (optional, attached by current workers) carries
-        ``record_sha256`` -- the canonical-JSON checksum of the record --
-        and ``cell_hash`` -- the leased payload's identity hash; a
-        mismatch rejects the submission *before* journaling and
-        quarantines the submitter.  Legacy submissions without it are
-        folded unvalidated.
+        ``integrity`` carries ``record_sha256`` -- the canonical-JSON
+        checksum of the record -- and ``cell_hash`` -- the leased
+        payload's identity hash; a mismatch rejects the submission
+        *before* journaling and quarantines the submitter.  A submission
+        without it is malformed (:class:`CampaignError`), not hostile.
         """
         entry = {"cell_id": cell_id, "record": record, "timing": timing,
                  "integrity": integrity}
@@ -504,7 +503,7 @@ class Coordinator:
     ) -> dict:
         """Fold several finished cells in one round-trip.
 
-        Each entry is ``{"cell_id", "record", "timing", "integrity"?}``
+        Each entry is ``{"cell_id", "record", "timing", "integrity"}``
         and is validated, checked for duplication, and journaled exactly
         as an individual ``submit`` would -- idempotent per record, so a
         replayed batch (a worker resubmitting after an outage) is a batch
@@ -524,9 +523,14 @@ class Coordinator:
     def _submit_one_locked(
         self, worker_id: str, lease_id: str, entry: Mapping[str, Any], now: float
     ) -> dict:
-        """Fold one ``{"cell_id", "record", "timing", "integrity"?}``."""
+        """Fold one ``{"cell_id", "record", "timing", "integrity"}``."""
         cell_id = str(entry["cell_id"])
         integrity = entry.get("integrity")
+        if not isinstance(integrity, Mapping):
+            # omitting the sidecar must not be a way round the check
+            raise CampaignError(
+                f"submission for cell {cell_id!r} carries no 'integrity'"
+            )
         with obs.span(
             "fabric.submit", cell_id=cell_id, worker_id=worker_id
         ) as span:
@@ -546,9 +550,7 @@ class Coordinator:
                 return reply("quarantined", _refusal("quarantined"))
             record = dict(entry["record"])
             timing = dict(entry["timing"])
-            if integrity is not None and not self._integrity_ok_locked(
-                state, record, integrity
-            ):
+            if not self._integrity_ok_locked(state, record, integrity):
                 self._count("integrity_rejects", worker_id=worker_id)
                 obs.event(
                     "fabric.integrity_reject",
@@ -980,14 +982,11 @@ class Coordinator:
         integrity: Mapping[str, Any],
     ) -> bool:
         """Validate a submission's checksum + cell identity claims."""
-        try:
-            claimed = str(integrity.get("record_sha256", ""))
-            cell_hash = str(integrity.get("cell_hash", ""))
-        except AttributeError:
+        if str(integrity.get("record_sha256", "")) != record_checksum(record):
             return False
-        if claimed != record_checksum(record):
-            return False
-        return cell_hash == payload_identity_hash(state.payload)
+        return str(integrity.get("cell_hash", "")) == payload_identity_hash(
+            state.payload
+        )
 
     def _audit_selected(self, cell_id: str) -> bool:
         """Deterministic audit sampling: seeded on the cell id, so the

@@ -1,80 +1,153 @@
-"""Worker-side transports to a campaign coordinator.
+"""The fabric worker protocol, spelled once, and its two transports.
 
-Workers speak a seven-verb protocol -- register, heartbeat, lease,
-submit, submit_batch, fail, deregister -- with JSON-compatible payloads
-on both transports:
+:data:`VERBS` is the wire contract as data: per :class:`Coordinator`
+verb the ordered body fields in the coordinator's own argument order,
+each with the shape a decoded value must have and the default of an
+optional one.  Both directions read it:
 
-* :class:`LocalClient` calls an in-process :class:`Coordinator` directly
-  (tests, single-host fleets, the thread-based smoke paths);
-* :class:`HttpFabricClient` speaks the same verbs over the REST surface
-  (``POST /campaigns/<id>/fabric/<verb>``) through the retrying
+* :class:`LocalClient` hands out an in-process coordinator's own bound
+  verbs (tests, single-host fleets, the thread-based smoke paths);
+* :class:`HttpFabricClient` encodes a call through the table and POSTs it
+  to ``/campaigns/<id>/fabric/<verb>`` through the retrying
   :class:`~repro.rest.http_binding.HttpClient`, which gives connection
   errors and 5xx responses bounded exponential backoff and fails 4xx
   fast.  Retries make delivery at-least-once; the coordinator's
-  idempotent accept paths make that safe.
+  idempotent accept paths make that safe;
+* :func:`dispatch` is the server side of those POSTs: it decodes and
+  shape-checks a body through the same table and calls the coordinator.
+
+``submit_batch`` has no path of its own: it is a ``submit`` whose body
+carries a ``records`` list of per-cell entries instead of one entry's
+fields (:data:`PATHS` lists the ``<verb>`` segments that exist).
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import functools
+from typing import Any, Callable, Mapping, NamedTuple
 
+from repro.errors import BadRequestError, CampaignError, NotFoundError
 from repro.campaign.fabric.coordinator import Coordinator
+
+_REQUIRED = object()
+#: As a field's ``key``: the value is the body itself, not one key of it.
+WHOLE = ""
+
+
+class Field(NamedTuple):
+    """One parameter of a verb and how it travels."""
+
+    name: str  #: the Coordinator parameter, and the body key unless ``key``
+    shape: Callable[[Any], bool]
+    expects: str
+    default: Any = _REQUIRED
+    key: str | None = None
+
+    @property
+    def wire(self) -> str:
+        return self.name if self.key is None else self.key
+
+
+def _decode(what: str, fields: tuple[Field, ...], body: Mapping) -> list:
+    """The coordinator arguments a body spells, in order, shape-checked."""
+    args = []
+    for field in fields:
+        value = body
+        if field.wire != WHOLE:
+            value = body.get(field.wire, field.default)
+        if value is _REQUIRED or not (
+            value is field.default or field.shape(value)
+        ):
+            raise BadRequestError(
+                f"fabric {what} needs {field.wire!r}: {field.expects}"
+            )
+        args.append(value)
+    return args
+
+
+def _string(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _object(value: Any) -> bool:
+    return isinstance(value, Mapping)
+
+
+def _entries(value: Any) -> bool:
+    if not isinstance(value, list) or not all(map(_object, value)):
+        return False
+    for entry in value:
+        _decode("submit entry", ENTRY, entry)  # raises, naming the key
+    return True
+
+
+WORKER = Field("worker_id", lambda v: _string(v) and v != "", "a non-empty string")
+LEASE = Field("lease_id", _string, "a string")
+CELL = Field("cell_id", _string, "a string")
+#: What one finished cell carries; ``integrity`` is the record checksum +
+#: cell identity hash the coordinator validates before folding.
+ENTRY = (
+    CELL,
+    Field("record", _object, "an object"),
+    Field("timing", _object, "an object"),
+    Field("integrity", _object, "an object"),
+)
+
+RECORDS = Field("entries", _entries, "a list of entry objects", key="records")
+
+#: Coordinator verb -> its parameters, in the coordinator's argument order.
+VERBS: dict[str, tuple[Field, ...]] = {
+    "register": (Field("body", _object, "an object", None, key=WHOLE),),
+    "heartbeat": (WORKER,),
+    "lease": (
+        WORKER,
+        Field("max_cells", lambda v: type(v) is int and v >= 1,
+              "an int >= 1", None),
+    ),
+    "submit": (WORKER, LEASE, *ENTRY),
+    "submit_batch": (WORKER, LEASE, RECORDS),
+    "fail": (
+        WORKER,
+        LEASE,
+        CELL,
+        Field("detail", _string, "a string", ""),
+        Field("requeue", lambda v: isinstance(v, bool), "a boolean", False),
+    ),
+    "deregister": (WORKER,),
+}
+
+BATCH, BATCH_PATH = "submit_batch", "submit"
+#: The ``<verb>`` segments of ``POST /campaigns/<id>/fabric/<verb>``.
+PATHS = tuple(verb for verb in VERBS if verb != BATCH)
+
+
+def dispatch(coordinator: Coordinator, verb: str, body: Any) -> dict:
+    """Serve one POSTed verb: 404 for a path that does not exist, 400 for
+    a body of the wrong shape or a call the coordinator refuses."""
+    if verb not in PATHS:
+        raise NotFoundError(f"unknown fabric verb {verb!r}")
+    if not isinstance(body, Mapping):
+        body = {}
+    if verb == BATCH_PATH and RECORDS.wire in body:
+        verb = BATCH
+    args = _decode(verb, VERBS[verb], body)
+    try:
+        return getattr(coordinator, verb)(*args)
+    except CampaignError as exc:
+        raise BadRequestError(str(exc)) from None
 
 
 class LocalClient:
-    """Direct in-process transport to a :class:`Coordinator`."""
+    """Direct in-process transport: the coordinator's own bound verbs."""
 
     def __init__(self, coordinator: Coordinator) -> None:
         self.coordinator = coordinator
-
-    def register(self, info: Mapping[str, Any] | None = None) -> dict:
-        return self.coordinator.register(info)
-
-    def heartbeat(self, worker_id: str) -> dict:
-        return self.coordinator.heartbeat(worker_id)
-
-    def lease(self, worker_id: str, max_cells: int | None = None) -> dict:
-        return self.coordinator.lease(worker_id, max_cells)
-
-    def submit(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        record: Mapping[str, Any],
-        timing: Mapping[str, Any],
-        integrity: Mapping[str, Any] | None = None,
-    ) -> dict:
-        return self.coordinator.submit(
-            worker_id, lease_id, cell_id, record, timing, integrity
-        )
-
-    def submit_batch(
-        self,
-        worker_id: str,
-        lease_id: str,
-        entries: list,
-    ) -> dict:
-        return self.coordinator.submit_batch(worker_id, lease_id, entries)
-
-    def fail(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        detail: str = "",
-        requeue: bool = False,
-    ) -> dict:
-        return self.coordinator.fail(
-            worker_id, lease_id, cell_id, detail, requeue=requeue
-        )
-
-    def deregister(self, worker_id: str) -> dict:
-        return self.coordinator.deregister(worker_id)
+        for verb in VERBS:
+            setattr(self, verb, getattr(coordinator, verb))
 
 
 class HttpFabricClient:
-    """The same seven verbs over ``POST /campaigns/<id>/fabric/<verb>``."""
+    """The same verbs over ``POST /campaigns/<id>/fabric/<verb>``."""
 
     def __init__(
         self,
@@ -90,71 +163,22 @@ class HttpFabricClient:
             http = HttpClient(base_url, token=token)
         self.http = http
         self.campaign_id = campaign_id
+        for verb in VERBS:
+            setattr(self, verb, functools.partial(self._call, verb))
 
-    def _post(self, verb: str, body: Mapping[str, Any]) -> dict:
+    def _call(self, verb: str, *args: Any, **kwargs: Any) -> dict:
+        fields = VERBS[verb]
+        given = dict(zip((field.name for field in fields), args), **kwargs)
+        body: dict[str, Any] = {}
+        for field in fields:
+            value = given.get(field.name, field.default)
+            if value is _REQUIRED:
+                raise TypeError(f"{verb}() needs {field.name!r}")
+            if field.wire == WHOLE:
+                body.update(value or {})
+            elif value is not None:
+                body[field.wire] = value
+        path = BATCH_PATH if verb == BATCH else verb
         return self.http.post(
-            f"/campaigns/{self.campaign_id}/fabric/{verb}", dict(body)
+            f"/campaigns/{self.campaign_id}/fabric/{path}", body
         )
-
-    def register(self, info: Mapping[str, Any] | None = None) -> dict:
-        return self._post("register", dict(info or {}))
-
-    def heartbeat(self, worker_id: str) -> dict:
-        return self._post("heartbeat", {"worker_id": worker_id})
-
-    def lease(self, worker_id: str, max_cells: int | None = None) -> dict:
-        body: dict[str, Any] = {"worker_id": worker_id}
-        if max_cells is not None:
-            body["max_cells"] = max_cells
-        return self._post("lease", body)
-
-    def submit(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        record: Mapping[str, Any],
-        timing: Mapping[str, Any],
-        integrity: Mapping[str, Any] | None = None,
-    ) -> dict:
-        body = {
-            "worker_id": worker_id,
-            "lease_id": lease_id,
-            "cell_id": cell_id,
-            "record": dict(record),
-            "timing": dict(timing),
-        }
-        if integrity is not None:
-            body["integrity"] = dict(integrity)
-        return self._post("submit", body)
-
-    def submit_batch(
-        self,
-        worker_id: str,
-        lease_id: str,
-        entries: list,
-    ) -> dict:
-        return self._post("submit", {
-            "worker_id": worker_id,
-            "lease_id": lease_id,
-            "records": [dict(entry) for entry in entries],
-        })
-
-    def fail(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        detail: str = "",
-        requeue: bool = False,
-    ) -> dict:
-        return self._post("fail", {
-            "worker_id": worker_id,
-            "lease_id": lease_id,
-            "cell_id": cell_id,
-            "detail": detail,
-            "requeue": bool(requeue),
-        })
-
-    def deregister(self, worker_id: str) -> dict:
-        return self._post("deregister", {"worker_id": worker_id})

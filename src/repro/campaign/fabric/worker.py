@@ -63,6 +63,13 @@ from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
 
 
+#: An idle worker's first poll delay; doubles per empty lease, starts over
+#: at the next granted one.  The coordinator's ``retry_after_s`` only caps
+#: it: that is when a backed-off cell comes due at the latest (a heartbeat
+#: when none is), not when the last lease out there ends.
+IDLE_POLL_S = 0.05
+
+
 class FabricWorker:
     """One pull-based worker bound to a coordinator transport."""
 
@@ -100,7 +107,7 @@ class FabricWorker:
         self.gave_up_offline = False
         self.quarantined = False
         self.rejected_submits = 0
-        self._pending: list[dict] = []  # computed, not yet batch-flushed
+        self._pending: list[dict] = []  # computed, not yet delivered
         self._epoch = 0
         self._draining = threading.Event()
         self._hb_stop = threading.Event()
@@ -235,6 +242,7 @@ class FabricWorker:
         return False
 
     def _loop(self) -> None:
+        idle_s = IDLE_POLL_S
         while True:
             if self._draining.is_set():
                 return
@@ -272,8 +280,10 @@ class FabricWorker:
                 return
             cells = reply.get("cells", [])
             if not cells:
-                self._sleep(float(reply.get("retry_after_s", 0.05)))
+                self._sleep(min(idle_s, float(reply.get("retry_after_s", idle_s))))
+                idle_s *= 2.0
                 continue
+            idle_s = IDLE_POLL_S
             lease_id = reply["lease_id"]
             for i, payload in enumerate(cells):
                 if self._draining.is_set():
@@ -345,133 +355,95 @@ class FabricWorker:
                 "timing": timing,
                 "integrity": integrity,
             }
-            if self.batch_cells > 1:
+            self._pending.append(entry)
+            if duplicate:
                 self._pending.append(entry)
-                if duplicate:
-                    self._pending.append(dict(entry))
-                if len(self._pending) >= self.batch_cells:
-                    return self._flush_batch(lease_id)
-                return True
-            outcome = self._submit(lease_id, entry)
-            if duplicate and outcome == "ok":
-                self._submit(lease_id, entry)
-            if outcome in ("ok", "resubmitted"):
-                self.cells_done += 1
-            return outcome == "ok"
-
-    def _submit(self, lease_id: str, entry: dict) -> str:
-        """Deliver one shard: ``"ok"``, ``"resubmitted"`` (delivered
-        after riding out an outage), ``"offline"`` (gave up), or
-        ``"quarantined"`` / ``"rejected"`` (the coordinator refused it)."""
-        outcome = "ok"
-        cell_id = entry["cell_id"]
-        while True:
-            try:
-                with obs.span(
-                    "fabric.rpc.submit",
-                    cell_id=cell_id,
-                    worker_id=self.worker_id,
-                ):
-                    reply = self.client.submit(
-                        self.worker_id,
-                        lease_id,
-                        cell_id,
-                        entry["record"],
-                        entry["timing"],
-                        entry.get("integrity"),
-                    )
-                if reply.get("rejected"):
-                    self.rejected_submits += 1
-                if reply.get("quarantined"):
-                    self.quarantined = True
-                    obs.event(
-                        "fabric.worker_quarantined",
-                        worker_id=self.worker_id,
-                        cell_id=cell_id,
-                    )
-                    return "quarantined"
-                if reply.get("rejected"):
-                    return "rejected"
-                return outcome
-            except HttpStatusError:
-                raise
-            except TransportError:
-                # retry budget spent: the coordinator is down or
-                # restarting.  The record is already computed, so ride
-                # out the outage and deliver it again -- deterministic
-                # records + idempotent accept make the redelivery safe
-                # even under a lease that died with the old coordinator.
-                if not self._ride_out_outage("submit"):
-                    return "offline"
-                outcome = "resubmitted"
+            if len(self._pending) >= self.batch_cells:
+                return self._flush_batch(lease_id)
+            return True
 
     def _flush_batch(self, lease_id: str) -> bool:
-        """Deliver the pending batch through ``submit_batch``.
+        """Deliver ``_pending``: one ``submit`` per shard when streaming
+        (``batch_cells == 1``), one ``submit_batch`` otherwise.
 
-        A redelivered batch (after riding out an outage) is safe: the
-        coordinator folds each record idempotently, so already-accepted
-        entries come back as counted duplicates.  False when the worker
-        went offline for good or was quarantined mid-batch.
+        The one place a submission meets an outage.  The records are
+        already computed, so the worker rides the outage out and delivers
+        them again: deterministic records + idempotent accept make the
+        redelivery safe even under a lease that died with the old
+        coordinator (already-accepted entries come back as counted
+        duplicates).  False when the rest of the lease should be
+        abandoned: an outage was ridden out (the lease is gone), the
+        worker gave up offline, or it was quarantined.
         """
+        delivered: set[str] = set()  # a duplicated shard is one cell done
+        in_one_go = True
         while self._pending:
-            entries = list(self._pending)
+            batch = self._pending[: 1 if self.batch_cells == 1 else None]
             try:
-                with obs.span(
-                    "fabric.rpc.submit_batch",
-                    worker_id=self.worker_id,
-                    entries=len(entries),
-                ):
-                    reply = self.client.submit_batch(
-                        self.worker_id, lease_id, entries
-                    )
+                results = self._deliver(lease_id, batch)
             except HttpStatusError:
                 raise
             except TransportError:
+                in_one_go = False
                 if not self._ride_out_outage("submit"):
-                    return False
+                    break
                 continue
-            self._pending.clear()
-            for result in reply.get("results", []):
+            del self._pending[: len(batch)]
+            for entry, result in zip(batch, results):
                 if result.get("rejected"):
                     self.rejected_submits += 1
                 if result.get("quarantined"):
                     self.quarantined = True
                 if result.get("accepted") or result.get("duplicate"):
-                    self.cells_done += 1
-            if self.quarantined:
-                obs.event(
-                    "fabric.worker_quarantined", worker_id=self.worker_id
-                )
-                return False
-        return True
+                    delivered.add(entry["cell_id"])
+        self.cells_done += len(delivered)
+        if self.quarantined:
+            obs.event("fabric.worker_quarantined", worker_id=self.worker_id)
+        return in_one_go and not self.quarantined
 
-    def _report_fail(self, lease_id: str, cell_id: str, detail: str) -> None:
+    def _deliver(self, lease_id: str, batch: list[dict]) -> list[dict]:
+        """One round-trip; the coordinator's verdict per entry of ``batch``."""
+        if self.batch_cells == 1:
+            (entry,) = batch
+            with obs.span(
+                "fabric.rpc.submit",
+                cell_id=entry["cell_id"],
+                worker_id=self.worker_id,
+            ):
+                # an entry's keys are ``submit``'s own parameter names
+                return [self.client.submit(self.worker_id, lease_id, **entry)]
+        with obs.span(
+            "fabric.rpc.submit_batch",
+            worker_id=self.worker_id,
+            entries=len(batch),
+        ):
+            reply = self.client.submit_batch(self.worker_id, lease_id, batch)
+        return reply.get("results", [])
+
+    def _report_fail(
+        self, lease_id: str, cell_id: str, detail: str, requeue: bool = False
+    ) -> bool:
+        """Tell the coordinator a cell will not come from this lease; False
+        when it cannot be told (lease expiry or recovery requeues the cell
+        anyway)."""
         try:
             with obs.span(
                 "fabric.rpc.fail", cell_id=cell_id, worker_id=self.worker_id
             ):
-                self.client.fail(self.worker_id, lease_id, cell_id, detail)
+                self.client.fail(
+                    self.worker_id, lease_id, cell_id, detail, requeue=requeue
+                )
         except TransportError:
-            pass  # lease expiry (or recovery) requeues the cell anyway
+            return False
+        return True
 
     def _hand_back(self, lease_id: str, payloads) -> None:
         """Drain: return unstarted leased cells without burning retries."""
         for payload in payloads:
-            try:
-                with obs.span(
-                    "fabric.rpc.fail",
-                    cell_id=payload["cell_id"],
-                    worker_id=self.worker_id,
-                ):
-                    self.client.fail(
-                        self.worker_id,
-                        lease_id,
-                        payload["cell_id"],
-                        "worker draining",
-                        requeue=True,
-                    )
-            except TransportError:
-                return  # the coordinator will reclaim via TTL instead
+            if not self._report_fail(
+                lease_id, payload["cell_id"], "worker draining", requeue=True
+            ):
+                return
 
     def _deregister(self) -> None:
         """Best-effort goodbye so reclaim never waits on a clean exit."""

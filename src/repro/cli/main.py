@@ -33,6 +33,7 @@ from repro.core.registry import PROPERTY_NAMES, parse_properties, scheduler_name
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import default_properties
 from repro.errors import ReproError
+from repro.fabric_options import FABRIC_OPTIONS
 from repro.metrics.report import ascii_table
 from repro.topology import builders
 from repro.topology.io import save_topology
@@ -570,18 +571,9 @@ def cmd_campaign_serve(args: argparse.Namespace) -> int:
     server = RestHttpServer(api, port=args.port, host=args.host, token=args.token)
     server.start()
     body: dict = {"spec": spec.to_dict()}
-    for key, value in (
-        ("lease_ttl_s", args.lease_ttl),
-        ("heartbeat_interval_s", args.heartbeat_interval),
-        ("lease_cells", args.lease_cells),
-        ("max_transient_retries", args.max_retries),
-        ("journal_compact_every", args.journal_compact_every),
-        ("audit_fraction", args.audit_fraction),
-        ("audit_seed", args.audit_seed),
-        ("poison_kill_threshold", args.poison_kill_threshold),
-    ):
-        if value is not None:
-            body[key] = value
+    for key, flag in FABRIC_OPTIONS.items():
+        if flag is not None and getattr(args, key) is not None:
+            body[key] = getattr(args, key)
     try:
         api.campaigns.serve(body)
         coordinator = api.campaigns.fabric(spec.campaign_id)
@@ -808,32 +800,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bind address; beyond loopback requires --token")
     p_cserve.add_argument("--token", default=None, metavar="SECRET",
                           help="shared secret workers must send as X-Repro-Auth")
-    p_cserve.add_argument("--journal-compact-every", type=int, default=None,
-                          metavar="N",
-                          help="compact the fabric write-ahead journal into a "
-                               "snapshot every N records")
     p_cserve.add_argument("--local-workers", type=int, default=0, metavar="N",
                           help="also spawn N worker processes against this server")
     p_cserve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="give up waiting for the fleet after this long")
-    p_cserve.add_argument("--lease-ttl", type=float, default=None, metavar="SECONDS",
-                          help="lease TTL before an unrefreshed cell is reclaimed")
-    p_cserve.add_argument("--heartbeat-interval", type=float, default=None,
-                          metavar="SECONDS", help="worker heartbeat period")
-    p_cserve.add_argument("--lease-cells", type=int, default=None, metavar="N",
-                          help="cells handed out per lease")
-    p_cserve.add_argument("--max-retries", type=int, default=None, metavar="N",
-                          help="transient-failure retries before a cell errors out")
-    p_cserve.add_argument("--audit-fraction", type=float, default=None,
-                          metavar="F",
-                          help="fraction of accepted cells re-executed by a "
-                               "different worker and byte-compared (0 disables)")
-    p_cserve.add_argument("--audit-seed", type=int, default=None, metavar="N",
-                          help="seed for the deterministic audit sample")
-    p_cserve.add_argument("--poison-kill-threshold", type=int, default=None,
-                          metavar="N",
-                          help="distinct worker deaths before a cell is "
-                               "declared poisoned and terminally recorded")
+    for key, flag in FABRIC_OPTIONS.items():
+        if flag is not None:
+            name, kind, metavar, text = flag
+            p_cserve.add_argument(name, dest=key, type=kind, default=None,
+                                  metavar=metavar, help=text)
     p_cserve.add_argument("--json", action="store_true")
     p_cserve.set_defaults(func=cmd_campaign_serve)
 

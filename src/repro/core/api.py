@@ -241,8 +241,8 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
     from repro.metrics import global_collector
 
     collector = global_collector()
-    collector.record("api.schedule.wall_ms", wall_ms)
-    collector.record("api.schedule.rounds", run.schedule.n_rounds)
+    collector.observe("api.schedule.wall_ms", wall_ms)
+    collector.observe("api.schedule.rounds", run.schedule.n_rounds)
     return ScheduleResult(
         scheduler=scheduler.name,
         schedule=run.schedule,

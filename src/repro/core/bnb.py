@@ -196,7 +196,7 @@ def _pin_forces(tables, base, pinned, old_target, goal, any_node=None) -> bool:
     return goal in forced
 
 
-def _mixed_blocks(problem, required, u, pinned=None, enum_cap=8) -> bool:
+def _mixed_blocks(problem, required, u) -> bool:
     """Does flipping ``u`` *always* violate WPE **or** strong loop
     freedom, whichever the adversarial assignment admits?
 
@@ -215,8 +215,8 @@ def _mixed_blocks(problem, required, u, pinned=None, enum_cap=8) -> bool:
     of the waypoint; enumerating concrete assignments for the required
     nodes of that (typically constant-size) closure keeps every node's
     behaviour consistent across both flags, which makes the fixpoint
-    exact per assignment.  Closures with more than ``enum_cap``
-    assignable nodes fall back to ``False`` (no claim).
+    exact per assignment.  Closures with more than eight assignable
+    nodes fall back to ``False`` (no claim).
     """
     waypoint = problem.waypoint
     if waypoint is None:
@@ -226,9 +226,7 @@ def _mixed_blocks(problem, required, u, pinned=None, enum_cap=8) -> bool:
     source, destination = problem.source, problem.destination
 
     def available(node):
-        if node == u:
-            return (old_next.get(node), new_next.get(node))
-        if node == pinned or node not in required:
+        if node != u and node not in required:
             return (old_next.get(node),)
         return (old_next.get(node), new_next.get(node))
 
@@ -243,14 +241,10 @@ def _mixed_blocks(problem, required, u, pinned=None, enum_cap=8) -> bool:
                 closure.add(nxt)
                 stack.append(nxt)
     assignable = sorted(
-        (
-            node
-            for node in closure
-            if node in required and node != u and node != pinned
-        ),
+        (node for node in closure if node in required and node != u),
         key=repr,
     )
-    if len(assignable) > enum_cap:
+    if len(assignable) > 8:
         return False
 
     if source not in forwarding:

@@ -14,7 +14,8 @@ Routes (mirroring ofctl_rest plus the paper's update endpoint):
 * ``POST /stats/flowentry/add``       -- one-shot FlowMod (baseline)
 * ``POST /stats/flowentry/modify``    -- ditto
 * ``POST /stats/flowentry/delete``    -- ditto
-* ``POST /update``                    -- the paper's multi-round update
+* ``POST /update``                    -- the paper's multi-round update;
+  computing its schedule is bounded like ``POST /schedule`` (408)
 * ``POST /update/<algorithm>``        -- ditto with the algorithm in the path
 * ``GET  /update/<update_id>``        -- execution status / timings
 * ``POST /schedule``                  -- scheduler service: compute + verify a
@@ -29,7 +30,7 @@ Routes (mirroring ofctl_rest plus the paper's update endpoint):
 * ``GET  /campaigns/fabric``          -- actively-served campaign ids
 * ``GET  /campaigns/<campaign_id>/fabric`` -- coordinator status + counters
 * ``POST /campaigns/<campaign_id>/fabric/<verb>`` -- the fabric worker
-  protocol (register / heartbeat / lease / submit / fail)
+  protocol (register / heartbeat / lease / submit / fail / deregister)
 * ``GET  /campaigns/<campaign_id>/fabric/telemetry`` -- per-worker live
   telemetry (throughput, lease ages, retry/escalation tallies)
 * ``GET  /metrics``                   -- Prometheus text exposition of the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import (
@@ -60,7 +61,7 @@ from repro.errors import (
 from repro.controller.ofctl_rest import OfctlRestApp
 from repro.controller.ofctl_rest_own import TransientUpdateApp
 from repro.controller.update_queue import UpdateQueueApp
-from repro.core.api import schedule_update
+from repro.core.api import schedule_update, time_limit
 from repro.core.problem import UpdateProblem
 from repro.core.registry import REGISTRY, parse_properties
 from repro.rest.campaigns import CampaignService
@@ -159,7 +160,6 @@ class RestApi:
     update_queue: UpdateQueueApp
     flush: Callable[[], None] | None = None
     campaigns: CampaignService | None = None
-    _stats_cache: dict = field(default_factory=dict)
 
     def handle(self, method: str, path: str, body: Any = None) -> RestResponse:
         return self.router.handle(method, path, body)
@@ -220,12 +220,19 @@ def build_rest_api(
 
         return handler
 
-    def post_update(body: Any, algorithm: str | None = None) -> dict:
+    def post_update(
+        body: Any, algorithm: str | None = None
+    ) -> dict | RestResponse:
         validate_update_body(body)
         request = dict(body)
         if algorithm is not None:
             request["algorithm"] = algorithm
-        summary = update_app.submit_update(request)
+        try:
+            with time_limit(REQUEST_DEADLINE_S):
+                summary = update_app.submit_update(request)
+        except ScheduleTimeoutError as exc:
+            # before anything was queued: the schedule is computed first
+            return RestResponse(status=408, body={"error": str(exc)})
         _flush()
         return summary
 
@@ -332,49 +339,28 @@ def register_campaign_routes(router: Router, campaigns: CampaignService) -> None
     campaign-only coordinator surface (:func:`build_campaign_api`).
     """
 
-    def post_campaign(body: Any) -> dict:
-        return campaigns.submit(body)
+    def route(method: str, path: str, call: Callable[..., Any]) -> None:
+        # a service method names the path captures it takes, plus ``body``
+        # where there is one to read
+        if method == "GET":
+            router.register(method, path, lambda body, **found: call(**found))
+        else:
+            router.register(
+                method, path, lambda body, **found: call(body=body, **found)
+            )
 
-    def get_campaigns(body: Any) -> list[str]:
-        return campaigns.known_ids()
-
-    def get_campaign(body: Any, campaign_id: str) -> dict:
-        return campaigns.status(campaign_id)
-
-    def get_campaign_report(body: Any, campaign_id: str) -> dict:
-        return campaigns.report(campaign_id)
-
-    def post_fabric_serve(body: Any) -> dict:
-        return campaigns.serve(body)
-
-    def get_fabric_ids(body: Any) -> dict:
-        return {"campaigns": campaigns.fabric_ids()}
-
-    def get_fabric_status(body: Any, campaign_id: str) -> dict:
-        return campaigns.fabric_status(campaign_id)
-
-    def get_fabric_telemetry(body: Any, campaign_id: str) -> dict:
-        return campaigns.fabric_telemetry(campaign_id)
-
-    def post_fabric_verb(body: Any, campaign_id: str, verb: str) -> dict:
-        return campaigns.fabric_call(campaign_id, verb, body)
-
-    router.register("POST", "/campaigns", post_campaign)
+    route("POST", "/campaigns", campaigns.submit)
     # static segments must register before the <campaign_id> captures
-    router.register("POST", "/campaigns/serve", post_fabric_serve)
-    router.register("GET", "/campaigns/fabric", get_fabric_ids)
-    router.register("GET", "/campaigns", get_campaigns)
-    router.register("GET", "/campaigns/<campaign_id>/fabric", get_fabric_status)
-    router.register(
-        "GET",
-        "/campaigns/<campaign_id>/fabric/telemetry",
-        get_fabric_telemetry,
-    )
-    router.register(
-        "POST", "/campaigns/<campaign_id>/fabric/<verb>", post_fabric_verb
-    )
-    router.register("GET", "/campaigns/<campaign_id>", get_campaign)
-    router.register("GET", "/campaigns/<campaign_id>/report", get_campaign_report)
+    route("POST", "/campaigns/serve", campaigns.serve)
+    route("GET", "/campaigns/fabric", campaigns.fabric_ids)
+    route("GET", "/campaigns", campaigns.known_ids)
+    route("GET", "/campaigns/<campaign_id>/fabric", campaigns.fabric_status)
+    route("GET", "/campaigns/<campaign_id>/fabric/telemetry",
+          campaigns.fabric_telemetry)
+    route("POST", "/campaigns/<campaign_id>/fabric/<verb>",
+          campaigns.fabric_call)
+    route("GET", "/campaigns/<campaign_id>", campaigns.status)
+    route("GET", "/campaigns/<campaign_id>/report", campaigns.report)
     register_metrics_route(router)
 
 

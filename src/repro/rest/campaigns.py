@@ -21,7 +21,7 @@ at-least-once delivery:
 * ``POST /campaigns/<campaign_id>/fabric/register|heartbeat|lease|submit|fail|deregister``
   -- the worker protocol (see :mod:`repro.campaign.fabric.transport`).
   Duplicate shard submissions are counted no-ops.  A ``submit`` body with
-  a ``records`` list is the batched form; each entry may carry an
+  a ``records`` list is the batched form; every entry carries an
   ``integrity`` sidecar (record checksum + cell identity hash) that the
   coordinator validates before folding.
 * ``GET /campaigns/<campaign_id>/fabric`` -- coordinator status with
@@ -38,28 +38,16 @@ import tempfile
 from typing import Any, Mapping
 
 from repro.errors import BadRequestError, CampaignError, CampaignSpecError, NotFoundError
+from repro.fabric_options import FABRIC_OPTIONS
 from repro.campaign.aggregate import aggregate_records
 from repro.campaign.fabric import Coordinator
+from repro.campaign.fabric.transport import dispatch
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunStore
 
 #: REST-side cap: campaigns beyond this size must go through the CLI.
 MAX_REST_CELLS = 5000
-
-#: Coordinator knobs a ``POST /campaigns/serve`` body may set.
-FABRIC_OPTIONS = (
-    "lease_ttl_s",
-    "heartbeat_interval_s",
-    "heartbeat_timeout_s",
-    "lease_cells",
-    "max_transient_retries",
-    "escalation_factor",
-    "journal_compact_every",
-    "audit_fraction",
-    "audit_seed",
-    "poison_kill_threshold",
-)
 
 
 class CampaignService:
@@ -126,13 +114,18 @@ class CampaignService:
     # ------------------------------------------------------------------
     # fabric: coordinator lifecycle + worker protocol
     # ------------------------------------------------------------------
-    def serve(self, body: Any) -> dict:
-        """Stand up a coordinator for a spec (idempotent per campaign id)."""
+    def serve(self, body: Any, *, chaos=None) -> dict:
+        """Stand up a coordinator for a spec (idempotent per campaign id).
+
+        ``chaos`` (a :class:`~repro.campaign.fabric.CoordinatorChaos`) is
+        the crash smoke's kill hook: a Python keyword on purpose, so no
+        peer can ask the coordinator to SIGKILL itself over the wire.
+        """
         if not isinstance(body, Mapping) or "spec" not in body:
             raise BadRequestError(
                 "fabric serve body must be {'spec': {...}, ...options}"
             )
-        unknown = set(body) - {"spec", "chaos"} - set(FABRIC_OPTIONS)
+        unknown = set(body) - {"spec"} - set(FABRIC_OPTIONS)
         if unknown:
             raise BadRequestError(f"unknown serve keys: {sorted(unknown)}")
         options: dict[str, Any] = {}
@@ -142,19 +135,6 @@ class CampaignService:
                 if not isinstance(value, (int, float)) or value < 0:
                     raise BadRequestError(f"{key!r} must be a number >= 0")
                 options[key] = value
-        if "chaos" in body:
-            # coordinator fault injection (the crash smoke's kill hook);
-            # deterministic, so accepting it over REST is test-only sugar
-            if not isinstance(body["chaos"], Mapping):
-                raise BadRequestError("'chaos' must be an object")
-            from repro.campaign.fabric import (
-                CoordinatorChaos,
-                CoordinatorChaosConfig,
-            )
-
-            options["chaos"] = CoordinatorChaos(
-                CoordinatorChaosConfig.from_dict(body["chaos"])
-            )
         try:
             spec = CampaignSpec.from_dict(body["spec"])
         except CampaignSpecError as exc:
@@ -165,7 +145,9 @@ class CampaignService:
                 f"campaign {spec.campaign_id!r} is already being served"
             )
         try:
-            coordinator = Coordinator(spec, root=self.root, **options)
+            coordinator = Coordinator(
+                spec, root=self.root, chaos=chaos, **options
+            )
         except CampaignError as exc:
             raise BadRequestError(str(exc)) from None
         self._coordinators[spec.campaign_id] = coordinator
@@ -179,8 +161,8 @@ class CampaignService:
             )
         return coordinator
 
-    def fabric_ids(self) -> list[str]:
-        return sorted(self._coordinators)
+    def fabric_ids(self) -> dict:
+        return {"campaigns": sorted(self._coordinators)}
 
     def fabric_status(self, campaign_id: str) -> dict:
         return self.fabric(campaign_id).status()
@@ -190,93 +172,9 @@ class CampaignService:
         return self.fabric(campaign_id).telemetry()
 
     def fabric_call(self, campaign_id: str, verb: str, body: Any) -> dict:
-        """Dispatch one worker-protocol verb with body validation."""
-        coordinator = self.fabric(campaign_id)
-        if not isinstance(body, Mapping):
-            body = {}
-        if verb == "register":
-            return coordinator.register(body)
-        worker_id = body.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise BadRequestError(f"fabric {verb} needs a 'worker_id' string")
-        try:
-            if verb == "heartbeat":
-                return coordinator.heartbeat(worker_id)
-            if verb == "lease":
-                max_cells = body.get("max_cells")
-                if max_cells is not None and (
-                    not isinstance(max_cells, int) or max_cells < 1
-                ):
-                    raise BadRequestError("'max_cells' must be an int >= 1")
-                return coordinator.lease(worker_id, max_cells)
-            if verb == "submit":
-                if not isinstance(body.get("lease_id"), str):
-                    raise BadRequestError("fabric submit needs 'lease_id'")
-                if "records" in body:
-                    # batched form: a list of per-cell entries, folded
-                    # idempotently record by record
-                    entries = body["records"]
-                    if not isinstance(entries, list) or not all(
-                        isinstance(entry, Mapping) for entry in entries
-                    ):
-                        raise BadRequestError(
-                            "'records' must be a list of objects"
-                        )
-                    return coordinator.submit_batch(
-                        worker_id,
-                        body["lease_id"],
-                        [
-                            self._validated_entry(entry)
-                            for entry in entries
-                        ],
-                    )
-                entry = self._validated_entry(body)
-                return coordinator.submit(
-                    worker_id,
-                    body["lease_id"],
-                    entry["cell_id"],
-                    entry["record"],
-                    entry["timing"],
-                    entry.get("integrity"),
-                )
-            if verb == "fail":
-                for key in ("lease_id", "cell_id"):
-                    if not isinstance(body.get(key), str):
-                        raise BadRequestError(f"fabric fail needs {key!r}")
-                return coordinator.fail(
-                    worker_id,
-                    body["lease_id"],
-                    body["cell_id"],
-                    str(body.get("detail", "")),
-                    requeue=bool(body.get("requeue", False)),
-                )
-            if verb == "deregister":
-                return coordinator.deregister(worker_id)
-        except CampaignError as exc:
-            raise BadRequestError(str(exc)) from None
-        raise NotFoundError(f"unknown fabric verb {verb!r}")
-
-    @staticmethod
-    def _validated_entry(body: Mapping[str, Any]) -> dict:
-        """One submit entry: cell_id + record/timing objects + optional
-        integrity sidecar, shape-checked before they reach the engine."""
-        if not isinstance(body.get("cell_id"), str):
-            raise BadRequestError("fabric submit needs 'cell_id'")
-        record = body.get("record")
-        timing = body.get("timing")
-        if not isinstance(record, Mapping) or not isinstance(timing, Mapping):
-            raise BadRequestError(
-                "fabric submit needs 'record' and 'timing' objects"
-            )
-        integrity = body.get("integrity")
-        if integrity is not None and not isinstance(integrity, Mapping):
-            raise BadRequestError("'integrity' must be an object")
-        return {
-            "cell_id": body["cell_id"],
-            "record": record,
-            "timing": timing,
-            "integrity": integrity,
-        }
+        """One worker-protocol verb off the wire (decoded and shape-checked
+        by :func:`~repro.campaign.fabric.transport.dispatch`)."""
+        return dispatch(self.fabric(campaign_id), verb, body)
 
     def close(self) -> None:
         """Flush and close every served coordinator's run store."""

@@ -15,6 +15,7 @@ from repro.campaign import CampaignSpec
 from repro.campaign.fabric import Coordinator, FabricWorker, LocalClient
 from repro.campaign.runner import new_record
 from repro.campaign.store import RunStore
+from tests.campaign.fabric_helpers import sealed
 
 #: results, timings, the snapshot, its directory entry, the emptied journal
 FSYNCS_PER_COMPACTION = 5
@@ -68,10 +69,11 @@ def big(tmp_path):
 
 def _submit(coordinator, worker_id, reply, status="ok"):
     for payload in reply["cells"]:
+        record = new_record(payload, status)
         out = coordinator.submit(
-            worker_id, reply["lease_id"], payload["cell_id"],
-            new_record(payload, status),
+            worker_id, reply["lease_id"], payload["cell_id"], record,
             {"id": payload["cell_id"], "wall_ms": 0.0},
+            sealed(payload, record),
         )
         assert out["accepted"]
 

@@ -21,6 +21,7 @@ from repro.campaign.fabric import (
 )
 from repro.campaign.runner import run_cell
 from repro.errors import CampaignError
+from tests.campaign.fabric_helpers import sealed
 
 SWEEP = {
     "name": "fab",
@@ -79,12 +80,12 @@ class TestFleetDeterminism:
         coordinator = _coordinator(tmp_path, lease_cells=N_CELLS)
         worker_id = coordinator.register({"name": "manual"})["worker_id"]
         reply = coordinator.lease(worker_id, N_CELLS)
-        shards = [
-            (payload["cell_id"], *run_cell(payload))
-            for payload in reply["cells"]
-        ]
-        for cell_id, record, timing in reversed(shards):
-            coordinator.submit(worker_id, reply["lease_id"], cell_id, record, timing)
+        for payload in reversed(reply["cells"]):
+            record, timing = run_cell(payload)
+            coordinator.submit(
+                worker_id, reply["lease_id"], payload["cell_id"], record,
+                timing, sealed(payload, record),
+            )
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
@@ -225,9 +226,10 @@ class TestEscalation:
         payload = reply["cells"][0]
         assert payload["timeout_s"] == pytest.approx(0.05)
         timing = {"id": payload["cell_id"], "wall_ms": 50.0}
+        record = self._fake_timeout_record(payload)
         outcome = coordinator.submit(
             worker_id, reply["lease_id"], payload["cell_id"],
-            self._fake_timeout_record(payload), timing,
+            record, timing, sealed(payload, record),
         )
         assert outcome["escalated"] is True
         assert coordinator.counters["escalations"] == 1
@@ -238,9 +240,10 @@ class TestEscalation:
         assert escalated["timeout_s"] == pytest.approx(0.2)
         assert escalated["scheduler_params"] == {"node_budget": 200}
         # a second timeout is terminal, not re-escalated
+        record = self._fake_timeout_record(escalated)
         outcome = coordinator.submit(
             worker_id, reply["lease_id"], escalated["cell_id"],
-            self._fake_timeout_record(escalated), timing,
+            record, timing, sealed(escalated, record),
         )
         assert outcome.get("escalated") is not True
         assert coordinator.finished
@@ -256,10 +259,11 @@ class TestEscalation:
         worker_id = coordinator.register({"name": "mt"})["worker_id"]
         reply = coordinator.lease(worker_id, 1)
         payload = reply["cells"][0]
+        record = self._fake_timeout_record(payload)
         coordinator.submit(
-            worker_id, reply["lease_id"], payload["cell_id"],
-            self._fake_timeout_record(payload),
+            worker_id, reply["lease_id"], payload["cell_id"], record,
             {"id": payload["cell_id"], "wall_ms": 50.0},
+            sealed(payload, record),
         )
         assert coordinator.finished
         assert coordinator.counters["escalations"] == 0

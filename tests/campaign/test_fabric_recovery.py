@@ -31,9 +31,8 @@ from repro.campaign.fabric.journal import (
     FabricJournal,
 )
 from repro.campaign.runner import run_cell
-from repro.campaign.spec import payload_identity_hash
-from repro.campaign.store import record_checksum
 from repro.errors import CampaignError, TransportError
+from tests.campaign.fabric_helpers import sealed
 
 SWEEP = {
     "name": "fabrec",
@@ -88,9 +87,12 @@ def _crash(coordinator):
 
 def _compute_all(coordinator, worker_id, n=N_CELLS):
     reply = coordinator.lease(worker_id, n)
-    shards = [
-        (payload["cell_id"], *run_cell(payload)) for payload in reply["cells"]
-    ]
+    shards = []
+    for payload in reply["cells"]:
+        record, timing = run_cell(payload)
+        shards.append(
+            (payload["cell_id"], record, timing, sealed(payload, record))
+        )
     return reply["lease_id"], shards
 
 
@@ -104,8 +106,8 @@ class TestJournalRecovery:
         first = _coordinator(tmp_path, lease_cells=N_CELLS)
         worker_id = first.register({"name": "doomed"})["worker_id"]
         lease_id, shards = _compute_all(first, worker_id)
-        for cell_id, record, timing in reversed(shards[1:]):
-            first.submit(worker_id, lease_id, cell_id, record, timing)
+        for shard in reversed(shards[1:]):
+            first.submit(worker_id, lease_id, *shard)
         assert first.store.status()["done"] == 0  # nothing flushed
         _crash(first)
 
@@ -115,11 +117,12 @@ class TestJournalRecovery:
         worker_id = second.register({"name": "finisher"})["worker_id"]
         reply = second.lease(worker_id, N_CELLS)
         assert len(reply["cells"]) == 1  # only cell 0 is still open
-        cell_id, record, timing = (
-            reply["cells"][0]["cell_id"],
-            *run_cell(reply["cells"][0]),
+        payload = reply["cells"][0]
+        record, timing = run_cell(payload)
+        second.submit(
+            worker_id, reply["lease_id"], payload["cell_id"], record, timing,
+            sealed(payload, record),
         )
-        second.submit(worker_id, reply["lease_id"], cell_id, record, timing)
         second.close()
         assert second.finished
         assert second.store.results_bytes() == baseline
@@ -130,8 +133,8 @@ class TestJournalRecovery:
         first = _coordinator(tmp_path, lease_cells=4)
         worker_id = first.register({"name": "doomed"})["worker_id"]
         lease_id, shards = _compute_all(first, worker_id, n=4)
-        for cell_id, record, timing in reversed(shards[1:]):
-            first.submit(worker_id, lease_id, cell_id, record, timing)
+        for shard in reversed(shards[1:]):
+            first.submit(worker_id, lease_id, *shard)
         _crash(first)
 
         second = _coordinator(tmp_path, lease_cells=2)
@@ -187,7 +190,8 @@ class TestJournalRecovery:
         record, timing = run_cell(payload)
         record["status"] = "timeout"
         out = first.submit(
-            worker_id, reply["lease_id"], payload["cell_id"], record, timing
+            worker_id, reply["lease_id"], payload["cell_id"], record, timing,
+            sealed(payload, record),
         )
         assert out.get("escalated")
         _crash(first)
@@ -211,6 +215,7 @@ class TestJournalRecovery:
             payload["cell_id"],
             record2,
             timing2,
+            sealed(reply["cells"][0], record2),
         )
         assert out["accepted"] and not out.get("escalated")
         second.close()
@@ -221,8 +226,8 @@ class TestJournalRecovery:
         first = _coordinator(tmp_path, lease_cells=N_CELLS)
         worker_id = first.register({"name": "doomed"})["worker_id"]
         lease_id, shards = _compute_all(first, worker_id)
-        for cell_id, record, timing in reversed(shards[5:]):
-            first.submit(worker_id, lease_id, cell_id, record, timing)
+        for shard in reversed(shards[5:]):
+            first.submit(worker_id, lease_id, *shard)
         _crash(first)
 
         # tear the journal mid-record, as a death inside append() would:
@@ -460,10 +465,7 @@ class TestIntegrityRecovery:
         record, timing = run_cell(payload)
         out = first.submit(
             worker_id, reply["lease_id"], payload["cell_id"], record, timing,
-            {
-                "record_sha256": record_checksum(record),
-                "cell_hash": payload_identity_hash(payload),
-            },
+            sealed(payload, record),
         )
         assert out["accepted"] and out.get("audit_pending")
         _crash(first)
@@ -478,10 +480,7 @@ class TestIntegrityRecovery:
         assert reply["cells"][0]["cell_id"] == payload["cell_id"]
         out = second.submit(
             auditor, reply["lease_id"], payload["cell_id"], record, timing,
-            {
-                "record_sha256": record_checksum(record),
-                "cell_hash": payload_identity_hash(payload),
-            },
+            sealed(payload, record),
         )
         assert out["accepted"] and not out.get("audit_pending")
         assert second.counters["audits_run"] == 1
@@ -692,10 +691,7 @@ class _HostileLife:
         record.update(damage)
         return self.coordinator.submit(
             self.ids[name], lease_id, payload["cell_id"], record, timing,
-            {
-                "record_sha256": record_checksum(record),
-                "cell_hash": payload_identity_hash(payload),
-            },
+            sealed(payload, record),
         )
 
     def fail(self, name, grant):
@@ -881,15 +877,15 @@ class TestProjectionBehindTheJournal:
         )
         worker_id = first.register({"name": "doomed"})["worker_id"]
         lease_id, shards = _compute_all(first, worker_id)
-        for cell_id, record, timing in shards[:6]:
-            first.submit(worker_id, lease_id, cell_id, record, timing)
+        for shard in shards[:6]:
+            first.submit(worker_id, lease_id, *shard)
         assert first.status()["done"] == 6
         _crash(first)
         _keep_lines(first.store.directory / "results.jsonl", results_kept)
         _keep_lines(first.store.directory / "timings.jsonl", timings_kept)
 
         second = self.finish(
-            tmp_path, [cell_id for cell_id, _, _ in shards[:6]], baseline
+            tmp_path, [cell_id for cell_id, *_ in shards[:6]], baseline
         )
         assert second.counters["recovered_buffered"] == 6 - min(
             results_kept, timings_kept
@@ -903,8 +899,8 @@ class TestProjectionBehindTheJournal:
         )
         worker_id = first.register({"name": "doomed"})["worker_id"]
         lease_id, shards = _compute_all(first, worker_id)
-        for cell_id, record, timing in reversed(shards[1:]):
-            first.submit(worker_id, lease_id, cell_id, record, timing)
+        for shard in reversed(shards[1:]):
+            first.submit(worker_id, lease_id, *shard)
         _crash(first)
         directory = first.store.directory
         assert not (directory / JOURNAL).read_text()
@@ -912,7 +908,7 @@ class TestProjectionBehindTheJournal:
             (directory / name).unlink(missing_ok=True)
 
         second = self.finish(
-            tmp_path, [cell_id for cell_id, _, _ in shards[1:]], baseline
+            tmp_path, [cell_id for cell_id, *_ in shards[1:]], baseline
         )
         assert second.counters["recovered_buffered"] == N_CELLS - 1
 
@@ -971,8 +967,8 @@ class TestProjectionBehindTheJournal:
         first = _coordinator(tmp_path, lease_cells=N_CELLS)
         worker_id = first.register({"name": "doomed"})["worker_id"]
         lease_id, shards = _compute_all(first, worker_id)
-        for cell_id, record, timing in shards[:3]:
-            first.submit(worker_id, lease_id, cell_id, record, timing)
+        for shard in shards[:3]:
+            first.submit(worker_id, lease_id, *shard)
         _crash(first)
         assert all(unsynced(first.store.directory))
 

@@ -40,8 +40,8 @@ from hypothesis.stateful import (
 from repro.campaign import CampaignSpec
 from repro.campaign.fabric import Coordinator
 from repro.campaign.runner import run_cell
-from repro.campaign.spec import payload_identity_hash
-from repro.campaign.store import RESULTS, TIMINGS, RunStore, record_checksum
+from repro.campaign.store import RESULTS, TIMINGS, RunStore
+from tests.campaign.fabric_helpers import sealed
 
 SPEC = CampaignSpec.from_dict({
     "name": "fabsm",
@@ -208,10 +208,7 @@ class FabricMachine(RuleBasedStateMachine):
             record.update(
                 status="timeout", rounds=None, touches=None, verified=None
             )
-        integrity = {
-            "record_sha256": record_checksum(record),
-            "cell_hash": payload_identity_hash(payload),
-        }
+        integrity = sealed(payload, record)
         if mode == "corrupt":
             integrity["record_sha256"] = "0" * 64
         return self.coordinator.submit(

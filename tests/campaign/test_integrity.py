@@ -22,6 +22,7 @@ from repro.campaign.fabric import (
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
+from tests.campaign.fabric_helpers import sealed
 
 SWEEP = {
     "name": "integ",
@@ -87,10 +88,7 @@ class TestIntegrityPrimitives:
         record, timing = run_cell(payload)
         out = coordinator.submit(
             worker_id, reply["lease_id"], payload["cell_id"], record, timing,
-            {
-                "record_sha256": record_checksum(record),
-                "cell_hash": "not-the-cell-you-leased",
-            },
+            {**sealed(payload, record), "cell_hash": "not-the-cell-you-leased"},
         )
         assert out["rejected"] and out["quarantined"]
         assert out["reason"] == "integrity"
@@ -201,10 +199,7 @@ class TestBatchedSubmits:
                 "cell_id": payload["cell_id"],
                 "record": record,
                 "timing": timing,
-                "integrity": {
-                    "record_sha256": record_checksum(record),
-                    "cell_hash": payload_identity_hash(payload),
-                },
+                "integrity": sealed(payload, record),
             })
         first = coordinator.submit_batch(worker_id, reply["lease_id"], entries)
         assert all(r["accepted"] for r in first["results"])

@@ -10,6 +10,7 @@ from repro.cli.main import build_parser, main
 from repro.obs import configure_tracing, reset_global_tracer, span
 from repro.rest.api import build_campaign_api
 from repro.rest.http_binding import RestHttpServer
+from tests.campaign.fabric_helpers import sealed
 
 SPEC = {
     "name": "clitelem",
@@ -88,7 +89,7 @@ class TestCampaignStatusLive:
             record, timing = run_cell(payload)
             coordinator.submit(
                 worker_id, reply["lease_id"], payload["cell_id"],
-                record, timing,
+                record, timing, sealed(payload, record),
             )
         coordinator.close()
         yield server.url, spec.campaign_id

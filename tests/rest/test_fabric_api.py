@@ -5,6 +5,7 @@ import pytest
 from repro.campaign import CampaignSpec
 from repro.campaign.runner import run_cell
 from repro.rest.api import build_campaign_api
+from tests.campaign.fabric_helpers import sealed
 
 SPEC = {
     "name": "restfab",
@@ -97,7 +98,7 @@ class TestWorkerProtocol:
             "POST", f"/campaigns/{campaign_id}/fabric/submit",
             {"worker_id": worker_id, "lease_id": lease["lease_id"],
              "cell_id": payload["cell_id"], "record": record,
-             "timing": timing},
+             "timing": timing, "integrity": sealed(payload, record)},
         ).body
         assert submit == {"accepted": True, "duplicate": False, "done": True}
 
@@ -106,7 +107,7 @@ class TestWorkerProtocol:
             "POST", f"/campaigns/{campaign_id}/fabric/submit",
             {"worker_id": worker_id, "lease_id": lease["lease_id"],
              "cell_id": payload["cell_id"], "record": record,
-             "timing": timing},
+             "timing": timing, "integrity": sealed(payload, record)},
         ).body
         assert duplicate["duplicate"] is True and duplicate["done"] is True
 
@@ -165,7 +166,7 @@ class TestWorkerProtocol:
         api.handle("POST", f"/campaigns/{campaign_id}/fabric/submit",
                    {"worker_id": worker_id, "lease_id": lease["lease_id"],
                     "cell_id": payload["cell_id"], "record": record,
-                    "timing": timing})
+                    "timing": timing, "integrity": sealed(payload, record)})
         # the folded results are visible through the ordinary store routes
         assert api.handle("GET", f"/campaigns/{campaign_id}").body["done"] == 1
         report = api.handle("GET", f"/campaigns/{campaign_id}/report").body

@@ -14,6 +14,7 @@ from repro.campaign.runner import run_cell
 from repro.errors import HttpStatusError
 from repro.rest.api import build_campaign_api
 from repro.rest.http_binding import RestHttpServer, HttpClient
+from tests.campaign.fabric_helpers import sealed
 
 SPEC = {
     "name": "auth",
@@ -76,7 +77,7 @@ class TestTokenGate:
             record, timing = run_cell(payload)
             reply = fabric.submit(
                 worker_id, lease["lease_id"], payload["cell_id"],
-                record, timing,
+                record, timing, sealed(payload, record),
             )
             assert reply["accepted"]
         assert fabric.deregister(worker_id)["ok"]

@@ -324,3 +324,29 @@ class TestRequestDeadline:
         response = api.handle("POST", "/schedule", body)
         assert response.status == 408
         assert response.body == {"error": "exceeded 0.05s"}
+
+    @pytest.mark.parametrize("path", ["/update", "/update/optimal:slf"])
+    def test_update_is_bounded_too(self, api, server, monkeypatch, path):
+        # ``POST /update`` computes its schedule on the handler thread,
+        # holding the handler lock: the first deadline poll of that
+        # computation reads a clock past the limit
+        monkeypatch.setattr(rest_api, "REQUEST_DEADLINE_S", 0.05)
+        body = {"oldpath": [1, 2, 9, 3, 4, 5, 12],
+                "newpath": [1, 6, 2, 5, 3, 7, 8, 12], "wp": 3, "interval": 0}
+        queue = api.update_queue
+        before = len(queue.queue), len(queue.completed)
+        connection = CountingConnection("127.0.0.1", server.port, timeout=10)
+        with monkeypatch.context() as patch:
+            patch.setattr(deadline, "time", _PollClock(fire_at=1))
+            connection.request(
+                "POST", path, body=json.dumps(body).encode(), headers=JSON_HEADERS
+            )
+            reply = connection.getresponse()
+            answer = json.loads(reply.read())
+        assert reply.status == 408 and not reply.will_close
+        assert answer == {"error": "exceeded 0.05s"}
+        assert (len(queue.queue), len(queue.completed)) == before
+        reply, got = _post(connection, BODIES[0])
+        assert reply.status == 200 and got["status"] == "ok"
+        assert connection.connects == 1
+        connection.close()

@@ -6,6 +6,7 @@ from repro.campaign import CampaignSpec
 from repro.campaign.runner import run_cell
 from repro.metrics import global_collector, reset_global_collector
 from repro.rest.api import build_campaign_api, build_rest_api
+from tests.campaign.fabric_helpers import sealed
 
 SPEC = {
     "name": "telem",
@@ -47,7 +48,7 @@ def _drain(api, campaign_id):
             api.handle("POST", f"{base}/submit", {
                 "worker_id": worker_id, "lease_id": reply["lease_id"],
                 "cell_id": payload["cell_id"], "record": record,
-                "timing": timing,
+                "timing": timing, "integrity": sealed(payload, record),
             })
 
 
@@ -97,6 +98,30 @@ class TestMetricsRoute:
         after = scrape()
         assert after.keys() == before.keys()
         assert all(after[name] >= before[name] for name in before)
+
+    def test_request_path_keeps_no_sample_per_request(self, api):
+        # ``execute_request`` reports into fixed buckets: what the
+        # collector holds after 10,000 requests is what it held after 10
+        from repro.core.api import schedule_update
+        from repro.core.hardness import reversal_instance
+
+        def footprint():
+            collector = global_collector()
+            return (
+                sum(len(values) for values in collector.series.values()),
+                {h.name: len(h.counts) for h in collector.histograms.values()},
+            )
+
+        problem = reversal_instance(4)
+        for _ in range(10):
+            schedule_update(problem, "oneshot", verify=False)
+        after_ten = footprint()
+        for _ in range(9_990):
+            schedule_update(problem, "oneshot", verify=False)
+        assert footprint() == after_ten
+        body = api.handle("GET", "/metrics").body
+        assert "repro_api_schedule_wall_ms_count 10000" in body
+        assert "repro_api_schedule_rounds_count 10000" in body
 
     def test_served_on_the_full_api_too(self, tmp_path):
         from repro.controller.ofctl_rest import OfctlRestApp
