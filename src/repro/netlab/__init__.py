@@ -12,7 +12,6 @@ from repro.netlab.scenario import (
     ScenarioResult,
     UpdateScenario,
     final_path_of,
-    run_update_scenario,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "figure1_problem",
     "final_path_of",
     "run_figure1",
-    "run_update_scenario",
 ]

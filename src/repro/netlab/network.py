@@ -14,27 +14,43 @@ Two packet-transit modes:
 * ``"perhop"`` -- each link hop takes its topology latency, so a packet in
   flight can observe *different* configurations at different switches (the
   E8 ablation).
+
+An instant-mode walk depends only on the packet, the ingress port, the
+versions of the flow tables it visits and the topology's version -- as
+long as no visited table holds an entry with a timeout, no visited switch
+punts to the controller and none has ``on_output`` set.  So the network
+remembers the last such walk per ingress (switch, port) and, while its
+key and every version it saw still hold, serves the next probe by
+replaying it: the same entry counters touched, the same switch log
+counters bumped, the same path and fate, without re-running a pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Mapping
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, TopologyError
 from repro.channel.base import ControlChannel
 from repro.channel.latency_models import LatencyModel, from_spec
 from repro.controller.core import Controller
 from repro.controller.datapath_handle import Datapath
 from repro.dataplane.packets import Packet
 from repro.dataplane.violations import PacketFate, TraceRecord
+from repro.openflow.constants import Port
 from repro.openflow.flowmod import FlowMod
 from repro.sim.random_source import RandomStreams
 from repro.sim.simulator import Simulator
-from repro.switch.datapath import SwitchSim
+from repro.switch.datapath import SwitchLog, SwitchSim
+from repro.switch.flow_table import FlowEntry, FlowTable
 from repro.switch.latency import OVS_PROFILE, SwitchTimingProfile
+from repro.switch.pipeline import PipelineResult
 from repro.topology.graph import NodeId, Topology
+
+_version = attrgetter("version")
 
 
 @dataclass(frozen=True)
@@ -46,6 +62,38 @@ class Host:
     switch_port: int  # port on the switch that faces this host
     ip: str
     mac: str
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """One instant-mode walk: what it did, and what that depended on."""
+
+    key: tuple  # (packet, waypoint, destination host, hop budget)
+    #: per hop: the switch's log, the entries matched, the bytes charged to
+    #: each, and whether the packet was forwarded
+    hops: tuple[tuple[SwitchLog, tuple[FlowEntry, ...], int, bool], ...]
+    path: tuple[NodeId, ...]
+    fate: PacketFate
+    tables: tuple[FlowTable, ...]  # every table of every visited switch
+    versions: tuple[int, ...]
+    topo_version: int
+
+    def holds(self, topo: Topology) -> bool:
+        """Would walking again now do exactly what this walk did?"""
+        return (
+            topo.version == self.topo_version
+            and tuple(map(_version, self.tables)) == self.versions
+        )
+
+    def replay(self, now: float) -> None:
+        """Apply the walk's side effects to the counters once more."""
+        for log, entries, n_bytes, forwarded in self.hops:
+            for entry in entries:
+                entry.touch(now, n_bytes)
+            if forwarded:
+                log.packets_forwarded += 1
+            else:
+                log.packets_dropped += 1
 
 
 class Network:
@@ -76,9 +124,20 @@ class Network:
         self.max_hops = max_hops
         self._packet_ids = itertools.count(1)
         self._started = False
+        self._walks: dict[tuple[NodeId, int], _Walk] = {}  # by ingress
+        self._replays = 0
 
         latency_model = from_spec(channel_latency)
+        owners: dict[int, NodeId] = {}
         for dpid in topo.switches():
+            # an integer id is its own dpid; any other gets a CRC of its
+            # repr, the same in every process (hash() of a str is not)
+            number = dpid if isinstance(dpid, int) else zlib.crc32(repr(dpid).encode())
+            owner = owners.setdefault(number, dpid)
+            if owner != dpid:
+                raise ScenarioError(
+                    f"switches {owner!r} and {dpid!r} share datapath id {number}"
+                )
             profile = (
                 timing.get(dpid, OVS_PROFILE) if isinstance(timing, Mapping) else timing
             )
@@ -92,7 +151,7 @@ class Network:
             )
             switch = SwitchSim(
                 self.sim,
-                dpid=dpid if isinstance(dpid, int) else abs(hash(dpid)) % 2**32,
+                dpid=number,
                 channel=channel,
                 timing=profile,
                 rng=self.streams.stream(f"switch-{dpid}"),
@@ -201,51 +260,64 @@ class Network:
             packet_id=next(self._packet_ids), injected_ms=self.sim.now
         )
         hop_budget = self.max_hops if self.max_hops is not None else 4 * max(len(self.switches), 1)
-        if self.packet_mode == "instant":
-            self._walk_instant(
-                trace, packet, host.switch_dpid, host.switch_port, waypoint,
-                destination, hop_budget,
-            )
-        else:
+        if self.packet_mode == "perhop":
             self._hop_scheduled(
                 trace, packet, host.switch_dpid, host.switch_port, waypoint,
                 destination, hop_budget,
             )
+            return trace
+        ingress = (host.switch_dpid, host.switch_port)
+        key = (packet, waypoint, destination, hop_budget)
+        walk = self._walks.get(ingress)
+        if walk is not None and walk.key == key and walk.holds(self.topo):
+            walk.replay(self.sim.now)
+            self._replays += 1
+        else:
+            walk, replayable = self._walk(key, *ingress)
+            if replayable:
+                self._walks[ingress] = walk
+        trace.path.extend(walk.path)
+        self._finish(trace, walk.fate)
         return trace
 
     # -- instant mode ----------------------------------------------------
-    def _walk_instant(
-        self,
-        trace: TraceRecord,
-        packet: Packet,
-        dpid: NodeId,
-        in_port: int,
-        waypoint: NodeId | None,
-        destination: Host | None,
-        hop_budget: int,
-    ) -> None:
+    def _walk(self, key: tuple, dpid: NodeId, in_port: int) -> tuple[_Walk, bool]:
+        """Walk ``key``'s packet from ``dpid:in_port`` at this instant;
+        returns the walk and whether replaying it later is exact."""
+        packet, waypoint, destination, hop_budget = key
+        hops = []
+        path: list[NodeId] = []
         visited: set[tuple[NodeId, int]] = set()
+        switches: dict[NodeId, SwitchSim] = {}
+        fate, punted = PacketFate.LOOPED, False
         current, port = dpid, in_port
         for _ in range(hop_budget):
             if (current, port) in visited:
-                self._finish(trace, PacketFate.LOOPED)
-                return
+                break
             visited.add((current, port))
-            trace.path.append(current)
-            step = self._process_at(current, packet, port)
-            if step is None:
-                self._finish(trace, PacketFate.DROPPED)
-                return
-            packet, out_port = step
-            peer, peer_port = self._peer_of(current, out_port)
+            path.append(current)
+            n_bytes = len(packet.payload) + 54  # what Pipeline.process charges
+            result, peer, peer_port = self._process_at(current, packet, port)
+            switch = switches[current] = self.switches[current]
+            hops.append((switch.log, tuple(result.matched), n_bytes, result.forwarded))
             if peer is None:
-                self._finish(trace, PacketFate.DROPPED)
-                return
+                fate, punted = PacketFate.DROPPED, result.punt
+                break
             if peer in self.hosts:
-                self._finish_at_host(trace, str(peer), waypoint, destination)
-                return
-            current, port = peer, peer_port
-        self._finish(trace, PacketFate.LOOPED)
+                fate = self._fate_at_host(path, str(peer), waypoint, destination)
+                break
+            packet, current, port = result.packet, peer, peer_port
+        tables = tuple(table for switch in switches.values() for table in switch.tables)
+        walk = _Walk(
+            key, tuple(hops), tuple(path), fate,
+            tables, tuple(map(_version, tables)), self.topo.version,
+        )
+        replayable = not (
+            punted
+            or any(switch.on_output is not None for switch in switches.values())
+            or any(table.has_timeouts() for table in tables)
+        )
+        return walk, replayable
 
     # -- per-hop mode ------------------------------------------------------
     def _hop_scheduled(
@@ -262,31 +334,20 @@ class Network:
             self._finish(trace, PacketFate.LOOPED)
             return
         trace.path.append(dpid)
-        step = self._process_at(dpid, packet, in_port)
-        if step is None:
-            self._finish(trace, PacketFate.DROPPED)
-            return
-        next_packet, out_port = step
-        peer, peer_port = self._peer_of(dpid, out_port)
+        result, peer, peer_port = self._process_at(dpid, packet, in_port)
         if peer is None:
             self._finish(trace, PacketFate.DROPPED)
             return
         link = self.topo.link_between(dpid, peer)
         if peer in self.hosts:
-            self.sim.schedule(
-                link.latency_ms,
-                self._finish_at_host,
-                trace,
-                str(peer),
-                waypoint,
-                destination,
-            )
+            fate = self._fate_at_host(trace.path, str(peer), waypoint, destination)
+            self.sim.schedule(link.latency_ms, self._finish, trace, fate)
             return
         self.sim.schedule(
             link.latency_ms,
             self._hop_scheduled,
             trace,
-            next_packet,
+            result.packet,
             peer,
             peer_port,
             waypoint,
@@ -297,32 +358,30 @@ class Network:
     # -- shared helpers ----------------------------------------------------
     def _process_at(
         self, dpid: NodeId, packet: Packet, in_port: int
-    ) -> tuple[Packet, int] | None:
+    ) -> tuple[PipelineResult, NodeId | None, int]:
+        """Run ``packet`` through ``dpid``'s pipeline; returns the verdict
+        and the (peer, peer port) it is forwarded to, the peer ``None`` when
+        the packet is dropped or leaves by a port without a link."""
         result = self.switch(dpid).receive_packet(packet, in_port)
         if not result.forwarded:
-            return None
-        return result.packet, result.out_ports[0]
-
-    def _peer_of(self, dpid: NodeId, out_port: int) -> tuple[NodeId | None, int]:
+            return result, None, 0
+        out_port = result.out_ports[0]
+        if out_port == Port.IN_PORT:  # a hairpin, as SwitchSim emits it
+            out_port = in_port
         try:
-            return self.topo.peer(dpid, out_port)
-        except Exception:
-            return None, 0
+            return (result, *self.topo.peer(dpid, out_port))
+        except TopologyError:
+            return result, None, 0
 
-    def _finish_at_host(
-        self,
-        trace: TraceRecord,
-        host_name: str,
-        waypoint: NodeId | None,
-        destination: Host | None,
-    ) -> None:
+    @staticmethod
+    def _fate_at_host(
+        path: list, host_name: str, waypoint: NodeId | None, destination: Host | None
+    ) -> PacketFate:
         if destination is not None and host_name != destination.name:
-            self._finish(trace, PacketFate.DROPPED)
-            return
-        if waypoint is not None and waypoint not in trace.path:
-            self._finish(trace, PacketFate.BYPASSED_WAYPOINT)
-            return
-        self._finish(trace, PacketFate.DELIVERED)
+            return PacketFate.DROPPED
+        if waypoint is not None and waypoint not in path:
+            return PacketFate.BYPASSED_WAYPOINT
+        return PacketFate.DELIVERED
 
     def _finish(self, trace: TraceRecord, fate: PacketFate) -> None:
         trace.fate = fate

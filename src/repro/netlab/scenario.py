@@ -20,7 +20,7 @@ from repro.channel.latency_models import LatencyModel
 from repro.controller.ofctl_rest import OfctlRestApp
 from repro.controller.ofctl_rest_own import TransientUpdateApp
 from repro.controller.rules import compile_initial_rules
-from repro.controller.update_queue import UpdateExecution, UpdateQueueApp
+from repro.controller.update_queue import UpdateQueueApp
 from repro.core.problem import UpdateProblem
 from repro.dataplane.injector import FlowSpec, InjectionResult, PeriodicInjector
 from repro.netlab.network import Network
@@ -189,11 +189,6 @@ class UpdateScenario:
         )
 
 
-def run_update_scenario(**kwargs: Any) -> ScenarioResult:
-    """One-call convenience wrapper around :class:`UpdateScenario`."""
-    return UpdateScenario(**kwargs).run()
-
-
 def final_path_of(network: Network, source_host: str, destination_host: str) -> list:
     """Trace the settled path after an update (sanity checks in tests)."""
     probe = network.default_packet(source_host, destination_host)
@@ -203,8 +198,3 @@ def final_path_of(network: Network, source_host: str, destination_host: str) -> 
     if network.packet_mode == "perhop":
         network.flush()
     return list(trace.path)
-
-
-def execution_record(scenario: UpdateScenario, update_id: str) -> UpdateExecution:
-    """Fetch the raw execution record (round timings etc.) for an update."""
-    return scenario.update_queue.find_completed(update_id)

@@ -14,7 +14,7 @@ network (``repro.netlab``) wires ``on_output`` to link delivery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import SwitchError, TableFullError
@@ -63,7 +63,6 @@ class SwitchLog:
     packets_dropped: int = 0
     packets_punted: int = 0
     busy_time_ms: float = 0.0
-    applied_log: list[tuple[float, str]] = field(default_factory=list)
 
 
 class SwitchSim:
@@ -79,7 +78,6 @@ class SwitchSim:
         n_tables: int = 4,
         table_capacity: int = 10_000,
         miss_behavior: str = "drop",
-        record_log: bool = False,
     ) -> None:
         self.sim = sim
         self.dpid = dpid
@@ -89,7 +87,6 @@ class SwitchSim:
         self.tables = [FlowTable(table_id=i, capacity=table_capacity) for i in range(n_tables)]
         self.pipeline = Pipeline(self.tables, miss_behavior=miss_behavior)
         self.log = SwitchLog()
-        self.record_log = record_log
         self.connected = False
         #: called as ``on_output(switch, packet, out_port, now)``
         self.on_output: Callable[[SwitchSim, Packet, int, float], None] | None = None
@@ -161,10 +158,6 @@ class SwitchSim:
             self._flow_mod_failed(mod, FlowModFailedCode.OVERLAP)
             return
         self.log.flow_mods_applied += 1
-        if self.record_log:
-            self.log.applied_log.append(
-                (self.sim.now, f"{mod.command.name} prio={mod.priority}")
-            )
         for entry in removed:
             if entry.flags & FlowModFlags.SEND_FLOW_REM:
                 self._send(

@@ -48,9 +48,6 @@ class FlowEntry:
         """Identity for ADD-replace and strict operations."""
         return (self.priority, self.match)
 
-    def matches_packet(self, fields: Mapping[str, Any]) -> bool:
-        return self.match.matches(fields)
-
     def expired(self, now: float) -> FlowRemovedReason | None:
         """Which timeout (if any) has fired by ``now``."""
         if self.hard_timeout and now >= self.install_time + self.hard_timeout:
@@ -96,6 +93,9 @@ class FlowTable:
         self.capacity = capacity
         self._entries: dict[tuple[int, Match], FlowEntry] = {}
         self._seq = 0
+        #: bumped by every FlowMod applied and every expiry that removes an
+        #: entry: equal versions mean equal lookups, unless an entry times out
+        self.version = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -106,12 +106,10 @@ class FlowTable:
     def __iter__(self) -> Iterator[FlowEntry]:
         return iter(sorted(self._entries.values(), key=lambda e: e.seq))
 
-    def entries(self) -> list[FlowEntry]:
-        return list(self)
-
-    def find(self, match: Match, priority: int) -> FlowEntry | None:
-        """Exact (strict) lookup by identity."""
-        return self._entries.get((priority, match))
+    def has_timeouts(self) -> bool:
+        """Does some entry carry an idle or hard timeout (so that what a
+        lookup returns depends on ``now``)?"""
+        return any(e.idle_timeout or e.hard_timeout for e in self._entries.values())
 
     # ------------------------------------------------------------------
     # mutation (FlowMod application)
@@ -122,6 +120,7 @@ class FlowTable:
         Raises :class:`TableFullError` / :class:`SwitchError` on the error
         conditions the spec maps to OFPET_FLOW_MOD_FAILED.
         """
+        self.version += 1
         if mod.is_add():
             self._add(mod, now)
             return []
@@ -221,7 +220,7 @@ class FlowTable:
             # NB: IDLE_TIMEOUT is enum value 0 -- compare against None
             if entry.expired(now) is not None:
                 continue
-            if not entry.matches_packet(fields):
+            if not entry.match.matches(fields):
                 continue
             if best is None or (entry.priority, -entry.seq) > (best.priority, -best.seq):
                 best = entry
@@ -237,4 +236,6 @@ class FlowTable:
             if reason is not None:
                 del self._entries[key]
                 fired.append((entry, reason))
+        if fired:
+            self.version += 1
         return fired

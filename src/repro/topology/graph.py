@@ -102,6 +102,8 @@ class Topology:
         # node -> port number -> Link
         self._ports: dict[NodeId, dict[int, Link]] = {}
         self._next_port: dict[NodeId, int] = {}
+        #: bumped by every node or link added and every link removed
+        self.version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -110,6 +112,7 @@ class Topology:
         """Add a node; raises :class:`TopologyError` on duplicates."""
         if node_id in self._nodes:
             raise TopologyError(f"duplicate node {node_id!r}")
+        self.version += 1
         info = NodeInfo(node_id=node_id, kind=kind, attrs=dict(attrs))
         self._nodes[node_id] = info
         self._ports[node_id] = {}
@@ -159,11 +162,13 @@ class Topology:
         self._ports[b][port_b] = link
         self._next_port[a] = port_a + 1
         self._next_port[b] = port_b + 1
+        self.version += 1
         return link
 
     def remove_link(self, a: NodeId, b: NodeId) -> None:
         """Remove the link between ``a`` and ``b``; port numbers are not reused."""
         link = self.link_between(a, b)
+        self.version += 1
         del self._links[frozenset((a, b))]
         del self._ports[a][link.port_of(a)]
         del self._ports[b][link.port_of(b)]

@@ -1,14 +1,23 @@
 """Tests for the network lab: boot, rules, injection, tracing."""
 
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.controller.rules import compile_initial_rules
 from repro.core.problem import UpdateProblem
 from repro.dataplane.violations import PacketFate
 from repro.errors import ScenarioError
 from repro.netlab.network import Network
+from repro.openflow.constants import Port
 from repro.openflow.match import Match
 from repro.topology.builders import figure1, linear
+from repro.topology.graph import Topology
 
 
 @pytest.fixture
@@ -153,6 +162,66 @@ class TestInjectionPerHop:
         )
         network.flush()
         assert trace.fate is PacketFate.LOOPED
+
+
+class TestHairpin:
+    """``output:IN_PORT`` sends a packet back out of the port it came in
+    on; the switch counts it forwarded, so the trace must follow it."""
+
+    @pytest.mark.parametrize("mode", ["instant", "perhop"])
+    def test_hairpin_is_a_loop_not_a_drop(self, mode):
+        from repro.openflow.flowmod import add_flow
+
+        network = Network(linear(2, with_hosts=True), seed=0, packet_mode=mode)
+        network.start()
+        match = Match(eth_type=0x0800, ipv4_dst=network.host("h2").ip)
+        network.send_flow_mods({
+            1: [add_flow(match, out_port=network.topo.port_between(1, 2))],
+            2: [add_flow(match, out_port=int(Port.IN_PORT))],
+        })
+        network.flush()
+        trace = network.inject_from_host(
+            "h1", network.default_packet("h1", "h2"), destination_host="h2"
+        )
+        network.flush()
+        assert trace.fate is PacketFate.LOOPED
+        if mode == "instant":
+            assert trace.path == [1, 2, 1]
+            assert network.switch(2).log.packets_forwarded == 1
+        else:  # bounces until the hop budget runs out
+            assert trace.path == [1, 2] * 4
+
+
+class TestDatapathIds:
+    def test_string_switch_ids_get_the_same_dpids_in_every_process(self):
+        code = (
+            "from repro.netlab.network import Network\n"
+            "from repro.topology.graph import Topology\n"
+            "topo = Topology()\n"
+            "for name in ('s1', 's2'):\n"
+            "    topo.add_switch(name)\n"
+            "topo.add_link('s1', 's2')\n"
+            "network = Network(topo)\n"
+            "network.start()\n"
+            "print([network.switch(name).dpid for name in ('s1', 's2')])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(printed) == 1, printed
+
+    def test_colliding_dpids_name_both_switches(self):
+        topo = Topology()
+        topo.add_switch("s1")
+        topo.add_switch(zlib.crc32(repr("s1").encode()))
+        with pytest.raises(ScenarioError, match="'s1' and"):
+            Network(topo)
 
 
 class TestFigure1Network:

@@ -1,0 +1,301 @@
+"""Instant-mode probe walks are replayed exactly, or not at all.
+
+A :class:`Network` remembers the last instant-mode walk per ingress port
+and replays it while the walk's key and every version it saw still hold.
+Each test runs one script twice -- as is, and with ``_Walk.holds``
+patched to answer ``False``, so that every probe walks the pipelines
+again -- and requires the same traces and the same switch, entry and
+channel counters after every step.  The replaying run also reports which
+probes were served by replay, so a test can name the probes a change
+must have forced to re-walk.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.dataplane.injector import FlowSpec, PeriodicInjector
+from repro.dataplane.packets import Packet
+from repro.dataplane.violations import PacketFate
+from repro.netlab.network import Network, _Walk
+from repro.openflow.actions import ApplyActions, OutputAction
+from repro.openflow.constants import DEFAULT_PRIORITY, FlowModCommand, Port
+from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
+from repro.openflow.match import Match
+from repro.topology.builders import linear
+from tests.core.generated import budget
+
+TO_H2 = Match(eth_type=0x0800, ipv4_dst="10.0.0.2")
+TO_H1 = Match(eth_type=0x0800, ipv4_dst="10.0.0.1")
+
+DELIVERED, DROPPED, LOOPED = PacketFate.DELIVERED, PacketFate.DROPPED, PacketFate.LOOPED
+HIGH = DEFAULT_PRIORITY + 1
+
+
+def snapshot(net: Network) -> dict:
+    return {
+        repr(node): (
+            dataclasses.astuple(switch.log),
+            dataclasses.astuple(net.channels[node].stats),
+            [
+                (table.table_id, entry.priority, entry.match, entry.packet_count,
+                 entry.byte_count, entry.last_match_time)
+                for table in switch.tables
+                for entry in table
+            ],
+        )
+        for node, switch in net.switches.items()
+    }
+
+
+def execute(build, script) -> tuple[list, list[bool]]:
+    """Run ``script`` on a fresh network: an observation per step, and
+    per probe whether it was served by replay."""
+    net = build()
+    net.start()
+    seen, replayed = [], []
+    for step in script:
+        before = net._replays
+        trace = step(net)
+        if trace is not None:
+            replayed.append(net._replays > before)
+            seen.append((trace.packet_id, list(trace.path), trace.fate,
+                         trace.injected_ms, trace.completed_ms))
+        seen.append(snapshot(net))
+    return seen, replayed
+
+
+def check(script, build=lambda: Network(linear(3, with_hosts=True), seed=0)):
+    """Replaying and re-walking agree on every step; returns which probes
+    were replayed and the fates they met."""
+    seen, replayed = execute(build, script)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Walk, "holds", lambda self, topo: False)
+        rewalked, none = execute(build, script)
+    assert not any(none)
+    assert seen == rewalked
+    fates = [item[2] for item in seen if isinstance(item, tuple)]
+    return replayed, fates
+
+
+# -- script steps ------------------------------------------------------------
+def probe(source="h1", destination="h2", waypoint=None):
+    def step(net):
+        return net.inject_from_host(
+            source, net.default_packet(source, destination),
+            waypoint=waypoint, destination_host=destination,
+        )
+    return step
+
+
+def send(dpid, *mods):
+    def step(net):
+        net.send_flow_mods({dpid: list(mods)})
+        net.flush()
+    return step
+
+
+def forward(dpid, towards, match=TO_H2, **kwargs):
+    """``dpid`` sends ``match`` out of its port facing ``towards``."""
+    def step(net):
+        port = net.topo.port_between(dpid, towards)
+        send(dpid, add_flow(match, out_port=port, **kwargs))(net)
+    return step
+
+
+def line(**kwargs):
+    """h1 -> 1 -> 2 -> 3 -> h2 on ``linear(3)``."""
+    return [forward(1, 2, **kwargs), forward(2, 3, **kwargs), forward(3, "h2", **kwargs)]
+
+
+def wait(ms):
+    def step(net):
+        net.sim.schedule(ms, lambda: None)
+        net.flush()
+    return step
+
+
+def modify_strict(match, priority, out_port):
+    return FlowMod(
+        command=FlowModCommand.MODIFY_STRICT, match=match, priority=priority,
+        instructions=(ApplyActions([OutputAction(port=out_port)]),),
+    )
+
+
+# -- invalidation cases -------------------------------------------------------
+class TestInvalidation:
+    def test_add_modify_delete_between_probes(self):
+        script = [
+            *line(), probe(), probe(),
+            # a higher-priority rule at 2 sends the packet back to 1
+            send(2, add_flow(TO_H2, out_port=1, priority=HIGH)), probe(), probe(),
+            send(2, modify_strict(TO_H2, HIGH, out_port=2)), probe(), probe(),
+            send(2, delete_flow(TO_H2, priority=HIGH, strict=True)), probe(),
+            send(3, delete_flow(Match())), probe(), probe(),
+        ]
+        replayed, fates = check(script)
+        assert replayed == [False, True, False, True, False, True, False, False, True]
+        assert fates == [DELIVERED] * 2 + [LOOPED] * 2 + [DELIVERED] * 3 + [DROPPED] * 2
+
+    def test_strict_delete_put_back_and_noop_modify_force_a_rewalk(self):
+        put_back = FlowMod(
+            command=FlowModCommand.DELETE_STRICT, match=TO_H2,
+            priority=DEFAULT_PRIORITY, out_port=99,
+        )
+        script = [
+            *line(), probe(), probe(),
+            send(2, put_back), probe(), probe(),
+            send(2, modify_strict(TO_H2, 7, out_port=1)), probe(), probe(),
+        ]
+        replayed, fates = check(script)
+        assert replayed == [False, True] * 3
+        assert fates == [DELIVERED] * 6
+
+    def test_idle_timeout_entry_expires_between_probes(self):
+        script = [
+            forward(1, 2), forward(2, 3, idle_timeout=50), forward(3, "h2"),
+            probe(), probe(), wait(100), probe(), probe(),
+        ]
+        replayed, fates = check(script)
+        assert not any(replayed)  # a table with a timeout is never remembered
+        assert fates == [DELIVERED, DELIVERED, DROPPED, DROPPED]
+
+    def test_link_removed_on_a_live_network(self):
+        def unlink(net):
+            net.topo.remove_link(2, 3)
+
+        replayed, fates = check([*line(), probe(), probe(), unlink, probe(), probe()])
+        assert replayed == [False, True, False, True]
+        assert fates == [DELIVERED, DELIVERED, DROPPED, DROPPED]
+
+    def test_controller_miss_sends_a_packet_in_per_probe(self):
+        def build():
+            return Network(linear(3, with_hosts=True), seed=0, miss_behavior="controller")
+
+        booted = build()
+        booted.start()
+        handshake = booted.channels[1].stats.to_controller_sent
+
+        def punted(count):
+            def step(net):
+                assert net.switch(1).log.packets_punted == count
+                assert net.channels[1].stats.to_controller_sent == handshake + count
+            return step
+
+        script = [
+            probe(), probe(), probe(), punted(3),
+            *line(), probe(), probe(),
+            send(1, delete_flow(Match())), probe(), probe(), punted(5),
+        ]
+        replayed, fates = check(script, build)
+        assert replayed == [False, False, False, False, True, False, False]
+        assert fates == [DROPPED] * 3 + [DELIVERED] * 2 + [DROPPED] * 2
+
+    def test_a_switch_with_on_output_is_walked_every_time(self):
+        emitted = []
+
+        def build():
+            net = Network(linear(3, with_hosts=True), seed=0)
+            net.switch(2).on_output = lambda switch, packet, port, now: emitted.append(port)
+            return net
+
+        replayed, fates = check([*line(), probe(), probe(), probe()], build)
+        assert not any(replayed)
+        assert emitted == [2] * 6  # three probes, in each of the two runs
+
+    def test_a_varying_packet_factory_walks_every_time_in_constant_memory(self):
+        def inject(net):
+            ports = itertools.count(40000)
+            flow = FlowSpec("h1", "h2", packet_factory=lambda: Packet(tcp_src=next(ports)))
+            injector = PeriodicInjector(net, flow, interval_ms=1.0, max_packets=8)
+            injector.start()
+            net.flush()
+            assert [trace.fate for trace in injector.result.traces] == [DELIVERED] * 8
+            assert net._replays == 0 and len(net._walks) == 1
+
+        check([*line(), inject])
+
+    def test_each_ingress_keeps_its_own_walk(self):
+        script = [
+            *line(), forward(3, 2, TO_H1), forward(2, 1, TO_H1), forward(1, "h1", TO_H1),
+            probe(), probe("h2", "h1"), probe(), probe("h2", "h1"),
+        ]
+        replayed, fates = check(script)
+        assert replayed == [False, False, True, True]
+        assert fates == [DELIVERED] * 4
+
+
+# -- generated interleavings --------------------------------------------------
+COMMANDS = (
+    FlowModCommand.ADD, FlowModCommand.MODIFY_STRICT,
+    FlowModCommand.DELETE_STRICT, FlowModCommand.DELETE,
+)
+
+mod_steps = st.tuples(
+    st.just("mod"), st.integers(0, 3), st.sampled_from(COMMANDS),
+    st.sampled_from((TO_H2, TO_H1, Match())), st.sampled_from((100, 200)),
+    st.integers(0, 4), st.sampled_from((0, 0, 0, 0, 0, 15)),
+)
+probe_steps = st.tuples(st.just("probe"), st.booleans(), st.booleans())
+unlink_steps = st.tuples(st.just("unlink"), st.integers(0, 10))
+wait_steps = st.tuples(st.just("wait"), st.sampled_from((1.0, 20.0)))
+
+
+def scripted(n: int, draws) -> list:
+    def mod(index, command, match, priority, port_choice, timeout):
+        def step(net):
+            dpid = 1 + index % n
+            ports = [*sorted(net.topo.ports(dpid)), int(Port.IN_PORT), 99]
+            out_port = ports[port_choice % len(ports)]
+            send(dpid, FlowMod(
+                command=command, match=match, priority=priority,
+                idle_timeout=timeout,
+                instructions=(ApplyActions([OutputAction(port=out_port)]),),
+            ))(net)
+        return step
+
+    def unlink(index):
+        def step(net):
+            links = net.topo.links()
+            if links:
+                link = links[index % len(links)]
+                net.topo.remove_link(link.a, link.b)
+        return step
+
+    # start from working routes both ways, so that probes deliver and repeat
+    script = [forward(d, d + 1) for d in range(1, n)] + [forward(n, "h2")]
+    script += [forward(d, d - 1, TO_H1) for d in range(2, n + 1)] + [forward(1, "h1", TO_H1)]
+    for kind, *args in draws:
+        if kind == "mod":
+            script.append(mod(*args))
+        elif kind == "probe":
+            from_h1, waypoint = args
+            ends = ("h1", "h2") if from_h1 else ("h2", "h1")
+            script.append(probe(*ends, waypoint=2 if waypoint else None))
+        elif kind == "unlink":
+            script.append(unlink(*args))
+        else:
+            script.append(wait(*args))
+    return script
+
+
+@budget(40)
+@given(
+    n=st.integers(2, 4),
+    chord=st.booleans(),
+    draws=st.lists(
+        st.one_of(mod_steps, probe_steps, probe_steps, probe_steps, unlink_steps, wait_steps),
+        min_size=10, max_size=30,
+    ),
+)
+def test_generated_interleavings_replay_exactly(n, chord, draws):
+    def build():
+        topo = linear(n, with_hosts=True)
+        if chord and n >= 3:
+            topo.add_link(1, n)
+        return Network(topo, seed=0)
+
+    check(scripted(n, draws), build)

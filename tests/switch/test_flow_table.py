@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SwitchError, TableFullError
-from repro.openflow.constants import FlowModFlags, FlowRemovedReason
+from repro.openflow.constants import FlowModCommand, FlowModFlags, FlowRemovedReason
 from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
 from repro.openflow.match import Match
 from repro.switch.flow_table import FlowTable, matches_overlap
@@ -185,6 +185,54 @@ class TestTimeouts:
     def test_no_timeout_lives_forever(self, table):
         table.apply_flow_mod(add_flow(Match(in_port=1), out_port=2))
         assert table.lookup({"in_port": 1}, now=1e9) is not None
+
+    def test_has_timeouts(self, table):
+        table.apply_flow_mod(add_flow(Match(in_port=1), out_port=2))
+        assert not table.has_timeouts()
+        table.apply_flow_mod(add_flow(Match(in_port=2), out_port=2, hard_timeout=5))
+        assert table.has_timeouts()
+
+
+class TestVersion:
+    """Every FlowMod bumps the version, whatever it changed; so does an
+    expiry that removed something; lookups never do."""
+
+    def test_every_flow_mod_bumps(self, table):
+        mods = [
+            add_flow(Match(in_port=1), out_port=2, priority=5),
+            # a strict modify of an entry that is not there: a no-op
+            FlowMod(
+                command=FlowModCommand.MODIFY_STRICT, match=Match(in_port=9),
+                priority=5,
+            ),
+            # the out_port filter fails: the entry is put back
+            FlowMod(
+                command=FlowModCommand.DELETE_STRICT, match=Match(in_port=1),
+                priority=5, out_port=7,
+            ),
+            delete_flow(Match(in_port=1), priority=5, strict=True),
+        ]
+        for expected, mod in enumerate(mods, start=1):
+            table.apply_flow_mod(mod)
+            assert table.version == expected
+        table.lookup({"in_port": 1})
+        assert table.version == len(mods)
+
+    def test_failed_flow_mod_bumps(self):
+        small = FlowTable(capacity=1)
+        small.apply_flow_mod(add_flow(Match(in_port=1), out_port=1))
+        with pytest.raises(TableFullError):
+            small.apply_flow_mod(add_flow(Match(in_port=2), out_port=1))
+        assert small.version == 2
+
+    def test_expiry_bumps_only_when_it_removes(self, table):
+        table.apply_flow_mod(
+            add_flow(Match(in_port=1), out_port=2, idle_timeout=10), now=0.0
+        )
+        table.expire(now=5.0)
+        assert table.version == 1
+        table.expire(now=20.0)
+        assert table.version == 2
 
 
 class TestOverlapPredicate:

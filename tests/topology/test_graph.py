@@ -90,6 +90,15 @@ class TestPorts:
         topo.add_link(1, 2)
         assert topo.port_between(1, 2) == 3  # fresh port
 
+    def test_version_counts_structural_changes(self, topo):
+        assert topo.version == 5  # three nodes, two links
+        topo.remove_link(1, 2)
+        topo.add_host("h")
+        topo.peer(1, 2)
+        with pytest.raises(TopologyError):
+            topo.remove_link(2, 3)  # no such link: nothing changed
+        assert topo.version == 7
+
 
 class TestQueries:
     def test_kinds(self):
