@@ -30,7 +30,10 @@ Acceptance targets (tracked in the emitted JSON):
   verification on reversal(2000) takes <= 2.6x what it takes on
   reversal(1000) (again a ratio from one run; re-slotting the settled
   chain per reorder and a whole-graph cycle search per round, as PR 17 and
-  earlier did, read 3.9x).
+  earlier did, read 3.9x);
+* so is verifying Peacock's few wide rounds against RLF + blackhole
+  freedom, the other half of a large ``POST /schedule``: the same <= 2.6x
+  on the same two sizes.
 """
 
 from __future__ import annotations
@@ -185,7 +188,8 @@ def bench_live_oracles() -> dict:
 
 def bench_scaling() -> dict:
     """Oracle-backed schedulers at sizes the seed could not touch, and what
-    doubling the instance costs a many-round request end to end."""
+    doubling the instance costs a many-round request end to end and the
+    verification of Peacock's few wide rounds."""
     rows = []
     for n in (500, 1000, 2000):
         problem = reversal_instance(n)
@@ -200,22 +204,38 @@ def bench_scaling() -> dict:
         peacock_s, peacock = _time(
             lambda: peacock_schedule(problem, include_cleanup=False), repeats=1
         )
+        # a few ms a run: more repeats than the rest, and no collection of
+        # what the rows before left on the heap inside the timed window
+        gc.collect()
+        gc.disable()
+        try:
+            peacock_verify_s, report = _time(
+                lambda: verify_schedule(peacock, (Property.RLF, Property.BLACKHOLE)),
+                repeats=5,
+            )
+        finally:
+            gc.enable()
+        assert report.ok, f"Peacock schedule for reversal-{n} failed verification"
         rows.append({
             "n": n,
             "greedy_slf_s": round(greedy_s, 4),
             "greedy_verify_s": round(verify_s, 4),
             "greedy_rounds": greedy.n_rounds,
             "peacock_exact_s": round(peacock_s, 4),
+            "peacock_verify_s": round(peacock_verify_s, 5),
             "peacock_rounds": peacock.n_rounds,
         })
     cost = {r["n"]: r["greedy_slf_s"] + r["greedy_verify_s"] for r in rows}
     ratio = cost[2000] / cost[1000]
+    verify = {r["n"]: r["peacock_verify_s"] for r in rows}
+    verify_ratio = verify[2000] / verify[1000]
     return {
         "description": "oracle-backed schedulers on large reversals",
         "rows": rows,
         "doubling_cost_ratio": round(ratio, 3),
+        "peacock_verify_doubling_ratio": round(verify_ratio, 3),
         "max_doubling_cost_ratio": MAX_DOUBLING_COST_RATIO,
-        "meets_target": ratio <= MAX_DOUBLING_COST_RATIO,
+        "meets_target": max(ratio, verify_ratio) <= MAX_DOUBLING_COST_RATIO,
     }
 
 
@@ -282,7 +302,16 @@ def gate(payload: dict) -> int:
             for row in scaling["rows"]
         )
         + f" (2000/1000 ratio {scaling['doubling_cost_ratio']}, bound "
-        f"{MAX_DOUBLING_COST_RATIO}, meets={scaling['meets_target']})"
+        f"{MAX_DOUBLING_COST_RATIO})"
+    )
+    print(
+        "  Peacock RLF+blackhole verify: "
+        + ", ".join(
+            f"n={row['n']}: {row['peacock_verify_s'] * 1e3:.2f}ms"
+            for row in scaling["rows"]
+        )
+        + f" (2000/1000 ratio {scaling['peacock_verify_doubling_ratio']}, bound "
+        f"{MAX_DOUBLING_COST_RATIO}; both ratios meet={scaling['meets_target']})"
     )
     met = greedy["meets_probe_bound"] and live["meets_target"] and scaling["meets_target"]
     return 0 if met else 1

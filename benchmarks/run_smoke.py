@@ -115,6 +115,15 @@ def smoke_table(oracle_payload: dict, exact_payload: dict) -> str:
                 f"(<= {scaling['max_doubling_cost_ratio']}x)"
             ),
         ])
+    for row in scaling["rows"][1:]:
+        rows.append([
+            f"peacock verify rlf+blackhole(reversal-{row['n']})",
+            _fmt_ms(row["peacock_verify_s"] * 1000),
+            "" if row["n"] == 1000 else (
+                f"{scaling['peacock_verify_doubling_ratio']}x reversal-1000 "
+                f"(<= {scaling['max_doubling_cost_ratio']}x)"
+            ),
+        ])
     for row in exact_payload["results"]["cap_lift"]["rows"]:
         rows.append([
             f"exact {row['instance']} (iddfs)",

@@ -119,13 +119,6 @@ class LeaseTable:
             del self._leases[lease.lease_id]
         return released
 
-    def worker_alive(self, worker_id: str, now: float) -> bool:
-        state = self._workers.get(worker_id)
-        return (
-            state is not None
-            and now - state.last_seen <= self.heartbeat_timeout_s
-        )
-
     # ------------------------------------------------------------------
     # leases
     # ------------------------------------------------------------------

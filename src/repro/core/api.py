@@ -38,7 +38,6 @@ rounds / ``total_updates`` / ``to_dict`` surface).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -83,30 +82,6 @@ class ScheduleRequest:
 
     def resolved(self) -> Scheduler:
         return resolve_scheduler(self.scheduler)
-
-    def cache_key(self) -> tuple:
-        """Hashable request identity (canonical spec + options).
-
-        For callers that memoize results per request: alias spellings
-        collapse to one key.  The problem object is deliberately
-        excluded -- combine with your own instance identity (the
-        campaign runner keys its work-unit cache on the seed-derived
-        cell identity precisely so one cached problem, with its warm
-        oracles, serves every request swept over it).
-        """
-        properties = (
-            None
-            if self.properties is None
-            else tuple(prop.value for prop in self.properties)
-        )
-        return (
-            self.resolved().name,
-            self.include_cleanup,
-            self.verify,
-            properties,
-            json.dumps(dict(self.params), sort_keys=True, default=str),
-            self.timeout_s,
-        )
 
 
 @dataclass

@@ -139,41 +139,38 @@ class UpdateProblem:
     # ------------------------------------------------------------------
     # forwarding semantics
     # ------------------------------------------------------------------
+    def _next_table(self, path: Path) -> dict:
+        table = dict.fromkeys(self.forwarding_nodes)
+        nodes = path.nodes
+        table.update(zip(nodes, nodes[1:]))
+        return table
+
     @cached_property
     def old_next(self) -> dict:
         """``{node: old next hop or None}`` for every forwarding node."""
-        return {
-            node: self.old_path.next_hop(node) if node in self.old_path else None
-            for node in self.forwarding_nodes
-        }
+        return self._next_table(self.old_path)
 
     @cached_property
     def new_next(self) -> dict:
         """``{node: new next hop or None}`` for every forwarding node."""
-        return {
-            node: self.new_path.next_hop(node) if node in self.new_path else None
-            for node in self.forwarding_nodes
-        }
+        return self._next_table(self.new_path)
 
     @cached_property
     def kind_table(self) -> dict:
-        """``{node: UpdateKind}`` for every node (destination is a NOOP)."""
+        """``{node: UpdateKind}`` for every node (destination is a NOOP).
+
+        A forwarding node is on a path exactly when it has a next hop there.
+        """
         table: dict = {self.destination: UpdateKind.NOOP}
-        old_next, new_next = self.old_next, self.new_next
-        for node in self.forwarding_nodes:
-            on_old = node in self.old_path
-            on_new = node in self.new_path
-            if on_old and on_new:
-                kind = (
-                    UpdateKind.NOOP
-                    if old_next[node] == new_next[node]
-                    else UpdateKind.SWITCH
-                )
-            elif on_new:
-                kind = UpdateKind.INSTALL
+        new_next = self.new_next
+        for node, old in self.old_next.items():
+            new = new_next[node]
+            if old is None:
+                table[node] = UpdateKind.INSTALL
+            elif new is None:
+                table[node] = UpdateKind.DELETE
             else:
-                kind = UpdateKind.DELETE
-            table[node] = kind
+                table[node] = UpdateKind.NOOP if old == new else UpdateKind.SWITCH
         return table
 
     def next_hop(self, node: NodeId, state: RuleState) -> NodeId | None:
@@ -211,10 +208,11 @@ class UpdateProblem:
     @cached_property
     def required_updates(self) -> frozenset:
         """Nodes that *must* be updated for traffic to move: INSTALL + SWITCH."""
+        kinds = self.kind_table
         return frozenset(
             node
             for node in self.forwarding_nodes
-            if self.kind(node) in (UpdateKind.INSTALL, UpdateKind.SWITCH)
+            if kinds[node] in (UpdateKind.INSTALL, UpdateKind.SWITCH)
         )
 
     @cached_property
@@ -275,9 +273,10 @@ class UpdateProblem:
     @cached_property
     def cleanup_updates(self) -> frozenset:
         """Old-only nodes whose stale rule should eventually be deleted."""
+        kinds = self.kind_table
         return frozenset(
             node for node in self.forwarding_nodes
-            if self.kind(node) is UpdateKind.DELETE
+            if kinds[node] is UpdateKind.DELETE
         )
 
     @cached_property

@@ -33,6 +33,7 @@ oracle provenance on top of :meth:`Scheduler.run`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -146,12 +147,7 @@ class Scheduler:
         merged = dict(self.params)
         if params:
             merged.update(params)
-        unknown = set(merged) - set(self.accepts)
-        if unknown:
-            raise SchedulerSpecError(
-                f"scheduler {self.base!r} does not accept params "
-                f"{sorted(unknown)}; accepted: {sorted(self.accepts)}"
-            )
+        _check_params(self.base, self.accepts, merged)
         return self.invoke(problem, include_cleanup, oracle, self.properties, merged)
 
     def capabilities(self) -> dict:
@@ -165,6 +161,25 @@ class Scheduler:
             "accepts": sorted(self.accepts),
             "description": self.description,
         }
+
+
+def _check_params(base: str, accepts, params: Mapping[str, Any]) -> None:
+    """Refuse params ``base`` does not accept, and search budgets that
+    would bound nothing (``time_limit_s=nan`` never runs out)."""
+    unknown = set(params) - set(accepts)
+    if unknown:
+        raise SchedulerSpecError(
+            f"scheduler {base!r} does not accept params {sorted(unknown)}; "
+            f"accepted: {sorted(accepts)}"
+        )
+    limit = params.get("time_limit_s")  # (bools are not numbers here)
+    if limit is not None and not (type(limit) in (int, float) and 0 < limit < math.inf):
+        raise SchedulerSpecError(
+            f"time_limit_s must be a finite number of seconds > 0, got {limit!r}"
+        )
+    budget = params.get("node_budget")
+    if budget is not None and not (type(budget) is int and budget >= 1):
+        raise SchedulerSpecError(f"node_budget must be an int >= 1, got {budget!r}")
 
 
 def _coerce(value: str) -> Any:
@@ -288,12 +303,7 @@ class SchedulerRegistry:
                 f"scheduler {base!r} needs a property list, "
                 f"e.g. '{base}:slf+blackhole'"
             )
-        unknown = set(params) - set(definition.accepts)
-        if unknown:
-            raise SchedulerSpecError(
-                f"scheduler {base!r} does not accept params {sorted(unknown)}; "
-                f"accepted: {sorted(definition.accepts)}"
-            )
+        _check_params(base, definition.accepts, params)
         canonical = definition.name
         if properties is not None:
             canonical += ":" + format_properties(properties)
@@ -336,14 +346,6 @@ class SchedulerRegistry:
             name
             for name, definition in self._definitions.items()
             if not definition.parameterized
-        )
-
-    def parameterized_names(self) -> list[str]:
-        """Names that need a ``:<props>`` suffix, sorted."""
-        return sorted(
-            name
-            for name, definition in self._definitions.items()
-            if definition.parameterized
         )
 
     def aliases(self) -> dict[str, str]:

@@ -79,40 +79,71 @@ def _options(problem, node: NodeId, phase: NodePhase) -> tuple[EdgeChoice, ...]:
     return (old,) if old.target == new.target else (old, new)
 
 
+_DROPS = ((), True)  # a slot with no rule: no successor, packets dropped
+
+
+def _slots(old: NodeId | None, new: NodeId | None) -> tuple:
+    """A node's ``(FIXED_OLD, FIXED_NEW, FLEXIBLE)`` slots, each
+    ``(successors, may_drop)`` -- what :func:`_options` yields, as targets."""
+    old_slot = ((old,), False) if old is not None else _DROPS
+    if old == new:
+        return old_slot, old_slot, old_slot
+    new_slot = ((new,), False) if new is not None else _DROPS
+    if old is None:
+        return old_slot, new_slot, ((new,), True)
+    if new is None:
+        return old_slot, new_slot, ((old,), True)
+    return old_slot, new_slot, ((old, new), False)
+
+
 class UnionGraph:
     """All possible out-edges of every node during one round.
 
-    Construct with :meth:`for_round`.  Nodes with a single fixed state
-    contribute one choice; flexible nodes contribute (up to) two.  The
-    graph queries run over a plain successor tuple per node, derived from
-    the choices and kept beside them.
+    Construct with :meth:`for_round`.  Every forwarding node keeps its
+    phase and, from a table of its three possible slots built once per
+    graph, the successor tuple the graph queries run over; a step to the
+    next round is one slot lookup per node that changed.  The
+    :class:`EdgeChoice` view is derived only when :meth:`choices` asks.
     """
 
-    def __init__(
-        self,
-        problem: UpdateProblem,
-        choices: dict[NodeId, tuple[EdgeChoice, ...]],
-        flexible: frozenset,
-    ) -> None:
+    def __init__(self, problem, phases: dict[NodeId, NodePhase]) -> None:
+        """``problem`` only needs ``forwarding_nodes``, ``source``,
+        ``destination`` and either ``old_next`` / ``new_next`` tables or
+        ``next_hop`` -- :class:`~repro.core.problem.UpdateProblem`
+        satisfies this, as do the multi-policy views.
+        Forwarding nodes missing from ``phases`` are FIXED_OLD."""
         self.problem = problem
-        self._choices = choices
-        self.flexible = flexible
+        nodes = problem.forwarding_nodes
+        old_next = getattr(problem, "old_next", None)
+        new_next = getattr(problem, "new_next", None)
+        if old_next is None or new_next is None:
+            old_next = {node: problem.next_hop(node, RuleState.OLD) for node in nodes}
+            new_next = {node: problem.next_hop(node, RuleState.NEW) for node in nodes}
+        self._phases: dict[NodeId, NodePhase] = {}
+        self._table: dict[NodeId, tuple] = {}
         self._succ: dict[NodeId, tuple] = {}
         self._may_drop: set = set()
-        for node, options in choices.items():
-            self._index(node, options)
+        flexible: set = set()
+        fixed_old, fixed_new = NodePhase.FIXED_OLD, NodePhase.FIXED_NEW
+        for node in nodes:
+            phase = phases.get(node, fixed_old)
+            slots = self._table[node] = _slots(old_next[node], new_next[node])
+            self._phases[node] = phase
+            if phase is fixed_old:
+                targets, drops = slots[0]
+            elif phase is fixed_new:
+                targets, drops = slots[1]
+            else:
+                targets, drops = slots[2]
+                flexible.add(node)
+            self._succ[node] = targets
+            if drops:
+                self._may_drop.add(node)
+        self.flexible = frozenset(flexible)
         #: both paths' nodes and positions, set by the first
         #: :meth:`cycle_through_flexible` together with the phase masks
         self._runs: tuple | None = None
         self._hops = 0  # stretches crossed so far (work-bound tests)
-
-    def _index(self, node: NodeId, options: tuple[EdgeChoice, ...]) -> None:
-        targets = tuple(c.target for c in options if c.target is not None)
-        self._succ[node] = targets
-        if len(targets) < len(options):
-            self._may_drop.add(node)
-        else:
-            self._may_drop.discard(node)
 
     @classmethod
     def for_round(cls, schedule: UpdateSchedule, round_index: int) -> "UnionGraph":
@@ -123,20 +154,8 @@ class UnionGraph:
     def from_phases(
         cls, problem, phases: dict[NodeId, NodePhase]
     ) -> "UnionGraph":
-        """Build from an explicit phase map.
-
-        ``problem`` only needs ``forwarding_nodes``, ``next_hop``, ``source``
-        and ``destination`` -- :class:`~repro.core.problem.UpdateProblem`
-        satisfies this, as do the multi-policy views.
-        """
-        choices: dict[NodeId, tuple[EdgeChoice, ...]] = {}
-        flexible: set = set()
-        for node in problem.forwarding_nodes:
-            phase = phases.get(node, NodePhase.FIXED_OLD)
-            if phase is NodePhase.FLEXIBLE:
-                flexible.add(node)
-            choices[node] = _options(problem, node, phase)
-        return cls(problem, choices, frozenset(flexible))
+        """Build from an explicit phase map (see :meth:`__init__`)."""
+        return cls(problem, phases)
 
     @classmethod
     def from_update_sets(
@@ -150,20 +169,23 @@ class UnionGraph:
     def advance(self, settled: frozenset, in_flight: frozenset) -> None:
         """Step to the next round in place: ``settled`` (the round that
         just completed) becomes FIXED_NEW, ``in_flight`` FLEXIBLE.  Only
-        those nodes are re-derived; choices and node order end up exactly
-        as :meth:`for_round` would build them."""
-        problem, choices = self.problem, self._choices
-        for nodes, phase in (
-            (settled, NodePhase.FIXED_NEW),
-            (in_flight, NodePhase.FLEXIBLE),
+        those nodes change; phases, successors and node order end up
+        exactly as :meth:`for_round` would build them."""
+        phases, table, succ, may_drop = (
+            self._phases, self._table, self._succ, self._may_drop
+        )
+        for nodes, phase, slot in (
+            (settled, NodePhase.FIXED_NEW, 1),
+            (in_flight, NodePhase.FLEXIBLE, 2),
         ):
             for node in nodes:
-                if node in choices:
-                    choices[node] = _options(problem, node, phase)
-                    self._index(node, choices[node])
+                if node in phases:
+                    phases[node] = phase
+                    succ[node], drops = table[node][slot]
+                    (may_drop.add if drops else may_drop.discard)(node)
                     if self._runs is not None:
                         self._mark(node, phase)
-        self.flexible = frozenset(node for node in in_flight if node in choices)
+        self.flexible = frozenset(node for node in in_flight if node in phases)
 
     def _mark(self, node: NodeId, phase: NodePhase) -> None:
         """Note a node leaving FIXED_OLD: bit i of ``_not_old`` says the
@@ -182,7 +204,8 @@ class UnionGraph:
     # ------------------------------------------------------------------
     def choices(self, node: NodeId) -> tuple[EdgeChoice, ...]:
         """Possible behaviours of ``node`` (empty tuple for the destination)."""
-        return self._choices.get(node, ())
+        phase = self._phases.get(node)
+        return () if phase is None else _options(self.problem, node, phase)
 
     def successors(self, node: NodeId) -> list[NodeId]:
         """Possible forwarding targets of ``node`` (drops excluded)."""
@@ -193,7 +216,7 @@ class UnionGraph:
         return node in self._may_drop
 
     def nodes(self) -> Iterator[NodeId]:
-        return iter(self._choices)
+        return iter(self._phases)
 
     # ------------------------------------------------------------------
     # graph queries (witness-producing)
@@ -242,7 +265,7 @@ class UnionGraph:
         ``within`` restricts the search to a node subset (used for the
         reachable-cycle pre-filter of relaxed loop freedom).
         """
-        allowed = within if within is not None else set(self._choices) | {
+        allowed = within if within is not None else set(self._phases) | {
             self.problem.destination
         }
         WHITE, GREY, BLACK = 0, 1, 2
@@ -297,15 +320,15 @@ class UnionGraph:
             # all FIXED_OLD; the destination's bit ends either path's last run
             self._not_old = 1 << len(old_nodes) - 1
             self._not_new = (1 << len(new_nodes)) - 1
-            for node, options in self._choices.items():
+            for node, phase in self._phases.items():
                 if node in self.flexible:
                     self._mark(node, NodePhase.FLEXIBLE)
-                elif options[0].state is RuleState.NEW:
+                elif phase is NodePhase.FIXED_NEW:
                     self._mark(node, NodePhase.FIXED_NEW)
         old_nodes, old_pos, new_nodes, new_pos = self._runs
         not_old, not_new = self._not_old, self._not_new
         flexible, destination = self.flexible, problem.destination
-        limit = self._hops + len(self._choices)  # a hop per fixed node at most
+        limit = self._hops + len(self._phases)  # a hop per fixed node at most
         ends: dict[NodeId, NodeId] = {}  # fixed node -> where its walk gets to
         landings: dict[NodeId, list] = {}
         for start in flexible:

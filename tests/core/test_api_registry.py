@@ -172,6 +172,25 @@ class TestRegistryParity:
         with pytest.raises(SchedulerSpecError):
             resolve_scheduler("optimal:slf?search")  # not key=value
 
+    @pytest.mark.parametrize("params", [
+        {"time_limit_s": float("nan")}, {"time_limit_s": float("inf")},
+        {"time_limit_s": 0}, {"time_limit_s": -1.0}, {"time_limit_s": True},
+        {"time_limit_s": "2"}, {"node_budget": 0}, {"node_budget": -1},
+        {"node_budget": 1.5}, {"node_budget": True},
+    ])
+    def test_search_budgets_must_bound_the_search(self, params):
+        (key, value), = params.items()
+        problem = UpdateProblem([1, 2, 3], [1, 4, 3])
+        with pytest.raises(SchedulerSpecError, match=key):
+            schedule_update(problem, "optimal:rlf", params=params)
+        if not isinstance(value, str):
+            text = str(value).lower()
+            with pytest.raises(SchedulerSpecError, match=key):
+                resolve_scheduler(f"optimal:rlf?{key}={text}")
+        assert schedule_update(
+            problem, "optimal:rlf?time_limit_s=5&node_budget=1000", verify=True
+        ).verified
+
     def test_split_spec_coercion(self):
         name, props, params = split_spec("optimal:slf+rlf?a=true&b=3&c=x")
         assert name == "optimal" and props == "slf+rlf"
@@ -183,16 +202,6 @@ class TestEnvelope:
         result = schedule_update(reversal_instance(8), "greedy-slf")
         assert result.wall_ms >= 0.0
         assert result.oracle_stats.get("applies", 0) > 0
-
-    def test_cache_key_is_canonical_and_hashable(self):
-        problem = reversal_instance(6)
-        a = ScheduleRequest(problem=problem, scheduler="greedy_slf")
-        b = ScheduleRequest(problem=problem, scheduler="greedy-slf")
-        assert a.cache_key() == b.cache_key()
-        assert hash(a.cache_key())
-        c = ScheduleRequest(problem=problem, scheduler="greedy-slf",
-                            include_cleanup=False)
-        assert c.cache_key() != a.cache_key()
 
     def test_explicit_properties_override_guarantee(self):
         problem = reversal_instance(6)

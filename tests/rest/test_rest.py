@@ -355,6 +355,28 @@ class TestScheduleEndpoint:
              "scheduler": "oneshot", "properties": ["wpe"]},
         ).status == 400
 
+    @pytest.mark.parametrize("key, text, value", [
+        ("time_limit_s", "nan", float("nan")),
+        ("time_limit_s", "inf", float("inf")),
+        ("time_limit_s", "0", 0),
+        ("time_limit_s", "-1", -1),
+        ("node_budget", "0", 0),
+        ("node_budget", "-1", -1),
+        ("node_budget", "2.5", 2.5),
+    ])
+    def test_budgets_that_bound_nothing_are_a_400(self, api, key, text, value):
+        """``nan`` would make the search deadline unreachable, and a budget
+        below one expansion is answered as exhausted before it starts."""
+        _, rest = api
+        body = {"oldpath": [1, 2, 3], "newpath": [1, 4, 3], "verify": True}
+        for sent in (
+            dict(body, scheduler=f"optimal:rlf?{key}={text}"),
+            dict(body, scheduler="optimal:rlf", params={key: value}),
+        ):
+            response = rest.handle("POST", "/schedule", sent)
+            assert response.status == 400, sent
+            assert key in response.body["error"]
+
     def test_scheduler_listing_matches_registry(self, api):
         _, rest = api
         from repro.core.registry import REGISTRY
