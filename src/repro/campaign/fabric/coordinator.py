@@ -1,52 +1,46 @@
-"""The campaign fabric coordinator: cells in, leases out, shards folded.
+"""The campaign fabric coordinator: decide, commit, effect.
 
 The coordinator owns one campaign: it expands the spec, leases pending
 cells to pull-based workers, tracks liveness through heartbeats, reclaims
 the cells of dead or expired leases, retries transient failures with
-bounded exponential backoff + jitter, escalates timed-out cells once with
-a larger budget, and folds submitted shards through the unchanged
-:class:`~repro.campaign.store.RunStore` path.
+bounded exponential backoff + jitter, escalates a timed-out cell once with
+a larger budget, audits, quarantines and poisons, and folds submitted
+shards through the unchanged :class:`~repro.campaign.store.RunStore` path.
 
-Determinism contract (the same one the pool runner honors): records are
-seed-derived and written in canonical cell order regardless of which
-worker produced them or in what order they arrived -- out-of-order shards
-are buffered and flushed as the canonical prefix grows -- so an N-worker
-fleet's ``results.jsonl`` is byte-identical to the 1-worker run, and both
-match the single-host pool runner.
+Every entry point runs in one frame, :meth:`Coordinator._frame` (the lock,
+one clock reading, the caller's proof of life, the reaper, ``done``), and
+every request in it takes three steps:
 
-At-least-once semantics: every accept path is idempotent.  A duplicate
-submission for a completed cell is a counted no-op; a submission under a
-reclaimed (stale) lease is still accepted when the cell is incomplete --
-the work is deterministic, so whichever copy arrives first wins and the
-rest are no-ops.
+1. **decide** -- a pure function over
+   :class:`~repro.campaign.fabric.state.FabricState` returns the journal
+   events the request causes (the lease window, a submission's verdict,
+   the reap suspect, an audit's winner and losers, the poison threshold,
+   a retry or a give-up);
+2. **commit** -- :meth:`Coordinator._commit` appends each event to the
+   write-ahead :class:`~repro.campaign.fabric.journal.FabricJournal`,
+   fsynced *before* it is applied or acknowledged, applies it through the
+   same ``FabricState.apply`` that recovery folds over the journal, and
+   compacts when due;
+3. **effect** -- ``_commit`` then fires the kind's volatile effects from
+   one table keyed by journal kind (``_after_<kind>``): counters, worker
+   tallies, ``fabric.*`` trace events, backoff, flushing, lease releases.
 
-Crash tolerance by event sourcing (:mod:`~repro.campaign.fabric.state`):
-everything durable changes only by applying a journal record.  A handler
-here *decides*, commits the event (``_commit``: fsynced to the write-ahead
-:class:`~repro.campaign.fabric.journal.FabricJournal` *before* it is
-applied or acknowledged) and then does only volatile work: lease table,
-backoff, per-worker tallies, spans, flushing the buffer through the store.
-The journal is the only file fsynced per record: ``results.jsonl`` and
-``timings.jsonl`` are its projection, synced once before each compaction,
-so whatever tail of them a power cut takes is still in the journal.
-A restarted coordinator applies the same events read back from snapshot
-(``{"events": [...]}``) + journal, so recovery cannot drift from the live
-path, and a recovered run stays byte-identical to an uncrashed one.
+A restarted coordinator applies the same events read back from snapshot +
+journal, so recovery cannot drift from the live path.  The journal is the
+only file fsynced per record; ``results.jsonl`` and ``timings.jsonl`` are
+its projection, synced once before each compaction.  Records are written
+in canonical cell order whoever computed them, so an N-worker fleet's
+``results.jsonl`` is byte-identical to the 1-worker run and to the pool
+runner's, and every accept path is idempotent under at-least-once
+delivery: the first copy of a deterministic result wins.
 
-Result integrity (PR 10): the coordinator stops *trusting* well-formed
-payloads.  Submissions carry a canonical-JSON sha256 over the record plus
-the cell payload's identity hash, validated before anything is journaled;
-a configurable ``audit_fraction`` of accepted cells is deterministically
-sampled (seeded on the cell id) and held back until a *different* worker
-re-executes them and the folds match byte-for-byte (any two matching
-candidates win -- a lying auditor cannot outvote two honest runs).
-Workers that fail validation or audits are *quarantined* by name: no new
-leases, in-flight leases requeued, their unflushed unaudited accepts
-retracted and re-run.  A cell whose worker dies while computing it is
-charged a *kill*; ``poison_kill_threshold`` distinct dead workers mark
-the cell poisoned and terminally recorded instead of looping through the
-retry budget.  All of it -- candidates, quarantines, kills, poisonings --
-is journaled, so the verdicts survive coordinator crashes.
+Result integrity: each submission carries a canonical-JSON sha256 of its
+record and the leased payload's identity hash, checked before anything is
+journaled; an ``audit_fraction`` of the cells (sampled, seeded on the cell
+id) waits until a *different* worker's re-execution matches byte for byte.
+Workers failing either are quarantined by name, and a cell that
+``poison_kill_threshold`` distinct workers died computing is recorded as
+poisoned instead of looping through the retry budget.
 """
 
 from __future__ import annotations
@@ -55,63 +49,26 @@ import copy
 import random
 import threading
 import time
-from collections import Counter
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import CampaignError
 from repro.obs import trace as obs
-from repro.campaign.fabric.journal import FabricJournal
+from repro.campaign.fabric.journal import KINDS, FabricJournal
 from repro.campaign.fabric.leases import Lease, LeaseTable
-from repro.campaign.fabric.state import CellState, FabricState
-from repro.campaign.runner import new_record
-from repro.campaign.schedulers import resolve
-from repro.campaign.spec import (
-    CampaignSpec,
-    derive_seed,
-    payload_identity_hash,
-)
-from repro.campaign.store import RunStore, encode_record, record_checksum, tally
+from repro.campaign.fabric.state import FabricState
+from repro.campaign.spec import CampaignSpec, derive_seed
+from repro.campaign.store import RunStore, encode_record, tally
 from repro.metrics import global_collector
 
 #: Fabric counter names (exposed via ``repro.metrics`` and ``status()``).
 COUNTERS = (
-    "leases_granted",
-    "cells_leased",
-    "reclaims",
-    "retries",
-    "escalations",
-    "duplicate_submits",
-    "stale_submits",
-    "transient_failures",
-    "deregisters",
-    "journal_records",
-    "journal_compactions",
-    "batch_submits",
-    "integrity_rejects",
-    "audits_run",
-    "audit_mismatches",
-    "quarantines",
-    "kills",
-    "poisoned_cells",
-    "recovered_buffered",
-    "recovered_retries",
-    "recovered_escalations",
-    "recovered_leases_expired",
-    "recovered_quarantines",
-    "recovered_audit_candidates",
-)
-
-#: Per-worker tallies (``telemetry()``); those that are also fabric
-#: counters are bumped by the same ``_count`` call.
-TALLIES = (
-    "cells_leased",
-    "cells_done",
-    "timeouts",
-    "escalations",
-    "transient_failures",
-    "stale_submits",
-    "duplicate_submits",
-    "integrity_rejects",
+    "leases_granted", "cells_leased", "reclaims", "retries", "escalations",
+    "duplicate_submits", "stale_submits", "transient_failures", "deregisters",
+    "journal_records", "journal_compactions", "batch_submits",
+    "integrity_rejects", "audits_run", "audit_mismatches", "quarantines",
+    "kills", "poisoned_cells", "recovered_buffered", "recovered_retries",
+    "recovered_escalations", "recovered_leases_expired",
+    "recovered_quarantines", "recovered_audit_candidates",
 )
 
 
@@ -119,6 +76,25 @@ def _refusal(reason: str) -> dict:
     """The reply to a submission a quarantine verdict rules out."""
     return {"accepted": False, "rejected": True, "reason": reason,
             "quarantined": True}
+
+
+_PENDING = {"accepted": True, "audit_pending": True}
+#: A submission's verdict (``FabricState.submission``, then the audit's)
+#: -> the ``fabric.submit`` span's outcome and the worker's reply.
+SUBMISSIONS = {
+    "refused": ("quarantined", _refusal("quarantined")),
+    "rejected": ("rejected", _refusal("integrity")),
+    "duplicate": ("duplicate", {"accepted": False, "duplicate": True}),
+    "held": ("duplicate", {"accepted": False, "duplicate": True,
+                           "audit_pending": True}),
+    "contradicted": ("quarantined", _refusal("audit")),
+    "outvoted": ("quarantined", _refusal("audit")),
+    "inconclusive": ("audit_inconclusive", _PENDING),
+    "candidate": ("audit_pending", _PENDING),
+    "audited": ("accepted", {"accepted": True, "audited": True}),
+    "escalated": ("escalated", {"accepted": True, "escalated": True}),
+    "accepted": ("accepted", {"accepted": True, "duplicate": False}),
+}
 
 
 class Coordinator:
@@ -177,15 +153,19 @@ class Coordinator:
         self._rng = random.Random(jitter_seed)
         self._lock = threading.Lock()
         self.counters: dict[str, int] = {name: 0 for name in COUNTERS}
+        #: The effect table: journal kind -> what committing one such
+        #: event does besides changing the state.  Fired by ``_commit``
+        #: only, never by a replay, which must not count or trace twice.
+        self._effects = {kind: getattr(self, f"_after_{kind}") for kind in KINDS}
 
         cells = spec.expand()
         self.store.initialize(spec, n_cells=len(cells))
         flushed = self.store.records()
         completed = {record["id"] for record in flushed}
-        #: ``store.status()``, kept current by ``_flush_locked``
+        #: ``store.status()``, kept current by ``_flush``
         self._progress = self.store.status(flushed)
         #: Everything that survives a crash; changed only by ``_commit``
-        #: (live) and ``_recover_locked`` (replay), both through ``apply``.
+        #: (live) and ``_recover`` (replay), both through ``apply``.
         self._state = FabricState(cells, completed)
         self._by_id = {cell.cell_id: i for i, cell in enumerate(cells)}
         # in-order folding relies on the resumed prefix being canonical
@@ -204,10 +184,6 @@ class Coordinator:
             )
         self._next_flush = done_prefix
         self._started_at = self._clock()
-        #: Per-worker telemetry.  Keyed by worker id and kept *forever*
-        #: (the lease table forgets dead workers; the telemetry endpoint
-        #: must not, or a SIGKILLed worker's tally vanishes mid-watch).
-        self._wstats: dict[str, dict] = {}
         self._table = LeaseTable(
             self.lease_ttl_s,
             self.heartbeat_timeout_s,
@@ -218,12 +194,12 @@ class Coordinator:
             fsync=journal_fsync,
             compact_every=journal_compact_every,
         )
-        self._recover_locked()
+        self._recover()
 
     # ------------------------------------------------------------------
-    # crash recovery (constructor-time; the lock is not yet contended)
+    # crash recovery (constructor-time; nothing else holds the state yet)
     # ------------------------------------------------------------------
-    def _recover_locked(self) -> None:
+    def _recover(self) -> None:
         """Re-apply snapshot + journal from a previous coordinator's life.
 
         The fold re-admits journaled accepts that are not in
@@ -265,17 +241,17 @@ class Coordinator:
             for n, event in enumerate(events):
                 state.apply(event, 0.0)
                 if n >= hold:
-                    self._flush_locked()
+                    self._flush()
                 if event["kind"] == "lease":
                     for index in event["cells"]:
                         holder[index] = (event["lease_id"], event["worker_id"])
             readmitted = [*range(found, self._next_flush), *sorted(state.buffer)]
             # the lease table is rebuilt empty: whatever is still leased
             # was held by a lease that died with the old coordinator
-            expired = set()
-            for index, lease in holder.items():
-                if state.release(index, 0.0):
-                    expired.add(lease)
+            expired = {
+                lease for index, lease in holder.items()
+                if state.release(index, 0.0)
+            }
             # counted off the recovered state, not off the records, so a
             # compacted history and an uncompacted one report the same
             open_cells = [c for c in state.cells if c.status != "done"]
@@ -288,31 +264,25 @@ class Coordinator:
                 "recovered_audit_candidates": sum(map(len, state.audit.values())),
             }
             for name, value in recovered.items():
-                self.counters[name] = value
                 if value:
-                    global_collector().increment(f"fabric.{name}", value)
+                    self._count(name, value)
             for index in readmitted:
                 # the accept's span may have died unwritten with the old
                 # coordinator; this event is the durable trace of the
                 # settlement (verify_lifecycles treats it as one)
-                obs.event(
-                    "fabric.recovered_cell",
-                    cell_id=state.cells[index].cell.cell_id,
-                )
+                obs.event("fabric.recovered_cell",
+                          cell_id=state.cells[index].cell.cell_id)
             for lease_id, worker_id in sorted(expired):
-                obs.event(
-                    "fabric.lease_expired_on_recovery",
-                    lease_id=lease_id,
-                    worker_id=worker_id,
-                )
+                obs.event("fabric.lease_expired_on_recovery",
+                          lease_id=lease_id, worker_id=worker_id)
             # a crash can land between a journaled kill (reaching the
             # poison threshold) and the poison record itself, or between
             # a matching audit candidate and its accept -- settle both
             for index in range(len(state.cells)):
-                self._poison_locked(index, 0.0)
+                self._commit(state.poison(index, self.poison_kill_threshold), 0.0)
             for index in list(state.audit):
                 if index in state.audit:
-                    self._resolve_audit_locked(index, 0.0)
+                    self._settle_audit(index, 0.0)
             span.set_attrs(**recovered, journal_records=len(records))
             obs.event(
                 "fabric.recovered",
@@ -322,39 +292,61 @@ class Coordinator:
             )
             # fold everything recovered into a fresh snapshot so the
             # journal starts this incarnation bounded and empty
-            self._compact_locked()
+            self._compact()
 
     # ------------------------------------------------------------------
-    # journaling (call with the lock held)
+    # the frame, the commit, the compaction
     # ------------------------------------------------------------------
-    def _commit(self, kind: str, now: float, **fields: Any) -> None:
-        """Make one transition durable, then real.
+    def _frame(
+        self, act: Callable[[float, bool], Any], worker_id: str | None = None,
+        *, reap: str | None = "before", done: bool = True,
+    ) -> Any:
+        """Run one entry point: under the lock, one clock reading, the
+        calling worker's proof of life (``act`` learns whether it is a
+        live worker), the reaper -- ``"before"`` the verb decides, or
+        ``"after"`` a submission has released its own cells -- and,
+        unless the reply says otherwise, whether the campaign is done."""
+        with self._lock:
+            now = self._clock()
+            known = worker_id is not None and self._table.touch(worker_id, now)
+            if reap == "before":
+                self._reap(now)
+            reply = act(now, known)
+            if reap == "after":
+                self._reap(now)
+            if done:
+                reply.setdefault("done", self._finished())
+            return reply
 
-        The only way a live coordinator changes durable state: the event
-        is journaled (on disk before ``append`` returns) and then applied
-        by the same function recovery folds over the journal.
+    def _commit(self, events: list[dict], now: float, by: str | None = None) -> None:
+        """Make decided transitions durable, real, then seen.
+
+        The only way a live coordinator changes durable state: each event
+        is journaled (on disk before ``append`` returns) and applied by
+        the function recovery folds over the journal -- so the state is
+        the fold of the events so far after every one, and any of them
+        may be the one that compacts the journal -- and only then does
+        the effect table fire for it.  ``by`` is the id of the worker
+        whose request caused the events.
         """
-        self._journal.append(kind, **fields)
-        self._count("journal_records")
-        self._state.apply({"kind": kind, **fields}, now)
-        # the state is the fold of the events so far after *every* commit,
-        # so any of them may be the one that folds the journal away
-        if self._journal.due_for_compaction:
-            self._compact_locked()
+        for event in events:
+            self._journal.append(**event)
+            self._count("journal_records")
+            applied = self._state.apply(event, now)
+            if self._journal.due_for_compaction:
+                self._compact()
+            self._effects[event["kind"]](event, now, by, applied)
 
-    def _compact_locked(self) -> None:
+    def _compact(self) -> None:
         with obs.span(
             "fabric.journal.compact", campaign=self.spec.campaign_id
         ) as span:
             events = self._state.snapshot_events()
             # last, so no budget event above re-opens a leased cell
             events.extend(
-                {
-                    "kind": "lease",
-                    "lease_id": lease.lease_id,
-                    "worker_id": lease.worker_id,
-                    "cells": list(lease.cell_indices),
-                }
+                {"kind": "lease", "lease_id": lease.lease_id,
+                 "worker_id": lease.worker_id,
+                 "cells": list(lease.cell_indices)}
                 for lease in self._table.leases()
             )
             # the snapshot forgets flushed cells: on disk with them first
@@ -367,114 +359,65 @@ class Coordinator:
     # worker-facing protocol (every payload/return is JSON-compatible)
     # ------------------------------------------------------------------
     def register(self, body: Mapping[str, Any] | None = None) -> dict:
-        body = dict(body or {})
-        with self._lock:
-            now = self._clock()
-            state = self._table.register_worker(
-                name=str(body.get("name", "worker")),
-                meta={k: v for k, v in body.items() if k != "name"},
-                now=now,
+        name = dict(body or {}).get("name", "worker")
+        if not isinstance(name, str) or not name:
+            # an empty name could never be quarantined
+            raise CampaignError(
+                f"fabric register needs 'name': a non-empty string, got {name!r}"
             )
-            self._wstats[state.worker_id] = {
-                "name": state.name,
-                "registered_at": now,
-                **dict.fromkeys(TALLIES, 0),
-            }
-            obs.event(
-                "fabric.register",
-                worker_id=state.worker_id,
-                worker=state.name,
-            )
+
+        def act(now: float, known: bool) -> dict:
+            worker = self._table.register_worker(name, now)
+            obs.event("fabric.register", worker_id=worker.worker_id, worker=name)
             return {
-                "worker_id": state.worker_id,
+                "worker_id": worker.worker_id,
                 "lease_ttl_s": self.lease_ttl_s,
                 "heartbeat_interval_s": self.heartbeat_interval_s,
                 "lease_cells": self.lease_cells,
-                "quarantined": state.name in self._state.quarantined,
+                "quarantined": name in self._state.quarantined,
             }
 
+        return self._frame(act, reap=None, done=False)
+
     def heartbeat(self, worker_id: str) -> dict:
-        with self._lock:
-            now = self._clock()
-            known = self._table.touch(worker_id, now)
-            self._reap(now)
-            return {"ok": known, "unknown_worker": not known,
-                    "done": self._finished_locked()}
+        return self._frame(
+            lambda now, known: {"ok": known, "unknown_worker": not known},
+            worker_id,
+        )
 
     def lease(self, worker_id: str, max_cells: int | None = None) -> dict:
         """Grant up to ``max_cells`` eligible pending cells (canonical
         order).  ``done`` tells an idle worker the campaign is complete;
         ``retry_after_s`` tells it when to ask again."""
         limit = self.lease_cells if max_cells is None else max(1, int(max_cells))
-        with self._lock:
-            now = self._clock()
-            if not self._table.touch(worker_id, now):
+
+        def act(now: float, known: bool) -> dict:
+            if not known:  # and nothing reaped on its account
                 return {"unknown_worker": True, "cells": [], "done": False}
             self._reap(now)
-            if self._finished_locked():
+            if self._finished():
                 return {"cells": [], "done": True}
-            name = self._worker_name(worker_id)
-            if name in self._state.quarantined:
-                return {
-                    "cells": [],
-                    "done": False,
-                    "quarantined": True,
-                    "retry_after_s": self.heartbeat_interval_s,
-                }
-            cells = self._state.cells
-            indices = []
-            # everything below the flushed prefix is settled for good
-            for i in range(self._next_flush, len(cells)):
-                if len(indices) >= limit:
-                    break
-                state = cells[i]
-                if state.status == "pending" and state.eligible_at <= now:
-                    indices.append(i)
-                elif (
-                    state.status == "audit"
-                    and self._state.candidate(i, name) is None
-                ):
-                    # audit re-execution must come from a worker that has
-                    # not already answered for this cell
-                    indices.append(i)
+            name, state = self._table.name(worker_id), self._state
+            if name in state.quarantined:
+                return {"cells": [], "quarantined": True,
+                        "retry_after_s": self.heartbeat_interval_s}
+            indices = state.lease_window(self._next_flush, limit, now, name)
             if not indices:
-                return {
-                    "cells": [],
-                    "done": False,
-                    "retry_after_s": self._retry_after_locked(now),
-                }
+                return {"cells": [], "retry_after_s": state.retry_after(
+                    self._next_flush, now, self.heartbeat_interval_s)}
             lease = self._table.grant(worker_id, indices, now)
             # journaled before the grant is acknowledged: a recovered
             # coordinator expires it, so the cells re-lease cleanly
-            self._commit(
-                "lease",
-                now,
-                lease_id=lease.lease_id,
-                worker_id=worker_id,
-                cells=indices,
-            )
-            for i in indices:
-                obs.event(
-                    "fabric.lease_cell",
-                    cell_id=cells[i].cell.cell_id,
-                    worker_id=worker_id,
-                    lease_id=lease.lease_id,
-                )
-            self._count("leases_granted")
-            self._count("cells_leased", len(indices), worker_id)
-            return {
-                "lease_id": lease.lease_id,
-                "cells": [dict(cells[i].payload) for i in indices],
-                "done": False,
-            }
+            self._commit([{"kind": "lease", "lease_id": lease.lease_id,
+                           "worker_id": worker_id, "cells": indices}], now)
+            return {"lease_id": lease.lease_id,
+                    "cells": [dict(state.cells[i].payload) for i in indices]}
+
+        return self._frame(act, worker_id, reap=None)
 
     def submit(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        record: Mapping[str, Any],
-        timing: Mapping[str, Any],
+        self, worker_id: str, lease_id: str, cell_id: str,
+        record: Mapping[str, Any], timing: Mapping[str, Any],
         integrity: Mapping[str, Any],
     ) -> dict:
         """Fold one finished cell; idempotent under at-least-once delivery.
@@ -487,40 +430,29 @@ class Coordinator:
         """
         entry = {"cell_id": cell_id, "record": record, "timing": timing,
                  "integrity": integrity}
-        with self._lock:
-            now = self._clock()
-            self._table.touch(worker_id, now)
-            reply = self._submit_one_locked(worker_id, lease_id, entry, now)
-            self._reap(now)
-            reply["done"] = self._finished_locked()
-            return reply
+        return self._frame(
+            lambda now, known: self._submit_one(worker_id, lease_id, entry, now),
+            worker_id,
+            reap="after",
+        )
 
-    def submit_batch(
-        self,
-        worker_id: str,
-        lease_id: str,
-        entries: list,
-    ) -> dict:
-        """Fold several finished cells in one round-trip.
+    def submit_batch(self, worker_id: str, lease_id: str, entries: list) -> dict:
+        """Fold several finished cells in one round-trip, each entry
+        (``{"cell_id", "record", "timing", "integrity"}``) exactly as an
+        individual ``submit`` would -- so a replayed batch is a batch of
+        counted no-ops.  Returns per-entry ``results`` in order."""
 
-        Each entry is ``{"cell_id", "record", "timing", "integrity"}``
-        and is validated, checked for duplication, and journaled exactly
-        as an individual ``submit`` would -- idempotent per record, so a
-        replayed batch (a worker resubmitting after an outage) is a batch
-        of counted no-ops.  Returns per-entry ``results`` in order.
-        """
-        with self._lock:
-            now = self._clock()
-            self._table.touch(worker_id, now)
+        def act(now: float, known: bool) -> dict:
             results = [
-                self._submit_one_locked(worker_id, lease_id, entry, now)
+                self._submit_one(worker_id, lease_id, entry, now)
                 for entry in entries
             ]
             self._count("batch_submits", worker_id=worker_id)
-            self._reap(now)
-            return {"results": results, "done": self._finished_locked()}
+            return {"results": results}
 
-    def _submit_one_locked(
+        return self._frame(act, worker_id, reap="after")
+
+    def _submit_one(
         self, worker_id: str, lease_id: str, entry: Mapping[str, Any], now: float
     ) -> dict:
         """Fold one ``{"cell_id", "record", "timing", "integrity"}``."""
@@ -531,86 +463,52 @@ class Coordinator:
             raise CampaignError(
                 f"submission for cell {cell_id!r} carries no 'integrity'"
             )
-        with obs.span(
-            "fabric.submit", cell_id=cell_id, worker_id=worker_id
-        ) as span:
-
-            def reply(outcome: str, fields: dict) -> dict:
-                span.set_attrs(outcome=outcome)
-                return fields
-
+        with obs.span("fabric.submit", cell_id=cell_id,
+                      worker_id=worker_id) as span:
             index = self._by_id.get(cell_id)
             if index is None:
                 raise CampaignError(f"unknown cell {cell_id!r}")
-            state = self._state.cells[index]
-            name = self._worker_name(worker_id)
-            if name in self._state.quarantined:
-                # a quarantined worker's results are suspect by verdict;
-                # nothing it delivers is folded
-                return reply("quarantined", _refusal("quarantined"))
+            name = self._table.name(worker_id)
             record = dict(entry["record"])
-            timing = dict(entry["timing"])
-            if not self._integrity_ok_locked(state, record, integrity):
+            verdict, events = self._state.submission(
+                index, name, lease_id, record, dict(entry["timing"]),
+                integrity, sampled=self._audit_selected(cell_id),
+                escalation_factor=self.escalation_factor,
+            )
+            if verdict == "rejected":
                 self._count("integrity_rejects", worker_id=worker_id)
-                obs.event(
-                    "fabric.integrity_reject",
-                    cell_id=cell_id,
-                    worker_id=worker_id,
-                )
-                self._quarantine_locked(
-                    name, f"integrity reject on {cell_id}", now
-                )
-                return reply("rejected", _refusal("integrity"))
-            fresh_lease = self._table.release_cell(lease_id, index)
-            span.set_attrs(stale=not fresh_lease)
-            if not fresh_lease:
-                self._count("stale_submits", worker_id=worker_id)
-            if state.status == "done":
+                obs.event("fabric.integrity_reject", cell_id=cell_id,
+                          worker_id=worker_id)
+            elif verdict != "refused":
+                fresh_lease = self._table.release_cell(lease_id, index)
+                span.set_attrs(stale=not fresh_lease)
+                if not fresh_lease:
+                    self._count("stale_submits", worker_id=worker_id)
+                worker = self._table.worker(worker_id)
+                timed_out = record.get("status") == "timeout"
+                if worker and timed_out and verdict != "duplicate":
+                    worker.tallies["timeouts"] += 1
+            if verdict in ("duplicate", "held"):
                 self._count("duplicate_submits", worker_id=worker_id)
-                return reply("duplicate", {"accepted": False, "duplicate": True})
-            timed_out = record.get("status") == "timeout"
-            if timed_out:
-                self._tally(worker_id, "timeouts")
-            if index in self._state.audit or (
-                not timed_out and self._audit_selected(cell_id)
-            ):
-                # under audit already, or deterministically sampled for
-                # it: the record becomes a candidate and the cell waits
-                # for a different worker's byte-identical confirmation
-                return reply(*self._audit_submit_locked(
-                    index, worker_id, name, record, timing, now
-                ))
-            if (
-                timed_out
-                and self.escalation_factor > 1.0
-                and not state.escalated
-                and state.payload.get("timeout_s")
-            ):
-                self._escalate_locked(index, worker_id, now)
-                return reply("escalated", {"accepted": True, "escalated": True})
-            # write-ahead: the accept is durable before the worker hears
+            elif verdict == "contradicted":
+                # whichever copy is right, the worker is not trustworthy
+                self._count("audit_mismatches", worker_id=worker_id)
+            elif verdict == "inconclusive":
+                self._state.release(index, now)  # waits for a conclusive run
+            # write-ahead: an accept is durable before the worker hears
             # "accepted", so a crash after this line can never re-run the
             # cell -- recovery re-admits the journaled record instead
-            self._commit(
-                "accept",
-                now,
-                index=index,
-                cell_id=cell_id,
-                lease_id=lease_id,
-                worker=name,
-                record=record,
-                timing=timing,
-            )
-            self._accepted_locked(timing)
-            self._tally(worker_id, "cells_done")
-            return reply("accepted", {"accepted": True, "duplicate": False})
+            self._commit(events, now, worker_id)
+            if verdict == "candidate":
+                losers = self._settle_audit(index, now)
+                if losers is not None:
+                    verdict = "outvoted" if name in losers else "audited"
+            outcome, reply = SUBMISSIONS[verdict]
+            span.set_attrs(outcome=outcome)
+            return dict(reply)
 
     def fail(
-        self,
-        worker_id: str,
-        lease_id: str,
-        cell_id: str,
-        detail: str = "",
+        self, worker_id: str, lease_id: str, cell_id: str, detail: str = "",
         requeue: bool = False,
     ) -> dict:
         """A worker reports a *transient* (infrastructure-level) failure.
@@ -622,49 +520,43 @@ class Coordinator:
         record so the campaign always completes.  ``requeue=True`` (a
         draining worker handing unstarted cells back) skips the attempt
         bump and the backoff: nothing failed, the cell just needs a new
-        owner.
+        owner.  A report under a lease that no longer holds the cell
+        (reaped, expired, lost in a restart) is ``stale`` and changes
+        nothing: the reclaim already charged the cell, which may be
+        someone else's by now.
         """
-        with self._lock:
-            now = self._clock()
-            self._table.touch(worker_id, now)
+
+        def act(now: float, known: bool) -> dict:
             index = self._by_id.get(cell_id)
             if index is None:
                 raise CampaignError(f"unknown cell {cell_id!r}")
+            if not self._table.holds(lease_id, index):
+                return {"retried": False, "stale": True}
             self._table.release_cell(lease_id, index)
-            obs.event(
-                "fabric.fail_cell",
-                cell_id=cell_id,
-                worker_id=worker_id,
-                requeue=bool(requeue),
-                detail=detail[:120],
-            )
+            obs.event("fabric.fail_cell", cell_id=cell_id, worker_id=worker_id,
+                      requeue=bool(requeue), detail=detail[:120])
             if requeue:
                 self._state.release(index, now)
-                return {"retried": True, "done": self._finished_locked()}
+                return {"retried": True}
             self._count("transient_failures", worker_id=worker_id)
-            retried = self._retry_locked(index, now, f"transient: {detail}")
-            return {"retried": retried, "done": self._finished_locked()}
+            return {"retried": self._retry(index, now, f"transient: {detail}")}
+
+        return self._frame(act, worker_id, reap=None)
 
     def deregister(self, worker_id: str) -> dict:
-        """A worker says goodbye (graceful drain / clean shutdown).
+        """A worker says goodbye (graceful drain / clean shutdown): its
+        leases are requeued at once -- no attempt bump, no backoff, no
+        waiting for the TTL -- and it is marked dead, tallies kept."""
 
-        Its leases are requeued immediately -- no attempt bump, no
-        backoff, no waiting for the TTL to expire -- and the worker is
-        forgotten by the lease table (its telemetry tallies remain).
-        """
-        with self._lock:
-            now = self._clock()
-            requeued = self._release_locked(
-                self._table.deregister_worker(worker_id), now
-            )
+        def act(now: float, known: bool) -> dict:
+            leases = self._table.deregister_worker(worker_id)
+            requeued = self._release(leases, now)
             self._count("deregisters")
-            obs.event(
-                "fabric.deregister",
-                worker_id=worker_id,
-                requeued=requeued,
-            )
-            return {"ok": True, "requeued": requeued,
-                    "done": self._finished_locked()}
+            obs.event("fabric.deregister", worker_id=worker_id,
+                      requeued=requeued)
+            return {"ok": True, "requeued": requeued}
+
+        return self._frame(act, reap=None)
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
@@ -675,9 +567,7 @@ class Coordinator:
 
     @property
     def finished(self) -> bool:
-        with self._lock:
-            self._reap(self._clock())
-            return self._finished_locked()
+        return self._frame(lambda now, known: self._finished(), done=False)
 
     def wait(self, timeout_s: float | None = None, poll_s: float = 0.05) -> bool:
         """Block until the campaign completes; False on timeout."""
@@ -695,23 +585,22 @@ class Coordinator:
 
     def status(self) -> dict:
         """Store progress counters plus the fabric's own."""
-        with self._lock:
-            now = self._clock()
-            self._reap(now)
-            state = self._state
+
+        def act(now: float, known: bool) -> dict:
             data = copy.deepcopy(self._progress)
-            for record, _ in state.buffer.values():
+            for record, _ in self._state.buffer.values():
                 tally(data, record)
+            shared = self._overview()
             data["fabric"] = {
-                **self.counters,
-                "workers": len(self._table.workers()),
+                **shared.pop("counters"),
+                "workers": sum(w.alive for w in self._table.workers()),
                 "active_leases": len(self._table.leases()),
-                "buffered": len(state.buffer),
-                "pending": len(state.cells) - data["done"],
-                "audits_pending": len(state.audit),
-                "quarantined_workers": sorted(state.quarantined),
+                "buffered": len(self._state.buffer),
+                **shared,
             }
             return data
+
+        return self._frame(act, done=False)
 
     def telemetry(self) -> dict:
         """Live per-worker view for ``campaign status --watch``.
@@ -721,102 +610,75 @@ class Coordinator:
         story.  Rates use the coordinator's clock, so an injected test
         clock yields deterministic numbers.
         """
-        with self._lock:
-            now = self._clock()
-            self._reap(now)
-            alive = {w.worker_id: w for w in self._table.workers()}
-            in_flight: dict[str, int] = {}
-            lease_ages: dict[str, list[float]] = {}
-            for lease in self._table.leases():
-                in_flight[lease.worker_id] = (
-                    in_flight.get(lease.worker_id, 0)
-                    + len(lease.cell_indices)
-                )
-                lease_ages.setdefault(lease.worker_id, []).append(
-                    round(now - lease.granted_at, 3)
-                )
+
+        def act(now: float, known: bool) -> dict:
+            leases = self._table.leases()
             workers = []
-            for worker_id, stats in self._wstats.items():
-                live = alive.get(worker_id)
-                age_s = (
-                    round(now - live.last_seen, 3)
-                    if live is not None
-                    else None
-                )
-                active_s = max(now - stats["registered_at"], 1e-9)
+            for worker in self._table.workers():
+                mine = [l for l in leases if l.worker_id == worker.worker_id]
+                active_s = max(now - worker.registered_at, 1e-9)
                 workers.append({
-                    "worker_id": worker_id,
-                    "name": stats["name"],
-                    "alive": live is not None,
-                    "last_seen_age_s": age_s,
-                    **{name: stats[name] for name in TALLIES},
-                    "cells_per_s": round(stats["cells_done"] / active_s, 3),
-                    "in_flight": in_flight.get(worker_id, 0),
-                    "lease_ages_s": sorted(lease_ages.get(worker_id, [])),
-                    "quarantined": stats["name"] in self._state.quarantined,
+                    "worker_id": worker.worker_id,
+                    "name": worker.name,
+                    "alive": worker.alive,
+                    "last_seen_age_s": (round(now - worker.last_seen, 3)
+                                        if worker.alive else None),
+                    **worker.tallies,
+                    "cells_per_s": round(
+                        worker.tallies["cells_done"] / active_s, 3),
+                    "in_flight": sum(len(l.cell_indices) for l in mine),
+                    "lease_ages_s": sorted(
+                        round(now - l.granted_at, 3) for l in mine),
+                    "quarantined": worker.name in self._state.quarantined,
                 })
             workers.sort(key=lambda w: w["worker_id"])
+            shared = self._overview()
             total = len(self._state.cells)
-            done = self._next_flush + len(self._state.buffer)
             return {
                 "campaign": self.spec.campaign_id,
                 "total": total,
-                "done": done,
-                "pending": total - done,
-                "finished": self._finished_locked(),
+                "done": total - shared["pending"],
+                "finished": self._finished(),
                 "uptime_s": round(now - self._started_at, 3),
-                "counters": dict(self.counters),
-                "audits_pending": len(self._state.audit),
-                "quarantined_workers": sorted(self._state.quarantined),
+                **shared,
                 "workers": workers,
             }
 
+        return self._frame(act, done=False)
+
     # ------------------------------------------------------------------
-    # internals (call with the lock held)
+    # internals (called inside the frame)
     # ------------------------------------------------------------------
-    def _finished_locked(self) -> bool:
+    def _overview(self) -> dict:
+        """What ``status()`` and ``telemetry()`` both report, read once."""
+        state = self._state
+        return {
+            "counters": dict(self.counters),
+            "pending": len(state.cells) - self._next_flush - len(state.buffer),
+            "audits_pending": len(state.audit),
+            "quarantined_workers": sorted(state.quarantined),
+        }
+
+    def _finished(self) -> bool:
         return (
             self._next_flush == len(self._state.cells)
             and not self._state.buffer
         )
 
-    def _tally(self, worker_id: str | None, name: str, by: int = 1) -> None:
-        """Bump one worker's telemetry tally (unknown workers have none)."""
-        stats = self._wstats.get(worker_id)
-        if stats is not None and name in TALLIES:
-            stats[name] += by
-
-    def _count(
-        self, name: str, by: int = 1, worker_id: str | None = None
-    ) -> None:
-        """Bump a fabric counter, the process metric behind it and, for
-        the per-worker ones, the worker's own tally."""
+    def _count(self, name: str, by: int = 1, worker_id: str | None = None) -> None:
+        """Bump a fabric counter, the process metric behind it (labelled
+        by worker when given) and that worker's tally of the same name,
+        if it keeps one."""
         self.counters[name] += by
-        self._tally(worker_id, name, by)
+        worker = self._table.worker(worker_id)
+        if worker is not None and name in worker.tallies:
+            worker.tallies[name] += by
         global_collector().increment(
-            f"fabric.{name}",
-            by,
+            f"fabric.{name}", by,
             labels={"worker": worker_id} if worker_id else None,
         )
 
-    def _backoff_locked(self, attempts: int) -> float:
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2.0 ** max(0, attempts - 1)),
-        )
-        return base * (1.0 + 0.5 * self._rng.random())
-
-    def _retry_after_locked(self, now: float) -> float:
-        waits = [
-            state.eligible_at - now
-            for state in self._state.cells[self._next_flush:]
-            if state.status == "pending"
-        ]
-        if not waits:
-            return self.heartbeat_interval_s
-        return min(max(min(waits), 0.01), self.heartbeat_interval_s)
-
-    def _release_locked(self, leases: list[Lease], now: float) -> int:
+    def _release(self, leases: list[Lease], now: float) -> int:
         """Hand the still-leased cells of removed leases straight back to
         the pool (clean drain, quarantine: nothing failed, so no attempt
         bump and no backoff); returns how many."""
@@ -826,87 +688,40 @@ class Coordinator:
             for index in lease.cell_indices
         )
 
-    def _retry_locked(self, index: int, now: float, detail: str) -> bool:
-        """Requeue a transiently-failed/reclaimed cell, or give up on it."""
-        state = self._state.cells[index]
-        if state.status == "done":
+    def _retry(self, index: int, now: float, detail: str) -> bool:
+        """Requeue a transiently failed/reclaimed cell, or give up on it;
+        True when it was requeued."""
+        events = self._state.retry(index, self.max_transient_retries, detail)
+        self._commit(events, now)
+        return bool(events) and events[0]["kind"] == "retry"
+
+    def _settle_audit(self, index: int, now: float) -> list[str] | None:
+        """Commit the audit verdict on a cell once it is conclusive;
+        returns the quarantined names, or ``None`` while it is not."""
+        verdict = self._state.audit_verdict(index)
+        if verdict is None:
+            return None
+        losers, events = verdict
+        self._count("audits_run")
+        if not events or events[0]["kind"] != "accept":
+            obs.event("fabric.audit_deadlock",
+                      cell_id=self._state.cells[index].cell.cell_id)
+        self._commit(events, now)
+        if losers:
+            self._count("audit_mismatches", len(losers))
+        return losers
+
+    def _audit_selected(self, cell_id: str) -> bool:
+        """Deterministic audit sampling: seeded on the cell id, so the
+        same cells are audited however many times the campaign restarts."""
+        if self.audit_fraction <= 0.0:
             return False
-        attempts = state.attempts + 1
-        cell_id = state.cell.cell_id
-        if attempts > self.max_transient_retries:
-            self._give_up_locked(
-                "terminal",
-                index,
-                now,
-                f"{detail} (gave up after {attempts} attempts)",
-            )
-            obs.event(
-                "fabric.terminal_error", cell_id=cell_id, attempts=attempts
-            )
-            return False
-        self._commit("retry", now, index=index, attempts=attempts)
-        state.eligible_at = now + self._backoff_locked(attempts)
-        self._count("retries")
-        obs.event("fabric.retry_cell", cell_id=cell_id, attempts=attempts)
-        return True
+        if self.audit_fraction >= 1.0:
+            return True
+        draw = derive_seed("fabric-audit", self.audit_seed, cell_id)
+        return (draw % 1_000_000) < self.audit_fraction * 1_000_000
 
-    def _give_up_locked(
-        self, kind: str, index: int, now: float, detail: str, **fields: Any
-    ) -> None:
-        """Settle a cell with a coordinator-made error record."""
-        state = self._state.cells[index]
-        cell_id = state.cell.cell_id
-        self._commit(
-            kind,
-            now,
-            index=index,
-            cell_id=cell_id,
-            record=new_record(state.payload, "error", detail),
-            timing={"id": cell_id, "wall_ms": 0.0},
-            **fields,
-        )
-        self._flush_locked()
-
-    def _escalate_locked(self, index: int, worker_id: str, now: float) -> None:
-        """Re-lease a timed-out cell once, with a larger budget.
-
-        The wall-clock limit grows by ``escalation_factor``; when the
-        scheduler accepts explicit search budgets (the exact engines'
-        ``node_budget`` / ``time_limit_s``), those grow with it.
-        """
-        state = self._state.cells[index]
-        timeout_s = float(state.payload["timeout_s"]) * self.escalation_factor
-        scheduler = resolve(state.payload["scheduler"])
-        extra: dict[str, Any] = {}
-        for budget, number in (("time_limit_s", float), ("node_budget", int)):
-            bound = scheduler.params.get(budget)
-            if budget in scheduler.accepts and bound is not None:
-                extra[budget] = number(bound * self.escalation_factor)
-        self._commit(
-            "escalate",
-            now,
-            index=index,
-            timeout_s=timeout_s,
-            scheduler_params=extra or None,
-        )
-        self._count("escalations")
-        self._tally(worker_id, "escalations")
-        obs.event(
-            "fabric.escalate_cell",
-            cell_id=state.cell.cell_id,
-            timeout_s=timeout_s,
-        )
-
-    def _accepted_locked(self, timing: Mapping[str, Any]) -> None:
-        """Volatile tail of a journaled worker accept."""
-        if self.chaos is not None:
-            self.chaos.on_accept()
-        self._flush_locked()
-        global_collector().observe(
-            "fabric.cell_wall_ms", float(timing.get("wall_ms") or 0.0)
-        )
-
-    def _flush_locked(self) -> None:
+    def _flush(self) -> None:
         """Write the grown canonical prefix through the store, unsynced."""
         cells = self._state.cells
         while (
@@ -921,266 +736,131 @@ class Coordinator:
             self._next_flush += 1
 
     def _reap(self, now: float) -> None:
-        """Reclaim expired leases and the leases of dead workers.
-
-        A worker-dead reclaim also charges a *kill* to the suspect cell
-        (the first one still leased, in canonical order -- workers run
-        their lease in that order, so it is the cell the worker was most
-        plausibly computing when it died).  The first death of each
-        distinct worker name requeues the cell without burning retry
-        budget -- the poison counter is its bound; repeat deaths of the
-        same name fall through to the retry path so a respawning worker
-        looping on one cell stays bounded either way.
-        """
-        cells = self._state.cells
+        """Reclaim expired leases and the leases of dead workers: a cell
+        still leased retries, except the suspect a death was charged to
+        (``FabricState.death``) and an audit re-execution that never
+        arrived, which just waits for a different worker."""
+        state = self._state
         for lease, reason in self._table.reap(now):
             suspect = None
             if reason == "worker-dead":
-                suspect = next(
-                    (i for i in lease.cell_indices if cells[i].status == "leased"),
-                    None,
+                suspect, kill = state.death(
+                    lease.cell_indices, self._table.name(lease.worker_id)
                 )
-                if suspect is not None and not self._record_kill_locked(
-                    suspect, self._worker_name(lease.worker_id), now
-                ):
-                    suspect = None  # a repeat killer: charge the retry
+                self._commit(kill, now)
+                if suspect is not None:
+                    threshold = self.poison_kill_threshold
+                    self._commit(state.poison(suspect, threshold), now)
             for index in lease.cell_indices:
-                if cells[index].status != "leased":
+                if state.cells[index].status != "leased":
                     continue
                 self._count("reclaims", worker_id=lease.worker_id)
-                obs.event(
-                    "fabric.reclaim_cell",
-                    cell_id=cells[index].cell.cell_id,
-                    worker_id=lease.worker_id,
-                    reason=reason,
-                )
-                if index in self._state.audit or index == suspect:
-                    # an audit re-execution that never arrived just waits
-                    # for a different worker; the suspect paid with a kill
-                    self._state.release(index, now)
+                obs.event("fabric.reclaim_cell",
+                          cell_id=state.cells[index].cell.cell_id,
+                          worker_id=lease.worker_id, reason=reason)
+                if index in state.audit or index == suspect:
+                    state.release(index, now)
                 else:
-                    self._retry_locked(
-                        index,
-                        now,
-                        f"lease {lease.lease_id} reclaimed ({reason})",
-                    )
+                    detail = f"lease {lease.lease_id} reclaimed ({reason})"
+                    self._retry(index, now, detail)
+
+    def _backoff(self, attempts: int) -> float:
+        base = min(
+            self.backoff_cap_s,
+            self.backoff_base_s * (2.0 ** max(0, attempts - 1)),
+        )
+        return base * (1.0 + 0.5 * self._rng.random())
 
     # ------------------------------------------------------------------
-    # integrity, audit, quarantine, poison (call with the lock held)
+    # the effect table, one ``_after_<kind>(event, now, by, applied)``
+    # per journal kind: ``by`` is the worker id whose request caused the
+    # event, ``applied`` what ``FabricState.apply`` returned for it
     # ------------------------------------------------------------------
-    def _worker_name(self, worker_id: str) -> str:
-        """The stable name behind a per-epoch worker id (``w{n}-{name}``)."""
-        stats = self._wstats.get(worker_id)
-        if stats is not None:
-            return stats["name"]
-        return worker_id.split("-", 1)[1] if "-" in worker_id else worker_id
+    def _cell_id(self, event: Mapping[str, Any]) -> str:
+        return self._state.cells[event["index"]].cell.cell_id
 
-    def _integrity_ok_locked(
-        self,
-        state: CellState,
-        record: Mapping[str, Any],
-        integrity: Mapping[str, Any],
-    ) -> bool:
-        """Validate a submission's checksum + cell identity claims."""
-        if str(integrity.get("record_sha256", "")) != record_checksum(record):
-            return False
-        return str(integrity.get("cell_hash", "")) == payload_identity_hash(
-            state.payload
-        )
+    def _after_lease(self, event, now, by, applied) -> None:
+        worker_id = event["worker_id"]
+        for index in event["cells"]:
+            obs.event("fabric.lease_cell",
+                      cell_id=self._state.cells[index].cell.cell_id,
+                      worker_id=worker_id, lease_id=event["lease_id"])
+        self._count("leases_granted")
+        self._count("cells_leased", len(event["cells"]), worker_id)
 
-    def _audit_selected(self, cell_id: str) -> bool:
-        """Deterministic audit sampling: seeded on the cell id, so the
-        same cells are audited however many times the campaign restarts."""
-        if self.audit_fraction <= 0.0:
-            return False
-        if self.audit_fraction >= 1.0:
-            return True
-        draw = derive_seed("fabric-audit", self.audit_seed, cell_id)
-        return (draw % 1_000_000) < self.audit_fraction * 1_000_000
-
-    def _credit_locked(self, name: str) -> None:
-        """Bump ``cells_done`` for the newest worker epoch of ``name``."""
-        for stats in reversed(list(self._wstats.values())):
-            if stats["name"] == name:
-                stats["cells_done"] += 1
-                return
-
-    def _audit_submit_locked(
-        self,
-        index: int,
-        worker_id: str,
-        name: str,
-        record: dict,
-        timing: dict,
-        now: float,
-    ) -> tuple[str, dict]:
-        """Fold one submission into the cell's audit candidate set;
-        returns the submit span's outcome and the worker's reply."""
-        cell_id = self._state.cells[index].cell.cell_id
-        if record.get("status") == "timeout":
-            # a timed-out (re-)execution is no evidence either way; the
-            # cell keeps waiting for a conclusive run
-            self._state.release(index, now)
-            return "audit_inconclusive", {"accepted": True, "audit_pending": True}
-        mine = self._state.candidate(index, name)
-        if mine is not None:
-            if mine["encoded"] == encode_record(record):
-                # duplicate delivery of an already-held candidate
-                self._count("duplicate_submits", worker_id=worker_id)
-                return "duplicate", {"accepted": False, "duplicate": True,
-                                     "audit_pending": True}
-            # the worker contradicted its own earlier answer: whichever
-            # copy is right, the worker is not trustworthy
-            self._count("audit_mismatches", worker_id=worker_id)
-            self._quarantine_locked(
-                name, f"self-contradictory candidates on {cell_id}", now
-            )
-            return "quarantined", _refusal("audit")
-        # journaled before the candidate counts: a restarted coordinator
-        # re-derives the same verdict from the same candidate set
-        self._commit(
-            "audit_candidate",
-            now,
-            index=index,
-            cell_id=cell_id,
-            worker=name,
-            record=record,
-            timing=timing,
-        )
-        obs.event(
-            "fabric.audit_candidate",
-            cell_id=cell_id,
-            worker=name,
-            candidates=len(self._state.audit[index]),
-        )
-        losers = self._resolve_audit_locked(index, now)
-        if losers is None:
-            return "audit_pending", {"accepted": True, "audit_pending": True}
-        if name in losers:
-            return "quarantined", _refusal("audit")
-        return "accepted", {"accepted": True, "audited": True}
-
-    def _resolve_audit_locked(self, index: int, now: float) -> list[str] | None:
-        """Settle a cell's audit once the candidate set is conclusive.
-
-        Any two byte-identical candidates win -- a lying worker cannot
-        outvote two honest runs of deterministic work -- and every
-        non-matching candidate's worker is quarantined.  Three mutually
-        distinct candidates mean nothing is corroborated: all three
-        claimants are quarantined, which withdraws their candidates, and
-        the cell recomputes from scratch.  Returns the quarantined names,
-        or ``None`` while the set is still inconclusive.
-        """
-        candidates = self._state.audit[index]
-        cell_id = self._state.cells[index].cell.cell_id
-        votes = Counter(c["encoded"] for c in candidates)
-        winner = next(
-            (c for c in candidates if votes[c["encoded"]] > 1), None
-        )
-        if winner is not None:
-            losers = [
-                c["worker"] for c in candidates
-                if c["encoded"] != winner["encoded"]
-            ]
-            self._count("audits_run")
-            self._commit(
-                "accept",
-                now,
-                index=index,
-                cell_id=cell_id,
-                lease_id=None,
-                worker=winner["worker"],
-                audited=True,
-                record=winner["record"],
-                timing=winner["timing"],
-            )
-            for candidate in candidates:
-                if candidate["encoded"] == winner["encoded"]:
-                    self._credit_locked(candidate["worker"])
-            self._accepted_locked(winner["timing"])
-            obs.event(
-                "fabric.audit_confirmed",
-                cell_id=cell_id,
-                mismatches=len(losers),
-            )
-            reason = f"audit mismatch on {cell_id}"
-        elif len(candidates) >= 3:
-            losers = [c["worker"] for c in candidates]
-            self._count("audits_run")
-            obs.event("fabric.audit_deadlock", cell_id=cell_id)
-            reason = f"three-way audit disagreement on {cell_id}"
+    def _after_accept(self, event, now, by, held) -> None:
+        """Credit the work, flush, and for an audit report the verdict:
+        ``held`` are the candidates the accept settled."""
+        if event.get("audited"):
+            won = encode_record(event["record"])
+            names = [c["worker"] for c in held if c["encoded"] == won]
+            # each run that matched, to the newest epoch of its name
+            credited = [(self._table.named(n) or [None])[-1] for n in names]
         else:
-            return None
-        for loser in losers:
-            self._count("audit_mismatches")
-            self._quarantine_locked(loser, reason, now)
-        return losers
-
-    def _quarantine_locked(self, name: str, reason: str, now: float) -> None:
-        """Stop trusting a worker *name*: journal the verdict (applying
-        it drops the worker's audit candidates and retracts its buffered
-        unaudited accepts so the cells re-run elsewhere), then requeue
-        its in-flight leases."""
-        if name in self._state.quarantined:
-            return
-        retracted = self._state.retractable(name)
-        self._commit("quarantine", now, worker=name, reason=reason)
-        self._count("quarantines")
-        obs.event("fabric.quarantine", worker=name, reason=reason[:120])
-        for index in retracted:
-            obs.event(
-                "fabric.retract_cell",
-                cell_id=self._state.cells[index].cell.cell_id,
-                worker=name,
-            )
-        for worker in self._table.workers():
-            if worker.name == name:
-                self._release_locked(
-                    self._table.release_worker_leases(worker.worker_id), now
-                )
-
-    def _record_kill_locked(self, index: int, name: str, now: float) -> bool:
-        """Charge a worker death against the cell it was computing.
-
-        True when ``name`` is a *new* distinct killer for this cell (the
-        caller then requeues without a retry charge); reaching
-        ``poison_kill_threshold`` distinct killers poisons the cell.
-        """
-        state = self._state.cells[index]
-        if state.status == "done" or name in state.killers:
-            return False
-        self._commit("kill", now, index=index, worker=name)
-        self._count("kills")
-        obs.event(
-            "fabric.kill",
-            cell_id=state.cell.cell_id,
-            worker=name,
-            distinct_killers=len(state.killers),
+            credited = [self._table.worker(by)]
+        for worker in credited:
+            if worker is not None:
+                worker.tallies["cells_done"] += 1
+        if self.chaos is not None:
+            self.chaos.on_accept()
+        self._flush()
+        global_collector().observe(
+            "fabric.cell_wall_ms", float(event["timing"].get("wall_ms") or 0.0)
         )
-        self._poison_locked(index, now)
-        return True
+        if event.get("audited"):
+            obs.event("fabric.audit_confirmed", cell_id=event["cell_id"],
+                      mismatches=len(held) - len(names))
 
-    def _poison_locked(self, index: int, now: float) -> None:
-        """Terminally record a cell once it has killed
-        ``poison_kill_threshold`` distinct workers."""
-        state = self._state.cells[index]
-        if (
-            state.status == "done"
-            or len(state.killers) < self.poison_kill_threshold
-        ):
-            return
-        killers = sorted(state.killers)
-        self._give_up_locked(
-            "poison",
-            index,
-            now,
-            f"poisoned: killed {len(killers)} distinct workers "
-            f"({', '.join(killers)})",
-            killers=killers,
-        )
+    def _after_terminal(self, event, now, by, applied) -> None:
+        self._flush()
+        # written when one more attempt would exceed the budget; settling
+        # leaves the count of those made as it was
+        attempts = self._state.cells[event["index"]].attempts + 1
+        obs.event("fabric.terminal_error", cell_id=event["cell_id"],
+                  attempts=attempts)
+
+    def _after_poison(self, event, now, by, applied) -> None:
+        self._flush()
         self._count("poisoned_cells")
-        obs.event(
-            "fabric.poison_cell",
-            cell_id=state.cell.cell_id,
-            killers=len(killers),
-        )
+        obs.event("fabric.poison_cell", cell_id=event["cell_id"],
+                  killers=len(event["killers"]))
+
+    def _after_retry(self, event, now, by, applied) -> None:
+        attempts = event["attempts"]
+        cell = self._state.cells[event["index"]]
+        cell.eligible_at = now + self._backoff(attempts)
+        self._count("retries")
+        obs.event("fabric.retry_cell", cell_id=self._cell_id(event),
+                  attempts=attempts)
+
+    def _after_escalate(self, event, now, by, applied) -> None:
+        self._count("escalations")
+        worker = self._table.worker(by)
+        if worker is not None:
+            worker.tallies["escalations"] += 1
+        obs.event("fabric.escalate_cell", cell_id=self._cell_id(event),
+                  timeout_s=event["timeout_s"])
+
+    def _after_audit_candidate(self, event, now, by, applied) -> None:
+        obs.event("fabric.audit_candidate", cell_id=event["cell_id"],
+                  worker=event["worker"],
+                  candidates=len(self._state.audit[event["index"]]))
+
+    def _after_quarantine(self, event, now, by, retracted) -> None:
+        """Report the retracted accepts and requeue the in-flight leases
+        of every epoch of the name."""
+        name = event["worker"]
+        self._count("quarantines")
+        obs.event("fabric.quarantine", worker=name, reason=event["reason"][:120])
+        for index in retracted:
+            obs.event("fabric.retract_cell",
+                      cell_id=self._state.cells[index].cell.cell_id,
+                      worker=name)
+        for worker in self._table.named(name):
+            self._release(self._table.release_worker_leases(worker.worker_id), now)
+
+    def _after_kill(self, event, now, by, applied) -> None:
+        self._count("kills")
+        obs.event("fabric.kill", cell_id=self._cell_id(event),
+                  worker=event["worker"],
+                  distinct_killers=len(self._state.cells[event["index"]].killers))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 
 @dataclass
@@ -39,13 +38,24 @@ class Lease:
 
 @dataclass
 class WorkerState:
-    """One registered worker's liveness bookkeeping."""
+    """One registered worker epoch: its liveness, and what it did.
+
+    Kept with ``alive=False`` after the worker dies or deregisters: a
+    SIGKILLed worker's tallies are part of the campaign's story.
+    """
 
     worker_id: str
     name: str
     registered_at: float
     last_seen: float
-    meta: dict = field(default_factory=dict)
+    alive: bool = True
+    #: the per-worker tallies ``Coordinator.telemetry()`` reports; a
+    #: fabric counter of the same name bumped for this worker bumps it too
+    tallies: dict[str, int] = field(default_factory=lambda: dict.fromkeys((
+        "cells_leased", "cells_done", "timeouts", "escalations",
+        "transient_failures", "stale_submits", "duplicate_submits",
+        "integrity_rejects",
+    ), 0))
 
 
 class LeaseTable:
@@ -60,6 +70,7 @@ class LeaseTable:
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.hard_ttl_factor = float(hard_ttl_factor)
+        #: every epoch ever registered, dead ones included
         self._workers: dict[str, WorkerState] = {}
         self._leases: dict[str, Lease] = {}
         self._worker_seq = itertools.count(1)
@@ -68,25 +79,35 @@ class LeaseTable:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
-    def register_worker(
-        self, name: str, meta: Mapping[str, Any], now: float
-    ) -> WorkerState:
+    def register_worker(self, name: str, now: float) -> WorkerState:
         worker_id = f"w{next(self._worker_seq)}-{name}"
-        state = WorkerState(
-            worker_id=worker_id,
-            name=name,
-            registered_at=now,
-            last_seen=now,
-            meta=dict(meta),
-        )
+        state = WorkerState(worker_id, name, registered_at=now, last_seen=now)
         self._workers[worker_id] = state
         return state
 
+    def worker(self, worker_id: str | None) -> WorkerState | None:
+        """The record of an id this table issued, dead or alive."""
+        return self._workers.get(worker_id)
+
+    def name(self, worker_id: str) -> str:
+        """The name behind a worker id.  An id this table never issued --
+        a previous coordinator's, held by a worker that has not noticed
+        the restart -- still carries it (``w{n}-{name}``), so a
+        quarantine by name holds across restarts."""
+        worker = self._workers.get(worker_id)
+        if worker is not None:
+            return worker.name
+        return worker_id.partition("-")[2] or worker_id
+
+    def named(self, name: str) -> list[WorkerState]:
+        """Every epoch registered under ``name``, oldest first."""
+        return [w for w in self._workers.values() if w.name == name]
+
     def touch(self, worker_id: str, now: float) -> bool:
         """Record proof of life; extends the worker's leases.  False when
-        the worker is unknown (never registered, or reaped as dead)."""
+        the worker is unknown (never registered, reaped or deregistered)."""
         state = self._workers.get(worker_id)
-        if state is None:
+        if state is None or not state.alive:
             return False
         state.last_seen = now
         for lease in self._leases.values():
@@ -97,11 +118,13 @@ class LeaseTable:
         return True
 
     def deregister_worker(self, worker_id: str) -> list[Lease]:
-        """Forget a worker on its own request (graceful drain) and return
+        """Retire a worker on its own request (graceful drain) and return
         its leases so the coordinator can requeue the cells immediately
         instead of waiting for the TTL to expire.  Unknown workers (never
         registered, already reaped) simply return no leases."""
-        self._workers.pop(worker_id, None)
+        state = self._workers.get(worker_id)
+        if state is not None:
+            state.alive = False
         return self.release_worker_leases(worker_id)
 
     def release_worker_leases(self, worker_id: str) -> list[Lease]:
@@ -136,6 +159,11 @@ class LeaseTable:
         self._leases[lease.lease_id] = lease
         return lease
 
+    def holds(self, lease_id: str, cell_index: int) -> bool:
+        """Whether a live lease still holds the cell."""
+        lease = self._leases.get(lease_id)
+        return lease is not None and cell_index in lease.cell_indices
+
     def release_cell(self, lease_id: str, cell_index: int) -> bool:
         """Drop one finished cell from its lease (lease removed when
         empty).  False when the lease no longer exists -- a stale submit
@@ -151,11 +179,12 @@ class LeaseTable:
 
     def reap(self, now: float) -> list[tuple[Lease, str]]:
         """Remove and return (lease, reason) for every expired lease and
-        every lease owned by a dead worker; dead workers are dropped."""
+        every lease owned by a worker whose heartbeat aged out; such
+        workers are marked dead."""
         dead = [
             worker_id
             for worker_id, state in self._workers.items()
-            if now - state.last_seen > self.heartbeat_timeout_s
+            if state.alive and now - state.last_seen > self.heartbeat_timeout_s
         ]
         reclaimed: list[tuple[Lease, str]] = []
         for lease in list(self._leases.values()):
@@ -166,7 +195,7 @@ class LeaseTable:
                 reclaimed.append((lease, "lease-expired"))
                 del self._leases[lease.lease_id]
         for worker_id in dead:
-            del self._workers[worker_id]
+            self._workers[worker_id].alive = False
         return reclaimed
 
     # ------------------------------------------------------------------
@@ -176,4 +205,5 @@ class LeaseTable:
         return list(self._leases.values())
 
     def workers(self) -> list[WorkerState]:
+        """Every epoch ever registered (``alive`` says which still are)."""
         return list(self._workers.values())

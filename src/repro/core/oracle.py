@@ -1133,15 +1133,6 @@ class SafetyOracle:
     def clear_memo(self) -> None:
         self._memo.clear()
 
-    def publish(self, collector=None, prefix: str = "oracle") -> None:
-        """Record the counters into a metrics collector (default: global)."""
-        if collector is None:
-            from repro.metrics import global_collector
-
-            collector = global_collector()
-        for name, value in self.stats.as_dict().items():
-            collector.record(f"{prefix}.{name}", value)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         props = "+".join(p.value.split("-")[0] for p in self.properties)
         return (

@@ -4,27 +4,22 @@ from repro.metrics.collector import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsCollector,
-    Summary,
     global_collector,
     percentile,
     reset_global_collector,
-    summarize,
 )
 from repro.metrics.exposition import render_prometheus
-from repro.metrics.report import ascii_table, to_csv, to_json, write_report
+from repro.metrics.report import ascii_table, to_csv, to_json
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "Histogram",
     "MetricsCollector",
-    "Summary",
     "ascii_table",
     "global_collector",
     "percentile",
     "render_prometheus",
     "reset_global_collector",
-    "summarize",
     "to_csv",
     "to_json",
-    "write_report",
 ]

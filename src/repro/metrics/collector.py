@@ -1,17 +1,10 @@
-"""Measurement collection with summary statistics.
-
-Benchmarks record named series of values (update times, round counts,
-violation rates) into a :class:`MetricsCollector` and render them with
-:mod:`repro.metrics.report`.  Statistics are computed with the standard
-library -- no heavyweight dependencies on the hot path.
+"""Process metrics: monotonic counters and fixed-bucket histograms.
 
 The collector is thread-safe: the fabric coordinator, worker heartbeat
 threads, and REST handler threads all bump counters on the process-wide
 collector concurrently, so every mutation and every read snapshot takes
-the collector's lock.  Three kinds of instruments:
+the collector's lock.  Two kinds of instruments:
 
-* **series** keep every sample and get the full :class:`Summary`
-  treatment (benchmarks, small cardinalities);
 * **counters** are cheap monotonic tallies, optionally with a frozen
   label set (``collector.increment("fabric.retries", labels={"worker":
   "w1"})``);
@@ -24,56 +17,9 @@ from __future__ import annotations
 
 import bisect
 import math
-import statistics
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Descriptive statistics of one series."""
-
-    name: str
-    count: int
-    mean: float
-    median: float
-    p95: float
-    minimum: float
-    maximum: float
-    stdev: float
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "mean": round(self.mean, 6),
-            "median": round(self.median, 6),
-            "p95": round(self.p95, 6),
-            "min": round(self.minimum, 6),
-            "max": round(self.maximum, 6),
-            "stdev": round(self.stdev, 6),
-        }
-
-
-def summarize(name: str, values: Iterable[float]) -> Summary:
-    """Compute a :class:`Summary` (empty series and NaNs are errors)."""
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError(f"cannot summarize empty series {name!r}")
-    if any(math.isnan(v) for v in data):
-        # NaN sorts unpredictably, so check every sample explicitly
-        raise ValueError(f"series {name!r} contains NaN samples")
-    return Summary(
-        name=name,
-        count=len(data),
-        mean=statistics.fmean(data),
-        median=statistics.median(data),
-        p95=percentile(data, 95.0),
-        minimum=data[0],
-        maximum=data[-1],
-        stdev=statistics.stdev(data) if len(data) > 1 else 0.0,
-    )
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -226,36 +172,20 @@ def _label_key(labels: Mapping[str, str] | None) -> tuple:
 
 @dataclass
 class MetricsCollector:
-    """Named series, monotonic counters, and fixed-bucket histograms.
+    """Monotonic counters and fixed-bucket histograms.
 
-    Series hold measurements (latencies, round counts) and get the full
-    :class:`Summary` treatment; counters are cheap monotonic tallies
-    (lease grants, reclaims, retries) that only ever accumulate,
-    optionally split by a small label set; histograms bucket samples at
-    record time (see :class:`Histogram`).  All methods are thread-safe.
+    Counters are cheap tallies (lease grants, reclaims, retries) that
+    only ever accumulate, optionally split by a small label set;
+    histograms bucket samples at record time (see :class:`Histogram`).
+    All methods are thread-safe.
     """
 
-    series: dict[str, list[float]] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
     labeled: dict[str, dict[tuple, float]] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
-
-    def record(self, name: str, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError(f"series {name!r} rejects NaN samples")
-        with self._lock:
-            self.series.setdefault(name, []).append(value)
-
-    def record_many(self, name: str, values: Iterable[float]) -> None:
-        coerced = [float(v) for v in values]
-        if any(math.isnan(v) for v in coerced):
-            raise ValueError(f"series {name!r} rejects NaN samples")
-        with self._lock:
-            self.series.setdefault(name, []).extend(coerced)
 
     def increment(
         self,
@@ -314,45 +244,3 @@ class MetricsCollector:
             if histogram is None:
                 raise KeyError(name)
             return histogram.snapshot()
-
-    def get(self, name: str) -> list[float]:
-        with self._lock:
-            return list(self.series.get(name, []))
-
-    def summary(self, name: str) -> Summary:
-        with self._lock:
-            values = list(self.series.get(name, []))
-        return summarize(name, values)
-
-    def summaries(self) -> list[Summary]:
-        with self._lock:
-            items = [(name, list(values)) for name, values in self.series.items()]
-        return [summarize(name, values) for name, values in sorted(items)]
-
-    def merge(self, other: "MetricsCollector") -> None:
-        with other._lock:
-            series = {name: list(values) for name, values in other.series.items()}
-            counters = dict(other.counters)
-            labeled = {
-                name: dict(per_label) for name, per_label in other.labeled.items()
-            }
-            histograms = [h.snapshot() for h in other.histograms.values()]
-        for name, values in series.items():
-            self.record_many(name, values)
-        with self._lock:
-            for name, value in counters.items():
-                self.counters[name] = self.counters.get(name, 0.0) + value
-            for name, per_label in labeled.items():
-                mine = self.labeled.setdefault(name, {})
-                for key, value in per_label.items():
-                    mine[key] = mine.get(key, 0.0) + value
-            for other_hist in histograms:
-                mine_hist = self.histograms.get(other_hist.name)
-                if mine_hist is None:
-                    self.histograms[other_hist.name] = other_hist
-                elif mine_hist.bounds == other_hist.bounds:
-                    for i, count in enumerate(other_hist.counts):
-                        mine_hist.counts[i] += count
-                    mine_hist.total += other_hist.total
-                    mine_hist.sum += other_hist.sum
-                # mismatched bounds cannot be folded; keep ours

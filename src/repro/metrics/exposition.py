@@ -1,7 +1,7 @@
 """Prometheus text exposition for :class:`MetricsCollector`.
 
-Renders the collector's counters, labeled counters, histograms, and
-series into the Prometheus text format (version 0.0.4) so the REST
+Renders the collector's counters, labeled counters and histograms into
+the Prometheus text format (version 0.0.4) so the REST
 binding can serve ``GET /metrics`` to a scraper or to ``curl``.  Only
 the standard library is used; the format is simple enough that a
 dependency would buy nothing.
@@ -9,9 +9,8 @@ dependency would buy nothing.
 Name mapping: every metric is prefixed ``repro_`` and characters
 outside ``[a-zA-Z0-9_:]`` collapse to ``_`` (so the internal counter
 ``fabric.leases_granted`` is exposed as
-``repro_fabric_leases_granted``).  Series become summaries with
-``quantile`` labels; histograms become cumulative ``_bucket`` series
-the way Prometheus expects.
+``repro_fabric_leases_granted``).  Histograms become cumulative
+``_bucket`` series the way Prometheus expects.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from repro.metrics.collector import (
-    Histogram,
-    MetricsCollector,
-    global_collector,
-    percentile,
-)
+from repro.metrics.collector import Histogram, MetricsCollector, global_collector
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 _PREFIX = "repro_"
@@ -92,19 +86,6 @@ def _render_histogram(lines: list[str], histogram: Histogram) -> None:
     lines.append(f"{metric}_count {histogram.total}")
 
 
-def _render_series(lines: list[str], name: str, values: list[float]) -> None:
-    metric = _metric_name(name)
-    lines.append(f"# TYPE {metric} summary")
-    data = sorted(values)
-    for q in (0.5, 0.95, 0.99):
-        lines.append(
-            f'{metric}{{quantile="{q}"}} '
-            f"{_format_value(percentile(data, q * 100.0))}"
-        )
-    lines.append(f"{metric}_sum {_format_value(sum(data))}")
-    lines.append(f"{metric}_count {len(data)}")
-
-
 def render_prometheus(
     collector: MetricsCollector | None = None,
     extra_counters: Mapping[str, float] | None = None,
@@ -125,9 +106,6 @@ def render_prometheus(
             for name, per_label in collector.labeled.items()
         }
         histograms = [h.snapshot() for h in collector.histograms.values()]
-        series = {
-            name: list(values) for name, values in collector.series.items()
-        }
 
     lines: list[str] = []
     for name in sorted(counters):
@@ -139,7 +117,4 @@ def render_prometheus(
             _render_counter(lines, name, float(extra_counters[name]), {})
     for histogram in sorted(histograms, key=lambda h: h.name):
         _render_histogram(lines, histogram)
-    for name in sorted(series):
-        if series[name]:
-            _render_series(lines, name, series[name])
     return "\n".join(lines) + "\n" if lines else ""

@@ -67,21 +67,3 @@ def to_json(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     records = [dict(zip(headers, row)) for row in rows]
     return json.dumps(records, indent=2, sort_keys=True)
 
-
-def write_report(
-    path: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    fmt: str = "csv",
-) -> None:
-    """Write a table to disk in the chosen format."""
-    if fmt == "csv":
-        text = to_csv(headers, rows)
-    elif fmt == "json":
-        text = to_json(headers, rows)
-    elif fmt == "ascii":
-        text = ascii_table(headers, rows) + "\n"
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)

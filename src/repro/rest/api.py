@@ -367,7 +367,7 @@ def register_campaign_routes(router: Router, campaigns: CampaignService) -> None
 def register_metrics_route(router: Router) -> None:
     """Wire ``GET /metrics`` (Prometheus text exposition) onto ``router``.
 
-    Covers every counter/histogram/series on the process collector (the
+    Covers every counter and histogram on the process collector (the
     ``fabric.*`` and ``api.*`` instruments) plus the safety oracle's
     aggregate counters under ``repro_oracle_*``.
     """

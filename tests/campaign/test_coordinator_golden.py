@@ -15,12 +15,14 @@ expires a lease at its hard TTL, deregisters, exhausts a retry budget,
 and crashes + recovers the coordinator mid-campaign.  ``audit`` runs at
 ``audit_fraction=1``: confirmed audits, an outvoted liar, a three-way
 deadlock, a self-contradiction, an inconclusive timed-out re-run, a
-quarantined worker's refused submit, and a crash with candidates held.
-Neither sends a ``fail`` under a lease that is gone or registers an
-empty worker name.
+quarantined worker's refused submit, a quarantine of two epochs of one
+name, a dead re-executor, and a crash with candidates held.  ``frames``
+makes each verb the first call after a worker died holding a lease, so
+which verbs run the reaper, and when, is recorded too.  No script sends a
+``fail`` under a lease that is gone or registers an empty worker name.
 
 Re-record (only from a commit whose behaviour is the contract) with
-``PYTHONPATH=src python tests/campaign/test_coordinator_golden.py``.
+``PYTHONPATH=src:. python tests/campaign/test_coordinator_golden.py``.
 """
 
 import json

@@ -197,6 +197,46 @@ class TestTransientFailures:
         assert coordinator.counters["retries"] == 1
 
 
+class TestStaleFail:
+    """A ``fail`` under a lease that no longer holds the cell is a no-op:
+    the reclaim already charged the cell, which may be another's now."""
+
+    @pytest.fixture
+    def reaped(self, tmp_path):
+        """A is reaped holding cell 0, B is leased it; A is back."""
+        clock = [0.0]
+        coordinator = _coordinator(
+            tmp_path, lease_ttl_s=10.0, heartbeat_interval_s=1.0,
+            clock=lambda: clock[0],
+        )
+        a = coordinator.register({"name": "a"})["worker_id"]
+        b = coordinator.register({"name": "b"})["worker_id"]
+        stale = coordinator.lease(a, 1)
+        clock[0] = 2.0
+        coordinator.heartbeat(b)
+        clock[0] = 4.0
+        coordinator.heartbeat(b)  # a is dead; its cell was charged a kill
+        clock[0] = 6.0
+        held = coordinator.lease(b, 1)
+        cell_id = stale["cells"][0]["cell_id"]
+        assert held["cells"][0]["cell_id"] == cell_id
+        yield coordinator, a, stale["lease_id"], cell_id
+        coordinator.close()
+
+    @pytest.mark.parametrize("requeue", [True, False])
+    def test_it_changes_nothing(self, reaped, requeue):
+        coordinator, a, lease_id, cell_id = reaped
+        journal = coordinator._journal.journal_path
+        counters = dict(coordinator.counters)
+        before = journal.read_bytes()
+        reply = coordinator.fail(a, lease_id, cell_id, "late", requeue)
+        assert reply == {"retried": False, "stale": True, "done": False}
+        assert journal.read_bytes() == before
+        assert coordinator.counters == counters
+        assert coordinator._state.cells[0].status == "leased"  # still b's
+        assert coordinator._state.cells[0].attempts == 0
+
+
 class TestEscalation:
     ONE_TIMEOUT = {
         "name": "slowone",

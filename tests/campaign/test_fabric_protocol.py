@@ -383,6 +383,38 @@ class TestIntegrityIsRequired:
         coordinator.close()
 
 
+class TestRegisterName:
+    """A worker name must be a non-empty string: an empty one could be
+    told ``quarantined`` and still be leased cells."""
+
+    BAD = ["", None, 7, ["w"]]
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_in_process_it_is_a_campaign_error(self, tmp_path, name):
+        coordinator = Coordinator(SPEC, root=str(tmp_path))
+        with pytest.raises(CampaignError, match="name"):
+            coordinator.register({"name": name})
+        assert coordinator.telemetry()["workers"] == []
+        assert coordinator.counters["journal_records"] == 0
+        # left out, it still defaults
+        assert coordinator.register({})["worker_id"] == "w1-worker"
+        coordinator.close()
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_through_dispatch_it_is_a_400(self, served, name):
+        api, coordinator, _ = served
+        journal = coordinator._journal.journal_path
+        before = coordinator.status()["fabric"]["workers"], journal.read_bytes()
+        response = api.handle(
+            "POST", f"/campaigns/{SPEC.campaign_id}/fabric/register",
+            {"name": name},
+        )
+        assert response.status == 400 and "name" in response.body["error"]
+        assert before == (
+            coordinator.status()["fabric"]["workers"], journal.read_bytes()
+        )
+
+
 class TestServeBody:
     def test_chaos_is_not_a_wire_key(self, tmp_path):
         api = build_campaign_api(campaign_root=str(tmp_path))

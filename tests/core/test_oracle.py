@@ -32,7 +32,6 @@ from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
 from repro.core.wayup import wayup_schedule
 from repro.errors import InfeasibleUpdateError, VerificationError
-from repro.metrics import MetricsCollector
 from repro.topology.random_graphs import random_update_instance
 from tests.core.reference_exact import reference_round_count
 
@@ -272,14 +271,6 @@ class TestMemoAndRegistry:
             oracle.round_is_safe(set(), {node})
         assert oracle.stats.memo_evictions >= 1
         assert oracle.memo_size() <= 2
-
-    def test_publish_records_counters(self):
-        problem = reversal_instance(6)
-        oracle = SafetyOracle(problem, (Property.SLF,))
-        oracle.round_is_safe(set(), {2})
-        collector = MetricsCollector()
-        oracle.publish(collector)
-        assert collector.get("oracle.memo_misses") == [1.0]
 
     def test_aggregate_stats_sums_registered_oracles(self):
         problem = reversal_instance(6)

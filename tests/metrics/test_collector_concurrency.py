@@ -49,36 +49,7 @@ class TestConcurrentMutation:
         assert len(per_label) == THREADS
         assert all(v == ROUNDS for v in per_label.values())
 
-    def test_record_and_observe_lose_nothing(self):
+    def test_observe_loses_nothing(self):
         collector = MetricsCollector()
-
-        def mixed(index, i):
-            collector.record("lat", float(i % 7))
-            collector.observe("lat_hist", float(i % 7))
-
-        _hammer(mixed)
-        assert len(collector.get("lat")) == THREADS * ROUNDS
-        assert collector.histogram("lat_hist").total == THREADS * ROUNDS
-
-    def test_merge_during_increments(self):
-        # merging a worker collector into the global one while other
-        # threads keep incrementing must not corrupt either
-        target = MetricsCollector()
-        source = MetricsCollector()
-        source.increment("merged", 5)
-        source.record("s", 1.0)
-        source.observe("h", 1.0)
-
-        def work(index, i):
-            if index == 0 and i % 100 == 0:
-                target.merge(source)
-            else:
-                target.increment("direct")
-
-        _hammer(work)
-        merges = ROUNDS // 100
-        direct = (THREADS - 1) * ROUNDS + (ROUNDS - merges)
-        assert target.counter("direct") == direct
-        assert target.counter("merged") == 5 * merges
-        assert len(target.get("s")) == merges
-        assert target.histogram("h").total == merges
+        _hammer(lambda index, i: collector.observe("lat", float(i % 7)))
+        assert collector.histogram("lat").total == THREADS * ROUNDS

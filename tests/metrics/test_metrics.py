@@ -4,27 +4,11 @@ import json
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector, percentile, summarize
-from repro.metrics.report import ascii_table, to_csv, to_json, write_report
+from repro.metrics.collector import MetricsCollector, percentile
+from repro.metrics.report import ascii_table, to_csv, to_json
 
 
-class TestSummaries:
-    def test_summarize(self):
-        summary = summarize("x", [1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == 2.5
-        assert summary.median == 2.5
-        assert summary.minimum == 1.0 and summary.maximum == 4.0
-
-    def test_single_sample(self):
-        summary = summarize("x", [7.0])
-        assert summary.stdev == 0.0
-        assert summary.p95 == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize("x", [])
-
+class TestPercentile:
     def test_percentile_interpolation(self):
         values = [0.0, 10.0]
         assert percentile(values, 50.0) == 5.0
@@ -37,46 +21,14 @@ class TestSummaries:
         with pytest.raises(ValueError):
             percentile([], 50.0)
 
-    def test_as_dict(self):
-        data = summarize("x", [1.0, 2.0]).as_dict()
-        assert data["name"] == "x" and data["count"] == 2
-
 
 class TestCollector:
-    def test_record_and_get(self):
-        collector = MetricsCollector()
-        collector.record("a", 1)
-        collector.record_many("a", [2, 3])
-        assert collector.get("a") == [1.0, 2.0, 3.0]
-
-    def test_summaries_sorted(self):
-        collector = MetricsCollector()
-        collector.record("b", 1)
-        collector.record("a", 2)
-        assert [s.name for s in collector.summaries()] == ["a", "b"]
-
-    def test_merge(self):
-        one, two = MetricsCollector(), MetricsCollector()
-        one.record("x", 1)
-        two.record("x", 2)
-        one.merge(two)
-        assert one.get("x") == [1.0, 2.0]
-
     def test_counters_increment(self):
         collector = MetricsCollector()
         assert collector.counter("fabric.reclaims") == 0.0
         collector.increment("fabric.reclaims")
         collector.increment("fabric.reclaims", 3)
         assert collector.counter("fabric.reclaims") == 4.0
-
-    def test_merge_folds_counters(self):
-        one, two = MetricsCollector(), MetricsCollector()
-        one.increment("c", 1)
-        two.increment("c", 2)
-        two.increment("d")
-        one.merge(two)
-        assert one.counter("c") == 3.0
-        assert one.counter("d") == 1.0
 
 
 class TestReports:
@@ -103,11 +55,3 @@ class TestReports:
         records = json.loads(to_json(self.HEADERS, self.ROWS))
         assert records[0]["algo"] == "wayup"
         assert records[1]["rounds"] == 1
-
-    def test_write_report_formats(self, tmp_path):
-        for fmt, check in (("csv", "algo,"), ("json", "["), ("ascii", "+")):
-            path = tmp_path / f"report.{fmt}"
-            write_report(str(path), self.HEADERS, self.ROWS, fmt=fmt)
-            assert path.read_text().startswith(check) or check in path.read_text()
-        with pytest.raises(ValueError):
-            write_report(str(tmp_path / "x"), self.HEADERS, self.ROWS, fmt="pdf")

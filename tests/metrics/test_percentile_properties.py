@@ -1,4 +1,4 @@
-"""Edge-case and property tests for percentile/summarize.
+"""Edge-case and property tests for percentile.
 
 ``percentile`` promises the same linear interpolation as
 ``statistics.quantiles(..., method="inclusive")`` at the cut points;
@@ -13,11 +13,7 @@ import statistics
 
 import pytest
 
-from repro.metrics.collector import (
-    MetricsCollector,
-    percentile,
-    summarize,
-)
+from repro.metrics.collector import MetricsCollector, percentile
 
 NAN = float("nan")
 
@@ -33,24 +29,15 @@ class TestNanRejection:
         with pytest.raises(ValueError, match="NaN"):
             percentile([1.0, NAN], 75.0)
 
-    def test_summarize_rejects_nan_samples(self):
-        with pytest.raises(ValueError, match="NaN"):
-            summarize("x", [1.0, NAN, 3.0])
-
     def test_collector_rejects_nan_at_record_time(self):
         collector = MetricsCollector()
         with pytest.raises(ValueError, match="NaN"):
-            collector.record("x", NAN)
-        with pytest.raises(ValueError, match="NaN"):
-            collector.record_many("x", [1.0, NAN])
-        with pytest.raises(ValueError, match="NaN"):
             collector.observe("h", NAN)
-        # the failed calls must not have left partial state behind
-        assert collector.get("x") == []
+        # the failed call must not have left partial state behind
+        assert collector.histogram("h").total == 0
 
     def test_infinities_are_not_nan(self):
-        summary = summarize("x", [float("inf")])
-        assert math.isinf(summary.maximum)
+        assert math.isinf(percentile([float("inf")], 50.0))
         assert math.isinf(percentile([1.0, float("inf")], 100.0))
 
 

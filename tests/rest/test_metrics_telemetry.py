@@ -107,10 +107,9 @@ class TestMetricsRoute:
 
         def footprint():
             collector = global_collector()
-            return (
-                sum(len(values) for values in collector.series.values()),
-                {h.name: len(h.counts) for h in collector.histograms.values()},
-            )
+            return {
+                h.name: len(h.counts) for h in collector.histograms.values()
+            }
 
         problem = reversal_instance(4)
         for _ in range(10):
