@@ -9,10 +9,11 @@ the snapshot, ``results.jsonl`` and ``timings.jsonl``, plus the
 (trace ids, ``ts``, ``pid`` and ``dur_ms`` are left out).
 
 ``fleet`` leases, submits honest / duplicate / stale / corrupt /
-timed-out records, batches, fails and requeues, lets workers die of
-heartbeat timeout (a first and a repeat killer, then a poisoning),
-expires a lease at its hard TTL, deregisters, exhausts a retry budget,
-and crashes + recovers the coordinator mid-campaign.  ``audit`` runs at
+timed-out records, fails, drains a worker by ``deregister`` and takes it
+back as a new epoch, lets workers die of heartbeat timeout (a first and a
+repeat killer, then a poisoning), expires a lease at its hard TTL,
+deregisters, exhausts a retry budget, and crashes + recovers the
+coordinator mid-campaign.  ``audit`` runs at
 ``audit_fraction=1``: confirmed audits, an outvoted liar, a three-way
 deadlock, a self-contradiction, an inconclusive timed-out re-run, a
 quarantined worker's refused submit, a quarantine of two epochs of one
@@ -130,9 +131,9 @@ class Session:
         return self.call("submit", worker_id, lease_id, entry["cell_id"],
                          entry["record"], entry["timing"], entry["integrity"])
 
-    def fail(self, worker_id, lease_id, index, detail="boom", requeue=False):
+    def fail(self, worker_id, lease_id, index, detail="boom"):
         return self.call("fail", worker_id, lease_id,
-                         self.payloads[index]["cell_id"], detail, requeue)
+                         self.payloads[index]["cell_id"], detail)
 
     def beat(self, *worker_ids) -> None:
         for worker_id in worker_ids:
@@ -170,11 +171,12 @@ def fleet(session: Session) -> None:
     session.submit(a, first, 0, "timeout")  # duplicate under a live lease
     session.submit(a, first, 1, "timeout")  # escalated
     second = session.lease(b, 3)  # cells 1, 2, 3
-    session.call("submit_batch", b, second,
-                 [session.entry(2), session.entry(1)])
+    session.submit(b, second, 2)
+    session.submit(b, second, 1)
     session.fail(b, second, 3)  # transient: retried with backoff
     third = session.lease(c)  # cells 4, 5
-    session.fail(c, third, 5, "draining", True)  # requeued
+    session.call("deregister", c)  # drained: 4 and 5 requeued at once
+    c = session.register("c")  # back as a new epoch
     session.submit(c, third, 4, "corrupt")  # rejected, c quarantined
     session.lease(c)  # quarantined reply
     session.beat(a, b, c)
@@ -281,11 +283,11 @@ def frames(session: Session) -> None:
     a worker died holding a lease."""
     live = session.register("live")
     for verb in ("register", "ghost lease", "fail", "deregister", "submit",
-                 "submit_batch", "heartbeat", "lease", "status"):
+                 "heartbeat", "lease", "status"):
         doomed = session.register("doomed")
         quitter = session.register("quitter")
         doomed_lease, doomed_cells = session.grant(doomed, 1)
-        if verb in ("fail", "submit", "submit_batch"):
+        if verb in ("fail", "submit"):
             held, cells = session.grant(live, 1)
         session.beat(live, quitter)
         session.now += 2.0
@@ -301,14 +303,12 @@ def frames(session: Session) -> None:
             session.call("deregister", quitter)
         elif verb == "submit":
             session.submit(live, held, cells[0])
-        elif verb == "submit_batch":
-            session.call("submit_batch", live, held,
-                         [session.entry(cells[0])])
         elif verb == "heartbeat":
             session.beat(live)
         elif verb == "lease":
-            held, cells = session.grant(live, 1)
-            session.fail(live, held, cells[0], "handed back", True)
+            session.grant(live, 1)
+            session.call("deregister", live)  # drained: the cell handed back
+            live = session.register("live")
         else:
             session.checkpoint(verb)
         # stale exactly when the verb reaped the doomed worker's lease
@@ -388,7 +388,7 @@ class TestGoldenReplay:
         }
         fleet_paths = (
             "escalations", "duplicate_submits", "stale_submits",
-            "batch_submits", "transient_failures", "retries", "reclaims",
+            "transient_failures", "retries", "reclaims",
             "kills", "poisoned_cells", "integrity_rejects", "quarantines",
             "deregisters", "journal_compactions", "recovered_buffered",
             "recovered_leases_expired", "recovered_quarantines",
