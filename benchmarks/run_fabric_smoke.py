@@ -4,7 +4,9 @@ Stands up a campaign coordinator behind the REST surface and throws a
 deliberately unhealthy 3-worker process fleet at it:
 
 * worker 0 is SIGKILLed mid-cell (after computing its 3rd record, before
-  submitting it);
+  submitting it); it starts alone, and the others only once it holds a
+  lease, so its death does not depend on which spawned process is up
+  first;
 * worker 1 never heartbeats and naps before its first submit, so it is
   declared dead mid-run, its lease reclaimed, and its eventual submit
   arrives stale (it then re-registers and keeps working);
@@ -33,6 +35,7 @@ import multiprocessing
 import os
 import sys
 import tempfile
+import time
 
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign.fabric import ChaosConfig, worker_main
@@ -64,6 +67,12 @@ CHAOS = {
     "frozen": ChaosConfig(freeze_heartbeats_after=0, delay_submits={0: 1.0}),
     "steady": None,
 }
+
+
+def leased(coordinator, name: str) -> bool:
+    """Whether a worker called ``name`` has been granted any cell."""
+    return any(worker["name"] == name and worker["cells_leased"]
+               for worker in coordinator.telemetry()["workers"])
 
 
 def main(argv=None) -> int:
@@ -112,8 +121,14 @@ def main(argv=None) -> int:
             )
             for name, chaos in CHAOS.items()
         }
-        for proc in procs.values():
-            proc.start()
+        procs["victim"].start()
+        deadline = time.monotonic() + args.timeout
+        while (procs["victim"].is_alive() and time.monotonic() < deadline
+               and not leased(coordinator, "victim")):
+            time.sleep(0.01)
+        for name, proc in procs.items():
+            if name != "victim":
+                proc.start()
         finished = coordinator.wait(timeout_s=args.timeout)
         for proc in procs.values():
             proc.join(timeout=15)

@@ -10,8 +10,7 @@ it:
 * ``corruptor`` bit-damages its second submission *after* checksumming
   it (wire corruption -- the canonical-JSON checksum catches it at the
   door);
-* ``honest-batch`` is healthy and submits in batches of 3;
-* ``honest`` is healthy.
+* ``steady`` and ``honest`` are healthy.
 
 The spec also carries one OOM-rigged ``memhog`` cell under a 64 MB
 address-space guard, so the smoke proves a poison-adjacent failure
@@ -70,7 +69,7 @@ SPEC = {
 CHAOS = {
     "liar": ChaosConfig(lie_after_cells=2),
     "corruptor": ChaosConfig(corrupt_submits=(1,)),
-    "honest-batch": None,
+    "steady": None,
     "honest": None,
 }
 
@@ -85,7 +84,7 @@ POISON_KILL_THRESHOLD = 2
 
 
 def phase_a(root: str, timeout_s: float) -> list[str]:
-    """Hostile HTTP fleet: lies, corruption, batching, one OOM cell."""
+    """Hostile HTTP fleet: lies, corruption, one OOM cell."""
     spec = CampaignSpec.from_dict(SPEC)
     n_cells = len(spec.expand())
     print(f"phase A: {n_cells} cells, 4 workers (liar + corruptor) "
@@ -113,11 +112,8 @@ def phase_a(root: str, timeout_s: float) -> list[str]:
         procs = {
             name: ctx.Process(
                 target=worker_main, args=(server.url, spec.campaign_id),
-                kwargs={
-                    "name": name,
-                    "chaos": chaos.to_dict() if chaos else None,
-                    "batch_cells": 3 if name == "honest-batch" else 1,
-                },
+                kwargs={"name": name,
+                        "chaos": chaos.to_dict() if chaos else None},
                 daemon=True,
             )
             for name, chaos in CHAOS.items()
@@ -139,7 +135,7 @@ def phase_a(root: str, timeout_s: float) -> list[str]:
     print("  fabric counters: " + ", ".join(
         f"{key}={fabric[key]}"
         for key in ("integrity_rejects", "audits_run", "audit_mismatches",
-                    "quarantines", "batch_submits", "retries")
+                    "quarantines", "retries")
     ))
     print(f"  quarantined: {fabric['quarantined_workers']}")
 
@@ -160,8 +156,6 @@ def phase_a(root: str, timeout_s: float) -> list[str]:
         failures.append("A: the lying worker was never quarantined")
     if "corruptor" not in fabric["quarantined_workers"]:
         failures.append("A: the corrupting worker was never quarantined")
-    if fabric["batch_submits"] < 1:
-        failures.append("A: no batched submission was ever folded")
     rigged = sum(1 for c in spec.expand() if c.family == "memhog")
     oom = [r for r in records if "MemoryError" in str(r.get("detail", ""))]
     if len(oom) != rigged or any(r["status"] != "error" for r in oom):

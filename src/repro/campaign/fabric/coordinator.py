@@ -64,8 +64,7 @@ from repro.metrics import global_collector
 COUNTERS = (
     "leases_granted", "cells_leased", "reclaims", "retries", "escalations",
     "duplicate_submits", "stale_submits", "transient_failures", "deregisters",
-    "journal_records", "journal_compactions", "batch_submits",
-    "integrity_rejects", "audits_run", "audit_mismatches", "quarantines",
+    "journal_records", "journal_compactions", "integrity_rejects", "audits_run", "audit_mismatches", "quarantines",
     "kills", "poisoned_cells", "recovered_buffered", "recovered_retries",
     "recovered_escalations", "recovered_leases_expired",
     "recovered_quarantines", "recovered_audit_candidates",
@@ -428,88 +427,62 @@ class Coordinator:
         *before* journaling and quarantines the submitter.  A submission
         without it is malformed (:class:`CampaignError`), not hostile.
         """
-        entry = {"cell_id": cell_id, "record": record, "timing": timing,
-                 "integrity": integrity}
-        return self._frame(
-            lambda now, known: self._submit_one(worker_id, lease_id, entry, now),
-            worker_id,
-            reap="after",
-        )
-
-    def submit_batch(self, worker_id: str, lease_id: str, entries: list) -> dict:
-        """Fold several finished cells in one round-trip, each entry
-        (``{"cell_id", "record", "timing", "integrity"}``) exactly as an
-        individual ``submit`` would -- so a replayed batch is a batch of
-        counted no-ops.  Returns per-entry ``results`` in order."""
 
         def act(now: float, known: bool) -> dict:
-            results = [
-                self._submit_one(worker_id, lease_id, entry, now)
-                for entry in entries
-            ]
-            self._count("batch_submits", worker_id=worker_id)
-            return {"results": results}
+            if not isinstance(integrity, Mapping):
+                # omitting the sidecar must not be a way round the check
+                raise CampaignError(
+                    f"submission for cell {cell_id!r} carries no 'integrity'"
+                )
+            with obs.span("fabric.submit", cell_id=cell_id,
+                          worker_id=worker_id) as span:
+                index = self._by_id.get(cell_id)
+                if index is None:
+                    raise CampaignError(f"unknown cell {cell_id!r}")
+                name = self._table.name(worker_id)
+                fields = dict(record)
+                verdict, events = self._state.submission(
+                    index, name, lease_id, fields, dict(timing),
+                    integrity, sampled=self._audit_selected(cell_id),
+                    escalation_factor=self.escalation_factor,
+                )
+                if verdict == "rejected":
+                    self._count("integrity_rejects", worker_id=worker_id)
+                    obs.event("fabric.integrity_reject", cell_id=cell_id,
+                              worker_id=worker_id)
+                elif verdict != "refused":
+                    fresh_lease = self._table.release_cell(lease_id, index)
+                    span.set_attrs(stale=not fresh_lease)
+                    if not fresh_lease:
+                        self._count("stale_submits", worker_id=worker_id)
+                    worker = self._table.worker(worker_id)
+                    timed_out = fields.get("status") == "timeout"
+                    if worker and timed_out and verdict != "duplicate":
+                        worker.tallies["timeouts"] += 1
+                if verdict in ("duplicate", "held"):
+                    self._count("duplicate_submits", worker_id=worker_id)
+                elif verdict == "contradicted":
+                    # whichever copy is right, the worker is not trustworthy
+                    self._count("audit_mismatches", worker_id=worker_id)
+                elif verdict == "inconclusive":
+                    # the cell waits for a conclusive run
+                    self._state.release(index, now)
+                # write-ahead: an accept is durable before the worker hears
+                # "accepted", so a crash after this line can never re-run
+                # the cell -- recovery re-admits the journaled record instead
+                self._commit(events, now, worker_id)
+                if verdict == "candidate":
+                    losers = self._settle_audit(index, now)
+                    if losers is not None:
+                        verdict = "outvoted" if name in losers else "audited"
+                outcome, reply = SUBMISSIONS[verdict]
+                span.set_attrs(outcome=outcome)
+                return dict(reply)
 
         return self._frame(act, worker_id, reap="after")
 
-    def _submit_one(
-        self, worker_id: str, lease_id: str, entry: Mapping[str, Any], now: float
-    ) -> dict:
-        """Fold one ``{"cell_id", "record", "timing", "integrity"}``."""
-        cell_id = str(entry["cell_id"])
-        integrity = entry.get("integrity")
-        if not isinstance(integrity, Mapping):
-            # omitting the sidecar must not be a way round the check
-            raise CampaignError(
-                f"submission for cell {cell_id!r} carries no 'integrity'"
-            )
-        with obs.span("fabric.submit", cell_id=cell_id,
-                      worker_id=worker_id) as span:
-            index = self._by_id.get(cell_id)
-            if index is None:
-                raise CampaignError(f"unknown cell {cell_id!r}")
-            name = self._table.name(worker_id)
-            record = dict(entry["record"])
-            verdict, events = self._state.submission(
-                index, name, lease_id, record, dict(entry["timing"]),
-                integrity, sampled=self._audit_selected(cell_id),
-                escalation_factor=self.escalation_factor,
-            )
-            if verdict == "rejected":
-                self._count("integrity_rejects", worker_id=worker_id)
-                obs.event("fabric.integrity_reject", cell_id=cell_id,
-                          worker_id=worker_id)
-            elif verdict != "refused":
-                fresh_lease = self._table.release_cell(lease_id, index)
-                span.set_attrs(stale=not fresh_lease)
-                if not fresh_lease:
-                    self._count("stale_submits", worker_id=worker_id)
-                worker = self._table.worker(worker_id)
-                timed_out = record.get("status") == "timeout"
-                if worker and timed_out and verdict != "duplicate":
-                    worker.tallies["timeouts"] += 1
-            if verdict in ("duplicate", "held"):
-                self._count("duplicate_submits", worker_id=worker_id)
-            elif verdict == "contradicted":
-                # whichever copy is right, the worker is not trustworthy
-                self._count("audit_mismatches", worker_id=worker_id)
-            elif verdict == "inconclusive":
-                self._state.release(index, now)  # waits for a conclusive run
-            # write-ahead: an accept is durable before the worker hears
-            # "accepted", so a crash after this line can never re-run the
-            # cell -- recovery re-admits the journaled record instead
-            self._commit(events, now, worker_id)
-            if verdict == "candidate":
-                losers = self._settle_audit(index, now)
-                if losers is not None:
-                    verdict = "outvoted" if name in losers else "audited"
-            outcome, reply = SUBMISSIONS[verdict]
-            span.set_attrs(outcome=outcome)
-            return dict(reply)
-
     def fail(
         self, worker_id: str, lease_id: str, cell_id: str, detail: str = "",
-        requeue: bool = False,
     ) -> dict:
         """A worker reports a *transient* (infrastructure-level) failure.
 
@@ -517,13 +490,12 @@ class Coordinator:
         timeouts -- are captured inside the cell record by ``run_cell``
         and submitted normally; this path is for the machinery around it
         failing.  Bounded retry with backoff, then a terminal error
-        record so the campaign always completes.  ``requeue=True`` (a
-        draining worker handing unstarted cells back) skips the attempt
-        bump and the backoff: nothing failed, the cell just needs a new
-        owner.  A report under a lease that no longer holds the cell
-        (reaped, expired, lost in a restart) is ``stale`` and changes
-        nothing: the reclaim already charged the cell, which may be
-        someone else's by now.
+        record so the campaign always completes.  A draining worker does
+        not ``fail`` its unstarted cells: ``deregister`` hands them back.
+        A report under a lease that no longer holds the cell (reaped,
+        expired, lost in a restart) is ``stale`` and changes nothing: the
+        reclaim already charged the cell, which may be someone else's by
+        now.
         """
 
         def act(now: float, known: bool) -> dict:
@@ -534,27 +506,25 @@ class Coordinator:
                 return {"retried": False, "stale": True}
             self._table.release_cell(lease_id, index)
             obs.event("fabric.fail_cell", cell_id=cell_id, worker_id=worker_id,
-                      requeue=bool(requeue), detail=detail[:120])
-            if requeue:
-                self._state.release(index, now)
-                return {"retried": True}
+                      detail=detail[:120])
             self._count("transient_failures", worker_id=worker_id)
             return {"retried": self._retry(index, now, f"transient: {detail}")}
 
         return self._frame(act, worker_id, reap=None)
 
     def deregister(self, worker_id: str) -> dict:
-        """A worker says goodbye (graceful drain / clean shutdown): its
-        leases are requeued at once -- no attempt bump, no backoff, no
-        waiting for the TTL -- and it is marked dead, tallies kept."""
+        """A worker says goodbye (graceful drain / clean shutdown): the
+        cells still on its leases go back to the pool at once -- no
+        attempt bump, no backoff, no waiting for the TTL -- and it is
+        marked dead, tallies kept."""
 
         def act(now: float, known: bool) -> dict:
             leases = self._table.deregister_worker(worker_id)
-            requeued = self._release(leases, now)
+            handed_back = self._release(leases, now)
             self._count("deregisters")
             obs.event("fabric.deregister", worker_id=worker_id,
-                      requeued=requeued)
-            return {"ok": True, "requeued": requeued}
+                      requeued=handed_back)
+            return {"ok": True, "requeued": handed_back}
 
         return self._frame(act, reap=None)
 
@@ -689,8 +659,8 @@ class Coordinator:
         )
 
     def _retry(self, index: int, now: float, detail: str) -> bool:
-        """Requeue a transiently failed/reclaimed cell, or give up on it;
-        True when it was requeued."""
+        """Put a transiently failed/reclaimed cell back with backoff, or
+        give up on it; True when it went back."""
         events = self._state.retry(index, self.max_transient_retries, detail)
         self._commit(events, now)
         return bool(events) and events[0]["kind"] == "retry"
@@ -847,8 +817,8 @@ class Coordinator:
                   candidates=len(self._state.audit[event["index"]]))
 
     def _after_quarantine(self, event, now, by, retracted) -> None:
-        """Report the retracted accepts and requeue the in-flight leases
-        of every epoch of the name."""
+        """Report the retracted accepts and hand back the in-flight
+        leases of every epoch of the name."""
         name = event["worker"]
         self._count("quarantines")
         obs.event("fabric.quarantine", worker=name, reason=event["reason"][:120])

@@ -119,7 +119,7 @@ class LeaseTable:
 
     def deregister_worker(self, worker_id: str) -> list[Lease]:
         """Retire a worker on its own request (graceful drain) and return
-        its leases so the coordinator can requeue the cells immediately
+        its leases so the coordinator can reopen the cells immediately
         instead of waiting for the TTL to expire.  Unknown workers (never
         registered, already reaped) simply return no leases."""
         state = self._workers.get(worker_id)

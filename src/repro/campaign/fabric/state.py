@@ -120,7 +120,7 @@ class FabricState:
         """Un-lease one cell; True when it was leased."""
         if self.cells[index].status != "leased":
             return False
-        self._requeue(index, now)
+        self._reopen(index, now)
         return True
 
     def candidate(self, index: int, name: str) -> dict | None:
@@ -296,7 +296,7 @@ class FabricState:
         """Charge worker ``name``'s death to the cell of its lease it was
         most plausibly computing, the first still leased (workers run a
         lease in canonical order): ``(suspect, [kill])`` for a new
-        distinct killer -- the cell requeues without a retry charge, the
+        distinct killer -- the cell reopens without a retry charge, the
         poison threshold bounding it -- and ``(None, [])`` for a repeat
         one (a respawning worker looping on it), which pays a retry."""
         suspect = next(
@@ -319,7 +319,7 @@ class FabricState:
         )]
 
     def retry(self, index: int, budget: int, detail: str) -> list[dict]:
-        """Requeue a transiently failed or reclaimed cell, or give it up
+        """Reopen a transiently failed or reclaimed cell, or give it up
         with a terminal error record once ``budget`` retries are spent."""
         cell = self.cells[index]
         if cell.status == "done":
@@ -363,7 +363,7 @@ class FabricState:
     # one handler per journal kind; the per-cell ones only ever see a
     # cell that is not settled yet
     # ------------------------------------------------------------------
-    def _requeue(self, index: int, now: float) -> None:
+    def _reopen(self, index: int, now: float) -> None:
         """Back to the pool: awaiting audit while candidates are held."""
         cell = self.cells[index]
         cell.status = "audit" if index in self.audit else "pending"
@@ -411,7 +411,7 @@ class FabricState:
 
     def _on_retry(self, index: int, cell: CellState, event, now) -> None:
         cell.attempts = max(cell.attempts, int(event.get("attempts", 0)))
-        self._requeue(index, now)
+        self._reopen(index, now)
 
     def _on_escalate(self, index: int, cell: CellState, event, now) -> None:
         cell.escalated = True
@@ -419,7 +419,7 @@ class FabricState:
             cell.payload["timeout_s"] = float(event["timeout_s"])
         if event.get("scheduler_params"):
             cell.payload["scheduler_params"] = dict(event["scheduler_params"])
-        self._requeue(index, now)
+        self._reopen(index, now)
 
     def _on_quarantine(self, event: Mapping[str, Any], now: float) -> list[int]:
         """Stop trusting a worker *name* and withdraw what only it vouches
@@ -438,7 +438,7 @@ class FabricState:
                 continue
             del self.audit[index]
             if self.cells[index].status == "audit":
-                self._requeue(index, now)
+                self._reopen(index, now)
         retracted = [
             index
             for index in self.buffer
@@ -448,5 +448,5 @@ class FabricState:
         for index in retracted:
             del self.buffer[index]
             self.cells[index].accepted_by = None
-            self._requeue(index, now)
+            self._reopen(index, now)
         return retracted

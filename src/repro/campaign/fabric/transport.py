@@ -15,10 +15,12 @@ optional one.  Both directions read it:
   idempotent accept paths make that safe;
 * :func:`dispatch` is the server side of those POSTs: it decodes and
   shape-checks a body through the same table and calls the coordinator.
+  A body key its verb does not name is refused, not ignored: a field an
+  old or confused client relies on must not silently lose its meaning.
 
-``submit_batch`` has no path of its own: it is a ``submit`` whose body
-carries a ``records`` list of per-cell entries instead of one entry's
-fields (:data:`PATHS` lists the ``<verb>`` segments that exist).
+One verb per outcome: a finished cell goes back by ``submit``, one cell a
+call; a draining worker's unstarted cells go back by ``deregister``; a
+failure of the machinery around ``run_cell`` is ``fail``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,14 @@ class Field(NamedTuple):
 
 
 def _decode(what: str, fields: tuple[Field, ...], body: Mapping) -> list:
-    """The coordinator arguments a body spells, in order, shape-checked."""
+    """The coordinator arguments a body spells, in order, shape-checked;
+    a key no field names is refused (``register`` takes the whole body)."""
+    if fields[0].wire != WHOLE:
+        unknown = set(body) - {field.wire for field in fields}
+        if unknown:
+            raise BadRequestError(
+                f"fabric {what} takes no {', '.join(map(repr, sorted(unknown)))}"
+            )
     args = []
     for field in fields:
         value = body
@@ -73,27 +82,9 @@ def _object(value: Any) -> bool:
     return isinstance(value, Mapping)
 
 
-def _entries(value: Any) -> bool:
-    if not isinstance(value, list) or not all(map(_object, value)):
-        return False
-    for entry in value:
-        _decode("submit entry", ENTRY, entry)  # raises, naming the key
-    return True
-
-
 WORKER = Field("worker_id", lambda v: _string(v) and v != "", "a non-empty string")
 LEASE = Field("lease_id", _string, "a string")
 CELL = Field("cell_id", _string, "a string")
-#: What one finished cell carries; ``integrity`` is the record checksum +
-#: cell identity hash the coordinator validates before folding.
-ENTRY = (
-    CELL,
-    Field("record", _object, "an object"),
-    Field("timing", _object, "an object"),
-    Field("integrity", _object, "an object"),
-)
-
-RECORDS = Field("entries", _entries, "a list of entry objects", key="records")
 
 #: Coordinator verb -> its parameters, in the coordinator's argument order.
 VERBS: dict[str, tuple[Field, ...]] = {
@@ -104,21 +95,22 @@ VERBS: dict[str, tuple[Field, ...]] = {
         Field("max_cells", lambda v: type(v) is int and v >= 1,
               "an int >= 1", None),
     ),
-    "submit": (WORKER, LEASE, *ENTRY),
-    "submit_batch": (WORKER, LEASE, RECORDS),
-    "fail": (
+    # ``integrity``: the record checksum + cell identity hash the
+    # coordinator validates before folding
+    "submit": (
         WORKER,
         LEASE,
         CELL,
-        Field("detail", _string, "a string", ""),
-        Field("requeue", lambda v: isinstance(v, bool), "a boolean", False),
+        Field("record", _object, "an object"),
+        Field("timing", _object, "an object"),
+        Field("integrity", _object, "an object"),
     ),
+    "fail": (WORKER, LEASE, CELL, Field("detail", _string, "a string", "")),
     "deregister": (WORKER,),
 }
 
-BATCH, BATCH_PATH = "submit_batch", "submit"
 #: The ``<verb>`` segments of ``POST /campaigns/<id>/fabric/<verb>``.
-PATHS = tuple(verb for verb in VERBS if verb != BATCH)
+PATHS = tuple(VERBS)
 
 
 def dispatch(coordinator: Coordinator, verb: str, body: Any) -> dict:
@@ -128,8 +120,6 @@ def dispatch(coordinator: Coordinator, verb: str, body: Any) -> dict:
         raise NotFoundError(f"unknown fabric verb {verb!r}")
     if not isinstance(body, Mapping):
         body = {}
-    if verb == BATCH_PATH and RECORDS.wire in body:
-        verb = BATCH
     args = _decode(verb, VERBS[verb], body)
     try:
         return getattr(coordinator, verb)(*args)
@@ -168,7 +158,11 @@ class HttpFabricClient:
 
     def _call(self, verb: str, *args: Any, **kwargs: Any) -> dict:
         fields = VERBS[verb]
-        given = dict(zip((field.name for field in fields), args), **kwargs)
+        names = [field.name for field in fields]
+        given = dict(zip(names, args), **kwargs)
+        if len(args) > len(names) or not given.keys() <= set(names):
+            # what a bound ``Coordinator`` verb would refuse too
+            raise TypeError(f"{verb}() takes only {', '.join(names)}")
         body: dict[str, Any] = {}
         for field in fields:
             value = given.get(field.name, field.default)
@@ -178,7 +172,6 @@ class HttpFabricClient:
                 body.update(value or {})
             elif value is not None:
                 body[field.wire] = value
-        path = BATCH_PATH if verb == BATCH else verb
         return self.http.post(
-            f"/campaigns/{self.campaign_id}/fabric/{path}", body
+            f"/campaigns/{self.campaign_id}/fabric/{verb}", body
         )

@@ -25,22 +25,18 @@ bounds how long a worker waits for the coordinator to come back before
 giving up.  4xx answers (:class:`~repro.errors.HttpStatusError` -- auth
 mismatch, malformed request) always fail fast instead of retrying.
 
-Result integrity (PR 10): every shard carries an ``integrity`` sidecar --
-the canonical-JSON sha256 of the record plus the leased payload's
-identity hash -- so the coordinator can reject wire corruption and
-wrong-cell submissions before journaling them.  ``batch_cells > 1``
-switches the worker from streaming one shard per cell to flushing
-batches through ``submit_batch``; per-record idempotence on the
-coordinator makes a redelivered batch a row of counted no-ops.  A worker
-the coordinator has *quarantined* (failed validation or a re-execution
-audit) learns it from the reply, stops pulling, and exits: its results
-are no longer wanted.
+Result integrity: every shard carries an ``integrity`` sidecar -- the
+canonical-JSON sha256 of the record plus the leased payload's identity
+hash -- so the coordinator can reject wire corruption and wrong-cell
+submissions before journaling them.  A worker the coordinator has
+*quarantined* (failed validation or a re-execution audit) learns it from
+the reply, stops pulling, and exits: its results are no longer wanted.
 
 Graceful drain: ``request_drain()`` (wired to SIGTERM/SIGINT in
-:func:`worker_main`) lets the worker finish its in-flight cell, hand the
-rest of its lease back (``fail`` with ``requeue=True`` -- no retry
-budget burned), and deregister, so the coordinator requeues the cells
-immediately instead of waiting out the lease TTL.
+:func:`worker_main`) lets the worker finish and submit its in-flight
+cell, then ``deregister``: the coordinator hands the unstarted rest of
+the lease back to the pool at once -- no retry budget burned, no waiting
+out the lease TTL.
 
 :func:`worker_main` is the process entry point used by ``repro campaign
 work``, the fault-injection suite, and the fabric smokes: plain args, so
@@ -79,7 +75,6 @@ class FabricWorker:
         *,
         name: str = "worker",
         max_lease_cells: int | None = None,
-        batch_cells: int = 1,
         chaos: ChaosConfig | None = None,
         reconnect_base_s: float = 0.2,
         reconnect_cap_s: float = 5.0,
@@ -92,7 +87,6 @@ class FabricWorker:
         self.client = client
         self.name = name
         self.max_lease_cells = max_lease_cells
-        self.batch_cells = max(1, int(batch_cells))
         self.chaos = Chaos(chaos) if chaos is not None else None
         self.reconnect_base_s = float(reconnect_base_s)
         self.reconnect_cap_s = float(reconnect_cap_s)
@@ -107,7 +101,6 @@ class FabricWorker:
         self.gave_up_offline = False
         self.quarantined = False
         self.rejected_submits = 0
-        self._pending: list[dict] = []  # computed, not yet delivered
         self._epoch = 0
         self._draining = threading.Event()
         self._hb_stop = threading.Event()
@@ -284,25 +277,19 @@ class FabricWorker:
                 idle_s *= 2.0
                 continue
             idle_s = IDLE_POLL_S
-            lease_id = reply["lease_id"]
-            for i, payload in enumerate(cells):
+            for payload in cells:
                 if self._draining.is_set():
-                    self._flush_batch(lease_id)
-                    self._hand_back(lease_id, cells[i:])
-                    return
-                if not self._execute(lease_id, payload):
-                    # outage mid-batch: the lease died with the old
+                    return  # ``deregister`` hands the rest back
+                if not self._execute(reply["lease_id"], payload):
+                    # outage mid-lease: the lease died with the old
                     # coordinator (or the worker gave up) -- abandon the
-                    # rest of the batch and pull a fresh lease
+                    # rest of it and pull a fresh lease
                     break
-            else:
-                # lease exhausted cleanly: deliver whatever batching held
-                self._flush_batch(lease_id)
             if self.gave_up_offline or self.quarantined:
                 return
 
     def _execute(self, lease_id: str, payload: dict) -> bool:
-        """Run + deliver one cell; False when the batch should be
+        """Run + deliver one cell; False when the lease should be
         abandoned (the coordinator restarted, the worker gave up, or it
         was quarantined)."""
         cell_id = payload["cell_id"]
@@ -327,7 +314,7 @@ class FabricWorker:
                     lease_id, cell_id, f"{type(exc).__name__}: {exc}"
                 )
                 return True
-            duplicate = False
+            copies = 1
             if self.chaos is not None:
                 self.chaos.on_cell_computed()  # the configured death point
                 if self.chaos.lying():
@@ -348,39 +335,38 @@ class FabricWorker:
                     # post-checksum damage: the attached checksum no
                     # longer matches what arrives
                     record = Chaos.corrupt(record)
-                duplicate = plan.duplicate
-            entry = {
-                "cell_id": cell_id,
-                "record": record,
-                "timing": timing,
-                "integrity": integrity,
-            }
-            self._pending.append(entry)
-            if duplicate:
-                self._pending.append(entry)
-            if len(self._pending) >= self.batch_cells:
-                return self._flush_batch(lease_id)
-            return True
+                if plan.duplicate:
+                    copies = 2
+            return self._submit(
+                lease_id, cell_id, record, timing, integrity, copies
+            )
 
-    def _flush_batch(self, lease_id: str) -> bool:
-        """Deliver ``_pending``: one ``submit`` per shard when streaming
-        (``batch_cells == 1``), one ``submit_batch`` otherwise.
+    def _submit(
+        self, lease_id: str, cell_id: str, record: dict, timing: dict,
+        integrity: dict, copies: int,
+    ) -> bool:
+        """Deliver one computed cell, ``copies`` times (a chaos plan's
+        duplicate), one ``submit`` each.
 
-        The one place a submission meets an outage.  The records are
+        The one place a submission meets an outage.  The record is
         already computed, so the worker rides the outage out and delivers
-        them again: deterministic records + idempotent accept make the
+        it again: deterministic records + idempotent accept make the
         redelivery safe even under a lease that died with the old
-        coordinator (already-accepted entries come back as counted
-        duplicates).  False when the rest of the lease should be
+        coordinator (an already-accepted cell comes back as a counted
+        duplicate).  False when the rest of the lease should be
         abandoned: an outage was ridden out (the lease is gone), the
         worker gave up offline, or it was quarantined.
         """
-        delivered: set[str] = set()  # a duplicated shard is one cell done
+        delivered = False  # a duplicated shard is one cell done
         in_one_go = True
-        while self._pending:
-            batch = self._pending[: 1 if self.batch_cells == 1 else None]
+        while copies:
             try:
-                results = self._deliver(lease_id, batch)
+                with obs.span("fabric.rpc.submit", cell_id=cell_id,
+                              worker_id=self.worker_id):
+                    result = self.client.submit(
+                        self.worker_id, lease_id, cell_id=cell_id,
+                        record=record, timing=timing, integrity=integrity,
+                    )
             except HttpStatusError:
                 raise
             except TransportError:
@@ -388,62 +374,29 @@ class FabricWorker:
                 if not self._ride_out_outage("submit"):
                     break
                 continue
-            del self._pending[: len(batch)]
-            for entry, result in zip(batch, results):
-                if result.get("rejected"):
-                    self.rejected_submits += 1
-                if result.get("quarantined"):
-                    self.quarantined = True
-                if result.get("accepted") or result.get("duplicate"):
-                    delivered.add(entry["cell_id"])
-        self.cells_done += len(delivered)
+            copies -= 1
+            if result.get("rejected"):
+                self.rejected_submits += 1
+            if result.get("quarantined"):
+                self.quarantined = True
+            if result.get("accepted") or result.get("duplicate"):
+                delivered = True
+        self.cells_done += delivered
         if self.quarantined:
             obs.event("fabric.worker_quarantined", worker_id=self.worker_id)
         return in_one_go and not self.quarantined
 
-    def _deliver(self, lease_id: str, batch: list[dict]) -> list[dict]:
-        """One round-trip; the coordinator's verdict per entry of ``batch``."""
-        if self.batch_cells == 1:
-            (entry,) = batch
-            with obs.span(
-                "fabric.rpc.submit",
-                cell_id=entry["cell_id"],
-                worker_id=self.worker_id,
-            ):
-                # an entry's keys are ``submit``'s own parameter names
-                return [self.client.submit(self.worker_id, lease_id, **entry)]
-        with obs.span(
-            "fabric.rpc.submit_batch",
-            worker_id=self.worker_id,
-            entries=len(batch),
-        ):
-            reply = self.client.submit_batch(self.worker_id, lease_id, batch)
-        return reply.get("results", [])
-
-    def _report_fail(
-        self, lease_id: str, cell_id: str, detail: str, requeue: bool = False
-    ) -> bool:
-        """Tell the coordinator a cell will not come from this lease; False
-        when it cannot be told (lease expiry or recovery requeues the cell
-        anyway)."""
+    def _report_fail(self, lease_id: str, cell_id: str, detail: str) -> None:
+        """Tell the coordinator a cell will not come from this lease; if it
+        cannot be told, lease expiry or recovery puts the cell back
+        anyway."""
         try:
             with obs.span(
                 "fabric.rpc.fail", cell_id=cell_id, worker_id=self.worker_id
             ):
-                self.client.fail(
-                    self.worker_id, lease_id, cell_id, detail, requeue=requeue
-                )
+                self.client.fail(self.worker_id, lease_id, cell_id, detail)
         except TransportError:
-            return False
-        return True
-
-    def _hand_back(self, lease_id: str, payloads) -> None:
-        """Drain: return unstarted leased cells without burning retries."""
-        for payload in payloads:
-            if not self._report_fail(
-                lease_id, payload["cell_id"], "worker draining", requeue=True
-            ):
-                return
+            pass
 
     def _deregister(self) -> None:
         """Best-effort goodbye so reclaim never waits on a clean exit."""
@@ -464,7 +417,6 @@ def worker_main(
     *,
     name: str = "worker",
     max_lease_cells: int | None = None,
-    batch_cells: int = 1,
     chaos: dict | None = None,
     max_offline_s: float = 120.0,
     token: str | None = None,
@@ -472,7 +424,7 @@ def worker_main(
     """Process entry point: connect over HTTP and work until done.
 
     Installs SIGTERM/SIGINT handlers that drain gracefully -- finish the
-    in-flight cell, hand the rest of the lease back, deregister -- when
+    in-flight cell, then deregister, which hands the rest back -- when
     running as the process main thread (always true under
     ``multiprocessing`` spawn and the CLI).
     """
@@ -482,7 +434,6 @@ def worker_main(
         HttpFabricClient(url, campaign_id, token=token),
         name=name,
         max_lease_cells=max_lease_cells,
-        batch_cells=batch_cells,
         max_offline_s=max_offline_s,
         chaos=ChaosConfig.from_dict(chaos) if chaos is not None else None,
     )
@@ -498,7 +449,6 @@ def run_local_fleet(
     *,
     chaos: dict[int, ChaosConfig] | None = None,
     max_lease_cells: int | None = None,
-    batch_cells: int = 1,
     max_offline_s: float = 120.0,
 ) -> list[dict]:
     """Run an in-process thread fleet to completion (tests, smoke paths).
@@ -514,7 +464,6 @@ def run_local_fleet(
             LocalClient(coordinator),
             name=f"local{i}",
             max_lease_cells=max_lease_cells,
-            batch_cells=batch_cells,
             max_offline_s=max_offline_s,
             chaos=(chaos or {}).get(i),
         )

@@ -650,13 +650,12 @@ def cmd_campaign_work(args: argparse.Namespace) -> int:
             return 2
         campaign_id = served[0]
     # worker_main installs SIGTERM/SIGINT drain handlers: finish the
-    # in-flight cell, hand the rest of the lease back, deregister
+    # in-flight cell, then deregister, which hands the rest back
     summary = worker_main(
         args.url,
         campaign_id,
         name=args.name,
         max_lease_cells=args.cells,
-        batch_cells=args.batch_cells,
         max_offline_s=args.max_offline_s,
         token=args.token,
     )
@@ -822,9 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker name shown in coordinator status")
     p_work.add_argument("--cells", type=int, default=None, metavar="N",
                         help="max cells to lease at a time")
-    p_work.add_argument("--batch-cells", type=int, default=1, metavar="N",
-                        help="buffer N finished cells per submit round-trip "
-                             "(1 streams each shard immediately)")
     p_work.add_argument("--token", default=None, metavar="SECRET",
                         help="shared secret matching the coordinator's --token")
     p_work.add_argument("--max-offline-s", type=float, default=120.0,

@@ -4,17 +4,10 @@ from repro.controller.app import RyuLikeApp
 from repro.controller.core import Controller
 from repro.controller.datapath_handle import Datapath
 from repro.controller.events import (
-    BarrierSeen,
     ControllerEvent,
-    DatapathConnected,
-    DatapathDisconnected,
-    ErrorSeen,
-    FlowRemovedSeen,
-    PacketInSeen,
     UpdateCompleted,
     UpdateRoundCompleted,
 )
-from repro.controller.monitoring import MonitoringApp, RttStats
 from repro.controller.ofctl_rest import OfctlRestApp, StatsFuture
 from repro.controller.ofctl_rest_own import TransientUpdateApp
 from repro.controller.rules import (
@@ -34,23 +27,15 @@ from repro.controller.update_queue import (
 )
 
 __all__ = [
-    "BarrierSeen",
     "CompiledRound",
     "ControlPlaneTrace",
     "CompiledUpdate",
     "Controller",
     "ControllerEvent",
     "Datapath",
-    "DatapathConnected",
-    "DatapathDisconnected",
-    "ErrorSeen",
-    "FlowRemovedSeen",
-    "MonitoringApp",
     "OfctlRestApp",
     "POLICY_PRIORITY",
-    "PacketInSeen",
     "RoundTiming",
-    "RttStats",
     "RyuLikeApp",
     "StatsFuture",
     "TAGGED_PRIORITY",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 
 @dataclass(frozen=True)
@@ -11,44 +10,6 @@ class ControllerEvent:
     """Base class for events handed to apps."""
 
     time_ms: float
-
-
-@dataclass(frozen=True)
-class DatapathConnected(ControllerEvent):
-    """Handshake with a switch completed (Hello + FeaturesReply seen)."""
-
-    dpid: int
-
-
-@dataclass(frozen=True)
-class DatapathDisconnected(ControllerEvent):
-    dpid: int
-
-
-@dataclass(frozen=True)
-class BarrierSeen(ControllerEvent):
-    """A BarrierReply arrived."""
-
-    dpid: int
-    xid: int
-
-
-@dataclass(frozen=True)
-class PacketInSeen(ControllerEvent):
-    dpid: int
-    message: Any
-
-
-@dataclass(frozen=True)
-class ErrorSeen(ControllerEvent):
-    dpid: int
-    message: Any
-
-
-@dataclass(frozen=True)
-class FlowRemovedSeen(ControllerEvent):
-    dpid: int
-    message: Any
 
 
 @dataclass(frozen=True)

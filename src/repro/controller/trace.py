@@ -2,8 +2,9 @@
 
 Wraps a network's channels so every controller<->switch message is logged
 with its simulated send time and direction.  Traces explain *why* a
-transient violation happened (which FlowMod landed before which) and feed
-the CLI's ``--trace`` output; export is JSON-lines friendly.
+transient violation happened (which FlowMod landed before which); attach
+one to a scenario's network (``examples/dependency_analysis.py`` does).
+Export is JSON-lines friendly.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.openflow.json_codec import message_to_dict
 from repro.openflow.messages import OpenFlowMessage, summarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

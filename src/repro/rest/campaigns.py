@@ -20,10 +20,10 @@ at-least-once delivery:
   workers do that.
 * ``POST /campaigns/<campaign_id>/fabric/register|heartbeat|lease|submit|fail|deregister``
   -- the worker protocol (see :mod:`repro.campaign.fabric.transport`).
-  Duplicate shard submissions are counted no-ops.  A ``submit`` body with
-  a ``records`` list is the batched form; every entry carries an
-  ``integrity`` sidecar (record checksum + cell identity hash) that the
-  coordinator validates before folding.
+  Duplicate shard submissions are counted no-ops.  A ``submit`` body is
+  one finished cell and carries an ``integrity`` sidecar (record
+  checksum + cell identity hash) that the coordinator validates before
+  folding.  A body key its verb does not name is a 400.
 * ``GET /campaigns/<campaign_id>/fabric`` -- coordinator status with
   lease/reclaim/retry/escalation counters.
 

@@ -60,8 +60,8 @@ AUTH_HEADER = "X-Repro-Auth"
 #: or inside one) before the server drops it.  Fabric workers heartbeat
 #: every 2 s, so theirs stay open.
 IDLE_TIMEOUT_S = 30.0
-#: Largest request body accepted (413 above).  A batched fabric submit of
-#: a thousand records is well under 1 MiB.
+#: Largest request body accepted (413 above).  A fabric submit carries one
+#: cell's record, a few KiB.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Reply buffer: headers + body up to this size leave in one ``send``.
 REPLY_BUFFER_BYTES = 64 * 1024

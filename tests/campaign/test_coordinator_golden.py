@@ -361,9 +361,23 @@ def golden_run(name: str) -> dict:
     }, sort_keys=True))
 
 
+def masked(value):
+    """The recording without what the fabric no longer has: the
+    ``batch_submits`` counter (in ``counters``, ``status()`` and
+    ``telemetry()``) and the ``requeue`` flag of ``fabric.fail_cell``."""
+    if isinstance(value, list):
+        if value[:2] == ["event", "fabric.fail_cell"]:
+            value = [*value[:2], {k: v for k, v in value[2].items()
+                                  if k != "requeue"}]
+        return [masked(item) for item in value]
+    if isinstance(value, dict):
+        return {k: masked(v) for k, v in value.items() if k != "batch_submits"}
+    return value
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+    return masked(json.loads(GOLDEN.read_text()))
 
 
 class TestGoldenReplay:

@@ -223,13 +223,12 @@ class TestStaleFail:
         yield coordinator, a, stale["lease_id"], cell_id
         coordinator.close()
 
-    @pytest.mark.parametrize("requeue", [True, False])
-    def test_it_changes_nothing(self, reaped, requeue):
+    def test_it_changes_nothing(self, reaped):
         coordinator, a, lease_id, cell_id = reaped
         journal = coordinator._journal.journal_path
         counters = dict(coordinator.counters)
         before = journal.read_bytes()
-        reply = coordinator.fail(a, lease_id, cell_id, "late", requeue)
+        reply = coordinator.fail(a, lease_id, cell_id, "late")
         assert reply == {"retried": False, "stale": True, "done": False}
         assert journal.read_bytes() == before
         assert coordinator.counters == counters

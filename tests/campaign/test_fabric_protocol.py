@@ -6,9 +6,10 @@
 * one scripted campaign answers the same through ``LocalClient`` and
   through ``HttpFabricClient`` over a loopback server;
 * a malformed body is a 400 (an unknown verb a 404), never a 500, and
-  journals nothing;
-* the worker's one delivery loop counts the same cells done and the same
-  refusals whether it streams shards or batches them;
+  journals nothing; so is a body key its verb does not name, and either
+  client refuses a parameter its verb does not take;
+* the worker's one delivery loop rides out drops, duplicates, damage and
+  an outage and counts each cell once;
 * the docstrings that list the verbs list the table's.
 """
 
@@ -17,7 +18,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import repro.rest.api as rest_api
 import repro.rest.campaigns as rest_campaigns
@@ -31,10 +32,10 @@ from repro.campaign.fabric import (
 )
 from repro.campaign.fabric.transport import _REQUIRED, PATHS, VERBS, WHOLE
 from repro.campaign.runner import run_cell
-from repro.errors import CampaignError, TransportError
+from repro.errors import CampaignError, HttpStatusError, TransportError
 from repro.rest.api import build_campaign_api
 from repro.rest.campaigns import CampaignService
-from repro.rest.http_binding import RestHttpServer
+from repro.rest.http_binding import HttpClient, RestHttpServer
 from tests.campaign.fabric_helpers import sealed
 
 SWEEP = {
@@ -91,8 +92,9 @@ class TestParity:
             assert len(set(keys)) == len(keys), verb
             assert WHOLE not in keys or len(keys) == 1, verb
 
-    def test_paths_are_the_verbs_that_travel_under_their_own_name(self):
-        assert PATHS == tuple(verb for verb in VERBS if verb != "submit_batch")
+    def test_every_verb_travels_under_its_own_name(self):
+        assert len(VERBS) == 6
+        assert PATHS == tuple(VERBS)
 
     def test_local_client_hands_out_the_bound_verbs(self, tmp_path):
         coordinator = Coordinator(SPEC, root=str(tmp_path))
@@ -123,8 +125,8 @@ def _stepping_clock():
 
 
 def _scripted_campaign(client):
-    """Lease, submit, duplicate, stale, fail, requeue, batch, deregister;
-    returns every reply in order."""
+    """Lease, submit, duplicate, drain, stale, fail, deregister; returns
+    every reply in order."""
     replies = []
 
     def call(verb, *args, **kwargs):
@@ -141,22 +143,22 @@ def _scripted_campaign(client):
     zero, one = map(_entry, first["cells"])
     call("submit", ann, first["lease_id"], **zero)
     call("submit", ann, first["lease_id"], **zero)  # duplicate
-    call("fail", ann, first["lease_id"], one["cell_id"], "draining", requeue=True)
+    call("deregister", ann)  # drained: ``one`` goes back unstarted
     second = call("lease", bob, 1)
     assert second["cells"][0]["cell_id"] == one["cell_id"]
     call("submit", ann, first["lease_id"], **one)  # stale: bob holds it now
     call("submit", bob, second["lease_id"], **one)
+    ann = call("register", {"name": "ann"})["worker_id"]
     third = call("lease", bob)
     two, three = map(_entry, third["cells"])
     call("fail", bob, third["lease_id"], two["cell_id"], "boom")
-    call("submit_batch", bob, third["lease_id"], [three])
+    call("submit", bob, third["lease_id"], **three)
     for _ in range(20):
         reply = call("lease", ann, 3)
         if reply["done"]:
             break
-        if reply["cells"]:
-            call("submit_batch", ann, reply["lease_id"],
-                 [_entry(payload) for payload in reply["cells"]])
+        for payload in reply["cells"]:
+            call("submit", ann, reply["lease_id"], **_entry(payload))
     else:
         raise AssertionError("the script never finished the campaign")
     call("deregister", ann)
@@ -195,7 +197,6 @@ def test_both_transports_answer_the_script_alike(tmp_path):
     assert local.counters == remote.counters
     assert local.counters["stale_submits"] == 1
     assert local.counters["duplicate_submits"] == 2
-    assert local.counters["batch_submits"] >= 2
     assert local.finished and remote.finished
     assert local.store.results_bytes() == remote.store.results_bytes()
 
@@ -216,33 +217,33 @@ WRONG = {
     "integrity": _NOT_AN_OBJECT,
     "max_cells": [True, False, 0, -1, 1.5, "2", [], {}],
     "detail": [None, 7, True, [], {}],
-    "requeue": [None, 0, 1, "yes", [], {}],
 }
 #: Keys a body may leave out.
-OPTIONAL = {"max_cells", "detail", "requeue"}
+OPTIONAL = {"max_cells", "detail"}
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """A served campaign with one lease out, and a well-formed body per
-    path (``submit`` twice: single and batched)."""
+    """A served campaign with one lease out, a well-formed body per path
+    but ``register``, and a loopback HTTP server in front of it."""
     api = build_campaign_api(campaign_root=str(tmp_path_factory.mktemp("bad")))
     assert api.handle("POST", "/campaigns/serve", {"spec": SWEEP}).status == 200
     coordinator = api.campaigns.fabric(SPEC.campaign_id)
     worker_id = coordinator.register({"name": "w"})["worker_id"]
     grant = coordinator.lease(worker_id, 2)
     held = {"worker_id": worker_id, "lease_id": grant["lease_id"]}
-    entries = [_entry(payload) for payload in grant["cells"]]
+    entry = _entry(grant["cells"][0])
     bodies = {
         "heartbeat": {"worker_id": worker_id},
         "lease": {"worker_id": worker_id, "max_cells": 1},
-        "submit": {**held, **entries[0]},
-        "submit records": {**held, "records": entries},
-        "fail": {**held, "cell_id": entries[0]["cell_id"],
-                 "detail": "x", "requeue": True},
+        "submit": {**held, **entry},
+        "fail": {**held, "cell_id": entry["cell_id"], "detail": "x"},
         "deregister": {"worker_id": worker_id},
     }
-    yield api, coordinator, bodies
+    server = RestHttpServer(api, port=0)
+    server.start()
+    yield api, coordinator, bodies, server
+    server.stop()
     api.campaigns.close()
 
 
@@ -251,11 +252,9 @@ BODY_KEYS = {
     "heartbeat": ["worker_id"],
     "lease": ["worker_id", "max_cells"],
     "submit": ["worker_id", "lease_id", "cell_id", "record", "timing", "integrity"],
-    "submit records": ["worker_id", "lease_id"],
-    "fail": ["worker_id", "lease_id", "cell_id", "detail", "requeue"],
+    "fail": ["worker_id", "lease_id", "cell_id", "detail"],
     "deregister": ["worker_id"],
 }
-ENTRY_KEYS = ["cell_id", "record", "timing", "integrity"]
 
 
 @st.composite
@@ -265,19 +264,6 @@ def defects(draw):
     name = draw(st.sampled_from(sorted(BODY_KEYS)))
     if draw(st.integers(0, 9)) == 0:
         return name, ("whole", draw(st.sampled_from([None, 7, "x", []])))
-    if name == "submit records" and draw(st.booleans()):
-        if draw(st.booleans()):
-            return name, ("set", "records", draw(st.sampled_from(
-                [None, 7, "x", {}, [7], ["x"], [[]], [{}]]
-            )))
-        key = draw(st.sampled_from(ENTRY_KEYS))
-        return name, (
-            "entry",
-            draw(st.integers(0, 1)),
-            key,
-            draw(st.sampled_from(["drop", *WRONG[key]])),
-            draw(st.booleans()),  # and a non-object beside it
-        )
     key = draw(st.sampled_from(BODY_KEYS[name]))
     if key not in OPTIONAL and draw(st.booleans()):
         return name, ("drop", key)
@@ -290,41 +276,33 @@ def spoiled(body, recipe):
         return how[0]
     if kind == "drop":
         return {k: v for k, v in body.items() if k != how[0]}
-    if kind == "set":
-        return {**body, how[0]: how[1]}
-    at, key, value, and_a_stray = how
-    entries = [dict(entry) for entry in body["records"]]
-    if value == "drop":
-        del entries[at][key]
-    else:
-        entries[at][key] = value
-    return {**body, "records": entries + [7] * and_a_stray}
+    return {**body, how[0]: how[1]}
+
+
+def _journaled(coordinator):
+    return (coordinator.counters["journal_records"],
+            coordinator._journal.journal_path.read_bytes())
 
 
 class TestMalformedBodies:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(defect=defects())
     def test_a_malformed_body_is_400_and_journals_nothing(self, served, defect):
-        api, coordinator, bodies = served
+        api, coordinator, bodies, _ = served
         name, recipe = defect
-        journal = coordinator._journal.journal_path
-        before = coordinator.counters["journal_records"], journal.read_bytes()
+        before = _journaled(coordinator)
         body = spoiled(bodies[name], recipe)
         response = api.handle(
-            "POST",
-            f"/campaigns/{SPEC.campaign_id}/fabric/{name.split()[0]}",
-            body,
+            "POST", f"/campaigns/{SPEC.campaign_id}/fabric/{name}", body
         )
         assert response.status == 400, (name, body, response.body)
-        assert before == (
-            coordinator.counters["journal_records"], journal.read_bytes()
-        )
+        assert _journaled(coordinator) == before
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(verb=st.text(min_size=1).filter(lambda v: "/" not in v),
            name=st.sampled_from(sorted(BODY_KEYS)))
     def test_an_unknown_verb_is_404_whatever_it_carries(self, served, verb, name):
-        api, coordinator, bodies = served
+        api, coordinator, bodies, _ = served
         if verb in PATHS:
             return
         before = coordinator.counters["journal_records"]
@@ -334,32 +312,70 @@ class TestMalformedBodies:
         assert response.status == 404, (verb, response.body)
         assert coordinator.counters["journal_records"] == before
 
-    def test_the_batched_form_has_no_path_of_its_own(self, served):
-        api, _, bodies = served
-        response = api.handle(
-            "POST", f"/campaigns/{SPEC.campaign_id}/fabric/submit_batch",
-            bodies["submit records"],
-        )
-        assert response.status == 404
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(BODY_KEYS)),
+        # the removed forms, other verbs' keys, anything at all
+        key=st.one_of(
+            st.sampled_from(["requeue", "records", "entries", "body", "name",
+                             "max_cells", "detail", "record", "pid"]),
+            st.text(min_size=1),
+        ),
+        value=st.sampled_from([True, False, None, 0, "x", [], {}]),
+    )
+    @example(name="fail", key="requeue", value=True)  # the removed forms
+    @example(name="submit", key="records", value=[])
+    def test_a_key_the_verb_does_not_name_is_400(self, served, name, key, value):
+        """An old worker's ``{"requeue": true}`` must fail loudly, not be
+        charged as a transient failure -- in process and over the wire."""
+        api, coordinator, bodies, server = served
+        assume(key not in bodies[name])
+        before = _journaled(coordinator)
+        body = {**bodies[name], key: value}
+        path = f"/campaigns/{SPEC.campaign_id}/fabric/{name}"
+        response = api.handle("POST", path, body)
+        assert response.status == 400, (name, key, response.body)
+        assert repr(key) in response.body["error"]
+        with pytest.raises(HttpStatusError) as refused:
+            HttpClient(server.url).post(path, body)
+        assert refused.value.status == 400
+        assert refused.value.body == response.body
+        assert _journaled(coordinator) == before
+
+    @pytest.mark.parametrize("verb, args, extra", [
+        ("fail", ("w1-w", "l1", "c", "draining"), {"requeue": True}),
+        ("fail", ("w1-w", "l1", "c", "draining", True), {}),
+        ("submit", ("w1-w", "l1", "c", {}, {}, {}), {"records": []}),
+        ("heartbeat", ("w1-w",), {"max_cells": 1}),
+    ])
+    def test_either_client_refuses_a_parameter_its_verb_lacks(
+        self, served, verb, args, extra
+    ):
+        _, coordinator, _, server = served
+        before = _journaled(coordinator)
+        for client in (LocalClient(coordinator),
+                       HttpFabricClient(server.url, SPEC.campaign_id)):
+            with pytest.raises(TypeError):
+                getattr(client, verb)(*args, **extra)
+        assert _journaled(coordinator) == before
 
     def test_the_well_formed_bodies_are_well_formed(self, served):
         # last in the class: these do change the coordinator
-        api, coordinator, bodies = served
-        for name in ("heartbeat", "lease", "submit", "submit records", "fail"):
+        api, coordinator, bodies, _ = served
+        for name in ("heartbeat", "lease", "submit", "fail"):
             response = api.handle(
-                "POST",
-                f"/campaigns/{SPEC.campaign_id}/fabric/{name.split()[0]}",
+                "POST", f"/campaigns/{SPEC.campaign_id}/fabric/{name}",
                 bodies[name],
             )
             assert response.status == 200, (name, response.body)
-        assert coordinator.counters["batch_submits"] == 1
+        assert coordinator.counters["journal_records"] > 1
 
 
 class TestIntegrityIsRequired:
     """Leaving the sidecar out is malformed, not a way round the check."""
 
     def test_over_http_it_is_a_400(self, served):
-        api, coordinator, bodies = served
+        api, coordinator, bodies, _ = served
         body = {k: v for k, v in bodies["submit"].items() if k != "integrity"}
         response = api.handle(
             "POST", f"/campaigns/{SPEC.campaign_id}/fabric/submit", body
@@ -375,9 +391,6 @@ class TestIntegrityIsRequired:
         with pytest.raises(CampaignError, match="integrity"):
             coordinator.submit(worker_id, grant["lease_id"],
                                **{**entry, "integrity": None})
-        del entry["integrity"]
-        with pytest.raises(CampaignError, match="integrity"):
-            coordinator.submit_batch(worker_id, grant["lease_id"], [entry])
         assert coordinator.counters["journal_records"] == 1  # the lease
         assert not coordinator._state.quarantined
         coordinator.close()
@@ -402,7 +415,7 @@ class TestRegisterName:
 
     @pytest.mark.parametrize("name", BAD)
     def test_through_dispatch_it_is_a_400(self, served, name):
-        api, coordinator, _ = served
+        api, coordinator, _, _ = served
         journal = coordinator._journal.journal_path
         before = coordinator.status()["fabric"]["workers"], journal.read_bytes()
         response = api.handle(
@@ -442,20 +455,13 @@ class _FlakyLink:
     def __getattr__(self, verb):
         return getattr(self._inner, verb)
 
-    def _carry(self, cell_ids):
-        if self.cell_id in cell_ids and self.left:
+    def submit(self, worker_id, lease_id, cell_id, record, timing, integrity):
+        if cell_id == self.cell_id and self.left:
             self.left -= 1
             raise TransportError("link down")
-
-    def submit(self, worker_id, lease_id, cell_id, record, timing, integrity):
-        self._carry([cell_id])
         return self._inner.submit(
             worker_id, lease_id, cell_id, record, timing, integrity
         )
-
-    def submit_batch(self, worker_id, lease_id, entries):
-        self._carry([entry["cell_id"] for entry in entries])
-        return self._inner.submit_batch(worker_id, lease_id, entries)
 
 
 @pytest.fixture(scope="module")
@@ -469,46 +475,40 @@ def baseline(tmp_path_factory):
 
 class TestOneDeliveryLoop:
     #: by submission ordinal: the 2nd shard is lost, the 4th sent twice,
-    #: the 7th damaged on the wire (it closes a lease in both modes: what
-    #: a batch sends along with a damaged shard is refused with it)
+    #: the 7th damaged on the wire
     PLAN = ChaosConfig(
         drop_submits=(1,), duplicate_submits=(3,), corrupt_submits=(6,)
     )
 
-    def _run(self, root, batch_cells):
+    def test_each_cell_counts_once_through_drops_duplicates_and_an_outage(
+        self, tmp_path, baseline
+    ):
         live = []
         coordinator = Coordinator(
-            SPEC, root=str(root), lease_cells=3, lease_ttl_s=1.0,
+            SPEC, root=str(tmp_path), lease_cells=3, lease_ttl_s=1.0,
             backoff_base_s=0.01, backoff_cap_s=0.02,
             # frozen while the chaotic worker runs: no lease of its
-            # expires under it, so both modes see the same leases
+            # expires under it
             clock=lambda: 1e3 + time.monotonic() if live else 0.0,
         )
         cells = [cell.cell_id for cell in SPEC.expand()]
         chaotic = FabricWorker(
             _FlakyLink(coordinator, cells[4], k=2),
-            name="chaotic", batch_cells=batch_cells, chaos=self.PLAN,
+            name="chaotic", chaos=self.PLAN,
             reconnect_base_s=0.001, reconnect_cap_s=0.002,
         ).run()
         live.append(True)
         FabricWorker(LocalClient(coordinator), name="finisher").run()
         coordinator.close()
         assert coordinator.finished
-        return chaotic, dict(coordinator.counters), coordinator.store.results_bytes()
-
-    def test_streaming_and_batching_agree(self, tmp_path, baseline):
-        streamed, stream_counters, stream_bytes = self._run(tmp_path / "1", 1)
-        batched, batch_counters, batch_bytes = self._run(tmp_path / "3", 3)
-        assert stream_bytes == batch_bytes == baseline
-        for summary in (streamed, batched):
-            assert summary["quarantined"] and summary["reconnects"] == 2
-            # cells 0, 2, 3, 4 and 6: cell 1 was dropped, cell 5 abandoned
-            # with the lease the outage took, cell 7 refused
-            assert summary["cells_done"] == 5
-            assert summary["rejected_submits"] == 1
+        assert coordinator.store.results_bytes() == baseline
+        assert chaotic["quarantined"] and chaotic["reconnects"] == 2
+        # cells 0, 2, 3, 4 and 6: cell 1 was dropped, cell 5 abandoned
+        # with the lease the outage took, cell 7 refused
+        assert chaotic["cells_done"] == 5
+        assert chaotic["rejected_submits"] == 1
         for name in ("duplicate_submits", "integrity_rejects", "quarantines"):
-            assert stream_counters[name] == batch_counters[name] == 1, name
-        assert stream_counters["batch_submits"] == 0 < batch_counters["batch_submits"]
+            assert coordinator.counters[name] == 1, name
 
 
 class _ScriptedClient:
@@ -523,7 +523,7 @@ class _ScriptedClient:
     def lease(self, worker_id, max_cells=None):
         return next(self.leases)
 
-    def fail(self, worker_id, lease_id, cell_id, detail, requeue=False):
+    def fail(self, worker_id, lease_id, cell_id, detail):
         return {"retried": True}
 
     def deregister(self, worker_id):

@@ -412,6 +412,45 @@ class TestDrainAndDeregister:
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
 
+    def test_drain_mid_cell_hands_unstarted_cells_back_at_once(self, tmp_path):
+        """A worker drained mid-cell with a 4-cell lease: after its
+        ``deregister`` the three cells it never started are pending, no
+        attempt charged (one carries an earlier failure, kept as it was)
+        and no backoff -- leasable the same instant."""
+        clock = [0.0]
+        coordinator = _coordinator(tmp_path, clock=lambda: clock[0])
+        state = coordinator._state
+        x = coordinator.register({"name": "x"})["worker_id"]
+        earlier = coordinator.lease(x, 4)
+        coordinator.fail(x, earlier["lease_id"], earlier["cells"][3]["cell_id"])
+        coordinator.deregister(x)
+        clock[0] = 1.0  # cell 3's backoff is over
+        assert [c.attempts for c in state.cells[:4]] == [0, 0, 0, 1]
+        worker = None
+
+        def run_and_drain(payload):
+            worker.request_drain()  # SIGTERM arrives mid-cell
+            return run_cell(payload)
+
+        worker = FabricWorker(
+            LocalClient(coordinator), name="drainer", max_lease_cells=4,
+            run_cell_fn=run_and_drain,
+        )
+        summary = worker.run()
+        assert summary["drained"] and summary["cells_done"] == 1
+        assert state.cells[0].status == "done"
+        for index, attempts in ((1, 0), (2, 0), (3, 1)):
+            cell = state.cells[index]
+            assert cell.status == "pending", index
+            assert cell.attempts == attempts, index
+            assert cell.eligible_at <= clock[0], index
+        assert not coordinator._table.leases()
+        assert coordinator.counters["transient_failures"] == 1  # x's, only
+        assert coordinator.counters["retries"] == 1
+        other = coordinator.register({"name": "other"})["worker_id"]
+        assert [c["index"] for c in coordinator.lease(other, 3)["cells"]] == [1, 2, 3]
+        coordinator.close()
+
     def test_deregister_requeues_leased_cells(self, tmp_path):
         coordinator = _coordinator(tmp_path, lease_cells=4)
         worker_id = coordinator.register({"name": "w"})["worker_id"]

@@ -2,8 +2,8 @@
 
 A hypothesis state machine plays a small fleet -- workers registering,
 leasing, submitting honest / duplicate / stale / corrupted / lying /
-timed-out records, failing and requeueing cells, dying of heartbeat
-timeout, deregistering -- and SIGKILLs the coordinator, or cuts its power,
+timed-out records, failing cells, dying of heartbeat timeout,
+deregistering (a drain handing its unstarted cells back) -- and SIGKILLs the coordinator, or cuts its power,
 at arbitrary points with compaction forced on either side of the crash.  A
 power cut besides takes from ``results.jsonl`` and from ``timings.jsonl``,
 independently, any whole lines written since the store's last ``sync()``:
@@ -216,13 +216,11 @@ class FabricMachine(RuleBasedStateMachine):
         )
 
     @precondition(lambda self: self.grants)
-    @rule(data=st.data(), requeue=st.booleans())
-    def fail(self, data, requeue):
+    @rule(data=st.data())
+    def fail(self, data):
         worker_id, lease_id, cells = data.draw(st.sampled_from(self.grants[-RECENT:]))
         payload = data.draw(st.sampled_from(cells))
-        self.coordinator.fail(
-            worker_id, lease_id, payload["cell_id"], "boom", requeue=requeue
-        )
+        self.coordinator.fail(worker_id, lease_id, payload["cell_id"], "boom")
 
     @rule(
         dt=st.sampled_from([0.6, HEARTBEAT_TIMEOUT_S + 1.0, 25.0]),

@@ -176,38 +176,28 @@ class TestLyingWorker:
         assert coordinator.counters["quarantines"] == 0
 
 
-class TestBatchedSubmits:
-    def test_batched_fleet_is_byte_identical(self, tmp_path, baseline):
-        coordinator = _coordinator(tmp_path, lease_cells=4)
-        run_local_fleet(coordinator, 2, batch_cells=3)
-        coordinator.close()
-        assert coordinator.finished
-        assert coordinator.store.results_bytes() == baseline
-        assert coordinator.counters["batch_submits"] >= 1
-
-    def test_replayed_batch_is_a_row_of_noops(self, tmp_path, baseline):
-        # at-least-once delivery for batches: redelivering the whole
-        # batch (a worker resubmitting after an outage) folds nothing
-        # twice -- every entry comes back as a counted duplicate
+class TestRedelivery:
+    def test_redelivered_lease_is_a_row_of_noops(self, tmp_path, baseline):
+        # at-least-once delivery: resubmitting a whole lease's cells (a
+        # worker redelivering after an outage) folds nothing twice --
+        # every one comes back as a counted duplicate
         coordinator = _coordinator(tmp_path, lease_cells=N_CELLS)
-        worker_id = coordinator.register({"name": "batcher"})["worker_id"]
+        worker_id = coordinator.register({"name": "again"})["worker_id"]
         reply = coordinator.lease(worker_id, N_CELLS)
         entries = []
         for payload in reply["cells"]:
             record, timing = run_cell(payload)
-            entries.append({
-                "cell_id": payload["cell_id"],
-                "record": record,
-                "timing": timing,
-                "integrity": sealed(payload, record),
-            })
-        first = coordinator.submit_batch(worker_id, reply["lease_id"], entries)
-        assert all(r["accepted"] for r in first["results"])
-        assert first["done"] is True
-        replay = coordinator.submit_batch(
-            worker_id, reply["lease_id"], entries
-        )
-        assert all(r.get("duplicate") for r in replay["results"])
+            entries.append((payload["cell_id"], record, timing,
+                            sealed(payload, record)))
+
+        def deliver():
+            return [coordinator.submit(worker_id, reply["lease_id"], *entry)
+                    for entry in entries]
+
+        first = deliver()
+        assert all(r["accepted"] for r in first)
+        assert first[-1]["done"] is True
+        assert all(r.get("duplicate") for r in deliver())
         assert coordinator.counters["duplicate_submits"] == N_CELLS
         coordinator.close()
         assert coordinator.store.results_bytes() == baseline

@@ -1,4 +1,4 @@
-"""Tests for message classes, FlowMod semantics and the dict codecs."""
+"""Tests for message classes, FlowMod semantics and the action codecs."""
 
 import pytest
 
@@ -19,12 +19,10 @@ from repro.openflow.actions import (
 )
 from repro.openflow.constants import FlowModCommand, MsgType, Port
 from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
-from repro.openflow.json_codec import message_from_dict, message_to_dict
 from repro.openflow.match import Match
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
-    EchoRequest,
     ErrorMsg,
     Hello,
     PacketIn,
@@ -163,28 +161,3 @@ class TestMessages:
         assert "BARRIER_REQUEST" in summarize(BarrierRequest(xid=7))
         assert "xid=7" in summarize(BarrierRequest(xid=7))
 
-
-class TestJsonCodec:
-    @pytest.mark.parametrize("message", [
-        Hello(xid=1),
-        BarrierRequest(xid=2),
-        BarrierReply(xid=3),
-        EchoRequest(xid=4, data=b"ping"),
-        ErrorMsg(xid=5, err_type=5, err_code=1),
-        add_flow(Match(ipv4_dst="10.0.0.1"), out_port=2).with_xid(6),
-    ])
-    def test_roundtrip(self, message):
-        data = message_to_dict(message)
-        back = message_from_dict(data)
-        assert back.xid == message.xid
-        assert back.msg_type == message.msg_type
-
-    def test_flowmod_content_survives(self):
-        mod = add_flow(Match(tcp_dst=80, eth_type=0x0800), out_port=3, priority=9)
-        back = message_from_dict(message_to_dict(mod))
-        assert back.match == mod.match
-        assert back.priority == 9
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(OpenFlowError):
-            message_from_dict({"type": "WARP_DRIVE"})
