@@ -64,8 +64,8 @@ from repro.metrics import global_collector
 COUNTERS = (
     "leases_granted", "cells_leased", "reclaims", "retries", "escalations",
     "duplicate_submits", "stale_submits", "transient_failures", "deregisters",
-    "journal_records", "journal_compactions", "integrity_rejects", "audits_run", "audit_mismatches", "quarantines",
-    "kills", "poisoned_cells", "recovered_buffered", "recovered_retries",
+    "journal_records", "journal_compactions", "integrity_rejects",
+    "audits_run", "audit_mismatches", "quarantines", "kills", "poisoned_cells", "recovered_buffered", "recovered_retries",
     "recovered_escalations", "recovered_leases_expired",
     "recovered_quarantines", "recovered_audit_candidates",
 )
@@ -387,19 +387,20 @@ class Coordinator:
     def lease(self, worker_id: str, max_cells: int | None = None) -> dict:
         """Grant up to ``max_cells`` eligible pending cells (canonical
         order).  ``done`` tells an idle worker the campaign is complete;
-        ``retry_after_s`` tells it when to ask again."""
+        ``quarantined`` outranks it (the audit that quarantines a name may
+        settle the last cell); ``retry_after_s`` says when to ask again."""
         limit = self.lease_cells if max_cells is None else max(1, int(max_cells))
 
         def act(now: float, known: bool) -> dict:
             if not known:  # and nothing reaped on its account
                 return {"unknown_worker": True, "cells": [], "done": False}
             self._reap(now)
-            if self._finished():
-                return {"cells": [], "done": True}
             name, state = self._table.name(worker_id), self._state
             if name in state.quarantined:
                 return {"cells": [], "quarantined": True,
                         "retry_after_s": self.heartbeat_interval_s}
+            if self._finished():
+                return {"cells": [], "done": True}
             indices = state.lease_window(self._next_flush, limit, now, name)
             if not indices:
                 return {"cells": [], "retry_after_s": state.retry_after(

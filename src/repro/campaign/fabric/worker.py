@@ -261,8 +261,6 @@ class FabricWorker:
                     if not self._ride_out_outage("register"):
                         return
                 continue
-            if reply.get("done"):
-                return
             if reply.get("quarantined"):
                 # the coordinator no longer wants this worker's results;
                 # pulling harder will not change the verdict
@@ -270,6 +268,8 @@ class FabricWorker:
                 obs.event(
                     "fabric.worker_quarantined", worker_id=self.worker_id
                 )
+                return
+            if reply.get("done"):
                 return
             cells = reply.get("cells", [])
             if not cells:

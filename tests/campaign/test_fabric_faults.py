@@ -201,9 +201,13 @@ class TestStaleFail:
     """A ``fail`` under a lease that no longer holds the cell is a no-op:
     the reclaim already charged the cell, which may be another's now."""
 
-    @pytest.fixture
-    def reaped(self, tmp_path):
-        """A is reaped holding cell 0, B is leased it; A is back."""
+    #: how A's lease stopped holding cell 0 -> the cell's status after
+    AFTER = {"reaped": "leased", "deregistered": "pending", "submitted": "done"}
+
+    @pytest.fixture(params=sorted(AFTER))
+    def stale(self, tmp_path, request):
+        """A leased cell 0, then lost it: reaped (B is leased it and A is
+        back), deregistered (drained), or submitted (the cell is done)."""
         clock = [0.0]
         coordinator = _coordinator(
             tmp_path, lease_ttl_s=10.0, heartbeat_interval_s=1.0,
@@ -211,20 +215,29 @@ class TestStaleFail:
         )
         a = coordinator.register({"name": "a"})["worker_id"]
         b = coordinator.register({"name": "b"})["worker_id"]
-        stale = coordinator.lease(a, 1)
-        clock[0] = 2.0
-        coordinator.heartbeat(b)
-        clock[0] = 4.0
-        coordinator.heartbeat(b)  # a is dead; its cell was charged a kill
-        clock[0] = 6.0
-        held = coordinator.lease(b, 1)
-        cell_id = stale["cells"][0]["cell_id"]
-        assert held["cells"][0]["cell_id"] == cell_id
-        yield coordinator, a, stale["lease_id"], cell_id
+        grant = coordinator.lease(a, 1)
+        payload = grant["cells"][0]
+        if request.param == "reaped":
+            clock[0] = 2.0
+            coordinator.heartbeat(b)
+            clock[0] = 4.0
+            coordinator.heartbeat(b)  # a is dead; its cell was charged a kill
+            clock[0] = 6.0
+            held = coordinator.lease(b, 1)
+            assert held["cells"][0]["cell_id"] == payload["cell_id"]
+        elif request.param == "deregistered":
+            assert coordinator.deregister(a)["requeued"] == 1
+        else:
+            record, timing = run_cell(payload)
+            assert coordinator.submit(
+                a, grant["lease_id"], payload["cell_id"], record, timing,
+                sealed(payload, record),
+            )["accepted"]
+        yield coordinator, a, grant["lease_id"], payload["cell_id"], request.param
         coordinator.close()
 
-    def test_it_changes_nothing(self, reaped):
-        coordinator, a, lease_id, cell_id = reaped
+    def test_it_changes_nothing(self, stale):
+        coordinator, a, lease_id, cell_id, how = stale
         journal = coordinator._journal.journal_path
         counters = dict(coordinator.counters)
         before = journal.read_bytes()
@@ -232,7 +245,7 @@ class TestStaleFail:
         assert reply == {"retried": False, "stale": True, "done": False}
         assert journal.read_bytes() == before
         assert coordinator.counters == counters
-        assert coordinator._state.cells[0].status == "leased"  # still b's
+        assert coordinator._state.cells[0].status == self.AFTER[how]
         assert coordinator._state.cells[0].attempts == 0
 
 

@@ -412,11 +412,14 @@ class TestDrainAndDeregister:
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
 
-    def test_drain_mid_cell_hands_unstarted_cells_back_at_once(self, tmp_path):
+    @pytest.mark.parametrize("drain_at", [0, 1, 2])
+    def test_drain_mid_cell_hands_unstarted_cells_back_at_once(
+        self, tmp_path, drain_at
+    ):
         """A worker drained mid-cell with a 4-cell lease: after its
-        ``deregister`` the three cells it never started are pending, no
-        attempt charged (one carries an earlier failure, kept as it was)
-        and no backoff -- leasable the same instant."""
+        ``deregister`` the cells it never started are pending, no attempt
+        charged (cell 3 carries an earlier failure, kept as it was) and
+        no backoff -- leasable the same instant."""
         clock = [0.0]
         coordinator = _coordinator(tmp_path, clock=lambda: clock[0])
         state = coordinator._state
@@ -425,11 +428,15 @@ class TestDrainAndDeregister:
         coordinator.fail(x, earlier["lease_id"], earlier["cells"][3]["cell_id"])
         coordinator.deregister(x)
         clock[0] = 1.0  # cell 3's backoff is over
-        assert [c.attempts for c in state.cells[:4]] == [0, 0, 0, 1]
+        attempts = [0, 0, 0, 1]
+        assert [c.attempts for c in state.cells[:4]] == attempts
         worker = None
+        started = []
 
         def run_and_drain(payload):
-            worker.request_drain()  # SIGTERM arrives mid-cell
+            started.append(payload["index"])
+            if len(started) == drain_at + 1:
+                worker.request_drain()  # SIGTERM arrives mid-cell
             return run_cell(payload)
 
         worker = FabricWorker(
@@ -437,18 +444,21 @@ class TestDrainAndDeregister:
             run_cell_fn=run_and_drain,
         )
         summary = worker.run()
-        assert summary["drained"] and summary["cells_done"] == 1
-        assert state.cells[0].status == "done"
-        for index, attempts in ((1, 0), (2, 0), (3, 1)):
+        assert summary["drained"] and summary["cells_done"] == drain_at + 1
+        assert started == list(range(drain_at + 1))
+        assert all(state.cells[i].status == "done" for i in started)
+        unstarted = list(range(drain_at + 1, 4))
+        for index in unstarted:
             cell = state.cells[index]
             assert cell.status == "pending", index
-            assert cell.attempts == attempts, index
+            assert cell.attempts == attempts[index], index
             assert cell.eligible_at <= clock[0], index
         assert not coordinator._table.leases()
         assert coordinator.counters["transient_failures"] == 1  # x's, only
         assert coordinator.counters["retries"] == 1
         other = coordinator.register({"name": "other"})["worker_id"]
-        assert [c["index"] for c in coordinator.lease(other, 3)["cells"]] == [1, 2, 3]
+        granted = coordinator.lease(other, len(unstarted))["cells"]
+        assert [c["index"] for c in granted] == unstarted
         coordinator.close()
 
     def test_deregister_requeues_leased_cells(self, tmp_path):

@@ -19,6 +19,7 @@ from repro.campaign.fabric import (
     Coordinator,
     run_local_fleet,
 )
+from repro.campaign.fabric.chaos import Chaos
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
@@ -162,6 +163,30 @@ class TestLyingWorker:
         assert coordinator.counters["quarantines"] == 1
         assert "local0" in coordinator.telemetry()["quarantined_workers"]
         assert summaries[0]["quarantined"] is True
+
+    def test_the_liar_hears_its_verdict_after_the_last_cell(self, tmp_path):
+        # the audit that quarantines the liar also settles the only
+        # cell: the liar's next lease must still carry the verdict
+        one = {**SWEEP, "families": [{"family": "reversal", "sizes": [4]}],
+               "schedulers": ["peacock"]}
+        coordinator = _coordinator(tmp_path, one, audit_fraction=1.0)
+        liar, a, b = (coordinator.register({"name": name})["worker_id"]
+                      for name in ("liar", "a", "b"))
+        for worker_id, lie in ((liar, True), (a, False), (b, False)):
+            reply = coordinator.lease(worker_id, 1)
+            [payload] = reply["cells"]
+            record, timing = run_cell(payload)
+            if lie:
+                record = Chaos.lie(record)
+            coordinator.submit(
+                worker_id, reply["lease_id"], payload["cell_id"], record,
+                timing, sealed(payload, record),
+            )
+        assert coordinator.finished
+        assert coordinator.counters["quarantines"] == 1
+        assert coordinator.lease(liar, 1)["quarantined"] is True
+        assert coordinator.lease(a, 1) == {"cells": [], "done": True}
+        coordinator.close()
 
     def test_honest_fleet_audits_clean(self, tmp_path, baseline):
         coordinator = _coordinator(

@@ -25,6 +25,48 @@ class TestParser:
             assert args.command == "campaign"
             assert args.campaign_command == sub
 
+    def test_campaign_work_has_no_batch_knob(self, capsys):
+        # a finished cell goes back one ``submit`` at a time
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(
+                ["campaign", "work", "http://127.0.0.1:1", "--batch-cells", "2"]
+            )
+        assert exit_.value.code == 2
+        assert "--batch-cells" in capsys.readouterr().err
+
+
+class TestCampaignWorkCommand:
+    @pytest.mark.parametrize("tag, code", [
+        (None, 0), ("drained", 0), ("quarantined", 1), ("gave_up_offline", 1),
+    ])
+    def test_flags_reach_the_worker_and_the_summary_sets_the_exit(
+        self, monkeypatch, capsys, tag, code
+    ):
+        import repro.campaign.fabric as fabric
+
+        seen = {}
+
+        def fake_worker_main(url, campaign_id, **options):
+            seen.update(url=url, campaign_id=campaign_id, **options)
+            summary = {"worker_id": "w1-n", "cells_done": 3}
+            if tag is not None:
+                summary[tag] = True
+            return summary
+
+        monkeypatch.setattr(fabric, "worker_main", fake_worker_main)
+        assert main([
+            "campaign", "work", "http://127.0.0.1:1", "--campaign", "c1",
+            "--name", "n", "--cells", "4", "--max-offline-s", "5",
+            "--token", "s",
+        ]) == code
+        assert seen == {
+            "url": "http://127.0.0.1:1", "campaign_id": "c1", "name": "n",
+            "max_lease_cells": 4, "max_offline_s": 5.0, "token": "s",
+        }
+        out = capsys.readouterr().out
+        assert out.startswith("w1-n: 3 cells done")
+        assert (f"({tag})" in out) is (tag is not None)
+
 
 class TestScheduleCommand:
     def test_wayup_verified(self, capsys):
