@@ -1,8 +1,9 @@
 """Benchmark smoke runner: a seconds-long perf subset with JSON artifacts.
 
 Runs the quick modes of :mod:`benchmarks.bench_perf_oracle` (greedy-SLF
-probe counts, what doubling a many-round instance costs, request cost vs
-live oracles, ``BENCH_oracle.json``) and
+probe counts, what doubling a many-round instance costs, the order labels
+Peacock's search writes per node, request cost vs live oracles,
+``BENCH_oracle.json``) and
 :mod:`benchmarks.bench_perf_exact` (the exact search past the old cap,
 its two modes against each other, the n=24 instances,
 ``BENCH_exact.json``).  Wired as ``make bench-smoke``; exit status is
@@ -123,6 +124,13 @@ def smoke_table(oracle_payload: dict, exact_payload: dict) -> str:
                 f"{scaling['peacock_verify_doubling_ratio']}x reversal-1000 "
                 f"(<= {scaling['max_doubling_cost_ratio']}x)"
             ),
+        ])
+    for row in scaling["rows"]:
+        rows.append([
+            f"peacock(reversal-{row['n']})",
+            _fmt_ms(row["peacock_exact_s"] * 1000),
+            f"{row['peacock_labels_per_node']:.2f} labels/node "
+            f"(<= {scaling['max_peacock_labels_per_node']})",
         ])
     for row in exact_payload["results"]["cap_lift"]["rows"]:
         rows.append([

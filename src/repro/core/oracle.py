@@ -18,7 +18,10 @@ union graph per problem**:
   labels: an edge that respects the current order costs O(1), one against
   it a two-way search that ends with its smaller side and relabels only
   that side into a gap -- the node being flipped, not the chain settled
-  behind it, on the many-round families (no bound is claimed in general);
+  behind it, on the many-round families (no bound is claimed in general).
+  A removal burst that leaves many refused edges to re-test (committing
+  one of Peacock's wide rounds) re-ranks the whole graph with one stable
+  topological sort instead of re-inserting them edge by edge;
 * forward/backward reachability frontiers (for WPE, BLACKHOLE and the RLF
   pre-filter) are extended incrementally on edge insertions and recomputed
   lazily only when an edge removal actually touched them;
@@ -59,6 +62,7 @@ import weakref
 from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from repro.errors import UpdateModelError, VerificationBudgetError, VerificationError
 from repro.core.problem import UpdateProblem
@@ -182,8 +186,6 @@ class SafetyOracle:
         self._state: dict[NodeId, int] = {n: _OLD for n in self._forwarding}
         self._succ: dict[NodeId, set] = {n: set() for n in problem.nodes}
         self._pred: dict[NodeId, set] = {n: set() for n in problem.nodes}
-        self._new: set = set()
-        self._flex: set = set()
         self._new_mask = 0
         self._flex_mask = 0
         self._drop: set = set()  # nodes whose current phase may drop packets
@@ -267,16 +269,12 @@ class SafetyOracle:
                     self._drop.discard(node)
         bit = 1 << self._node_bit[node]
         if current == _NEW:
-            self._new.discard(node)
             self._new_mask &= ~bit
         elif current == _FLEX:
-            self._flex.discard(node)
             self._flex_mask &= ~bit
         if state == _NEW:
-            self._new.add(node)
             self._new_mask |= bit
         elif state == _FLEX:
-            self._flex.add(node)
             self._flex_mask |= bit
         self._state[node] = state
 
@@ -325,9 +323,12 @@ class SafetyOracle:
         """Re-test stale blocked edges after live-edge removals.
 
         Restores the invariant that every blocked edge currently closes a
-        cycle, which the SLF/RLF verdicts rely on.  Each candidate is
-        removed from the blocked set only for its *own* insertion attempt:
-        the other pending edges must stay excluded from the PK traversals
+        cycle, which the SLF/RLF verdicts rely on.  A wide stale set (at
+        least a quarter as many edges as the graph has nodes) first tries
+        :meth:`_rerank`: if the whole graph sorts, no edge closes a cycle
+        and the set empties at once.  Otherwise each candidate is removed
+        from the blocked set only for its *own* insertion attempt: the
+        other pending edges must stay excluded from the PK traversals
         (they carry no order guarantee), otherwise a missed cycle corrupts
         the topological order.  One pass suffices -- an edge re-blocked
         here closed a cycle against PK-valid edges only, and later
@@ -336,10 +337,44 @@ class SafetyOracle:
         if not self._blocked_stale:
             return
         self._blocked_stale = False
-        for a, b in list(self._blocked):
+        blocked = self._blocked
+        if 4 * len(blocked) >= len(self._ord) and self._rerank():
+            # emptied member by member as the per-edge pass would, not
+            # cleared: a cleared set hands later members out in another
+            # order, and which edge of a cycle stays blocked follows it
+            for members in (blocked, self._blocked_tails):
+                for member in list(members):
+                    members.discard(member)
+            return
+        for a, b in list(blocked):
             self._unblock(a, b)
             if b in self._succ[a]:
                 self._pk_insert(a, b)
+
+    def _rerank(self) -> bool:
+        """Relabel every node with its rank in one topological sort of the
+        union graph, blocked edges included (Kahn's algorithm taking ready
+        nodes in label order, so the ranks follow from the labels alone).
+        Returns ``False`` and leaves the labels alone if a cycle remains."""
+        order, succ, pred = self._ord, self._succ, self._pred
+        waiting = {node: len(pred[node]) for node in order}
+        ready = [(label, node) for node, label in order.items() if not waiting[node]]
+        heapify(ready)
+        ranked = []
+        while ready:
+            node = heappop(ready)[1]
+            ranked.append(node)
+            for target in succ[node]:
+                waiting[target] -= 1
+                if not waiting[target]:
+                    heappush(ready, (order[target], target))
+        if len(ranked) < len(order):
+            return False
+        for rank, node in enumerate(ranked):
+            order[node] = rank
+        self._relabelled += len(ranked)
+        self.stats.pk_reorders += 1
+        return True
 
     def _unblock(self, u: NodeId, v: NodeId) -> None:
         blocked = self._blocked
@@ -510,7 +545,7 @@ class SafetyOracle:
 
     def commit_round(self) -> None:
         """Settle every currently flexible node as updated."""
-        for node in list(self._flex):
+        for node in self.nodes_of(self._flex_mask):
             self.commit(node)
 
     def try_apply(self, node: NodeId) -> bool:
@@ -554,10 +589,10 @@ class SafetyOracle:
         return False, None if pattern is None else pattern[1]
 
     def updated_nodes(self) -> frozenset:
-        return frozenset(self._new)
+        return self.nodes_of(self._new_mask)
 
     def in_flight_nodes(self) -> frozenset:
-        return frozenset(self._flex)
+        return self.nodes_of(self._flex_mask)
 
     def mask_of(self, nodes) -> int:
         """Encode nodes as a bitmask (ints pass through unchanged).
@@ -579,6 +614,15 @@ class SafetyOracle:
         """Decode a bitmask back into the frozenset of its nodes."""
         order = self._bit_node
         nodes = []
+        if mask.bit_count() > 32:
+            # peeling a bit off a wide int costs O(width): find the ones in
+            # its binary digits instead, least significant first
+            digits = bin(mask)[:1:-1]
+            at = digits.find("1")
+            while at >= 0:
+                nodes.append(order[at])
+                at = digits.find("1", at + 1)
+            return frozenset(nodes)
         while mask:
             low = mask & -mask
             nodes.append(order[low.bit_length() - 1])
@@ -1137,7 +1181,8 @@ class SafetyOracle:
         props = "+".join(p.value.split("-")[0] for p in self.properties)
         return (
             f"SafetyOracle({self.problem.name}, {props}, "
-            f"updated={len(self._new)}, in_flight={len(self._flex)}, "
+            f"updated={self._new_mask.bit_count()}, "
+            f"in_flight={self._flex_mask.bit_count()}, "
             f"memo={len(self._memo)})"
         )
 

@@ -38,6 +38,7 @@ from repro.errors import (
     SchedulerSpecError,
     UpdateModelError,
 )
+from tests.core.test_deadline_safe_points import _PollClock
 
 
 def reference_problems():
@@ -216,9 +217,13 @@ class TestEnvelope:
         result = schedule_update(reversal_instance(6), "oneshot", verify=True)
         assert result.report is None and result.verified is None
 
-    def test_timeout_surfaces_as_schedule_timeout(self):
+    def test_timeout_surfaces_as_schedule_timeout(self, monkeypatch):
+        from repro.core import deadline
         from repro.errors import ScheduleTimeoutError
 
+        # the solve polls 11 times; the 5th reads a clock past any limit,
+        # so it times out however fast the host finishes it
+        monkeypatch.setattr(deadline, "time", _PollClock(fire_at=5))
         with pytest.raises(ScheduleTimeoutError):
             schedule_update(
                 reversal_instance(16), "optimal:rlf", timeout_s=0.001,

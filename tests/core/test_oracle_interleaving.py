@@ -16,22 +16,31 @@ blocked set is the one :class:`ClassicOrderOracle` -- the dense
 Pearce-Kelly reorder this oracle used to do, kept here as the reference --
 arrives at over the same operations (which edges close a cycle when they
 are inserted does not depend on the labels).
+
+Wide rounds get their own scripts: committing many nodes at once leaves
+a wide stale blocked set, which the oracle settles by re-ranking the
+whole graph unless a cycle remains.  :class:`PerEdgeOracle` never
+re-ranks, and the two must agree on everything but the labels.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy_slf import greedy_slf_schedule
-from repro.core.hardness import reversal_instance
+from repro.core.hardness import reversal_instance, sawtooth_instance
 from repro.core.oracle import SafetyOracle
 from repro.core.optimal import round_is_safe_reference
+from repro.core.peacock import peacock_schedule
 from repro.core.problem import UpdateProblem
 from repro.core.transient import UnionGraph
 from repro.core.verify import Property
 from repro.topology.random_graphs import random_update_instance
+from tests.core.generated import budget, update_problems
 
 _RELAXED = settings(
     max_examples=40,
@@ -226,6 +235,157 @@ def test_a_gap_out_of_float_precision_is_reopened_by_a_renumber():
             assert_order_is_sound(oracle, classic)
     assert renumbers >= 1
     assert oracle.stats.pk_reorders == 120 == classic.stats.pk_reorders
+
+
+class TalliedOracle(SafetyOracle):
+    """The oracle under test, tallying how its re-rank attempts end."""
+
+    def __init__(self, problem, properties, tally: Counter) -> None:
+        super().__init__(problem, properties)
+        self.tally = tally
+
+    def _rerank(self) -> bool:
+        ranked = super()._rerank()
+        self.tally["ranked" if ranked else "declined"] += 1
+        return ranked
+
+
+class PerEdgeOracle(SafetyOracle):
+    """Reference: a stale blocked set is always re-inserted edge by edge."""
+
+    def _rerank(self) -> bool:
+        return False
+
+
+@st.composite
+def wide_round_scripts(draw):
+    """A generated instance plus steps that each move many nodes at once:
+    a wide round applied and committed, a batch put back to OLD, a probe
+    or a memoized query.  Sawtooth instances (backward blocks) refuse many
+    edges in one round, so their commits leave wide stale sets."""
+    problem = draw(
+        st.one_of(
+            update_problems(min_n=6, max_n=16),
+            st.builds(sawtooth_instance, st.integers(6, 16), st.integers(2, 8)),
+        )
+    )
+    nodes = sorted(problem.all_updates, key=repr)
+    properties = (draw(st.sampled_from((Property.SLF, Property.RLF))),)
+    if problem.waypoint is not None:
+        properties += (Property.WPE,)
+    masks = st.integers(min_value=0, max_value=2 ** len(nodes) - 1)
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("wide", "wide", "revert", "probe", "query")),
+                masks,
+                masks,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return problem, nodes, properties, steps
+
+
+def assert_matches_per_edge(oracle: SafetyOracle, reference: SafetyOracle) -> None:
+    assert oracle.current_round_safe() == reference.current_round_safe()
+    # the same members in the same order: which edge of a cycle a later
+    # per-edge pass keeps blocked follows the set's iteration order
+    assert list(oracle._blocked) == list(reference._blocked)
+    assert oracle._blocked_tails == reference._blocked_tails
+    assert oracle.stats.pk_cycles == reference.stats.pk_cycles
+    for u, targets in oracle._succ.items():
+        for v in targets:
+            assert (u, v) in oracle._blocked or oracle._ord[u] < oracle._ord[v]
+
+
+def _run_wide_script(problem, nodes, properties, steps, tally) -> SafetyOracle:
+    oracle = TalliedOracle(problem, properties, tally)
+    reference = PerEdgeOracle(problem, properties)
+    for name, a, b in steps:
+        chosen = [node for bit, node in enumerate(nodes) if a >> bit & 1]
+        if name == "wide":
+            for node in chosen:
+                oracle.apply(node)
+                reference.apply(node)
+            oracle.commit_round()
+            reference.commit_round()
+        elif name == "revert":
+            for node in chosen:
+                oracle.revert(node)
+                reference.revert(node)
+        elif name == "probe":
+            node = nodes[a % len(nodes)]
+            assert oracle.try_apply(node) == reference.try_apply(node)
+        else:
+            updated, in_flight = oracle.updated_nodes(), oracle.in_flight_nodes()
+            query = (set(chosen), {n for bit, n in enumerate(nodes) if b >> bit & 1})
+            assert oracle.round_is_safe(*query) == reference.round_is_safe(*query)
+            oracle.reset(updated, in_flight)
+            reference.reset(updated, in_flight)
+        assert_matches_per_edge(oracle, reference)
+    return oracle
+
+
+def test_a_wide_commit_is_re_ranked_exactly_when_no_cycle_is_left():
+    """Over generated wide-round scripts the re-rank both succeeds and
+    declines, and either way the oracle agrees with the per-edge pass."""
+    tally: Counter = Counter()
+
+    @budget(60)
+    @given(wide_round_scripts())
+    def run(script):
+        _run_wide_script(*script, tally)
+
+    run()
+    assert tally["ranked"] >= 1 and tally["declined"] >= 1, tally
+
+
+def test_a_re_ranked_commit_keeps_the_blocked_sets_iteration_order():
+    """Found by generation: had the re-rank ``clear()``ed the blocked set
+    instead of emptying it member by member, the edges the next wide
+    round blocks would come out in another order than the per-edge pass
+    leaves them in."""
+    problem = sawtooth_instance(12, 5)
+    nodes = sorted(problem.all_updates, key=repr)
+    steps = [("wide", 714, 0), ("wide", 1404, 0), ("revert", 10, 0)]
+    tally: Counter = Counter()
+    _run_wide_script(problem, nodes, (Property.SLF,), steps, tally)
+    assert tally["ranked"] >= 1
+
+
+def test_an_unreachable_loop_left_by_a_wide_commit_falls_back_to_per_edge():
+    """Reversal(12) after its first round (``1 -> 11``): committing the
+    backward nodes 3..10 in one round, with 2 still OLD, leaves the loop
+    ``2 -> 3 -> 2`` that the source cannot reach -- relaxed-loop-free, so
+    safe, but the graph does not sort and the re-rank declines."""
+    problem = reversal_instance(12)
+    properties = (Property.RLF,)
+    nodes = sorted(problem.all_updates)
+    assert nodes == list(range(1, 12))
+    backward = sum(1 << (node - 1) for node in range(3, 11))
+    tally: Counter = Counter()
+    steps = [("wide", 1, 0), ("wide", backward, 0)]
+    oracle = _run_wide_script(problem, nodes, properties, steps, tally)
+    assert tally == {"declined": 1}
+    assert oracle.updated_nodes() == set(range(1, 11)) - {2}
+    assert oracle.current_round_safe()
+    assert oracle._blocked == {(3, 2)}
+    assert round_is_safe_reference(problem, oracle.updated_nodes(), (), properties)
+
+
+@pytest.mark.parametrize("n", (500, 1000, 2000))
+def test_peacock_re_ranks_its_wide_round_once_whatever_the_size(n):
+    """Committing Peacock's wide backward round unblocks ~n edges: one
+    re-rank writes each label once, where re-inserting them edge by edge
+    wrote 3.2-3.8 labels per node and counted ~n reorders."""
+    oracle = SafetyOracle(reversal_instance(n), (Property.RLF,))
+    schedule = peacock_schedule(oracle.problem, oracle=oracle, include_cleanup=False)
+    assert schedule.n_rounds == 3
+    assert oracle._relabelled <= 1.5 * n + 16
+    assert oracle.stats.pk_reorders <= 8
+    assert oracle.stats.pk_cycles == n - 4
 
 
 @pytest.mark.parametrize("n", (500, 1000, 2000))
