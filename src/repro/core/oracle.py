@@ -62,7 +62,7 @@ import weakref
 from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from repro.errors import UpdateModelError, VerificationBudgetError, VerificationError
 from repro.core.problem import UpdateProblem
@@ -339,9 +339,8 @@ class SafetyOracle:
         self._blocked_stale = False
         blocked = self._blocked
         if 4 * len(blocked) >= len(self._ord) and self._rerank():
-            # emptied member by member as the per-edge pass would, not
-            # cleared: a cleared set hands later members out in another
-            # order, and which edge of a cycle stays blocked follows it
+            # emptied one by one as the per-edge pass would: clear() reorders
+            # later members, and which edge of a cycle stays blocked follows
             for members in (blocked, self._blocked_tails):
                 for member in list(members):
                     members.discard(member)
@@ -353,21 +352,22 @@ class SafetyOracle:
 
     def _rerank(self) -> bool:
         """Relabel every node with its rank in one topological sort of the
-        union graph, blocked edges included (Kahn's algorithm taking ready
-        nodes in label order, so the ranks follow from the labels alone).
+        union graph, blocked edges included (Kahn's algorithm; the heap holds
+        positions in label order, never nodes, which need not compare).
         Returns ``False`` and leaves the labels alone if a cycle remains."""
         order, succ, pred = self._ord, self._succ, self._pred
-        waiting = {node: len(pred[node]) for node in order}
-        ready = [(label, node) for node, label in order.items() if not waiting[node]]
-        heapify(ready)
+        nodes = sorted(order, key=order.__getitem__)
+        position = {node: at for at, node in enumerate(nodes)}
+        waiting = [len(pred[node]) for node in nodes]
+        ready = [at for at, count in enumerate(waiting) if not count]  # a heap
         ranked = []
         while ready:
-            node = heappop(ready)[1]
+            node = nodes[heappop(ready)]
             ranked.append(node)
-            for target in succ[node]:
-                waiting[target] -= 1
-                if not waiting[target]:
-                    heappush(ready, (order[target], target))
+            for at in map(position.__getitem__, succ[node]):
+                waiting[at] -= 1
+                if not waiting[at]:
+                    heappush(ready, at)
         if len(ranked) < len(order):
             return False
         for rank, node in enumerate(ranked):
@@ -615,8 +615,8 @@ class SafetyOracle:
         order = self._bit_node
         nodes = []
         if mask.bit_count() > 32:
-            # peeling a bit off a wide int costs O(width): find the ones in
-            # its binary digits instead, least significant first
+            # peeling a bit off a wide int costs O(width): find the ones in its
+            # digits, lowest first (a few bits peel faster; crossover 32-64)
             digits = bin(mask)[:1:-1]
             at = digits.find("1")
             while at >= 0:

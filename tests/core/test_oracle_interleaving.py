@@ -355,6 +355,26 @@ def test_a_re_ranked_commit_keeps_the_blocked_sets_iteration_order():
     assert tally["ranked"] >= 1
 
 
+def test_a_re_rank_over_mixed_str_and_int_node_ids_never_compares_nodes():
+    """Found by generation: labels tie (a moved node's ``upper + 1.0``
+    equals an untouched node's integer label), and a heap of ``(label,
+    node)`` pairs then compared a ``str`` node with an ``int`` one and
+    raised ``TypeError`` out of a valid request's query."""
+    base = reversal_instance(7)
+    rename = {node: node if node % 3 == 0 else f"s{node}" for node in base.nodes}
+    problem = UpdateProblem(
+        [rename[node] for node in base.old_path.nodes],
+        [rename[node] for node in base.new_path.nodes],
+        name="mixed-ids",
+    )
+    nodes = sorted(problem.all_updates, key=repr)
+    steps = [("wide", 14, 0), ("wide", 19, 0)]
+    tally: Counter = Counter()
+    oracle = _run_wide_script(problem, nodes, (Property.SLF,), steps, tally)
+    assert tally == {"declined": 1, "ranked": 1}
+    assert sorted(oracle._ord.values()) == list(range(len(oracle._ord)))
+
+
 def test_an_unreachable_loop_left_by_a_wide_commit_falls_back_to_per_edge():
     """Reversal(12) after its first round (``1 -> 11``): committing the
     backward nodes 3..10 in one round, with 2 still OLD, leaves the loop
