@@ -10,7 +10,11 @@ online controller and gates on the subsystem's three contracts:
   while the unscheduled one-shot baseline on the same traces shows a
   nonzero count (the gap is the paper's point);
 * **determinism** -- two same-seed runs produce byte-identical metrics
-  JSON.
+  JSON;
+* **planner cost** -- oracle applies per arrival over the scheduled
+  grid (first runs) stay at most :data:`MAX_APPLIES_PER_ARRIVAL`.  The
+  count is deterministic: it moves only when the planner probes more
+  (10.39 with the unprobed refusals of ``_plan_round``, 18.81 without).
 
 Non-zero exit on any miss, so it can gate CI (``make churn-smoke``).
 
@@ -25,10 +29,13 @@ import json
 import sys
 
 from repro.churn import ChurnPolicy, generate_trace, run_churn
+from repro.core.oracle import aggregate_stats
 
 #: (rate_per_s, duration_ms) arrival grid; fat-tree k=4, seeds both used.
 GRID = [(25.0, 300.0), (50.0, 300.0), (100.0, 300.0)]
 SEEDS = [7, 11]
+#: 10.39 measured, plus a 6 % margin
+MAX_APPLIES_PER_ARRIVAL = 11.0
 
 
 def metrics_bytes(seed: int, rate: float, duration: float, scheduled: bool) -> bytes:
@@ -42,14 +49,18 @@ def metrics_bytes(seed: int, rate: float, duration: float, scheduled: bool) -> b
 def main() -> int:
     failures = []
     baseline_violations = 0
+    applies = arrivals = 0
     for seed in SEEDS:
         for rate, duration in GRID:
             name = f"fat-tree/4 seed={seed} rate={rate:g}/s"
+            before = aggregate_stats().applies
             first = metrics_bytes(seed, rate, duration, scheduled=True)
+            applies += aggregate_stats().applies - before
             second = metrics_bytes(seed, rate, duration, scheduled=True)
             if first != second:
                 failures.append(f"{name}: same-seed runs differ")
             summary = json.loads(first)
+            arrivals += summary["arrivals"]
             if not summary["quiescent"]:
                 failures.append(f"{name}: did not reach quiescence")
             if summary["transient_violations"]:
@@ -64,6 +75,17 @@ def main() -> int:
                 f"violations={summary['transient_violations']} "
                 f"ttq={summary['time_to_quiescence_ms']:.1f}ms"
             )
+    applies_per_arrival = applies / arrivals
+    print(
+        f"oracle applies per arrival: {applies_per_arrival:.2f} "
+        f"(gate {MAX_APPLIES_PER_ARRIVAL:g})"
+    )
+    if applies_per_arrival > MAX_APPLIES_PER_ARRIVAL:
+        failures.append(
+            f"{applies_per_arrival:.2f} oracle applies per arrival "
+            f"(gate {MAX_APPLIES_PER_ARRIVAL:g}): the planner probes "
+            "candidates it could refuse"
+        )
     # the unscheduled baseline must show why scheduling exists
     for seed in SEEDS:
         rate, duration = GRID[1]

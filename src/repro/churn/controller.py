@@ -136,10 +136,17 @@ class _ActiveUpdate:
     deferred_event: object = None
     cancel_requested: bool = False
     needs_replan: bool = False
+    last_walk: object = None  # WalkResult of problem.walk(committed), or None
 
     @property
     def record(self) -> UpdateLifecycle:
         return self.request.record
+
+    def walk(self):
+        """``problem.walk(committed)``, replayed until a flip lands on it."""
+        if self.last_walk is None:
+            self.last_walk = self.problem.walk(self.committed)
+        return self.last_walk
 
 
 @dataclass
@@ -419,14 +426,23 @@ class OnlineChurnController:
         if active.needs_replan:
             self._replan_or_abort(active, reason="link-failure")
             return
-        if active.oracle is None:
+        oracle = active.oracle
+        if oracle is None:
             # unscheduled baseline: everything in one staggered round
             round_nodes = sorted(active.remaining, key=repr)
         else:
+            # The oracle holds the committed nodes, none in flight; verdicts
+            # are monotone in the in-flight set.  So a required update unsafe
+            # alone, or a cleanup the source reaches (BLACKHOLE), is refused.
+            alone = oracle.nodes_of(
+                oracle.safe_singletons(oracle.mask_of(active.committed))
+            )
+            cleanup = active.problem.cleanup_updates
             round_nodes = [
                 node
                 for node in sorted(active.remaining, key=repr)
-                if active.oracle.try_apply(node)
+                if (not oracle.reaches(node) if node in cleanup else node in alone)
+                and oracle.try_apply(node)
             ]
             if not round_nodes:
                 # greedily stuck: a different target may unstick it
@@ -474,6 +490,8 @@ class OnlineChurnController:
 
     def _flip(self, active: _ActiveUpdate, node) -> None:
         active.committed.add(node)
+        if active.last_walk is not None and node in active.last_walk.visited:
+            active.last_walk = None  # a walk reads only the hops it visits
         active.record.flips += 1
         self.metrics.flips += 1
         self._probe(active)
@@ -483,7 +501,7 @@ class OnlineChurnController:
 
     def _probe(self, active: _ActiveUpdate) -> None:
         """Audit the transient configuration with a dataplane-style walk."""
-        walk = active.problem.walk(active.committed)
+        walk = active.walk()
         if walk.delivered:
             waypoint = active.problem.waypoint
             if waypoint is not None and not walk.traversed(waypoint):
@@ -624,7 +642,7 @@ class OnlineChurnController:
         path) when the partial state does not deliver -- only reachable
         in the unscheduled baseline, whose transient states may drop.
         """
-        walk = active.problem.walk(active.committed)
+        walk = active.walk()
         if walk.delivered:
             return walk.visited
         return tuple(active.problem.old_path.nodes)

@@ -499,15 +499,20 @@ class SafetyOracle:
 
     def backward_frontier(self) -> frozenset:
         """Nodes from which the destination is reachable (incl. itself)."""
-        if self._bwd is None:
-            self._bwd = self._compute_frontier(
-                self._destination, None, backward=True
-            )
-        return frozenset(self._bwd)
+        return frozenset(self._bwd_set())
+
+    def reaches(self, node: NodeId) -> bool:
+        """Does the source reach ``node`` in the current union graph?"""
+        return node in self._fwd_set()
 
     def reaches_destination(self, node: NodeId) -> bool:
         """Can ``node`` still reach the destination in some configuration?"""
-        return node in self.backward_frontier()
+        return node in self._bwd_set()
+
+    def _bwd_set(self) -> set:
+        if self._bwd is None:
+            self._bwd = self._compute_frontier(self._destination, None, backward=True)
+        return self._bwd
 
     def _fwd_set(self) -> set:
         if self._fwd is None:

@@ -242,33 +242,9 @@ class UpdateProblem:
         return {node: index for index, node in enumerate(order)}
 
     @cached_property
-    def bit_node(self) -> tuple:
-        """Inverse of :attr:`node_bit`: ``bit_node[i]`` is bit ``i``'s node."""
-        inverse = sorted(self.node_bit.items(), key=lambda item: item[1])
-        return tuple(node for node, _ in inverse)
-
-    @cached_property
     def required_mask(self) -> int:
         """Bitmask of the required updates (bits ``0..k-1`` set)."""
         return (1 << len(self.canonical_updates)) - 1
-
-    def mask_of(self, nodes) -> int:
-        """Encode an iterable of forwarding nodes as a bitmask."""
-        bits = self.node_bit
-        mask = 0
-        for node in nodes:
-            mask |= 1 << bits[node]
-        return mask
-
-    def nodes_of(self, mask: int) -> frozenset:
-        """Decode a bitmask back into the frozenset of its nodes."""
-        order = self.bit_node
-        nodes = []
-        while mask:
-            low = mask & -mask
-            nodes.append(order[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(nodes)
 
     @cached_property
     def cleanup_updates(self) -> frozenset:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.churn.controller import ChurnPolicy, run_churn
+from repro.churn.controller import ChurnPolicy, _ActiveUpdate, run_churn
 from repro.churn.events import (
     ChurnError,
     LinkFailure,
@@ -330,6 +330,28 @@ class TestGoldenReplay:
         assert json.dumps(replayed, sort_keys=True) == json.dumps(
             recorded, sort_keys=True
         )
+
+    @pytest.mark.parametrize("row", GOLDEN_ROWS, ids=golden_id)
+    def test_replayed_audit_walk_is_a_fresh_walk(self, row, golden, monkeypatch):
+        # the audit keeps its last walk until a flip lands on it; every
+        # walk it reads must be the one a fresh walk would find
+        cached = _ActiveUpdate.walk
+        reads = {"all": 0, "replayed": 0}
+
+        def checked(active):
+            reads["replayed"] += active.last_walk is not None
+            walk = cached(active)
+            assert walk == active.problem.walk(active.committed)
+            reads["all"] += 1
+            return walk
+
+        monkeypatch.setattr(_ActiveUpdate, "walk", checked)
+        replayed = golden_run(row)
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(
+            golden[golden_id(row)], sort_keys=True
+        )
+        assert reads["all"] >= replayed["flips"] > 0
+        assert reads["replayed"] > 0, reads
 
     def test_oneshot_rows_exercise_every_violation_kind(self, golden):
         totals = dict.fromkeys(("looped", "dropped", "bypassed_waypoint"), 0)
