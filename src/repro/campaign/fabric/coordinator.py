@@ -58,9 +58,9 @@ from repro.campaign.fabric.leases import Lease, LeaseTable
 from repro.campaign.fabric.state import FabricState
 from repro.campaign.spec import CampaignSpec, derive_seed
 from repro.campaign.store import RunStore, encode_record, tally
-from repro.metrics import global_collector
 
-#: Fabric counter names (exposed via ``repro.metrics`` and ``status()``).
+#: Fabric counter names (``status()``, ``telemetry()``; ``GET /metrics``
+#: renders them from ``telemetry()``).
 COUNTERS = (
     "leases_granted", "cells_leased", "reclaims", "retries", "escalations",
     "duplicate_submits", "stale_submits", "transient_failures", "deregisters",
@@ -464,7 +464,7 @@ class Coordinator:
                     self._count("duplicate_submits", worker_id=worker_id)
                 elif verdict == "contradicted":
                     # whichever copy is right, the worker is not trustworthy
-                    self._count("audit_mismatches", worker_id=worker_id)
+                    self._count("audit_mismatches")
                 elif verdict == "inconclusive":
                     # the cell waits for a conclusive run
                     self._state.release(index, now)
@@ -637,17 +637,12 @@ class Coordinator:
         )
 
     def _count(self, name: str, by: int = 1, worker_id: str | None = None) -> None:
-        """Bump a fabric counter, the process metric behind it (labelled
-        by worker when given) and that worker's tally of the same name,
-        if it keeps one."""
+        """Bump a fabric counter and, when given a worker, that worker's
+        tally of the same name, if it keeps one."""
         self.counters[name] += by
         worker = self._table.worker(worker_id)
         if worker is not None and name in worker.tallies:
             worker.tallies[name] += by
-        global_collector().increment(
-            f"fabric.{name}", by,
-            labels={"worker": worker_id} if worker_id else None,
-        )
 
     def _release(self, leases: list[Lease], now: float) -> int:
         """Hand the still-leased cells of removed leases straight back to
@@ -725,7 +720,7 @@ class Coordinator:
             for index in lease.cell_indices:
                 if state.cells[index].status != "leased":
                     continue
-                self._count("reclaims", worker_id=lease.worker_id)
+                self._count("reclaims")
                 obs.event("fabric.reclaim_cell",
                           cell_id=state.cells[index].cell.cell_id,
                           worker_id=lease.worker_id, reason=reason)
@@ -775,9 +770,6 @@ class Coordinator:
         if self.chaos is not None:
             self.chaos.on_accept()
         self._flush()
-        global_collector().observe(
-            "fabric.cell_wall_ms", float(event["timing"].get("wall_ms") or 0.0)
-        )
         if event.get("audited"):
             obs.event("fabric.audit_confirmed", cell_id=event["cell_id"],
                       mismatches=len(held) - len(names))

@@ -36,6 +36,15 @@ class Lease:
     max_expires_at: float = float("inf")
 
 
+#: the per-worker tallies ``Coordinator.telemetry()`` reports; a fabric
+#: counter of the same name bumped for a worker bumps its tally too
+TALLIES = (
+    "cells_leased", "cells_done", "timeouts", "escalations",
+    "transient_failures", "stale_submits", "duplicate_submits",
+    "integrity_rejects",
+)
+
+
 @dataclass
 class WorkerState:
     """One registered worker epoch: its liveness, and what it did.
@@ -49,13 +58,8 @@ class WorkerState:
     registered_at: float
     last_seen: float
     alive: bool = True
-    #: the per-worker tallies ``Coordinator.telemetry()`` reports; a
-    #: fabric counter of the same name bumped for this worker bumps it too
-    tallies: dict[str, int] = field(default_factory=lambda: dict.fromkeys((
-        "cells_leased", "cells_done", "timeouts", "escalations",
-        "transient_failures", "stale_submits", "duplicate_submits",
-        "integrity_rejects",
-    ), 0))
+    tallies: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(TALLIES, 0))
 
 
 class LeaseTable:

@@ -38,6 +38,7 @@ rounds / ``total_updates`` / ``to_dict`` surface).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -50,6 +51,14 @@ from repro.core.problem import UpdateProblem
 from repro.core.registry import PROPERTY_NAMES, Scheduler, resolve_scheduler
 from repro.core.twophase import TwoPhaseSchedule
 from repro.core.verify import Property, VerificationReport, verify_schedule
+from repro.metrics.collector import Histogram
+
+#: Every :func:`execute_request` of the process, in fixed buckets (no
+#: sample is kept per request); ``GET /metrics`` reads them through
+#: :func:`request_histograms`.  One lock serializes both.
+_WALL_MS = Histogram("api.schedule.wall_ms")
+_ROUNDS = Histogram("api.schedule.rounds")
+_HISTOGRAMS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -213,11 +222,9 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
             wall_ms=round(wall_ms, 3),
             **{f"oracle.{key}": value for key, value in oracle_stats.items()},
         )
-    from repro.metrics import global_collector
-
-    collector = global_collector()
-    collector.observe("api.schedule.wall_ms", wall_ms)
-    collector.observe("api.schedule.rounds", run.schedule.n_rounds)
+    with _HISTOGRAMS_LOCK:
+        _WALL_MS.observe(wall_ms)
+        _ROUNDS.observe(run.schedule.n_rounds)
     return ScheduleResult(
         scheduler=scheduler.name,
         schedule=run.schedule,
@@ -228,6 +235,13 @@ def execute_request(request: ScheduleRequest) -> ScheduleResult:
         oracle_stats=oracle_stats,
         request=request,
     )
+
+
+def request_histograms() -> tuple[Histogram, Histogram]:
+    """Consistent snapshots of the wall-time (ms) and round-count
+    histograms of every request this process executed."""
+    with _HISTOGRAMS_LOCK:
+        return _WALL_MS.snapshot(), _ROUNDS.snapshot()
 
 
 def schedule_update(

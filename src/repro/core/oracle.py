@@ -26,10 +26,11 @@ union graph per problem**:
   pre-filter) are extended incrementally on edge insertions and recomputed
   lazily only when an edge removal actually touched them;
 * full ``(updated, round_nodes)`` verdicts are memoized per oracle with
-  hit/miss counters, published through :mod:`repro.metrics`; queries and
-  memo keys are plain-int bitmasks over the problem's canonical node↔bit
-  index (:attr:`~repro.core.problem.UpdateProblem.node_bit`), so the
-  exact search can probe millions of rounds without building a single
+  hit/miss counters, which :func:`aggregate_stats` sums for ``GET
+  /metrics`` at scrape time; queries and memo keys are plain-int
+  bitmasks over the problem's canonical node↔bit index
+  (:attr:`~repro.core.problem.UpdateProblem.node_bit`), so the exact
+  search can probe millions of rounds without building a single
   frozenset;
 * "which pending nodes may flip alone from this state" -- what the exact
   search asks at every expansion -- is one read-only pass

@@ -1,25 +1,22 @@
-"""Process metrics: monotonic counters and fixed-bucket histograms.
+"""Measurement primitives: percentiles and fixed-bucket histograms.
 
-The collector is thread-safe: the fabric coordinator, worker heartbeat
-threads, and REST handler threads all bump counters on the process-wide
-collector concurrently, so every mutation and every read snapshot takes
-the collector's lock.  Two kinds of instruments:
+There is no process-wide collector.  Every number has one owner that
+keeps it and one reader that renders it: the safety oracles count their
+own work (:func:`repro.core.oracle.aggregate_stats`), each fabric
+coordinator its counters and per-worker tallies, and
+:func:`repro.core.api.execute_request` its two request histograms;
+``GET /metrics`` reads each of them at scrape time.
 
-* **counters** are cheap monotonic tallies, optionally with a frozen
-  label set (``collector.increment("fabric.retries", labels={"worker":
-  "w1"})``);
-* **histograms** bucket samples into fixed bounds at record time, so
-  p50/p95/p99 estimates stay available without retaining samples --
-  the right instrument for per-request latencies on long-lived services.
+A :class:`Histogram` buckets samples into fixed bounds at record time,
+so p50/p95/p99 estimates stay available without retaining samples --
+the right instrument for per-request latencies on long-lived services.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -70,7 +67,7 @@ class Histogram:
     overflow bucket.  Quantiles are estimated by linear interpolation
     inside the bucket containing the target rank -- exact enough for
     p50/p95/p99 dashboards, constant memory regardless of sample count.
-    Not itself locked; the owning collector serializes access.
+    Not itself locked; its owner serializes access.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "sum")
@@ -139,108 +136,3 @@ class Histogram:
         clone.total = self.total
         clone.sum = self.sum
         return clone
-
-
-#: Process-wide collector used by long-lived components (e.g. the safety
-#: oracle's hit/miss counters) that have no natural per-run collector.
-_GLOBAL: "MetricsCollector | None" = None
-_GLOBAL_LOCK = threading.Lock()
-
-
-def global_collector() -> "MetricsCollector":
-    """The process-wide :class:`MetricsCollector` (created on first use)."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        with _GLOBAL_LOCK:
-            if _GLOBAL is None:
-                _GLOBAL = MetricsCollector()
-    return _GLOBAL
-
-
-def reset_global_collector() -> None:
-    """Drop the process-wide collector (tests and benchmark isolation)."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = None
-
-
-def _label_key(labels: Mapping[str, str] | None) -> tuple:
-    if not labels:
-        return ()
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-@dataclass
-class MetricsCollector:
-    """Monotonic counters and fixed-bucket histograms.
-
-    Counters are cheap tallies (lease grants, reclaims, retries) that
-    only ever accumulate, optionally split by a small label set;
-    histograms bucket samples at record time (see :class:`Histogram`).
-    All methods are thread-safe.
-    """
-
-    counters: dict[str, float] = field(default_factory=dict)
-    labeled: dict[str, dict[tuple, float]] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
-
-    def increment(
-        self,
-        name: str,
-        by: float = 1.0,
-        labels: Mapping[str, str] | None = None,
-    ) -> float:
-        """Bump a monotonic counter; returns the new value.
-
-        With ``labels``, the tally is kept per label set *and* folded
-        into the plain counter of the same name, so unlabeled readers
-        keep seeing totals.
-        """
-        by = float(by)
-        with self._lock:
-            value = self.counters.get(name, 0.0) + by
-            self.counters[name] = value
-            if labels:
-                per_label = self.labeled.setdefault(name, {})
-                key = _label_key(labels)
-                per_label[key] = per_label.get(key, 0.0) + by
-            return value
-
-    def counter(self, name: str, labels: Mapping[str, str] | None = None) -> float:
-        with self._lock:
-            if labels:
-                return self.labeled.get(name, {}).get(_label_key(labels), 0.0)
-            return self.counters.get(name, 0.0)
-
-    def labeled_counters(self, name: str) -> dict[tuple, float]:
-        """Snapshot of one counter's per-label tallies."""
-        with self._lock:
-            return dict(self.labeled.get(name, {}))
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        """Record one sample into the named fixed-bucket histogram.
-
-        ``buckets`` only takes effect when the histogram is first
-        created; later calls reuse the existing bounds.
-        """
-        with self._lock:
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = Histogram(name, buckets)
-            histogram.observe(value)
-
-    def histogram(self, name: str) -> Histogram:
-        """A consistent snapshot of one histogram."""
-        with self._lock:
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                raise KeyError(name)
-            return histogram.snapshot()

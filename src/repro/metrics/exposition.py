@@ -1,7 +1,7 @@
-"""Prometheus text exposition for :class:`MetricsCollector`.
+"""Prometheus text exposition.
 
-Renders the collector's counters, labeled counters and histograms into
-the Prometheus text format (version 0.0.4) so the REST
+Renders counter families and histograms, read from their owners at
+scrape time, into the Prometheus text format (version 0.0.4) so the REST
 binding can serve ``GET /metrics`` to a scraper or to ``curl``.  Only
 the standard library is used; the format is simple enough that a
 dependency would buy nothing.
@@ -16,9 +16,9 @@ outside ``[a-zA-Z0-9_:]`` collapse to ``_`` (so the internal counter
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from repro.metrics.collector import Histogram, MetricsCollector, global_collector
+from repro.metrics.collector import Histogram
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 _PREFIX = "repro_"
@@ -56,20 +56,12 @@ def _labels(pairs) -> str:
 
 
 def _render_counter(
-    lines: list[str],
-    name: str,
-    total: float,
-    labeled: Mapping[tuple, float],
+    lines: list[str], name: str, series: Mapping[tuple, float]
 ) -> None:
     metric = _metric_name(name)
     lines.append(f"# TYPE {metric} counter")
-    if labeled:
-        for key in sorted(labeled):
-            lines.append(
-                f"{metric}{_labels(key)} {_format_value(labeled[key])}"
-            )
-    else:
-        lines.append(f"{metric} {_format_value(total)}")
+    for key in sorted(series):
+        lines.append(f"{metric}{_labels(key)} {_format_value(series[key])}")
 
 
 def _render_histogram(lines: list[str], histogram: Histogram) -> None:
@@ -87,34 +79,19 @@ def _render_histogram(lines: list[str], histogram: Histogram) -> None:
 
 
 def render_prometheus(
-    collector: MetricsCollector | None = None,
-    extra_counters: Mapping[str, float] | None = None,
+    counters: Mapping[str, Mapping[tuple, float]],
+    histograms: Iterable[Histogram],
 ) -> str:
-    """Render a collector in Prometheus text format.
+    """Render counter families and histograms in Prometheus text format.
 
-    ``collector`` defaults to the process-wide one.  ``extra_counters``
-    lets callers splice in tallies kept outside the collector -- the
-    ``/metrics`` handler passes the safety oracle's aggregate stats
-    here so ``repro_oracle_*`` shows up without double-counting.
+    ``counters`` maps each family name to its series: a tuple of
+    ``(label, value)`` pairs (``()`` for the one unlabelled series) ->
+    the count.  A family gets one ``# TYPE`` line, then its series in
+    label order.
     """
-    if collector is None:
-        collector = global_collector()
-    with collector._lock:
-        counters = dict(collector.counters)
-        labeled = {
-            name: dict(per_label)
-            for name, per_label in collector.labeled.items()
-        }
-        histograms = [h.snapshot() for h in collector.histograms.values()]
-
     lines: list[str] = []
     for name in sorted(counters):
-        _render_counter(lines, name, counters[name], labeled.get(name, {}))
-    if extra_counters:
-        for name in sorted(extra_counters):
-            if name in counters:
-                continue
-            _render_counter(lines, name, float(extra_counters[name]), {})
+        _render_counter(lines, name, counters[name])
     for histogram in sorted(histograms, key=lambda h: h.name):
         _render_histogram(lines, histogram)
     return "\n".join(lines) + "\n" if lines else ""

@@ -33,8 +33,12 @@ Routes (mirroring ofctl_rest plus the paper's update endpoint):
   protocol (register / heartbeat / lease / submit / fail / deregister)
 * ``GET  /campaigns/<campaign_id>/fabric/telemetry`` -- per-worker live
   telemetry (throughput, lease ages, retry/escalation tallies)
-* ``GET  /metrics``                   -- Prometheus text exposition of the
-  process collector (``fabric.*``, ``api.*``, oracle counters)
+* ``GET  /metrics``                   -- Prometheus text exposition, read
+  at scrape time from the objects that own each number: every served
+  coordinator's counters (``repro_fabric_*{campaign}``) and worker
+  tallies (``repro_fabric_worker_*{campaign,worker}``), the safety
+  oracles' aggregate counters (``repro_oracle_*``) and the request
+  histograms of ``execute_request`` (``repro_api_schedule_*``)
 
 :func:`build_campaign_api` wires a campaign-only router (no simulated
 network) -- the surface ``repro campaign serve`` exposes to its fleet.
@@ -61,9 +65,11 @@ from repro.errors import (
 from repro.controller.ofctl_rest import OfctlRestApp
 from repro.controller.ofctl_rest_own import TransientUpdateApp
 from repro.controller.update_queue import UpdateQueueApp
-from repro.core.api import schedule_update, time_limit
+from repro.core.api import request_histograms, schedule_update, time_limit
+from repro.core.oracle import aggregate_stats
 from repro.core.problem import UpdateProblem
 from repro.core.registry import REGISTRY, parse_properties
+from repro.metrics import render_prometheus
 from repro.rest.campaigns import CampaignService
 from repro.rest.schemas import (
     schedule_result_to_body,
@@ -361,26 +367,25 @@ def register_campaign_routes(router: Router, campaigns: CampaignService) -> None
           campaigns.fabric_call)
     route("GET", "/campaigns/<campaign_id>", campaigns.status)
     route("GET", "/campaigns/<campaign_id>/report", campaigns.report)
-    register_metrics_route(router)
+    register_metrics_route(router, campaigns)
 
 
-def register_metrics_route(router: Router) -> None:
+def register_metrics_route(router: Router, campaigns: CampaignService) -> None:
     """Wire ``GET /metrics`` (Prometheus text exposition) onto ``router``.
 
-    Covers every counter and histogram on the process collector (the
-    ``fabric.*`` and ``api.*`` instruments) plus the safety oracle's
-    aggregate counters under ``repro_oracle_*``.
+    Nothing is pushed anywhere: a scrape reads each number from its
+    owner -- the coordinators ``campaigns`` serves, the safety oracles'
+    aggregate counters and :func:`~repro.core.api.execute_request`'s two
+    histograms.
     """
 
     def get_metrics(body: Any) -> RestResponse:
-        from repro.core.oracle import aggregate_stats
-        from repro.metrics import global_collector, render_prometheus
-
-        oracle = {
-            f"oracle.{key}": value
+        counters = {
+            f"oracle.{key}": {(): value}
             for key, value in aggregate_stats().as_dict().items()
         }
-        text = render_prometheus(global_collector(), extra_counters=oracle)
+        counters.update(campaigns.metric_families())
+        text = render_prometheus(counters, request_histograms())
         return RestResponse(
             status=200,
             body=text,

@@ -27,6 +27,9 @@ at-least-once delivery:
 * ``GET /campaigns/<campaign_id>/fabric`` -- coordinator status with
   lease/reclaim/retry/escalation counters.
 
+``GET /metrics`` reads every served coordinator through
+:meth:`CampaignService.metric_families`.
+
 Unknown campaign ids are a 404, malformed specs a 400 -- never a raw
 ``KeyError``/500 out of the router.
 """
@@ -41,6 +44,7 @@ from repro.errors import BadRequestError, CampaignError, CampaignSpecError, NotF
 from repro.fabric_options import FABRIC_OPTIONS
 from repro.campaign.aggregate import aggregate_records
 from repro.campaign.fabric import Coordinator
+from repro.campaign.fabric.leases import TALLIES
 from repro.campaign.fabric.transport import dispatch
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
@@ -150,6 +154,8 @@ class CampaignService:
             )
         except CampaignError as exc:
             raise BadRequestError(str(exc)) from None
+        if active is not None:
+            active.close()  # finished: release its journal and store
         self._coordinators[spec.campaign_id] = coordinator
         return coordinator.status()
 
@@ -175,6 +181,25 @@ class CampaignService:
         """One worker-protocol verb off the wire (decoded and shape-checked
         by :func:`~repro.campaign.fabric.transport.dispatch`)."""
         return dispatch(self.fabric(campaign_id), verb, body)
+
+    def metric_families(self) -> dict[str, dict[tuple, int]]:
+        """Every served coordinator's counters, read through its
+        ``telemetry()``, as Prometheus counter families: the campaign
+        totals as ``fabric.<counter>{campaign}`` and each worker's
+        tallies as ``fabric.worker.<tally>{campaign, worker}``, a family
+        of its own so that summing one never counts an event twice."""
+        families: dict[str, dict[tuple, int]] = {}
+        for campaign_id, coordinator in sorted(self._coordinators.items()):
+            telemetry = coordinator.telemetry()
+            campaign = (("campaign", campaign_id),)
+            for name, value in telemetry["counters"].items():
+                families.setdefault(f"fabric.{name}", {})[campaign] = value
+            for worker in telemetry["workers"]:
+                key = (*campaign, ("worker", worker["worker_id"]))
+                for name in TALLIES:
+                    family = families.setdefault(f"fabric.worker.{name}", {})
+                    family[key] = worker[name]
+        return families
 
     def close(self) -> None:
         """Flush and close every served coordinator's run store."""

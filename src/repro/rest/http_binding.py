@@ -46,7 +46,6 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import HttpStatusError, TransportError
-from repro.metrics import global_collector
 from repro.obs import trace as obs
 from repro.rest.api import RestApi
 
@@ -259,8 +258,9 @@ class HttpClient:
     at ``backoff_cap_s``) plus up to 50% deterministic-seedable jitter,
     then raise :class:`~repro.errors.TransportError`.  4xx answers raise
     :class:`~repro.errors.HttpStatusError` immediately -- the request is
-    wrong, not the weather.  Retries are counted on the process
-    collector (``http_client.retries``).
+    wrong, not the weather.  ``retries`` counts the attempts this client
+    made again after a transient failure; it lives on the client because
+    clients run in worker processes, which serve no ``/metrics``.
 
     Each calling thread keeps one connection open across requests (a
     fabric worker's heartbeat thread shares the client with its main
@@ -292,6 +292,8 @@ class HttpClient:
         self._sleep = sleep
         self._parts = urllib.parse.urlsplit(self.base_url)
         self._connections = threading.local()
+        self.retries = 0
+        self._retries_lock = threading.Lock()
 
     def get(self, path: str):
         return self.request("GET", path)
@@ -356,7 +358,8 @@ class HttpClient:
                     )
                 last_error = f"HTTP {reply.status}"
             if attempt < self.max_attempts:
-                global_collector().increment("http_client.retries")
+                with self._retries_lock:
+                    self.retries += 1
                 self._sleep(self._backoff(attempt))
         raise TransportError(
             f"{method} {url} failed after {self.max_attempts} attempts "

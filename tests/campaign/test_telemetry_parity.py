@@ -15,7 +15,8 @@ from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign.fabric import Coordinator, run_local_fleet
 from repro.campaign.runner import _unit_cache
 from repro.core.oracle import clear_registry
-from repro.metrics import global_collector, reset_global_collector
+from repro.metrics import percentile
+from repro.rest.api import build_campaign_api
 
 #: The ``make fabric-smoke`` grid (benchmarks/run_fabric_smoke.py).
 SPEC = {
@@ -52,7 +53,6 @@ def runs(tmp_path_factory):
     pool.run()
 
     _cold_start()
-    reset_global_collector()
     coordinator = Coordinator(
         spec, root=str(tmp_path_factory.mktemp("fleet")), lease_cells=4
     )
@@ -112,8 +112,28 @@ class TestFleetTelemetry:
         assert worker["in_flight"] == 0
         assert worker["cells_per_s"] > 0
 
-    def test_cell_walls_land_in_the_metrics_histogram(self, runs):
-        # the coordinator observes each accepted cell's wall time into
-        # the process collector, which /metrics renders
-        histogram = global_collector().histogram("fabric.cell_wall_ms")
-        assert histogram.total >= N_CELLS
+    def test_cell_walls_reach_the_report_route(self, runs):
+        # timings.jsonl owns each cell's wall time; the report route's
+        # wall columns are its percentiles per family x scheduler
+        _, fleet_store, _ = runs
+        api = build_campaign_api(campaign_root=str(fleet_store.directory.parent))
+        response = api.handle(
+            "GET", f"/campaigns/{fleet_store.campaign_id}/report")
+        assert response.status == 200
+        rows = response.body["rows"]
+        walls = {t["id"]: t["wall_ms"] for t in fleet_store.timings()}
+        assert len(walls) == N_CELLS
+        for row in rows:
+            mine = sorted(
+                walls[r["id"]] for r in fleet_store.records()
+                if (r["family"], r["scheduler"]) == (row["family"],
+                                                     row["scheduler"])
+                and r["status"] in ("ok", "noop")
+            )
+            if not mine:  # e.g. wayup on a waypoint-free family
+                assert row["wall ms p50"] == row["wall ms p90"] == "-"
+                continue
+            assert row["wall ms p50"] == percentile(mine, 50)
+            assert row["wall ms p90"] == percentile(mine, 90)
+            assert 0.0 < row["wall ms p50"] <= row["wall ms p90"]
+        assert sum(row["ok"] for row in rows) > N_CELLS // 2

@@ -4,19 +4,9 @@ import re
 
 import pytest
 
-from repro.metrics.collector import (
-    DEFAULT_BUCKETS,
-    Histogram,
-    MetricsCollector,
-)
+from repro.metrics.collector import DEFAULT_BUCKETS, Histogram
 from repro.metrics.exposition import render_prometheus
-
-#: A non-comment exposition line: metric name, optional labels, a value.
-_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
-    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\"(,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\")*\})?"
-    r" (\+Inf|-?[0-9.e+-]+)$"
-)
+from tests.metrics.scrape import parse_exposition
 
 
 class TestHistogram:
@@ -68,66 +58,73 @@ class TestHistogram:
         assert {"p50", "p95", "p99"} <= set(data)
 
 
+def _wall_ms(*samples):
+    histogram = Histogram("api.schedule.wall_ms")
+    for value in samples:
+        histogram.observe(value)
+    return histogram
+
+
+#: counter families as ``GET /metrics`` reads them off their owners
+FAMILIES = {
+    "oracle.applies": {(): 3},
+    "fabric.cells_leased": {(("campaign", "c1"),): 3},
+    "fabric.worker.cells_leased": {
+        (("campaign", "c1"), ("worker", "w1")): 2,
+        (("campaign", "c1"), ("worker", "w2")): 1,
+    },
+}
+
+
 class TestExposition:
-    def _collector(self):
-        collector = MetricsCollector()
-        collector.increment("fabric.leases_granted", 3)
-        collector.increment("fabric.cells_leased", 2, labels={"worker": "w1"})
-        collector.increment("fabric.cells_leased", 1, labels={"worker": "w2"})
-        collector.observe("fabric.cell_wall_ms", 12.0)
-        collector.observe("fabric.cell_wall_ms", 700.0)
-        return collector
+    def _render(self):
+        return render_prometheus(FAMILIES, [_wall_ms(12.0, 700.0)])
 
     def test_every_line_is_well_formed(self):
-        text = render_prometheus(self._collector())
+        text = self._render()
         assert text.endswith("\n")
-        for line in text.splitlines():
-            if line.startswith("# TYPE "):
-                assert re.match(r"^# TYPE repro_[a-zA-Z0-9_:]+ "
-                                r"(counter|histogram)$", line)
-            else:
-                assert _LINE.match(line), f"malformed line: {line!r}"
+        samples = parse_exposition(text)
+        assert samples['repro_fabric_cells_leased{campaign="c1"}'] == 3
 
     def test_names_are_sanitized_and_prefixed(self):
-        text = render_prometheus(self._collector())
-        assert "repro_fabric_leases_granted 3" in text
-        assert "fabric.leases" not in text
+        text = self._render()
+        assert "repro_oracle_applies 3" in text
+        assert "oracle.applies" not in text
 
-    def test_labeled_counters_render_per_label(self):
-        text = render_prometheus(self._collector())
-        assert 'repro_fabric_cells_leased{worker="w1"} 2' in text
-        assert 'repro_fabric_cells_leased{worker="w2"} 1' in text
+    def test_every_series_of_a_family_renders(self):
+        # the labelled series of one family, each under the one TYPE line
+        text = self._render()
+        assert 'repro_fabric_cells_leased{campaign="c1"} 3' in text
+        assert ('repro_fabric_worker_cells_leased{campaign="c1",worker="w1"} 2'
+                in text)
+        assert ('repro_fabric_worker_cells_leased{campaign="c1",worker="w2"} 1'
+                in text)
+        assert text.count("# TYPE repro_fabric_worker_cells_leased ") == 1
 
     def test_histogram_buckets_are_cumulative(self):
-        text = render_prometheus(self._collector())
+        text = self._render()
         counts = [
             int(m.group(1))
             for m in re.finditer(
-                r'repro_fabric_cell_wall_ms_bucket\{le="[^"]+"\} (\d+)', text
+                r'repro_api_schedule_wall_ms_bucket\{le="[^"]+"\} (\d+)', text
             )
         ]
         assert counts == sorted(counts)
         assert counts[-1] == 2  # the +Inf bucket holds everything
-        assert "repro_fabric_cell_wall_ms_count 2" in text
+        assert "repro_api_schedule_wall_ms_count 2" in text
 
-    def test_extra_counters_spliced_without_double_counting(self):
-        collector = self._collector()
+    def test_unlabelled_and_labelled_series_both_render(self):
+        # an unlabelled series is one more series of its family: none of
+        # a family's counts may be dropped for another's labels
         text = render_prometheus(
-            collector,
-            extra_counters={
-                "oracle.memo_hits": 7,
-                "fabric.leases_granted": 999,  # collides: collector wins
-            },
+            {"fabric.audit_mismatches": {(): 2, (("worker", "w1"),): 1}}, []
         )
-        assert "repro_oracle_memo_hits 7" in text
-        assert "repro_fabric_leases_granted 3" in text
-        assert "999" not in text
+        assert "repro_fabric_audit_mismatches 2" in text
+        assert 'repro_fabric_audit_mismatches{worker="w1"} 1' in text
 
-    def test_empty_collector_renders_empty(self):
-        assert render_prometheus(MetricsCollector()) == ""
+    def test_nothing_to_render_renders_empty(self):
+        assert render_prometheus({}, []) == ""
 
     def test_label_values_escaped(self):
-        collector = MetricsCollector()
-        collector.increment("c", labels={"k": 'a"b\\c\nd'})
-        text = render_prometheus(collector)
+        text = render_prometheus({"c": {(("k", 'a"b\\c\nd'),): 1}}, [])
         assert '{k="a\\"b\\\\c\\nd"}' in text

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector, percentile
+from repro.metrics.collector import percentile
 from repro.metrics.report import ascii_table, to_csv, to_json
 
 
@@ -20,15 +20,6 @@ class TestPercentile:
             percentile([1.0], 120.0)
         with pytest.raises(ValueError):
             percentile([], 50.0)
-
-
-class TestCollector:
-    def test_counters_increment(self):
-        collector = MetricsCollector()
-        assert collector.counter("fabric.reclaims") == 0.0
-        collector.increment("fabric.reclaims")
-        collector.increment("fabric.reclaims", 3)
-        assert collector.counter("fabric.reclaims") == 4.0
 
 
 class TestReports:

@@ -13,7 +13,7 @@ import statistics
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector, percentile
+from repro.metrics.collector import Histogram, percentile
 
 NAN = float("nan")
 
@@ -29,12 +29,13 @@ class TestNanRejection:
         with pytest.raises(ValueError, match="NaN"):
             percentile([1.0, NAN], 75.0)
 
-    def test_collector_rejects_nan_at_record_time(self):
-        collector = MetricsCollector()
+    def test_histogram_rejects_nan_at_record_time(self):
+        histogram = Histogram("h")
         with pytest.raises(ValueError, match="NaN"):
-            collector.observe("h", NAN)
+            histogram.observe(NAN)
         # the failed call must not have left partial state behind
-        assert collector.histogram("h").total == 0
+        assert histogram.total == 0 and histogram.sum == 0.0
+        assert not any(histogram.counts)
 
     def test_infinities_are_not_nan(self):
         assert math.isinf(percentile([float("inf")], 50.0))

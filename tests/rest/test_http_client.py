@@ -72,7 +72,7 @@ class TestRetryPolicy:
         sleeps = []
         client = HttpClient(server.url, jitter_seed=0, sleep=sleeps.append)
         assert client.get("/status") == {"ready": True}
-        assert len(sleeps) == 2
+        assert len(sleeps) == 2 and client.retries == 2
         assert len(server.requests) == 3
 
     def test_backoff_grows_and_caps(self, scripted):
@@ -96,7 +96,7 @@ class TestRetryPolicy:
             client.get("/campaigns/nope")
         assert excinfo.value.status == 404
         assert "no such campaign" in str(excinfo.value)
-        assert sleeps == []
+        assert sleeps == [] and client.retries == 0
         assert len(server.requests) == 1
 
     def test_exhausted_retries_raise_transport_error(self, scripted):
@@ -105,7 +105,7 @@ class TestRetryPolicy:
         client = HttpClient(server.url, max_attempts=3, sleep=sleeps.append)
         with pytest.raises(TransportError, match="after 3 attempts"):
             client.get("/flaky")
-        assert len(sleeps) == 2
+        assert len(sleeps) == 2 and client.retries == 2
         assert len(server.requests) == 3
 
     def test_connection_refused_is_transient(self):
@@ -176,7 +176,6 @@ class TestConnectionReuse:
             server.stop()
 
     def test_server_restart_costs_exactly_one_retry(self, api, connects):
-        from repro.metrics import global_collector
         from repro.rest.http_binding import RestHttpServer
 
         first = RestHttpServer(api, port=0)
@@ -188,10 +187,10 @@ class TestConnectionReuse:
         second = RestHttpServer(api, port=first.port)
         second.start()
         try:
-            retries = global_collector().counter("http_client.retries")
+            assert client.retries == 0
             assert client.get("/campaigns") == []  # no error surfaces
             assert len(sleeps) == 1
-            assert global_collector().counter("http_client.retries") == retries + 1
+            assert client.retries == 1
             assert client.get("/campaigns") == []
             assert len(sleeps) == 1 and len(connects) == 2
         finally:

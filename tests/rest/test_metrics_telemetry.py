@@ -3,10 +3,12 @@
 import pytest
 
 from repro.campaign import CampaignSpec
+from repro.campaign.fabric import ChaosConfig, run_local_fleet
+from repro.campaign.fabric.coordinator import COUNTERS
 from repro.campaign.runner import run_cell
-from repro.metrics import global_collector, reset_global_collector
 from repro.rest.api import build_campaign_api, build_rest_api
 from tests.campaign.fabric_helpers import sealed
+from tests.metrics.scrape import parse_exposition
 
 SPEC = {
     "name": "telem",
@@ -17,18 +19,16 @@ SPEC = {
 
 @pytest.fixture
 def api(tmp_path):
-    reset_global_collector()
     api = build_campaign_api(campaign_root=str(tmp_path))
     yield api
     api.campaigns.close()
-    reset_global_collector()
 
 
-def _serve(api, **options):
+def _serve(api, spec=SPEC, **options):
     response = api.handle("POST", "/campaigns/serve",
-                          {"spec": SPEC, **options})
+                          {"spec": spec, **options})
     assert response.status == 200, response.body
-    return CampaignSpec.from_dict(SPEC).campaign_id
+    return CampaignSpec.from_dict(spec).campaign_id
 
 
 def _drain(api, campaign_id):
@@ -61,7 +61,9 @@ class TestMetricsRoute:
         assert response.content_type.startswith("text/plain")
         assert isinstance(response.body, str)
         assert "# TYPE repro_fabric_leases_granted counter" in response.body
-        assert "repro_fabric_cell_wall_ms_bucket" in response.body
+        assert f'repro_fabric_leases_granted{{campaign="{campaign_id}"}}' in (
+            response.body)
+        assert "repro_api_schedule_wall_ms_bucket" in response.body
 
     def test_oracle_counters_spliced_in(self, api):
         # run a cell so the aggregate oracle stats are non-trivial
@@ -101,26 +103,29 @@ class TestMetricsRoute:
 
     def test_request_path_keeps_no_sample_per_request(self, api):
         # ``execute_request`` reports into fixed buckets: what the
-        # collector holds after 10,000 requests is what it held after 10
-        from repro.core.api import schedule_update
+        # histograms hold after 10,000 requests is what they held after
+        # 10, and their counts take in every request of the process
+        from repro.core.api import request_histograms, schedule_update
         from repro.core.hardness import reversal_instance
 
         def footprint():
-            collector = global_collector()
-            return {
-                h.name: len(h.counts) for h in collector.histograms.values()
-            }
+            return [(h.name, len(h.counts)) for h in request_histograms()]
+
+        def counts():
+            samples = parse_exposition(api.handle("GET", "/metrics").body)
+            return (samples["repro_api_schedule_wall_ms_count"],
+                    samples["repro_api_schedule_rounds_count"])
 
         problem = reversal_instance(4)
+        schedule_update(problem, "oneshot", verify=False)
+        before = counts()
         for _ in range(10):
             schedule_update(problem, "oneshot", verify=False)
         after_ten = footprint()
         for _ in range(9_990):
             schedule_update(problem, "oneshot", verify=False)
         assert footprint() == after_ten
-        body = api.handle("GET", "/metrics").body
-        assert "repro_api_schedule_wall_ms_count 10000" in body
-        assert "repro_api_schedule_rounds_count 10000" in body
+        assert counts() == (before[0] + 10_000, before[1] + 10_000)
 
     def test_served_on_the_full_api_too(self, tmp_path):
         from repro.controller.ofctl_rest import OfctlRestApp
@@ -143,11 +148,86 @@ class TestMetricsRoute:
         assert response.status == 200
         assert response.content_type.startswith("text/plain")
 
-    def test_per_worker_labels_present(self, api):
+    def test_per_worker_tallies_are_a_family_of_their_own(self, api):
+        campaign_id = _serve(api)
+        worker_id = _drain(api, campaign_id)
+        samples = parse_exposition(api.handle("GET", "/metrics").body)
+        campaign = f'campaign="{campaign_id}"'
+        assert samples[f"repro_fabric_cells_leased{{{campaign}}}"] == 2
+        assert samples[f'repro_fabric_worker_cells_leased{{{campaign},'
+                       f'worker="{worker_id}"}}'] == 2
+        # no series of the campaign-total family carries a worker label,
+        # so summing it counts every lease once
+        assert not any(series.startswith("repro_fabric_cells_leased{")
+                       and "worker=" in series for series in samples)
+
+    def test_every_counter_matches_the_coordinator(self, api):
+        # a lying worker under full audit: ``audit_mismatches`` is bumped
+        # both for a worker (its run contradicts an accepted one) and for
+        # none (an audit's losers); the scrape must carry every bump
+        # six cells: with two, the honest pair settled both before the
+        # liar's first submission in about one run in 150
+        spec = {**SPEC, "families": [
+            {"family": "reversal", "sizes": [4, 6], "repeats": 3}]}
+        campaign_id = _serve(api, spec, audit_fraction=1, lease_cells=1)
+        coordinator = api.campaigns.fabric(campaign_id)
+        run_local_fleet(coordinator, 3,
+                        chaos={0: ChaosConfig(lie_after_cells=0)})
+        assert coordinator.finished
+        assert coordinator.counters["audit_mismatches"] >= 1
+        samples = parse_exposition(api.handle("GET", "/metrics").body)
+        for name in COUNTERS:
+            series = f'repro_fabric_{name}{{campaign="{campaign_id}"}}'
+            assert samples[series] == coordinator.counters[name], name
+
+    def test_worker_and_audit_mismatches_both_reach_the_scrape(self, api):
+        # by hand, both bumps: ``a`` contradicts its own candidate (the
+        # submit path, for a worker), then ``b`` and ``c`` outvote the
+        # liar (the audit's losers, for no worker)
+        from repro.campaign.fabric import Chaos
+
+        campaign_id = _serve(api, audit_fraction=1)
+        coordinator = api.campaigns.fabric(campaign_id)
+        ids = {name: coordinator.register({"name": name})["worker_id"]
+               for name in ("a", "liar", "b", "c")}
+
+        def run(name, lie=False, resubmit=False):
+            reply = coordinator.lease(ids[name], 1)
+            [payload] = reply["cells"]
+            record, timing = run_cell(payload)
+            for falsify in ((False, True) if resubmit else (lie,)):
+                sent = Chaos.lie(record) if falsify else record
+                coordinator.submit(
+                    ids[name], reply["lease_id"], payload["cell_id"], sent,
+                    timing, sealed(payload, sent),
+                )
+
+        run("a", resubmit=True)
+        run("liar", lie=True)
+        run("b")
+        run("c")
+        assert coordinator.counters["audit_mismatches"] == 2
+        samples = parse_exposition(api.handle("GET", "/metrics").body)
+        series = f'repro_fabric_audit_mismatches{{campaign="{campaign_id}"}}'
+        assert samples[series] == 2
+
+    def test_reserving_a_finished_campaign_closes_the_old_coordinator(
+        self, api
+    ):
         campaign_id = _serve(api)
         _drain(api, campaign_id)
+        old = api.campaigns.fabric(campaign_id)
+        journal = old._journal._handle
+        assert journal is not None and not journal.closed
+        _serve(api)
+        new = api.campaigns.fabric(campaign_id)
+        assert new is not old
+        assert journal.closed
         body = api.handle("GET", "/metrics").body
-        assert 'repro_fabric_cells_leased{worker="' in body
+        campaign = f'campaign="{campaign_id}"'
+        [line] = [line for line in body.splitlines()
+                  if line.startswith(f"repro_fabric_leases_granted{{{campaign}")]
+        assert line.endswith(f" {new.counters['leases_granted']}")
 
 
 class TestTelemetryRoute:
