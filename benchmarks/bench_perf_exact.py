@@ -1,6 +1,6 @@
 """Perf benchmark: the exact search on its target worst cases.
 
-Three series go into ``BENCH_exact.json`` (the historical rows against
+Four series go into ``BENCH_exact.json`` (the historical rows against
 the frozenset BFS and the mask BFS are frozen in ``EXPERIMENTS.md``;
 those engines no longer exist):
 
@@ -8,12 +8,16 @@ those engines no longer exist):
   cap: reversal n=16/18 and sawtooth-18-4 (15--17 required updates),
   plus a waypointed slalom row for the WPE property mix (its update
   count is constant at 4: only the nodes adjacent to the crossing ever
-  switch), all settled by plain deepening;
+  switch), all settled by plain deepening, each row with the oracle
+  misses (graph morphs) its solve cost;
 * **warm_memo** -- a warm repeat against the shared int-keyed verdict
   memo;
 * **bnb** -- the two modes of the one search against each other on
-  clash-16 under SLF (plain deepening vs bounds + nogoods + incumbent
-  short-cut), and the n=24 cap instances only the bounds settle.
+  clash-16 under SLF (plain deepening vs bounds + incumbent short-cut,
+  nogoods in both), and the n=24 cap instances only the bounds settle;
+* **misses** -- one deterministic count: the oracle misses of a
+  default-mode (plain deepening, nogoods learned) SLF solve of
+  ``random_update_instance(16, seed=5)``.
 
 Usage::
 
@@ -24,6 +28,8 @@ Acceptance targets (gated by the exit status, wired into
 
 * reversal n=16 (15 required updates, beyond the old cap) completes;
 * the bounds mode over plain deepening on clash-16 under SLF: >= 3x;
+* random-16-5 under SLF in the default mode: at most 60 oracle misses
+  (a count, so it gates the same on any machine);
 * the clash-24 infeasibility proof and reversal-24 under RLF and SLF
   settle within the smoke budget.
 """
@@ -46,14 +52,17 @@ from repro.core.hardness import (
 )
 from repro.core.optimal import DEFAULT_MAX_NODES, minimal_round_schedule
 from repro.core.oracle import clear_registry, oracle_for
+from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
 from repro.errors import InfeasibleUpdateError
+from repro.topology.random_graphs import random_update_instance
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_exact.json"
 
 CAP_LIFT_BUDGET_S = 30.0
 BNB_TARGET_SPEEDUP = 3.0
 BNB_BUDGET_S = 30.0
+MAX_MEMO_MISSES = 60
 
 
 def _time(fn, repeats=3):
@@ -101,6 +110,7 @@ def bench_cap_lift(quick: bool) -> dict:
             "completed": True,
             "rounds": schedule.n_rounds,
             "seconds": round(time.perf_counter() - start, 4),
+            "memo_misses": oracle_for(problem, properties).stats.memo_misses,
         })
     n16 = rows[0]
     return {
@@ -166,9 +176,9 @@ def bench_bnb(quick: bool) -> dict:
         })
     return {
         "description": (
-            "search='bnb' (forced-chain bounds, nogood learning, incumbent "
-            "short-cut) vs search='iddfs' on clash-16 under SLF, and the "
-            "n=24 cap instances"
+            "search='bnb' (forced-chain bounds, incumbent short-cut) vs "
+            "search='iddfs' on clash-16 under SLF, both learning nogoods, "
+            "and the n=24 cap instances"
         ),
         "target_speedup_at_16": BNB_TARGET_SPEEDUP,
         "clash16_iddfs_ms": round(iddfs_s * 1000, 2),
@@ -205,6 +215,27 @@ def bench_warm_memo() -> dict:
     }
 
 
+def bench_misses() -> dict:
+    """The oracle misses of one default-mode solve: a deterministic count."""
+    old, new, _ = random_update_instance(16, seed=5)
+    problem = UpdateProblem(old, new)
+    properties = (Property.SLF,)
+    clear_registry()
+    schedule = minimal_round_schedule(problem, properties)
+    misses = oracle_for(problem, properties).stats.memo_misses
+    return {
+        "description": (
+            "oracle misses (graph morphs) of the default-mode SLF solve of "
+            f"random_update_instance(16, seed=5); gate: <= {MAX_MEMO_MISSES}"
+        ),
+        "instance": "random-16-5 (slf)",
+        "rounds": schedule.n_rounds,
+        "memo_misses": misses,
+        "max_memo_misses": MAX_MEMO_MISSES,
+        "meets_target": misses <= MAX_MEMO_MISSES,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -230,6 +261,7 @@ def main(argv=None) -> int:
         ("cap_lift", lambda: bench_cap_lift(args.quick)),
         ("warm_memo", bench_warm_memo),
         ("bnb", lambda: bench_bnb(args.quick)),
+        ("misses", bench_misses),
     ):
         section_start = time.time()
         payload["results"][name] = fn()
@@ -242,6 +274,7 @@ def main(argv=None) -> int:
 
     cap = payload["results"]["cap_lift"]
     bnb = payload["results"]["bnb"]
+    misses = payload["results"]["misses"]
     print(
         f"  cap lift: {[r['instance'] for r in cap['rows'] if r['completed']]} "
         f"completed (meets={cap['meets_target']})"
@@ -252,7 +285,12 @@ def main(argv=None) -> int:
         f"{[r['instance'] for r in bnb['rows'] if r['within_budget']]} within "
         f"{BNB_BUDGET_S}s (meets={bnb['meets_target']})"
     )
-    return 0 if cap["meets_target"] and bnb["meets_target"] else 1
+    print(
+        f"  {misses['instance']} default mode: {misses['memo_misses']} oracle "
+        f"misses (<= {MAX_MEMO_MISSES}; meets={misses['meets_target']})"
+    )
+    met = (cap["meets_target"], bnb["meets_target"], misses["meets_target"])
+    return 0 if all(met) else 1
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ time (:func:`repro.core.optimal.minimal_round_schedule` is its only
 caller).  Plain deepening re-expands the state space once per limit,
 which is exactly what infeasibility proofs (every limit fails) and
 forced-linear instances (the optimum sits at the top of the range)
-maximize.  Three things, switched on together as the ``bounds`` mode,
-remove both walls:
+maximize.  The ``bounds`` mode removes both walls with the first and
+last of the three things below; the second is on in both modes:
 
 * an **admissible rounds-remaining lower bound** from the dependency
   structure of the instance.  :class:`PrecedenceAnalysis` derives a
@@ -37,13 +37,13 @@ remove both walls:
   blocked with no pin at all) is an infeasibility proof that needs no
   search at all -- in either mode.
 
-* **conflict-driven nogood learning** -- every unsafe verdict the search
-  triggers makes the shared :class:`~repro.core.oracle.SafetyOracle`
-  distill the violation witness into a cross-state ``(need_new,
-  need_old)`` pattern (see the nogood section of
-  :mod:`repro.core.oracle`), so round candidates that re-create a known
-  conflict are rejected in two int ops from *every* state -- the
-  cross-state generalization of the per-state monotonicity memo.
+* **conflict-driven nogood learning** (both modes) -- every unsafe
+  verdict the search triggers makes the shared
+  :class:`~repro.core.oracle.SafetyOracle` distill the violation witness
+  into a cross-state ``(need_new, need_old)`` pattern (see
+  :mod:`repro.core.oracle`), rejecting candidates that re-create it in
+  two int ops from *every* state.  Patterns are certificates: verdicts,
+  DFS order and node counts stay; only the graph morphs fall.
 
 * **the incumbent short-cut** -- the search starts from the greedy
   witness (:func:`~repro.core.combined.combined_greedy_schedule`) as
@@ -550,12 +550,12 @@ def search_mask_bnb(
 
     With ``bounds`` (the ``"bnb"`` mode) the lower bound is the forced
     chain of :class:`PrecedenceAnalysis`, successors whose pending chain
-    no longer fits the limit are skipped, the oracle learns nogoods, and
-    an incumbent that meets the bound is returned as proven optimal
-    without deepening to its level.  Without (the ``"iddfs"`` mode) the
-    limit deepens from one round through the witness's own level and
-    none of the three is in play.  ``node_budget`` / ``time_limit_s``
-    turn the search anytime: exhausting either raises
+    no longer fits the limit are skipped, and an incumbent that meets
+    the bound is returned as proven optimal without deepening to its
+    level.  Without (the ``"iddfs"`` mode) the limit deepens from one
+    round through the witness's own level.  Both learn nogoods, unless
+    ``nogood_limit=0``.  ``node_budget`` / ``time_limit_s`` turn the
+    search anytime: exhausting either raises
     :class:`ExactSearchBudgetError` with the proven interval.
     """
     problem = search.problem
@@ -576,15 +576,12 @@ def search_mask_bnb(
         )
     root_lb = chain_lb if bounds else 1
 
-    if bounds:
-        if nogood_limit is None:
-            nogood_limit = DEFAULT_NOGOOD_LIMIT
-        if nogood_limit:
-            oracle.enable_nogood_learning(nogood_limit)
-        else:
-            # a nogood-free run must really be one: stop learning and
-            # drop whatever a previous search left in the shared table
-            oracle.disable_nogood_learning()
+    if nogood_limit == 0:
+        # a nogood-free run must really be one: stop learning and
+        # drop whatever a previous search left in the shared table
+        oracle.disable_nogood_learning()
+    else:
+        oracle.enable_nogood_learning(nogood_limit or DEFAULT_NOGOOD_LIMIT)
 
     best: int | None = None
     incumbent: list[int] | None = None

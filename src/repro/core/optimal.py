@@ -14,10 +14,9 @@ is a plain int over the problem's canonical node↔bit index
 candidate rounds are the subsets of the safe singletons, biggest first
 (``sub = (sub - 1) & safe_mask``).  :class:`_MaskSearch` is the verdict
 layer under it: the shared :class:`SafetyOracle` behind a monotonicity
-memo (a round containing a known-unsafe round is unsafe, a round inside
-a known-safe round is safe -- so one "roof" query per state often
-settles thousands of candidates) plus symmetry reduction over
-interchangeable nodes.  The safe singletons of a state come from one
+memo (a round inside a known-safe round is safe -- so one "roof" query
+per state often settles thousands of candidates) plus symmetry
+reduction over interchangeable nodes.  The safe singletons of a state come from one
 read-only oracle pass (:meth:`SafetyOracle.safe_singletons`); only
 rounds of two or more nodes morph the oracle's graph.
 
@@ -25,11 +24,11 @@ rounds of two or more nodes morph the oracle's graph.
 picks the mode itself, from the instance size: up to
 :data:`DEEPENING_MAX_UPDATES` required updates it deepens from one round
 up to the greedy witness (``search="iddfs"``); above, or when a node or
-time budget is given, it also prunes with the forced-chain lower bounds,
-learns nogoods and returns the greedy incumbent once it is proven
-optimal (``search="bnb"``).  Both modes answer certified-infeasible
-instances from the polynomial certificates of :mod:`repro.core.bnb`
-without expanding a state.
+time budget is given, it also prunes with the forced-chain lower bounds
+and returns the greedy incumbent once it is proven optimal
+(``search="bnb"``).  Both modes learn nogoods, and both answer
+certified-infeasible instances from the polynomial certificates of
+:mod:`repro.core.bnb` without expanding a state.
 
 The from-scratch breadth-first reference the search is checked against
 lives in ``tests/core/reference_exact.py``; its verdict function,
@@ -62,8 +61,8 @@ from repro.core.verify import (
 DEFAULT_MAX_NODES = 24
 
 #: Required-update count up to which plain deepening is the mode of
-#: choice; past it the bounds and nogoods are what keep exact cells
-#: (campaign ground-truthing included) inside their budgets.
+#: choice; past it the bounds and the incumbent keep exact cells inside
+#: their budgets (nogoods are learned on both sides).
 DEEPENING_MAX_UPDATES = 18
 
 
@@ -187,10 +186,14 @@ class _MaskSearch:
 
     Wraps the oracle behind a monotonicity-memoizing verdict layer:
     verdicts are cached under single-int ``(state << k) | round`` keys,
-    and per state the maximal known-safe and minimal known-unsafe round
-    masks settle sub-/super-set candidates without touching the graph
-    (round safety is monotone in the in-flight set: more flexible nodes
-    only add union edges and configurations).
+    and per state the maximal known-safe round masks settle subset
+    candidates without touching the graph (round safety is monotone in
+    the in-flight set).  A minimal-unsafe list would settle nothing: no
+    strict superset of a round found unsafe at a state is asked after
+    it, as (1) candidates are subsets of the safe mask in decreasing
+    numeric order, roof first; (2) the chain bound only grows as a round
+    shrinks; (3) ``proven`` only skips rounds that were already asked
+    (pinned by ``tests/core/test_unsafe_rounds.py``).
     """
 
     def __init__(self, problem, properties, round_filter):
@@ -207,7 +210,6 @@ class _MaskSearch:
         self._verdicts: dict[int, bool] = {}
         self._safe_masks: dict[int, int] = {}
         self._max_safe: dict[int, list[int]] = {}
-        self._min_unsafe: dict[int, list[int]] = {}
 
     def round_ok(self, state: int, rmask: int) -> bool:
         key = (state << self.k) | rmask
@@ -215,10 +217,6 @@ class _MaskSearch:
         cached = verdicts.get(key)
         if cached is not None:
             return cached
-        for unsafe in self._min_unsafe.get(state, ()):
-            if unsafe & rmask == unsafe:
-                verdicts[key] = False
-                return False
         for safe in self._max_safe.get(state, ()):
             if rmask & safe == rmask:
                 verdicts[key] = True
@@ -228,10 +226,7 @@ class _MaskSearch:
         if verdict:
             known = self._max_safe.setdefault(state, [])
             known[:] = [s for s in known if s & rmask != s]
-        else:
-            known = self._min_unsafe.setdefault(state, [])
-            known[:] = [u for u in known if u & rmask != rmask]
-        known.append(rmask)
+            known.append(rmask)
         return verdict
 
     def safe_singleton_mask(self, state: int) -> int:
@@ -312,9 +307,9 @@ def minimal_round_schedule(
     ``search`` is left ``None`` by every caller but the perf ledger: the
     mode follows from the instance (``"iddfs"``, plain deepening, up to
     :data:`DEEPENING_MAX_UPDATES` required updates; ``"bnb"``, the same
-    DFS with bounds, nogoods and the incumbent short-cut, above that or
-    when one of the three budgets is given).  Both return optimal
-    schedules; naming one only serves comparing them.
+    DFS with bounds and the incumbent short-cut, above that or when one
+    of the three budgets is given).  Both learn nogoods and return
+    optimal schedules; naming one only serves comparing them.
     """
     properties = tuple(properties)
     todo = problem.required_updates

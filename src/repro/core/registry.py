@@ -163,23 +163,29 @@ class Scheduler:
         }
 
 
+#: ``optimal``'s int knobs and the least value each accepts.
+_INT_KNOBS = {"node_budget": 1, "max_nodes": 1, "max_rounds": 0, "nogood_limit": 0}
+
+
 def _check_params(base: str, accepts, params: Mapping[str, Any]) -> None:
-    """Refuse params ``base`` does not accept, and search budgets that
-    would bound nothing (``time_limit_s=nan`` never runs out)."""
+    """Refuse params ``base`` does not accept, search budgets that would
+    bound nothing (``time_limit_s=nan`` never runs out), and int knobs
+    that are not ints in range (bools are neither ints nor numbers)."""
     unknown = set(params) - set(accepts)
     if unknown:
         raise SchedulerSpecError(
             f"scheduler {base!r} does not accept params {sorted(unknown)}; "
             f"accepted: {sorted(accepts)}"
         )
-    limit = params.get("time_limit_s")  # (bools are not numbers here)
+    limit = params.get("time_limit_s")
     if limit is not None and not (type(limit) in (int, float) and 0 < limit < math.inf):
         raise SchedulerSpecError(
             f"time_limit_s must be a finite number of seconds > 0, got {limit!r}"
         )
-    budget = params.get("node_budget")
-    if budget is not None and not (type(budget) is int and budget >= 1):
-        raise SchedulerSpecError(f"node_budget must be an int >= 1, got {budget!r}")
+    for key, least in _INT_KNOBS.items():
+        value = params.get(key)
+        if value is not None and not (type(value) is int and value >= least):
+            raise SchedulerSpecError(f"{key} must be an int >= {least}, got {value!r}")
 
 
 def _coerce(value: str) -> Any:
@@ -514,8 +520,8 @@ for _definition in (
              "node_budget", "time_limit_s", "nogood_limit"}
         ),
         description=(
-            "exact minimum-round search (iterative deepening; with bounds "
-            "and nogood learning above n=18 or under a budget)"
+            "exact minimum-round search (iterative deepening with nogood "
+            "learning; with bounds above n=18 or under a budget)"
         ),
     ),
 ):

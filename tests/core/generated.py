@@ -2,7 +2,8 @@
 
 Shared by the differential tests of the exact search's two short-cuts
 (``test_safe_singletons.py``, ``test_precedence_fixpoints.py``): the
-same path pairs go through both.
+same path pairs go through both, and through the unsafe-superset check
+of ``test_unsafe_rounds.py``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Three contracts are pinned here:
 * **nogood correctness** -- every pattern the oracle learns must encode
   a genuine violation (checked against the from-scratch reference
   verifier over *all* matching states), and a learned table must never
-  change results, including under ``round_filter``.
+  change results, including under ``round_filter``; plain deepening
+  learns too, and ``nogood_limit=0`` learns nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.core.hardness import (
     waypoint_slalom_instance,
 )
 from repro.core.optimal import (
+    DEEPENING_MAX_UPDATES,
     is_feasible,
     minimal_round_count,
     minimal_round_schedule,
@@ -518,6 +520,42 @@ class TestNogoodCorrectness:
                     problem, (Property.WPE, Property.SLF), search=search
                 )
         assert time.perf_counter() - started < 2.0
+
+
+class TestLearningInDeepening:
+    """Plain deepening learns nogoods too: ``random_update_instance(16,
+    seed=5)`` has k = 15 required updates, so its default mode is
+    ``iddfs``, and its SLF solve finds dozens of multi-node rounds
+    unsafe."""
+
+    PROPERTIES = (Property.SLF,)
+
+    @pytest.fixture
+    def problem(self):
+        old, new, _ = random_update_instance(16, seed=5)
+        clear_registry()
+        return UpdateProblem(old, new)
+
+    def test_default_mode_learns(self, problem):
+        assert len(problem.required_updates) <= DEEPENING_MAX_UPDATES
+        minimal_round_schedule(problem, self.PROPERTIES)
+        oracle = oracle_for(problem, self.PROPERTIES)
+        assert oracle.nogoods()
+        assert oracle.stats.nogood_hits > 0
+
+    def test_nogood_limit_zero_clears_what_deepening_learned(self, problem):
+        learned = minimal_round_schedule(problem, self.PROPERTIES)
+        oracle = oracle_for(problem, self.PROPERTIES)
+        assert oracle.nogoods()
+        bare = minimal_round_schedule(problem, self.PROPERTIES, nogood_limit=0)
+        assert not oracle.nogoods() and oracle.nogood_limit == 0
+        assert bare.rounds == learned.rounds
+
+    def test_work_bound(self, problem):
+        # 275 oracle misses when only the bnb mode learned, 37 now
+        schedule = minimal_round_schedule(problem, self.PROPERTIES)
+        assert schedule.n_rounds == 2  # required updates; cleanup is a third
+        assert oracle_for(problem, self.PROPERTIES).stats.memo_misses <= 60
 
 
 class TestRegistryIntegration:

@@ -377,6 +377,54 @@ class TestScheduleEndpoint:
             assert response.status == 400, sent
             assert key in response.body["error"]
 
+    @pytest.mark.parametrize("key, text, value", [
+        ("nogood_limit", "abc", "abc"),
+        ("nogood_limit", "-1", -1),
+        ("nogood_limit", "2.5", 2.5),
+        ("nogood_limit", "true", True),
+        ("max_nodes", "abc", "abc"),
+        ("max_nodes", "0", 0),
+        ("max_nodes", "true", True),
+        ("max_rounds", "abc", "abc"),
+        ("max_rounds", "-1", -1),
+        ("max_rounds", "false", False),
+        ("node_budget", "true", True),
+    ])
+    def test_malformed_int_knobs_are_a_400(self, api, key, text, value):
+        """Spec-string knobs reach the engine with no ``params`` in the
+        body, where a ``TypeError`` / ``ValueError`` stays loud: each one
+        must be refused at resolve time instead."""
+        _, rest = api
+        body = {"oldpath": [1, 2, 3], "newpath": [1, 4, 3], "verify": True}
+        for sent in (
+            dict(body, scheduler=f"optimal:rlf?{key}={text}"),
+            dict(body, scheduler="optimal:rlf", params={key: value}),
+        ):
+            response = rest.handle("POST", "/schedule", sent)
+            assert response.status == 400, sent
+            assert key in response.body["error"]
+
+    def test_malformed_knob_gets_a_400_reply_over_http(self, api):
+        from repro.errors import HttpStatusError
+        from repro.rest.http_binding import HttpClient, RestHttpServer
+
+        _, rest = api
+        server = RestHttpServer(rest, port=0)
+        server.start()
+        try:
+            sleeps = []
+            client = HttpClient(server.url, sleep=sleeps.append)
+            with pytest.raises(HttpStatusError) as err:
+                client.post("/schedule", {
+                    "oldpath": [1, 2, 3], "newpath": [1, 4, 3],
+                    "scheduler": "optimal:slf?nogood_limit=abc",
+                })
+            assert err.value.status == 400
+            assert "nogood_limit" in err.value.body["error"]
+            assert sleeps == [] and client.retries == 0
+        finally:
+            server.stop()
+
     def test_scheduler_listing_matches_registry(self, api):
         _, rest = api
         from repro.core.registry import REGISTRY
