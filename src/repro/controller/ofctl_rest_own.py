@@ -29,7 +29,6 @@ from typing import Any, Mapping
 
 from repro.errors import (
     BadRequestError,
-    ControllerError,
     InfeasibleUpdateError,
     OpenFlowError,
     SchedulerSpecError,
@@ -43,7 +42,7 @@ from repro.controller.rules import (
     compile_schedule,
     compile_two_phase,
 )
-from repro.controller.update_queue import UpdateExecution, UpdateQueueApp
+from repro.controller.update_queue import UpdateQueueApp
 from repro.core.api import execute_request, ScheduleRequest
 from repro.core.problem import UpdateProblem
 from repro.core.registry import REGISTRY, resolve_scheduler, scheduler_names
@@ -205,8 +204,3 @@ class TransientUpdateApp(RyuLikeApp):
                         f"override for dpid {dpid} which no round updates"
                     )
 
-    def execution_of(self, update_id: str) -> UpdateExecution:
-        """Completed execution record for ``update_id``."""
-        if self.controller is None:
-            raise ControllerError("app not registered")
-        return self.update_queue.find_completed(update_id)

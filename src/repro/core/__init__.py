@@ -101,7 +101,6 @@ from repro.core.optimal import (
     minimal_round_schedule,
     round_is_safe,
     round_is_safe_reference,
-    symmetry_classes,
 )
 from repro.core.oracle import (
     OracleStats,
@@ -244,7 +243,6 @@ __all__ = [
     "scheduler_names",
     "sequential_schedule",
     "strongest_feasible_schedule",
-    "symmetry_classes",
     "time_limit",
     "trace_walk",
     "two_phase_schedule",

@@ -7,12 +7,15 @@ the oracle (so every statement inherits their soundness):
 * :func:`unsafe_alone` -- nodes that can never be the very first update;
 * :func:`unlock_constraints` -- pairs ``(v, u)``: updating ``v`` alone is
   *sufficient* to make ``u`` safe next (a greedy-friendly view);
-* :func:`necessary_predecessors` -- nodes that must *necessarily* be done
-  before ``u`` can ever go live (removing any one of them from "everything
-  else done" re-breaks ``u``);
 * :func:`cannot_be_last` -- nodes whose update is unsafe even with every
   other update already applied: the property is violated by some *earlier*
   configuration no matter when this node flips;
+* :func:`is_order_forced` -- must ``v`` go strictly before ``u`` in
+  *every* safe schedule?  Decided exactly, by a filtered exact search;
+* :func:`dependency_graph` -- every forced order of a small instance
+  (quadratically many :func:`is_order_forced` queries);
+* :func:`forced_precedence_graph` -- its polynomial-time sound subset,
+  from the precedence certificates of :mod:`repro.core.bnb`;
 * :func:`greedy_deadlock_certificate` -- when every pending node is unsafe
   first, no round schedule can start at all: an immediate infeasibility
   certificate (this is exactly what the crossing instance produces under

@@ -480,10 +480,7 @@ def precedence_for(
     cache = getattr(problem, _PRECEDENCE_ATTR, None)
     if cache is None:
         cache = {}
-        try:
-            setattr(problem, _PRECEDENCE_ATTR, cache)
-        except AttributeError:  # exotic duck with __slots__: skip caching
-            return PrecedenceAnalysis(problem, tuple(properties))
+        setattr(problem, _PRECEDENCE_ATTR, cache)
         # register with the oracle module's weak problem set so
         # clear_registry() (the repo-wide cold-start convention) drops
         # this cache too, even when no oracle was ever built
@@ -561,7 +558,6 @@ def search_mask_bnb(
     problem = search.problem
     properties = tuple(properties)
     full = search.full
-    classes = search.classes
     oracle = search.oracle
     within = f" within {max_rounds} rounds" if max_rounds is not None else ""
     infeasible = f"no schedule satisfies {[p.value for p in properties]}{within}"
@@ -600,7 +596,7 @@ def search_mask_bnb(
     if bounds and best is not None and best <= root_lb:
         return _mask_schedule(search, incumbent, properties)
 
-    #: state key -> highest remaining-round budget already proven
+    #: state -> highest remaining-round budget already proven
     #: fruitless (persists across deepening limits: larger budgets
     #: re-open the state, smaller ones are settled; ``inf`` = dead)
     proven: dict[int, float] = {}
@@ -663,9 +659,8 @@ def search_mask_bnb(
             if not tried % _DEADLINE_POLL_EVERY:
                 poll(limit)
             successor = state | sub
-            key = search.state_key(successor) if classes else successor
             if (
-                proven.get(key, -1) < remaining - 1
+                proven.get(successor, -1) < remaining - 1
                 and (
                     not prune_chains
                     or analysis.chain_bound(full & ~successor) <= remaining - 1
@@ -678,7 +673,7 @@ def search_mask_bnb(
                 tail = dfs(successor, remaining - 1, limit)
                 if tail is not None:
                     return [sub, *tail]
-                proven[key] = remaining - 1
+                proven[successor] = remaining - 1
             sub = (sub - 1) & safe_mask
         return None
 

@@ -31,10 +31,7 @@ from repro.core.verify import (
     Property,
     VerificationReport,
     Violation,
-    check_blackhole,
-    check_rlf,
-    check_slf,
-    check_wpe,
+    _check_union,
 )
 from repro.topology.graph import NodeId
 
@@ -193,24 +190,20 @@ def verify_joint_round(
     round_index: int = 0,
     rlf_budget: int = 200_000,
 ) -> list[Violation]:
-    """Check one shared-rule round against every policy's properties."""
+    """Check one shared-rule round against every policy's properties
+    (WPE only for a policy with a waypoint), each on a union graph built
+    from scratch."""
     violations: list[Violation] = []
     for policy in joint.policies:
-        view = PolicyView(joint, policy)
-        union = UnionGraph.from_update_sets(view, updated, round_nodes)
-        for prop in properties:
-            if prop is Property.WPE:
-                if policy.waypoint is None:
-                    continue
-                found = check_wpe(union, round_index)
-            elif prop is Property.SLF:
-                found = check_slf(union, round_index)
-            elif prop is Property.BLACKHOLE:
-                found = check_blackhole(union, round_index)
-            else:
-                found, _ = check_rlf(union, round_index, exact=True, budget=rlf_budget)
-            if found is not None:
-                violations.append(found)
+        union = UnionGraph.from_update_sets(
+            PolicyView(joint, policy), updated, round_nodes
+        )
+        checked = tuple(
+            prop for prop in properties
+            if prop is not Property.WPE or policy.waypoint is not None
+        )
+        found, _ = _check_union(union, round_index, checked, True, rlf_budget)
+        violations.extend(found)
     return violations
 
 

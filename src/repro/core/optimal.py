@@ -15,10 +15,10 @@ candidate rounds are the subsets of the safe singletons, biggest first
 (``sub = (sub - 1) & safe_mask``).  :class:`_MaskSearch` is the verdict
 layer under it: the shared :class:`SafetyOracle` behind a monotonicity
 memo (a round inside a known-safe round is safe -- so one "roof" query
-per state often settles thousands of candidates) plus symmetry
-reduction over interchangeable nodes.  The safe singletons of a state come from one
-read-only oracle pass (:meth:`SafetyOracle.safe_singletons`); only
-rounds of two or more nodes morph the oracle's graph.
+per state often settles thousands of candidates).  The safe singletons
+of a state come from one read-only oracle pass
+(:meth:`SafetyOracle.safe_singletons`); only rounds of two or more nodes
+morph the oracle's graph.
 
 :func:`minimal_round_schedule` runs that DFS in one of two modes and
 picks the mode itself, from the instance size: up to
@@ -44,13 +44,7 @@ from repro.core.oracle import SafetyOracle, oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.transient import UnionGraph
-from repro.core.verify import (
-    Property,
-    check_blackhole,
-    check_rlf,
-    check_slf,
-    check_wpe,
-)
+from repro.core.verify import Property, _check_union
 
 #: Safety limit on the number of required updates the exact search
 #: accepts.  Integer states, the monotonicity memo and big-rounds-first
@@ -76,27 +70,15 @@ def round_is_safe_reference(
     """From-scratch round-safety check (the oracle's reference twin).
 
     Rebuilds the union graph and runs the witness-producing verifiers of
-    :mod:`repro.core.verify` on it.  Kept as the ground truth that
+    :mod:`repro.core.verify` on it, one property at a time and stopping
+    at the first violation.  Kept as the ground truth that
     :class:`~repro.core.oracle.SafetyOracle` is cross-checked against.
     """
     union = UnionGraph.from_update_sets(problem, updated, round_nodes)
-    for prop in properties:
-        if prop is Property.WPE:
-            if check_wpe(union, 0) is not None:
-                return False
-        elif prop is Property.SLF:
-            if check_slf(union, 0) is not None:
-                return False
-        elif prop is Property.BLACKHOLE:
-            if check_blackhole(union, 0) is not None:
-                return False
-        elif prop is Property.RLF:
-            violation, _ = check_rlf(union, 0, exact=True, budget=rlf_budget)
-            if violation is not None:
-                return False
-        else:  # pragma: no cover - closed enum
-            raise VerificationError(f"unknown property {prop!r}")
-    return True
+    return not any(
+        _check_union(union, 0, (prop,), True, rlf_budget)[0]
+        for prop in properties
+    )
 
 
 def round_is_safe(
@@ -123,61 +105,6 @@ def round_is_safe(
 
 
 # ---------------------------------------------------------------------------
-# symmetry reduction
-# ---------------------------------------------------------------------------
-
-def symmetry_classes(problem) -> tuple[tuple[int, ...], ...]:
-    """Bit-position classes of interchangeable required updates.
-
-    Two required nodes are *interchangeable* when swapping them is an
-    automorphism of the forwarding tables fixing source, destination and
-    waypoint: they share the same old and new next hop and neither is
-    anybody's next hop.  Every union-graph verdict is invariant under
-    permuting such twins, so the exact search only needs one
-    representative per "how many of the class are updated" count.
-
-    On a single path-pair :class:`UpdateProblem` the pred-freedom
-    condition is never satisfiable (every on-path node has a
-    predecessor), so classes are trivial there and the reduction is
-    free; it fires on duck-typed multi-flow problems where parallel
-    sources share their rewiring structure.
-    """
-    canonical = problem.canonical_updates
-    old_next = problem.old_next
-    new_next = problem.new_next
-    special = {problem.source, problem.destination, problem.waypoint}
-    targeted = set(old_next.values()) | set(new_next.values())
-    groups: dict[tuple, list[int]] = {}
-    for index, node in enumerate(canonical):
-        if node in special or node in targeted:
-            continue
-        groups.setdefault(
-            (old_next.get(node), new_next.get(node)), []
-        ).append(index)
-    return tuple(
-        tuple(members) for members in groups.values() if len(members) > 1
-    )
-
-
-def _canonicalize(state: int, classes) -> int:
-    """``state`` with every class's set bits moved onto the class's
-    lowest positions; bits outside the classes stay put.
-
-    Any permutation inside a class is a problem automorphism (see
-    :func:`symmetry_classes`), so the result has the same verdicts.
-    """
-    for cls in classes:
-        inside = 0
-        for bit in cls:
-            if (state >> bit) & 1:
-                state ^= 1 << bit
-                inside += 1
-        for bit in cls[:inside]:
-            state |= 1 << bit
-    return state
-
-
-# ---------------------------------------------------------------------------
 # the verdict layer
 # ---------------------------------------------------------------------------
 
@@ -192,8 +119,9 @@ class _MaskSearch:
     strict superset of a round found unsafe at a state is asked after
     it, as (1) candidates are subsets of the safe mask in decreasing
     numeric order, roof first; (2) the chain bound only grows as a round
-    shrinks; (3) ``proven`` only skips rounds that were already asked
-    (pinned by ``tests/core/test_unsafe_rounds.py``).
+    shrinks; (3) ``proven`` is keyed by the successor state itself, so
+    it only ever skips a round, never asks one (pinned by
+    ``tests/core/test_unsafe_rounds.py``).
     """
 
     def __init__(self, problem, properties, round_filter):
@@ -202,11 +130,6 @@ class _MaskSearch:
         self.full = (1 << self.k) - 1
         self.oracle = oracle_for(problem, properties)
         self.round_filter = round_filter
-        # symmetry canonicalization would permute the node labels the
-        # caller's filter refers to, so filtered searches disable it
-        self.classes = () if round_filter is not None else symmetry_classes(
-            problem
-        )
         self._verdicts: dict[int, bool] = {}
         self._safe_masks: dict[int, int] = {}
         self._max_safe: dict[int, list[int]] = {}
@@ -264,10 +187,6 @@ class _MaskSearch:
             return True
         nodes = self.oracle.nodes_of
         return self.round_filter(set(nodes(state)), set(nodes(rmask)))
-
-    def state_key(self, state: int) -> int:
-        """One key per class of states no verdict tells apart."""
-        return _canonicalize(state, self.classes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ union graph per problem**:
   A removal burst that leaves many refused edges to re-test (committing
   one of Peacock's wide rounds) re-ranks the whole graph with one stable
   topological sort instead of re-inserting them edge by edge;
-* forward/backward reachability frontiers (for WPE, BLACKHOLE and the RLF
-  pre-filter) are extended incrementally on edge insertions and recomputed
-  lazily only when an edge removal actually touched them;
+* the source's reachability frontiers, plain and around the waypoint
+  (for WPE, BLACKHOLE and the RLF pre-filter), are extended incrementally
+  on edge insertions and recomputed lazily only when an edge removal
+  actually touched them;
 * full ``(updated, round_nodes)`` verdicts are memoized per oracle with
   hit/miss counters, which :func:`aggregate_stats` sums for ``GET
   /metrics`` at scrape time; queries and memo keys are plain-int
@@ -208,7 +209,6 @@ class SafetyOracle:
         # --- lazily maintained reachability frontiers (None = stale) --
         self._fwd: set | None = None        # reachable from the source
         self._fwd_avoid: set | None = None  # ... avoiding the waypoint
-        self._bwd: set | None = None        # nodes that reach the destination
 
         # The all-OLD base graph is the old path itself: edges follow the
         # initial topological order, so no reordering can trigger here.
@@ -290,17 +290,13 @@ class SafetyOracle:
         fwd = self._fwd
         if fwd is not None:
             if u in fwd and v not in fwd:
-                self._extend_frontier(fwd, v, avoid=None, backward=False)
+                self.stats.frontier_extensions += 1
+                self._extend_frontier(fwd, v, None)
         fwd_avoid = self._fwd_avoid
         if fwd_avoid is not None:
             if u in fwd_avoid and v not in fwd_avoid and v != self._waypoint:
-                self._extend_frontier(
-                    fwd_avoid, v, avoid=self._waypoint, backward=False
-                )
-        bwd = self._bwd
-        if bwd is not None:
-            if v in bwd and u not in bwd:
-                self._extend_frontier(bwd, u, avoid=None, backward=True)
+                self.stats.frontier_extensions += 1
+                self._extend_frontier(fwd_avoid, v, self._waypoint)
 
     def _remove_edge(self, u: NodeId, v: NodeId) -> None:
         self._succ[u].discard(v)
@@ -317,8 +313,6 @@ class SafetyOracle:
             self._fwd = None
         if self._fwd_avoid is not None and u in self._fwd_avoid:
             self._fwd_avoid = None
-        if self._bwd is not None and v in self._bwd:
-            self._bwd = None
 
     def _validate_blocked(self) -> None:
         """Re-test stale blocked edges after live-edge removals.
@@ -460,36 +454,25 @@ class SafetyOracle:
         self.stats.pk_reorders += 1
 
     def _extend_frontier(
-        self, frontier: set, start: NodeId, avoid: NodeId | None, backward: bool
-    ) -> None:
-        """Grow an up-to-date reachability set after one edge insertion."""
-        self.stats.frontier_extensions += 1
-        adjacency = self._pred if backward else self._succ
+        self, frontier: set, start: NodeId, avoid: NodeId | None
+    ) -> set:
+        """Grow ``frontier`` by ``start`` and every node it reaches
+        without entering ``avoid`` or a known member; returns it."""
+        succ = self._succ
         frontier.add(start)
         stack = [start]
         while stack:
-            node = stack.pop()
-            for target in adjacency[node]:
-                if target not in frontier and target != avoid:
-                    frontier.add(target)
-                    stack.append(target)
-
-    def _compute_frontier(
-        self, start: NodeId, avoid: NodeId | None, backward: bool
-    ) -> set:
-        self.stats.frontier_recomputes += 1
-        adjacency = self._pred if backward else self._succ
-        if start == avoid:
-            return set()
-        frontier = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for target in adjacency[node]:
+            for target in succ[stack.pop()]:
                 if target not in frontier and target != avoid:
                     frontier.add(target)
                     stack.append(target)
         return frontier
+
+    def _compute_frontier(self, start: NodeId, avoid: NodeId | None) -> set:
+        self.stats.frontier_recomputes += 1
+        if start == avoid:
+            return set()
+        return self._extend_frontier(set(), start, avoid)
 
     # ------------------------------------------------------------------
     # reachability frontiers (public read access)
@@ -498,32 +481,19 @@ class SafetyOracle:
         """Nodes reachable from the source in the current union graph."""
         return frozenset(self._fwd_set())
 
-    def backward_frontier(self) -> frozenset:
-        """Nodes from which the destination is reachable (incl. itself)."""
-        return frozenset(self._bwd_set())
-
     def reaches(self, node: NodeId) -> bool:
         """Does the source reach ``node`` in the current union graph?"""
         return node in self._fwd_set()
 
-    def reaches_destination(self, node: NodeId) -> bool:
-        """Can ``node`` still reach the destination in some configuration?"""
-        return node in self._bwd_set()
-
-    def _bwd_set(self) -> set:
-        if self._bwd is None:
-            self._bwd = self._compute_frontier(self._destination, None, backward=True)
-        return self._bwd
-
     def _fwd_set(self) -> set:
         if self._fwd is None:
-            self._fwd = self._compute_frontier(self._source, None, backward=False)
+            self._fwd = self._compute_frontier(self._source, None)
         return self._fwd
 
     def _fwd_avoid_set(self) -> set:
         if self._fwd_avoid is None:
             self._fwd_avoid = self._compute_frontier(
-                self._source, self._waypoint, backward=False
+                self._source, self._waypoint
             )
         return self._fwd_avoid
 

@@ -163,14 +163,21 @@ class Scheduler:
         }
 
 
-#: ``optimal``'s int knobs and the least value each accepts.
-_INT_KNOBS = {"node_budget": 1, "max_nodes": 1, "max_rounds": 0, "nogood_limit": 0}
+#: The built-in schedulers' int knobs and the least value each accepts.
+_INT_KNOBS = {
+    "node_budget": 1, "max_nodes": 1, "max_rounds": 0, "nogood_limit": 0,
+    "rlf_budget": 1,
+}
+
+#: The built-in schedulers' on/off knobs.
+_BOOL_KNOBS = ("exact", "check_rounds")
 
 
 def _check_params(base: str, accepts, params: Mapping[str, Any]) -> None:
     """Refuse params ``base`` does not accept, search budgets that would
-    bound nothing (``time_limit_s=nan`` never runs out), and int knobs
-    that are not ints in range (bools are neither ints nor numbers)."""
+    bound nothing (``time_limit_s=nan`` never runs out), int knobs that
+    are not ints in range (bools are neither ints nor numbers) and
+    on/off knobs that are not bools."""
     unknown = set(params) - set(accepts)
     if unknown:
         raise SchedulerSpecError(
@@ -186,6 +193,10 @@ def _check_params(base: str, accepts, params: Mapping[str, Any]) -> None:
         value = params.get(key)
         if value is not None and not (type(value) is int and value >= least):
             raise SchedulerSpecError(f"{key} must be an int >= {least}, got {value!r}")
+    for key in _BOOL_KNOBS:
+        value = params.get(key)
+        if value is not None and type(value) is not bool:
+            raise SchedulerSpecError(f"{key} must be true or false, got {value!r}")
 
 
 def _coerce(value: str) -> Any:

@@ -99,12 +99,6 @@ class FlowRemovedReason(enum.IntEnum):
     GROUP_DELETE = 3
 
 
-class PortStatusReason(enum.IntEnum):
-    ADD = 0
-    DELETE = 1
-    MODIFY = 2
-
-
 class ErrorType(enum.IntEnum):
     HELLO_FAILED = 0
     BAD_REQUEST = 1

@@ -17,7 +17,6 @@ from repro.openflow.constants import (
     MsgType,
     PacketInReason,
     Port,
-    PortStatusReason,
 )
 from repro.openflow.actions import Action
 from repro.openflow.match import Match
@@ -156,18 +155,6 @@ class FlowRemoved(OpenFlowMessage):
     match: Match = field(default_factory=Match)
 
     msg_type: ClassVar[MsgType] = MsgType.FLOW_REMOVED
-
-
-@dataclass
-class PortStatus(OpenFlowMessage):
-    """Port lifecycle notification."""
-
-    reason: int = int(PortStatusReason.MODIFY)
-    port_no: int = 0
-    hw_addr: str = "00:00:00:00:00:00"
-    name: str = ""
-
-    msg_type: ClassVar[MsgType] = MsgType.PORT_STATUS
 
 
 def summarize(message: Any) -> str:

@@ -352,10 +352,11 @@ class TwinFlows:
     Three roots ``s``, ``a``, ``b`` are rewired from ``u`` onto ``v``
     while the shared tail segment ``u -> v`` reverses to ``v -> u``.
     ``a`` and ``b`` share their old/new next hops and are nobody's next
-    hop, so swapping them is a problem automorphism: the exact search
-    may collapse their states.  (On a single path-pair UpdateProblem
-    this situation cannot arise -- every on-path node has a predecessor
-    -- which is exactly why the symmetry tests need a duck.)
+    hop -- a shape no single path-pair UpdateProblem has (every required
+    update but the source is its new-path predecessor's next hop).  The
+    exact search, the safe-singletons pass and the precedence fixpoints
+    are held to their references on it, so nothing in them may assume
+    one path pair.
     """
 
     name = "twin-flows"

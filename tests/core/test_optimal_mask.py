@@ -30,7 +30,6 @@ from repro.core.optimal import (
     is_feasible,
     minimal_round_count,
     minimal_round_schedule,
-    symmetry_classes,
 )
 from repro.core.oracle import clear_registry
 from repro.core.problem import UpdateProblem
@@ -294,42 +293,9 @@ class TestKwargThreading:
         )
 
 
-class TestSymmetryReduction:
-    def test_single_path_problems_have_trivial_classes(self):
-        for factory in (
-            lambda: reversal_instance(8),
-            crossing_instance,
-            double_diamond_instance,
-            lambda: waypoint_slalom_instance(3),
-        ):
-            assert symmetry_classes(factory()) == ()
-
-    def test_twin_flows_classes(self):
-        problem = TwinFlows()
-        classes = symmetry_classes(problem)
-        assert len(classes) == 1
-        names = {problem.canonical_updates[bit] for bit in classes[0]}
-        assert names == {"a", "b"}
-
+class TestTwinFlows:
     def test_twin_flows_search_matches_reference(self):
         problem = TwinFlows()
         assert reference_round_count(problem, (Property.SLF,)) == 2
         assert_matches_reference(problem, (Property.SLF,))
         assert_matches_reference(problem, (Property.RLF,))
-
-    def test_twins_share_a_state_key(self):
-        from repro.core.optimal import _MaskSearch
-
-        problem = TwinFlows()
-        search = _MaskSearch(problem, (Property.SLF,), None)
-        bit = {node: 1 << i for i, node in enumerate(problem.canonical_updates)}
-        assert search.state_key(bit["a"]) == search.state_key(bit["b"])
-        assert search.state_key(bit["a"] | bit["u"]) == search.state_key(
-            bit["b"] | bit["u"]
-        )
-        assert search.state_key(bit["a"]) != search.state_key(bit["u"])
-        both = bit["a"] | bit["b"]
-        assert search.state_key(both) == both
-        # a filter names nodes, so a filtered search tells the twins apart
-        filtered = _MaskSearch(problem, (Property.SLF,), lambda done, flip: True)
-        assert filtered.state_key(bit["b"]) == bit["b"]

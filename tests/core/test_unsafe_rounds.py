@@ -7,7 +7,7 @@ the DFS never asks one (candidates are subsets of the safe mask in
 decreasing numeric order, the roof first; see the class docstring).
 This suite wraps ``round_ok`` and holds every first query at a state to
 that fact, over generated problems in both modes, under ``max_rounds``,
-and on the symmetry duck whose ``proven`` keys are canonical states.
+and on the multi-source :class:`TwinFlows` duck.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ def test_generated_problems(problem, pick, search, max_rounds):
 @pytest.mark.parametrize("search", ["iddfs", "bnb"])
 @pytest.mark.parametrize("max_rounds", [None, 1, 2, 3])
 @pytest.mark.parametrize("properties", PLAIN)
-def test_symmetry_duck(properties, max_rounds, search):
+def test_twin_flows_duck(properties, max_rounds, search):
     problem = TwinFlows()
-    assert optimal.symmetry_classes(problem)
     assert _supersets_asked(
         problem, properties, search=search, max_rounds=max_rounds
     ) == []

@@ -389,16 +389,28 @@ class TestScheduleEndpoint:
         ("max_rounds", "-1", -1),
         ("max_rounds", "false", False),
         ("node_budget", "true", True),
+        ("rlf_budget", "abc", "abc"),
+        ("rlf_budget", "-1", -1),
+        ("rlf_budget", "0", 0),
+        ("rlf_budget", "2.5", 2.5),
+        ("exact", "abc", "abc"),
+        ("exact", "1", 1),
+        ("check_rounds", "maybe", "maybe"),
+        ("check_rounds", "0", 0),
     ])
-    def test_malformed_int_knobs_are_a_400(self, api, key, text, value):
+    def test_malformed_knobs_are_a_400(self, api, key, text, value):
         """Spec-string knobs reach the engine with no ``params`` in the
-        body, where a ``TypeError`` / ``ValueError`` stays loud: each one
-        must be refused at resolve time instead."""
+        body, where a ``TypeError`` / ``ValueError`` stays loud (and a
+        junk bool would be echoed back in the canonical name of a 200):
+        each one must be refused at resolve time instead."""
         _, rest = api
-        body = {"oldpath": [1, 2, 3], "newpath": [1, 4, 3], "verify": True}
+        base = {"rlf_budget": "peacock", "exact": "peacock",
+                "check_rounds": "wayup"}.get(key, "optimal:rlf")
+        body = {"oldpath": [1, 2, 3, 4, 5], "newpath": [1, 6, 3, 7, 5], "wp": 3,
+                "verify": True}
         for sent in (
-            dict(body, scheduler=f"optimal:rlf?{key}={text}"),
-            dict(body, scheduler="optimal:rlf", params={key: value}),
+            dict(body, scheduler=f"{base}?{key}={text}"),
+            dict(body, scheduler=base, params={key: value}),
         ):
             response = rest.handle("POST", "/schedule", sent)
             assert response.status == 400, sent
@@ -423,6 +435,41 @@ class TestScheduleEndpoint:
             assert "nogood_limit" in err.value.body["error"]
             assert sleeps == [] and client.retries == 0
         finally:
+            server.stop()
+
+    def test_wellformed_scheduler_knobs_still_run(self, api):
+        _, rest = api
+        body = {"oldpath": [1, 2, 3, 4, 5], "newpath": [1, 6, 3, 7, 5], "wp": 3}
+        for spec in ("peacock?exact=false&rlf_budget=5", "wayup?check_rounds=yes"):
+            response = rest.handle("POST", "/schedule", dict(body, scheduler=spec))
+            assert response.status == 200, spec
+        assert response.body["scheduler"] == "wayup?check_rounds=true"
+
+    def test_malformed_rlf_budget_keeps_the_connection_over_http(self, api):
+        import http.client
+        import json
+
+        from repro.rest.http_binding import RestHttpServer
+
+        _, rest = api
+        server = RestHttpServer(rest, port=0)
+        server.start()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            replies = []
+            for spec in ("peacock?rlf_budget=abc", "peacock"):
+                connection.request("POST", "/schedule", body=json.dumps({
+                    "oldpath": [1, 2, 3], "newpath": [1, 4, 3], "scheduler": spec,
+                }).encode(), headers={"Content-Type": "application/json"})
+                reply = connection.getresponse()
+                replies.append((reply.status, reply.will_close, json.loads(reply.read())))
+                if len(replies) == 1:
+                    sock = connection.sock
+            assert [status for status, _, _ in replies] == [400, 200]
+            assert "rlf_budget" in replies[0][2]["error"]
+            assert not replies[0][1] and connection.sock is sock
+        finally:
+            connection.close()
             server.stop()
 
     def test_scheduler_listing_matches_registry(self, api):

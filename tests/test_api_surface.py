@@ -134,7 +134,6 @@ CORE_ALL = [
     "scheduler_names",
     "sequential_schedule",
     "strongest_feasible_schedule",
-    "symmetry_classes",
     "time_limit",
     "trace_walk",
     "two_phase_schedule",
