@@ -455,19 +455,21 @@ class TestScheduleEndpoint:
         server = RestHttpServer(rest, port=0)
         server.start()
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+
+        def post(spec):
+            connection.request("POST", "/schedule", body=json.dumps({
+                "oldpath": [1, 2, 3], "newpath": [1, 4, 3], "scheduler": spec,
+            }).encode(), headers={"Content-Type": "application/json"})
+            reply = connection.getresponse()
+            return reply, json.loads(reply.read())
+
         try:
-            replies = []
-            for spec in ("peacock?rlf_budget=abc", "peacock"):
-                connection.request("POST", "/schedule", body=json.dumps({
-                    "oldpath": [1, 2, 3], "newpath": [1, 4, 3], "scheduler": spec,
-                }).encode(), headers={"Content-Type": "application/json"})
-                reply = connection.getresponse()
-                replies.append((reply.status, reply.will_close, json.loads(reply.read())))
-                if len(replies) == 1:
-                    sock = connection.sock
-            assert [status for status, _, _ in replies] == [400, 200]
-            assert "rlf_budget" in replies[0][2]["error"]
-            assert not replies[0][1] and connection.sock is sock
+            reply, body = post("peacock?rlf_budget=abc")
+            assert reply.status == 400 and "rlf_budget" in body["error"]
+            assert not reply.will_close
+            sock = connection.sock
+            reply, _ = post("peacock")
+            assert reply.status == 200 and connection.sock is sock
         finally:
             connection.close()
             server.stop()
