@@ -2,11 +2,12 @@
 
 The subsystem turns a JSON spec (:mod:`repro.campaign.spec`) into a grid of
 scenario cells over instance families (:mod:`repro.campaign.families`) and
-schedulers (:mod:`repro.campaign.schedulers`), executes them across a
-process pool with per-cell timeouts and error capture
-(:mod:`repro.campaign.runner`), streams deterministic JSONL results into a
-resumable run directory (:mod:`repro.campaign.store`), and aggregates them
-into report tables (:mod:`repro.campaign.aggregate`).  For multi-worker
+scheduler spec strings (the :mod:`repro.core.registry` grammar, resolved
+when the spec is built), executes them across a process pool with
+per-cell timeouts and error capture (:mod:`repro.campaign.runner`),
+streams deterministic JSONL results into a resumable run directory
+(:mod:`repro.campaign.store`), and aggregates them into report tables
+(:mod:`repro.campaign.aggregate`).  For multi-worker
 fleets, :mod:`repro.campaign.fabric` runs the same cells through a
 fault-tolerant coordinator + pull-worker decomposition with leases,
 heartbeats, reclaim, and crash-safe resume.
@@ -29,7 +30,6 @@ from repro.campaign.fabric import (
     run_local_fleet,
     worker_main,
 )
-from repro.campaign.schedulers import parse_properties, resolve
 from repro.campaign.spec import (
     CampaignSpec,
     Cell,
@@ -57,9 +57,7 @@ __all__ = [
     "canonical_json",
     "derive_seed",
     "known_families",
-    "parse_properties",
     "render_report",
-    "resolve",
     "run_cell",
     "run_local_fleet",
     "single_problem",

@@ -59,6 +59,9 @@ from repro.campaign.fabric.state import FabricState
 from repro.campaign.spec import CampaignSpec, derive_seed
 from repro.campaign.store import RunStore, encode_record, tally
 
+#: Seconds between :meth:`Coordinator.wait`'s completion checks.
+WAIT_POLL_S = 0.05
+
 #: Fabric counter names (``status()``, ``telemetry()``; ``GET /metrics``
 #: renders them from ``telemetry()``).
 COUNTERS = (
@@ -540,13 +543,13 @@ class Coordinator:
     def finished(self) -> bool:
         return self._frame(lambda now, known: self._finished(), done=False)
 
-    def wait(self, timeout_s: float | None = None, poll_s: float = 0.05) -> bool:
+    def wait(self, timeout_s: float | None = None) -> bool:
         """Block until the campaign completes; False on timeout."""
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while not self.finished:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
-            time.sleep(poll_s)
+            time.sleep(WAIT_POLL_S)
         return True
 
     def close(self) -> None:

@@ -38,9 +38,9 @@ from typing import Any, Mapping
 from repro.errors import CampaignError
 from repro.campaign.fabric.journal import KINDS
 from repro.campaign.runner import new_record
-from repro.campaign.schedulers import resolve
 from repro.campaign.spec import Cell, payload_identity_hash
 from repro.campaign.store import encode_record, record_checksum
+from repro.core.registry import resolve_scheduler
 
 #: Kinds that are about the fleet, not one cell (no ``index``).
 FLEET_KINDS = ("lease", "quarantine")
@@ -349,7 +349,7 @@ class FabricState:
         budgets of a scheduler that takes them (the exact engines'
         ``node_budget`` / ``time_limit_s``)."""
         payload = self.cells[index].payload
-        scheduler = resolve(payload["scheduler"])
+        scheduler = resolve_scheduler(payload["scheduler"])
         extra: dict[str, Any] = {}
         for budget, number in (("time_limit_s", float), ("node_budget", int)):
             bound = scheduler.params.get(budget)

@@ -48,10 +48,10 @@ from repro.errors import (
 )
 from repro.obs import trace as obs
 from repro.campaign.families import build_unit
-from repro.campaign.schedulers import parse_properties, resolve
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunStore
 from repro.core.api import ScheduleRequest, execute_request, time_limit
+from repro.core.registry import parse_properties, resolve_scheduler
 
 
 #: Per-worker cache of built work units, keyed by the seed-derived cell
@@ -243,7 +243,7 @@ def run_cell(payload: Mapping[str, Any]) -> tuple[dict, dict]:
     )
     cell_span.__enter__()
     try:
-        scheduler = resolve(payload["scheduler"])
+        scheduler = resolve_scheduler(payload["scheduler"])
         with time_limit(payload.get("timeout_s")), resource_guard(
             payload.get("mem_limit_mb"), payload.get("cpu_limit_s")
         ):

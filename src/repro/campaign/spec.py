@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.errors import CampaignSpecError
+from repro.errors import CampaignSpecError, SchedulerSpecError
 
 #: Bumped when the cell expansion or result record layout changes shape.
 SPEC_VERSION = 1
@@ -246,24 +246,24 @@ class CampaignSpec:
 
     def _validate_names(self) -> None:
         from repro.campaign.families import known_families, validate_family
-        from repro.campaign.schedulers import resolve
+        from repro.core.registry import parse_properties, resolve_scheduler
 
         names = known_families()
-        for entry in self.families:
-            _require(
-                entry.family in names,
-                f"unknown family {entry.family!r}; known: {sorted(names)}",
-            )
-            validate_family(entry.family, entry.sizes, entry.params, entry.grid)
-            for scheduler in entry.schedulers or ():
-                resolve(scheduler)
-        for scheduler in self.schedulers:
-            resolve(scheduler)
-        from repro.core.verify import Property  # noqa: F401  (import check)
-        from repro.campaign.schedulers import parse_properties
-
-        if self.properties:
-            parse_properties("+".join(self.properties))
+        try:
+            for entry in self.families:
+                _require(
+                    entry.family in names,
+                    f"unknown family {entry.family!r}; known: {sorted(names)}",
+                )
+                validate_family(entry.family, entry.sizes, entry.params, entry.grid)
+                for scheduler in entry.schedulers or ():
+                    resolve_scheduler(scheduler)
+            for scheduler in self.schedulers:
+                resolve_scheduler(scheduler)
+            if self.properties:
+                parse_properties("+".join(self.properties))
+        except SchedulerSpecError as exc:  # the registry's, as a spec error
+            raise CampaignSpecError(str(exc)) from None
 
     # ------------------------------------------------------------------
     # (de)serialization and identity

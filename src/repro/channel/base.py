@@ -20,6 +20,9 @@ from repro.errors import ChannelClosedError, ChannelError
 from repro.channel.latency_models import Constant, LatencyModel
 from repro.sim.simulator import Simulator
 
+#: Retransmissions after which a lossy channel gives up on a message.
+MAX_RETRIES = 16
+
 
 @dataclass
 class ChannelStats:
@@ -54,7 +57,7 @@ class ControlChannel:
     drop_prob / rto_ms:
         Loss is surfaced the way TCP surfaces it: a dropped transmission
         costs one retransmission timeout and is retried, so the message
-        arrives late rather than never.
+        arrives late rather than never (up to :data:`MAX_RETRIES` times).
     """
 
     def __init__(
@@ -66,7 +69,6 @@ class ControlChannel:
         fifo: bool = True,
         drop_prob: float = 0.0,
         rto_ms: float = 50.0,
-        max_retries: int = 16,
     ) -> None:
         if not 0.0 <= drop_prob < 1.0:
             raise ChannelError(f"drop_prob must be in [0, 1), got {drop_prob}")
@@ -77,7 +79,6 @@ class ControlChannel:
         self.fifo = fifo
         self.drop_prob = drop_prob
         self.rto_ms = rto_ms
-        self.max_retries = max_retries
         self.stats = ChannelStats()
         self._closed = False
         self._switch_handler: Callable[[Any], None] | None = None
@@ -124,9 +125,9 @@ class ControlChannel:
         retries = 0
         while self.drop_prob and self.rng.random() < self.drop_prob:
             retries += 1
-            if retries > self.max_retries:
+            if retries > MAX_RETRIES:
                 raise ChannelError(
-                    f"channel {self.name!r} exceeded {self.max_retries} retries"
+                    f"channel {self.name!r} exceeded {MAX_RETRIES} retries"
                 )
             delay += self.rto_ms + self.latency.sample(self.rng)
         self.stats.retransmissions += retries

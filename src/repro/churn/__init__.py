@@ -25,7 +25,6 @@ from repro.churn.traces import (
     ChurnTrace,
     FlowSpec,
     generate_trace,
-    sample_simple_path,
     trace_params,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "generate_trace",
     "policy_for_scheduler",
     "run_churn",
-    "sample_simple_path",
     "trace_params",
 ]

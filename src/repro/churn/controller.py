@@ -14,7 +14,7 @@ round greedily, ``commit_round`` settles it when the switches confirm,
 continues from the committed state -- the union graph is never rebuilt.
 
 **A retractable plan window.**  Planning a round (``try_apply`` calls)
-and issuing it to the switches are separated by ``plan_latency_ms``.
+and issuing it to the switches are separated by :data:`PLAN_LATENCY_MS`.
 Until the issue instant the round exists only inside the oracle, so a
 cancellation, preemption, or link failure in that window reverts the
 flexible nodes and retracts the issue timer
@@ -57,7 +57,7 @@ from repro.churn.events import (
     UpdateCancel,
 )
 from repro.churn.metrics import ChurnMetrics, UpdateLifecycle
-from repro.churn.traces import ChurnTrace, sample_simple_path
+from repro.churn.traces import ChurnTrace
 from repro.controller.update_queue import RoundTiming
 from repro.core.deadline import check_deadline
 from repro.core.oracle import oracle_for
@@ -67,11 +67,24 @@ from repro.dataplane.violations import PacketFate
 from repro.obs import trace as obs
 from repro.sim.random_source import RandomStreams, derive_seed
 from repro.sim.simulator import Simulator
+from repro.topology.random_graphs import sample_simple_path
 
 #: Lifecycle phases of an in-flight update.
 PLANNING = "planning"    # round chosen in the oracle, issue timer pending
 EXECUTING = "executing"  # flips in flight; irreversible until the boundary
 IDLE = "idle"            # between rounds (next-plan timer pending)
+
+#: Simulated controller timing (ms): plan -> issue, issue -> first flip,
+#: between the flips of one round, round boundary -> next plan, and the
+#: stagger of deferred failure re-plans.
+PLAN_LATENCY_MS = 2.0
+FLIP_LATENCY_MS = 1.0
+FLIP_STAGGER_MS = 0.5
+ROUND_INTERVAL_MS = 1.0
+REPLAN_DEFER_MS = 5.0
+
+#: Re-plans after which an update is aborted.
+MAX_REPLANS = 3
 
 
 @dataclass
@@ -82,29 +95,23 @@ class ChurnPolicy:
     a flow either supersedes the in-flight update at the next safe point
     (preempt) or queues behind it (defer).  ``replan_budget`` bounds how
     many failure victims re-plan at the failure instant; the remainder
-    re-plan on ``replan_defer_ms``-staggered timers.
+    re-plan on :data:`REPLAN_DEFER_MS`-staggered timers.  Every update
+    deletes its stale rules after the last required round.
     """
 
     scheduled: bool = True
     preempt: bool = True
-    plan_latency_ms: float = 2.0
-    flip_latency_ms: float = 1.0
-    flip_stagger_ms: float = 0.5
-    round_interval_ms: float = 1.0
     replan_budget: int = 2
-    replan_defer_ms: float = 5.0
-    max_replans: int = 3
-    include_cleanup: bool = True
 
 
-def policy_for_scheduler(scheduler, **overrides) -> ChurnPolicy:
+def policy_for_scheduler(scheduler) -> ChurnPolicy:
     """Map a registry scheduler onto a churn policy.
 
     A scheduler with an empty consistency guarantee (the one-shot
     baseline) runs the unscheduled mode; everything else runs the
     oracle-backed scheduled mode.
     """
-    return ChurnPolicy(scheduled=bool(scheduler.guarantee), **overrides)
+    return ChurnPolicy(scheduled=bool(scheduler.guarantee))
 
 
 @dataclass
@@ -306,7 +313,7 @@ class OnlineChurnController:
             else:
                 deferred_rank += 1
                 active.deferred_event = self.sim.schedule(
-                    self.policy.replan_defer_ms * deferred_rank,
+                    REPLAN_DEFER_MS * deferred_rank,
                     self._deferred_replan,
                     active,
                 )
@@ -317,7 +324,7 @@ class OnlineChurnController:
             else:
                 deferred_rank += 1
                 flow.restore_event = self.sim.schedule(
-                    self.policy.replan_defer_ms * deferred_rank,
+                    REPLAN_DEFER_MS * deferred_rank,
                     self._deferred_restoration,
                     flow,
                 )
@@ -388,8 +395,7 @@ class OnlineChurnController:
             oracle = oracle_for(problem, tuple(properties))
             oracle.reset()
         remaining = set(problem.required_updates)
-        if self.policy.include_cleanup:
-            remaining |= problem.cleanup_updates
+        remaining |= problem.cleanup_updates
         active = _ActiveUpdate(
             request=request,
             flow=flow,
@@ -451,7 +457,7 @@ class OnlineChurnController:
         active.round_nodes = round_nodes
         active.phase = PLANNING
         active.issue_event = self.sim.schedule(
-            self.policy.plan_latency_ms, self._issue_round, active
+            PLAN_LATENCY_MS, self._issue_round, active
         )
 
     def _retract(self, active: _ActiveUpdate) -> None:
@@ -482,7 +488,7 @@ class OnlineChurnController:
         active.flips_left = len(active.round_nodes)
         for rank, node in enumerate(active.round_nodes):
             self.sim.schedule(
-                self.policy.flip_latency_ms + rank * self.policy.flip_stagger_ms,
+                FLIP_LATENCY_MS + rank * FLIP_STAGGER_MS,
                 self._flip,
                 active,
                 node,
@@ -530,13 +536,13 @@ class OnlineChurnController:
             self._finish_active(active, "cancelled")
         else:
             active.next_plan_event = self.sim.schedule(
-                self.policy.round_interval_ms, self._plan_round, active
+                ROUND_INTERVAL_MS, self._plan_round, active
             )
 
     def _replan_or_abort(self, active: _ActiveUpdate, reason: str) -> None:
         record = active.record
         flow = active.flow
-        if record.replans >= self.policy.max_replans:
+        if record.replans >= MAX_REPLANS:
             self._finish_active(active, "aborted")
             return
         record.replans += 1

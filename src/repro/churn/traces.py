@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.churn.events import (
     ChurnError,
@@ -40,7 +40,7 @@ from repro.churn.events import (
 )
 from repro.topology import builders
 from repro.topology.graph import Topology
-from repro.topology.random_graphs import waxman
+from repro.topology.random_graphs import sample_simple_path, waxman
 
 #: Trace-generator defaults, shared by the CLI and campaign families.
 DEFAULT_RATE_PER_S = 50.0
@@ -109,44 +109,6 @@ class ChurnTrace:
             "duration_ms": self.duration_ms,
             "params": dict(self.params),
         }
-
-
-def sample_simple_path(
-    topo: Topology,
-    source,
-    destination,
-    rng: random.Random,
-    avoid_links: Iterable[tuple] = (),
-    max_tries: int = 200,
-):
-    """Randomized-DFS simple path avoiding dead links; None when stuck.
-
-    The shared sampler of the trace generator (pristine topology) and the
-    online controller's re-planner (``avoid_links`` = failed links).
-    Link avoidance is direction-insensitive.
-    """
-    dead = set()
-    for u, v in avoid_links:
-        dead.add((u, v))
-        dead.add((v, u))
-    for _ in range(max_tries):
-        path = [source]
-        seen = {source}
-        node = source
-        while node != destination:
-            options = [
-                n
-                for n in topo.neighbors(node)
-                if n not in seen and (node, n) not in dead
-            ]
-            if not options:
-                break
-            node = rng.choice(options)
-            path.append(node)
-            seen.add(node)
-        if node == destination:
-            return tuple(path)
-    return None
 
 
 def _sample_flows(

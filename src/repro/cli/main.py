@@ -39,11 +39,6 @@ from repro.topology import builders
 from repro.topology.io import save_topology
 
 
-def available_schedulers() -> list[str]:
-    """The registry's scheduler names -- the CLI exposes exactly these."""
-    return scheduler_names()
-
-
 def _parse_path(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
@@ -739,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --family random-update: add a waypoint")
     p_sched.add_argument("--algorithm", default="wayup", metavar="SCHEDULER",
                          help="registry scheduler spec: "
-                              f"{', '.join(available_schedulers())}; "
+                              f"{', '.join(scheduler_names())}; "
                               "aliases and parameterized forms like "
                               "'combined:wpe+rlf' or 'optimal:slf?max_rounds=4' "
                               "resolve too")

@@ -76,7 +76,7 @@ from repro.errors import (
 from repro.obs import trace as obs
 from repro.core.combined import combined_greedy_schedule
 from repro.core.deadline import check_deadline
-from repro.core.oracle import DEFAULT_NOGOOD_LIMIT
+from repro.core.oracle import DEFAULT_NOGOOD_LIMIT, problem_cache
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import Property
 
@@ -468,26 +468,14 @@ class PrecedenceAnalysis:
         return best
 
 
-#: Attribute caching analyses per problem (lifetime tied to the problem,
-#: mirroring the oracle registry).
-_PRECEDENCE_ATTR = "_bnb_precedence_cache"
-
-
 def precedence_for(
     problem, properties: tuple[Property, ...]
 ) -> PrecedenceAnalysis:
-    """Shared :class:`PrecedenceAnalysis` per ``(problem, properties)``."""
-    cache = getattr(problem, _PRECEDENCE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(problem, _PRECEDENCE_ATTR, cache)
-        # register with the oracle module's weak problem set so
-        # clear_registry() (the repo-wide cold-start convention) drops
-        # this cache too, even when no oracle was ever built
-        from repro.core.oracle import _PROBLEMS
-
-        _PROBLEMS.add(problem)
-    key = frozenset(properties)
+    """Shared :class:`PrecedenceAnalysis` per ``(problem, properties)``,
+    kept in the oracle module's per-problem cache, which
+    :func:`~repro.core.oracle.clear_registry` drops."""
+    cache = problem_cache(problem)
+    key = ("precedence", frozenset(properties))
     analysis = cache.get(key)
     if analysis is None:
         analysis = cache[key] = PrecedenceAnalysis(problem, tuple(properties))

@@ -28,7 +28,6 @@ def combined_greedy_schedule(
     problem: UpdateProblem,
     properties: tuple[Property, ...],
     include_cleanup: bool = True,
-    rlf_budget: int = 200_000,
     oracle: SafetyOracle | None = None,
 ) -> UpdateSchedule:
     """Greedy maximal rounds safe for all ``properties`` at once.
@@ -49,9 +48,9 @@ def combined_greedy_schedule(
         raise UpdateModelError("combined scheduler invoked on a no-op problem")
     properties = tuple(properties)
     if oracle is None:
-        oracle = oracle_for(problem, properties, rlf_budget=rlf_budget)
+        oracle = oracle_for(problem, properties)
     else:
-        oracle.ensure_matches(problem, properties, rlf_budget=rlf_budget)
+        oracle.ensure_matches(problem, properties)
 
     install = install_round(problem)
     if install and not oracle.round_is_safe((), install):

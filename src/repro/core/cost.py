@@ -42,21 +42,16 @@ class CostModel:
         base = self.per_switch_install_ms.get(node, self.install_ms)
         return base * n_rules
 
-    def round_time(self, nodes, rules_per_node: int = 1) -> float:
-        """Duration of one barrier-fenced round over ``nodes``."""
-        slowest = max(
-            (self.install_time(node, rules_per_node) for node in nodes), default=0.0
-        )
+    def round_time(self, nodes) -> float:
+        """Duration of one barrier-fenced round over ``nodes`` (one rule
+        per switch)."""
+        slowest = max((self.install_time(node) for node in nodes), default=0.0)
         return self.rtt_ms + slowest + self.barrier_ms
 
 
-def schedule_update_time(
-    schedule: UpdateSchedule, cost: CostModel, rules_per_node: int = 1
-) -> float:
+def schedule_update_time(schedule: UpdateSchedule, cost: CostModel) -> float:
     """Predicted update time of a round schedule, in milliseconds."""
-    return sum(
-        cost.round_time(round_nodes, rules_per_node) for round_nodes in schedule.rounds
-    )
+    return sum(cost.round_time(round_nodes) for round_nodes in schedule.rounds)
 
 
 def two_phase_update_time(plan: TwoPhaseSchedule, cost: CostModel) -> float:

@@ -188,7 +188,6 @@ def verify_joint_round(
     round_nodes: set,
     properties: tuple[Property, ...],
     round_index: int = 0,
-    rlf_budget: int = 200_000,
 ) -> list[Violation]:
     """Check one shared-rule round against every policy's properties
     (WPE only for a policy with a waypoint), each on a union graph built
@@ -202,7 +201,7 @@ def verify_joint_round(
             prop for prop in properties
             if prop is not Property.WPE or policy.waypoint is not None
         )
-        found, _ = _check_union(union, round_index, checked, True, rlf_budget)
+        found, _ = _check_union(union, round_index, checked, True)
         violations.extend(found)
     return violations
 

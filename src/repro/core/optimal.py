@@ -65,7 +65,6 @@ def round_is_safe_reference(
     updated: set,
     round_nodes: set,
     properties: tuple[Property, ...],
-    rlf_budget: int = 200_000,
 ) -> bool:
     """From-scratch round-safety check (the oracle's reference twin).
 
@@ -76,8 +75,7 @@ def round_is_safe_reference(
     """
     union = UnionGraph.from_update_sets(problem, updated, round_nodes)
     return not any(
-        _check_union(union, 0, (prop,), True, rlf_budget)[0]
-        for prop in properties
+        _check_union(union, 0, (prop,), True)[0] for prop in properties
     )
 
 
@@ -86,7 +84,6 @@ def round_is_safe(
     updated: set,
     round_nodes: set,
     properties: tuple[Property, ...],
-    rlf_budget: int = 200_000,
     oracle: SafetyOracle | None = None,
 ) -> bool:
     """Is flipping ``round_nodes`` (after ``updated``) safe for all properties?
@@ -98,9 +95,9 @@ def round_is_safe(
     the problem's canonical node↔bit index.
     """
     if oracle is None:
-        oracle = oracle_for(problem, tuple(properties), rlf_budget=rlf_budget)
+        oracle = oracle_for(problem, tuple(properties))
     else:
-        oracle.ensure_matches(problem, tuple(properties), rlf_budget=rlf_budget)
+        oracle.ensure_matches(problem, tuple(properties))
     return oracle.round_is_safe(updated, round_nodes)
 
 

@@ -28,7 +28,9 @@ union graph per problem**:
   actually touched them;
 * full ``(updated, round_nodes)`` verdicts are memoized per oracle with
   hit/miss counters, which :func:`aggregate_stats` sums for ``GET
-  /metrics`` at scrape time; queries and memo keys are plain-int
+  /metrics`` at scrape time (the memo's size cap, :data:`DEFAULT_MEMO_LIMIT`,
+  and the exact RLF search's state cap, :data:`repro.core.verify.RLF_BUDGET`,
+  are module constants, the same for every oracle); queries and memo keys are plain-int
   bitmasks over the problem's canonical node↔bit index
   (:attr:`~repro.core.problem.UpdateProblem.node_bit`), so the exact
   search can probe millions of rounds without building a single
@@ -67,6 +69,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.errors import UpdateModelError, VerificationBudgetError, VerificationError
+from repro.core import verify as _verify
 from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
 from repro.topology.graph import NodeId
@@ -79,7 +82,8 @@ _INF = float("inf")
 #: 0 is "not walked yet".
 _ON_PATH, _ENDS_AT_DESTINATION, _ENDS_IN_DROP, _ENDS_IN_CYCLE = -1, 1, 2, 3
 
-#: Entries above which a verdict memo is dropped wholesale (backstop only).
+#: Entries above which a verdict memo is dropped wholesale (backstop only;
+#: read at query time, so a test can patch it).
 DEFAULT_MEMO_LIMIT = 1_000_000
 
 #: Default capacity of the learned-nogood table (see
@@ -147,8 +151,6 @@ class SafetyOracle:
         problem: UpdateProblem,
         properties: tuple[Property, ...],
         exact_rlf: bool = True,
-        rlf_budget: int = 200_000,
-        memo_limit: int = DEFAULT_MEMO_LIMIT,
     ) -> None:
         properties = tuple(properties)
         if not properties:
@@ -158,8 +160,6 @@ class SafetyOracle:
         self.problem = problem
         self.properties = properties
         self.exact_rlf = exact_rlf
-        self.rlf_budget = rlf_budget
-        self.memo_limit = memo_limit
         self.stats = OracleStats()
 
         self._source = problem.source
@@ -666,7 +666,7 @@ class SafetyOracle:
             return cached
         if self._nogoods and self._nogood_match(updated_mask, round_mask):
             self.stats.nogood_hits += 1
-            if len(memo) >= self.memo_limit:
+            if len(memo) >= DEFAULT_MEMO_LIMIT:
                 memo.clear()
                 self.stats.memo_evictions += 1
             memo[key] = False
@@ -676,7 +676,7 @@ class SafetyOracle:
         verdict = self.current_round_safe()
         if not verdict and self._learn_nogoods:
             self._learn_nogood()
-        if len(memo) >= self.memo_limit:
+        if len(memo) >= DEFAULT_MEMO_LIMIT:
             memo.clear()
             self.stats.memo_evictions += 1
         memo[key] = verdict
@@ -873,7 +873,7 @@ class SafetyOracle:
         if source not in danger:
             return False
         succ = self._succ
-        budget = self.rlf_budget
+        budget = _verify.RLF_BUDGET
         states_explored = 0
         walk: list[NodeId] = [source]
         on_walk = {source}
@@ -1117,13 +1117,12 @@ class SafetyOracle:
         problem: UpdateProblem,
         properties: tuple[Property, ...] | None = None,
         exact_rlf: bool | None = None,
-        rlf_budget: int | None = None,
     ) -> None:
         """Guard for externally supplied oracles.
 
         A scheduler handed an oracle built for another problem, property
-        set or RLF mode would silently emit wrong-mode (or outright
-        unsafe) schedules; this turns the mismatch into a loud error.
+        set or RLF mode (the state cap is one constant for all) would emit
+        wrong-mode or unsafe schedules; this makes the mismatch an error.
         """
         if self.problem is not problem:
             raise VerificationError(
@@ -1136,16 +1135,10 @@ class SafetyOracle:
                 f"oracle checks {[p.value for p in self.properties]}, "
                 f"caller needs {[p.value for p in properties]}"
             )
-        if Property.RLF in self.properties:
-            if exact_rlf is not None and exact_rlf != self.exact_rlf:
-                raise VerificationError(
-                    f"oracle has exact_rlf={self.exact_rlf}, caller needs {exact_rlf}"
-                )
-            if rlf_budget is not None and rlf_budget != self.rlf_budget:
-                raise VerificationError(
-                    f"oracle has rlf_budget={self.rlf_budget}, "
-                    f"caller needs {rlf_budget}"
-                )
+        if Property.RLF in self.properties and exact_rlf not in (None, self.exact_rlf):
+            raise VerificationError(
+                f"oracle has exact_rlf={self.exact_rlf}, caller needs {exact_rlf}"
+            )
 
     def memo_size(self) -> int:
         return len(self._memo)
@@ -1167,10 +1160,11 @@ class SafetyOracle:
 # per-problem oracle registry
 # ---------------------------------------------------------------------------
 
-#: Attribute under which a problem carries its own oracle cache.  Hanging
-#: the cache off the problem (instead of a module-level map) ties the
-#: oracles' lifetime to the problem's: the problem<->oracle reference
-#: cycle is ordinary garbage once the caller drops the problem.
+#: Attribute under which a problem carries its own cache (its oracles, and
+#: the forced-precedence analyses of :mod:`repro.core.bnb`).  Hanging the
+#: cache off the problem (instead of a module-level map) ties the oracles'
+#: lifetime to the problem's: the problem<->oracle reference cycle is
+#: ordinary garbage once the caller drops the problem.
 _CACHE_ATTR = "_safety_oracle_cache"
 
 #: Weak views over everything handed out, for stats and test isolation:
@@ -1259,11 +1253,24 @@ class RequestScope:
         return total
 
 
+def problem_cache(problem: UpdateProblem) -> dict:
+    """The per-problem cache :func:`clear_registry` drops.
+
+    :func:`oracle_for` keys it by ``(properties, exact_rlf)``;
+    :func:`repro.core.bnb.precedence_for` by ``("precedence", properties)``.
+    """
+    cache = getattr(problem, _CACHE_ATTR, None)
+    if cache is None:
+        cache = {}
+        setattr(problem, _CACHE_ATTR, cache)
+        _PROBLEMS.add(problem)
+    return cache
+
+
 def oracle_for(
     problem: UpdateProblem,
     properties: tuple[Property, ...],
     exact_rlf: bool = True,
-    rlf_budget: int = 200_000,
 ) -> SafetyOracle:
     """Shared :class:`SafetyOracle` per ``(problem, properties, mode)``.
 
@@ -1273,17 +1280,13 @@ def oracle_for(
     order-insensitively (a verdict is a conjunction).  Oracles die with
     their problem, so long-running controllers do not leak.
     """
-    cache = getattr(problem, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(problem, _CACHE_ATTR, cache)
-        _PROBLEMS.add(problem)
+    cache = problem_cache(problem)
     props = frozenset(properties)
     if Property.RLF not in props:
         # the RLF mode cannot affect verdicts: normalize the cache key so
-        # callers with different budgets share one oracle and memo table
-        exact_rlf, rlf_budget = True, 200_000
-    key = (props, exact_rlf, rlf_budget)
+        # callers in either mode share one oracle and memo table
+        exact_rlf = True
+    key = (props, exact_rlf)
     oracle = cache.get(key)
     if oracle is None:
         from repro.obs import trace as obs
@@ -1293,9 +1296,7 @@ def oracle_for(
             problem=problem.name,
             properties=",".join(sorted(p.value for p in props)),
         ):
-            oracle = SafetyOracle(
-                problem, properties, exact_rlf=exact_rlf, rlf_budget=rlf_budget
-            )
+            oracle = SafetyOracle(problem, properties, exact_rlf=exact_rlf)
         cache[key] = oracle
         _LIVE[weakref.ref(oracle, _retire)] = oracle.stats
         if _RETIRING:
@@ -1309,18 +1310,17 @@ def oracle_for(
 def clear_registry() -> None:
     """Forget all shared oracles (cold-start benchmarks, test isolation).
 
-    Also drops the per-problem forced-precedence caches of
-    :mod:`repro.core.bnb` (named literally to avoid the import cycle), so
-    a cleared problem is genuinely cold for benchmark purposes, and zeroes
-    the retired counters: :func:`aggregate_stats` starts again from 0.
+    The per-problem cache also holds :mod:`repro.core.bnb`'s forced-
+    precedence analyses, so a cleared problem is genuinely cold for
+    benchmark purposes.  Zeroes the retired counters too:
+    :func:`aggregate_stats` starts again from 0.
     """
     global _RETIRED
     for problem in list(_PROBLEMS):
-        for attribute in (_CACHE_ATTR, "_bnb_precedence_cache"):
-            try:
-                delattr(problem, attribute)
-            except AttributeError:
-                pass
+        try:
+            delattr(problem, _CACHE_ATTR)
+        except AttributeError:
+            pass
     _PROBLEMS.clear()
     _LIVE.clear()  # a dropped weak reference never calls back
     with _RETIRED_LOCK:

@@ -67,14 +67,14 @@ def peacock_schedule(
     problem: UpdateProblem,
     include_cleanup: bool = True,
     exact: bool = True,
-    rlf_budget: int = 200_000,
     oracle: SafetyOracle | None = None,
 ) -> UpdateSchedule:
     """Compute a relaxed-loop-free round schedule for ``problem``.
 
     ``exact=False`` switches the per-round safety test to the conservative
     union-graph check: still sound (never emits an unsafe round) but may
-    use more rounds; use it for very large instances.
+    use more rounds; use it for very large instances.  The exact test
+    gives up past :data:`repro.core.verify.RLF_BUDGET` trajectory states.
 
     Backward-round packing runs as apply/revert deltas against the shared
     :class:`SafetyOracle`: when the incremental topological order proves
@@ -86,13 +86,9 @@ def peacock_schedule(
     if not problem.required_updates:
         raise UpdateModelError("Peacock invoked on a problem with no rule changes")
     if oracle is None:
-        oracle = oracle_for(
-            problem, (Property.RLF,), exact_rlf=exact, rlf_budget=rlf_budget
-        )
+        oracle = oracle_for(problem, (Property.RLF,), exact_rlf=exact)
     else:
-        oracle.ensure_matches(
-            problem, (Property.RLF,), exact_rlf=exact, rlf_budget=rlf_budget
-        )
+        oracle.ensure_matches(problem, (Property.RLF,), exact_rlf=exact)
 
     forward, _ = classify_forward_backward(problem)
     # The progress argument guarantees packing cannot stall; guard anyway

@@ -20,7 +20,10 @@ scheduler promises.  The registry replaces all of them:
     a property set (their guarantee *is* that set);
   - ``optimal:slf?max_rounds=4&time_limit_s=2``, ``peacock?exact=false`` --
     engine options, validated against the definition's ``accepts`` set
-    (values are coerced: ``true``/``false``, ints, floats, else strings);
+    (values are coerced: ``true``/``false``, ints, floats, else strings).
+    Among the built-ins only ``peacock`` (``exact``) and ``optimal`` (its
+    search budgets) take any; the RLF search's state cap is the constant
+    :data:`repro.core.verify.RLF_BUDGET`, not a knob;
 
 * third-party schedulers plug in once via :func:`register_scheduler` (or
   the lower-level :meth:`SchedulerRegistry.register`) and are immediately
@@ -164,13 +167,10 @@ class Scheduler:
 
 
 #: The built-in schedulers' int knobs and the least value each accepts.
-_INT_KNOBS = {
-    "node_budget": 1, "max_nodes": 1, "max_rounds": 0, "nogood_limit": 0,
-    "rlf_budget": 1,
-}
+_INT_KNOBS = {"node_budget": 1, "max_nodes": 1, "max_rounds": 0, "nogood_limit": 0}
 
 #: The built-in schedulers' on/off knobs.
-_BOOL_KNOBS = ("exact", "check_rounds")
+_BOOL_KNOBS = ("exact",)
 
 
 def _check_params(base: str, accepts, params: Mapping[str, Any]) -> None:
@@ -405,9 +405,7 @@ def _render(value: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_wayup(problem, cleanup, oracle, properties, params):
-    schedule = wayup_schedule(
-        problem, include_cleanup=cleanup, oracle=oracle, **params
-    )
+    schedule = wayup_schedule(problem, include_cleanup=cleanup)
     return SchedulerRun(schedule, None, (Property.WPE, Property.BLACKHOLE))
 
 
@@ -452,7 +450,7 @@ def _run_strongest(problem, cleanup, oracle, properties, params):
 
 def _run_combined(problem, cleanup, oracle, properties, params):
     schedule = combined_greedy_schedule(
-        problem, properties, include_cleanup=cleanup, oracle=oracle, **params
+        problem, properties, include_cleanup=cleanup, oracle=oracle
     )
     return SchedulerRun(schedule, None, tuple(properties))
 
@@ -474,14 +472,13 @@ for _definition in (
         aliases=("way-up",),
         guarantee=(Property.WPE, Property.BLACKHOLE),
         requires_waypoint=True,
-        accepts=frozenset({"check_rounds"}),
         description="HotNets'14 waypoint-enforcing rounds (<= 6 rounds)",
     ),
     SchedulerDefinition(
         "peacock",
         _run_peacock,
         guarantee=(Property.RLF, Property.BLACKHOLE),
-        accepts=frozenset({"exact", "rlf_budget"}),
+        accepts=frozenset({"exact"}),
         description="PODC'15 relaxed-loop-free rounds (O(log n) on reversals)",
     ),
     SchedulerDefinition(
@@ -518,7 +515,6 @@ for _definition in (
         "combined",
         _run_combined,
         parameterized=True,
-        accepts=frozenset({"rlf_budget"}),
         description="greedy rounds safe for every listed property at once",
     ),
     SchedulerDefinition(

@@ -38,6 +38,11 @@ from repro.core.transient import (
 )
 from repro.topology.graph import NodeId
 
+#: State cap of the exact relaxed-loop-freedom trajectory search.  Both RLF
+#: searches (:func:`check_rlf` and the oracle's) read it through this module
+#: at query time, so patching ``repro.core.verify.RLF_BUDGET`` reaches both.
+RLF_BUDGET = 200_000
+
 
 class Property(enum.Enum):
     """Transient properties a schedule can be verified against."""
@@ -159,7 +164,6 @@ def check_rlf(
     union: UnionGraph,
     round_index: int,
     exact: bool = True,
-    budget: int = 200_000,
 ) -> tuple[Violation | None, bool]:
     """Relaxed loop freedom.
 
@@ -171,7 +175,8 @@ def check_rlf(
     from the source means provably safe), then a branching trajectory
     search: walk from the source, fixing each flexible node's state the
     first time the walk meets it; revisiting any node is a realizable
-    s-reachable loop.
+    s-reachable loop.  Past :data:`RLF_BUDGET` walk states it raises
+    :class:`~repro.errors.VerificationBudgetError`.
     """
     problem = union.problem
     source = problem.source
@@ -192,7 +197,7 @@ def check_rlf(
             ),
             True,
         )
-    witness = _rlf_trajectory_witness(union, budget)
+    witness = _rlf_trajectory_witness(union)
     if witness is None:
         return None, False
     return (
@@ -206,9 +211,7 @@ def check_rlf(
     )
 
 
-def _rlf_trajectory_witness(
-    union: UnionGraph, budget: int
-) -> tuple[NodeId, ...] | None:
+def _rlf_trajectory_witness(union: UnionGraph) -> tuple[NodeId, ...] | None:
     """Branching DFS over source trajectories; returns a looping walk or None.
 
     Every walk fixes the state of each flexible node on first visit, so a
@@ -218,6 +221,7 @@ def _rlf_trajectory_witness(
     """
     problem = union.problem
     destination = problem.destination
+    budget = RLF_BUDGET
     states_explored = 0
 
     source = problem.source
@@ -258,7 +262,6 @@ def _check_union(
     round_index: int,
     properties: tuple[Property, ...],
     exact_rlf: bool,
-    rlf_budget: int,
     settled: bool = False,
 ) -> tuple[list[Violation], int]:
     """Run every property check on one round's union graph (``settled``:
@@ -273,9 +276,7 @@ def _check_union(
         elif prop is Property.BLACKHOLE:
             found = check_blackhole(union, round_index)
         elif prop is Property.RLF:
-            found, conservative = check_rlf(
-                union, round_index, exact=exact_rlf, budget=rlf_budget
-            )
+            found, conservative = check_rlf(union, round_index, exact=exact_rlf)
             if conservative and found is not None:
                 conservative_hits += 1
         else:  # pragma: no cover - enum is closed
@@ -290,19 +291,17 @@ def verify_round(
     round_index: int,
     properties: tuple[Property, ...],
     exact_rlf: bool = True,
-    rlf_budget: int = 200_000,
 ) -> tuple[list[Violation], int]:
     """Check one round on a union graph built from scratch; returns
     ``(violations, conservative_hits)``."""
     union = UnionGraph.for_round(schedule, round_index)
-    return _check_union(union, round_index, properties, exact_rlf, rlf_budget)
+    return _check_union(union, round_index, properties, exact_rlf)
 
 
 def verify_schedule(
     schedule: UpdateSchedule,
     properties: tuple[Property, ...] | None = None,
     exact_rlf: bool = True,
-    rlf_budget: int = 200_000,
     stop_at_first: bool = False,
 ) -> VerificationReport:
     """Verify every round of a schedule against ``properties``.
@@ -333,7 +332,7 @@ def verify_schedule(
         else:
             union.advance(rounds[round_index - 1], round_nodes)
         violations, conservative_hits = _check_union(
-            union, round_index, properties, exact_rlf, rlf_budget, settled
+            union, round_index, properties, exact_rlf, settled
         )
         report.rounds_checked += 1
         report.conservative_hits += conservative_hits
@@ -351,12 +350,9 @@ def is_round_safe(
     round_index: int,
     properties: tuple[Property, ...],
     exact_rlf: bool = True,
-    rlf_budget: int = 200_000,
 ) -> bool:
     """Convenience: True when one round has no (possibly spurious) violation."""
-    violations, _ = verify_round(
-        schedule, round_index, properties, exact_rlf=exact_rlf, rlf_budget=rlf_budget
-    )
+    violations, _ = verify_round(schedule, round_index, properties, exact_rlf=exact_rlf)
     return not violations
 
 

@@ -34,10 +34,8 @@ forwards it along one of the two prefixes, both of which end at ``w``.
 from __future__ import annotations
 
 from repro.errors import UpdateModelError
-from repro.core.oracle import SafetyOracle, oracle_for
 from repro.core.problem import UpdateKind, UpdateProblem
 from repro.core.schedule import UpdateSchedule
-from repro.core.verify import Property
 
 #: Human-readable names of WayUp's round classes, in emission order.
 ROUND_NAMES = (
@@ -53,8 +51,6 @@ ROUND_NAMES = (
 def wayup_schedule(
     problem: UpdateProblem,
     include_cleanup: bool = True,
-    check_rounds: bool = False,
-    oracle: SafetyOracle | None = None,
 ) -> UpdateSchedule:
     """Compute the WayUp schedule for a waypointed update problem.
 
@@ -62,10 +58,9 @@ def wayup_schedule(
     The resulting schedule has at most six non-empty rounds; its round
     classes are recorded in ``metadata["round_names"]``.
 
-    With ``check_rounds=True`` every emitted round is validated against
-    the incremental :class:`SafetyOracle` (WPE + blackhole freedom) before
-    the schedule is returned -- a cheap guard that turns a modelling bug
-    in the round construction into a loud error instead of a bad deploy.
+    The construction is not re-checked here: a request's envelope
+    (``verify=True``, the default on every REST, CLI and campaign path)
+    verifies the schedule against WPE and blackhole freedom.
     """
     if problem.waypoint is None:
         raise UpdateModelError("WayUp requires a waypointed update problem")
@@ -110,19 +105,6 @@ def wayup_schedule(
         # Degenerate problem: nothing changes.  Emit a single no-op-free
         # schedule is impossible (rounds must be non-empty), so signal it.
         raise UpdateModelError("WayUp invoked on a problem with no rule changes")
-    if check_rounds:
-        if oracle is None:
-            oracle = oracle_for(problem, (Property.WPE, Property.BLACKHOLE))
-        else:
-            oracle.ensure_matches(problem, (Property.WPE, Property.BLACKHOLE))
-        done: set = set()
-        for name, nodes in zip(round_names, rounds):
-            if not oracle.round_is_safe(done, nodes):
-                raise UpdateModelError(
-                    f"WayUp round {name!r} violates waypoint enforcement or "
-                    f"blackhole freedom -- modelling bug"
-                )
-            done |= nodes
     return UpdateSchedule(
         problem,
         rounds,

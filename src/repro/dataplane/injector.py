@@ -56,13 +56,11 @@ class PeriodicInjector:
         network: "Network",
         flow: FlowSpec,
         interval_ms: float = 0.5,
-        start_ms: float = 0.0,
         max_packets: int = 100_000,
     ) -> None:
         self.network = network
         self.flow = flow
         self.interval_ms = interval_ms
-        self.start_ms = start_ms
         self.max_packets = max_packets
         self.result = InjectionResult()
         self._stopped = False
@@ -73,9 +71,7 @@ class PeriodicInjector:
         if self._started:
             return
         self._started = True
-        self.network.sim.schedule_at(
-            max(self.network.sim.now, self.start_ms), self._tick
-        )
+        self.network.sim.schedule_at(self.network.sim.now, self._tick)
 
     def stop(self) -> None:
         """Stop after the current tick (pending probes still complete)."""

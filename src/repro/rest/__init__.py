@@ -1,7 +1,6 @@
 """REST layer: the paper's update interface over an in-process router."""
 
 from repro.rest.api import (
-    CampaignRestApi,
     RestApi,
     RestResponse,
     Route,
@@ -15,14 +14,12 @@ from repro.rest.schemas import (
     UPDATE_BODY_KEYS,
     UPDATE_EXTENSION_KEYS,
     UPDATE_HEADER_FIELDS,
-    schedule_result_to_body,
     validate_flowentry_body,
     validate_schedule_body,
     validate_update_body,
 )
 
 __all__ = [
-    "CampaignRestApi",
     "HttpClient",
     "RestApi",
     "RestHttpServer",
@@ -35,7 +32,6 @@ __all__ = [
     "UPDATE_HEADER_FIELDS",
     "build_campaign_api",
     "build_rest_api",
-    "schedule_result_to_body",
     "validate_flowentry_body",
     "validate_schedule_body",
     "validate_update_body",

@@ -40,8 +40,9 @@ Routes (mirroring ofctl_rest plus the paper's update endpoint):
   oracles' aggregate counters (``repro_oracle_*``) and the request
   histograms of ``execute_request`` (``repro_api_schedule_*``)
 
-:func:`build_campaign_api` wires a campaign-only router (no simulated
-network) -- the surface ``repro campaign serve`` exposes to its fleet.
+:func:`build_campaign_api` wires a campaign-only router onto a
+:class:`RestApi` without network apps -- the surface ``repro campaign
+serve`` exposes to its fleet.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from repro.core.registry import REGISTRY, parse_properties
 from repro.metrics import render_prometheus
 from repro.rest.campaigns import CampaignService
 from repro.rest.schemas import (
-    schedule_result_to_body,
     validate_flowentry_body,
     validate_schedule_body,
     validate_update_body,
@@ -103,7 +103,6 @@ class Route:
     method: str
     pattern: re.Pattern
     handler: Callable[..., Any]
-    param_names: tuple[str, ...] = ()
 
 
 class Router:
@@ -114,16 +113,14 @@ class Router:
 
     def register(self, method: str, path: str, handler: Callable[..., Any]) -> None:
         """Register ``handler(body=None, **path_params)`` for method+path."""
-        param_names = tuple(re.findall(r"<(\w+)>", path))
         regex = re.escape(path)
-        for name in param_names:
+        for name in re.findall(r"<(\w+)>", path):
             regex = regex.replace(re.escape(f"<{name}>"), f"(?P<{name}>[^/]+)")
         self._routes.append(
             Route(
                 method=method.upper(),
                 pattern=re.compile(f"^{regex}$"),
                 handler=handler,
-                param_names=param_names,
             )
         )
 
@@ -151,19 +148,16 @@ class Router:
             )
         return RestResponse(status=404, body={"error": f"no route for {path}"})
 
-    def routes(self) -> list[tuple[str, str]]:
-        """(method, pattern) pairs, for docs and tests."""
-        return [(route.method, route.pattern.pattern) for route in self._routes]
-
 
 @dataclass
 class RestApi:
-    """The wired-up application router."""
+    """The wired-up application router; the network apps are ``None`` on
+    the campaign-only surface (:func:`build_campaign_api`)."""
 
     router: Router
-    ofctl: OfctlRestApp
-    update_app: TransientUpdateApp
-    update_queue: UpdateQueueApp
+    ofctl: OfctlRestApp | None = None
+    update_app: TransientUpdateApp | None = None
+    update_queue: UpdateQueueApp | None = None
     flush: Callable[[], None] | None = None
     campaigns: CampaignService | None = None
 
@@ -294,7 +288,7 @@ def build_rest_api(
             return {"status": "infeasible",
                     "scheduler": REGISTRY.resolve(spec).name,
                     "detail": str(exc)}
-        data = schedule_result_to_body(result)
+        data = result.to_dict()
         data["status"] = "ok"
         return data
 
@@ -395,23 +389,12 @@ def register_metrics_route(router: Router, campaigns: CampaignService) -> None:
     router.register("GET", "/metrics", get_metrics)
 
 
-@dataclass
-class CampaignRestApi:
-    """A campaign-only API surface (no simulated network attached)."""
-
-    router: Router
-    campaigns: CampaignService
-
-    def handle(self, method: str, path: str, body: Any = None) -> RestResponse:
-        return self.router.handle(method, path, body)
-
-
 def build_campaign_api(
     campaign_root: str | None = None,
     service: CampaignService | None = None,
-) -> CampaignRestApi:
+) -> RestApi:
     """Wire only the campaign + fabric routes (``repro campaign serve``)."""
     router = Router()
     campaigns = service or CampaignService(root=campaign_root)
     register_campaign_routes(router, campaigns)
-    return CampaignRestApi(router=router, campaigns=campaigns)
+    return RestApi(router=router, campaigns=campaigns)

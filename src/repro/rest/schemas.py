@@ -20,7 +20,7 @@ UPDATE_HEADER_FIELDS = ("oldpath", "newpath", "wp", "interval")
 UPDATE_BODY_KEYS = ("add", "modify", "delete")
 
 #: Keys this implementation additionally understands.
-UPDATE_EXTENSION_KEYS = ("algorithm", "match", "priority", "name")
+UPDATE_EXTENSION_KEYS = ("algorithm", "match", "priority", "name", "barriers")
 
 
 def _require_dict(body: Any, what: str) -> dict:
@@ -29,13 +29,17 @@ def _require_dict(body: Any, what: str) -> dict:
     return body
 
 
+def _is_datapath_id(value: Any) -> bool:
+    """An int or an ASCII-digit string (bools are neither; ``int("²")`` fails)."""
+    if isinstance(value, str):
+        return value.isascii() and value.isdigit()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_wp(body: dict) -> None:
-    if "wp" in body and body["wp"] is not None:
-        wp = body["wp"]
-        if isinstance(wp, bool) or not isinstance(wp, (int, str)):
-            raise BadRequestError(f"'wp' must be a datapath id, got {wp!r}")
-        if isinstance(wp, str) and not wp.isdigit():
-            raise BadRequestError(f"'wp' must be numeric, got {wp!r}")
+    wp = body.get("wp")
+    if wp is not None and not _is_datapath_id(wp):
+        raise BadRequestError(f"'wp' must be a numeric datapath id, got {wp!r}")
 
 
 def _require_path(body: dict, key: str) -> None:
@@ -43,9 +47,7 @@ def _require_path(body: dict, key: str) -> None:
     if not isinstance(value, (list, tuple)) or len(value) < 2:
         raise BadRequestError(f"{key!r} must be a list of at least two datapath ids")
     for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise BadRequestError(f"{key!r} contains a non-datapath entry: {item!r}")
-        if isinstance(item, str) and not item.isdigit():
+        if not _is_datapath_id(item):
             raise BadRequestError(f"{key!r} contains a non-numeric id: {item!r}")
     normalized = [int(v) for v in value]
     if len(set(normalized)) != len(normalized):
@@ -66,6 +68,13 @@ def validate_update_body(body: Any) -> dict:
             raise BadRequestError(f"'interval' must be milliseconds, got {interval!r}")
         if interval < 0:
             raise BadRequestError(f"'interval' must be non-negative, got {interval!r}")
+    priority = body.get("priority", 0)
+    if type(priority) is not int or not 0 <= priority <= 0xFFFF:
+        raise BadRequestError(f"'priority' must be an int in 0..65535, got {priority!r}")
+    if "match" in body and not isinstance(body["match"], dict):
+        raise BadRequestError(f"'match' must be an object, got {body['match']!r}")
+    if "barriers" in body and not isinstance(body["barriers"], bool):
+        raise BadRequestError("'barriers' must be a boolean")
     for key in UPDATE_BODY_KEYS:
         if key in body and body[key] is not None:
             entries = body[key]
@@ -75,6 +84,10 @@ def validate_update_body(body: Any) -> dict:
                 _require_dict(entry, f"{key!r} entry")
                 if "dpid" not in entry:
                     raise BadRequestError(f"{key!r} entry without 'dpid': {entry!r}")
+                if not _is_datapath_id(entry["dpid"]):
+                    raise BadRequestError(
+                        f"{key!r} entry 'dpid' must be numeric, got {entry['dpid']!r}"
+                    )
     return body
 
 
@@ -118,11 +131,6 @@ def validate_schedule_body(body: Any) -> dict:
     if "params" in body and not isinstance(body["params"], dict):
         raise BadRequestError("'params' must be an object of engine options")
     return body
-
-
-def schedule_result_to_body(result: Any) -> dict:
-    """Serialize a :class:`repro.core.api.ScheduleResult` for the wire."""
-    return result.to_dict()
 
 
 def validate_flowentry_body(body: Any) -> dict:

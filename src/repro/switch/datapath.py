@@ -51,6 +51,10 @@ from repro.switch.flow_table import FlowTable
 from repro.switch.latency import OVS_PROFILE, SwitchTimingProfile
 from repro.switch.pipeline import Pipeline, PipelineResult
 
+#: Flow tables per switch, and entries per table.
+N_TABLES = 4
+TABLE_CAPACITY = 10_000
+
 
 @dataclass
 class SwitchLog:
@@ -75,8 +79,6 @@ class SwitchSim:
         channel: ControlChannel,
         timing: SwitchTimingProfile = OVS_PROFILE,
         rng: random.Random | None = None,
-        n_tables: int = 4,
-        table_capacity: int = 10_000,
         miss_behavior: str = "drop",
     ) -> None:
         self.sim = sim
@@ -84,7 +86,7 @@ class SwitchSim:
         self.channel = channel
         self.timing = timing
         self.rng = rng if rng is not None else random.Random(dpid)
-        self.tables = [FlowTable(table_id=i, capacity=table_capacity) for i in range(n_tables)]
+        self.tables = [FlowTable(table_id=i, capacity=TABLE_CAPACITY) for i in range(N_TABLES)]
         self.pipeline = Pipeline(self.tables, miss_behavior=miss_behavior)
         self.log = SwitchLog()
         self.connected = False

@@ -82,6 +82,44 @@ def barabasi_albert(
     return _from_networkx(graph, name=f"ba-{n}-{m}")
 
 
+def sample_simple_path(
+    topo: Topology,
+    source,
+    destination,
+    rng: random.Random,
+    avoid_links: Iterable[tuple] = (),
+    max_tries: int = 200,
+) -> tuple | None:
+    """Randomized-DFS simple path avoiding dead links; None when stuck.
+
+    The sampler of the churn traces, the churn re-planner (``avoid_links``
+    = failed links) and :func:`random_simple_path`.  Link avoidance is
+    direction-insensitive.
+    """
+    dead = set()
+    for u, v in avoid_links:
+        dead.add((u, v))
+        dead.add((v, u))
+    for _ in range(max_tries):
+        path = [source]
+        seen = {source}
+        node = source
+        while node != destination:
+            options = [
+                n
+                for n in topo.neighbors(node)
+                if n not in seen and (node, n) not in dead
+            ]
+            if not options:
+                break
+            node = rng.choice(options)
+            path.append(node)
+            seen.add(node)
+        if node == destination:
+            return tuple(path)
+    return None
+
+
 def random_simple_path(
     topo: Topology,
     source,
@@ -91,22 +129,12 @@ def random_simple_path(
 ) -> Path:
     """Sample a uniform-ish random simple path via randomized DFS."""
     rng = _as_rng(seed)
-    for _ in range(max_tries):
-        path = [source]
-        seen = {source}
-        node = source
-        while node != destination:
-            options = [n for n in topo.neighbors(node) if n not in seen]
-            if not options:
-                break
-            node = rng.choice(options)
-            path.append(node)
-            seen.add(node)
-        if node == destination:
-            return Path(path)
-    raise TopologyError(
-        f"could not sample a simple path {source!r}->{destination!r}"
-    )
+    path = sample_simple_path(topo, source, destination, rng, max_tries=max_tries)
+    if path is None:
+        raise TopologyError(
+            f"could not sample a simple path {source!r}->{destination!r}"
+        )
+    return Path(path)
 
 
 def random_update_instance(

@@ -4,9 +4,9 @@ import pytest
 
 from repro.campaign import CampaignSpec, derive_seed
 from repro.campaign.families import build_unit, single_problem
-from repro.campaign.schedulers import parse_properties, resolve
+from repro.core.registry import parse_properties, resolve_scheduler
 from repro.core.verify import Property
-from repro.errors import CampaignSpecError
+from repro.errors import CampaignSpecError, SchedulerSpecError
 
 BASIC = {
     "name": "basic",
@@ -169,16 +169,21 @@ class TestFamilies:
 
 class TestSchedulers:
     def test_combined_parses_properties(self):
-        definition = resolve("combined:wpe+rlf+blackhole")
+        definition = resolve_scheduler("combined:wpe+rlf+blackhole")
         assert definition.requires_waypoint
 
     def test_parse_properties(self):
         assert parse_properties("slf+blackhole") == (
             Property.SLF, Property.BLACKHOLE,
         )
-        with pytest.raises(CampaignSpecError):
+        with pytest.raises(SchedulerSpecError):
             parse_properties("bogus")
+        # a spec re-types the registry's error as its own
+        with pytest.raises(CampaignSpecError, match="unknown properties"):
+            CampaignSpec.from_dict({**BASIC, "properties": ["bogus"]})
 
     def test_unknown_scheduler(self):
-        with pytest.raises(CampaignSpecError):
-            resolve("optimal:")
+        with pytest.raises(SchedulerSpecError):
+            resolve_scheduler("optimal:")
+        with pytest.raises(CampaignSpecError, match="empty property list"):
+            CampaignSpec.from_dict({**BASIC, "schedulers": ["optimal:"]})

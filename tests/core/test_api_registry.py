@@ -107,17 +107,24 @@ class TestRegistryParity:
         assert kept.schedule.includes_cleanup()
         assert not dropped.schedule.includes_cleanup()
 
-    def test_layers_resolve_identical_scheduler_lists(self):
-        from repro.campaign.schedulers import resolve as campaign_resolve
-        from repro.cli.main import available_schedulers
+    def test_layers_resolve_identical_scheduler_lists(self, monkeypatch, capsys):
+        from repro.campaign import CampaignSpec
+        from repro.cli.main import main
         from repro.core.registry import REGISTRY
 
         names = scheduler_names()
-        # CLI
-        assert available_schedulers() == names
-        # campaign: every registry spec resolves to the same object
-        for spec in sweepable_specs():
-            assert campaign_resolve(spec) is resolve_scheduler(spec)
+        # CLI: `schedule --help` lists exactly the registry (unwrapped)
+        monkeypatch.setenv("COLUMNS", "10000")
+        with pytest.raises(SystemExit):
+            main(["schedule", "--help"])
+        assert f"registry scheduler spec: {', '.join(names)};" in capsys.readouterr().out
+        # campaign: a spec keeps every registry spec string as given
+        spec = CampaignSpec.from_dict({
+            "name": "layers",
+            "families": [{"family": "reversal", "sizes": [6]}],
+            "schedulers": sweepable_specs(),
+        })
+        assert list(spec.schedulers) == sweepable_specs()
         # REST: capability listing covers exactly the registry
         assert [row["name"] for row in REGISTRY.describe()] == names
 

@@ -168,6 +168,19 @@ class TestCrossEngineEquivalence:
 
 
 class TestLowerBound:
+    def test_precedence_analysis_lives_in_the_oracle_cache(self):
+        from repro.core.oracle import _CACHE_ATTR
+
+        problem = reversal_instance(8)
+        clear_registry()
+        analysis = precedence_for(problem, (Property.SLF,))
+        assert precedence_for(problem, (Property.SLF,)) is analysis
+        oracle = oracle_for(problem, (Property.SLF,))
+        assert set(vars(problem)[_CACHE_ATTR].values()) == {analysis, oracle}
+        clear_registry()
+        assert _CACHE_ATTR not in vars(problem)
+        assert precedence_for(problem, (Property.SLF,)) is not analysis
+
     @_RELAXED
     @given(instances(with_waypoint=True))
     def test_admissible_on_random_instances(self, problem):

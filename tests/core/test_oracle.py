@@ -27,6 +27,7 @@ from repro.core.optimal import (
     round_is_safe,
     round_is_safe_reference,
 )
+from repro.core import oracle as oracle_module
 from repro.core.oracle import SafetyOracle, aggregate_stats, oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
@@ -264,9 +265,10 @@ class TestMemoAndRegistry:
         gc.collect()
         assert grave() is None
 
-    def test_memo_limit_eviction(self):
+    def test_memo_limit_eviction(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "DEFAULT_MEMO_LIMIT", 2)
         problem = reversal_instance(6)
-        oracle = SafetyOracle(problem, (Property.SLF,), memo_limit=2)
+        oracle = SafetyOracle(problem, (Property.SLF,))
         for node in (2, 3, 4):
             oracle.round_is_safe(set(), {node})
         assert oracle.stats.memo_evictions >= 1
@@ -322,25 +324,34 @@ class TestFrontiers:
         assert oracle.stats.frontier_extensions >= 1
 
 
+def assert_wayup_rounds_pass_the_oracle(schedule) -> None:
+    """Every WayUp round is safe for WPE + blackhole freedom."""
+    oracle = oracle_for(schedule.problem, (Property.WPE, Property.BLACKHOLE))
+    done: set = set()
+    for nodes in schedule.rounds:
+        assert oracle.round_is_safe(done, nodes), (schedule, nodes)
+        done |= nodes
+
+
 class TestWayUpOracleCheck:
-    def test_check_rounds_accepts_wayup_schedules(self):
+    def test_oracle_accepts_wayup_schedules(self):
         for factory in (
             crossing_instance,
             double_diamond_instance,
             lambda: waypoint_slalom_instance(4),
         ):
-            schedule = wayup_schedule(factory(), check_rounds=True)
+            schedule = wayup_schedule(factory())
             assert schedule.n_rounds >= 1
+            assert_wayup_rounds_pass_the_oracle(schedule)
 
     @_RELAXED
     @given(instances(with_waypoint=True))
-    def test_check_rounds_accepts_random_waypointed_instances(self, problem):
+    def test_oracle_accepts_random_waypointed_instances(self, problem):
         from repro.errors import UpdateModelError
 
         try:
-            checked = wayup_schedule(problem, check_rounds=True)
+            schedule = wayup_schedule(problem)
         except UpdateModelError as exc:
             assert "no rule changes" in str(exc)
             return
-        plain = wayup_schedule(problem)
-        assert checked.rounds == plain.rounds
+        assert_wayup_rounds_pass_the_oracle(schedule)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import verify
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.transient import UnionGraph
@@ -126,7 +127,7 @@ class TestRLF:
         violation, conservative = check_rlf(union, 0, exact=False)
         assert violation is None and not conservative
 
-    def test_budget_raises(self):
+    def test_budget_raises(self, monkeypatch):
         # long chain of flexible nodes forces branching
         n = 40
         old = list(range(1, n + 1))
@@ -134,8 +135,9 @@ class TestRLF:
         problem = UpdateProblem(old, new)
         schedule = UpdateSchedule(problem, [sorted(problem.required_updates)])
         union = UnionGraph.for_round(schedule, 0)
+        monkeypatch.setattr(verify, "RLF_BUDGET", 5)
         with pytest.raises(VerificationBudgetError):
-            check_rlf(union, 0, exact=True, budget=5)
+            check_rlf(union, 0, exact=True)
 
 
 class TestBlackhole:

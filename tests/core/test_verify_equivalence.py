@@ -35,6 +35,7 @@ from repro.core.oneshot import oneshot_schedule
 from repro.core.peacock import peacock_schedule
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule, sequential_schedule
+from repro.core import verify
 from repro.core.transient import UnionGraph
 from repro.core.verify import (
     Property,
@@ -55,8 +56,7 @@ def fold_of_verify_round(schedule, properties, exact_rlf, stop_at_first):
     report = VerificationReport(ok=True, properties=tuple(properties))
     for round_index in range(schedule.n_rounds):
         violations, conservative_hits = verify_round(
-            schedule, round_index, properties,
-            exact_rlf=exact_rlf, rlf_budget=RLF_BUDGET,
+            schedule, round_index, properties, exact_rlf=exact_rlf
         )
         report.rounds_checked += 1
         report.conservative_hits += conservative_hits
@@ -77,7 +77,15 @@ def _outcome(call):
 
 def assert_equivalent(schedule, waypointed: bool) -> int:
     """Compare under every property alone and all together; returns the
-    number of violations seen (so callers can tell the unsafe path ran)."""
+    number of violations seen (so callers can tell the unsafe path ran).
+    Both sides run under the small :data:`RLF_BUDGET`; the schedules under
+    test were built with the default one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "RLF_BUDGET", RLF_BUDGET)
+        return _compare_under_every_property(schedule, waypointed)
+
+
+def _compare_under_every_property(schedule, waypointed: bool) -> int:
     seen = 0
     singles = [(SLF,), (RLF,), (BH,)] + ([(WPE,)] if waypointed else [])
     everything = (BH, RLF, SLF) + ((WPE,) if waypointed else ())
@@ -86,7 +94,7 @@ def assert_equivalent(schedule, waypointed: bool) -> int:
             for stop_at_first in (False, True):
                 got = _outcome(lambda: verify_schedule(
                     schedule, properties, exact_rlf=exact_rlf,
-                    rlf_budget=RLF_BUDGET, stop_at_first=stop_at_first,
+                    stop_at_first=stop_at_first,
                 ))
                 want = _outcome(lambda: fold_of_verify_round(
                     schedule, properties, exact_rlf, stop_at_first

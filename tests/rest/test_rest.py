@@ -76,6 +76,7 @@ class TestSchemas:
         (lambda b: b.update(newpath=[1]), "at least two"),
         (lambda b: b.update(oldpath=[1, 2, 2, 3]), "simple"),
         (lambda b: b.update(oldpath=[1, "x", 3]), "non-numeric"),
+        (lambda b: b.update(oldpath=[1, "\u00b2", 3]), "non-numeric"),
         (lambda b: b.update(interval=-5), "non-negative"),
         (lambda b: b.update(interval="soon"), "milliseconds"),
         (lambda b: b.update(wp="firewall"), "numeric"),
@@ -106,6 +107,17 @@ class TestSchemas:
     def test_flowentry_invalid(self, body):
         with pytest.raises(BadRequestError):
             validate_flowentry_body(body)
+
+
+def figure1_body() -> dict:
+    """The paper's update request for the figure-1 reroute."""
+    problem = figure1_problem()
+    return {
+        "oldpath": list(problem.old_path.nodes),
+        "newpath": list(problem.new_path.nodes),
+        "wp": problem.waypoint,
+        "interval": 0,
+    }
 
 
 def to_switch_sent(network) -> int:
@@ -215,6 +227,56 @@ class TestWiredApi:
         network.flush()
         assert to_switch_sent(network) == before
         assert not rest.update_app.submitted
+
+    @pytest.mark.parametrize("extra, error", [
+        ({"priority": "abc"}, "'priority'"),
+        ({"priority": -5}, "'priority'"),
+        ({"priority": 65536}, "'priority'"),
+        ({"priority": True}, "'priority'"),
+        ({"match": "x"}, "'match'"),
+        ({"match": None}, "'match'"),
+        ({"barriers": "no"}, "'barriers'"),
+        ({"add": [{"dpid": "x"}]}, "'dpid'"),
+        ({"modify": [{"dpid": "\u00b2"}]}, "'dpid'"),
+        ({"delete": [{"dpid": True}]}, "'dpid'"),
+    ])
+    def test_malformed_optional_update_fields_are_a_400(self, api, extra, error):
+        network, rest = api
+        before = to_switch_sent(network)
+        response = rest.handle("POST", "/update/wayup", {**figure1_body(), **extra})
+        assert response.status == 400 and error in response.body["error"]
+        network.flush()
+        assert to_switch_sent(network) == before
+        assert not rest.update_app.submitted
+
+    def test_malformed_update_keeps_the_connection_over_http(self, api):
+        import http.client
+        import json
+
+        from repro.rest.http_binding import RestHttpServer
+
+        _, rest = api
+        server = RestHttpServer(rest, port=0)
+        server.start()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+
+        def post(body):
+            connection.request("POST", "/update/wayup", body=json.dumps(body).encode(),
+                               headers={"Content-Type": "application/json"})
+            reply = connection.getresponse()
+            return reply, json.loads(reply.read())
+
+        try:
+            reply, body = post({**figure1_body(), "priority": "abc"})
+            assert reply.status == 400 and "'priority'" in body["error"]
+            assert not reply.will_close
+            sock = connection.sock
+            reply, body = post({**figure1_body(), "barriers": False})
+            assert reply.status == 200 and connection.sock is sock
+            assert body["rounds"] == 5
+        finally:
+            connection.close()
+            server.stop()
 
     def test_unknown_update_404(self, api):
         _, rest = api
@@ -440,10 +502,24 @@ class TestScheduleEndpoint:
     def test_wellformed_scheduler_knobs_still_run(self, api):
         _, rest = api
         body = {"oldpath": [1, 2, 3, 4, 5], "newpath": [1, 6, 3, 7, 5], "wp": 3}
-        for spec in ("peacock?exact=false&rlf_budget=5", "wayup?check_rounds=yes"):
-            response = rest.handle("POST", "/schedule", dict(body, scheduler=spec))
-            assert response.status == 200, spec
-        assert response.body["scheduler"] == "wayup?check_rounds=true"
+        response = rest.handle("POST", "/schedule",
+                               dict(body, scheduler="peacock?exact=no"))
+        assert response.status == 200
+        assert response.body["scheduler"] == "peacock?exact=false"
+
+    @pytest.mark.parametrize("spec, accepted", [
+        ("peacock?rlf_budget=5", "['exact']"),
+        ("combined:rlf?rlf_budget=5", "[]"),
+        ("wayup?check_rounds=true", "[]"),
+    ])
+    def test_removed_knobs_are_a_400_naming_the_accepted_set(
+        self, api, spec, accepted
+    ):
+        _, rest = api
+        body = {"oldpath": [1, 2, 3, 4, 5], "newpath": [1, 6, 3, 7, 5], "wp": 3}
+        response = rest.handle("POST", "/schedule", dict(body, scheduler=spec))
+        assert response.status == 400, spec
+        assert response.body["error"].endswith(f"accepted: {accepted}")
 
     def test_malformed_rlf_budget_keeps_the_connection_over_http(self, api):
         import http.client
@@ -489,6 +565,9 @@ class TestScheduleEndpoint:
             "max_nodes", "max_rounds", "node_budget", "nogood_limit",
             "time_limit_s",
         ]
+        accepts = {row["name"]: row["accepts"] for row in response.body}
+        assert accepts["peacock"] == ["exact"]
+        assert accepts["combined"] == accepts["wayup"] == []
 
 
 CAMPAIGN_SPEC = {
