@@ -13,8 +13,8 @@ backoff and resubmitting their undelivered records.
 The second death is made a power cut: the journal is the only file the
 coordinator fsyncs per record, ``results.jsonl`` / ``timings.jsonl`` are
 synced once per compaction, so before the third incarnation starts every
-line of theirs whose cell still has an accept in the surviving journal is
-taken away -- all of them from one file, half from the other -- and
+line of theirs whose cell the surviving journal or snapshot still settles
+is taken away -- all of them from one file, half from the other -- and
 recovery has to re-derive them.
 
 Gates (non-zero exit on any miss, so it can gate CI):
@@ -54,7 +54,7 @@ from repro.campaign.fabric import (
     CoordinatorKillSchedule,
     worker_main,
 )
-from repro.campaign.fabric.journal import JOURNAL
+from repro.campaign.fabric.journal import JOURNAL, SNAPSHOT
 from repro.campaign.store import RESULTS, TIMINGS, RunStore
 from repro.obs import (
     load_trace,
@@ -125,23 +125,46 @@ def serve_once(
     sys.exit(0 if finished else 3)
 
 
-def cut_power(directory) -> dict[str, int]:
-    """Take from the projection what a power cut may: the lines whose
-    cells the surviving journal still holds an accept for (everything
-    older was synced before the compaction that dropped its accept).
-    ``results.jsonl`` loses all of them, ``timings.jsonl`` the later
-    half; returns the lines lost per file."""
+#: Record kinds that settle a cell, i.e. write its projection line.
+SETTLING = ("accept", "poison", "terminal")
+
+
+def durable_cells(directory) -> set[str]:
+    """Cells whose settlement survives in the journal or the snapshot.
+
+    The snapshot keeps the settled cells still buffered behind a lower
+    index at its compaction, by index into ``SPEC``'s expansion; a later
+    flush writes their lines after that compaction's sync.
+    """
     with open(os.path.join(directory, JOURNAL), encoding="utf-8") as handle:
         records = [json.loads(line) for line in handle if line.endswith("\n")]
-    journaled = {r["cell_id"] for r in records if r["kind"] == "accept"}
+    settled = {r["cell_id"] for r in records if r["kind"] in SETTLING}
+    snapshot = os.path.join(directory, SNAPSHOT)
+    if os.path.isfile(snapshot):
+        with open(snapshot, encoding="utf-8") as handle:
+            events = json.load(handle)["state"]["events"]
+        cells = CampaignSpec.from_dict(SPEC).expand()
+        settled.update(
+            cells[e["index"]].cell_id for e in events if e["kind"] in SETTLING
+        )
+    return settled
+
+
+def cut_power(directory) -> dict[str, int]:
+    """Take from the projection what a power cut may: the lines whose
+    cells the surviving journal or snapshot still settles (everything
+    older was synced before the compaction that dropped its record).
+    ``results.jsonl`` loses all of them, ``timings.jsonl`` the later
+    half; returns the lines lost per file."""
+    durable = durable_cells(directory)
     lost = {}
     for name in (RESULTS, TIMINGS):
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-        unsynced = [json.loads(line)["id"] in journaled for line in lines]
+        unsynced = [json.loads(line)["id"] in durable for line in lines]
         keep = unsynced.index(True) if True in unsynced else len(lines)
-        assert all(unsynced[keep:]), "journaled cells are a suffix"
+        assert all(unsynced[keep:]), "durably settled cells are a suffix"
         if name == TIMINGS:
             keep += (len(lines) - keep + 1) // 2
         with open(path, "w", encoding="utf-8") as handle:

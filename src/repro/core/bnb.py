@@ -6,8 +6,8 @@ time (:func:`repro.core.optimal.minimal_round_schedule` is its only
 caller).  Plain deepening re-expands the state space once per limit,
 which is exactly what infeasibility proofs (every limit fails) and
 forced-linear instances (the optimum sits at the top of the range)
-maximize.  The ``bounds`` mode removes both walls with the first and
-last of the three things below; the second is on in both modes:
+maximize.  The first two things below are on in both modes; the
+``bounds`` mode adds the third:
 
 * an **admissible rounds-remaining lower bound** from the dependency
   structure of the instance.  :class:`PrecedenceAnalysis` derives a
@@ -35,7 +35,9 @@ last of the three things below; the second is on in both modes:
   graph is a true lower bound on the remaining rounds
   (:func:`rounds_lower_bound`), and a precedence *cycle* (or a node
   blocked with no pin at all) is an infeasibility proof that needs no
-  search at all -- in either mode.
+  search at all.  Deepening starts at that bound, and a state whose
+  longest chain fills its rounds left tries only rounds taking every
+  start of one (:meth:`PrecedenceAnalysis.chain_front`, once a state).
 
 * **conflict-driven nogood learning** (both modes) -- every unsafe
   verdict the search triggers makes the shared
@@ -88,9 +90,6 @@ _MILESTONE_EVERY = 5_000
 
 #: Candidate rounds tried between two looks at the clock.
 _DEADLINE_POLL_EVERY = 1024
-
-#: Entries above which a per-analysis chain-bound cache is dropped.
-_CHAIN_CACHE_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +335,13 @@ class PrecedenceAnalysis:
     prove that no safe round schedule exists: either some required
     update can never be applied in any reachable configuration, or the
     forced-order relation contains a cycle (the WPE-versus-loop-freedom
-    clash shape).  Otherwise :meth:`chain_bound` returns the longest
-    forced chain inside a pending-node mask -- an admissible lower bound
-    on the rounds any safe schedule still needs, since chained nodes
-    must be committed in strictly increasing rounds.
+    clash shape).  Otherwise :meth:`chain_front` measures the forced
+    chains inside a pending-node mask: the longest is an admissible
+    lower bound on the rounds any safe schedule still needs, since
+    chained nodes must be committed in strictly increasing rounds.  A
+    node with a pending forced predecessor is never safe alone (the edge
+    certifies it), so a round shortens the longest chain exactly when it
+    takes every node that begins one.
     """
 
     def __init__(self, problem, properties: tuple[Property, ...]) -> None:
@@ -362,7 +364,6 @@ class PrecedenceAnalysis:
         self._successors: tuple = ()
         self.edge_count = 0
         self._topo: tuple = ()
-        self._chain_cache: dict[int, int] = {}
         successors: list[list[int]] = [[] for _ in canonical]
         edge_count = 0
         if use_slf or use_wpe:
@@ -441,31 +442,30 @@ class PrecedenceAnalysis:
             for target in targets
         )
 
-    def chain_bound(self, pending_mask: int) -> int:
-        """Longest forced chain inside ``pending_mask`` (0 when empty)."""
-        if not pending_mask:
-            return 0
+    def chain_front(self, pending: int) -> tuple[int, int, int]:
+        """``(length, starts, constrained)`` of the forced chains inside
+        ``pending``, in one pass: the longest chain (0 when empty), the
+        mask of the nodes that begin a chain of that length, and the mask
+        of the pending nodes with a pending forced predecessor."""
         if not self.edge_count:
-            return 1
-        cached = self._chain_cache.get(pending_mask)
-        if cached is not None:
-            return cached
+            return (1 if pending else 0), pending, 0
         depth = [0] * self.k
-        best = 1
+        length = starts = constrained = 0
         for node in self._topo:  # successors before predecessors
-            if not (pending_mask >> node) & 1:
+            if not (pending >> node) & 1:
                 continue
             longest = 0
             for target in self._successors[node]:
-                if (pending_mask >> target) & 1 and depth[target] > longest:
-                    longest = depth[target]
-            depth[node] = longest + 1
-            if depth[node] > best:
-                best = depth[node]
-        if len(self._chain_cache) >= _CHAIN_CACHE_LIMIT:
-            self._chain_cache.clear()
-        self._chain_cache[pending_mask] = best
-        return best
+                if (pending >> target) & 1:
+                    constrained |= 1 << target
+                    if depth[target] > longest:
+                        longest = depth[target]
+            depth[node] = longest = longest + 1
+            if longest > length:
+                length, starts = longest, 1 << node
+            elif longest == length:
+                starts |= 1 << node
+        return length, starts, constrained
 
 
 def precedence_for(
@@ -493,7 +493,7 @@ def rounds_lower_bound(problem, properties: tuple[Property, ...]) -> int:
     analysis = precedence_for(problem, tuple(properties))
     if analysis.infeasible_reason is not None:
         raise InfeasibleUpdateError(analysis.infeasible_reason)
-    return max(1, analysis.chain_bound(analysis.full_mask))
+    return max(1, analysis.chain_front(analysis.full_mask)[0])
 
 
 def infeasibility_certificate(
@@ -529,16 +529,17 @@ def search_mask_bnb(
     are answered from the precedence certificates; an instance without a
     greedy witness gets one unbounded pass that finds *some* schedule or
     proves there is none (dead states stay dead, so that proof is a
-    single pass); then the round limit deepens from the lower bound to
-    the best schedule known, and the first limit that succeeds is the
-    optimum.
+    single pass); then the round limit deepens from the forced-chain
+    lower bound of :class:`PrecedenceAnalysis` to the best schedule
+    known, and the first limit that succeeds is the optimum.  In both
+    modes a round whose successor's chain no longer fits is never tried:
+    that drops only subtrees without a solution, so the DFS meets the
+    same first solution as without the bound.
 
-    With ``bounds`` (the ``"bnb"`` mode) the lower bound is the forced
-    chain of :class:`PrecedenceAnalysis`, successors whose pending chain
-    no longer fits the limit are skipped, and an incumbent that meets
-    the bound is returned as proven optimal without deepening to its
-    level.  Without (the ``"iddfs"`` mode) the limit deepens from one
-    round through the witness's own level.  Both learn nogoods, unless
+    With ``bounds`` (the ``"bnb"`` mode) an incumbent that meets the
+    bound is returned as proven optimal without deepening to its level;
+    without (the ``"iddfs"`` mode) the limit deepens through the
+    witness's own level.  Both learn nogoods, unless
     ``nogood_limit=0``.  ``node_budget`` / ``time_limit_s`` turn the
     search anytime: exhausting either raises
     :class:`ExactSearchBudgetError` with the proven interval.
@@ -553,12 +554,11 @@ def search_mask_bnb(
     analysis = precedence_for(problem, properties)
     if analysis.infeasible_reason is not None:
         raise InfeasibleUpdateError(analysis.infeasible_reason)
-    chain_lb = max(1, analysis.chain_bound(full))
-    if max_rounds is not None and chain_lb > max_rounds:
+    root_lb = max(1, analysis.chain_front(full)[0])
+    if max_rounds is not None and root_lb > max_rounds:
         raise InfeasibleUpdateError(
-            f"{infeasible} (forced-chain lower bound is {chain_lb})"
+            f"{infeasible} (forced-chain lower bound is {root_lb})"
         )
-    root_lb = chain_lb if bounds else 1
 
     if nogood_limit == 0:
         # a nogood-free run must really be one: stop learning and
@@ -628,16 +628,19 @@ def search_mask_bnb(
         if node_budget is not None and expanded > node_budget:
             raise out_of_budget(f"{node_budget} node expansions", limit)
         safe_mask = search.safe_singleton_mask(state)
-        if remaining == 1:
-            pending = full & ~state
-            if (
-                safe_mask == pending
-                and search.filter_ok(state, pending)
-                and search.round_ok(state, pending)
-            ):
-                return [pending]
-            return None
-        prune_chains = bounds and remaining != inf
+        fixed = 0
+        if remaining != inf:
+            # no chain outgrows the rounds left; one as long as them
+            # must lose its start now (one round left: every node)
+            length, starts, constrained = analysis.chain_front(full & ~state)
+            if safe_mask & constrained:  # an unsound forced-order edge
+                node = analysis.canonical[(safe_mask & constrained).bit_length() - 1]
+                raise RuntimeError(f"{node!r} safe alone before a forced predecessor")
+            if length == remaining:
+                if starts & ~safe_mask:
+                    return None
+                fixed = starts
+        free = safe_mask & ~fixed
         sub = safe_mask
         tried = 0
         while sub:
@@ -649,10 +652,6 @@ def search_mask_bnb(
             successor = state | sub
             if (
                 proven.get(successor, -1) < remaining - 1
-                and (
-                    not prune_chains
-                    or analysis.chain_bound(full & ~successor) <= remaining - 1
-                )
                 and search.filter_ok(state, sub)
                 and search.round_ok(state, sub)
             ):
@@ -662,7 +661,9 @@ def search_mask_bnb(
                 if tail is not None:
                     return [sub, *tail]
                 proven[successor] = remaining - 1
-            sub = (sub - 1) & safe_mask
+            if sub == fixed:
+                break
+            sub = ((sub - fixed - 1) & free) | fixed
         return None
 
     if best is None:

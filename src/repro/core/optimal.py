@@ -12,21 +12,21 @@ There is one search: the depth-limited, iteratively deepened DFS of
 is a plain int over the problem's canonical node↔bit index
 (:attr:`~repro.core.problem.UpdateProblem.node_bit`); per state the
 candidate rounds are the subsets of the safe singletons, biggest first
-(``sub = (sub - 1) & safe_mask``).  :class:`_MaskSearch` is the verdict
-layer under it: the shared :class:`SafetyOracle` behind a monotonicity
-memo (a round inside a known-safe round is safe -- so one "roof" query
-per state often settles thousands of candidates).  The safe singletons
-of a state come from one read-only oracle pass
-(:meth:`SafetyOracle.safe_singletons`); only rounds of two or more nodes
-morph the oracle's graph.
+(``sub = (sub - 1) & safe_mask``), minus those a forced chain rules out.
+:class:`_MaskSearch` is the verdict layer under it: the shared
+:class:`SafetyOracle` behind a monotonicity memo (a round inside a
+known-safe round is safe, so one safe big round settles every candidate
+inside it).  The safe singletons of a state come from one read-only
+oracle pass (:meth:`SafetyOracle.safe_singletons`); only rounds of two
+or more nodes morph the oracle's graph.
 
 :func:`minimal_round_schedule` runs that DFS in one of two modes and
 picks the mode itself, from the instance size: up to
-:data:`DEEPENING_MAX_UPDATES` required updates it deepens from one round
-up to the greedy witness (``search="iddfs"``); above, or when a node or
-time budget is given, it also prunes with the forced-chain lower bounds
-and returns the greedy incumbent once it is proven optimal
-(``search="bnb"``).  Both modes learn nogoods, and both answer
+:data:`DEEPENING_MAX_UPDATES` required updates it deepens from the
+forced-chain bound up to the greedy witness (``search="iddfs"``);
+above, or when a node or time budget is given, it returns the greedy
+incumbent once it is proven optimal (``search="bnb"``).  Both modes
+prune with the forced chains and learn nogoods, and both answer
 certified-infeasible instances from the polynomial certificates of
 :mod:`repro.core.bnb` without expanding a state.
 
@@ -55,8 +55,8 @@ from repro.core.verify import Property, _check_union
 DEFAULT_MAX_NODES = 24
 
 #: Required-update count up to which plain deepening is the mode of
-#: choice; past it the bounds and the incumbent keep exact cells inside
-#: their budgets (nogoods are learned on both sides).
+#: choice; past it the incumbent short-cut keeps exact cells inside
+#: their budgets (forced-chain pruning and nogoods work on both sides).
 DEEPENING_MAX_UPDATES = 18
 
 
@@ -115,9 +115,9 @@ class _MaskSearch:
     the in-flight set).  A minimal-unsafe list would settle nothing: no
     strict superset of a round found unsafe at a state is asked after
     it, as (1) candidates are subsets of the safe mask in decreasing
-    numeric order, roof first; (2) the chain bound only grows as a round
-    shrinks; (3) ``proven`` is keyed by the successor state itself, so
-    it only ever skips a round, never asks one (pinned by
+    numeric order, so every superset of a round comes before it; (2) the
+    forced-chain rule and (3) ``proven`` (keyed by the successor state
+    itself) only ever skip a round, never ask one (pinned by
     ``tests/core/test_unsafe_rounds.py``).
     """
 
@@ -159,9 +159,8 @@ class _MaskSearch:
         the safe ones (the only singletons the enumeration asks about)
         are filed where :meth:`round_ok` looks first; the mask is kept
         per state, since deepening re-expands a state once per limit.
-        When more than one bit survives, the whole surviving mask is
-        probed once (the "roof" query): if it is safe, *every* subset is
-        settled for free by the safe-subset memo.
+        The whole mask is not probed here: where it can help, it is
+        already the enumeration's first candidate.
         """
         mask = self._safe_masks.get(state)
         if mask is not None:
@@ -174,8 +173,6 @@ class _MaskSearch:
             low = scan & -scan
             verdicts[base | low] = True
             scan ^= low
-        if mask & (mask - 1):
-            self.round_ok(state, mask)
         self._safe_masks[state] = mask
         return mask
 
@@ -223,9 +220,9 @@ def minimal_round_schedule(
     ``search`` is left ``None`` by every caller but the perf ledger: the
     mode follows from the instance (``"iddfs"``, plain deepening, up to
     :data:`DEEPENING_MAX_UPDATES` required updates; ``"bnb"``, the same
-    DFS with bounds and the incumbent short-cut, above that or when one
-    of the three budgets is given).  Both learn nogoods and return
-    optimal schedules; naming one only serves comparing them.
+    DFS with the incumbent short-cut, above that or when one of the
+    three budgets is given).  Both prune with the forced chains, learn
+    nogoods and return optimal schedules; naming one only compares them.
     """
     properties = tuple(properties)
     todo = problem.required_updates

@@ -527,8 +527,9 @@ for _definition in (
              "node_budget", "time_limit_s", "nogood_limit"}
         ),
         description=(
-            "exact minimum-round search (iterative deepening with nogood "
-            "learning; with bounds above n=18 or under a budget)"
+            "exact minimum-round search (deepening from the forced-chain "
+            "bound, nogoods learned; incumbent short-cut above n=18 or "
+            "under a budget)"
         ),
     ),
 ):

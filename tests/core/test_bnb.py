@@ -295,18 +295,19 @@ class TestAnytimeInterval:
         assert excinfo.value.lower >= 1
 
     def test_time_limit_is_polled_inside_the_round_enumeration(self, monkeypatch):
-        # random-22/seed 0 under SLF: the root's safe mask has 19 bits,
-        # so the second search node enumerates 2^19 candidate rounds;
-        # a clock looked at once per node notices a 50 ms limit after 1.2 s
+        # random-22/seed 11 under RLF: no forced-order certificate prunes
+        # a round, all 21 updates are safe alone, and the second search
+        # node asks thousands of candidate rounds before it expands
+        # another; a clock looked at once per node let 32,803 rounds pass
+        # before it noticed a 50 ms limit
         from types import SimpleNamespace
 
-        from repro.core import bnb
+        from repro.core import bnb, optimal
 
-        old, new, _ = random_update_instance(22, seed=0)
+        old, new, _ = random_update_instance(22, seed=11)
         problem = UpdateProblem(old.nodes, new.nodes)
-        properties = (Property.SLF,)
+        properties = (Property.RLF,)
         clear_registry()
-        analysis = precedence_for(problem, properties)
         clock = SimpleNamespace(now=0.0, reads=0)
 
         def monotonic():  # every look at the clock costs 10 ms
@@ -314,11 +315,12 @@ class TestAnytimeInterval:
             clock.now += 0.01
             return clock.now
 
-        bounded = []
-        real_chain_bound = analysis.chain_bound
+        asked = []
+        real_round_ok = optimal._MaskSearch.round_ok
         monkeypatch.setattr(
-            analysis, "chain_bound",
-            lambda mask: bounded.append(mask) or real_chain_bound(mask),
+            optimal._MaskSearch, "round_ok",
+            lambda search, state, rmask: asked.append(rmask)
+            or real_round_ok(search, state, rmask),
         )
         monkeypatch.setattr(bnb, "time", SimpleNamespace(monotonic=monotonic))
         with pytest.raises(ExactSearchBudgetError) as excinfo:
@@ -327,9 +329,10 @@ class TestAnytimeInterval:
             )
         assert excinfo.value.lower >= 2 and excinfo.value.upper == 4
         # the limit is five clock reads away, so about five poll
-        # intervals of candidate rounds were tried (it was 524,288)
+        # intervals of candidate rounds were asked (32,803 with no poll
+        # inside the enumeration)
         assert clock.reads <= 8
-        assert len(bounded) <= 6 * bnb._DEADLINE_POLL_EVERY
+        assert len(asked) <= 6 * bnb._DEADLINE_POLL_EVERY
 
     def test_every_expansion_looks_at_the_clock(self, monkeypatch):
         # an expansion costs a singleton sweep (~0.7 ms at n = 24) and a
@@ -435,11 +438,13 @@ class TestNogoodCorrectness:
                 ), (need_new, need_old, updated, round_mask)
 
     def test_search_learns_patterns_when_it_expands(self):
-        # RLF sawtooth has chain bound 1 < incumbent 3, so the search
-        # genuinely expands states, hits unsafe rounds, and learns (on
-        # forced-linear SLF instances the bound is exact and the search
-        # returns the incumbent with zero expansions -- nothing to learn)
-        problem = sawtooth_instance(16, 4)
+        # random-14/seed 1 under RLF has chain bound 1 < optimum 2, so the
+        # search genuinely expands states, hits unsafe rounds, and learns
+        # (on forced-linear SLF instances the bound is exact and the
+        # search returns the incumbent with zero expansions -- nothing to
+        # learn; RLF sawtooth-16-4 no longer asks an unsafe round either)
+        old, new, _ = random_update_instance(14, seed=1)
+        problem = UpdateProblem(old, new)
         clear_registry()
         minimal_round_schedule(problem, (Property.RLF,), search="bnb")
         oracle = oracle_for(problem, (Property.RLF,))
@@ -495,7 +500,8 @@ class TestNogoodCorrectness:
     def test_nogood_limit_zero_cleans_a_warm_oracle(self):
         # a nogood-free cross-check after a learning run must not keep
         # consulting (or extending) the previously learned table
-        problem = sawtooth_instance(16, 4)
+        old, new, _ = random_update_instance(14, seed=1)
+        problem = UpdateProblem(old, new)
         properties = (Property.RLF,)
         clear_registry()
         minimal_round_schedule(problem, properties, search="bnb")
