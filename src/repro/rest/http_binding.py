@@ -9,20 +9,21 @@ multi-machine fleets) requires a shared-secret ``token``: every request
 must then carry it in the ``X-Repro-Auth`` header or is refused with a
 401 before reaching the router.
 
-The server speaks HTTP/1.1 with persistent connections: a client that
-keeps its connection open pays connect, accept and a handler thread once,
-not per request.  HTTP/1.0 peers and ``Connection: close`` requests are
-answered and then closed (the reply says ``Connection: close``).  Replies
-are written through a :data:`REPLY_BUFFER_BYTES` buffer and flushed once,
-so headers and body leave in one segment, and accepted sockets have
-``TCP_NODELAY`` set, so a reply larger than the buffer is not held back by
-Nagle's algorithm waiting for the client's delayed ACK.  A connection on
-which nothing arrives for :data:`IDLE_TIMEOUT_S` is dropped, and
-:meth:`RestHttpServer.stop` closes the ones still open, so no handler
-thread outlives the server.  A request that is refused before its body
-was read (401, bad or oversized ``Content-Length``) closes the connection:
-the unread bytes must not be parsed as the next request.  (The compute
-limit of ``POST /schedule``, 408, is :data:`repro.rest.api.REQUEST_DEADLINE_S`.)
+A connection is served by one thread in one loop over the raw socket:
+buffer up to the blank line, split request line and headers, take exactly
+``Content-Length`` body bytes (any beyond wait for the next, pipelined
+request), dispatch, and send head and body in one ``sendall`` (no reply
+buffer; ``TCP_NODELAY``).  HTTP/1.1 and ``keep-alive`` HTTP/1.0
+connections persist; ``Connection: close`` and bare HTTP/1.0 peers are
+answered, then hung up on.  Replies carry JSON: 400 for a bad request
+line, 414 / 431 past :data:`MAX_LINE_BYTES` or :data:`MAX_HEADERS`, 501
+for methods but GET and POST, 500 (traceback to stderr) for an exception
+out of the router.  ``Expect: 100-continue`` gets its 100 before the
+body is read.  A request refused unread (those, 401, a bad or oversized
+``Content-Length``) closes the connection, lest its body pass for the
+next request.  Idle connections go after :data:`IDLE_TIMEOUT_S`;
+:meth:`RestHttpServer.stop` ends the rest.  (``POST /schedule``'s
+compute limit, 408, is :data:`repro.rest.api.REQUEST_DEADLINE_S`.)
 
 The client side, :class:`HttpClient`, is what fabric workers (and any
 other library-internal caller) use to talk to a server, over one
@@ -36,14 +37,18 @@ not get better by retrying.
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import http.client
 import json
 import random
 import socket
+import socketserver
 import threading
 import time
+import traceback
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from repro.errors import HttpStatusError, TransportError
 from repro.obs import trace as obs
@@ -62,108 +67,142 @@ IDLE_TIMEOUT_S = 30.0
 #: Largest request body accepted (413 above).  A fabric submit carries one
 #: cell's record, a few KiB.
 MAX_BODY_BYTES = 16 * 1024 * 1024
-#: Reply buffer: headers + body up to this size leave in one ``send``.
-REPLY_BUFFER_BYTES = 64 * 1024
+#: Longest request or header line, CRLF included, and most header lines
+#: one request may carry (414 / 431 above).
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
-def _make_handler(
-    api: RestApi, token: str | None = None
-) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        timeout = IDLE_TIMEOUT_S
-        disable_nagle_algorithm = True
-        wbufsize = REPLY_BUFFER_BYTES
+@functools.lru_cache(maxsize=1)  # formatted once a second
+def _http_date(second: int) -> str:
+    return email.utils.formatdate(second, usegmt=True)
 
-        # one simulated network is not thread-safe; serialize requests
-        _lock = threading.Lock()
 
-        def _respond(self, method: str) -> None:
-            if token is not None and self.headers.get(AUTH_HEADER) != token:
-                # 401 is a 4xx: clients fast-fail instead of retrying --
-                # a wrong secret will not get better with backoff
-                self._refuse(401, "missing or bad X-Repro-Auth")
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                length = -1
-            if length < 0 or self.headers.get("Transfer-Encoding"):
-                self._refuse(400, "a body needs a non-negative Content-Length")
-                return
-            if length > MAX_BODY_BYTES:
-                self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-                return
-            try:
-                raw = self.rfile.read(length) if length else b""
-            except TimeoutError:
-                self.close_connection = True  # the body never arrived
-                return
-            body = None
-            if raw:
-                try:
-                    body = json.loads(raw)
-                except json.JSONDecodeError:
-                    self._write(400, {"error": "request body is not JSON"})
-                    return
-            # adopt the caller's trace context so the handler's spans
-            # (e.g. the coordinator's fabric.submit) join the worker-side
-            # trace of the same cell
-            context = None
-            trace_id = self.headers.get(TRACE_HEADER)
-            if trace_id:
-                context = {
-                    "trace": trace_id,
-                    "parent": self.headers.get(SPAN_HEADER),
-                }
-            ctx_token = obs.attach_context(context)
-            try:
-                with self._lock:
-                    response = api.handle(method, self.path, body)
-            finally:
-                obs.detach_context(ctx_token)
-            self._write(
-                response.status, response.body, response.content_type
-            )
+class _Connection(socketserver.BaseRequestHandler):
+    """Serves one connection, a request at a time, until it is to end."""
 
-        def _refuse(self, status: int, message: str) -> None:
-            """Answer without having read the body, then hang up."""
-            self.close_connection = True
-            self._write(status, {"error": message})
-
-        def _write(
-            self, status: int, payload, content_type: str | None = None
-        ) -> None:
-            if isinstance(payload, str) and content_type:
-                data = payload.encode("utf-8")
-            else:
-                content_type = "application/json"
-                data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            if self.close_connection or self.server.stopping:
-                self.send_header("Connection", "close")  # also hangs up
-            self.end_headers()
-            self.wfile.write(data)  # flushed once, after the handler returns
-
-        def do_GET(self) -> None:  # noqa: N802 - http.server API
-            self._respond("GET")
-
-        def do_POST(self) -> None:  # noqa: N802 - http.server API
-            self._respond("POST")
-
-        def log_message(self, fmt: str, *args) -> None:  # quiet by default
+    def handle(self) -> None:
+        self.request.settimeout(IDLE_TIMEOUT_S)
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buffer = bytearray()
+        try:
+            while self._serve_one():
+                pass
+        except OSError:  # idle too long, a body that never came, peer gone
             pass
 
-    return Handler
+    def _receive(self) -> bool:
+        chunk = self.request.recv(65536)
+        self.buffer += chunk
+        return bool(chunk)
+
+    def _serve_one(self) -> bool:
+        """Answer one request; False once the connection is to end."""
+        buffer, server = self.buffer, self.server
+        while (end := buffer.find(b"\r\n\r\n")) < 0:
+            if buffer.count(b"\n") > MAX_HEADERS + 1 or (
+                    len(buffer) >= MAX_LINE_BYTES
+                    and max(map(len, buffer.split(b"\n"))) >= MAX_LINE_BYTES):
+                end = len(buffer)  # past a limit already: refused below
+                break
+            if not self._receive():
+                return False
+        lines = buffer[:end].decode("latin-1").split("\r\n")
+        del buffer[: end + 4]
+        if len(lines) > MAX_HEADERS + 1 or max(map(len, lines)) > MAX_LINE_BYTES - 2:
+            status = 414 if len(lines[0]) > MAX_LINE_BYTES - 2 else 431
+            return self._refuse(status, "line too long or too many headers")
+        words = lines[0].split()
+        if len(words) != 3 or words[2][:7] != "HTTP/1." or not words[2][7:].isdigit():
+            return self._refuse(400, f"bad request line {lines[0][:100]!r}")
+        method, path, version = words
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers.setdefault(name.lower(), value.strip())  # first one wins
+        connection = headers.get("connection", "").lower()
+        keep = connection == "keep-alive" or (
+            connection != "close" and version != "HTTP/1.0")
+        if method not in ("GET", "POST"):
+            return self._refuse(501, f"unsupported method {method}")
+        if server.token is not None and headers.get(AUTH_HEADER.lower()) != server.token:
+            # 401 is a 4xx: clients fast-fail instead of retrying --
+            # a wrong secret will not get better with backoff
+            return self._refuse(401, "missing or bad X-Repro-Auth")
+        try:
+            length = int(headers.get("content-length", 0))
+        except ValueError:
+            length = -1
+        if length < 0 or headers.get("transfer-encoding"):
+            return self._refuse(400, "a body needs a non-negative Content-Length")
+        if length > MAX_BODY_BYTES:
+            return self._refuse(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        if (length > len(buffer) and version != "HTTP/1.0"
+                and headers.get("expect", "").lower() == "100-continue"):
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        while len(buffer) < length:
+            if not self._receive():
+                return False  # the body never arrived
+        raw = buffer[:length]
+        del buffer[:length]
+        try:
+            body = json.loads(raw) if raw else None
+        except ValueError:  # not JSON, or not UTF-8
+            return self._send(400, {"error": "request body is not JSON"}, keep)
+        # adopt the caller's trace context: the handler's spans (e.g. the
+        # coordinator's fabric.submit) join the worker's trace of the cell
+        trace_id = headers.get(TRACE_HEADER.lower())
+        ctx_token = obs.attach_context(
+            {"trace": trace_id, "parent": headers.get(SPAN_HEADER.lower())}
+            if trace_id else None
+        )
+        try:
+            with server.lock:
+                response = server.api.handle(method, path, body)
+        except Exception as exc:  # a library bug: say so, then hang up
+            traceback.print_exc()
+            return self._refuse(500, f"internal error: {type(exc).__name__}")
+        finally:
+            obs.detach_context(ctx_token)
+        return self._send(response.status, response.body, keep, response.content_type)
+
+    def _refuse(self, status: int, message: str) -> bool:
+        """Answer without reading (or trusting) the rest, then hang up."""
+        return self._send(status, {"error": message}, False)
+
+    def _send(
+        self, status: int, payload, keep: bool, content_type: str | None = None
+    ) -> bool:
+        """Head and body in one ``sendall``; True if the connection stays."""
+        if isinstance(payload, str) and content_type:
+            data = payload.encode("utf-8")
+        else:
+            content_type = "application/json"
+            data = json.dumps(payload, sort_keys=True).encode("utf-8")
+        keep = keep and not self.server.stopping
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(data)}\r\n"
+        ) + ("\r\n" if keep else "Connection: close\r\n\r\n")
+        self.request.sendall(head.encode("latin-1") + data)
+        return keep
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingMixIn, socketserver.TCPServer):
     """Knows its handler threads and their sockets, so they can be ended."""
 
-    def __init__(self, address, handler) -> None:
-        super().__init__(address, handler)
+    allow_reuse_address = True
+
+    def __init__(self, address, api: RestApi, token: str | None) -> None:
+        super().__init__(address, _Connection)
+        self.api, self.token = api, token
+        # one simulated network is not thread-safe; serialize requests
+        self.lock = threading.Lock()
         self.handlers: dict[threading.Thread, socket.socket] = {}
         #: set by ``RestHttpServer.stop``: every reply is now the last one
         #: on its connection
@@ -192,9 +231,9 @@ class RestHttpServer:
 
     ``host`` widens the bind for multi-machine fleets; anything beyond
     loopback demands a shared-secret ``token`` so a campaign coordinator
-    is never exposed unauthenticated.  ``allow_reuse_address`` is on (the
-    http.server default), so a restarted coordinator can re-bind its old
-    port while TIME_WAIT sockets linger -- crash recovery depends on it.
+    is never exposed unauthenticated.  ``allow_reuse_address`` is on, so
+    a restarted coordinator can re-bind its old port while TIME_WAIT
+    sockets linger -- crash recovery depends on it.
     """
 
     def __init__(
@@ -211,7 +250,7 @@ class RestHttpServer:
             )
         self.api = api
         self.host = host
-        self.server = _Server((host, port), _make_handler(api, token))
+        self.server = _Server((host, port), api, token)
         self.port = self.server.server_address[1]
         self._thread: threading.Thread | None = None
 
