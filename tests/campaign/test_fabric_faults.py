@@ -98,7 +98,7 @@ class TestChaosFaults:
         run_local_fleet(coordinator, 1, chaos=chaos)
         coordinator.close()
         assert coordinator.store.results_bytes() == baseline
-        assert coordinator.counters["duplicate_submits"] >= 1
+        assert coordinator.counters["duplicate_submits"] == N_CELLS
 
     def test_dropped_submit_is_reclaimed_and_rerun(self, tmp_path, baseline):
         # worker 0 loses its first shard on the wire but stays alive; the
@@ -109,7 +109,7 @@ class TestChaosFaults:
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
-        assert coordinator.counters["reclaims"] >= 1
+        assert coordinator.counters["reclaims"] == 1
 
     def test_killed_worker_cells_are_reclaimed(self, tmp_path, baseline):
         # worker 0 dies after computing its first record, *before*
@@ -121,7 +121,7 @@ class TestChaosFaults:
         assert summaries[0]["died"] is True
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
-        assert coordinator.counters["reclaims"] >= 1
+        assert coordinator.counters["reclaims"] == 2
 
     def test_frozen_heartbeats_reclaim_and_stale_submit_absorbed(
         self, tmp_path, baseline
@@ -139,8 +139,8 @@ class TestChaosFaults:
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
-        assert coordinator.counters["reclaims"] >= 1
-        assert coordinator.counters["stale_submits"] >= 1
+        assert coordinator.counters["reclaims"] == 1
+        assert coordinator.counters["stale_submits"] == 1
 
 
 class TestTransientFailures:
@@ -430,7 +430,7 @@ class TestHttpFleet:
             survivor.join(timeout=10)
             coordinator.close()
             assert coordinator.store.results_bytes() == baseline
-            assert coordinator.counters["reclaims"] >= 1
+            assert coordinator.counters["reclaims"] == 1
         finally:
             server.stop()
             api.campaigns.close()

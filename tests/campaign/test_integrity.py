@@ -132,13 +132,13 @@ class TestCorruptingWorker:
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
-        assert coordinator.counters["integrity_rejects"] >= 1
+        assert coordinator.counters["integrity_rejects"] == 1
         assert coordinator.counters["quarantines"] == 1
         assert coordinator.status()["fabric"]["quarantined_workers"] == [
             "local0"
         ]
         assert summaries[0]["quarantined"] is True
-        assert summaries[0]["rejected_submits"] >= 1
+        assert summaries[0]["rejected_submits"] == 1
         assert summaries[1]["quarantined"] is False
 
 
@@ -159,7 +159,7 @@ class TestLyingWorker:
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
         assert coordinator.counters["audits_run"] == N_CELLS
-        assert coordinator.counters["audit_mismatches"] >= 1
+        assert coordinator.counters["audit_mismatches"] == 1
         assert coordinator.counters["quarantines"] == 1
         assert "local0" in coordinator.telemetry()["quarantined_workers"]
         assert summaries[0]["quarantined"] is True

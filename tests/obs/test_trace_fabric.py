@@ -125,9 +125,9 @@ class TestChaosDoesNotCorruptTraces:
         # duplicate, never as a second accept or an orphaned span
         chaos = ChaosConfig(duplicate_submits=tuple(range(N_CELLS)))
         spec, coordinator, records = _run_fleet(server, _traced, chaos=chaos)
-        assert coordinator.counters["duplicate_submits"] >= 1
+        assert coordinator.counters["duplicate_submits"] == N_CELLS
         cells = reconstruct_cell_lifecycles(records)
-        assert sum(s.duplicate_submits for s in cells.values()) >= 1
+        assert sum(s.duplicate_submits for s in cells.values()) == N_CELLS
         for state in cells.values():
             assert state.accepted_submits == 1
         expected = [cell.cell_id for cell in spec.expand()]
@@ -144,10 +144,10 @@ class TestChaosDoesNotCorruptTraces:
             server, _traced, chaos=chaos, n_workers=2,
             lease_cells=1, lease_ttl_s=0.3, heartbeat_timeout_s=0.2,
         )
-        assert coordinator.counters["reclaims"] >= 1
+        assert coordinator.counters["reclaims"] == 1
         cells = reconstruct_cell_lifecycles(records)
-        assert sum(s.reclaims for s in cells.values()) >= 1
-        assert sum(s.stale_submits for s in cells.values()) >= 1
+        assert sum(s.reclaims for s in cells.values()) == 1
+        assert sum(s.stale_submits for s in cells.values()) == 1
         for state in cells.values():
             assert state.accepted_submits == 1
         expected = [cell.cell_id for cell in spec.expand()]
