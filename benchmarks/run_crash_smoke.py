@@ -2,11 +2,12 @@
 
 Stands up the campaign coordinator as its *own process* behind the REST
 surface, points a healthy 2-worker process fleet at it, and kills the
-coordinator twice mid-campaign on a deterministic schedule
-(:class:`~repro.campaign.fabric.CoordinatorKillSchedule`): SIGKILL right
-after the Nth accept is write-ahead journaled but before it is
-acknowledged or flushed -- the exact window the fabric journal exists to
-cover -- then restart the coordinator on the same port after a delay.
+coordinator twice mid-campaign on a deterministic schedule (``KILLS``):
+SIGKILL right after the Nth accept is write-ahead journaled but before it
+is acknowledged or flushed -- the exact window the fabric journal exists
+to cover -- then restart the coordinator on the same port after a delay.
+The kill and the two judges of the trace and the power cut come from the
+fault harness, ``tests/campaign/fabric_helpers.py``.
 Workers ride out each outage by reconnecting with capped exponential
 backoff and resubmitting their undelivered records.
 
@@ -28,7 +29,7 @@ Gates (non-zero exit on any miss, so it can gate CI):
 * every recovery actually recovered: both restarts re-admit >= 1
   journaled-but-unflushed shard (``fabric.recovered`` trace events);
 * all 42 cell lifecycles reconstruct from the merged trace
-  (:func:`repro.obs.verify_lifecycles`);
+  (``verify_lifecycles``);
 * the write-ahead journal stays bounded by its compaction interval.
 
 Usage::
@@ -39,25 +40,26 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing
 import os
+import pathlib
 import socket
 import sys
 import tempfile
 import time
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import (
-    CoordinatorChaos,
-    CoordinatorChaosConfig,
-    CoordinatorKillSchedule,
-    worker_main,
-)
-from repro.campaign.fabric.journal import JOURNAL, SNAPSHOT
+from repro.campaign.fabric import worker_main
+from repro.campaign.fabric.journal import JOURNAL
 from repro.campaign.store import RESULTS, TIMINGS, RunStore
-from repro.obs import (
-    load_trace,
+from repro.obs import load_trace
+
+# the fault harness lives with the tests, under the repo root
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.campaign.fabric_helpers import (  # noqa: E402
+    durable_cells,
+    durable_suffix,
+    killed_after,
     reconstruct_cell_lifecycles,
     verify_lifecycles,
 )
@@ -75,10 +77,12 @@ SPEC = {
     ],
 }
 
-#: Two mid-campaign coordinator deaths, then a clean final incarnation.
+#: Two mid-campaign coordinator deaths, each SIGKILLed after that many
+#: journaled accepts and restarted that many seconds later, then a clean
+#: final incarnation.
 KILLS = [
-    CoordinatorKillSchedule(kill_after_accepts=5, restart_delay_s=1.0),
-    CoordinatorKillSchedule(kill_after_accepts=8, restart_delay_s=1.0),
+    {"kill_after_accepts": 5, "restart_delay_s": 1.0},
+    {"kill_after_accepts": 8, "restart_delay_s": 1.0},
 ]
 
 JOURNAL_COMPACT_EVERY = 64
@@ -96,6 +100,7 @@ def serve_once(
     a kill configured the process SIGKILLs itself mid-accept and never
     returns; otherwise it exits 0 once the campaign completes.
     """
+    from repro.rest import campaigns
     from repro.rest.api import build_campaign_api
     from repro.rest.http_binding import RestHttpServer
 
@@ -108,12 +113,9 @@ def serve_once(
         "lease_cells": 4,
         "journal_compact_every": JOURNAL_COMPACT_EVERY,
     }
-    chaos = None
     if kill_after_accepts is not None:
-        chaos = CoordinatorChaos(CoordinatorChaosConfig(
-            kill_after_accepts=kill_after_accepts, kill_mode="sigkill"
-        ))
-    api.campaigns.serve(body, chaos=chaos)
+        campaigns.Coordinator = killed_after(kill_after_accepts)
+    api.campaigns.serve(body)
     coordinator = api.campaigns.fabric(spec.campaign_id)
     server = RestHttpServer(api, port=port)
     server.start()
@@ -125,46 +127,20 @@ def serve_once(
     sys.exit(0 if finished else 3)
 
 
-#: Record kinds that settle a cell, i.e. write its projection line.
-SETTLING = ("accept", "poison", "terminal")
-
-
-def durable_cells(directory) -> set[str]:
-    """Cells whose settlement survives in the journal or the snapshot.
-
-    The snapshot keeps the settled cells still buffered behind a lower
-    index at its compaction, by index into ``SPEC``'s expansion; a later
-    flush writes their lines after that compaction's sync.
-    """
-    with open(os.path.join(directory, JOURNAL), encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle if line.endswith("\n")]
-    settled = {r["cell_id"] for r in records if r["kind"] in SETTLING}
-    snapshot = os.path.join(directory, SNAPSHOT)
-    if os.path.isfile(snapshot):
-        with open(snapshot, encoding="utf-8") as handle:
-            events = json.load(handle)["state"]["events"]
-        cells = CampaignSpec.from_dict(SPEC).expand()
-        settled.update(
-            cells[e["index"]].cell_id for e in events if e["kind"] in SETTLING
-        )
-    return settled
-
-
 def cut_power(directory) -> dict[str, int]:
     """Take from the projection what a power cut may: the lines whose
     cells the surviving journal or snapshot still settles (everything
     older was synced before the compaction that dropped its record).
     ``results.jsonl`` loses all of them, ``timings.jsonl`` the later
     half; returns the lines lost per file."""
-    durable = durable_cells(directory)
+    cell_ids = [cell.cell_id for cell in CampaignSpec.from_dict(SPEC).expand()]
+    durable = durable_cells(directory, cell_ids)
     lost = {}
     for name in (RESULTS, TIMINGS):
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-        unsynced = [json.loads(line)["id"] in durable for line in lines]
-        keep = unsynced.index(True) if True in unsynced else len(lines)
-        assert all(unsynced[keep:]), "durably settled cells are a suffix"
+        keep = durable_suffix(lines, durable)
         if name == TIMINGS:
             keep += (len(lines) - keep + 1) // 2
         with open(path, "w", encoding="utf-8") as handle:
@@ -254,9 +230,9 @@ def main(argv=None) -> int:
     fleet_root = f"{root}/fleet"
     ctx = multiprocessing.get_context("spawn")
 
-    schedule = [entry.kill_after_accepts for entry in KILLS] + [None]
+    schedule = [entry["kill_after_accepts"] for entry in KILLS] + [None]
     print(f"fleet: {N_WORKERS} workers on {url}; coordinator kill "
-          f"schedule: {[e.to_dict() for e in KILLS]}")
+          f"schedule: {KILLS}")
 
     workers = [
         ctx.Process(
@@ -307,7 +283,7 @@ def main(argv=None) -> int:
                 if incarnation == len(KILLS):
                     lost = cut_power(f"{fleet_root}/{spec.campaign_id}")
                     print(f"power cut: projection lines lost {lost}")
-                time.sleep(KILLS[incarnation - 1].restart_delay_s)
+                time.sleep(KILLS[incarnation - 1]["restart_delay_s"])
             elif coord.exitcode != 0:
                 failures.append(
                     f"final incarnation exited {coord.exitcode}"

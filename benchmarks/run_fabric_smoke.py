@@ -21,7 +21,8 @@ The fleet runs with the JSONL trace sink armed (``REPRO_TRACE_DIR``):
 after the run, the merged coordinator + worker trace must reconstruct
 every cell's full lease → run → submit lifecycle -- including the cells
 the SIGKILLed and frozen-heartbeat workers lost mid-flight -- via
-:func:`repro.obs.verify_lifecycles`.
+``verify_lifecycles`` in ``tests/campaign/fabric_helpers.py``, the fault
+harness that also builds the two faulty workers.
 
 Usage::
 
@@ -33,21 +34,24 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
+import pathlib
 import sys
 import tempfile
 import time
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import ChaosConfig, worker_main
-from repro.obs import (
-    configure_tracing,
-    load_trace,
-    reconstruct_cell_lifecycles,
-    reset_global_tracer,
-    verify_lifecycles,
-)
+from repro.obs import configure_tracing, load_trace, reset_global_tracer
 from repro.rest.api import build_campaign_api
 from repro.rest.http_binding import RestHttpServer
+
+# the fault harness lives with the tests, under the repo root
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.campaign.fabric_helpers import (  # noqa: E402
+    Faults,
+    faulty_worker_main,
+    reconstruct_cell_lifecycles,
+    verify_lifecycles,
+)
 
 SPEC = {
     "name": "fabric-smoke",
@@ -62,9 +66,9 @@ SPEC = {
     ],
 }
 
-CHAOS = {
-    "victim": ChaosConfig(kill_after_cells=3, kill_mode="sigkill"),
-    "frozen": ChaosConfig(freeze_heartbeats_after=0, delay_submits={0: 1.0}),
+FAULTS = {
+    "victim": Faults(kill_after_cells=3),
+    "frozen": Faults(freeze_heartbeats_after=0, delay_submits={0: 1.0}),
     "steady": None,
 }
 
@@ -114,12 +118,12 @@ def main(argv=None) -> int:
         ctx = multiprocessing.get_context("spawn")
         procs = {
             name: ctx.Process(
-                target=worker_main, args=(server.url, spec.campaign_id),
-                kwargs={"name": name,
-                        "chaos": chaos.to_dict() if chaos else None},
+                target=faulty_worker_main,
+                args=(server.url, spec.campaign_id, faults),
+                kwargs={"name": name},
                 daemon=True,
             )
-            for name, chaos in CHAOS.items()
+            for name, faults in FAULTS.items()
         }
         procs["victim"].start()
         deadline = time.monotonic() + args.timeout

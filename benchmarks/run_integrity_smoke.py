@@ -10,7 +10,11 @@ it:
 * ``corruptor`` bit-damages its second submission *after* checksumming
   it (wire corruption -- the canonical-JSON checksum catches it at the
   door);
-* ``steady`` and ``honest`` are healthy.
+* ``steady`` and ``honest`` are healthy, and start only once the
+  coordinator has seen three submissions from ``liar`` and two from
+  ``corruptor`` (or quarantined them): the two hostile workers alone
+  get the first cells, so each reaches its fault whichever spawned
+  process is up first.
 
 The spec also carries one OOM-rigged ``memhog`` cell under a 64 MB
 address-space guard, so the smoke proves a poison-adjacent failure
@@ -25,7 +29,8 @@ Phase B runs a thread fleet where every worker dies on the same cell:
 after exactly ``poison_kill_threshold`` distinct-worker kills the cell
 must be declared poisoned and terminally recorded while the survivor
 finishes the campaign.  Non-zero exit on any failed gate, so it can
-gate CI.
+gate CI.  The faults come from the harness the fault tests use,
+``tests/campaign/fabric_helpers.py``.
 
 Usage::
 
@@ -37,18 +42,23 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import pathlib
 import sys
 import tempfile
+import time
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import (
-    ChaosConfig,
-    Coordinator,
-    run_local_fleet,
-    worker_main,
-)
+from repro.campaign.fabric import Coordinator
 from repro.rest.api import build_campaign_api
 from repro.rest.http_binding import RestHttpServer
+
+# the fault harness lives with the tests, under the repo root
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.campaign.fabric_helpers import (  # noqa: E402
+    Faults,
+    faulty_worker_main,
+    run_local_fleet,
+)
 
 SPEC = {
     "name": "integrity-smoke",
@@ -66,12 +76,16 @@ SPEC = {
     ],
 }
 
-CHAOS = {
-    "liar": ChaosConfig(lie_after_cells=2),
-    "corruptor": ChaosConfig(corrupt_submits=(1,)),
+FAULTS = {
+    "liar": Faults(lie_after_cells=2),
+    "corruptor": Faults(corrupt_submits=(1,)),
     "steady": None,
     "honest": None,
 }
+
+#: Submissions each hostile worker makes before the honest pair starts:
+#: enough to reach its fault.
+HOSTILE_SUBMITS = {"liar": 3, "corruptor": 2}
 
 POISON_SPEC = {
     "name": "integrity-smoke-poison",
@@ -81,6 +95,18 @@ POISON_SPEC = {
 }
 
 POISON_KILL_THRESHOLD = 2
+
+
+def hostile_done(coordinator) -> bool:
+    """Whether each hostile worker has made its ``HOSTILE_SUBMITS`` or
+    been quarantined; a leased cell no longer in flight was submitted."""
+    telemetry = coordinator.telemetry()
+    for name, needed in HOSTILE_SUBMITS.items():
+        mine = [w for w in telemetry["workers"] if w["name"] == name]
+        submitted = sum(w["cells_leased"] - w["in_flight"] for w in mine)
+        if submitted < needed and name not in telemetry["quarantined_workers"]:
+            return False
+    return True
 
 
 def phase_a(root: str, timeout_s: float) -> list[str]:
@@ -111,16 +137,22 @@ def phase_a(root: str, timeout_s: float) -> list[str]:
         ctx = multiprocessing.get_context("spawn")
         procs = {
             name: ctx.Process(
-                target=worker_main, args=(server.url, spec.campaign_id),
-                kwargs={"name": name,
-                        "chaos": chaos.to_dict() if chaos else None},
+                target=faulty_worker_main,
+                args=(server.url, spec.campaign_id, faults),
+                kwargs={"name": name},
                 daemon=True,
             )
-            for name, chaos in CHAOS.items()
+            for name, faults in FAULTS.items()
         }
-        for proc in procs.values():
-            proc.start()
-        finished = coordinator.wait(timeout_s=timeout_s)
+        deadline = time.monotonic() + timeout_s
+        for name in HOSTILE_SUBMITS:
+            procs[name].start()
+        while time.monotonic() < deadline and not hostile_done(coordinator):
+            time.sleep(0.01)
+        for name, proc in procs.items():
+            if name not in HOSTILE_SUBMITS:
+                proc.start()
+        finished = coordinator.wait(timeout_s=deadline - time.monotonic())
         for proc in procs.values():
             proc.join(timeout=15)
         coordinator.close()
@@ -190,11 +222,8 @@ def phase_b(root: str, timeout_s: float) -> list[str]:
         lease_cells=1,
         poison_kill_threshold=POISON_KILL_THRESHOLD,
     )
-    chaos = {
-        i: ChaosConfig(die_on_cells=(poison_id,), kill_mode="exception")
-        for i in range(3)
-    }
-    summaries = run_local_fleet(coordinator, 3, chaos=chaos)
+    faults = {i: Faults(die_on_cells=(poison_id,)) for i in range(3)}
+    summaries = run_local_fleet(coordinator, 3, faults)
     coordinator.close()
     died = sum(1 for s in summaries if s["died"])
     print(f"  kills={coordinator.counters['kills']} "

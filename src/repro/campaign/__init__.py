@@ -22,12 +22,10 @@ from repro.campaign.aggregate import (
 from repro.campaign.families import build_unit, known_families, single_problem
 from repro.campaign.runner import CampaignRunner, run_cell
 from repro.campaign.fabric import (
-    ChaosConfig,
     Coordinator,
     FabricWorker,
     HttpFabricClient,
     LocalClient,
-    run_local_fleet,
     worker_main,
 )
 from repro.campaign.spec import (
@@ -44,7 +42,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "Cell",
-    "ChaosConfig",
     "Coordinator",
     "FabricWorker",
     "FamilyEntry",
@@ -59,7 +56,6 @@ __all__ = [
     "known_families",
     "render_report",
     "run_cell",
-    "run_local_fleet",
     "single_problem",
     "worker_main",
 ]

@@ -17,38 +17,17 @@ over the REST surface (:mod:`~repro.campaign.fabric.transport`):
   record that is already in the write-ahead journal
   (:mod:`~repro.campaign.fabric.journal`), so a restarted ``repro campaign
   serve`` recovers by folding that same ``apply`` over snapshot events +
-  journal, and workers ride out the outage by reconnecting with backoff;
-* :mod:`~repro.campaign.fabric.chaos` injects worker deaths, frozen
-  heartbeats, dropped / duplicated / delayed submissions, and coordinator
-  kills at journaled-but-unacked accepts to prove it.
+  journal, and workers ride out the outage by reconnecting with backoff.
 """
 
-from repro.campaign.fabric.chaos import (
-    Chaos,
-    ChaosConfig,
-    ChaosKill,
-    CoordinatorChaos,
-    CoordinatorChaosConfig,
-    CoordinatorKillSchedule,
-)
 from repro.campaign.fabric.coordinator import Coordinator
 from repro.campaign.fabric.journal import FabricJournal
 from repro.campaign.fabric.leases import Lease, LeaseTable, WorkerState
 from repro.campaign.fabric.transport import HttpFabricClient, LocalClient
-from repro.campaign.fabric.worker import (
-    FabricWorker,
-    run_local_fleet,
-    worker_main,
-)
+from repro.campaign.fabric.worker import FabricWorker, worker_main
 
 __all__ = [
-    "Chaos",
-    "ChaosConfig",
-    "ChaosKill",
     "Coordinator",
-    "CoordinatorChaos",
-    "CoordinatorChaosConfig",
-    "CoordinatorKillSchedule",
     "FabricJournal",
     "FabricWorker",
     "HttpFabricClient",
@@ -56,6 +35,5 @@ __all__ = [
     "LeaseTable",
     "LocalClient",
     "WorkerState",
-    "run_local_fleet",
     "worker_main",
 ]

@@ -122,7 +122,6 @@ class Coordinator:
         audit_fraction: float = 0.0,
         audit_seed: int = 0,
         poison_kill_threshold: int = 3,
-        chaos=None,
         clock=time.monotonic,
         jitter_seed: int = 0,
     ) -> None:
@@ -147,10 +146,6 @@ class Coordinator:
         self.audit_seed = int(audit_seed)
         #: Distinct dead workers before a cell is declared poisoned.
         self.poison_kill_threshold = max(1, int(poison_kill_threshold))
-        #: Optional :class:`~repro.campaign.fabric.chaos.CoordinatorChaos`
-        #: (crash smoke / tests): fires right after an accept is
-        #: journaled, the nastiest deterministic crash point.
-        self.chaos = chaos
         self._clock = clock
         self._rng = random.Random(jitter_seed)
         self._lock = threading.Lock()
@@ -270,8 +265,7 @@ class Coordinator:
                     self._count(name, value)
             for index in readmitted:
                 # the accept's span may have died unwritten with the old
-                # coordinator; this event is the durable trace of the
-                # settlement (verify_lifecycles treats it as one)
+                # coordinator; this event is the durable trace of the settlement
                 obs.event("fabric.recovered_cell",
                           cell_id=state.cells[index].cell.cell_id)
             for lease_id, worker_id in sorted(expired):
@@ -770,8 +764,6 @@ class Coordinator:
         for worker in credited:
             if worker is not None:
                 worker.tallies["cells_done"] += 1
-        if self.chaos is not None:
-            self.chaos.on_accept()
         self._flush()
         if event.get("audited"):
             obs.event("fabric.audit_confirmed", cell_id=event["cell_id"],

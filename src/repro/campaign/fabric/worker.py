@@ -39,8 +39,8 @@ the lease back to the pool at once -- no retry budget burned, no waiting
 out the lease TTL.
 
 :func:`worker_main` is the process entry point used by ``repro campaign
-work``, the fault-injection suite, and the fabric smokes: plain args, so
-it survives ``multiprocessing`` spawn and SIGKILL harnesses.
+work`` and ``repro campaign serve --local-workers``: plain args, so it
+survives ``multiprocessing`` spawn.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import time
 
 from repro.errors import HttpStatusError, TransportError
 from repro.obs import trace as obs
-from repro.campaign.fabric.chaos import Chaos, ChaosConfig, ChaosKill
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
@@ -75,7 +74,6 @@ class FabricWorker:
         *,
         name: str = "worker",
         max_lease_cells: int | None = None,
-        chaos: ChaosConfig | None = None,
         reconnect_base_s: float = 0.2,
         reconnect_cap_s: float = 5.0,
         max_offline_s: float = 120.0,
@@ -87,7 +85,6 @@ class FabricWorker:
         self.client = client
         self.name = name
         self.max_lease_cells = max_lease_cells
-        self.chaos = Chaos(chaos) if chaos is not None else None
         self.reconnect_base_s = float(reconnect_base_s)
         self.reconnect_cap_s = float(reconnect_cap_s)
         self.max_offline_s = float(max_offline_s)
@@ -117,27 +114,19 @@ class FabricWorker:
         return self._draining.is_set()
 
     def run(self) -> dict:
-        """Work until the coordinator reports the campaign done.
-
-        Returns a summary dict; ``died`` is True when an injected
-        exception-mode kill ended the worker early (process workers in
-        ``sigkill`` mode never return at all).
-        """
-        died = False
+        """Work until the coordinator reports the campaign done; returns a
+        summary dict."""
         try:
             self._register()
             self._loop()
-        except ChaosKill:
-            died = True
         finally:
             self._stop_heartbeats()
-        if not died and not self.gave_up_offline:
+        if not self.gave_up_offline:
             self._deregister()
         return {
             "worker_id": self.worker_id,
             "name": self.name,
             "cells_done": self.cells_done,
-            "died": died,
             "drained": self._draining.is_set(),
             "reconnects": self.reconnects,
             "gave_up_offline": self.gave_up_offline,
@@ -174,8 +163,6 @@ class FabricWorker:
 
     def _heartbeat_loop(self, interval: float, stop: threading.Event) -> None:
         while not stop.wait(interval):
-            if self.chaos is not None and not self.chaos.heartbeat_allowed():
-                continue
             try:
                 with obs.span("fabric.rpc.heartbeat", worker_id=self.worker_id):
                     self.client.heartbeat(self.worker_id)
@@ -293,8 +280,6 @@ class FabricWorker:
         abandoned (the coordinator restarted, the worker gave up, or it
         was quarantined)."""
         cell_id = payload["cell_id"]
-        if self.chaos is not None:
-            self.chaos.maybe_die_on(cell_id)  # the poison-cell scenario
         # one fresh trace per cell attempt: run + submit stitch together,
         # and the coordinator's accept span joins via the propagated
         # context (contextvars in-process, HTTP headers across the wire)
@@ -306,47 +291,23 @@ class FabricWorker:
         ):
             try:
                 record, timing = self._run_cell(payload)
-            except ChaosKill:
-                raise
             except Exception as exc:  # noqa: BLE001 - run_cell never raises;
-                # anything here is harness-level (OOM-killed import, chaos)
+                # anything here is harness-level (an OOM-killed import)
                 self._report_fail(
                     lease_id, cell_id, f"{type(exc).__name__}: {exc}"
                 )
                 return True
-            copies = 1
-            if self.chaos is not None:
-                self.chaos.on_cell_computed()  # the configured death point
-                if self.chaos.lying():
-                    # pre-checksum falsification: the integrity sidecar
-                    # will match, only an audit re-execution catches it
-                    record = Chaos.lie(record)
             integrity = {
                 "record_sha256": record_checksum(record),
                 "cell_hash": payload_identity_hash(payload),
             }
-            if self.chaos is not None:
-                plan = self.chaos.submit_plan()
-                if plan.delay_s:
-                    self._sleep(plan.delay_s)
-                if plan.drop:
-                    return True  # shard lost on the wire; lease expiry re-runs it
-                if plan.corrupt:
-                    # post-checksum damage: the attached checksum no
-                    # longer matches what arrives
-                    record = Chaos.corrupt(record)
-                if plan.duplicate:
-                    copies = 2
-            return self._submit(
-                lease_id, cell_id, record, timing, integrity, copies
-            )
+            return self._submit(lease_id, cell_id, record, timing, integrity)
 
     def _submit(
         self, lease_id: str, cell_id: str, record: dict, timing: dict,
-        integrity: dict, copies: int,
+        integrity: dict,
     ) -> bool:
-        """Deliver one computed cell, ``copies`` times (a chaos plan's
-        duplicate), one ``submit`` each.
+        """Deliver one computed cell.
 
         The one place a submission meets an outage.  The record is
         already computed, so the worker rides the outage out and delivers
@@ -357,9 +318,8 @@ class FabricWorker:
         abandoned: an outage was ridden out (the lease is gone), the
         worker gave up offline, or it was quarantined.
         """
-        delivered = False  # a duplicated shard is one cell done
         in_one_go = True
-        while copies:
+        while True:
             try:
                 with obs.span("fabric.rpc.submit", cell_id=cell_id,
                               worker_id=self.worker_id):
@@ -367,22 +327,19 @@ class FabricWorker:
                         self.worker_id, lease_id, cell_id=cell_id,
                         record=record, timing=timing, integrity=integrity,
                     )
+                break
             except HttpStatusError:
                 raise
             except TransportError:
                 in_one_go = False
                 if not self._ride_out_outage("submit"):
-                    break
-                continue
-            copies -= 1
-            if result.get("rejected"):
-                self.rejected_submits += 1
-            if result.get("quarantined"):
-                self.quarantined = True
-            if result.get("accepted") or result.get("duplicate"):
-                delivered = True
-        self.cells_done += delivered
-        if self.quarantined:
+                    return False
+        if result.get("rejected"):
+            self.rejected_submits += 1
+        if result.get("accepted") or result.get("duplicate"):
+            self.cells_done += 1
+        if result.get("quarantined"):
+            self.quarantined = True
             obs.event("fabric.worker_quarantined", worker_id=self.worker_id)
         return in_one_go and not self.quarantined
 
@@ -417,7 +374,6 @@ def worker_main(
     *,
     name: str = "worker",
     max_lease_cells: int | None = None,
-    chaos: dict | None = None,
     max_offline_s: float = 120.0,
     token: str | None = None,
 ) -> dict:
@@ -435,51 +391,9 @@ def worker_main(
         name=name,
         max_lease_cells=max_lease_cells,
         max_offline_s=max_offline_s,
-        chaos=ChaosConfig.from_dict(chaos) if chaos is not None else None,
     )
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda *_: worker.request_drain())
     return worker.run()
 
-
-def run_local_fleet(
-    coordinator,
-    n_workers: int = 2,
-    *,
-    chaos: dict[int, ChaosConfig] | None = None,
-    max_lease_cells: int | None = None,
-    max_offline_s: float = 120.0,
-) -> list[dict]:
-    """Run an in-process thread fleet to completion (tests, smoke paths).
-
-    ``chaos`` maps worker ordinals to fault plans; injected kills must use
-    ``kill_mode="exception"`` since threads cannot be SIGKILLed.  Returns
-    each worker's summary.
-    """
-    from repro.campaign.fabric.transport import LocalClient
-
-    workers = [
-        FabricWorker(
-            LocalClient(coordinator),
-            name=f"local{i}",
-            max_lease_cells=max_lease_cells,
-            max_offline_s=max_offline_s,
-            chaos=(chaos or {}).get(i),
-        )
-        for i in range(n_workers)
-    ]
-    summaries: list[dict] = [None] * len(workers)  # type: ignore[list-item]
-
-    def _run(i: int) -> None:
-        summaries[i] = workers[i].run()
-
-    threads = [
-        threading.Thread(target=_run, args=(i,), daemon=True)
-        for i in range(len(workers))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return summaries

@@ -4,7 +4,7 @@ A zero-dependency span tracer threaded through the scheduler core, the
 campaign engine, and the fabric: :mod:`repro.obs.trace` records spans and
 events into pluggable sinks (in-memory ring buffer, JSONL files), and
 :mod:`repro.obs.analysis` turns trace files back into per-phase time
-breakdowns and per-cell fabric lifecycles.
+breakdowns.
 
 Tracing is off by default and the off path is a handful of attribute
 reads -- the scheduling hot loops stay un-touched (``bench-smoke`` gates
@@ -38,12 +38,7 @@ from repro.obs.trace import (
     span,
     tracing_enabled,
 )
-from repro.obs.analysis import (
-    load_trace,
-    reconstruct_cell_lifecycles,
-    summarize_trace,
-    verify_lifecycles,
-)
+from repro.obs.analysis import load_trace, summarize_trace
 
 __all__ = [
     "JsonlSink",
@@ -58,11 +53,9 @@ __all__ = [
     "event",
     "global_tracer",
     "load_trace",
-    "reconstruct_cell_lifecycles",
     "reset_global_tracer",
     "root_span",
     "span",
     "summarize_trace",
     "tracing_enabled",
-    "verify_lifecycles",
 ]

@@ -1,21 +1,14 @@
-"""Trace analysis: per-phase breakdowns and fabric cell lifecycles.
+"""Trace analysis: per-phase breakdowns.
 
-Two consumers:
-
-* ``repro trace summarize`` aggregates a trace (file or directory of
-  per-process files) into a per-span-name time table -- the profiling
-  entry point for "where do schedule computations spend their time";
-* the fabric smoke and the chaos tests reconstruct, per campaign cell,
-  the full lease → run → submit/reclaim lifecycle from the merged
-  coordinator + worker traces and assert it is whole even under worker
-  deaths, duplicated submits, and reclaims.
+``repro trace summarize`` aggregates a trace (file or directory of
+per-process files) into a per-span-name time table -- the profiling entry
+point for "where do schedule computations spend their time".
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.obs.trace import read_jsonl
@@ -97,169 +90,3 @@ def summarize_trace(records: Iterable[Mapping]) -> list[dict]:
         })
     rows.sort(key=lambda row: (-row["total_ms"], row["name"]))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# fabric cell lifecycles
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CellLifecycle:
-    """Everything the trace says about one campaign cell."""
-
-    cell_id: str
-    leases: int = 0
-    reclaims: int = 0
-    retries: int = 0
-    escalations: int = 0
-    transient_failures: int = 0
-    terminal_errors: int = 0
-    accepted_submits: int = 0
-    duplicate_submits: int = 0
-    stale_submits: int = 0
-    #: journal-backed re-admissions by a restarted coordinator; when the
-    #: accept's ack (and its span) died with the old process, this event
-    #: is the only trace of the settlement
-    recovered: int = 0
-    #: terminal status of each completed run span (``campaign.cell``)
-    run_statuses: list = field(default_factory=list)
-    #: trace ids of the run spans, for phase lookups
-    run_traces: set = field(default_factory=set)
-    #: trace ids of accepted coordinator-side submit spans
-    accept_traces: set = field(default_factory=set)
-
-    @property
-    def complete(self) -> bool:
-        """Leased at least once and folded exactly one terminal outcome."""
-        settled = (
-            self.accepted_submits == 1
-            or self.terminal_errors == 1
-            or (self.accepted_submits == 0 and self.recovered > 0)
-        )
-        return self.leases >= 1 and settled
-
-
-def reconstruct_cell_lifecycles(
-    records: Iterable[Mapping],
-) -> dict[str, CellLifecycle]:
-    """Stitch per-cell lifecycles out of merged fabric trace records."""
-    cells: dict[str, CellLifecycle] = {}
-
-    def cell(record: Mapping) -> CellLifecycle | None:
-        cell_id = (record.get("attrs") or {}).get("cell_id")
-        if not isinstance(cell_id, str):
-            return None
-        state = cells.get(cell_id)
-        if state is None:
-            state = cells[cell_id] = CellLifecycle(cell_id=cell_id)
-        return state
-
-    for record in records:
-        name = record.get("name")
-        state = cell(record)
-        if state is None:
-            continue
-        attrs = record.get("attrs") or {}
-        if name == "fabric.lease_cell":
-            state.leases += 1
-        elif name == "fabric.reclaim_cell":
-            state.reclaims += 1
-        elif name == "fabric.retry_cell":
-            state.retries += 1
-        elif name == "fabric.escalate_cell":
-            state.escalations += 1
-        elif name == "fabric.fail_cell":
-            state.transient_failures += 1
-        elif name == "fabric.terminal_error":
-            state.terminal_errors += 1
-        elif name == "fabric.recovered_cell":
-            state.recovered += 1
-        elif name == "fabric.submit":
-            outcome = attrs.get("outcome")
-            if outcome == "accepted":
-                state.accepted_submits += 1
-                if record.get("trace"):
-                    state.accept_traces.add(record["trace"])
-            elif outcome == "duplicate":
-                state.duplicate_submits += 1
-            if attrs.get("stale"):
-                state.stale_submits += 1
-        elif name == "campaign.cell" and record.get("kind") == "span":
-            state.run_statuses.append(attrs.get("status"))
-            if record.get("trace"):
-                state.run_traces.add(record["trace"])
-    return cells
-
-
-def verify_lifecycles(
-    records: Iterable[Mapping],
-    expected_cells: Iterable[str],
-) -> list[str]:
-    """Check every expected cell's lifecycle; returns problem strings.
-
-    The contract checked (empty return = all good):
-
-    * every expected cell was leased at least once and settled exactly
-      once -- one accepted submit (duplicates and stales are fine, they
-      are flagged no-ops), one terminal give-up record, or a
-      journal-backed recovery (``fabric.recovered_cell``: the accept was
-      durable but its span died unwritten with a crashed coordinator);
-    * every settled-by-submit cell has at least one completed run span,
-      and runs that ended ``ok`` contain schedule phases
-      (``api.execute_request``) in their trace;
-    * no accepted coordinator submit is an orphan: its trace must also
-      contain the worker-side run or RPC spans it claims to continue
-      (SIGKILLed workers lose open spans, but an *accepted* submit means
-      the submitting worker lived to deliver it, so its trace survives).
-    """
-    records = list(records)
-    cells = reconstruct_cell_lifecycles(records)
-    spans_by_trace: dict[str, set] = {}
-    phases_by_trace: dict[str, int] = {}
-    for record in records:
-        trace = record.get("trace")
-        if not trace:
-            continue
-        spans_by_trace.setdefault(trace, set()).add(record.get("name"))
-        if record.get("kind") == "span" and record.get("name") in (
-            "api.execute_request",
-        ):
-            phases_by_trace[trace] = phases_by_trace.get(trace, 0) + 1
-
-    problems: list[str] = []
-    for cell_id in expected_cells:
-        state = cells.get(cell_id)
-        if state is None:
-            problems.append(f"{cell_id}: no trace records at all")
-            continue
-        if state.leases < 1:
-            problems.append(f"{cell_id}: never leased")
-        if (
-            state.accepted_submits + state.terminal_errors == 0
-            and state.recovered == 0
-        ):
-            problems.append(f"{cell_id}: never settled (no accepted submit)")
-        elif state.accepted_submits > 1:
-            problems.append(
-                f"{cell_id}: {state.accepted_submits} accepted submits "
-                "(duplicate records folded?)"
-            )
-        if state.accepted_submits == 1:
-            if not state.run_statuses:
-                problems.append(f"{cell_id}: no completed run span")
-            elif "ok" in state.run_statuses and not any(
-                phases_by_trace.get(trace, 0) > 0
-                for trace in state.run_traces
-            ):
-                problems.append(
-                    f"{cell_id}: ok run without schedule phase spans"
-                )
-            for trace in state.accept_traces:
-                names = spans_by_trace.get(trace, set())
-                if not names & {"fabric.rpc.submit", "fabric.cell",
-                                "campaign.cell"}:
-                    problems.append(
-                        f"{cell_id}: accepted submit trace {trace} has no "
-                        "worker-side spans (orphaned)"
-                    )
-    return problems

@@ -118,13 +118,8 @@ class CampaignService:
     # ------------------------------------------------------------------
     # fabric: coordinator lifecycle + worker protocol
     # ------------------------------------------------------------------
-    def serve(self, body: Any, *, chaos=None) -> dict:
-        """Stand up a coordinator for a spec (idempotent per campaign id).
-
-        ``chaos`` (a :class:`~repro.campaign.fabric.CoordinatorChaos`) is
-        the crash smoke's kill hook: a Python keyword on purpose, so no
-        peer can ask the coordinator to SIGKILL itself over the wire.
-        """
+    def serve(self, body: Any) -> dict:
+        """Stand up a coordinator for a spec (idempotent per campaign id)."""
         if not isinstance(body, Mapping) or "spec" not in body:
             raise BadRequestError(
                 "fabric serve body must be {'spec': {...}, ...options}"
@@ -149,9 +144,7 @@ class CampaignService:
                 f"campaign {spec.campaign_id!r} is already being served"
             )
         try:
-            coordinator = Coordinator(
-                spec, root=self.root, chaos=chaos, **options
-            )
+            coordinator = Coordinator(spec, root=self.root, **options)
         except CampaignError as exc:
             raise BadRequestError(str(exc)) from None
         if active is not None:

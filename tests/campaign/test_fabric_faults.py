@@ -4,7 +4,7 @@ The fabric's contract: an N-worker fleet -- surviving worker deaths,
 frozen heartbeats, and dropped / duplicated / delayed submissions --
 produces a ``results.jsonl`` byte-identical to the single-host pool
 runner.  Every scenario here attacks one clause of that contract with
-the deterministic chaos harness (:mod:`repro.campaign.fabric.chaos`).
+the deterministic fault harness (``tests/campaign/fabric_helpers.py``).
 """
 
 import random
@@ -12,16 +12,15 @@ import random
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import (
-    ChaosConfig,
-    Coordinator,
-    FabricWorker,
-    LocalClient,
-    run_local_fleet,
-)
+from repro.campaign.fabric import Coordinator, FabricWorker, LocalClient
 from repro.campaign.runner import run_cell
 from repro.errors import CampaignError
-from tests.campaign.fabric_helpers import sealed
+from tests.campaign.fabric_helpers import (
+    Faults,
+    faulty_worker_main,
+    run_local_fleet,
+    sealed,
+)
 
 SWEEP = {
     "name": "fab",
@@ -93,9 +92,9 @@ class TestFleetDeterminism:
 
 class TestChaosFaults:
     def test_duplicate_submits_are_counted_noops(self, tmp_path, baseline):
-        chaos = {0: ChaosConfig(duplicate_submits=tuple(range(N_CELLS)))}
+        faults = {0: Faults(duplicate_submits=tuple(range(N_CELLS)))}
         coordinator = _coordinator(tmp_path)
-        run_local_fleet(coordinator, 1, chaos=chaos)
+        run_local_fleet(coordinator, 1, faults)
         coordinator.close()
         assert coordinator.store.results_bytes() == baseline
         assert coordinator.counters["duplicate_submits"] == N_CELLS
@@ -103,9 +102,9 @@ class TestChaosFaults:
     def test_dropped_submit_is_reclaimed_and_rerun(self, tmp_path, baseline):
         # worker 0 loses its first shard on the wire but stays alive; the
         # hard lease-lifetime cap must pry the cell loose anyway
-        chaos = {0: ChaosConfig(drop_submits=(0,))}
+        faults = {0: Faults(drop_submits=(0,))}
         coordinator = _coordinator(tmp_path, lease_cells=1)
-        run_local_fleet(coordinator, 2, chaos=chaos)
+        run_local_fleet(coordinator, 2, faults)
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
@@ -114,9 +113,9 @@ class TestChaosFaults:
     def test_killed_worker_cells_are_reclaimed(self, tmp_path, baseline):
         # worker 0 dies after computing its first record, *before*
         # submitting it -- work done, coordinator unaware
-        chaos = {0: ChaosConfig(kill_after_cells=1, kill_mode="exception")}
+        faults = {0: Faults(kill_after_cells=1)}
         coordinator = _coordinator(tmp_path, lease_cells=2)
-        summaries = run_local_fleet(coordinator, 2, chaos=chaos)
+        summaries = run_local_fleet(coordinator, 2, faults)
         coordinator.close()
         assert summaries[0]["died"] is True
         assert coordinator.finished
@@ -129,13 +128,11 @@ class TestChaosFaults:
         # worker 0 never heartbeats and naps before its first submit:
         # during the nap it is declared dead and its lease reclaimed, so
         # the delayed submit arrives stale -- and is absorbed
-        chaos = {0: ChaosConfig(
-            freeze_heartbeats_after=0, delay_submits={0: 0.6}
-        )}
+        faults = {0: Faults(freeze_heartbeats_after=0, delay_submits={0: 0.6})}
         coordinator = _coordinator(
             tmp_path, lease_cells=1, heartbeat_timeout_s=0.15
         )
-        run_local_fleet(coordinator, 2, chaos=chaos)
+        run_local_fleet(coordinator, 2, faults)
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
@@ -408,10 +405,10 @@ class TestHttpFleet:
             coordinator = api.campaigns.fabric(spec.campaign_id)
             ctx = multiprocessing.get_context("spawn")
             victim = ctx.Process(
-                target=worker_main, args=(server.url, spec.campaign_id),
-                kwargs={"name": "victim", "chaos": ChaosConfig(
-                    kill_after_cells=2, kill_mode="sigkill"
-                ).to_dict()},
+                target=faulty_worker_main,
+                args=(server.url, spec.campaign_id,
+                      Faults(kill_after_cells=2)),
+                kwargs={"name": "victim"},
                 daemon=True,
             )
             survivor = ctx.Process(
@@ -440,9 +437,9 @@ class TestResume:
     def test_coordinator_restart_resumes_canonical_prefix(
         self, tmp_path, baseline
     ):
-        chaos = {0: ChaosConfig(kill_after_cells=3, kill_mode="exception")}
+        faults = {0: Faults(kill_after_cells=3)}
         first = _coordinator(tmp_path, lease_cells=2)
-        summaries = run_local_fleet(first, 1, chaos=chaos)
+        summaries = run_local_fleet(first, 1, faults)
         first.close()
         assert summaries[0]["died"] is True
         assert not first.finished
@@ -480,16 +477,15 @@ class TestResume:
         # and the final bytes must still match the pool runner
         rng = random.Random(seed)
         kill_after = rng.randint(1, N_CELLS - 2)
-        chaos = {0: ChaosConfig(kill_after_cells=kill_after,
-                                kill_mode="exception")}
+        faults = {0: Faults(kill_after_cells=kill_after)}
         first = _coordinator(tmp_path, lease_cells=rng.choice([1, 2, 3]))
-        run_local_fleet(first, 1, chaos=chaos)
+        run_local_fleet(first, 1, faults)
         first.close()
         assert not first.finished
 
-        noise = {1: ChaosConfig(duplicate_submits=(0,))}
+        noise = {1: Faults(duplicate_submits=(0,))}
         second = _coordinator(tmp_path, lease_cells=rng.choice([1, 2]))
-        run_local_fleet(second, 2, chaos=noise)
+        run_local_fleet(second, 2, noise)
         second.close()
         assert second.finished
         assert second.store.results_bytes() == baseline

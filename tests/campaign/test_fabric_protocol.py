@@ -24,7 +24,6 @@ import repro.rest.api as rest_api
 import repro.rest.campaigns as rest_campaigns
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign.fabric import (
-    ChaosConfig,
     Coordinator,
     FabricWorker,
     HttpFabricClient,
@@ -36,7 +35,7 @@ from repro.errors import CampaignError, HttpStatusError, TransportError
 from repro.rest.api import build_campaign_api
 from repro.rest.campaigns import CampaignService
 from repro.rest.http_binding import HttpClient, RestHttpServer
-from tests.campaign.fabric_helpers import sealed
+from tests.campaign.fabric_helpers import FaultyClient, Faults, sealed
 
 SWEEP = {
     "name": "proto",
@@ -447,11 +446,11 @@ class TestServeBody:
 # ---------------------------------------------------------------------------
 
 class _FlakyLink:
-    """``LocalClient`` whose first ``k`` deliveries carrying ``cell_id``
-    are lost to a :class:`TransportError` (the coordinator never saw them)."""
+    """A client whose first ``k`` deliveries carrying ``cell_id`` are lost
+    to a :class:`TransportError` (``inner`` never saw them)."""
 
-    def __init__(self, coordinator, cell_id, k):
-        self._inner = LocalClient(coordinator)
+    def __init__(self, inner, cell_id, k):
+        self._inner = inner
         self.cell_id = cell_id
         self.left = k
 
@@ -477,9 +476,9 @@ def baseline(tmp_path_factory):
 
 
 class TestOneDeliveryLoop:
-    #: by submission ordinal: the 2nd shard is lost, the 4th sent twice,
-    #: the 7th damaged on the wire
-    PLAN = ChaosConfig(
+    #: by submit call behind the flaky link: the 2nd shard is lost, the
+    #: 4th sent twice, the 7th damaged on the wire
+    PLAN = Faults(
         drop_submits=(1,), duplicate_submits=(3,), corrupt_submits=(6,)
     )
 
@@ -495,9 +494,9 @@ class TestOneDeliveryLoop:
             clock=lambda: 1e3 + time.monotonic() if live else 0.0,
         )
         cells = [cell.cell_id for cell in SPEC.expand()]
+        link = FaultyClient(LocalClient(coordinator), self.PLAN)
         chaotic = FabricWorker(
-            _FlakyLink(coordinator, cells[4], k=2),
-            name="chaotic", chaos=self.PLAN,
+            _FlakyLink(link, cells[4], k=2), name="chaotic",
             reconnect_base_s=0.001, reconnect_cap_s=0.002,
         ).run()
         live.append(True)

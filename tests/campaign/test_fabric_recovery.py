@@ -18,12 +18,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import (
-    Coordinator,
-    FabricWorker,
-    LocalClient,
-    run_local_fleet,
-)
+from repro.campaign.fabric import Coordinator, FabricWorker, LocalClient
 from repro.campaign.fabric.journal import (
     JOURNAL,
     KINDS,
@@ -32,7 +27,7 @@ from repro.campaign.fabric.journal import (
 )
 from repro.campaign.runner import run_cell
 from repro.errors import CampaignError, TransportError
-from tests.campaign.fabric_helpers import sealed
+from tests.campaign.fabric_helpers import run_local_fleet, sealed
 
 SWEEP = {
     "name": "fabrec",

@@ -12,6 +12,10 @@ the journal is the only file fsynced per record.  After *every* step:
 * ``results.jsonl`` is a canonical prefix with no cell twice, and
   ``timings.jsonl`` holds one line per result;
 * no open cell's retry count or killer set ever shrinks;
+* every projection line written since the last ``sync()`` belongs to a
+  cell the journal or the snapshot settles, and those cells' lines are a
+  suffix of the file: the lines the crash smoke's power cut takes
+  (``durable_cells``, shared with it) cover all a real one may;
 * a fresh ``Coordinator`` over a copy of the run directory -- as it is,
   and with either or both projection files cut back to the last sync --
   recovers the very state the live one is in: replay is the live path,
@@ -41,7 +45,11 @@ from repro.campaign import CampaignSpec
 from repro.campaign.fabric import Coordinator
 from repro.campaign.runner import run_cell
 from repro.campaign.store import RESULTS, TIMINGS, RunStore
-from tests.campaign.fabric_helpers import sealed
+from tests.campaign.fabric_helpers import (
+    durable_cells,
+    durable_suffix,
+    sealed,
+)
 
 SPEC = CampaignSpec.from_dict({
     "name": "fabsm",
@@ -286,6 +294,17 @@ class FabricMachine(RuleBasedStateMachine):
             assert cell.attempts >= attempts, (index, cell.attempts, attempts)
             assert cell.killers >= killers, (index, cell.killers, killers)
             self.floor[index] = (cell.attempts, set(cell.killers))
+
+    @invariant()
+    def unsynced_lines_are_durably_settled(self):
+        directory = self.coordinator.store.directory
+        durable = durable_cells(directory, CELL_IDS)
+        synced = self.synced.get(directory, [0, 0])
+        for name, floor in zip((RESULTS, TIMINGS), synced):
+            path = directory / name
+            lines = path.read_bytes().splitlines() if path.is_file() else []
+            first_unsynced = sum(end <= floor for end in line_ends(path)[1:])
+            assert durable_suffix(lines, durable) <= first_unsynced, name
 
     @invariant()
     def audit_status_tracks_candidates(self):

@@ -14,16 +14,11 @@ import json
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import (
-    ChaosConfig,
-    Coordinator,
-    run_local_fleet,
-)
-from repro.campaign.fabric.chaos import Chaos
+from repro.campaign.fabric import Coordinator
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
-from tests.campaign.fabric_helpers import sealed
+from tests.campaign.fabric_helpers import Faults, lie, run_local_fleet, sealed
 
 SWEEP = {
     "name": "integ",
@@ -126,9 +121,9 @@ class TestCorruptingWorker:
         # worker 0's first submission is bit-damaged after checksumming
         # (wire corruption): the coordinator must reject it pre-journal,
         # quarantine the name, and let the honest worker finish
-        chaos = {0: ChaosConfig(corrupt_submits=(0,))}
+        faults = {0: Faults(corrupt_submits=(0,))}
         coordinator = _coordinator(tmp_path, lease_cells=2)
-        summaries = run_local_fleet(coordinator, 2, chaos=chaos)
+        summaries = run_local_fleet(coordinator, 2, faults)
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
@@ -150,11 +145,11 @@ class TestLyingWorker:
         # checksums.  With every cell audited, the lie never finds a
         # byte-identical second run, the two honest workers corroborate
         # each other, and the liar is quarantined.
-        chaos = {0: ChaosConfig(lie_after_cells=0)}
+        faults = {0: Faults(lie_after_cells=0)}
         coordinator = _coordinator(
             tmp_path, lease_cells=1, audit_fraction=1.0
         )
-        summaries = run_local_fleet(coordinator, 3, chaos=chaos)
+        summaries = run_local_fleet(coordinator, 3, faults)
         coordinator.close()
         assert coordinator.finished
         assert coordinator.store.results_bytes() == baseline
@@ -172,12 +167,12 @@ class TestLyingWorker:
         coordinator = _coordinator(tmp_path, one, audit_fraction=1.0)
         liar, a, b = (coordinator.register({"name": name})["worker_id"]
                       for name in ("liar", "a", "b"))
-        for worker_id, lie in ((liar, True), (a, False), (b, False)):
+        for worker_id, lying in ((liar, True), (a, False), (b, False)):
             reply = coordinator.lease(worker_id, 1)
             [payload] = reply["cells"]
             record, timing = run_cell(payload)
-            if lie:
-                record = Chaos.lie(record)
+            if lying:
+                record = lie(record)
             coordinator.submit(
                 worker_id, reply["lease_id"], payload["cell_id"], record,
                 timing, sealed(payload, record),
@@ -236,16 +231,11 @@ class TestPoisonCell:
         # rest of the campaign untouched.
         spec = CampaignSpec.from_dict(SWEEP)
         poison_id = spec.expand()[0].cell_id
-        chaos = {
-            i: ChaosConfig(
-                die_on_cells=(poison_id,), kill_mode="exception"
-            )
-            for i in range(3)
-        }
+        faults = {i: Faults(die_on_cells=(poison_id,)) for i in range(3)}
         coordinator = _coordinator(
             tmp_path, lease_cells=1, poison_kill_threshold=2,
         )
-        summaries = run_local_fleet(coordinator, 3, chaos=chaos)
+        summaries = run_local_fleet(coordinator, 3, faults)
         coordinator.close()
         assert coordinator.finished
         assert sum(1 for s in summaries if s["died"]) == 2

@@ -12,11 +12,12 @@ and that determinism is the parity contract checked here -- on the same
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.fabric import Coordinator, run_local_fleet
+from repro.campaign.fabric import Coordinator
 from repro.campaign.runner import _unit_cache
 from repro.core.oracle import clear_registry
 from repro.metrics import percentile
 from repro.rest.api import build_campaign_api
+from tests.campaign.fabric_helpers import run_local_fleet
 
 #: The ``make fabric-smoke`` grid (benchmarks/run_fabric_smoke.py).
 SPEC = {

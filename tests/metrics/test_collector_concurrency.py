@@ -10,10 +10,10 @@ import sys
 import threading
 
 from repro.campaign import CampaignSpec
-from repro.campaign.fabric import run_local_fleet
 from repro.core.api import request_histograms, schedule_update
 from repro.core.hardness import reversal_instance
 from repro.rest.api import build_campaign_api
+from tests.campaign.fabric_helpers import run_local_fleet
 from tests.metrics.scrape import parse_exposition
 
 THREADS = 8

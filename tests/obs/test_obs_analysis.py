@@ -2,10 +2,9 @@
 
 import json
 
-from repro.obs.analysis import (
-    load_trace,
+from repro.obs.analysis import load_trace, summarize_trace
+from tests.campaign.fabric_helpers import (
     reconstruct_cell_lifecycles,
-    summarize_trace,
     verify_lifecycles,
 )
 

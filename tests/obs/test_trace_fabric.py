@@ -6,8 +6,8 @@ the coordinator's accept/lifecycle spans can only come from the
 ``X-Repro-Trace`` / ``X-Repro-Span`` headers the HTTP binding carries.
 These tests run real workers against a real HTTP server with the ring
 sink armed and assert the merged trace stitches -- including under
-chaos-injected duplicated and delayed submits, which must surface as
-flagged no-ops, never as duplicate or orphaned accept spans.
+injected duplicated and delayed submits, which must surface as flagged
+no-ops, never as duplicate or orphaned accept spans.
 """
 
 import threading
@@ -15,16 +15,16 @@ import threading
 import pytest
 
 from repro.campaign import CampaignSpec
-from repro.campaign.fabric import ChaosConfig, FabricWorker, HttpFabricClient
-from repro.obs import (
-    RingBufferSink,
-    configure_tracing,
-    reconstruct_cell_lifecycles,
-    reset_global_tracer,
-    verify_lifecycles,
-)
+from repro.campaign.fabric import HttpFabricClient
+from repro.obs import configure_tracing, reset_global_tracer
 from repro.rest.api import build_campaign_api
 from repro.rest.http_binding import RestHttpServer
+from tests.campaign.fabric_helpers import (
+    Faults,
+    faulty_worker,
+    reconstruct_cell_lifecycles,
+    verify_lifecycles,
+)
 
 SPEC = {
     "name": "obsfab",
@@ -54,10 +54,10 @@ def server(tmp_path):
     api.campaigns.close()
 
 
-def _run_fleet(server, sink, chaos=None, n_workers=1, **serve_options):
+def _run_fleet(server, sink, faults=None, n_workers=1, **serve_options):
     """Serve SPEC over HTTP, drain it with ``n_workers`` thread workers.
 
-    ``chaos`` (if given) afflicts worker 0 only; the rest stay healthy.
+    ``faults`` (if given) afflict worker 0 only; the rest stay healthy.
     """
     api, http = server
     spec = CampaignSpec.from_dict(SPEC)
@@ -70,9 +70,9 @@ def _run_fleet(server, sink, chaos=None, n_workers=1, **serve_options):
     })
     coordinator = api.campaigns.fabric(spec.campaign_id)
     workers = [
-        FabricWorker(
+        faulty_worker(
             HttpFabricClient(http.url, spec.campaign_id),
-            name=f"tw{i}", chaos=chaos if i == 0 else None,
+            faults if i == 0 else None, name=f"tw{i}",
         )
         for i in range(n_workers)
     ]
@@ -123,8 +123,8 @@ class TestChaosDoesNotCorruptTraces:
     def test_duplicated_submits_stay_single_accepts(self, server, _traced):
         # every submit is sent twice; the second must trace as a flagged
         # duplicate, never as a second accept or an orphaned span
-        chaos = ChaosConfig(duplicate_submits=tuple(range(N_CELLS)))
-        spec, coordinator, records = _run_fleet(server, _traced, chaos=chaos)
+        faults = Faults(duplicate_submits=tuple(range(N_CELLS)))
+        spec, coordinator, records = _run_fleet(server, _traced, faults)
         assert coordinator.counters["duplicate_submits"] == N_CELLS
         cells = reconstruct_cell_lifecycles(records)
         assert sum(s.duplicate_submits for s in cells.values()) == N_CELLS
@@ -138,10 +138,9 @@ class TestChaosDoesNotCorruptTraces:
         # the lease is reclaimed and the submit arrives stale -- the
         # trace must show the reclaim and the stale flag, and still
         # settle every cell exactly once with no orphans
-        chaos = ChaosConfig(freeze_heartbeats_after=0,
-                            delay_submits={0: 0.8})
+        faults = Faults(freeze_heartbeats_after=0, delay_submits={0: 0.8})
         spec, coordinator, records = _run_fleet(
-            server, _traced, chaos=chaos, n_workers=2,
+            server, _traced, faults, n_workers=2,
             lease_cells=1, lease_ttl_s=0.3, heartbeat_timeout_s=0.2,
         )
         assert coordinator.counters["reclaims"] == 1

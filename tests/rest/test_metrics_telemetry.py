@@ -3,11 +3,15 @@
 import pytest
 
 from repro.campaign import CampaignSpec
-from repro.campaign.fabric import ChaosConfig, run_local_fleet
 from repro.campaign.fabric.coordinator import COUNTERS
 from repro.campaign.runner import run_cell
 from repro.rest.api import build_campaign_api, build_rest_api
-from tests.campaign.fabric_helpers import sealed
+from tests.campaign.fabric_helpers import (
+    Faults,
+    lie,
+    run_local_fleet,
+    sealed,
+)
 from tests.metrics.scrape import parse_exposition
 
 SPEC = {
@@ -171,8 +175,7 @@ class TestMetricsRoute:
             {"family": "reversal", "sizes": [4, 6], "repeats": 3}]}
         campaign_id = _serve(api, spec, audit_fraction=1, lease_cells=1)
         coordinator = api.campaigns.fabric(campaign_id)
-        run_local_fleet(coordinator, 3,
-                        chaos={0: ChaosConfig(lie_after_cells=0)})
+        run_local_fleet(coordinator, 3, {0: Faults(lie_after_cells=0)})
         assert coordinator.finished
         assert coordinator.counters["audit_mismatches"] >= 1
         samples = parse_exposition(api.handle("GET", "/metrics").body)
@@ -184,26 +187,24 @@ class TestMetricsRoute:
         # by hand, both bumps: ``a`` contradicts its own candidate (the
         # submit path, for a worker), then ``b`` and ``c`` outvote the
         # liar (the audit's losers, for no worker)
-        from repro.campaign.fabric import Chaos
-
         campaign_id = _serve(api, audit_fraction=1)
         coordinator = api.campaigns.fabric(campaign_id)
         ids = {name: coordinator.register({"name": name})["worker_id"]
                for name in ("a", "liar", "b", "c")}
 
-        def run(name, lie=False, resubmit=False):
+        def run(name, lying=False, resubmit=False):
             reply = coordinator.lease(ids[name], 1)
             [payload] = reply["cells"]
             record, timing = run_cell(payload)
-            for falsify in ((False, True) if resubmit else (lie,)):
-                sent = Chaos.lie(record) if falsify else record
+            for falsify in ((False, True) if resubmit else (lying,)):
+                sent = lie(record) if falsify else record
                 coordinator.submit(
                     ids[name], reply["lease_id"], payload["cell_id"], sent,
                     timing, sealed(payload, sent),
                 )
 
         run("a", resubmit=True)
-        run("liar", lie=True)
+        run("liar", lying=True)
         run("b")
         run("c")
         assert coordinator.counters["audit_mismatches"] == 2
