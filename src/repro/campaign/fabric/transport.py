@@ -1,9 +1,10 @@
 """The fabric worker protocol, spelled once, and its two transports.
 
 :data:`VERBS` is the wire contract as data: per :class:`Coordinator`
-verb the ordered body fields in the coordinator's own argument order,
-each with the shape a decoded value must have and the default of an
-optional one.  Both directions read it:
+verb a :class:`repro.schema.Schema` (the package's one body decoder) of
+the body fields in the coordinator's own argument order, each with the
+shape a decoded value must have and the default of an optional one.
+Both directions read it:
 
 * :class:`LocalClient` hands out an in-process coordinator's own bound
   verbs (tests, single-host fleets, the thread-based smoke paths);
@@ -26,87 +27,36 @@ failure of the machinery around ``run_cell`` is ``fail``.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any
 
 from repro.errors import BadRequestError, CampaignError, NotFoundError
 from repro.campaign.fabric.coordinator import Coordinator
+from repro.schema import (WHOLE, _REQUIRED, Field, Schema, integer, is_object,
+                          non_empty_string, string)
 
-_REQUIRED = object()
-#: As a field's ``key``: the value is the body itself, not one key of it.
-WHOLE = ""
+WORKER = Field("worker_id", non_empty_string, "a non-empty string")
+LEASE = Field("lease_id", string, "a string")
+CELL = Field("cell_id", string, "a string")
 
-
-class Field(NamedTuple):
-    """One parameter of a verb and how it travels."""
-
-    name: str  #: the Coordinator parameter, and the body key unless ``key``
-    shape: Callable[[Any], bool]
-    expects: str
-    default: Any = _REQUIRED
-    key: str | None = None
-
-    @property
-    def wire(self) -> str:
-        return self.name if self.key is None else self.key
-
-
-def _decode(what: str, fields: tuple[Field, ...], body: Mapping) -> list:
-    """The coordinator arguments a body spells, in order, shape-checked;
-    a key no field names is refused (``register`` takes the whole body)."""
-    if fields[0].wire != WHOLE:
-        unknown = set(body) - {field.wire for field in fields}
-        if unknown:
-            raise BadRequestError(
-                f"fabric {what} takes no {', '.join(map(repr, sorted(unknown)))}"
-            )
-    args = []
-    for field in fields:
-        value = body
-        if field.wire != WHOLE:
-            value = body.get(field.wire, field.default)
-        if value is _REQUIRED or not (
-            value is field.default or field.shape(value)
-        ):
-            raise BadRequestError(
-                f"fabric {what} needs {field.wire!r}: {field.expects}"
-            )
-        args.append(value)
-    return args
-
-
-def _string(value: Any) -> bool:
-    return isinstance(value, str)
-
-
-def _object(value: Any) -> bool:
-    return isinstance(value, Mapping)
-
-
-WORKER = Field("worker_id", lambda v: _string(v) and v != "", "a non-empty string")
-LEASE = Field("lease_id", _string, "a string")
-CELL = Field("cell_id", _string, "a string")
 
 #: Coordinator verb -> its parameters, in the coordinator's argument order.
-VERBS: dict[str, tuple[Field, ...]] = {
-    "register": (Field("body", _object, "an object", None, key=WHOLE),),
-    "heartbeat": (WORKER,),
-    "lease": (
-        WORKER,
-        Field("max_cells", lambda v: type(v) is int and v >= 1,
-              "an int >= 1", None),
-    ),
-    # ``integrity``: the record checksum + cell identity hash the
-    # coordinator validates before folding
-    "submit": (
-        WORKER,
-        LEASE,
-        CELL,
-        Field("record", _object, "an object"),
-        Field("timing", _object, "an object"),
-        Field("integrity", _object, "an object"),
-    ),
-    "fail": (WORKER, LEASE, CELL, Field("detail", _string, "a string", "")),
-    "deregister": (WORKER,),
+#: ``register`` reads the whole body, open to any key; every other verb
+#: refuses a key it does not name.
+VERBS: dict[str, Schema] = {
+    verb: Schema(f"fabric {verb}", fields, BadRequestError,
+                 closed=fields[0].wire != WHOLE)
+    for verb, fields in {
+        "register": (Field("body", is_object, "an object", None, key=WHOLE),),
+        "heartbeat": (WORKER,),
+        "lease": (WORKER, Field("max_cells", integer(1), "an int >= 1", None)),
+        # ``integrity``: the record checksum + cell identity hash the
+        # coordinator validates before folding
+        "submit": (WORKER, LEASE, CELL, Field("record", is_object, "an object"),
+                   Field("timing", is_object, "an object"),
+                   Field("integrity", is_object, "an object")),
+        "fail": (WORKER, LEASE, CELL, Field("detail", string, "a string", "")),
+        "deregister": (WORKER,),
+    }.items()
 }
 
 #: The ``<verb>`` segments of ``POST /campaigns/<id>/fabric/<verb>``.
@@ -118,11 +68,9 @@ def dispatch(coordinator: Coordinator, verb: str, body: Any) -> dict:
     a body of the wrong shape or a call the coordinator refuses."""
     if verb not in PATHS:
         raise NotFoundError(f"unknown fabric verb {verb!r}")
-    if not isinstance(body, Mapping):
-        body = {}
-    args = _decode(verb, VERBS[verb], body)
+    args = VERBS[verb].decode(body)
     try:
-        return getattr(coordinator, verb)(*args)
+        return getattr(coordinator, verb)(**args)
     except CampaignError as exc:
         raise BadRequestError(str(exc)) from None
 

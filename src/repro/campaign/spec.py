@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.errors import CampaignSpecError, SchedulerSpecError
+from repro.schema import (Field, Schema, boolean, integer, is_object, list_of,
+                          non_empty_string, number, string)
 
 #: Bumped when the cell expansion or result record layout changes shape.
 SPEC_VERSION = 1
@@ -80,6 +82,37 @@ def _require(condition: bool, message: str) -> None:
         raise CampaignSpecError(message)
 
 
+_POSITIVE, _NAMES = number(0, above=True), list_of(string, 1)
+_AXIS = list_of(lambda value: True, 1)  # a grid axis: any non-empty list
+
+#: One family line of a spec (:class:`FamilyEntry`).
+FAMILY_ENTRY = Schema("family entry", (
+    Field("family", non_empty_string, "a family name"),
+    Field("sizes", list_of(integer(0), 1), "a non-empty list of ints >= 0", (0,)),
+    Field("repeats", integer(1), "an int >= 1", 1),
+    Field("params", is_object, "an object", {}),
+    Field("grid", lambda grid: is_object(grid) and all(map(_AXIS, grid.values())),
+          "an object of non-empty lists", {}),
+    Field("schedulers", _NAMES, "a non-empty list of scheduler names", None),
+), CampaignSpecError)
+
+#: A campaign spec (:class:`CampaignSpec`); its keyword arguments by name
+#: but ``version``, whose value is checked against :data:`SPEC_VERSION`.
+SPEC = Schema("campaign spec", (
+    Field("name", non_empty_string, "a non-empty string"),
+    Field("families", list_of(is_object, 1), "a non-empty list of family entries"),
+    Field("schedulers", _NAMES, "a non-empty list of scheduler names"),
+    Field("seed", integer(), "an int", 0),
+    Field("properties", list_of(string), "a list of property names", ()),
+    Field("verify", boolean, "true or false", False),
+    Field("cleanup", boolean, "true or false", False),
+    Field("timeout_s", _POSITIVE, "a finite number > 0", None),
+    Field("mem_limit_mb", _POSITIVE, "a finite number > 0", None),
+    Field("cpu_limit_s", _POSITIVE, "a finite number > 0", None),
+    Field("version", integer(), "an int", SPEC_VERSION),
+), CampaignSpecError)
+
+
 @dataclass(frozen=True)
 class Cell:
     """One fully-resolved work unit of a campaign."""
@@ -100,23 +133,9 @@ class Cell:
     cpu_limit_s: float | None = None
 
     def payload(self) -> dict:
-        """Self-contained picklable dict handed to pool workers."""
-        return {
-            "index": self.index,
-            "cell_id": self.cell_id,
-            "family": self.family,
-            "size": self.size,
-            "params": dict(self.params),
-            "repeat": self.repeat,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "properties": list(self.properties),
-            "verify": self.verify,
-            "cleanup": self.cleanup,
-            "timeout_s": self.timeout_s,
-            "mem_limit_mb": self.mem_limit_mb,
-            "cpu_limit_s": self.cpu_limit_s,
-        }
+        """Self-contained picklable dict of every field, handed to pool workers."""
+        return {**vars(self), "params": dict(self.params),
+                "properties": list(self.properties)}
 
 
 @dataclass(frozen=True)
@@ -132,62 +151,15 @@ class FamilyEntry:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FamilyEntry":
-        _require(isinstance(data, Mapping), "family entry must be an object")
-        unknown = set(data) - {
-            "family", "sizes", "repeats", "params", "grid", "schedulers"
-        }
-        _require(not unknown, f"unknown family entry keys: {sorted(unknown)}")
-        family = data.get("family")
-        _require(
-            isinstance(family, str) and bool(family),
-            "family entry needs a 'family' name",
-        )
-        sizes = data.get("sizes", [0])
-        _require(
-            isinstance(sizes, Sequence)
-            and not isinstance(sizes, str)
-            and len(sizes) > 0
-            and all(isinstance(s, int) and s >= 0 for s in sizes),
-            f"family {family!r}: 'sizes' must be a non-empty list of ints >= 0",
-        )
-        repeats = data.get("repeats", 1)
-        _require(
-            isinstance(repeats, int) and repeats >= 1,
-            f"family {family!r}: 'repeats' must be an int >= 1",
-        )
-        params = data.get("params", {})
-        _require(
-            isinstance(params, Mapping),
-            f"family {family!r}: 'params' must be an object",
-        )
-        grid = data.get("grid", {})
-        _require(
-            isinstance(grid, Mapping)
-            and all(
-                isinstance(values, Sequence)
-                and not isinstance(values, str)
-                and len(values) > 0
-                for values in grid.values()
-            ),
-            f"family {family!r}: 'grid' values must be non-empty lists",
-        )
-        schedulers = data.get("schedulers")
-        if schedulers is not None:
-            _require(
-                isinstance(schedulers, Sequence)
-                and not isinstance(schedulers, str)
-                and len(schedulers) > 0
-                and all(isinstance(s, str) for s in schedulers),
-                f"family {family!r}: 'schedulers' must be a list of names",
-            )
-            schedulers = tuple(schedulers)
+        entry = FAMILY_ENTRY.decode(data)
+        schedulers = entry["schedulers"]
         return cls(
-            family=family,
-            sizes=tuple(sizes),
-            repeats=repeats,
-            params=dict(params),
-            grid={key: list(values) for key, values in grid.items()},
-            schedulers=schedulers,
+            family=entry["family"],
+            sizes=tuple(entry["sizes"]),
+            repeats=entry["repeats"],
+            params=dict(entry["params"]),
+            grid={key: list(values) for key, values in entry["grid"].items()},
+            schedulers=None if schedulers is None else tuple(schedulers),
         )
 
     def to_dict(self) -> dict:
@@ -213,48 +185,31 @@ class FamilyEntry:
         ]
 
 
+@dataclass(eq=False, repr=False)
 class CampaignSpec:
     """A validated campaign description; the unit the engine executes."""
 
-    def __init__(
-        self,
-        name: str,
-        families: Sequence[FamilyEntry],
-        schedulers: Sequence[str],
-        seed: int = 0,
-        properties: Sequence[str] = (),
-        verify: bool = False,
-        cleanup: bool = False,
-        timeout_s: float | None = None,
-        mem_limit_mb: float | None = None,
-        cpu_limit_s: float | None = None,
-    ) -> None:
-        _require(isinstance(name, str) and bool(name), "spec needs a 'name'")
-        _require(len(families) > 0, "spec needs at least one family entry")
-        _require(len(schedulers) > 0, "spec needs at least one scheduler")
-        self.name = name
-        self.families = tuple(families)
-        self.schedulers = tuple(schedulers)
-        self.seed = seed
-        self.properties = tuple(properties)
-        self.verify = verify
-        self.cleanup = cleanup
-        self.timeout_s = timeout_s
-        self.mem_limit_mb = mem_limit_mb
-        self.cpu_limit_s = cpu_limit_s
-        self._validate_names()
+    name: str
+    families: Sequence[FamilyEntry]
+    schedulers: Sequence[str]
+    seed: int = 0
+    properties: Sequence[str] = ()
+    verify: bool = False
+    cleanup: bool = False
+    timeout_s: float | None = None
+    mem_limit_mb: float | None = None
+    cpu_limit_s: float | None = None
 
-    def _validate_names(self) -> None:
-        from repro.campaign.families import known_families, validate_family
+    def __post_init__(self) -> None:
+        """Every family, scheduler and property the spec names must resolve."""
+        from repro.campaign.families import validate_family
         from repro.core.registry import parse_properties, resolve_scheduler
 
-        names = known_families()
+        self.families = tuple(self.families)
+        self.schedulers = tuple(self.schedulers)
+        self.properties = tuple(self.properties)
         try:
             for entry in self.families:
-                _require(
-                    entry.family in names,
-                    f"unknown family {entry.family!r}; known: {sorted(names)}",
-                )
                 validate_family(entry.family, entry.sizes, entry.params, entry.grid)
                 for scheduler in entry.schedulers or ():
                     resolve_scheduler(scheduler)
@@ -270,72 +225,15 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        _require(isinstance(data, Mapping), "campaign spec must be a JSON object")
-        unknown = set(data) - {
-            "name", "seed", "families", "schedulers", "properties",
-            "verify", "cleanup", "timeout_s", "mem_limit_mb",
-            "cpu_limit_s", "version",
-        }
-        _require(not unknown, f"unknown spec keys: {sorted(unknown)}")
-        version = data.get("version", SPEC_VERSION)
-        _require(
-            version == SPEC_VERSION,
-            f"unsupported spec version {version!r} (engine speaks {SPEC_VERSION})",
-        )
-        families_data = data.get("families")
-        _require(
-            isinstance(families_data, Sequence) and not isinstance(families_data, str),
-            "'families' must be a list",
-        )
-        schedulers = data.get("schedulers")
-        _require(
-            isinstance(schedulers, Sequence)
-            and not isinstance(schedulers, str)
-            and all(isinstance(s, str) for s in schedulers),
-            "'schedulers' must be a list of names",
-        )
-        seed = data.get("seed", 0)
-        _require(isinstance(seed, int), "'seed' must be an int")
-        properties = data.get("properties", [])
-        _require(
-            isinstance(properties, Sequence)
-            and not isinstance(properties, str)
-            and all(isinstance(p, str) for p in properties),
-            "'properties' must be a list of property names",
-        )
-        timeout_s = data.get("timeout_s")
-        _require(
-            timeout_s is None or (isinstance(timeout_s, (int, float)) and timeout_s > 0),
-            "'timeout_s' must be a positive number",
-        )
-        mem_limit_mb = data.get("mem_limit_mb")
-        _require(
-            mem_limit_mb is None
-            or (isinstance(mem_limit_mb, (int, float)) and mem_limit_mb > 0),
-            "'mem_limit_mb' must be a positive number",
-        )
-        cpu_limit_s = data.get("cpu_limit_s")
-        _require(
-            cpu_limit_s is None
-            or (isinstance(cpu_limit_s, (int, float)) and cpu_limit_s > 0),
-            "'cpu_limit_s' must be a positive number",
-        )
-        return cls(
-            name=data.get("name", ""),
-            families=[FamilyEntry.from_dict(entry) for entry in families_data],
-            schedulers=list(schedulers),
-            seed=seed,
-            properties=list(properties),
-            verify=bool(data.get("verify", False)),
-            cleanup=bool(data.get("cleanup", False)),
-            timeout_s=float(timeout_s) if timeout_s is not None else None,
-            mem_limit_mb=(
-                float(mem_limit_mb) if mem_limit_mb is not None else None
-            ),
-            cpu_limit_s=(
-                float(cpu_limit_s) if cpu_limit_s is not None else None
-            ),
-        )
+        spec = SPEC.decode(data)
+        version = spec.pop("version")
+        _require(version == SPEC_VERSION, f"unsupported spec 'version' {version!r} "
+                                          f"(engine speaks {SPEC_VERSION})")
+        spec["families"] = [FamilyEntry.from_dict(entry) for entry in spec["families"]]
+        for key in ("timeout_s", "mem_limit_mb", "cpu_limit_s"):
+            if spec[key] is not None:
+                spec[key] = float(spec[key])
+        return cls(**spec)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -345,18 +243,11 @@ class CampaignSpec:
             "families": [entry.to_dict() for entry in self.families],
             "schedulers": list(self.schedulers),
         }
-        if self.properties:
-            data["properties"] = list(self.properties)
-        if self.verify:
-            data["verify"] = True
-        if self.cleanup:
-            data["cleanup"] = True
-        if self.timeout_s is not None:
-            data["timeout_s"] = self.timeout_s
-        if self.mem_limit_mb is not None:
-            data["mem_limit_mb"] = self.mem_limit_mb
-        if self.cpu_limit_s is not None:
-            data["cpu_limit_s"] = self.cpu_limit_s
+        for key in ("properties", "verify", "cleanup",
+                    "timeout_s", "mem_limit_mb", "cpu_limit_s"):
+            value = getattr(self, key)
+            if value:  # left out at its default: (), False or None
+                data[key] = list(value) if key == "properties" else value
         return data
 
     @property

@@ -566,9 +566,8 @@ def cmd_campaign_serve(args: argparse.Namespace) -> int:
     server = RestHttpServer(api, port=args.port, host=args.host, token=args.token)
     server.start()
     body: dict = {"spec": spec.to_dict()}
-    for key, flag in FABRIC_OPTIONS.items():
-        if flag is not None and getattr(args, key) is not None:
-            body[key] = getattr(args, key)
+    body.update((key, getattr(args, key)) for key in FABRIC_OPTIONS
+                if getattr(args, key, None) is not None)
     try:
         api.campaigns.serve(body)
         coordinator = api.campaigns.fabric(spec.campaign_id)
@@ -798,11 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also spawn N worker processes against this server")
     p_cserve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="give up waiting for the fleet after this long")
-    for key, flag in FABRIC_OPTIONS.items():
-        if flag is not None:
-            name, kind, metavar, text = flag
-            p_cserve.add_argument(name, dest=key, type=kind, default=None,
-                                  metavar=metavar, help=text)
+    for key, option in FABRIC_OPTIONS.items():
+        if option.flag is not None:
+            p_cserve.add_argument(option.flag, dest=key, type=option.kind,
+                                  default=None, metavar=option.metavar,
+                                  help=option.help)
     p_cserve.add_argument("--json", action="store_true")
     p_cserve.set_defaults(func=cmd_campaign_serve)
 

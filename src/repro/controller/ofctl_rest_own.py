@@ -31,6 +31,7 @@ from repro.errors import (
     BadRequestError,
     InfeasibleUpdateError,
     OpenFlowError,
+    PathError,
     SchedulerSpecError,
     UpdateModelError,
     VerificationError,
@@ -159,19 +160,18 @@ class TransientUpdateApp(RyuLikeApp):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _parse_problem(body: Mapping[str, Any]) -> UpdateProblem:
-        for key in ("oldpath", "newpath"):
-            if key not in body:
-                raise BadRequestError(f"update request needs {key!r}")
+    def _parse_problem(self, body: Mapping[str, Any]) -> UpdateProblem:
+        """The body's update; both paths must run over this app's topology."""
         try:
-            return UpdateProblem(
+            problem = UpdateProblem(
                 [int(v) for v in body["oldpath"]],
                 [int(v) for v in body["newpath"]],
                 waypoint=int(body["wp"]) if "wp" in body and body["wp"] is not None else None,
             )
-        except (UpdateModelError, ValueError) as exc:
+            problem.validate_in(self.topology)
+        except (UpdateModelError, PathError, KeyError, ValueError) as exc:
             raise BadRequestError(f"bad update request: {exc}") from exc
+        return problem
 
     def _apply_body_overrides(
         self, compiled: CompiledUpdate, body: Mapping[str, Any]
@@ -185,9 +185,7 @@ class TransientUpdateApp(RyuLikeApp):
         for command_key in ("add", "modify", "delete"):
             for entry in body.get(command_key, []) or []:
                 if "dpid" not in entry:
-                    raise BadRequestError(
-                        f"{command_key!r} override without 'dpid': {entry!r}"
-                    )
+                    raise BadRequestError(f"{command_key!r} override without 'dpid'")
                 dpid = int(entry["dpid"])
                 try:
                     mod = FlowMod.from_ofctl(entry, command=command_key.upper())

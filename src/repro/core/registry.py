@@ -36,11 +36,11 @@ oracle provenance on top of :meth:`Scheduler.run`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.errors import SchedulerSpecError
+from repro.schema import Field, Schema, boolean, integer, number
 from repro.core.combined import combined_greedy_schedule, strongest_feasible_schedule
 from repro.core.greedy_slf import greedy_slf_schedule
 from repro.core.oneshot import oneshot_schedule
@@ -166,37 +166,29 @@ class Scheduler:
         }
 
 
-#: The built-in schedulers' int knobs and the least value each accepts.
-_INT_KNOBS = {"node_budget": 1, "max_nodes": 1, "max_rounds": 0, "nogood_limit": 0}
-
-#: The built-in schedulers' on/off knobs.
-_BOOL_KNOBS = ("exact",)
+#: The built-in schedulers' knobs (``time_limit_s=nan`` would never run out);
+#: a third-party knob no row names passes as given.
+PARAMS = Schema("scheduler params", (
+    Field("time_limit_s", number(0, above=True), "a finite number > 0", None),
+    Field("node_budget", integer(1), "an int >= 1", None),
+    Field("max_nodes", integer(1), "an int >= 1", None),
+    Field("max_rounds", integer(0), "an int >= 0", None),
+    Field("nogood_limit", integer(0), "an int >= 0", None),
+    Field("exact", boolean, "true or false", None),
+), SchedulerSpecError, closed=False)
 
 
 def _check_params(base: str, accepts, params: Mapping[str, Any]) -> None:
-    """Refuse params ``base`` does not accept, search budgets that would
-    bound nothing (``time_limit_s=nan`` never runs out), int knobs that
-    are not ints in range (bools are neither ints nor numbers) and
-    on/off knobs that are not bools."""
+    """Refuse params ``base`` does not accept, then read the rest by
+    :data:`PARAMS`."""
     unknown = set(params) - set(accepts)
     if unknown:
         raise SchedulerSpecError(
             f"scheduler {base!r} does not accept params {sorted(unknown)}; "
             f"accepted: {sorted(accepts)}"
         )
-    limit = params.get("time_limit_s")
-    if limit is not None and not (type(limit) in (int, float) and 0 < limit < math.inf):
-        raise SchedulerSpecError(
-            f"time_limit_s must be a finite number of seconds > 0, got {limit!r}"
-        )
-    for key, least in _INT_KNOBS.items():
-        value = params.get(key)
-        if value is not None and not (type(value) is int and value >= least):
-            raise SchedulerSpecError(f"{key} must be an int >= {least}, got {value!r}")
-    for key in _BOOL_KNOBS:
-        value = params.get(key)
-        if value is not None and type(value) is not bool:
-            raise SchedulerSpecError(f"{key} must be true or false, got {value!r}")
+    if params:  # most runs pass none, and run() checks on every call
+        PARAMS.decode(params)
 
 
 def _coerce(value: str) -> Any:

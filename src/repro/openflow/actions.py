@@ -96,32 +96,45 @@ class GroupAction(Action):
         return {"type": "GROUP", "group_id": self.group_id}
 
 
+def _uint(value: Any, most: int, what: str) -> int:
+    """``value`` if it is an int in ``0..most`` (bools are not)."""
+    if type(value) is not int or not 0 <= value <= most:
+        raise OpenFlowError(f"bad {what} {value!r}")
+    return value
+
+
+def _kind(data: Any, what: str) -> str:
+    """The ``type`` of an action or instruction object, upper-cased."""
+    if not isinstance(data, Mapping):
+        raise OpenFlowError(f"{what} must be an object, got {type(data).__name__}")
+    return str(data.get("type", "")).upper()
+
+
 def action_from_dict(data: Mapping[str, Any]) -> Action:
     """Parse an ofctl-style action dict."""
-    kind = str(data.get("type", "")).upper()
+    kind = _kind(data, "action")
     if kind == "OUTPUT":
         port = data.get("port")
-        if isinstance(port, str):
-            try:
-                port = int(port)
-            except ValueError:
-                try:
-                    port = int(Port[port.upper()])
-                except KeyError:
-                    raise OpenFlowError(f"bad output port {data['port']!r}") from None
         if port is None:
             raise OpenFlowError("OUTPUT action without port")
-        return OutputAction(port=int(port))
+        if isinstance(port, str) and port.upper() in Port.__members__:
+            port = int(Port[port.upper()])
+        elif (isinstance(port, str) and port.isascii() and port.isdigit()
+              and len(port) <= 10):
+            port = int(port)
+        return OutputAction(port=_uint(port, 0xFFFFFFFF, "output port"))
     if kind == "SET_FIELD":
-        if "field" not in data or "value" not in data:
-            raise OpenFlowError("SET_FIELD action needs 'field' and 'value'")
-        return SetFieldAction(field_name=data["field"], value=data["value"])
+        name, value = data.get("field"), data.get("value")
+        if not isinstance(name, str) or not isinstance(value, (str, int)):
+            raise OpenFlowError("SET_FIELD action needs a 'field' and a 'value'")
+        return SetFieldAction(field_name=name, value=value)
     if kind == "PUSH_VLAN":
-        return PushVlanAction(ethertype=int(data.get("ethertype", ETH_TYPE_VLAN)))
+        ethertype = data.get("ethertype", ETH_TYPE_VLAN)
+        return PushVlanAction(ethertype=_uint(ethertype, 0xFFFF, "ethertype"))
     if kind == "POP_VLAN":
         return PopVlanAction()
     if kind == "GROUP":
-        return GroupAction(group_id=int(data["group_id"]))
+        return GroupAction(group_id=_uint(data.get("group_id"), 0xFFFFFFFF, "group id"))
     raise OpenFlowError(f"unsupported action type {data.get('type')!r}")
 
 
@@ -202,15 +215,17 @@ class GotoTable(Instruction):
 
 def instruction_from_dict(data: Mapping[str, Any]) -> Instruction:
     """Parse an ofctl-style instruction dict."""
-    kind = str(data.get("type", "")).upper()
-    if kind == "APPLY_ACTIONS":
-        return ApplyActions([action_from_dict(a) for a in data.get("actions", [])])
-    if kind == "WRITE_ACTIONS":
-        return WriteActions([action_from_dict(a) for a in data.get("actions", [])])
+    kind = _kind(data, "instruction")
+    if kind in ("APPLY_ACTIONS", "WRITE_ACTIONS"):
+        actions = data.get("actions", [])
+        if not isinstance(actions, list):
+            raise OpenFlowError(f"{kind} needs a list of actions")
+        parsed = [action_from_dict(action) for action in actions]
+        return ApplyActions(parsed) if kind == "APPLY_ACTIONS" else WriteActions(parsed)
     if kind == "CLEAR_ACTIONS":
         return ClearActions()
     if kind == "GOTO_TABLE":
-        return GotoTable(table_id=int(data["table_id"]))
+        return GotoTable(table_id=_uint(data.get("table_id"), 0xFE, "goto table id"))
     raise OpenFlowError(f"unsupported instruction type {data.get('type')!r}")
 
 

@@ -117,16 +117,14 @@ class FlowMod(OpenFlowMessage):
     ) -> "FlowMod":
         """Parse an ofctl_rest-style body (``actions`` is accepted as a
         shorthand for a single APPLY_ACTIONS instruction, as Ryu does)."""
-        if isinstance(command, str):
-            try:
-                command = FlowModCommand[command.upper()]
-            except KeyError:
-                raise OpenFlowError(f"unknown FlowMod command {command!r}") from None
-        if "command" in data:
-            raw = data["command"]
-            command = (
-                FlowModCommand[raw.upper()] if isinstance(raw, str) else FlowModCommand(raw)
-            )
+        raw = data.get("command")
+        if raw is None:
+            raw = command
+        try:
+            command = (FlowModCommand[raw.upper()] if isinstance(raw, str)
+                       else FlowModCommand(raw))
+        except (KeyError, ValueError):
+            raise OpenFlowError(f"unknown FlowMod command {raw!r}") from None
         match = Match.from_ofctl(data.get("match", {}))
         instructions: Sequence[Instruction]
         if "instructions" in data:

@@ -118,6 +118,10 @@ _FIELD_BY_NAME: dict[str, OxmField] = {
     "udp_dst": OxmField.UDP_DST,
 }
 
+#: The most each int field holds (its OXM width); the other fields are strings.
+_INT_MOST = {"in_port": 0xFFFFFFFF, "vlan_vid": 0x1FFF, "ip_proto": 0xFF,
+             **dict.fromkeys("eth_type tcp_src tcp_dst udp_src udp_dst".split(), 0xFFFF)}
+
 #: Fields that may carry a mask in this implementation.
 _MASKABLE = {OxmField.IPV4_SRC, OxmField.IPV4_DST}
 
@@ -224,7 +228,8 @@ class Match:
 
     @classmethod
     def from_ofctl(cls, data: Mapping[str, Any]) -> "Match":
-        """Parse an ofctl-style match dict (unknown keys are rejected)."""
+        """Parse an ofctl-style match dict (unknown keys and values of the
+        wrong type are rejected)."""
         values: dict[str, Any] = {}
         aliases = {"nw_src": "ipv4_src", "nw_dst": "ipv4_dst", "dl_type": "eth_type",
                    "dl_src": "eth_src", "dl_dst": "eth_dst", "nw_proto": "ip_proto",
@@ -233,6 +238,10 @@ class Match:
             name = aliases.get(key, key)
             if name not in _FIELD_BY_NAME:
                 raise OpenFlowError(f"unknown match field {key!r}")
+            most = _INT_MOST.get(name)
+            if not (isinstance(value, str) if most is None
+                    else type(value) is int and 0 <= value <= most):
+                raise OpenFlowError(f"bad value for match field {key!r}")
             values[name] = value
         return cls(**values)
 

@@ -10,10 +10,6 @@ from repro.rest.api import (
 )
 from repro.rest.http_binding import HttpClient, RestHttpServer
 from repro.rest.schemas import (
-    SCHEDULE_BODY_KEYS,
-    UPDATE_BODY_KEYS,
-    UPDATE_EXTENSION_KEYS,
-    UPDATE_HEADER_FIELDS,
     validate_flowentry_body,
     validate_schedule_body,
     validate_update_body,
@@ -26,10 +22,6 @@ __all__ = [
     "RestResponse",
     "Route",
     "Router",
-    "SCHEDULE_BODY_KEYS",
-    "UPDATE_BODY_KEYS",
-    "UPDATE_EXTENSION_KEYS",
-    "UPDATE_HEADER_FIELDS",
     "build_campaign_api",
     "build_rest_api",
     "validate_flowentry_body",

@@ -72,11 +72,8 @@ from repro.core.problem import UpdateProblem
 from repro.core.registry import REGISTRY, parse_properties
 from repro.metrics import render_prometheus
 from repro.rest.campaigns import CampaignService
-from repro.rest.schemas import (
-    validate_flowentry_body,
-    validate_schedule_body,
-    validate_update_body,
-)
+from repro.rest.schemas import SCHEDULE, validate_flowentry_body, validate_update_body
+from repro.schema import datapath_id
 
 #: Wall-clock seconds ``POST /schedule`` gives search plus verification
 #: (408 past it).  The third request limit, next to
@@ -198,10 +195,9 @@ def build_rest_api(
         return ofctl.switches()
 
     def get_flow_stats(body: Any, dpid: str) -> dict:
-        try:
-            dpid_int = int(dpid)
-        except ValueError:
-            raise BadRequestError(f"bad dpid {dpid!r}") from None
+        if not datapath_id(dpid):
+            raise BadRequestError(f"bad dpid {dpid!r}")
+        dpid_int = int(dpid)
         try:
             future = ofctl.flow_stats(dpid_int)
         except UnknownDatapathError as exc:
@@ -214,7 +210,10 @@ def build_rest_api(
     def make_flowentry(operation: str) -> Callable[[Any], dict]:
         def handler(body: Any) -> dict:
             validate_flowentry_body(body)
-            result = getattr(ofctl, f"flowentry_{operation}")(body)
+            try:
+                result = getattr(ofctl, f"flowentry_{operation}")(body)
+            except UnknownDatapathError as exc:
+                raise NotFoundError(str(exc)) from None
             _flush()
             return result
 
@@ -238,32 +237,25 @@ def build_rest_api(
 
     def post_schedule(body: Any) -> dict | RestResponse:
         """Scheduler-service endpoint: the envelope over the wire."""
-        validate_schedule_body(body)
+        request = SCHEDULE.decode(body)
         try:
             problem = UpdateProblem(
-                [int(v) for v in body["oldpath"]],
-                [int(v) for v in body["newpath"]],
-                waypoint=int(body["wp"])
-                if body.get("wp") is not None
-                else None,
+                [int(v) for v in request["oldpath"]],
+                [int(v) for v in request["newpath"]],
+                waypoint=None if request["wp"] is None else int(request["wp"]),
             )
         except UpdateModelError as exc:
             raise BadRequestError(f"bad schedule request: {exc}") from None
-        properties = None
-        if body.get("properties"):
-            try:
-                properties = parse_properties("+".join(body["properties"]))
-            except SchedulerSpecError as exc:
-                raise BadRequestError(str(exc)) from None
-        spec = body.get("scheduler", "wayup")
+        spec = request["scheduler"]
         try:
             result = schedule_update(
                 problem,
                 spec,
-                include_cleanup=body.get("cleanup", True),
-                verify=body.get("verify", True),
-                properties=properties,
-                params=body.get("params") or {},
+                include_cleanup=request["cleanup"],
+                verify=request["verify"],
+                properties=parse_properties("+".join(request["properties"]))
+                if request["properties"] else None,
+                params=request["params"],
                 timeout_s=REQUEST_DEADLINE_S,
             )
         except ScheduleTimeoutError as exc:
@@ -278,7 +270,7 @@ def build_rest_api(
             # client-supplied params of the wrong type reach the engines
             # as kwargs -- that is a 400; with no params in play the same
             # exceptions mean a library bug and must stay loud
-            if not body.get("params"):
+            if not request["params"]:
                 raise
             raise BadRequestError(f"bad engine params: {exc}") from None
         except InfeasibleUpdateError as exc:

@@ -42,6 +42,7 @@ from typing import Any, Mapping
 
 from repro.errors import BadRequestError, CampaignError, CampaignSpecError, NotFoundError
 from repro.fabric_options import FABRIC_OPTIONS
+from repro.schema import Field, Schema, integer, is_object
 from repro.campaign.aggregate import aggregate_records
 from repro.campaign.fabric import Coordinator
 from repro.campaign.fabric.leases import TALLIES
@@ -52,6 +53,19 @@ from repro.campaign.store import RunStore
 
 #: REST-side cap: campaigns beyond this size must go through the CLI.
 MAX_REST_CELLS = 5000
+
+_SPEC = Field("spec", is_object, "a campaign spec object")
+
+#: ``POST /campaigns`` in its wrapped form (a bare spec is the other);
+#: a pool bigger than 64 processes is not a REST-sized campaign either.
+SUBMIT = Schema("campaign submission", (
+    _SPEC, Field("workers", integer(1, 64), "an int in 1..64", 1),
+), BadRequestError)
+
+#: ``POST /campaigns/serve``: the spec plus the coordinator knobs.
+SERVE = Schema("campaign serve", (
+    _SPEC, *(option.field(key) for key, option in FABRIC_OPTIONS.items()),
+), BadRequestError)
 
 
 class CampaignService:
@@ -74,22 +88,11 @@ class CampaignService:
         return store
 
     def submit(self, body: Any) -> dict:
-        if not isinstance(body, Mapping):
-            raise BadRequestError("campaign submission must be a JSON object")
-        workers = 1
-        spec_data = body
-        if "spec" in body:
-            spec_data = body["spec"]
-            workers = body.get("workers", 1)
-            if not isinstance(workers, int) or workers < 1:
-                raise BadRequestError("'workers' must be an int >= 1")
-            unknown = set(body) - {"spec", "workers"}
-            if unknown:
-                raise BadRequestError(
-                    f"unknown submission keys: {sorted(unknown)}"
-                )
+        wrapped = {"spec": body, "workers": 1}
+        if isinstance(body, Mapping) and "spec" in body:
+            wrapped = SUBMIT.decode(body)
         try:
-            spec = CampaignSpec.from_dict(spec_data)
+            spec = CampaignSpec.from_dict(wrapped["spec"])
             n_cells = len(spec.expand())
         except CampaignSpecError as exc:
             raise BadRequestError(f"bad campaign spec: {exc}") from None
@@ -98,7 +101,7 @@ class CampaignService:
                 f"campaign has {n_cells} cells; REST accepts at most "
                 f"{MAX_REST_CELLS} -- use 'repro campaign run'"
             )
-        runner = CampaignRunner(spec, root=self.root, workers=workers)
+        runner = CampaignRunner(spec, root=self.root, workers=wrapped["workers"])
         try:
             status = runner.run()
         except CampaignError as exc:
@@ -120,22 +123,9 @@ class CampaignService:
     # ------------------------------------------------------------------
     def serve(self, body: Any) -> dict:
         """Stand up a coordinator for a spec (idempotent per campaign id)."""
-        if not isinstance(body, Mapping) or "spec" not in body:
-            raise BadRequestError(
-                "fabric serve body must be {'spec': {...}, ...options}"
-            )
-        unknown = set(body) - {"spec"} - set(FABRIC_OPTIONS)
-        if unknown:
-            raise BadRequestError(f"unknown serve keys: {sorted(unknown)}")
-        options: dict[str, Any] = {}
-        for key in FABRIC_OPTIONS:
-            if key in body:
-                value = body[key]
-                if not isinstance(value, (int, float)) or value < 0:
-                    raise BadRequestError(f"{key!r} must be a number >= 0")
-                options[key] = value
+        options = SERVE.decode(body)
         try:
-            spec = CampaignSpec.from_dict(body["spec"])
+            spec = CampaignSpec.from_dict(options.pop("spec"))
         except CampaignSpecError as exc:
             raise BadRequestError(f"bad campaign spec: {exc}") from None
         active = self._coordinators.get(spec.campaign_id)
@@ -144,7 +134,9 @@ class CampaignService:
                 f"campaign {spec.campaign_id!r} is already being served"
             )
         try:
-            coordinator = Coordinator(spec, root=self.root, **options)
+            coordinator = Coordinator(spec, root=self.root, **{
+                key: value for key, value in options.items() if value is not None
+            })
         except CampaignError as exc:
             raise BadRequestError(str(exc)) from None
         if active is not None:

@@ -2,9 +2,10 @@
 
 The WayUp REST request has a header part -- ``oldpath``, ``newpath``,
 ``wp`` and ``interval`` -- and a body part of OpenFlow message payloads
-keyed by type (section 2 of the paper).  These validators reject malformed
-requests with :class:`~repro.errors.BadRequestError` before anything
-touches the controller.
+keyed by type (section 2 of the paper).  Each route's body is one table
+of rows read by :class:`repro.schema.Schema`, the package's one body
+decoder; a malformed request is a :class:`~repro.errors.BadRequestError`
+before anything touches the controller.
 """
 
 from __future__ import annotations
@@ -12,144 +13,92 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import BadRequestError
+from repro.openflow.constants import DEFAULT_PRIORITY, FlowModCommand
+from repro.schema import (Field, Schema, boolean, datapath_id, integer, is_object,
+                          list_of, number, string)
 
-#: Header fields of the paper's update request and their expected shapes.
-UPDATE_HEADER_FIELDS = ("oldpath", "newpath", "wp", "interval")
-
-#: Body keys carrying explicit per-switch FlowMod payloads.
-UPDATE_BODY_KEYS = ("add", "modify", "delete")
-
-#: Keys this implementation additionally understands.
-UPDATE_EXTENSION_KEYS = ("algorithm", "match", "priority", "name", "barriers")
-
-
-def _require_dict(body: Any, what: str) -> dict:
-    if not isinstance(body, dict):
-        raise BadRequestError(f"{what} must be a JSON object, got {type(body).__name__}")
-    return body
+_PATH = list_of(datapath_id, 2, distinct=int)
+_PATH_TEXT = "a simple path: at least two datapath ids, no repeats, none non-numeric"
+_DPID_TEXT = "a numeric datapath id"
+_U16 = integer(0, 0xFFFF)
+_COMMAND_NUMBERS = set(map(int, FlowModCommand))
 
 
-def _is_datapath_id(value: Any) -> bool:
-    """An int or an ASCII-digit string (bools are neither; ``int("²")`` fails)."""
-    if isinstance(value, str):
-        return value.isascii() and value.isdigit()
-    return isinstance(value, int) and not isinstance(value, bool)
+def _command(value: Any) -> bool:
+    """A FlowMod command by name (any case) or number; a bool is neither."""
+    return (value.upper() in FlowModCommand.__members__ if isinstance(value, str)
+            else type(value) is int and value in _COMMAND_NUMBERS)
 
 
-def _require_wp(body: dict) -> None:
-    wp = body.get("wp")
-    if wp is not None and not _is_datapath_id(wp):
-        raise BadRequestError(f"'wp' must be a numeric datapath id, got {wp!r}")
+#: Every key :meth:`~repro.openflow.flowmod.FlowMod.from_ofctl` reads; what
+#: is nested under ``match`` / ``actions`` / ``instructions`` is the
+#: OpenFlow codec's to refuse (a "bad flow entry").
+_FLOWENTRY = (
+    Field("dpid", datapath_id, _DPID_TEXT),
+    Field("match", is_object, "an object", {}),
+    Field("actions", list_of(is_object), "a list of action objects", ()),
+    Field("instructions", list_of(is_object), "a list of instruction objects", ()),
+    Field("command", _command, "a FlowMod command name or number", None),
+    Field("cookie", integer(0, (1 << 64) - 1), "an int in 0..2**64-1", 0),
+    Field("table_id", integer(0, 0xFF), "an int in 0..255", 0),
+    Field("idle_timeout", _U16, "an int in 0..65535", 0),
+    Field("hard_timeout", _U16, "an int in 0..65535", 0),
+    Field("priority", _U16, "an int in 0..65535", DEFAULT_PRIORITY),
+    Field("flags", _U16, "an int in 0..65535", 0),
+)
 
+#: ``POST /stats/flowentry/<operation>``; unknown keys pass, as in ofctl.
+FLOWENTRY = Schema("flow entry", _FLOWENTRY, BadRequestError, closed=False)
 
-def _require_path(body: dict, key: str) -> None:
-    value = body.get(key)
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
-        raise BadRequestError(f"{key!r} must be a list of at least two datapath ids")
-    for item in value:
-        if not _is_datapath_id(item):
-            raise BadRequestError(f"{key!r} contains a non-numeric id: {item!r}")
-    normalized = [int(v) for v in value]
-    if len(set(normalized)) != len(normalized):
-        raise BadRequestError(f"{key!r} must be a simple path (no repeats)")
+#: An explicit per-switch FlowMod body of an update request.
+OVERRIDE = Schema("override entry", _FLOWENTRY, BadRequestError, closed=False)
+_OVERRIDES = ("add", "modify", "delete")
+
+#: ``POST /update[/<algorithm>]``: the paper's header fields, this
+#: implementation's extensions and the override lists; unknown keys pass.
+UPDATE = Schema("update request", (
+    Field("oldpath", _PATH, _PATH_TEXT),
+    Field("newpath", _PATH, _PATH_TEXT),
+    Field("wp", datapath_id, _DPID_TEXT, None),
+    Field("interval", number(0), "non-negative milliseconds (a finite number)", 0),
+    Field("algorithm", string, "a scheduler spec string", None),
+    Field("match", is_object, "an object", {}),
+    Field("priority", _U16, "an int in 0..65535", 0),
+    Field("barriers", boolean, "true or false", True),
+    *(Field(key, list_of(is_object), "a list of FlowMod bodies", None)
+      for key in _OVERRIDES),
+), BadRequestError, closed=False)
+
+#: ``POST /schedule``: :class:`repro.core.api.ScheduleRequest`'s fields; the
+#: registry checks the scheduler spec when the request runs.
+SCHEDULE = Schema("schedule request", (
+    Field("oldpath", _PATH, _PATH_TEXT),
+    Field("newpath", _PATH, _PATH_TEXT),
+    Field("wp", datapath_id, _DPID_TEXT, None),
+    Field("scheduler", string, "a registry spec string", "wayup"),
+    Field("properties", list_of(string), "a list of property names", None),
+    Field("cleanup", boolean, "true or false", True),
+    Field("verify", boolean, "true or false", True),
+    Field("params", is_object, "an object of engine options", {}),
+), BadRequestError)
 
 
 def validate_update_body(body: Any) -> dict:
     """Validate the paper's update request; returns the body for chaining."""
-    body = _require_dict(body, "update request")
-    for key in ("oldpath", "newpath"):
-        if key not in body:
-            raise BadRequestError(f"update request needs {key!r}")
-        _require_path(body, key)
-    _require_wp(body)
-    if "interval" in body:
-        interval = body["interval"]
-        if isinstance(interval, bool) or not isinstance(interval, (int, float)):
-            raise BadRequestError(f"'interval' must be milliseconds, got {interval!r}")
-        if interval < 0:
-            raise BadRequestError(f"'interval' must be non-negative, got {interval!r}")
-    priority = body.get("priority", 0)
-    if type(priority) is not int or not 0 <= priority <= 0xFFFF:
-        raise BadRequestError(f"'priority' must be an int in 0..65535, got {priority!r}")
-    if "match" in body and not isinstance(body["match"], dict):
-        raise BadRequestError(f"'match' must be an object, got {body['match']!r}")
-    if "barriers" in body and not isinstance(body["barriers"], bool):
-        raise BadRequestError("'barriers' must be a boolean")
-    for key in UPDATE_BODY_KEYS:
-        if key in body and body[key] is not None:
-            entries = body[key]
-            if not isinstance(entries, list):
-                raise BadRequestError(f"{key!r} must be a list of FlowMod bodies")
-            for entry in entries:
-                _require_dict(entry, f"{key!r} entry")
-                if "dpid" not in entry:
-                    raise BadRequestError(f"{key!r} entry without 'dpid': {entry!r}")
-                if not _is_datapath_id(entry["dpid"]):
-                    raise BadRequestError(
-                        f"{key!r} entry 'dpid' must be numeric, got {entry['dpid']!r}"
-                    )
+    UPDATE.decode(body)
+    for key in _OVERRIDES:
+        for entry in body.get(key) or ():
+            OVERRIDE.decode(entry)
     return body
 
 
-#: Keys of the scheduler-service request (``POST /schedule``).
-SCHEDULE_BODY_KEYS = (
-    "oldpath", "newpath", "wp", "scheduler", "properties",
-    "cleanup", "verify", "params",
-)
-
-
 def validate_schedule_body(body: Any) -> dict:
-    """Validate a ``POST /schedule`` request (the envelope's wire form).
-
-    The path/waypoint part follows the paper's update format; the rest
-    maps one-to-one onto :class:`repro.core.api.ScheduleRequest` fields:
-    ``scheduler`` (registry spec string), ``properties`` (explicit
-    verification target), ``cleanup``/``verify`` flags, and ``params``
-    (engine options).  Scheduler-spec validity itself is checked by the
-    registry at execution time.
-    """
-    body = _require_dict(body, "schedule request")
-    unknown = set(body) - set(SCHEDULE_BODY_KEYS)
-    if unknown:
-        raise BadRequestError(f"unknown schedule request keys: {sorted(unknown)}")
-    for key in ("oldpath", "newpath"):
-        if key not in body:
-            raise BadRequestError(f"schedule request needs {key!r}")
-        _require_path(body, key)
-    _require_wp(body)
-    if "scheduler" in body and not isinstance(body["scheduler"], str):
-        raise BadRequestError("'scheduler' must be a registry spec string")
-    if "properties" in body and body["properties"] is not None:
-        properties = body["properties"]
-        if not isinstance(properties, list) or not all(
-            isinstance(p, str) for p in properties
-        ):
-            raise BadRequestError("'properties' must be a list of property names")
-    for key in ("cleanup", "verify"):
-        if key in body and not isinstance(body[key], bool):
-            raise BadRequestError(f"{key!r} must be a boolean")
-    if "params" in body and not isinstance(body["params"], dict):
-        raise BadRequestError("'params' must be an object of engine options")
+    """Validate a ``POST /schedule`` request (the envelope's wire form)."""
+    SCHEDULE.decode(body)
     return body
 
 
 def validate_flowentry_body(body: Any) -> dict:
     """Validate an ofctl flow-entry body (``dpid`` plus optional fields)."""
-    body = _require_dict(body, "flow entry")
-    if "dpid" not in body:
-        raise BadRequestError("flow entry body needs a 'dpid'")
-    dpid = body["dpid"]
-    if isinstance(dpid, bool) or not isinstance(dpid, (int, str)):
-        raise BadRequestError(f"'dpid' must be a datapath id, got {dpid!r}")
-    if isinstance(dpid, str) and not dpid.isdigit():
-        raise BadRequestError(f"'dpid' must be numeric, got {dpid!r}")
-    if "match" in body and not isinstance(body["match"], dict):
-        raise BadRequestError("'match' must be an object")
-    for key in ("priority", "idle_timeout", "hard_timeout", "cookie", "table_id"):
-        if key in body:
-            value = body[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadRequestError(f"{key!r} must be an integer, got {value!r}")
-            if value < 0:
-                raise BadRequestError(f"{key!r} must be non-negative, got {value!r}")
+    FLOWENTRY.decode(body)
     return body
