@@ -109,10 +109,6 @@ class FabricWorker:
         (SIGTERM/SIGINT handler; also callable from tests)."""
         self._draining.set()
 
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
     def run(self) -> dict:
         """Work until the coordinator reports the campaign done; returns a
         summary dict."""
@@ -396,4 +392,3 @@ def worker_main(
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda *_: worker.request_drain())
     return worker.run()
-

@@ -150,19 +150,6 @@ def _multipolicy(size: int, params: Mapping[str, Any], seed: int) -> WorkUnit:
     return WorkUnit(tuple(problems), batch=True)
 
 
-#: Trace-generator knobs accepted by the churn families.
-_CHURN_PARAMS = frozenset(
-    {
-        "rate_per_s",
-        "duration_ms",
-        "flows",
-        "cancel_prob",
-        "link_failures",
-        "waypoint_prob",
-    }
-)
-
-
 def _churn_unit(kind: str, size: int, params: Mapping[str, Any], seed: int) -> WorkUnit:
     from repro.churn.traces import generate_trace, trace_params
 
@@ -199,7 +186,7 @@ class FamilyDef:
     name: str
     build: Any
     min_size: int
-    allowed_params: frozenset
+    allowed_params: frozenset | None  # None: the churn trace knobs' schema
     sized: bool = True  # False: fixed instance, 'size' is ignored
 
 
@@ -223,8 +210,8 @@ _FAMILIES: dict[str, FamilyDef] = {
             frozenset({"policies", "overlap", "waypoint_every"}),
         ),
         FamilyDef("memhog", _memhog, 1, frozenset()),
-        FamilyDef("churn-fat-tree", _churn_fat_tree, 2, _CHURN_PARAMS),
-        FamilyDef("churn-wan", _churn_wan, 8, _CHURN_PARAMS),
+        FamilyDef("churn-fat-tree", _churn_fat_tree, 2, None),
+        FamilyDef("churn-wan", _churn_wan, 8, None),
     )
 }
 
@@ -245,8 +232,9 @@ def validate_family(
         raise CampaignSpecError(
             f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )
-    unknown = (set(params) | set(grid)) - set(definition.allowed_params)
-    if unknown:
+    if definition.allowed_params is None:
+        _check_trace_params(family, params, grid)
+    elif unknown := (set(params) | set(grid)) - definition.allowed_params:
         raise CampaignSpecError(
             f"family {family!r} does not take params {sorted(unknown)}; "
             f"allowed: {sorted(definition.allowed_params)}"
@@ -261,6 +249,23 @@ def validate_family(
         odd = [size for size in sizes if size % 2]
         if odd:
             raise CampaignSpecError(f"fat-tree arity must be even, got {odd}")
+
+
+def _check_trace_params(
+    family: str, params: Mapping[str, Any], grid: Mapping[str, Sequence[Any]]
+) -> None:
+    """A churn entry's params and every grid value, through the trace
+    knobs' schema (the trace is only generated when a cell runs)."""
+    from repro.churn.events import ChurnError
+    from repro.churn.traces import TRACE_PARAMS
+
+    try:
+        TRACE_PARAMS.decode(params)
+        for key, values in grid.items():
+            for value in values:
+                TRACE_PARAMS.decode({key: value})
+    except ChurnError as exc:
+        raise CampaignSpecError(f"family {family!r}: {exc}") from None
 
 
 def build_unit(

@@ -135,6 +135,18 @@ def peak_rss_kb() -> int | None:
     return int(peak)
 
 
+#: The largest limit ``setrlimit`` takes; RLIM_INFINITY (all ones) is past it.
+_RLIM_MAX = (1 << 63) - 1
+
+
+def _rlimit(limit: float, hard: int) -> int | None:
+    """``limit`` as a soft limit under ``hard``; ``None`` when no rlimit
+    can express it, which is no limit at all."""
+    if hard != _resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    return int(limit) if limit < _RLIM_MAX else None
+
+
 @contextlib.contextmanager
 def resource_guard(
     mem_limit_mb: float | None = None, cpu_limit_s: float | None = None
@@ -149,22 +161,23 @@ def resource_guard(
     :class:`~repro.errors.ScheduleTimeoutError` (main thread only; signal
     handlers cannot be installed elsewhere).  Both limits are restored on
     exit, and each guard degrades to a no-op where the platform refuses
-    it (no procfs, no ``resource`` module, non-main thread).
+    it (no procfs, no ``resource`` module, non-main thread) or the budget
+    is past what an rlimit can hold.
     """
     restores: list[tuple[int, tuple[int, int]]] = []
     old_handler = None
     if _resource is not None and mem_limit_mb:
         current = _vm_size_bytes()
-        if current is not None:
-            soft, hard = _resource.getrlimit(_resource.RLIMIT_AS)
-            budget = current + int(float(mem_limit_mb) * (1 << 20))
-            if hard != _resource.RLIM_INFINITY:
-                budget = min(budget, hard)
+        soft, hard = _resource.getrlimit(_resource.RLIMIT_AS)
+        budget = None if current is None else _rlimit(
+            current + float(mem_limit_mb) * (1 << 20), hard)
+        if budget is not None:
             try:
                 _resource.setrlimit(_resource.RLIMIT_AS, (budget, hard))
                 restores.append((_resource.RLIMIT_AS, (soft, hard)))
             except (ValueError, OSError):
                 pass
+    budget = None
     if (
         _resource is not None
         and cpu_limit_s
@@ -173,9 +186,9 @@ def resource_guard(
     ):
         soft, hard = _resource.getrlimit(_resource.RLIMIT_CPU)
         usage = _resource.getrusage(_resource.RUSAGE_SELF)
-        budget = int(usage.ru_utime + usage.ru_stime + float(cpu_limit_s)) + 1
-        if hard != _resource.RLIM_INFINITY:
-            budget = min(budget, hard)
+        budget = _rlimit(
+            usage.ru_utime + usage.ru_stime + float(cpu_limit_s) + 1, hard)
+    if budget is not None:
 
         def _on_xcpu(signum, frame):
             # unlike the polled deadline this lands anywhere, possibly

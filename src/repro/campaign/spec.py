@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -262,6 +263,14 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # expansion
     # ------------------------------------------------------------------
+    def cell_count(self) -> int:
+        """``len(self.expand())``, counted without building a cell."""
+        return sum(
+            len(entry.sizes) * math.prod(map(len, entry.grid.values()))
+            * entry.repeats * len(entry.schedulers or self.schedulers)
+            for entry in self.families
+        )
+
     def expand(self) -> list[Cell]:
         """Enumerate every cell of the campaign in canonical order."""
         cells: list[Cell] = []

@@ -1,11 +1,6 @@
 """Asynchronous control-channel substrate."""
 
-from repro.channel.base import (
-    ChannelStats,
-    ControlChannel,
-    fifo_channel,
-    reordering_channel,
-)
+from repro.channel.base import ChannelStats, ControlChannel
 from repro.channel.latency_models import (
     Constant,
     Exponential,
@@ -25,7 +20,5 @@ __all__ = [
     "LogNormal",
     "Pareto",
     "Uniform",
-    "fifo_channel",
     "from_spec",
-    "reordering_channel",
 ]

@@ -13,7 +13,7 @@ demo guards against).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ChannelClosedError, ChannelError
@@ -151,25 +151,3 @@ class ControlChannel:
                 f"channel {self.name!r} has no {direction}-side handler bound"
             )
         handler(message)
-
-
-def fifo_channel(
-    sim: Simulator,
-    latency: LatencyModel | float = 1.0,
-    rng: random.Random | None = None,
-    name: str = "chan",
-    **kwargs: Any,
-) -> ControlChannel:
-    """A TCP-like in-order channel (the realistic default)."""
-    return ControlChannel(sim, latency=latency, rng=rng, name=name, fifo=True, **kwargs)
-
-
-def reordering_channel(
-    sim: Simulator,
-    latency: LatencyModel | float = 1.0,
-    rng: random.Random | None = None,
-    name: str = "chan",
-    **kwargs: Any,
-) -> ControlChannel:
-    """A channel where messages may overtake each other (adversarial)."""
-    return ControlChannel(sim, latency=latency, rng=rng, name=name, fifo=False, **kwargs)

@@ -26,9 +26,10 @@ uniform instants over the trace.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from repro.churn.events import (
     ChurnError,
@@ -38,6 +39,7 @@ from repro.churn.events import (
     UpdateCancel,
     event_sort_key,
 )
+from repro.schema import Field, Schema
 from repro.topology import builders
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import sample_simple_path, waxman
@@ -226,20 +228,42 @@ def generate_trace(
     )
 
 
+def _knob(cast: type, least: float, most: float = math.inf, *,
+          above: bool = False) -> Callable[[Any], bool]:
+    """A value ``cast`` reads into ``least..most`` (with ``above``, past
+    ``least``): an int, a float too when ``cast`` is float, or a string
+    of one; never a bool, and never a float truncated into an int."""
+    def shape(value: Any) -> bool:
+        if type(value) not in (int, cast, str):
+            return False
+        try:
+            value = cast(value)
+        except (ValueError, OverflowError):
+            return False
+        return (cast is int or math.isfinite(value)) and (
+            least < value if above else least <= value) and value <= most
+    return shape
+
+
+#: The six trace knobs of :func:`generate_trace`, each cast to its
+#: default's type; a campaign spec's churn params are checked against it.
+TRACE_PARAMS = Schema("churn trace params", (
+    Field("rate_per_s", _knob(float, 0, above=True), "a number > 0",
+          DEFAULT_RATE_PER_S),
+    Field("duration_ms", _knob(float, 0, above=True), "a number > 0",
+          DEFAULT_DURATION_MS),
+    Field("flows", _knob(int, 1), "an int >= 1", DEFAULT_FLOWS),
+    Field("cancel_prob", _knob(float, 0, 1), "a number in 0..1",
+          DEFAULT_CANCEL_PROB),
+    Field("link_failures", _knob(int, 0), "an int >= 0", DEFAULT_LINK_FAILURES),
+    Field("waypoint_prob", _knob(float, 0, 1), "a number in 0..1",
+          DEFAULT_WAYPOINT_PROB),
+), ChurnError)
+
+
 def trace_params(params: Mapping) -> dict:
-    """Coerce campaign-style params into :func:`generate_trace` kwargs."""
-    known = {
-        "rate_per_s": float,
-        "duration_ms": float,
-        "flows": int,
-        "cancel_prob": float,
-        "link_failures": int,
-        "waypoint_prob": float,
-    }
-    unknown = set(params) - set(known)
-    if unknown:
-        raise ChurnError(
-            f"unknown churn trace params {sorted(unknown)}; "
-            f"known: {sorted(known)}"
-        )
-    return {name: cast(params[name]) for name, cast in known.items() if name in params}
+    """Check campaign-style params against :data:`TRACE_PARAMS` and cast
+    the given ones into :func:`generate_trace` kwargs."""
+    values = TRACE_PARAMS.decode(params)
+    return {row.name: type(row.default)(values[row.name])
+            for row in TRACE_PARAMS if row.name in params}

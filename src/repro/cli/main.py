@@ -569,7 +569,7 @@ def cmd_campaign_serve(args: argparse.Namespace) -> int:
     body.update((key, getattr(args, key)) for key in FABRIC_OPTIONS
                 if getattr(args, key, None) is not None)
     try:
-        api.campaigns.serve(body)
+        api.campaigns.serve(body, capped=False)
         coordinator = api.campaigns.fabric(spec.campaign_id)
         if args.json:
             print(json.dumps({

@@ -29,9 +29,6 @@ class RyuLikeApp:
     def on_datapath_connected(self, datapath: "Datapath") -> None:
         """A switch finished its handshake."""
 
-    def on_datapath_disconnected(self, dpid: int) -> None:
-        """A switch connection was closed."""
-
     # -- message hooks ---------------------------------------------------
     def on_barrier_reply(self, datapath: "Datapath", message: Any) -> None:
         """A BarrierReply arrived from ``datapath``."""

@@ -8,9 +8,7 @@ exactly the deployment the demo runs (Ryu + one TCP connection per OVS).
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.errors import ControllerError, UnknownDatapathError
+from repro.errors import UnknownDatapathError
 from repro.channel.base import ControlChannel
 from repro.controller.app import RyuLikeApp
 from repro.controller.datapath_handle import Datapath
@@ -51,13 +49,6 @@ class Controller:
         self.apps.append(app)
         app.on_registered(self)
         return app
-
-    def get_app(self, app_type: type) -> Any:
-        """First registered app of ``app_type`` (or raises)."""
-        for app in self.apps:
-            if isinstance(app, app_type):
-                return app
-        raise ControllerError(f"no app of type {app_type.__name__} registered")
 
     # ------------------------------------------------------------------
     # connections
@@ -137,12 +128,3 @@ class Controller:
         if dpid is None:
             return None  # message raced ahead of the handshake; drop it
         return self.datapaths.get(dpid)
-
-    def disconnect_switch(self, dpid: int) -> None:
-        """Drop a switch connection and notify apps."""
-        datapath = self.datapaths.pop(dpid, None)
-        if datapath is None:
-            raise UnknownDatapathError(f"no connected switch with dpid {dpid}")
-        datapath.channel.close()
-        for app in self.apps:
-            app.on_datapath_disconnected(dpid)

@@ -123,14 +123,3 @@ class ControlPlaneTrace:
             if entry.direction == "to-switch"
             and entry.msg_type == "BARRIER_REQUEST"
         )
-
-    def to_dicts(self) -> list[dict]:
-        return [entry.as_dict() for entry in self.entries]
-
-    def dump_jsonl(self, path: str) -> None:
-        """Write one JSON object per line (jq-friendly)."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as handle:
-            for entry in self.entries:
-                handle.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")

@@ -46,13 +46,10 @@ from repro.core.api import (
     time_limit,
 )
 from repro.core.analysis import (
-    cannot_be_last,
     dependency_graph,
     explain_schedule,
-    forced_precedence_graph,
     greedy_deadlock_certificate,
     is_order_forced,
-    unlock_constraints,
     unsafe_alone,
 )
 from repro.core.bnb import (
@@ -66,20 +63,15 @@ from repro.core.combined import (
 from repro.core.cost import (
     HARDWARE_TCAM,
     OVS_FAST,
-    OVS_LOADED,
-    PRESETS,
-    WAN_CONTROL,
     CostModel,
     round_time_breakdown,
     schedule_update_time,
-    two_phase_update_time,
 )
 from repro.core.greedy_slf import greedy_slf_schedule
 from repro.core.hardness import (
     crossing_clash_instance,
     crossing_instance,
     double_diamond_instance,
-    hardness_profile,
     reversal_instance,
     sawtooth_instance,
     waypoint_slalom_instance,
@@ -152,7 +144,6 @@ from repro.core.verify import (
     check_slf,
     check_wpe,
     default_properties,
-    is_round_safe,
     verify_exhaustive,
     verify_round,
     verify_schedule,
@@ -174,8 +165,6 @@ __all__ = [
     "OracleStats",
     "SafetyOracle",
     "OVS_FAST",
-    "OVS_LOADED",
-    "PRESETS",
     "PolicyView",
     "Property",
     "RuleState",
@@ -192,12 +181,10 @@ __all__ = [
     "UpdateSchedule",
     "VerificationReport",
     "Violation",
-    "WAN_CONTROL",
     "WAYUP_ROUND_NAMES",
     "WalkResult",
     "WaypointClasses",
     "aggregate_stats",
-    "cannot_be_last",
     "check_blackhole",
     "check_rlf",
     "check_slf",
@@ -212,17 +199,14 @@ __all__ = [
     "enumerate_round_configurations",
     "execute_request",
     "explain_schedule",
-    "forced_precedence_graph",
     "functional_cycle",
     "functional_graph",
     "greedy_deadlock_certificate",
     "greedy_joint_schedule",
     "greedy_slf_schedule",
-    "hardness_profile",
     "infeasibility_certificate",
     "is_feasible",
     "is_order_forced",
-    "is_round_safe",
     "merge_isolated_schedules",
     "minimal_round_count",
     "minimal_round_schedule",
@@ -246,8 +230,6 @@ __all__ = [
     "time_limit",
     "trace_walk",
     "two_phase_schedule",
-    "two_phase_update_time",
-    "unlock_constraints",
     "unsafe_alone",
     "verify_exhaustive",
     "verify_joint_round",

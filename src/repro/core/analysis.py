@@ -5,17 +5,10 @@ updates.  This module makes them explicit, using the exact verifiers as
 the oracle (so every statement inherits their soundness):
 
 * :func:`unsafe_alone` -- nodes that can never be the very first update;
-* :func:`unlock_constraints` -- pairs ``(v, u)``: updating ``v`` alone is
-  *sufficient* to make ``u`` safe next (a greedy-friendly view);
-* :func:`cannot_be_last` -- nodes whose update is unsafe even with every
-  other update already applied: the property is violated by some *earlier*
-  configuration no matter when this node flips;
 * :func:`is_order_forced` -- must ``v`` go strictly before ``u`` in
   *every* safe schedule?  Decided exactly, by a filtered exact search;
 * :func:`dependency_graph` -- every forced order of a small instance
   (quadratically many :func:`is_order_forced` queries);
-* :func:`forced_precedence_graph` -- its polynomial-time sound subset,
-  from the precedence certificates of :mod:`repro.core.bnb`;
 * :func:`greedy_deadlock_certificate` -- when every pending node is unsafe
   first, no round schedule can start at all: an immediate infeasibility
   certificate (this is exactly what the crossing instance produces under
@@ -31,7 +24,6 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.errors import InfeasibleUpdateError
 from repro.core.oracle import oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
@@ -49,48 +41,6 @@ def unsafe_alone(
         node
         for node in problem.canonical_updates
         if not oracle.round_is_safe(0, 1 << bits[node])
-    }
-
-
-def unlock_constraints(
-    problem: UpdateProblem, properties: tuple[Property, ...]
-) -> set[tuple[NodeId, NodeId]]:
-    """Pairs ``(v, u)``: ``u`` is unsafe first, but safe right after ``v``.
-
-    A *sufficiency* relation -- the single-step unlocks a greedy scheduler
-    can exploit.  Nodes needing several predecessors contribute no pairs.
-    """
-    oracle = oracle_for(problem, tuple(properties))
-    bits = problem.node_bit
-    constraints: set[tuple[NodeId, NodeId]] = set()
-    nodes = problem.canonical_updates
-    blocked = [n for n in nodes if not oracle.round_is_safe(0, 1 << bits[n])]
-    for u in blocked:
-        u_bit = 1 << bits[u]
-        for v in nodes:
-            if u == v:
-                continue
-            if oracle.round_is_safe(1 << bits[v], u_bit):
-                constraints.add((v, u))
-    return constraints
-
-
-def cannot_be_last(
-    problem: UpdateProblem, properties: tuple[Property, ...]
-) -> set:
-    """Nodes that are unsafe even as the final update.
-
-    If flipping ``u`` violates when *everything else* is already done, the
-    violation is caused by configurations that precede ``u``'s flip -- so
-    some other ordering constraint, not ``u``'s own position, is at fault.
-    """
-    oracle = oracle_for(problem, tuple(properties))
-    bits = problem.node_bit
-    everyone = problem.required_mask
-    return {
-        u
-        for u in problem.canonical_updates
-        if not oracle.round_is_safe(everyone & ~(1 << bits[u]), 1 << bits[u])
     }
 
 
@@ -150,29 +100,6 @@ def dependency_graph(
         for u in nodes:
             if v != u and is_order_forced(problem, v, u, properties, max_nodes):
                 graph.add_edge(v, u)
-    return graph
-
-
-def forced_precedence_graph(
-    problem: UpdateProblem, properties: tuple[Property, ...]
-) -> nx.DiGraph:
-    """Polynomial-time sound subset of :func:`dependency_graph`.
-
-    Edges come from the universally quantified reachability certificates
-    of :mod:`repro.core.bnb` (forced SLF loops, forced WPE bypasses)
-    instead of exponentially many exact searches, so this scales to the
-    instances the exact search ground-truths.  Every edge is a true
-    forced order (``v`` strictly before ``u`` in every safe schedule);
-    the exact graph may contain more.  The longest path is the
-    admissible rounds lower bound the exact search prunes
-    with (:func:`repro.core.bnb.rounds_lower_bound`).
-    """
-    from repro.core.bnb import precedence_for
-
-    analysis = precedence_for(problem, tuple(properties))
-    graph = nx.DiGraph()
-    graph.add_nodes_from(problem.canonical_updates)
-    graph.add_edges_from(analysis.forced_pairs())
     return graph
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.schedule import UpdateSchedule
-from repro.core.twophase import TwoPhaseSchedule
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,6 @@ def schedule_update_time(schedule: UpdateSchedule, cost: CostModel) -> float:
     return sum(cost.round_time(round_nodes) for round_nodes in schedule.rounds)
 
 
-def two_phase_update_time(plan: TwoPhaseSchedule, cost: CostModel) -> float:
-    """Predicted update time of a two-phase plan, in milliseconds.
-
-    Phase 1 installs one versioned rule per prepared switch, phase 2 flips
-    the ingress, phase 3 deletes stale rules.
-    """
-    return sum(cost.round_time(phase) for phase in plan.rounds)
-
-
 def round_time_breakdown(
     schedule: UpdateSchedule, cost: CostModel
 ) -> list[dict]:
@@ -90,13 +80,4 @@ def round_time_breakdown(
 #: well under a millisecond, hardware TCAM updates take orders of magnitude
 #: longer and vary wildly between vendors.
 OVS_FAST = CostModel(rtt_ms=2.0, install_ms=0.3, barrier_ms=0.05)
-OVS_LOADED = CostModel(rtt_ms=5.0, install_ms=1.0, barrier_ms=0.2)
 HARDWARE_TCAM = CostModel(rtt_ms=5.0, install_ms=30.0, barrier_ms=1.0)
-WAN_CONTROL = CostModel(rtt_ms=50.0, install_ms=1.0, barrier_ms=0.2)
-
-PRESETS = {
-    "ovs-fast": OVS_FAST,
-    "ovs-loaded": OVS_LOADED,
-    "hardware-tcam": HARDWARE_TCAM,
-    "wan-control": WAN_CONTROL,
-}

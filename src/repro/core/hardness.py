@@ -21,9 +21,8 @@ separations of the cited papers show up:
 
 from __future__ import annotations
 
-from repro.errors import InfeasibleUpdateError, UpdateModelError
+from repro.errors import UpdateModelError
 from repro.core.problem import UpdateProblem
-from repro.core.verify import Property
 from repro.topology.paths import Path
 
 
@@ -122,58 +121,6 @@ def waypoint_slalom_instance(k: int) -> UpdateProblem:
     old = [s, *a_nodes, w, *b_nodes, d]
     new = [s, *b_nodes, w, *a_nodes, d]
     return UpdateProblem(Path(old), Path(new), waypoint=w, name=f"slalom-{k}")
-
-
-def hardness_profile(
-    problem: UpdateProblem,
-    properties: tuple[Property, ...],
-    max_nodes: int | None = None,
-) -> dict:
-    """Exact-vs-greedy round profile of one instance.
-
-    Runs the exact search (through the full n=24 cap; its certificates
-    settle infeasible clashes instantly) next to the combined greedy
-    scheduler and reports the round gap -- the quantity the paper's E3
-    separations are about.  ``exact_rounds`` /
-    ``greedy_rounds`` are ``None`` when the respective scheduler proves
-    or hits infeasibility; an instance over the exact-search cap keeps
-    ``exact_rounds=None`` and sets ``capped`` instead of raising, so
-    size sweeps degrade to greedy-only rows.
-    """
-    from repro.core.combined import combined_greedy_schedule
-    from repro.core.optimal import DEFAULT_MAX_NODES, minimal_round_schedule
-
-    properties = tuple(properties)
-    profile: dict = {
-        "name": problem.name,
-        "updates": len(problem.required_updates),
-        "properties": [p.value for p in properties],
-        "exact_rounds": None,
-        "greedy_rounds": None,
-        "gap": None,
-        "capped": False,
-    }
-    cap = max_nodes if max_nodes is not None else DEFAULT_MAX_NODES
-    if len(problem.required_updates) > cap:
-        profile["capped"] = True
-    else:
-        try:
-            exact = minimal_round_schedule(problem, properties, max_nodes=cap)
-        except InfeasibleUpdateError:
-            pass
-        else:
-            profile["exact_rounds"] = exact.n_rounds
-    try:
-        greedy = combined_greedy_schedule(
-            problem, properties, include_cleanup=False
-        )
-    except (InfeasibleUpdateError, UpdateModelError):
-        pass
-    else:
-        profile["greedy_rounds"] = greedy.n_rounds
-    if profile["exact_rounds"] is not None and profile["greedy_rounds"] is not None:
-        profile["gap"] = profile["greedy_rounds"] - profile["exact_rounds"]
-    return profile
 
 
 def double_diamond_instance() -> UpdateProblem:

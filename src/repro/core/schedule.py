@@ -97,13 +97,6 @@ class UpdateSchedule:
     def scheduled_nodes(self) -> frozenset:
         return frozenset(self._round_of)
 
-    def updates_in_round(self, index: int) -> list[tuple[NodeId, UpdateKind]]:
-        """The ``(node, kind)`` pairs of one round, deterministic order."""
-        return [
-            (node, self.problem.kind(node))
-            for node in sorted(self.rounds[index], key=repr)
-        ]
-
     def includes_cleanup(self) -> bool:
         """True when every old-only node gets its rule deleted."""
         return self.problem.cleanup_updates <= self.scheduled_nodes()

@@ -110,19 +110,6 @@ class TwoPhaseSchedule:
             "garbage": sorted(self.garbage, key=repr),
         }
 
-    def rule_overhead(self) -> int:
-        """Extra rules resident during the transition (vs in-place rounds)."""
-        return len(self.prepare)
-
-    def peak_rules_per_node(self) -> dict:
-        """Rules each node holds at the peak of the transition."""
-        peak: dict = {}
-        for node in self.problem.forwarding_nodes:
-            on_old = node in self.problem.old_path
-            on_new = node in self.problem.new_path
-            peak[node] = (1 if on_old else 0) + (1 if on_new else 0)
-        return peak
-
     def verification_report(self) -> VerificationReport:
         """Consistency holds by construction (version isolation).
 

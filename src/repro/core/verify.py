@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import VerificationBudgetError, VerificationError
 from repro.core.deadline import check_deadline
-from repro.core.problem import RuleState, UpdateProblem
+from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
 from repro.core.transient import (
     UnionGraph,
@@ -343,17 +343,6 @@ def verify_schedule(
             if stop_at_first:
                 break
     return report
-
-
-def is_round_safe(
-    schedule: UpdateSchedule,
-    round_index: int,
-    properties: tuple[Property, ...],
-    exact_rlf: bool = True,
-) -> bool:
-    """Convenience: True when one round has no (possibly spurious) violation."""
-    violations, _ = verify_round(schedule, round_index, properties, exact_rlf=exact_rlf)
-    return not violations
 
 
 # ---------------------------------------------------------------------------

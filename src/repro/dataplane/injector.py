@@ -41,12 +41,6 @@ class InjectionResult:
         self.counters = counters
         return counters
 
-    def violating_traces(self) -> list[TraceRecord]:
-        from repro.dataplane.violations import PacketFate
-
-        bad = (PacketFate.BYPASSED_WAYPOINT, PacketFate.LOOPED, PacketFate.DROPPED)
-        return [trace for trace in self.traces if trace.fate in bad]
-
 
 class PeriodicInjector:
     """Inject one probe every ``interval_ms`` until stopped."""

@@ -100,9 +100,6 @@ class Packet:
     def without_vlan(self) -> "Packet":
         return replace(self, vlan_vid=None)
 
-    def decrement_ttl(self) -> "Packet":
-        return replace(self, ttl=self.ttl - 1)
-
     # ------------------------------------------------------------------
     # byte codec
     # ------------------------------------------------------------------

@@ -227,8 +227,3 @@ def instruction_from_dict(data: Mapping[str, Any]) -> Instruction:
     if kind == "GOTO_TABLE":
         return GotoTable(table_id=_uint(data.get("table_id"), 0xFE, "goto table id"))
     raise OpenFlowError(f"unsupported instruction type {data.get('type')!r}")
-
-
-def output_instructions(port: int) -> tuple[Instruction, ...]:
-    """The ubiquitous single-instruction "send out of port" shorthand."""
-    return (ApplyActions([OutputAction(port=port)]),)

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import enum
 
-#: Protocol version byte for OpenFlow 1.3.
-OFP_VERSION = 0x04
 
 #: "No buffer" sentinel for buffer_id fields.
 OFP_NO_BUFFER = 0xFFFFFFFF
@@ -177,7 +175,6 @@ class OxmField(enum.IntEnum):
 
 # Common ethertypes / IP protocol numbers used by the simulator.
 ETH_TYPE_IP = 0x0800
-ETH_TYPE_ARP = 0x0806
 ETH_TYPE_VLAN = 0x8100
 IP_PROTO_ICMP = 1
 IP_PROTO_TCP = 6

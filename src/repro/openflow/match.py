@@ -70,17 +70,6 @@ def parse_ipv4_prefix(spec: str) -> tuple[int, int]:
     return ip_to_int(address) & mask, mask
 
 
-def format_ipv4_prefix(address: int, mask: int) -> str:
-    """Inverse of :func:`parse_ipv4_prefix` (contiguous masks only)."""
-    if mask == 0xFFFFFFFF:
-        return int_to_ip(address)
-    prefix = bin(mask).count("1")
-    expected = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF if prefix else 0
-    if expected != mask:
-        raise OpenFlowError(f"non-contiguous IPv4 mask 0x{mask:08x}")
-    return f"{int_to_ip(address)}/{prefix}"
-
-
 def mac_to_bytes(mac: str) -> bytes:
     """``"aa:bb:cc:dd:ee:ff"`` -> 6 bytes."""
     parts = mac.split(":")

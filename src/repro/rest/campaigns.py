@@ -68,6 +68,16 @@ SERVE = Schema("campaign serve", (
 ), BadRequestError)
 
 
+def _within_cap(spec: CampaignSpec, command: str) -> None:
+    """Refuse a spec past :data:`MAX_REST_CELLS` before expanding it."""
+    n_cells = spec.cell_count()
+    if n_cells > MAX_REST_CELLS:
+        raise BadRequestError(
+            f"campaign has {n_cells} cells; REST accepts at most "
+            f"{MAX_REST_CELLS} -- use 'repro campaign {command}'"
+        )
+
+
 class CampaignService:
     """Run directory management + engine invocation for the REST routes."""
 
@@ -93,14 +103,10 @@ class CampaignService:
             wrapped = SUBMIT.decode(body)
         try:
             spec = CampaignSpec.from_dict(wrapped["spec"])
-            n_cells = len(spec.expand())
+            _within_cap(spec, "run")
+            spec.expand()  # colliding cell ids are a spec error too
         except CampaignSpecError as exc:
             raise BadRequestError(f"bad campaign spec: {exc}") from None
-        if n_cells > MAX_REST_CELLS:
-            raise BadRequestError(
-                f"campaign has {n_cells} cells; REST accepts at most "
-                f"{MAX_REST_CELLS} -- use 'repro campaign run'"
-            )
         runner = CampaignRunner(spec, root=self.root, workers=wrapped["workers"])
         try:
             status = runner.run()
@@ -121,13 +127,19 @@ class CampaignService:
     # ------------------------------------------------------------------
     # fabric: coordinator lifecycle + worker protocol
     # ------------------------------------------------------------------
-    def serve(self, body: Any) -> dict:
-        """Stand up a coordinator for a spec (idempotent per campaign id)."""
+    def serve(self, body: Any, *, capped: bool = True) -> dict:
+        """Stand up a coordinator for a spec (idempotent per campaign id).
+
+        ``capped=False`` lifts :data:`MAX_REST_CELLS`: ``repro campaign
+        serve`` reads its spec from a local file, not off the wire.
+        """
         options = SERVE.decode(body)
         try:
             spec = CampaignSpec.from_dict(options.pop("spec"))
         except CampaignSpecError as exc:
             raise BadRequestError(f"bad campaign spec: {exc}") from None
+        if capped:
+            _within_cap(spec, "serve")
         active = self._coordinators.get(spec.campaign_id)
         if active is not None and not active.finished:
             raise BadRequestError(

@@ -4,34 +4,21 @@ from repro.topology.builders import (
     FIGURE1_NEW_PATH,
     FIGURE1_OLD_PATH,
     FIGURE1_WAYPOINT,
-    binary_tree,
     fat_tree,
     figure1,
     figure1_paths,
     grid,
     linear,
     ring,
-    star,
 )
-from repro.topology.graph import Link, NodeId, NodeInfo, Topology, subtopology
+from repro.topology.graph import Link, NodeId, NodeInfo, Topology
 from repro.topology.io import (
-    load_topology,
-    path_from_list,
-    path_to_list,
     save_topology,
     topology_from_dict,
     topology_to_dict,
 )
-from repro.topology.paths import (
-    Path,
-    as_path,
-    common_nodes,
-    exclusive_nodes,
-    forwarding_map,
-    shared_endpoints,
-)
+from repro.topology.paths import Path, as_path
 from repro.topology.random_graphs import (
-    barabasi_albert,
     erdos_renyi,
     random_path_pair_in,
     random_simple_path,
@@ -50,29 +37,18 @@ __all__ = [
     "Path",
     "Topology",
     "as_path",
-    "barabasi_albert",
-    "binary_tree",
-    "common_nodes",
     "erdos_renyi",
-    "exclusive_nodes",
     "fat_tree",
     "figure1",
     "figure1_paths",
-    "forwarding_map",
     "grid",
     "linear",
-    "load_topology",
-    "path_from_list",
-    "path_to_list",
     "random_path_pair_in",
     "random_simple_path",
     "random_update_instance",
     "random_waypointed_instance",
     "ring",
     "save_topology",
-    "shared_endpoints",
-    "star",
-    "subtopology",
     "topology_from_dict",
     "topology_to_dict",
     "waxman",

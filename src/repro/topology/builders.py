@@ -46,18 +46,6 @@ def ring(n: int) -> Topology:
     return topo
 
 
-def star(n_leaves: int) -> Topology:
-    """Switch 1 at the hub, switches ``2 .. n_leaves + 1`` as spokes."""
-    if n_leaves < 1:
-        raise TopologyError(f"star topology needs >= 1 leaf, got {n_leaves}")
-    topo = Topology(name=f"star-{n_leaves}")
-    topo.add_switch(1)
-    for dpid in range(2, n_leaves + 2):
-        topo.add_switch(dpid)
-        topo.add_link(1, dpid)
-    return topo
-
-
 def grid(rows: int, cols: int) -> Topology:
     """A ``rows x cols`` mesh; dpid of cell ``(r, c)`` is ``r * cols + c + 1``."""
     if rows < 1 or cols < 1:
@@ -76,20 +64,6 @@ def grid(rows: int, cols: int) -> Topology:
                 topo.add_link(dpid(r, c), dpid(r, c + 1))
             if r + 1 < rows:
                 topo.add_link(dpid(r, c), dpid(r + 1, c))
-    return topo
-
-
-def binary_tree(depth: int) -> Topology:
-    """A complete binary tree of switches; root dpid 1, children ``2i``/``2i+1``."""
-    if depth < 1:
-        raise TopologyError(f"tree depth must be >= 1, got {depth}")
-    topo = Topology(name=f"btree-{depth}")
-    last = 2**depth - 1
-    for dpid in range(1, last + 1):
-        topo.add_switch(dpid)
-    for dpid in range(1, 2 ** (depth - 1)):
-        topo.add_link(dpid, 2 * dpid)
-        topo.add_link(dpid, 2 * dpid + 1)
     return topo
 
 

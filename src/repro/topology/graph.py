@@ -13,7 +13,7 @@ convention, strings such as ``"h1"`` for hosts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterator
 
 import networkx as nx
 
@@ -176,9 +176,6 @@ class Topology:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
-
     def has_link(self, a: NodeId, b: NodeId) -> bool:
         return frozenset((a, b)) in self._links
 
@@ -271,31 +268,11 @@ class Topology:
             )
         return graph
 
-    def shortest_path(self, a: NodeId, b: NodeId) -> list[NodeId]:
-        """Hop-count shortest path between two nodes."""
-        for node in (a, b):
-            if node not in self._nodes:
-                raise TopologyError(f"unknown node {node!r}")
-        try:
-            return nx.shortest_path(self.to_networkx(), a, b)
-        except nx.NetworkXNoPath:
-            raise TopologyError(f"no path between {a!r} and {b!r}") from None
-
     def is_connected(self) -> bool:
         """True when every node can reach every other node."""
         if not self._nodes:
             return True
         return nx.is_connected(self.to_networkx())
-
-    def disjoint_paths(self, a: NodeId, b: NodeId, k: int = 2) -> list[list[NodeId]]:
-        """Up to ``k`` node-disjoint paths between ``a`` and ``b``."""
-        graph = self.to_networkx()
-        try:
-            paths = list(nx.node_disjoint_paths(graph, a, b))
-        except (nx.NetworkXNoPath, nx.NetworkXError):
-            return []
-        paths.sort(key=len)
-        return paths[:k]
 
     def validate(self) -> None:
         """Check internal invariants; raises :class:`TopologyError` on breakage."""
@@ -307,25 +284,3 @@ class Topology:
                     raise TopologyError(f"link {link} references unknown {node!r}")
                 if self._ports[node].get(link.port_of(node)) is not link:
                     raise TopologyError(f"port table desync at {node!r}")
-
-
-def subtopology(topo: Topology, nodes: Iterable[NodeId]) -> Topology:
-    """Return the sub-topology induced by ``nodes`` (links between kept nodes).
-
-    Port numbers are re-assigned in the induced topology.
-    """
-    keep = set(nodes)
-    sub = Topology(name=f"{topo.name}-sub")
-    for node_id in topo.nodes():
-        if node_id in keep:
-            info = topo.node(node_id)
-            sub.add_node(node_id, kind=info.kind, **info.attrs)
-    for link in topo.links():
-        if link.a in keep and link.b in keep:
-            sub.add_link(
-                link.a,
-                link.b,
-                latency_ms=link.latency_ms,
-                bandwidth_mbps=link.bandwidth_mbps,
-            )
-    return sub

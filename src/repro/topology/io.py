@@ -1,4 +1,4 @@
-"""JSON (de)serialization for topologies and paths.
+"""JSON (de)serialization for topologies.
 
 The on-disk format is a plain JSON object so scenarios can be authored by
 hand and shipped next to benchmark configs::
@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.errors import TopologyError
 from repro.topology.graph import Topology
-from repro.topology.paths import Path
 
 
 def topology_to_dict(topo: Topology) -> dict[str, Any]:
@@ -73,19 +72,3 @@ def save_topology(topo: Topology, path: str | FsPath) -> None:
     """Write a topology to a JSON file."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(topology_to_dict(topo), handle, indent=2, sort_keys=True)
-
-
-def load_topology(path: str | FsPath) -> Topology:
-    """Read a topology from a JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        return topology_from_dict(json.load(handle))
-
-
-def path_to_list(path: Path) -> list:
-    """Serialize a path to a plain list of node ids."""
-    return list(path.nodes)
-
-
-def path_from_list(nodes: list) -> Path:
-    """Deserialize a path from a list of node ids."""
-    return Path(nodes)

@@ -9,7 +9,7 @@ on abstract instances (as the cited papers do).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import PathError
 from repro.topology.graph import NodeId, Topology
@@ -125,13 +125,6 @@ class Path:
             position += 1
         return self._nodes[position:]
 
-    def subpath(self, start: NodeId, end: NodeId) -> "Path":
-        """The contiguous sub-path from ``start`` to ``end`` (inclusive)."""
-        i, j = self.index_of(start), self.index_of(end)
-        if i >= j:
-            raise PathError(f"{start!r} does not precede {end!r} on {self!r}")
-        return Path(self._nodes[i : j + 1])
-
     def reversed(self) -> "Path":
         """The same node sequence traversed destination-to-source."""
         return Path(tuple(reversed(self._nodes)))
@@ -148,37 +141,9 @@ class Path:
             if not topo.has_link(u, v):
                 raise PathError(f"path hop {u!r}->{v!r} is not a link")
 
-    def is_valid_in(self, topo: Topology) -> bool:
-        """Boolean form of :meth:`validate_in`."""
-        try:
-            self.validate_in(topo)
-        except PathError:
-            return False
-        return True
-
 
 def as_path(value: "Path | Sequence[NodeId]") -> Path:
     """Coerce a node sequence into a :class:`Path` (idempotent)."""
     if isinstance(value, Path):
         return value
     return Path(value)
-
-
-def common_nodes(a: Path, b: Path) -> set[NodeId]:
-    """Nodes present on both paths."""
-    return set(a.nodes) & set(b.nodes)
-
-
-def exclusive_nodes(a: Path, b: Path) -> set[NodeId]:
-    """Nodes on ``a`` but not on ``b``."""
-    return set(a.nodes) - set(b.nodes)
-
-
-def shared_endpoints(a: Path, b: Path) -> bool:
-    """True when both paths have the same source and destination."""
-    return a.source == b.source and a.destination == b.destination
-
-
-def forwarding_map(path: Path) -> dict[Hashable, Hashable]:
-    """Return ``{node: next_hop}`` for all non-terminal nodes of ``path``."""
-    return {u: v for u, v in path.edges()}

@@ -71,17 +71,6 @@ def waxman(
     return _from_networkx(graph, name=f"waxman-{n}")
 
 
-def barabasi_albert(
-    n: int, m: int = 2, seed: int | random.Random | None = None
-) -> Topology:
-    """Barabasi-Albert preferential-attachment topology (always connected)."""
-    if n <= m:
-        raise TopologyError(f"need n > m, got n={n} m={m}")
-    rng = _as_rng(seed)
-    graph = nx.barabasi_albert_graph(n, m, seed=rng.randrange(2**31))
-    return _from_networkx(graph, name=f"ba-{n}-{m}")
-
-
 def sample_simple_path(
     topo: Topology,
     source,

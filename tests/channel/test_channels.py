@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.channel.base import ControlChannel, fifo_channel, reordering_channel
+from repro.channel.base import ControlChannel
 from repro.channel.latency_models import (
     Constant,
     Exponential,
@@ -166,8 +166,3 @@ class TestControlChannel:
     def test_bad_drop_prob(self):
         with pytest.raises(ChannelError):
             ControlChannel(Simulator(), drop_prob=1.0)
-
-    def test_helper_constructors(self):
-        sim = Simulator()
-        assert fifo_channel(sim).fifo is True
-        assert reordering_channel(sim).fifo is False

@@ -7,7 +7,7 @@ import pytest
 from repro.channel.base import ControlChannel
 from repro.controller.app import RyuLikeApp
 from repro.controller.core import Controller
-from repro.errors import ControllerError, UnknownDatapathError
+from repro.errors import UnknownDatapathError
 from repro.openflow.flowmod import add_flow
 from repro.openflow.match import Match
 from repro.openflow.messages import BarrierRequest
@@ -99,18 +99,3 @@ class TestDispatch:
         _, controller, _, _ = rig
         message = BarrierRequest(xid=777)
         assert controller.datapath(1).send_msg(message) == 777
-
-
-class TestAppManagement:
-    def test_get_app(self, rig):
-        _, controller, app, _ = rig
-        assert controller.get_app(RecordingApp) is app
-        with pytest.raises(ControllerError):
-            controller.get_app(str)
-
-    def test_disconnect(self, rig):
-        sim, controller, _, _ = rig
-        controller.disconnect_switch(1)
-        assert controller.connected_dpids == [2]
-        with pytest.raises(UnknownDatapathError):
-            controller.disconnect_switch(1)

@@ -1,7 +1,5 @@
 """Tests for the control-plane trace recorder."""
 
-import json
-
 import pytest
 
 from repro.controller.trace import ControlPlaneTrace
@@ -61,15 +59,6 @@ class TestRecording:
         _, trace, _ = traced_run
         entries = trace.for_switch(3)
         assert entries and all(e.dpid == 3 for e in entries)
-
-    def test_jsonl_export(self, traced_run, tmp_path):
-        _, trace, _ = traced_run
-        path = tmp_path / "trace.jsonl"
-        trace.dump_jsonl(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(trace)
-        first = json.loads(lines[0])
-        assert {"time_ms", "dpid", "direction", "type", "xid"} <= set(first)
 
     def test_explains_violation_ordering(self):
         """The trace shows the one-shot failure: flow mods land unordered."""

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.core.analysis import (
-    cannot_be_last,
     dependency_graph,
     explain_schedule,
     greedy_deadlock_certificate,
     is_order_forced,
-    unlock_constraints,
     unsafe_alone,
 )
 from repro.core.hardness import crossing_instance, double_diamond_instance
@@ -33,17 +31,6 @@ class TestUnsafeAlone:
     def test_safe_problem_has_none(self):
         problem = UpdateProblem([1, 2, 3, 4], [1, 3, 4])  # pure forward
         assert unsafe_alone(problem, (Property.SLF,)) == set()
-
-
-class TestUnlocks:
-    def test_install_unlocks_switch(self):
-        problem = UpdateProblem([1, 2, 3], [1, 4, 3])
-        assert (4, 1) in unlock_constraints(problem, (Property.BLACKHOLE,))
-
-    def test_multi_predecessor_nodes_have_no_unlock_pair(self):
-        # node 2 of the crossing needs BOTH 1 and 4 done: no single unlock
-        constraints = unlock_constraints(crossing_instance(), (Property.WPE,))
-        assert all(u != 2 for _, u in constraints)
 
 
 class TestForcedOrders:
@@ -104,13 +91,6 @@ class TestInfeasibilityCertificates:
             double_diamond_instance(),
             (Property.WPE, Property.SLF, Property.BLACKHOLE),
         ) is None
-
-    def test_cannot_be_last_under_wpe(self):
-        # flipping the old-prefix source last means the late mover went
-        # earlier -- which already bypassed the waypoint; 1 can't be last
-        last_blocked = cannot_be_last(crossing_instance(), (Property.WPE,))
-        assert 1 in last_blocked
-        assert 2 not in last_blocked  # the late mover is the natural finisher
 
 
 class TestExplain:

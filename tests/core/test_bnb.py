@@ -25,7 +25,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis import dependency_graph, forced_precedence_graph
 from repro.core.bnb import (
     infeasibility_certificate,
     precedence_for,
@@ -212,13 +211,6 @@ class TestLowerBound:
             rounds_lower_bound(
                 crossing_instance(), (Property.WPE, Property.SLF)
             )
-
-    def test_forced_precedence_graph_is_sound_subset(self):
-        problem = reversal_instance(6)
-        cheap = forced_precedence_graph(problem, (Property.SLF,))
-        exact = dependency_graph(problem, (Property.SLF,))
-        assert set(cheap.edges) <= set(exact.edges)
-        assert cheap.number_of_edges() > 0  # the chain is discovered
 
     def test_short_circuit_applies_to_every_engine(self):
         problem = crossing_instance()

@@ -5,14 +5,11 @@ import pytest
 from repro.core.cost import (
     HARDWARE_TCAM,
     OVS_FAST,
-    PRESETS,
     CostModel,
     round_time_breakdown,
     schedule_update_time,
-    two_phase_update_time,
 )
 from repro.core.oneshot import oneshot_schedule
-from repro.core.twophase import two_phase_schedule
 from repro.core.wayup import wayup_schedule
 from repro.netlab.figure1 import figure1_problem
 
@@ -49,23 +46,9 @@ class TestCostModel:
         slow = schedule_update_time(schedule, HARDWARE_TCAM)
         assert slow > 5 * fast
 
-    def test_two_phase_time(self):
-        plan = two_phase_schedule(figure1_problem())
-        time = two_phase_update_time(plan, OVS_FAST)
-        assert time > 0
-        # three phases => roughly three round times
-        assert time == pytest.approx(
-            sum(OVS_FAST.round_time(phase) for phase in plan.rounds)
-        )
-
     def test_breakdown_rows(self):
         schedule = wayup_schedule(figure1_problem())
         rows = round_time_breakdown(schedule, OVS_FAST)
         assert len(rows) == schedule.n_rounds
         total = sum(row["total_ms"] for row in rows)
         assert total == pytest.approx(schedule_update_time(schedule, OVS_FAST))
-
-    def test_presets_registered(self):
-        assert {"ovs-fast", "ovs-loaded", "hardware-tcam", "wan-control"} <= set(
-            PRESETS
-        )

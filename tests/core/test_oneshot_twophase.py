@@ -65,16 +65,6 @@ class TestTwoPhase:
         for node in plan.garbage:
             assert node in plan.problem.old_path
 
-    def test_rule_overhead_positive(self, plan):
-        assert plan.rule_overhead() == len(plan.prepare) > 0
-
-    def test_peak_rules_per_node(self, plan):
-        peak = plan.peak_rules_per_node()
-        # a node on both paths holds two rules at the transition peak
-        both = set(plan.problem.old_path.nodes) & set(plan.problem.new_path.nodes)
-        both -= {plan.problem.destination}
-        assert all(peak[node] == 2 for node in both)
-
     def test_verification_by_construction(self, plan):
         report = plan.verification_report()
         assert report.ok

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.hardness import (
     crossing_instance,
     double_diamond_instance,
-    hardness_profile,
     reversal_instance,
     sawtooth_instance,
     waypoint_slalom_instance,
@@ -207,24 +206,6 @@ class TestIddfs:
         )
         assert schedule.n_rounds == 3
         assert verify_schedule(schedule, properties=(Property.RLF,)).ok
-
-    def test_hardness_profile_uses_the_engine(self):
-        profile = hardness_profile(reversal_instance(14), (Property.RLF,))
-        assert profile["exact_rounds"] == 3
-        assert profile["greedy_rounds"] >= profile["exact_rounds"]
-        assert profile["gap"] == profile["greedy_rounds"] - 3
-        clash = hardness_profile(
-            crossing_instance(), (Property.WPE, Property.SLF)
-        )
-        assert clash["exact_rounds"] is None
-        assert not clash["capped"]
-
-    def test_hardness_profile_degrades_over_the_cap(self):
-        # 30 path nodes = 28 required updates, beyond DEFAULT_MAX_NODES=24
-        profile = hardness_profile(reversal_instance(30), (Property.RLF,))
-        assert profile["capped"]
-        assert profile["exact_rounds"] is None and profile["gap"] is None
-        assert profile["greedy_rounds"] is not None
 
 
 class TestSearchKnobValidation:

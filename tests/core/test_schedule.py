@@ -57,11 +57,6 @@ class TestQueries:
         assert schedule.round_of(1) == 2
         assert schedule.round_of(4) is None  # destination, unscheduled
 
-    def test_updates_in_round_sorted_with_kinds(self, problem):
-        schedule = UpdateSchedule(problem, [[5], [3, 2], [1]])
-        updates = schedule.updates_in_round(1)
-        assert updates == [(2, UpdateKind.SWITCH), (3, UpdateKind.SWITCH)]
-
     def test_iteration_and_len(self, problem):
         schedule = UpdateSchedule(problem, [[5], [1, 2, 3]])
         assert len(schedule) == 2

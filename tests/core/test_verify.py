@@ -13,7 +13,6 @@ from repro.core.verify import (
     check_slf,
     check_wpe,
     default_properties,
-    is_round_safe,
     verify_exhaustive,
     verify_schedule,
 )
@@ -176,12 +175,6 @@ class TestScheduleLevel:
             schedule, properties=(Property.WPE,), stop_at_first=True
         )
         assert len(report.violations) == 1
-
-    def test_is_round_safe(self, crossing):
-        schedule = UpdateSchedule(crossing, [[3, 4], [1], [2]])
-        assert is_round_safe(schedule, 0, (Property.WPE,))
-        bad = UpdateSchedule(crossing, [[2], [1, 3, 4]])
-        assert not is_round_safe(bad, 0, (Property.WPE,))
 
     def test_by_property_filter(self, crossing):
         schedule = UpdateSchedule(crossing, [[1, 2, 3, 4]])

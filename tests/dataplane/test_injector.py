@@ -83,16 +83,6 @@ class TestPeriodicInjector:
         injector.result.finalize()
         assert injector.result.counters.delivered == 2  # 2 is on the path
 
-    def test_violating_traces_filter(self):
-        result = InjectionResult()
-        result.traces.append(
-            TraceRecord(packet_id=1, injected_ms=0.0, fate=PacketFate.DELIVERED)
-        )
-        result.traces.append(
-            TraceRecord(packet_id=2, injected_ms=0.0, fate=PacketFate.LOOPED)
-        )
-        assert [t.packet_id for t in result.violating_traces()] == [2]
-
     def test_finalize_recounts(self):
         result = InjectionResult()
         result.traces.append(

@@ -45,9 +45,6 @@ class TestFields:
         assert tagged.vlan_vid == 2
         assert tagged.without_vlan().vlan_vid is None
 
-    def test_ttl_decrement(self):
-        assert Packet(ttl=5).decrement_ttl().ttl == 4
-
 
 class TestChecksum:
     def test_known_value(self):

@@ -13,7 +13,6 @@ from repro.errors import OpenFlowError
 from repro.openflow.match import (
     Match,
     bytes_to_mac,
-    format_ipv4_prefix,
     int_to_ip,
     ip_to_int,
     mac_to_bytes,
@@ -92,12 +91,6 @@ class TestValueHelpers:
             parse_ipv4_prefix("10.0.0.0/33")
         with pytest.raises(OpenFlowError):
             parse_ipv4_prefix("10.0.0.0/x")
-
-    def test_format_prefix(self):
-        assert format_ipv4_prefix(ip_to_int("10.0.0.0"), 0xFFFFFF00) == "10.0.0.0/24"
-        assert format_ipv4_prefix(ip_to_int("1.2.3.4"), 0xFFFFFFFF) == "1.2.3.4"
-        with pytest.raises(OpenFlowError):
-            format_ipv4_prefix(0, 0xFF00FF00)
 
     def test_mac_roundtrip(self):
         mac = "aa:bb:cc:dd:ee:ff"

@@ -15,7 +15,6 @@ from repro.openflow.actions import (
     WriteActions,
     action_from_dict,
     instruction_from_dict,
-    output_instructions,
 )
 from repro.openflow.constants import FlowModCommand, MsgType, Port
 from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
@@ -74,11 +73,6 @@ class TestInstructions:
     def test_goto_validates_table(self):
         with pytest.raises(OpenFlowError):
             GotoTable(table_id=400)
-
-    def test_output_instructions_shorthand(self):
-        (ins,) = output_instructions(7)
-        assert isinstance(ins, ApplyActions)
-        assert ins.actions[0].port == 7
 
 
 class TestFlowMod:
@@ -160,4 +154,3 @@ class TestMessages:
     def test_summarize(self):
         assert "BARRIER_REQUEST" in summarize(BarrierRequest(xid=7))
         assert "xid=7" in summarize(BarrierRequest(xid=7))
-

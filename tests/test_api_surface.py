@@ -63,9 +63,7 @@ CORE_ALL = [
     "NodePhase",
     "OLD_VERSION_TAG",
     "OVS_FAST",
-    "OVS_LOADED",
     "OracleStats",
-    "PRESETS",
     "PolicyView",
     "Property",
     "RuleState",
@@ -83,12 +81,10 @@ CORE_ALL = [
     "UpdateSchedule",
     "VerificationReport",
     "Violation",
-    "WAN_CONTROL",
     "WAYUP_ROUND_NAMES",
     "WalkResult",
     "WaypointClasses",
     "aggregate_stats",
-    "cannot_be_last",
     "check_blackhole",
     "check_rlf",
     "check_slf",
@@ -103,17 +99,14 @@ CORE_ALL = [
     "enumerate_round_configurations",
     "execute_request",
     "explain_schedule",
-    "forced_precedence_graph",
     "functional_cycle",
     "functional_graph",
     "greedy_deadlock_certificate",
     "greedy_joint_schedule",
     "greedy_slf_schedule",
-    "hardness_profile",
     "infeasibility_certificate",
     "is_feasible",
     "is_order_forced",
-    "is_round_safe",
     "merge_isolated_schedules",
     "minimal_round_count",
     "minimal_round_schedule",
@@ -137,8 +130,6 @@ CORE_ALL = [
     "time_limit",
     "trace_walk",
     "two_phase_schedule",
-    "two_phase_update_time",
-    "unlock_constraints",
     "unsafe_alone",
     "verify_exhaustive",
     "verify_joint_round",

@@ -9,24 +9,19 @@ from repro.topology.builders import (
     FIGURE1_NEW_PATH,
     FIGURE1_OLD_PATH,
     FIGURE1_WAYPOINT,
-    binary_tree,
     fat_tree,
     figure1,
     figure1_paths,
     grid,
     linear,
     ring,
-    star,
 )
 from repro.topology.io import (
-    load_topology,
-    save_topology,
     topology_from_dict,
     topology_to_dict,
 )
 from repro.topology.paths import Path
 from repro.topology.random_graphs import (
-    barabasi_albert,
     erdos_renyi,
     random_simple_path,
     random_update_instance,
@@ -56,20 +51,10 @@ class TestBuilders:
         with pytest.raises(TopologyError):
             ring(2)
 
-    def test_star(self):
-        topo = star(4)
-        assert topo.degree(1) == 4
-        assert len(topo) == 5
-
     def test_grid(self):
         topo = grid(3, 4)
         assert len(topo) == 12
         assert topo.has_link(1, 2) and topo.has_link(1, 5)
-
-    def test_binary_tree(self):
-        topo = binary_tree(3)
-        assert len(topo) == 7
-        assert topo.degree(1) == 2
 
     def test_fat_tree_structure(self):
         topo = fat_tree(4)
@@ -121,10 +106,6 @@ class TestRandomGraphs:
         topo = waxman(10, seed=2)
         assert topo.is_connected()
 
-    def test_barabasi_connected(self):
-        topo = barabasi_albert(15, m=2, seed=3)
-        assert topo.is_connected()
-
     def test_determinism(self):
         a = erdos_renyi(10, 0.4, seed=7)
         b = erdos_renyi(10, 0.4, seed=7)
@@ -167,14 +148,6 @@ class TestIO:
         assert {frozenset(l.endpoints()) for l in back.links()} == {
             frozenset(l.endpoints()) for l in topo.links()
         }
-
-    def test_file_roundtrip(self, tmp_path):
-        topo = linear(4, with_hosts=True)
-        path = tmp_path / "topo.json"
-        save_topology(topo, path)
-        back = load_topology(path)
-        assert back.name == topo.name
-        assert set(back.hosts()) == {"h1", "h2"}
 
     def test_link_attrs_survive(self):
         topo = Path  # placeholder to satisfy linters; real assertions below

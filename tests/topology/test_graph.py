@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.graph import Topology, subtopology
+from repro.topology.graph import Topology
 
 
 class TestConstruction:
@@ -127,26 +127,10 @@ class TestQueries:
 
 
 class TestAlgorithms:
-    def test_shortest_path(self, line5):
-        assert line5.shortest_path(1, 5) == [1, 2, 3, 4, 5]
-
-    def test_no_path_raises(self):
-        topo = Topology()
-        topo.add_switch(1)
-        topo.add_switch(2)
-        with pytest.raises(TopologyError, match="no path"):
-            topo.shortest_path(1, 2)
-
     def test_connectivity(self, line5):
         assert line5.is_connected()
         line5.remove_link(2, 3)
         assert not line5.is_connected()
-
-    def test_disjoint_paths(self, triangle):
-        paths = triangle.disjoint_paths(1, 3, k=2)
-        assert len(paths) == 2
-        interiors = [tuple(p[1:-1]) for p in paths]
-        assert len(set(interiors)) == 2
 
     def test_to_networkx(self, triangle):
         graph = triangle.to_networkx()
@@ -155,19 +139,3 @@ class TestAlgorithms:
 
     def test_validate_passes(self, triangle):
         triangle.validate()
-
-
-class TestSubtopology:
-    def test_induced_subgraph(self, line5):
-        sub = subtopology(line5, [1, 2, 3])
-        assert sorted(sub.nodes()) == [1, 2, 3]
-        assert sub.has_link(1, 2) and sub.has_link(2, 3)
-        assert not sub.has_link(3, 4)
-
-    def test_kinds_preserved(self):
-        topo = Topology()
-        topo.add_switch(1)
-        topo.add_host("h1")
-        topo.add_link(1, "h1")
-        sub = subtopology(topo, [1, "h1"])
-        assert sub.node("h1").is_host()

@@ -4,14 +4,7 @@ import pytest
 
 from repro.errors import PathError
 from repro.topology.builders import linear
-from repro.topology.paths import (
-    Path,
-    as_path,
-    common_nodes,
-    exclusive_nodes,
-    forwarding_map,
-    shared_endpoints,
-)
+from repro.topology.paths import Path, as_path
 
 
 class TestConstruction:
@@ -69,11 +62,6 @@ class TestNavigation:
         assert path.after(3) == (4, 5)
         assert path.after(3, strict=False) == (3, 4, 5)
 
-    def test_subpath(self, path):
-        assert path.subpath(2, 4) == (2, 3, 4)
-        with pytest.raises(PathError):
-            path.subpath(4, 2)
-
     def test_reversed(self, path):
         assert path.reversed() == (5, 4, 3, 2, 1)
 
@@ -83,30 +71,7 @@ class TestNavigation:
 
 
 class TestTopologyValidation:
-    def test_valid_path(self):
-        topo = linear(5)
-        assert Path([1, 2, 3]).is_valid_in(topo)
-
-    def test_missing_node(self):
-        topo = linear(3)
-        assert not Path([1, 2, 9]).is_valid_in(topo)
-
     def test_missing_link(self):
         topo = linear(5)
         with pytest.raises(PathError, match="not a link"):
             Path([1, 3, 5]).validate_in(topo)
-
-
-class TestSetHelpers:
-    def test_common_and_exclusive(self):
-        a, b = Path([1, 2, 3, 4]), Path([1, 5, 3, 4])
-        assert common_nodes(a, b) == {1, 3, 4}
-        assert exclusive_nodes(a, b) == {2}
-        assert exclusive_nodes(b, a) == {5}
-
-    def test_shared_endpoints(self):
-        assert shared_endpoints(Path([1, 2, 3]), Path([1, 5, 3]))
-        assert not shared_endpoints(Path([1, 2, 3]), Path([2, 1, 3]))
-
-    def test_forwarding_map(self):
-        assert forwarding_map(Path([1, 2, 3])) == {1: 2, 2: 3}
