@@ -5,8 +5,8 @@ probe counts, what doubling a many-round instance costs, the order labels
 Peacock's search writes per node, request cost vs live oracles,
 ``BENCH_oracle.json``) and
 :mod:`benchmarks.bench_perf_exact` (the exact search past the old cap,
-the wall of its two modes, the n=24 instances, the oracle misses of two
-default-mode solves, ``BENCH_exact.json``).  Wired as ``make bench-smoke``; exit status is
+the wall of its two modes, the n=24 instances, the oracle misses and
+singleton passes of two default-mode solves, ``BENCH_exact.json``).  Wired as ``make bench-smoke``; exit status is
 non-zero when any perf target regresses, so it can gate CI.
 
 After both benchmarks the runner prints one table of what it measured
@@ -155,7 +155,8 @@ def smoke_table(oracle_payload: dict, exact_payload: dict) -> str:
             f"exact {row['instance']} (default)",
             "-",
             f"{row['memo_misses']} oracle misses "
-            f"(<= {row['max_memo_misses']})",
+            f"(<= {row['max_memo_misses']}), {row['singleton_passes']} "
+            f"singleton passes (<= {row['max_singleton_passes']})",
         ])
     for row in bnb["rows"]:
         rows.append([

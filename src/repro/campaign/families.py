@@ -255,7 +255,9 @@ def _check_trace_params(
     family: str, params: Mapping[str, Any], grid: Mapping[str, Sequence[Any]]
 ) -> None:
     """A churn entry's params and every grid value, through the trace
-    knobs' schema (the trace is only generated when a cell runs)."""
+    knobs' schema (the trace is only generated when a cell runs), then
+    the params with each grid axis at its largest value: every bound
+    across knobs grows with each of them, so no cell exceeds it."""
     from repro.churn.events import ChurnError
     from repro.churn.traces import TRACE_PARAMS
 
@@ -264,6 +266,8 @@ def _check_trace_params(
         for key, values in grid.items():
             for value in values:
                 TRACE_PARAMS.decode({key: value})
+        largest = {key: max(values, key=float) for key, values in grid.items() if values}
+        TRACE_PARAMS.decode({**params, **largest})
     except ChurnError as exc:
         raise CampaignSpecError(f"family {family!r}: {exc}") from None
 

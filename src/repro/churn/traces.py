@@ -39,7 +39,7 @@ from repro.churn.events import (
     UpdateCancel,
     event_sort_key,
 )
-from repro.schema import Field, Schema
+from repro.schema import WHOLE, Field, Schema
 from repro.topology import builders
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import sample_simple_path, waxman
@@ -51,6 +51,13 @@ DEFAULT_FLOWS = 6
 DEFAULT_CANCEL_PROB = 0.1
 DEFAULT_LINK_FAILURES = 1
 DEFAULT_WAYPOINT_PROB = 0.5
+
+#: Upper bounds :data:`TRACE_PARAMS` puts on a spec's trace: the flows,
+#: and the arrivals the Poisson process is expected to draw
+#: (``rate_per_s * duration_ms / 1000``).  Trace and run cost grow with
+#: both; the defaults draw 6 and 20, the churn benchmarks at most 50.
+MAX_TRACE_FLOWS = 1_000
+MAX_EXPECTED_ARRIVALS = 10_000
 
 TRACE_KINDS = ("fat-tree", "wan")
 
@@ -245,19 +252,32 @@ def _knob(cast: type, least: float, most: float = math.inf, *,
     return shape
 
 
+def _expected_arrivals_bounded(params: Mapping) -> bool:
+    """At most :data:`MAX_EXPECTED_ARRIVALS` expected arrivals (read
+    after the knob rows, so both values already have their shape)."""
+    rate = float(params.get("rate_per_s", DEFAULT_RATE_PER_S))
+    duration = float(params.get("duration_ms", DEFAULT_DURATION_MS))
+    return rate * duration / 1000.0 <= MAX_EXPECTED_ARRIVALS
+
+
 #: The six trace knobs of :func:`generate_trace`, each cast to its
-#: default's type; a campaign spec's churn params are checked against it.
+#: default's type, and the arrivals they imply; a campaign spec's churn
+#: params are checked against it.
 TRACE_PARAMS = Schema("churn trace params", (
     Field("rate_per_s", _knob(float, 0, above=True), "a number > 0",
           DEFAULT_RATE_PER_S),
     Field("duration_ms", _knob(float, 0, above=True), "a number > 0",
           DEFAULT_DURATION_MS),
-    Field("flows", _knob(int, 1), "an int >= 1", DEFAULT_FLOWS),
+    Field("flows", _knob(int, 1, MAX_TRACE_FLOWS),
+          f"an int in 1..{MAX_TRACE_FLOWS}", DEFAULT_FLOWS),
     Field("cancel_prob", _knob(float, 0, 1), "a number in 0..1",
           DEFAULT_CANCEL_PROB),
     Field("link_failures", _knob(int, 0), "an int >= 0", DEFAULT_LINK_FAILURES),
     Field("waypoint_prob", _knob(float, 0, 1), "a number in 0..1",
           DEFAULT_WAYPOINT_PROB),
+    Field("expected_arrivals", _expected_arrivals_bounded,
+          f"a trace of at most {MAX_EXPECTED_ARRIVALS} expected arrivals "
+          "(rate_per_s * duration_ms / 1000)", key=WHOLE),
 ), ChurnError)
 
 

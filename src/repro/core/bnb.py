@@ -53,6 +53,14 @@ maximize.  The first two things below are on in both modes; the
   matches, and otherwise deepens only through the window
   ``[lower bound, incumbent - 1]``.
 
+A state with one round left -- nearly every state a deepening pass
+expands -- has one question to ask: is the whole pending set a safe
+round?  It asks what is already known first (the search's verdict cache
+and known-safe rounds, the oracle's memo, a learned nogood), then the
+read-only singleton pass (a pending node unsafe alone refutes the round
+by monotonicity), and morphs only when every pending node is safe alone,
+the same rounds the full expansion would morph.
+
 In both modes an instance without a witness gets its feasibility settled
 in a *single* memoized pass (no deepening re-expansion), and when a node
 or wall-clock budget runs out the search raises
@@ -534,7 +542,9 @@ def search_mask_bnb(
     known, and the first limit that succeeds is the optimum.  In both
     modes a round whose successor's chain no longer fits is never tried:
     that drops only subtrees without a solution, so the DFS meets the
-    same first solution as without the bound.
+    same first solution as without the bound.  A state with one round
+    left asks only whether its whole pending set is safe, and pays the
+    singleton pass only when no known verdict answers that.
 
     With ``bounds`` (the ``"bnb"`` mode) an incumbent that meets the
     bound is returned as proven optimal without deepening to its level;
@@ -627,6 +637,18 @@ def search_mask_bnb(
             )
         if node_budget is not None and expanded > node_budget:
             raise out_of_budget(f"{node_budget} node expansions", limit)
+        if remaining == 1:
+            # one round left, one question: the whole pending set.  Known
+            # verdicts first, then a node unsafe alone refutes it, then
+            # the morph (a lone node is the singleton pass's own question)
+            pending = full & ~state
+            if not search.filter_ok(state, pending):
+                return None
+            ok = search.known(state, pending) if pending & (pending - 1) else None
+            if ok is None:
+                ok = not pending & ~search.safe_singleton_mask(state)
+                ok = ok and search.round_ok(state, pending)
+            return [pending] if ok else None
         safe_mask = search.safe_singleton_mask(state)
         fixed = 0
         if remaining != inf:

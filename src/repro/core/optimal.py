@@ -17,8 +17,9 @@ candidate rounds are the subsets of the safe singletons, biggest first
 :class:`SafetyOracle` behind a monotonicity memo (a round inside a
 known-safe round is safe, so one safe big round settles every candidate
 inside it).  The safe singletons of a state come from one read-only
-oracle pass (:meth:`SafetyOracle.safe_singletons`); only rounds of two
-or more nodes morph the oracle's graph.
+oracle pass (:meth:`SafetyOracle.safe_singletons`), which a state with
+one round left runs only when no known verdict settles its one round;
+only rounds of two or more nodes morph the oracle's graph.
 
 :func:`minimal_round_schedule` runs that DFS in one of two modes and
 picks the mode itself, from the instance size: up to
@@ -119,6 +120,9 @@ class _MaskSearch:
     forced-chain rule and (3) ``proven`` (keyed by the successor state
     itself) only ever skip a round, never ask one (pinned by
     ``tests/core/test_unsafe_rounds.py``).
+
+    :meth:`known` is the one read that never morphs; :meth:`round_ok`
+    is that read, then the morph when it is silent.
     """
 
     def __init__(self, problem, properties, round_filter):
@@ -132,6 +136,16 @@ class _MaskSearch:
         self._max_safe: dict[int, list[int]] = {}
 
     def round_ok(self, state: int, rmask: int) -> bool:
+        verdict = self.known(state, rmask)
+        if verdict is None:
+            verdict = self.oracle.judge_round(state, rmask)
+            self._file(state, rmask, verdict)
+        return verdict
+
+    def known(self, state: int, rmask: int) -> bool | None:
+        """The verdict known without a morph -- this search's cache, a
+        known-safe round around ``rmask``, then the oracle's
+        :meth:`~repro.core.oracle.SafetyOracle.known_verdict` -- or ``None``."""
         key = (state << self.k) | rmask
         verdicts = self._verdicts
         cached = verdicts.get(key)
@@ -141,13 +155,17 @@ class _MaskSearch:
             if rmask & safe == rmask:
                 verdicts[key] = True
                 return True
-        verdict = self.oracle.round_is_safe(state, rmask)
-        verdicts[key] = verdict
+        verdict = self.oracle.known_verdict(state, rmask)
+        if verdict is not None:
+            self._file(state, rmask, verdict)
+        return verdict
+
+    def _file(self, state: int, rmask: int, verdict: bool) -> None:
+        self._verdicts[(state << self.k) | rmask] = verdict
         if verdict:
             known = self._max_safe.setdefault(state, [])
             known[:] = [s for s in known if s & rmask != s]
             known.append(rmask)
-        return verdict
 
     def safe_singleton_mask(self, state: int) -> int:
         """OR of the pending bits that are safe to flip alone from ``state``.

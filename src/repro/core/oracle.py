@@ -652,35 +652,50 @@ class SafetyOracle:
         Both arguments may be node iterables or plain-int bitmasks over
         the canonical node↔bit index; the memo key is a single int either
         way, so mask-native callers (the exact search) and set-based
-        callers share one verdict table.
+        callers share one verdict table.  What :meth:`known_verdict`
+        reads is answered without touching the graph; only a round it is
+        silent on morphs (:meth:`judge_round`).
         """
         updated_mask = updated if type(updated) is int else self.mask_of(updated)
         round_mask = (
             round_nodes if type(round_nodes) is int else self.mask_of(round_nodes)
         )
+        verdict = self.known_verdict(updated_mask, round_mask)
+        if verdict is None:
+            verdict = self.judge_round(updated_mask, round_mask)
+        return verdict
+
+    def known_verdict(self, updated_mask: int, round_mask: int) -> "bool | None":
+        """The verdict already known without a morph -- the memo's, or
+        unsafe by a learned nogood -- and ``None`` when neither speaks."""
         key = (updated_mask << self._width) | round_mask
-        memo = self._memo
-        cached = memo.get(key)
+        cached = self._memo.get(key)
         if cached is not None:
             self.stats.memo_hits += 1
             return cached
         if self._nogoods and self._nogood_match(updated_mask, round_mask):
             self.stats.nogood_hits += 1
-            if len(memo) >= DEFAULT_MEMO_LIMIT:
-                memo.clear()
-                self.stats.memo_evictions += 1
-            memo[key] = False
+            self._remember(key, False)
             return False
+        return None
+
+    def judge_round(self, updated_mask: int, round_mask: int) -> bool:
+        """Morph to the round and judge it (a memo miss): the second half
+        of :meth:`round_is_safe`, for a caller whose
+        :meth:`known_verdict` came back ``None``."""
         self.stats.memo_misses += 1
         self._morph(updated_mask, round_mask)
         verdict = self.current_round_safe()
         if not verdict and self._learn_nogoods:
             self._learn_nogood()
-        if len(memo) >= DEFAULT_MEMO_LIMIT:
-            memo.clear()
-            self.stats.memo_evictions += 1
-        memo[key] = verdict
+        self._remember((updated_mask << self._width) | round_mask, verdict)
         return verdict
+
+    def _remember(self, key: int, verdict: bool) -> None:
+        if len(self._memo) >= DEFAULT_MEMO_LIMIT:
+            self._memo.clear()
+            self.stats.memo_evictions += 1
+        self._memo[key] = verdict
 
     def safe_singletons(self, updated_mask: int) -> int:
         """Mask of the pending required updates that may flip *alone*.

@@ -63,7 +63,8 @@ class Schema:
             if value is _REQUIRED:
                 raise self.error(f"{self.what} needs {wire!r}: {field.expects}")
             if value is not default and not shape(value):
-                raise self.error(f"{self.what}: {wire!r} must be {field.expects}, "
+                where = self.what if wire == WHOLE else f"{self.what}: {wire!r}"
+                raise self.error(f"{where} must be {field.expects}, "
                                  f"got {reprlib.repr(value)}")
             values[field.name] = value
         return values

@@ -36,7 +36,7 @@ class ScheduledEvent:
             return False
         self.cancelled = True
         if self._queue is not None:
-            self._queue._note_cancelled()
+            self._queue._note_cancelled(self)
         return True
 
     @property
@@ -60,6 +60,8 @@ class EventQueue:
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._live = 0
+        #: live entries pushed by :meth:`push_timer`
+        self.timers = 0
 
     def push(self, time: float, callback: Callable[..., None], *args: Any) -> ScheduledEvent:
         event = ScheduledEvent(
@@ -70,8 +72,22 @@ class EventQueue:
         self._live += 1
         return event
 
-    def _note_cancelled(self) -> None:
+    def push_timer(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> ScheduledEvent:
+        """:meth:`push`, counted in :attr:`timers` until it fires or is
+        cancelled."""
+        self.timers += 1
+        return self.push(time, self._fire_timer, callback, args)
+
+    def _fire_timer(self, callback: Callable[..., None], args: tuple) -> None:
+        self.timers -= 1
+        callback(*args)
+
+    def _note_cancelled(self, event: ScheduledEvent) -> None:
         self._live -= 1
+        if event.callback == self._fire_timer:
+            self.timers -= 1
 
     def pop(self) -> ScheduledEvent | None:
         """Pop the earliest non-cancelled event, or None when drained."""

@@ -54,6 +54,19 @@ class Simulator:
             )
         return self._queue.push(time, callback, *args)
 
+    def schedule_timer(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> ScheduledEvent:
+        """:meth:`schedule_at` for a timer: it fires when a run reaches
+        ``time``, but a run without ``until`` returns once only timers
+        are pending -- a timeout is not traffic, so draining the queue
+        does not wait for one."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} before current time {self.now}"
+            )
+        return self._queue.push_timer(time, callback, *args)
+
     def cancel(self, event: ScheduledEvent) -> bool:
         """Retract a scheduled event; True iff this call retracted it."""
         return event.cancel()
@@ -74,7 +87,8 @@ class Simulator:
         return True
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
-        """Drain the queue (optionally only up to time ``until``).
+        """Drain the queue (optionally only up to time ``until``); without
+        ``until``, pending timers alone do not keep it running.
 
         ``max_events`` guards against runaway feedback loops in scenarios;
         exceeding it raises :class:`SimulationError`.
@@ -82,11 +96,14 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        queue, drain = self._queue, until is None
         try:
             processed = 0
             while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                next_time = queue.peek_time()
+                if next_time is None or (
+                    drain and queue.timers and queue.timers == len(queue)
+                ):
                     break
                 if until is not None and next_time > until:
                     self.now = until

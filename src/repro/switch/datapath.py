@@ -46,8 +46,9 @@ from repro.openflow.stats import FlowStatsEntry, FlowStatsReply, FlowStatsReques
 from repro.openflow.actions import ApplyActions, OutputAction
 from repro.channel.base import ControlChannel
 from repro.dataplane.packets import Packet
+from repro.sim.events import ScheduledEvent
 from repro.sim.simulator import Simulator
-from repro.switch.flow_table import FlowTable
+from repro.switch.flow_table import FlowEntry, FlowTable
 from repro.switch.latency import OVS_PROFILE, SwitchTimingProfile
 from repro.switch.pipeline import Pipeline, PipelineResult
 
@@ -93,6 +94,8 @@ class SwitchSim:
         #: called as ``on_output(switch, packet, out_port, now)``
         self.on_output: Callable[[SwitchSim, Packet, int, float], None] | None = None
         self._busy_until = 0.0
+        #: the one armed timeout-expiry event (None: no entry has a timeout)
+        self._expiry: ScheduledEvent | None = None
         channel.bind_switch(self.on_control_message)
 
     # ------------------------------------------------------------------
@@ -161,18 +164,46 @@ class SwitchSim:
             return
         self.log.flow_mods_applied += 1
         for entry in removed:
-            if entry.flags & FlowModFlags.SEND_FLOW_REM:
-                self._send(
-                    FlowRemoved(
-                        cookie=entry.cookie,
-                        priority=entry.priority,
-                        reason=int(FlowRemovedReason.DELETE),
-                        table_id=entry.table_id,
-                        packet_count=entry.packet_count,
-                        byte_count=entry.byte_count,
-                        match=entry.match,
-                    )
+            self._flow_removed(entry, FlowRemovedReason.DELETE)
+        if mod.is_add() and (mod.idle_timeout or mod.hard_timeout):
+            self._arm_expiry()
+
+    def _flow_removed(self, entry: FlowEntry, reason: FlowRemovedReason) -> None:
+        if entry.flags & FlowModFlags.SEND_FLOW_REM:
+            self._send(
+                FlowRemoved(
+                    cookie=entry.cookie,
+                    priority=entry.priority,
+                    reason=int(reason),
+                    table_id=entry.table_id,
+                    packet_count=entry.packet_count,
+                    byte_count=entry.byte_count,
+                    match=entry.match,
                 )
+            )
+
+    def _arm_expiry(self) -> None:
+        """Keep one simulator event at the earliest timeout deadline of
+        any table (none while no entry carries a timeout)."""
+        deadlines = [table.next_deadline() for table in self.tables]
+        due = min((at for at in deadlines if at is not None), default=None)
+        if due is None:
+            return
+        armed = self._expiry
+        if armed is not None:
+            if armed.time <= due:
+                return
+            self.sim.cancel(armed)
+        self._expiry = self.sim.schedule_timer(max(due, self.sim.now), self._expire)
+
+    def _expire(self) -> None:
+        """The timeouts fired by now: remove those entries, tell the
+        controller about the ones flagged ``SEND_FLOW_REM``, re-arm."""
+        self._expiry = None
+        for table in self.tables:
+            for entry, reason in table.expire(self.sim.now):
+                self._flow_removed(entry, reason)
+        self._arm_expiry()
 
     def _flow_mod_failed(self, mod: FlowMod, code: FlowModFailedCode) -> None:
         self.log.flow_mods_failed += 1

@@ -57,6 +57,17 @@ class FlowEntry:
             return FlowRemovedReason.IDLE_TIMEOUT
         return None
 
+    def deadline(self) -> float | None:
+        """When a timeout fires unless traffic touches the entry first
+        (``None``: the entry carries no timeout)."""
+        times = []
+        if self.hard_timeout:
+            times.append(self.install_time + self.hard_timeout)
+        if self.idle_timeout:
+            reference = max(self.last_match_time, self.install_time)
+            times.append(reference + self.idle_timeout)
+        return min(times, default=None)
+
     def touch(self, now: float, n_bytes: int) -> None:
         self.last_match_time = now
         self.packet_count += 1
@@ -227,6 +238,11 @@ class FlowTable:
         if best is not None and touch:
             best.touch(now, n_bytes)
         return best
+
+    def next_deadline(self) -> float | None:
+        """The earliest :meth:`FlowEntry.deadline` in the table."""
+        deadlines = [entry.deadline() for entry in self._entries.values()]
+        return min((at for at in deadlines if at is not None), default=None)
 
     def expire(self, now: float) -> list[tuple[FlowEntry, FlowRemovedReason]]:
         """Remove and return all entries whose timeout fired."""

@@ -1,4 +1,5 @@
-"""The lease table's two clocks at their exact boundary instants."""
+"""The lease table's two clocks at their exact boundary instants, and
+the worker name behind an id across a coordinator restart."""
 
 from repro.campaign.fabric.leases import LeaseTable
 
@@ -28,3 +29,15 @@ def test_a_worker_is_alive_at_its_heartbeat_deadline_and_dead_past_it():
     assert table.worker(worker_id).alive
     assert table.reap(now=55.001) == []
     assert not table.worker(worker_id).alive
+
+
+def test_a_previous_coordinators_id_still_names_its_worker():
+    # a restarted coordinator's table never issued these ids; the name
+    # they carry is what a quarantine by name is keyed on
+    table, worker_id = _table()
+    restarted = LeaseTable(lease_ttl_s=10.0, heartbeat_timeout_s=30.0)
+    assert restarted.worker(worker_id) is None
+    assert restarted.name(worker_id) == table.name(worker_id) == "w"
+    assert restarted.name("w7-gpu-box-2") == "gpu-box-2"
+    issued = restarted.register_worker("gpu-box-2", now=0.0).worker_id
+    assert restarted.name(issued) == "gpu-box-2"

@@ -327,13 +327,14 @@ class TestAnytimeInterval:
         assert len(asked) <= 6 * bnb._DEADLINE_POLL_EVERY
 
     def test_every_expansion_looks_at_the_clock(self, monkeypatch):
-        # an expansion costs a singleton sweep (~0.7 ms at n = 24) and a
-        # leaf (one round left) returns before the round enumeration, so
-        # a clock read only there let 1023 leaves pass between two looks:
-        # a 0.05 s limit on crossing-clash-24 came back after 0.255 s
+        # an expansion can cost a singleton sweep (~0.7 ms at n = 24) and
+        # a leaf (one round left) returns before the round enumeration,
+        # so a clock read only there let 1023 leaves pass between two
+        # looks: a 0.05 s limit on crossing-clash-24 came back after
+        # 0.255 s
         from types import SimpleNamespace
 
-        from repro.core import bnb, optimal
+        from repro.core import bnb
 
         problem = crossing_clash_instance(12)
         clear_registry()
@@ -343,15 +344,15 @@ class TestAnytimeInterval:
             counts.reads += 1
             return 0.0
 
-        sweep = optimal._MaskSearch.safe_singleton_mask
-
-        def counted_sweep(self, state):
+        def tracing_enabled():
+            # with a milestone every expansion, each one asks this once
             counts.expansions += 1
-            return sweep(self, state)
+            return False
 
         monkeypatch.setattr(bnb, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(bnb, "_MILESTONE_EVERY", 1)
         monkeypatch.setattr(
-            optimal._MaskSearch, "safe_singleton_mask", counted_sweep
+            bnb, "obs", SimpleNamespace(tracing_enabled=tracing_enabled)
         )
         minimal_round_schedule(
             problem, (Property.RLF,), search="bnb", time_limit_s=60.0

@@ -19,9 +19,11 @@ import repro.rest.api as rest_api
 import repro.rest.http_binding as http_binding
 from repro.core import deadline
 from repro.core.hardness import crossing_clash_instance, reversal_instance
+from repro.core.problem import UpdateProblem
 from repro.netlab.figure1 import build_figure1_scenario
 from repro.rest.api import build_rest_api
 from repro.rest.http_binding import AUTH_HEADER, RestHttpServer
+from repro.topology.random_graphs import random_update_instance
 from tests.core.test_deadline_safe_points import _PollClock
 from tests.core.test_time_limit import _GapClock, allowed_wall
 
@@ -269,7 +271,10 @@ class TestRequestDeadline:
     @pytest.mark.parametrize(
         "scheduler, problem, fraction",
         [
-            ("optimal:rlf", lambda: crossing_clash_instance(24), 0.1),
+            # (~0.19 s in process; crossing-clash-24 fell to ~0.03 s once
+            # a one-round-left state stopped paying for a singleton pass)
+            ("optimal:rlf", lambda: UpdateProblem(
+                *random_update_instance(18, seed=3)[:2]), 0.1),
             ("greedy-slf", lambda: reversal_instance(20000), 0.5),
             # see tests/core/test_time_limit.py for the quarter
             ("peacock", lambda: reversal_instance(20000), 0.25),
@@ -280,7 +285,7 @@ class TestRequestDeadline:
     ):
         body = _schedule_body(problem(), scheduler)
         # the deadline is a fraction of what the body costs on this
-        # machine, measured in-process (0.13 s / 1.0 s / 0.75 s here)
+        # machine, measured in-process (0.19 s / 1.0 s / 0.75 s here)
         # under the stock 30 s deadline, so its polls read the clock
         clock = _GapClock()
         with monkeypatch.context() as patch:
@@ -316,7 +321,7 @@ class TestRequestDeadline:
         connection.close()
 
     def test_in_process_callers_are_bound_too(self, api, monkeypatch):
-        # (the body computes for 0.13 s, too close to any real limit:
+        # (the body computes for 0.03 s, too close to any real limit:
         # the fifth deadline poll reads a clock past it)
         monkeypatch.setattr(deadline, "time", _PollClock(fire_at=5))
         monkeypatch.setattr(rest_api, "REQUEST_DEADLINE_S", 0.05)

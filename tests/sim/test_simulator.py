@@ -104,6 +104,24 @@ class TestSimulator:
         with pytest.raises(SimulationError, match="events"):
             sim.run(max_events=100)
 
+    def test_timers_alone_do_not_keep_a_run_going(self, sim):
+        fired = []
+        sim.schedule_timer(5.0, fired.append, "timer")
+        sim.schedule(2.0, fired.append, "event")
+        sim.run()
+        assert fired == ["event"] and sim.now == 2.0
+        sim.run(until=10.0)
+        assert fired == ["event", "timer"] and sim.pending_events == 0
+
+    def test_a_run_passing_a_timer_fires_it_in_order(self, sim):
+        fired = []
+        sim.schedule_timer(5.0, fired.append, "timer")
+        sim.schedule(7.0, fired.append, "event")
+        cancelled = sim.schedule_timer(6.0, fired.append, "cancelled")
+        sim.cancel(cancelled)
+        sim.run()
+        assert fired == ["timer", "event"] and sim.now == 7.0
+
     def test_step(self, sim):
         fired = []
         sim.schedule(1.0, fired.append, 1)

@@ -14,7 +14,12 @@ from repro.openflow.actions import (
     SetFieldAction,
     WriteActions,
 )
-from repro.openflow.constants import ErrorType, FlowModFailedCode
+from repro.openflow.constants import (
+    ErrorType,
+    FlowModFailedCode,
+    FlowModFlags,
+    FlowRemovedReason,
+)
 from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -25,6 +30,7 @@ from repro.openflow.messages import (
     ErrorMsg,
     FeaturesReply,
     FeaturesRequest,
+    FlowRemoved,
     Hello,
 )
 from repro.openflow.stats import FlowStatsReply, FlowStatsRequest
@@ -236,6 +242,42 @@ class TestSwitchControlPlane:
             BarrierRequest(xid=1),
         )
         assert h.switch.flow_count() == 0
+
+
+class TestSwitchTimeouts:
+    """A timed-out entry leaves the table when the clock reaches its
+    deadline, not only at the next lookup, and the controller hears of
+    it when it was installed with ``SEND_FLOW_REM``."""
+
+    def test_hard_timeout_removes_the_entry_and_reports_it(self):
+        h = _Harness()
+        mod = add_flow(Match(in_port=1), out_port=2, hard_timeout=1)
+        mod.flags = int(FlowModFlags.SEND_FLOW_REM)
+        h.send(mod)
+        # draining the control traffic does not wait for the timeout
+        assert h.switch.flow_count() == 1 and h.sim.now < 3.0
+        h.sim.run(until=10.0)
+        assert h.switch.flow_count() == 0
+        [removed] = [m for m in h.received if isinstance(m, FlowRemoved)]
+        assert removed.reason == int(FlowRemovedReason.HARD_TIMEOUT)
+        assert removed.match == Match(in_port=1)
+
+    def test_traffic_pushes_an_idle_deadline_back(self):
+        h = _Harness()
+        h.send(add_flow(Match(in_port=1), out_port=2, idle_timeout=10))
+        seen = []
+        h.sim.schedule(8.0, lambda: h.switch.receive_packet(Packet(), in_port=1))
+        h.sim.schedule(15.0, lambda: seen.append(h.switch.flow_count()))
+        h.sim.run(until=30.0)
+        # installed at ~2 ms, touched at ~10: alive at ~17, gone by 30,
+        # and unflagged, so the controller hears nothing
+        assert seen == [1] and h.switch.flow_count() == 0
+        assert not any(isinstance(m, FlowRemoved) for m in h.received)
+
+    def test_entries_without_timeouts_arm_nothing(self):
+        h = _Harness()
+        h.send(add_flow(Match(in_port=1), out_port=2))
+        assert h.sim.pending_events == 0
 
 
 class TestSwitchDataplane:

@@ -128,8 +128,6 @@ KEEP = {
         "switch and REST tests read installed entries",
     "switch/datapath.py::SwitchSim.busy_until":
         "test_busy_time_accounted checks install serialization through it",
-    "switch/flow_table.py::FlowTable.expire":
-        "the timeout tests read which timeout fired after a lookup skipped the entry",
     "switch/latency.py::SwitchTimingProfile.mean_install_ms":
         "test_means_ordered checks the timing profiles' order through it",
     "topology/graph.py::NodeInfo.is_switch":
