@@ -151,10 +151,9 @@ def _multipolicy(size: int, params: Mapping[str, Any], seed: int) -> WorkUnit:
 
 
 def _churn_unit(kind: str, size: int, params: Mapping[str, Any], seed: int) -> WorkUnit:
-    from repro.churn.traces import generate_trace, trace_params
+    from repro.churn.traces import generate_trace
 
-    trace = generate_trace(kind, size, seed, **trace_params(params))
-    return WorkUnit((), trace=trace)
+    return WorkUnit((), trace=generate_trace(kind, size, seed, **params))
 
 
 def _memhog(size: int, params: Mapping[str, Any], seed: int) -> WorkUnit:

@@ -15,6 +15,8 @@ Generation is a pure function of ``(kind, size, params, seed)``: one
 ``random.Random(seed)`` drives every sample in a fixed order, so the
 same inputs reproduce the byte-identical trace on every run, machine,
 and worker -- the campaign determinism contract extended to churn.
+:func:`generate_trace` is the one place ``params`` are checked, against
+:data:`TRACE_PARAMS`, whoever calls it.
 
 Arrival times follow a Poisson process at ``rate_per_s`` over
 ``duration_ms``; each arrival targets a uniformly chosen flow with a
@@ -44,7 +46,7 @@ from repro.topology import builders
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import sample_simple_path, waxman
 
-#: Trace-generator defaults, shared by the CLI and campaign families.
+#: Trace-generator defaults: the defaults of :data:`TRACE_PARAMS`' rows.
 DEFAULT_RATE_PER_S = 50.0
 DEFAULT_DURATION_MS = 400.0
 DEFAULT_FLOWS = 6
@@ -149,30 +151,25 @@ def _build_topology(kind: str, size: int, seed: int) -> Topology:
     raise ChurnError(f"unknown churn topology kind {kind!r}; known: {TRACE_KINDS}")
 
 
-def generate_trace(
-    kind: str,
-    size: int,
-    seed: int,
-    rate_per_s: float = DEFAULT_RATE_PER_S,
-    duration_ms: float = DEFAULT_DURATION_MS,
-    flows: int = DEFAULT_FLOWS,
-    cancel_prob: float = DEFAULT_CANCEL_PROB,
-    link_failures: int = DEFAULT_LINK_FAILURES,
-    waypoint_prob: float = DEFAULT_WAYPOINT_PROB,
-) -> ChurnTrace:
-    """Generate one deterministic churn trace (see module docstring)."""
-    if rate_per_s <= 0:
-        raise ChurnError(f"need a positive arrival rate, got {rate_per_s}")
-    if duration_ms <= 0:
-        raise ChurnError(f"need a positive duration, got {duration_ms}")
+def generate_trace(kind: str, size: int, seed: int, **knobs: Any) -> ChurnTrace:
+    """Generate one deterministic churn trace (see module docstring).
+
+    ``knobs`` are :data:`TRACE_KNOBS` by name, each defaulting to its
+    row's default.  This is the one place they are checked: the CLI, a
+    campaign cell and a library call all meet :data:`TRACE_PARAMS`'
+    bounds here, and each value is cast to its default's type.
+    """
+    given = trace_params(knobs)
+    params = {row.name: given.get(row.name, row.default) for row in TRACE_KNOBS}
+    duration_ms = params["duration_ms"]
     rng = random.Random(seed)
     topo = _build_topology(kind, size, seed)
-    flow_specs = _sample_flows(topo, flows, rng)
+    flow_specs = _sample_flows(topo, params["flows"], rng)
 
     events: list[ChurnEvent] = []
     clock_ms = 0.0
     request_index = 0
-    rate_per_ms = rate_per_s / 1000.0
+    rate_per_ms = params["rate_per_s"] / 1000.0
     while True:
         clock_ms += rng.expovariate(rate_per_ms)
         if clock_ms >= duration_ms:
@@ -186,11 +183,11 @@ def generate_trace(
             request_id=f"r{request_index}",
             flow_id=flow.flow_id,
             target_path=target,
-            waypointed=rng.random() < waypoint_prob,
+            waypointed=rng.random() < params["waypoint_prob"],
         )
         request_index += 1
         events.append(arrival)
-        if rng.random() < cancel_prob:
+        if rng.random() < params["cancel_prob"]:
             cancel_at = rng.uniform(arrival.time_ms, duration_ms)
             events.append(
                 UpdateCancel(
@@ -203,7 +200,7 @@ def generate_trace(
         for link in topo.links()
         if link.a in switches and link.b in switches
     ]
-    for _ in range(max(0, int(link_failures))):
+    for _ in range(params["link_failures"]):
         if not fabric_links:
             break
         link = rng.choice(fabric_links)
@@ -214,14 +211,6 @@ def generate_trace(
             )
         )
     events.sort(key=event_sort_key)
-    params = {
-        "rate_per_s": rate_per_s,
-        "duration_ms": duration_ms,
-        "flows": flows,
-        "cancel_prob": cancel_prob,
-        "link_failures": link_failures,
-        "waypoint_prob": waypoint_prob,
-    }
     return ChurnTrace(
         name=f"churn-{kind}-{size}-s{seed}",
         kind=kind,
@@ -261,8 +250,9 @@ def _expected_arrivals_bounded(params: Mapping) -> bool:
 
 
 #: The six trace knobs of :func:`generate_trace`, each cast to its
-#: default's type, and the arrivals they imply; a campaign spec's churn
-#: params are checked against it.
+#: default's type, and the arrivals they imply.  :func:`generate_trace`
+#: checks every trace against it; a campaign spec's churn params are
+#: checked against it too when the spec is read, before any cell runs.
 TRACE_PARAMS = Schema("churn trace params", (
     Field("rate_per_s", _knob(float, 0, above=True), "a number > 0",
           DEFAULT_RATE_PER_S),
@@ -282,8 +272,13 @@ TRACE_PARAMS = Schema("churn trace params", (
 
 
 def trace_params(params: Mapping) -> dict:
-    """Check campaign-style params against :data:`TRACE_PARAMS` and cast
-    the given ones into :func:`generate_trace` kwargs."""
+    """Check trace knobs against :data:`TRACE_PARAMS` and cast the given
+    ones to their defaults' types (what :func:`generate_trace` reads)."""
     values = TRACE_PARAMS.decode(params)
     return {row.name: type(row.default)(values[row.name])
             for row in TRACE_PARAMS if row.name in params}
+
+
+#: The knob rows alone (the arrivals row reads the whole body): the
+#: parameters of :func:`generate_trace` and the flags of ``repro churn run``.
+TRACE_KNOBS = tuple(row for row in TRACE_PARAMS if row.wire != WHOLE)

@@ -13,6 +13,14 @@ Subcommands::
 
 Each prints human-readable tables; ``--json`` switches to machine output
 (and, where verification runs, a non-zero exit code flags failures).
+
+Where the flags come from: ``churn run``'s trace flags are the rows of
+:data:`repro.churn.traces.TRACE_KNOBS`, and ``campaign serve``'s fabric
+flags those of :data:`repro.fabric_options.FABRIC_OPTIONS`; both pass on
+only what the user gave, and the package checks it.  ``schedule
+--family`` and ``rounds --family`` build their instances through the
+campaign family registry (:func:`repro.campaign.families.single_problem`).
+The other flags are declared here, by hand.
 """
 
 from __future__ import annotations
@@ -22,12 +30,8 @@ import json
 import sys
 from typing import Sequence
 
+from repro.churn.traces import TRACE_KNOBS
 from repro.core.api import schedule_update
-from repro.core.hardness import (
-    reversal_instance,
-    sawtooth_instance,
-    waypoint_slalom_instance,
-)
 from repro.core.problem import UpdateProblem
 from repro.core.registry import PROPERTY_NAMES, parse_properties, scheduler_names
 from repro.core.schedule import UpdateSchedule
@@ -68,18 +72,23 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return 0 if result.violations == 0 or args.algorithm == "oneshot" else 1
 
 
-def _generated_problem(args: argparse.Namespace) -> UpdateProblem:
-    """Build the instance of ``--family``/``--n``/``--seed`` (CLI sugar)."""
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {value}")
+    return value
+
+
+def _generated_problem(args: argparse.Namespace, family: str, n: int,
+                       size: int, params: dict) -> UpdateProblem:
+    """The ``--family`` instance of ``schedule`` and ``rounds``: campaign
+    ``family`` at ``size``, seeded from the verb's own ``--family`` label,
+    ``--seed`` and ``n``."""
     from repro.campaign.families import single_problem
     from repro.campaign.spec import derive_seed
 
-    params = (
-        {"waypoint": True}
-        if args.family == "random-update" and getattr(args, "waypointed", False)
-        else {}
-    )
-    seed = derive_seed(args.seed, args.family, args.n, 0)
-    return single_problem(args.family, args.n, params, seed)
+    seed = derive_seed(args.seed, args.family, n, 0)
+    return single_problem(family, size, params, seed)
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -93,7 +102,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             )
         if args.waypointed and args.family != "random-update":
             raise SystemExit("--waypointed only applies to --family random-update")
-        problem = _generated_problem(args)
+        params = {"waypoint": True} if args.waypointed else {}
+        problem = _generated_problem(args, args.family, args.n, args.n, params)
     else:
         if not (args.old and args.new):
             raise SystemExit("either --old and --new, or --family, is required")
@@ -200,32 +210,19 @@ def _exact_round_cell(problem, args) -> tuple:
 
 
 def cmd_rounds(args: argparse.Namespace) -> int:
-    from repro.campaign.spec import derive_seed
-
-    def _random(n: int, seed: int, waypointed: bool) -> UpdateProblem:
-        from repro.campaign.families import single_problem
-
-        params = {"waypoint": True} if waypointed else {}
-        return single_problem("random-update", n, params, seed)
-
-    families = {
-        "reversal": lambda n, seed: reversal_instance(n),
-        "sawtooth": lambda n, seed: sawtooth_instance(n, block=max(2, n // 4)),
-        "slalom": lambda n, seed: waypoint_slalom_instance(max(1, (n - 3) // 2)),
-        "random": lambda n, seed: _random(n, seed, waypointed=False),
-        "random-wp": lambda n, seed: _random(n, seed, waypointed=True),
-    }
+    family = "random-update" if args.family.startswith("random") else args.family
+    params = {"waypoint": True} if args.family == "random-wp" else {}
     exact = args.exact_properties is not None
     if exact:
         # validate the property list before sweeping, not per row
         args.exact_properties = args.exact_properties.replace(",", "+")
         parse_properties(args.exact_properties)
-    family = families[args.family]
     rows = []
     records = []
     all_ok = True
     for n in range(args.n_min, args.n_max + 1, args.step):
-        problem = family(n, derive_seed(args.seed, args.family, n, 0))
+        size = max(1, (n - 3) // 2) if family == "slalom" else n
+        problem = _generated_problem(args, family, n, size, params)
         if not problem.required_updates:
             # a no-op instance has a valid zero-round optimal schedule
             rows.append([n, 0, 0, "-"] + ([0] if exact else []))
@@ -299,17 +296,9 @@ def cmd_topo(args: argparse.Namespace) -> int:
 def cmd_churn_run(args: argparse.Namespace) -> int:
     from repro.churn import ChurnPolicy, generate_trace, run_churn
 
-    trace = generate_trace(
-        args.kind,
-        args.size,
-        args.seed,
-        rate_per_s=args.rate,
-        duration_ms=args.duration,
-        flows=args.flows,
-        cancel_prob=args.cancel_prob,
-        link_failures=args.link_failures,
-        waypoint_prob=args.waypoint_prob,
-    )
+    knobs = {row.name: getattr(args, row.name) for row in TRACE_KNOBS
+             if getattr(args, row.name) is not None}
+    trace = generate_trace(args.kind, args.size, args.seed, **knobs)
     policy = ChurnPolicy(
         scheduled=not args.unscheduled,
         preempt=not args.defer,
@@ -369,6 +358,23 @@ def _open_campaign_store(args: argparse.Namespace):
     return RunStore.open_dir(pathlib.Path(args.root) / args.campaign)
 
 
+def _campaign_summary(status: dict, as_json: bool) -> bool:
+    """Print a finished campaign's status: the JSON, or the ``done`` line
+    and any verification failures.  True when no cell errored and every
+    verification passed."""
+    failures = status.get("verification_failures", 0)
+    if as_json:
+        print(json.dumps(status, indent=2, sort_keys=True))
+    else:
+        counts = ", ".join(f"{name}={count}" for name, count
+                           in status["by_status"].items() if count)
+        print(f"done: {status['done']}/{status['total']} cells ({counts})")
+        if failures:
+            print(f"verification FAILED for {failures} cell(s) "
+                  "(see results.jsonl)")
+    return status["by_status"].get("error", 0) == 0 and not failures
+
+
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign.runner import CampaignRunner
     from repro.campaign.spec import CampaignSpec
@@ -384,27 +390,14 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     if not args.json:
         print(f"campaign {spec.campaign_id} -> {runner.store.directory}")
     status = runner.run(progress=progress)
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-    else:
+    if not args.json:
         from repro.campaign.aggregate import render_report
 
         store = runner.store
         print(render_report(
             store.records(), store.timings(), title=f"campaign {spec.campaign_id}"
         ))
-        counts = ", ".join(
-            f"{name}={count}"
-            for name, count in status["by_status"].items()
-            if count
-        )
-        print(f"done: {status['done']}/{status['total']} cells ({counts})")
-    failed_verification = status.get("verification_failures", 0)
-    if failed_verification and not args.json:
-        print(f"verification FAILED for {failed_verification} cell(s) "
-              "(see results.jsonl)")
-    ok = status["by_status"].get("error", 0) == 0 and not failed_verification
-    return 0 if ok else 1
+    return 0 if _campaign_summary(status, args.json) else 1
 
 
 def _render_telemetry(data: dict) -> str:
@@ -606,24 +599,14 @@ def cmd_campaign_serve(args: argparse.Namespace) -> int:
     finally:
         server.stop()
         api.campaigns.close()
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-    else:
-        counts = ", ".join(
-            f"{name}={count}"
-            for name, count in status["by_status"].items()
-            if count
-        )
-        print(f"done: {status['done']}/{status['total']} cells ({counts})")
+    ok = _campaign_summary(status, args.json)
+    if not args.json:
         fabric = status["fabric"]
         print("fabric: " + ", ".join(
             f"{name}={fabric[name]}"
             for name in ("leases_granted", "reclaims", "retries", "escalations")
         ))
-    failures = status.get("verification_failures", 0)
-    errors = status["by_status"].get("error", 0)
-    ok = completed and not failures and not errors
-    return 0 if ok else 1
+    return 0 if ok and completed else 1
 
 
 def cmd_campaign_work(args: argparse.Namespace) -> int:
@@ -750,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "random", "random-wp"])
     p_rounds.add_argument("--n-min", type=int, default=5)
     p_rounds.add_argument("--n-max", type=int, default=25)
-    p_rounds.add_argument("--step", type=int, default=5)
+    p_rounds.add_argument("--step", type=_positive_int, default=5)
     p_rounds.add_argument("--seed", type=int, default=0,
                           help="seed for the randomized families")
     p_rounds.add_argument("--exact-properties", default=None,
@@ -873,14 +856,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--size", type=int, default=4,
                         help="fat-tree arity (even) or WAN node count")
     p_crun.add_argument("--seed", type=int, default=0)
-    p_crun.add_argument("--rate", type=float, default=50.0,
-                        help="arrival rate per simulated second")
-    p_crun.add_argument("--duration", type=float, default=400.0,
-                        help="trace duration in simulated ms")
-    p_crun.add_argument("--flows", type=int, default=6)
-    p_crun.add_argument("--cancel-prob", type=float, default=0.1)
-    p_crun.add_argument("--link-failures", type=int, default=1)
-    p_crun.add_argument("--waypoint-prob", type=float, default=0.5)
+    for row in TRACE_KNOBS:
+        p_crun.add_argument("--" + row.name.replace("_", "-"), dest=row.name,
+                            type=type(row.default), default=None,
+                            help=row.expects)
     p_crun.add_argument("--unscheduled", action="store_true",
                         help="one-shot baseline (no safety oracle)")
     p_crun.add_argument("--defer", action="store_true",

@@ -189,17 +189,16 @@ class JsonlSink:
 
     Mirrors the campaign store's crash conventions: every record is a
     single ``write`` of one full line followed by a flush, so a killed
-    process leaves at most one torn trailing line (which readers skip);
-    ``fsync=True`` additionally syncs every line for the paranoid.
-    ``close`` always fsyncs, so an orderly shutdown is durable.
+    process leaves at most one torn trailing line (which readers skip).
+    Lines are not synced one by one; ``close`` fsyncs, so an orderly
+    shutdown is durable.
     """
 
-    def __init__(self, path: str | os.PathLike, fsync: bool = False) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = str(path)
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._handle: io.TextIOWrapper | None = open(
             self.path, "a", encoding="utf-8"
@@ -212,8 +211,6 @@ class JsonlSink:
                 return
             self._handle.write(line)
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         with self._lock:
@@ -376,7 +373,6 @@ def configure_tracing(
     path: str | os.PathLike | None = None,
     directory: str | os.PathLike | None = None,
     ring: int | None = None,
-    fsync: bool = False,
 ) -> Tracer:
     """Attach sinks to the global tracer and return it.
 
@@ -388,7 +384,7 @@ def configure_tracing(
     if directory is not None:
         path = os.path.join(str(directory), f"trace-{os.getpid()}.jsonl")
     if path is not None:
-        tracer.add_sink(JsonlSink(path, fsync=fsync))
+        tracer.add_sink(JsonlSink(path))
     if ring is not None:
         tracer.add_sink(RingBufferSink(ring))
     return tracer

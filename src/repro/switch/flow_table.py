@@ -26,6 +26,12 @@ from repro.openflow.flowmod import FlowMod
 from repro.openflow.match import Match, parse_ipv4_prefix
 
 
+#: The table's clock (``now``, install and match times) is the simulator's,
+#: in ms; an entry's ``idle_timeout`` / ``hard_timeout`` are OpenFlow's, in
+#: seconds, as its FlowMod and flow-stats replies carry them.
+MS_PER_S = 1000.0
+
+
 @dataclass
 class FlowEntry:
     """One installed flow entry plus its counters."""
@@ -50,10 +56,10 @@ class FlowEntry:
 
     def expired(self, now: float) -> FlowRemovedReason | None:
         """Which timeout (if any) has fired by ``now``."""
-        if self.hard_timeout and now >= self.install_time + self.hard_timeout:
+        if self.hard_timeout and now >= self.install_time + MS_PER_S * self.hard_timeout:
             return FlowRemovedReason.HARD_TIMEOUT
         reference = max(self.last_match_time, self.install_time)
-        if self.idle_timeout and now >= reference + self.idle_timeout:
+        if self.idle_timeout and now >= reference + MS_PER_S * self.idle_timeout:
             return FlowRemovedReason.IDLE_TIMEOUT
         return None
 
@@ -62,10 +68,10 @@ class FlowEntry:
         (``None``: the entry carries no timeout)."""
         times = []
         if self.hard_timeout:
-            times.append(self.install_time + self.hard_timeout)
+            times.append(self.install_time + MS_PER_S * self.hard_timeout)
         if self.idle_timeout:
             reference = max(self.last_match_time, self.install_time)
-            times.append(reference + self.idle_timeout)
+            times.append(reference + MS_PER_S * self.idle_timeout)
         return min(times, default=None)
 
     def touch(self, now: float, n_bytes: int) -> None:

@@ -157,7 +157,7 @@ class TestInvalidation:
     def test_idle_timeout_entry_expires_between_probes(self):
         script = [
             forward(1, 2), forward(2, 3, idle_timeout=50), forward(3, "h2"),
-            probe(), probe(), wait(100), probe(), probe(),
+            probe(), probe(), wait(100_000), probe(), probe(),
         ]
         replayed, fates = check(script)
         # a table with a timeout is never remembered; once the entry has
@@ -243,7 +243,7 @@ mod_steps = st.tuples(
 )
 probe_steps = st.tuples(st.just("probe"), st.booleans(), st.booleans())
 unlink_steps = st.tuples(st.just("unlink"), st.integers(0, 10))
-wait_steps = st.tuples(st.just("wait"), st.sampled_from((1.0, 20.0)))
+wait_steps = st.tuples(st.just("wait"), st.sampled_from((1.0, 20_000.0)))
 
 
 def scripted(n: int, draws) -> list:

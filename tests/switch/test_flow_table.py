@@ -167,19 +167,19 @@ class TestTimeouts:
         table.apply_flow_mod(
             add_flow(Match(in_port=1), out_port=2, hard_timeout=10), now=0.0
         )
-        assert table.lookup({"in_port": 1}, now=5.0) is not None
-        assert table.lookup({"in_port": 1}, now=11.0) is None
-        fired = table.expire(now=11.0)
+        assert table.lookup({"in_port": 1}, now=5_000.0) is not None
+        assert table.lookup({"in_port": 1}, now=11_000.0) is None
+        fired = table.expire(now=11_000.0)
         assert fired[0][1] is FlowRemovedReason.HARD_TIMEOUT
 
     def test_idle_timeout_reset_by_traffic(self, table):
         table.apply_flow_mod(
             add_flow(Match(in_port=1), out_port=2, idle_timeout=10), now=0.0
         )
-        assert table.lookup({"in_port": 1}, now=8.0) is not None  # touches
-        assert table.lookup({"in_port": 1}, now=17.0) is not None
-        assert table.lookup({"in_port": 1}, now=30.0) is None
-        fired = table.expire(now=30.0)
+        assert table.lookup({"in_port": 1}, now=8_000.0) is not None  # touches
+        assert table.lookup({"in_port": 1}, now=17_000.0) is not None
+        assert table.lookup({"in_port": 1}, now=30_000.0) is None
+        fired = table.expire(now=30_000.0)
         assert fired[0][1] is FlowRemovedReason.IDLE_TIMEOUT
 
     def test_no_timeout_lives_forever(self, table):
@@ -229,9 +229,9 @@ class TestVersion:
         table.apply_flow_mod(
             add_flow(Match(in_port=1), out_port=2, idle_timeout=10), now=0.0
         )
-        table.expire(now=5.0)
+        table.expire(now=5_000.0)
         assert table.version == 1
-        table.expire(now=20.0)
+        table.expire(now=20_000.0)
         assert table.version == 2
 
 

@@ -256,7 +256,7 @@ class TestSwitchTimeouts:
         h.send(mod)
         # draining the control traffic does not wait for the timeout
         assert h.switch.flow_count() == 1 and h.sim.now < 3.0
-        h.sim.run(until=10.0)
+        h.sim.run(until=1_010.0)
         assert h.switch.flow_count() == 0
         [removed] = [m for m in h.received if isinstance(m, FlowRemoved)]
         assert removed.reason == int(FlowRemovedReason.HARD_TIMEOUT)
@@ -266,13 +266,30 @@ class TestSwitchTimeouts:
         h = _Harness()
         h.send(add_flow(Match(in_port=1), out_port=2, idle_timeout=10))
         seen = []
-        h.sim.schedule(8.0, lambda: h.switch.receive_packet(Packet(), in_port=1))
-        h.sim.schedule(15.0, lambda: seen.append(h.switch.flow_count()))
-        h.sim.run(until=30.0)
-        # installed at ~2 ms, touched at ~10: alive at ~17, gone by 30,
-        # and unflagged, so the controller hears nothing
+        h.sim.schedule(8_000.0, lambda: h.switch.receive_packet(Packet(), in_port=1))
+        h.sim.schedule(15_000.0, lambda: seen.append(h.switch.flow_count()))
+        h.sim.run(until=30_000.0)
+        # installed at ~2 ms, touched at ~8 s: alive at ~15 s, gone by
+        # 30 s, and unflagged, so the controller hears nothing
         assert seen == [1] and h.switch.flow_count() == 0
         assert not any(isinstance(m, FlowRemoved) for m in h.received)
+
+    def test_timeouts_are_seconds_of_simulated_time(self):
+        # OpenFlow (and POST /stats/flowentry/add) give timeouts in
+        # seconds; the simulator's clock runs in ms
+        h = _Harness()
+        mod = add_flow(Match(in_port=1), out_port=2, hard_timeout=1)
+        mod.flags = int(FlowModFlags.SEND_FLOW_REM)
+        h.send(mod)
+        [entry] = h.switch.tables[0]
+        h.sim.run(until=entry.install_time + 999.0)
+        assert h.switch.flow_count() == 1
+        assert not any(isinstance(m, FlowRemoved) for m in h.received)
+        h.sim.run(until=entry.install_time + 1_001.0)
+        assert h.switch.flow_count() == 0
+        h.sim.run()
+        [removed] = [m for m in h.received if isinstance(m, FlowRemoved)]
+        assert removed.reason == int(FlowRemovedReason.HARD_TIMEOUT)
 
     def test_entries_without_timeouts_arm_nothing(self):
         h = _Harness()
