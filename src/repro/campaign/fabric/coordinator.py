@@ -2,8 +2,8 @@
 
 The coordinator owns one campaign: it expands the spec, leases pending
 cells to pull-based workers, tracks liveness through heartbeats, reclaims
-the cells of dead or expired leases, retries transient failures with
-bounded exponential backoff + jitter, escalates a timed-out cell once with
+the cells of dead or expired leases, retries transient failures after a
+seeded :func:`~repro.errors.backoff`, escalates a timed-out cell once with
 a larger budget, audits, quarantines and poisons, and folds submitted
 shards through the unchanged :class:`~repro.campaign.store.RunStore` path.
 
@@ -51,7 +51,7 @@ import threading
 import time
 from typing import Any, Callable, Mapping
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, backoff
 from repro.obs import trace as obs
 from repro.campaign.fabric.journal import KINDS, FabricJournal
 from repro.campaign.fabric.leases import Lease, LeaseTable
@@ -61,6 +61,11 @@ from repro.campaign.store import RunStore, encode_record, tally
 
 #: Seconds between :meth:`Coordinator.wait`'s completion checks.
 WAIT_POLL_S = 0.05
+#: A transiently failed cell's backoff before it is leased again; the
+#: jitter's RNG is seeded, so one fault history gives one due time.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+JITTER_SEED = 0
 
 #: Fabric counter names (``status()``, ``telemetry()``; ``GET /metrics``
 #: renders them from ``telemetry()``).
@@ -109,21 +114,16 @@ class Coordinator:
         store: RunStore | None = None,
         *,
         lease_ttl_s: float = 10.0,
-        lease_hard_ttl_factor: float = 8.0,
         heartbeat_interval_s: float = 2.0,
         heartbeat_timeout_s: float | None = None,
         lease_cells: int = 4,
         max_transient_retries: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
         escalation_factor: float = 4.0,
-        journal_fsync: bool = True,
         journal_compact_every: int = 256,
         audit_fraction: float = 0.0,
         audit_seed: int = 0,
         poison_kill_threshold: int = 3,
         clock=time.monotonic,
-        jitter_seed: int = 0,
     ) -> None:
         self.spec = spec
         self.store = store or RunStore(root, spec.campaign_id)
@@ -136,8 +136,6 @@ class Coordinator:
         )
         self.lease_cells = max(1, int(lease_cells))
         self.max_transient_retries = int(max_transient_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         #: ``0`` disables timeout escalation entirely.
         self.escalation_factor = float(escalation_factor)
         #: Fraction of accepted cells held back for audit re-execution by
@@ -147,7 +145,7 @@ class Coordinator:
         #: Distinct dead workers before a cell is declared poisoned.
         self.poison_kill_threshold = max(1, int(poison_kill_threshold))
         self._clock = clock
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(JITTER_SEED)
         self._lock = threading.Lock()
         self.counters: dict[str, int] = {name: 0 for name in COUNTERS}
         #: The effect table: journal kind -> what committing one such
@@ -181,15 +179,9 @@ class Coordinator:
             )
         self._next_flush = done_prefix
         self._started_at = self._clock()
-        self._table = LeaseTable(
-            self.lease_ttl_s,
-            self.heartbeat_timeout_s,
-            hard_ttl_factor=lease_hard_ttl_factor,
-        )
+        self._table = LeaseTable(self.lease_ttl_s, self.heartbeat_timeout_s)
         self._journal = FabricJournal(
-            self.store.directory,
-            fsync=journal_fsync,
-            compact_every=journal_compact_every,
+            self.store.directory, compact_every=journal_compact_every,
         )
         self._recover()
 
@@ -727,13 +719,6 @@ class Coordinator:
                     detail = f"lease {lease.lease_id} reclaimed ({reason})"
                     self._retry(index, now, detail)
 
-    def _backoff(self, attempts: int) -> float:
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2.0 ** max(0, attempts - 1)),
-        )
-        return base * (1.0 + 0.5 * self._rng.random())
-
     # ------------------------------------------------------------------
     # the effect table, one ``_after_<kind>(event, now, by, applied)``
     # per journal kind: ``by`` is the worker id whose request caused the
@@ -786,7 +771,8 @@ class Coordinator:
     def _after_retry(self, event, now, by, applied) -> None:
         attempts = event["attempts"]
         cell = self._state.cells[event["index"]]
-        cell.eligible_at = now + self._backoff(attempts)
+        cell.eligible_at = now + backoff(
+            max(0, attempts - 1), BACKOFF_BASE_S, BACKOFF_CAP_S, self._rng)
         self._count("retries")
         obs.event("fabric.retry_cell", cell_id=self._cell_id(event),
                   attempts=attempts)

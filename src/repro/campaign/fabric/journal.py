@@ -71,20 +71,18 @@ KINDS = (
 )
 
 
+#: fsync every append and compaction; a test that never loses power may
+#: patch it off to run faster.
+FSYNC = True
+
+
 class FabricJournal:
     """Fsync'd append log + snapshot pair inside one run directory."""
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        fsync: bool = True,
-        compact_every: int = 256,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike, *, compact_every: int = 256) -> None:
         self.directory = pathlib.Path(directory)
         self.journal_path = self.directory / JOURNAL
         self.snapshot_path = self.directory / SNAPSHOT
-        self.fsync = fsync
         self.compact_every = max(1, int(compact_every))
         self._handle = None
         self._seq = 0
@@ -96,7 +94,7 @@ class FabricJournal:
     def append(self, kind: str, **fields: Any) -> int:
         """Durably journal one transition; returns its sequence number.
 
-        The record is on disk (flushed, and fsynced unless disabled)
+        The record is on disk (flushed, and fsynced when :data:`FSYNC`)
         before this returns -- callers ack the transition only after.
         A ``kind`` outside :data:`KINDS` is refused here, at write time:
         no replay could apply it.
@@ -112,7 +110,7 @@ class FabricJournal:
             self._handle = open(self.journal_path, "a", encoding="utf-8")
         self._handle.write(canonical_json(record) + "\n")
         self._handle.flush()
-        if self.fsync:
+        if FSYNC:
             os.fsync(self._handle.fileno())
         self._pending += 1
         return self._seq
@@ -141,7 +139,7 @@ class FabricJournal:
             self._handle.close()
         self._handle = open(self.journal_path, "w", encoding="utf-8")
         self._handle.flush()
-        if self.fsync:
+        if FSYNC:
             os.fsync(self._handle.fileno())
         self._pending = 0
 

@@ -9,7 +9,7 @@ requests, its heartbeat ages out, and :meth:`LeaseTable.reap` returns its
 leases for the coordinator to reclaim.
 
 Extensions are bounded: a lease can only be refreshed up to
-``hard_ttl_factor`` times its TTL past the grant.  Without the cap, a
+:data:`HARD_TTL_FACTOR` times its TTL past the grant.  Without the cap, a
 worker that silently lost a result on the wire but keeps heartbeating
 (it believes the submit landed) would hold its cell leased forever and
 the campaign would never finish.  Reclaiming under a live worker is safe
@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+#: A lease's refreshes end this many TTLs after its grant.
+HARD_TTL_FACTOR = 8.0
 
 
 @dataclass
@@ -65,15 +68,9 @@ class WorkerState:
 class LeaseTable:
     """Registration, liveness, and lease-TTL bookkeeping (no cell logic)."""
 
-    def __init__(
-        self,
-        lease_ttl_s: float,
-        heartbeat_timeout_s: float,
-        hard_ttl_factor: float = 8.0,
-    ) -> None:
+    def __init__(self, lease_ttl_s: float, heartbeat_timeout_s: float) -> None:
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.hard_ttl_factor = float(hard_ttl_factor)
         #: every epoch ever registered, dead ones included
         self._workers: dict[str, WorkerState] = {}
         self._leases: dict[str, Lease] = {}
@@ -158,7 +155,7 @@ class LeaseTable:
             cell_indices=list(cell_indices),
             granted_at=now,
             expires_at=now + self.lease_ttl_s,
-            max_expires_at=now + self.lease_ttl_s * self.hard_ttl_factor,
+            max_expires_at=now + self.lease_ttl_s * HARD_TTL_FACTOR,
         )
         self._leases[lease.lease_id] = lease
         return lease

@@ -51,7 +51,7 @@ import signal
 import threading
 import time
 
-from repro.errors import HttpStatusError, TransportError
+from repro.errors import HttpStatusError, TransportError, backoff
 from repro.obs import trace as obs
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
@@ -63,6 +63,11 @@ from repro.campaign.store import record_checksum
 #: it: that is when a backed-off cell comes due at the latest (a heartbeat
 #: when none is), not when the last lease out there ends.
 IDLE_POLL_S = 0.05
+#: The reconnect backoff after a coordinator outage (``None``: jitter from
+#: an unseeded RNG).
+RECONNECT_BASE_S = 0.2
+RECONNECT_CAP_S = 5.0
+JITTER_SEED = None
 
 
 class FabricWorker:
@@ -74,10 +79,7 @@ class FabricWorker:
         *,
         name: str = "worker",
         max_lease_cells: int | None = None,
-        reconnect_base_s: float = 0.2,
-        reconnect_cap_s: float = 5.0,
         max_offline_s: float = 120.0,
-        jitter_seed: int | None = None,
         sleep=time.sleep,
         clock=time.monotonic,
         run_cell_fn=run_cell,
@@ -85,10 +87,8 @@ class FabricWorker:
         self.client = client
         self.name = name
         self.max_lease_cells = max_lease_cells
-        self.reconnect_base_s = float(reconnect_base_s)
-        self.reconnect_cap_s = float(reconnect_cap_s)
         self.max_offline_s = float(max_offline_s)
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(JITTER_SEED)
         self._sleep = sleep
         self._clock = clock
         self._run_cell = run_cell_fn
@@ -169,9 +169,10 @@ class FabricWorker:
     def _ride_out_outage(self, why: str) -> bool:
         """The coordinator stopped answering: wait for it to come back.
 
-        Capped exponential backoff + jitter, re-registering (same worker
-        name, fresh epoch) on every attempt.  Returns False -- and marks
-        the worker as having given up -- once ``max_offline_s`` of
+        Waits :func:`~repro.errors.backoff` (:data:`RECONNECT_BASE_S`
+        doubling to :data:`RECONNECT_CAP_S`) before each attempt and
+        re-registers (same worker name, fresh epoch).  Returns False -- and
+        marks the worker as having given up -- once ``max_offline_s`` of
         continuous outage is spent; a drain request also stops waiting.
         4xx answers re-raise: an auth mismatch or malformed request will
         not get better by retrying.
@@ -183,10 +184,8 @@ class FabricWorker:
         deadline = self._clock() + self.max_offline_s
         attempt = 0
         while not self._draining.is_set():
-            delay = min(
-                self.reconnect_cap_s,
-                self.reconnect_base_s * (2.0 ** attempt),
-            ) * (1.0 + 0.5 * self._rng.random())
+            delay = backoff(attempt, RECONNECT_BASE_S, RECONNECT_CAP_S,
+                            self._rng)
             if self._clock() + delay > deadline:
                 break
             self._sleep(delay)

@@ -37,6 +37,10 @@ MANIFEST = "manifest.json"
 RESULTS = "results.jsonl"
 TIMINGS = "timings.jsonl"
 
+#: fsync in :meth:`RunStore.sync`; a test that never loses power may patch
+#: it off to run faster.
+FSYNC = True
+
 #: Terminal cell statuses a record may carry.
 STATUSES = ("ok", "noop", "unsupported", "infeasible", "timeout", "error")
 
@@ -106,15 +110,9 @@ def atomic_write_text(path: pathlib.Path, text: str) -> None:
 class RunStore:
     """One campaign's on-disk run directory."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        campaign_id: str,
-        fsync: bool = True,
-    ) -> None:
+    def __init__(self, root: str | os.PathLike, campaign_id: str) -> None:
         self.campaign_id = campaign_id
         self.directory = pathlib.Path(root) / campaign_id
-        self.fsync = fsync
         self._results_handle = None
         self._timings_handle = None
 
@@ -183,7 +181,7 @@ class RunStore:
     # writing
     # ------------------------------------------------------------------
     def append(self, record: Mapping[str, Any], timing: Mapping[str, Any]) -> None:
-        """Persist one finished cell, fsynced (unless disabled) before
+        """Persist one finished cell, fsynced (when :data:`FSYNC`) before
         returning: a SIGKILL or power cut right after ``append`` can never
         lose the record; one *during* it leaves at most a partial line or
         a result without its timing, which ``_repair`` cuts on the next
@@ -202,7 +200,7 @@ class RunStore:
 
     def sync(self) -> None:
         """fsync both files, whichever process wrote their unsynced tail."""
-        if self.fsync:
+        if FSYNC:
             for handle in self._handles():
                 os.fsync(handle.fileno())
 

@@ -22,6 +22,8 @@ from repro.sim.simulator import Simulator
 
 #: Retransmissions after which a lossy channel gives up on a message.
 MAX_RETRIES = 16
+#: Milliseconds a dropped transmission costs before it is sent again.
+RTO_MS = 50.0
 
 
 @dataclass
@@ -54,10 +56,11 @@ class ControlChannel:
     fifo:
         When True (default, TCP-like) each direction delivers in send
         order; when False messages may overtake each other.
-    drop_prob / rto_ms:
+    drop_prob:
         Loss is surfaced the way TCP surfaces it: a dropped transmission
-        costs one retransmission timeout and is retried, so the message
-        arrives late rather than never (up to :data:`MAX_RETRIES` times).
+        costs one retransmission timeout (:data:`RTO_MS`) and is retried,
+        so the message arrives late rather than never (up to
+        :data:`MAX_RETRIES` times).
     """
 
     def __init__(
@@ -68,7 +71,6 @@ class ControlChannel:
         name: str = "chan",
         fifo: bool = True,
         drop_prob: float = 0.0,
-        rto_ms: float = 50.0,
     ) -> None:
         if not 0.0 <= drop_prob < 1.0:
             raise ChannelError(f"drop_prob must be in [0, 1), got {drop_prob}")
@@ -78,7 +80,6 @@ class ControlChannel:
         self.name = name
         self.fifo = fifo
         self.drop_prob = drop_prob
-        self.rto_ms = rto_ms
         self.stats = ChannelStats()
         self._closed = False
         self._switch_handler: Callable[[Any], None] | None = None
@@ -129,7 +130,7 @@ class ControlChannel:
                 raise ChannelError(
                     f"channel {self.name!r} exceeded {MAX_RETRIES} retries"
                 )
-            delay += self.rto_ms + self.latency.sample(self.rng)
+            delay += RTO_MS + self.latency.sample(self.rng)
         self.stats.retransmissions += retries
         deliver_at = self.sim.now + delay
         if self.fifo:

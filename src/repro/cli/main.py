@@ -37,7 +37,7 @@ from repro.core.registry import PROPERTY_NAMES, parse_properties, scheduler_name
 from repro.core.schedule import UpdateSchedule
 from repro.core.verify import default_properties
 from repro.errors import ReproError
-from repro.fabric_options import FABRIC_OPTIONS
+from repro.fabric_options import FABRIC_OPTIONS, MAX_WORKERS
 from repro.metrics.report import ascii_table
 from repro.topology import builders
 from repro.topology.io import save_topology
@@ -72,11 +72,17 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return 0 if result.violations == 0 or args.algorithm == "oneshot" else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {value}")
-    return value
+def _int_in(least: int, most: int | None = None):
+    """The argparse type of an int flag in ``least..most``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least or most is not None and value > most:
+            bound = f">= {least}" if most is None else f"in {least}..{most}"
+            raise argparse.ArgumentTypeError(f"must be an int {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _generated_problem(args: argparse.Namespace, family: str, n: int,
@@ -118,7 +124,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     # scheduler promises, the default is what the operator expects
     result = schedule_update(
         problem,
-        args.algorithm,
+        args.algorithm or ("wayup" if problem.waypoint is not None else "peacock"),
         verify=True,
         properties=properties or default_properties(problem),
     )
@@ -714,12 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed for randomized --family instances")
     p_sched.add_argument("--waypointed", action="store_true",
                          help="with --family random-update: add a waypoint")
-    p_sched.add_argument("--algorithm", default="wayup", metavar="SCHEDULER",
+    p_sched.add_argument("--algorithm", default=None, metavar="SCHEDULER",
                          help="registry scheduler spec: "
                               f"{', '.join(scheduler_names())}; "
                               "aliases and parameterized forms like "
                               "'combined:wpe+rlf' or 'optimal:slf?max_rounds=4' "
-                              "resolve too")
+                              "resolve too (default: wayup for a waypointed "
+                              "problem, else peacock)")
     p_sched.add_argument("--properties", default=None,
                          help="comma-separated: wpe,slf,rlf,blackhole")
     p_sched.add_argument("--explain", action="store_true",
@@ -733,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "random", "random-wp"])
     p_rounds.add_argument("--n-min", type=int, default=5)
     p_rounds.add_argument("--n-max", type=int, default=25)
-    p_rounds.add_argument("--step", type=_positive_int, default=5)
+    p_rounds.add_argument("--step", type=_int_in(1), default=5)
     p_rounds.add_argument("--seed", type=int, default=0,
                           help="seed for the randomized families")
     p_rounds.add_argument("--exact-properties", default=None,
@@ -757,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = campaign_sub.add_parser("run", help="execute a campaign spec JSON")
     p_run.add_argument("spec", help="path to the campaign spec JSON file")
-    p_run.add_argument("-j", "--workers", type=int, default=1,
+    p_run.add_argument("-j", "--workers", type=_int_in(1, MAX_WORKERS), default=1,
                        help="worker processes (1 = in-process)")
     p_run.add_argument("--root", default="campaign-runs",
                        help="directory holding campaign run directories")
@@ -776,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bind address; beyond loopback requires --token")
     p_cserve.add_argument("--token", default=None, metavar="SECRET",
                           help="shared secret workers must send as X-Repro-Auth")
-    p_cserve.add_argument("--local-workers", type=int, default=0, metavar="N",
+    p_cserve.add_argument("--local-workers", type=_int_in(0, MAX_WORKERS),
+                          default=0, metavar="N",
                           help="also spawn N worker processes against this server")
     p_cserve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="give up waiting for the fleet after this long")

@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 
 from repro.core.schedule import UpdateSchedule
 
+#: Rules one switch changes per round: a round schedule updates one rule
+#: at each of its switches.
+RULES_PER_SWITCH = 1
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -37,13 +41,12 @@ class CostModel:
     barrier_ms: float = 0.1
     per_switch_install_ms: dict = field(default_factory=dict)
 
-    def install_time(self, node, n_rules: int = 1) -> float:
+    def install_time(self, node) -> float:
         base = self.per_switch_install_ms.get(node, self.install_ms)
-        return base * n_rules
+        return base * RULES_PER_SWITCH
 
     def round_time(self, nodes) -> float:
-        """Duration of one barrier-fenced round over ``nodes`` (one rule
-        per switch)."""
+        """Duration of one barrier-fenced round over ``nodes``."""
         slowest = max((self.install_time(node) for node in nodes), default=0.0)
         return self.rtt_ms + slowest + self.barrier_ms
 

@@ -367,14 +367,14 @@ class WalkResult:
         return node in self.visited
 
 
-def trace_walk(problem: UpdateProblem, next_hop_fn, max_steps: int | None = None):
+def trace_walk(problem: UpdateProblem, next_hop_fn):
     """Deterministically walk from the source following ``next_hop_fn``.
 
     ``next_hop_fn(node)`` must return the successor or ``None`` for drop.
-    Returns a :class:`WalkResult`.  ``max_steps`` defaults to one more than
-    the node count, which suffices to detect any loop.
+    Returns a :class:`WalkResult`.  The walk takes at most one more step
+    than the node count, which suffices to detect any loop.
     """
-    limit = max_steps if max_steps is not None else len(problem.nodes) + 1
+    limit = len(problem.nodes) + 1
     destination = problem.destination
     node = problem.source
     visited: list = [node]

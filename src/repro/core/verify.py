@@ -302,7 +302,6 @@ def verify_schedule(
     schedule: UpdateSchedule,
     properties: tuple[Property, ...] | None = None,
     exact_rlf: bool = True,
-    stop_at_first: bool = False,
 ) -> VerificationReport:
     """Verify every round of a schedule against ``properties``.
 
@@ -340,8 +339,6 @@ def verify_schedule(
             settled = False
             report.ok = False
             report.violations.extend(violations)
-            if stop_at_first:
-                break
     return report
 
 
@@ -353,7 +350,6 @@ def verify_exhaustive(
     schedule: UpdateSchedule,
     properties: tuple[Property, ...] | None = None,
     max_flexible: int = 16,
-    stop_at_first: bool = False,
 ) -> VerificationReport:
     """Brute-force verification by enumerating every transient configuration.
 
@@ -410,8 +406,5 @@ def verify_exhaustive(
                             "configuration contains a forwarding loop",
                         )
                     )
-            if report.violations and stop_at_first:
-                report.ok = False
-                return report
     report.ok = not report.violations
     return report

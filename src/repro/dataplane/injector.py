@@ -42,20 +42,23 @@ class InjectionResult:
         return counters
 
 
+#: Probes one :class:`PeriodicInjector` sends at most.
+MAX_PACKETS = 100_000
+
+
 class PeriodicInjector:
-    """Inject one probe every ``interval_ms`` until stopped."""
+    """Inject one probe every ``interval_ms`` until stopped (or after
+    :data:`MAX_PACKETS`)."""
 
     def __init__(
         self,
         network: "Network",
         flow: FlowSpec,
         interval_ms: float = 0.5,
-        max_packets: int = 100_000,
     ) -> None:
         self.network = network
         self.flow = flow
         self.interval_ms = interval_ms
-        self.max_packets = max_packets
         self.result = InjectionResult()
         self._stopped = False
         self._started = False
@@ -90,7 +93,7 @@ class PeriodicInjector:
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        if self._stopped or len(self.result.traces) >= self.max_packets:
+        if self._stopped or len(self.result.traces) >= MAX_PACKETS:
             return
         packet = (
             self.flow.packet_factory()

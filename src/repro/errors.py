@@ -1,4 +1,5 @@
-"""Exception hierarchy for the :mod:`repro` library.
+"""Exception hierarchy for the :mod:`repro` library, and the one backoff
+its transient failures are retried with.
 
 Every error raised by the library derives from :class:`ReproError`, so
 applications can catch a single base class.  Subsystems define narrower
@@ -138,6 +139,13 @@ class HttpStatusError(TransportError):
         super().__init__(message)
         self.status = status
         self.body = body
+
+
+def backoff(k: int, base: float, cap: float, rng) -> float:
+    """The wait before retry ``k + 1`` of a transient failure: ``base``
+    doubling up to ``cap``, plus up to 50 % jitter from ``rng`` (the HTTP
+    client's, a fabric worker's reconnect's or the coordinator's own)."""
+    return min(cap, base * 2.0 ** k) * (1.0 + 0.5 * rng.random())
 
 
 class CampaignError(ReproError):

@@ -34,6 +34,11 @@ class Option(NamedTuple):
         return Field(name, shape, f"{kind} {bound}", None)
 
 
+#: Most worker processes one host starts for a campaign: ``repro campaign
+#: run -j``, ``repro campaign serve --local-workers`` and the ``workers``
+#: of ``POST /campaigns`` all stop here.
+MAX_WORKERS = 64
+
 #: Body key -> its type, range and flag.
 FABRIC_OPTIONS: dict[str, Option] = {
     "lease_ttl_s": Option(float, 0, flag="--lease-ttl", metavar="SECONDS",

@@ -109,7 +109,6 @@ class Network:
         drop_prob: float = 0.0,
         packet_mode: str = "instant",
         miss_behavior: str = "drop",
-        max_hops: int | None = None,
     ) -> None:
         if packet_mode not in ("instant", "perhop"):
             raise ScenarioError(f"unknown packet mode {packet_mode!r}")
@@ -121,7 +120,6 @@ class Network:
         self.switches: dict[NodeId, SwitchSim] = {}
         self.channels: dict[NodeId, ControlChannel] = {}
         self.hosts: dict[str, Host] = {}
-        self.max_hops = max_hops
         self._packet_ids = itertools.count(1)
         self._started = False
         self._walks: dict[tuple[NodeId, int], _Walk] = {}  # by ingress
@@ -259,7 +257,7 @@ class Network:
         trace = TraceRecord(
             packet_id=next(self._packet_ids), injected_ms=self.sim.now
         )
-        hop_budget = self.max_hops if self.max_hops is not None else 4 * max(len(self.switches), 1)
+        hop_budget = 4 * max(len(self.switches), 1)
         if self.packet_mode == "perhop":
             self._hop_scheduled(
                 trace, packet, host.switch_dpid, host.switch_port, waypoint,

@@ -63,6 +63,11 @@ class ScenarioResult:
 class UpdateScenario:
     """One policy change executed over a freshly booted network."""
 
+    #: Milliseconds between two probes, and the probes sent once the
+    #: update has completed.
+    probe_interval_ms = 0.25
+    warmup_probes = 5
+
     def __init__(
         self,
         topo: Topology,
@@ -77,10 +82,8 @@ class UpdateScenario:
         fifo: bool = True,
         drop_prob: float = 0.0,
         packet_mode: str = "instant",
-        probe_interval_ms: float = 0.25,
         interval_ms: float = 0.0,
         verify: bool = True,
-        warmup_probes: int = 5,
         use_barriers: bool = True,
     ) -> None:
         self.topo = topo
@@ -88,9 +91,7 @@ class UpdateScenario:
         self.source_host = source_host
         self.destination_host = destination_host
         self.algorithm = algorithm
-        self.probe_interval_ms = probe_interval_ms
         self.interval_ms = interval_ms
-        self.warmup_probes = warmup_probes
         self.use_barriers = use_barriers
 
         self.network = Network(

@@ -260,7 +260,7 @@ def build_rest_api(
             )
         except ScheduleTimeoutError as exc:
             # 4xx, not 5xx: HttpClient re-sends on 5xx, and a body that
-            # ran out of time once would be computed max_attempts times
+            # ran out of time once would be computed MAX_ATTEMPTS times
             return RestResponse(status=408, body={"error": str(exc)})
         except (SchedulerSpecError, UpdateModelError, VerificationError) as exc:
             # bad spec, model precondition, or an engine refusing the

@@ -41,7 +41,7 @@ import tempfile
 from typing import Any, Mapping
 
 from repro.errors import BadRequestError, CampaignError, CampaignSpecError, NotFoundError
-from repro.fabric_options import FABRIC_OPTIONS
+from repro.fabric_options import FABRIC_OPTIONS, MAX_WORKERS
 from repro.schema import Field, Schema, integer, is_object
 from repro.campaign.aggregate import aggregate_records
 from repro.campaign.fabric import Coordinator
@@ -56,10 +56,10 @@ MAX_REST_CELLS = 5000
 
 _SPEC = Field("spec", is_object, "a campaign spec object")
 
-#: ``POST /campaigns`` in its wrapped form (a bare spec is the other);
-#: a pool bigger than 64 processes is not a REST-sized campaign either.
+#: ``POST /campaigns`` in its wrapped form (a bare spec is the other).
 SUBMIT = Schema("campaign submission", (
-    _SPEC, Field("workers", integer(1, 64), "an int in 1..64", 1),
+    _SPEC, Field("workers", integer(1, MAX_WORKERS),
+                 f"an int in 1..{MAX_WORKERS}", 1),
 ), BadRequestError)
 
 #: ``POST /campaigns/serve``: the spec plus the coordinator knobs.

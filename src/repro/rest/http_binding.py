@@ -50,7 +50,7 @@ import traceback
 import urllib.parse
 from http import HTTPStatus
 
-from repro.errors import HttpStatusError, TransportError
+from repro.errors import HttpStatusError, TransportError, backoff
 from repro.obs import trace as obs
 from repro.rest.api import RestApi
 
@@ -71,6 +71,12 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: one request may carry (414 / 431 above).
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
+#: :class:`HttpClient`'s tries per request, and the backoff between them
+#: (``None``: jitter from an unseeded RNG).
+MAX_ATTEMPTS = 5
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+JITTER_SEED = None
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
@@ -292,10 +298,11 @@ class HttpClient:
     """JSON-over-HTTP client with bounded retry for transient failures.
 
     ``request`` returns the decoded JSON body on any 2xx.  Connection
-    errors, timeouts, and 5xx answers are retried up to ``max_attempts``
-    times with exponential backoff (``backoff_base_s`` doubling, capped
-    at ``backoff_cap_s``) plus up to 50% deterministic-seedable jitter,
-    then raise :class:`~repro.errors.TransportError`.  4xx answers raise
+    errors, timeouts, and 5xx answers are tried :data:`MAX_ATTEMPTS`
+    times in all, waiting :func:`~repro.errors.backoff` between tries
+    (:data:`BACKOFF_BASE_S` doubling to :data:`BACKOFF_CAP_S`, jitter from
+    an RNG seeded :data:`JITTER_SEED`), then raise
+    :class:`~repro.errors.TransportError`.  4xx answers raise
     :class:`~repro.errors.HttpStatusError` immediately -- the request is
     wrong, not the weather.  ``retries`` counts the attempts this client
     made again after a transient failure; it lives on the client because
@@ -313,21 +320,14 @@ class HttpClient:
         self,
         base_url: str,
         *,
-        max_attempts: int = 5,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
         timeout_s: float = 10.0,
-        jitter_seed: int | None = None,
         token: str | None = None,
         sleep=time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
-        self.max_attempts = max(1, int(max_attempts))
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         self.timeout_s = float(timeout_s)
         self.token = token
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(JITTER_SEED)
         self._sleep = sleep
         self._parts = urllib.parse.urlsplit(self.base_url)
         self._connections = threading.local()
@@ -371,7 +371,7 @@ class HttpClient:
                 headers[SPAN_HEADER] = context["parent"]
         connection = self._connection()
         last_error: str = ""
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 connection.request(
                     method.upper(), target, body=data, headers=headers
@@ -396,21 +396,15 @@ class HttpClient:
                         body=payload,
                     )
                 last_error = f"HTTP {reply.status}"
-            if attempt < self.max_attempts:
+            if attempt < MAX_ATTEMPTS:
                 with self._retries_lock:
                     self.retries += 1
-                self._sleep(self._backoff(attempt))
+                self._sleep(backoff(attempt - 1, BACKOFF_BASE_S,
+                                    BACKOFF_CAP_S, self._rng))
         raise TransportError(
-            f"{method} {url} failed after {self.max_attempts} attempts "
+            f"{method} {url} failed after {MAX_ATTEMPTS} attempts "
             f"({last_error})"
         )
-
-    def _backoff(self, attempt: int) -> float:
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2.0 ** (attempt - 1)),
-        )
-        return base * (1.0 + 0.5 * self._rng.random())
 
     @staticmethod
     def _decode(raw: bytes):

@@ -14,6 +14,10 @@ from typing import Any, Callable
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue, ScheduledEvent
 
+#: Events one :meth:`Simulator.run` processes before it calls the
+#: scenario runaway.
+MAX_EVENTS = 10_000_000
+
 
 class Simulator:
     """Deterministic event loop with millisecond time.
@@ -86,12 +90,12 @@ class Simulator:
         event.callback(*event.args)
         return True
 
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> None:
+    def run(self, until: float | None = None) -> None:
         """Drain the queue (optionally only up to time ``until``); without
         ``until``, pending timers alone do not keep it running.
 
-        ``max_events`` guards against runaway feedback loops in scenarios;
-        exceeding it raises :class:`SimulationError`.
+        :data:`MAX_EVENTS` guards against runaway feedback loops in
+        scenarios; exceeding it raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -111,9 +115,9 @@ class Simulator:
                 if not self.step():  # pragma: no cover - peek said otherwise
                     break
                 processed += 1
-                if processed > max_events:
+                if processed > MAX_EVENTS:
                     raise SimulationError(
-                        f"exceeded {max_events} events; runaway scenario?"
+                        f"exceeded {MAX_EVENTS} events; runaway scenario?"
                     )
         finally:
             self._running = False

@@ -228,10 +228,9 @@ class FlowTable:
     # lookup and expiry
     # ------------------------------------------------------------------
     def lookup(
-        self, fields: Mapping[str, Any], now: float = 0.0, touch: bool = True,
-        n_bytes: int = 0,
+        self, fields: Mapping[str, Any], now: float = 0.0, n_bytes: int = 0,
     ) -> FlowEntry | None:
-        """Highest-priority matching entry (counters updated when ``touch``)."""
+        """Highest-priority matching entry, its counters updated."""
         best: FlowEntry | None = None
         for entry in self._entries.values():
             # NB: IDLE_TIMEOUT is enum value 0 -- compare against None
@@ -241,7 +240,7 @@ class FlowTable:
                 continue
             if best is None or (entry.priority, -entry.seq) > (best.priority, -best.seq):
                 best = entry
-        if best is not None and touch:
+        if best is not None:
             best.touch(now, n_bytes)
         return best
 

@@ -39,10 +39,19 @@ from repro.campaign.fabric import (
     HttpFabricClient,
     LocalClient,
 )
+from repro.campaign.fabric import coordinator as fabric_coordinator, leases
 from repro.campaign.fabric.journal import JOURNAL, SNAPSHOT
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
+
+
+def fast_retries(monkeypatch) -> None:
+    """The fault scenarios' retry timing: a lease's refreshes end 3 TTLs
+    after its grant, and a failed cell waits 0.01 s doubling to 0.05 s."""
+    monkeypatch.setattr(leases, "HARD_TTL_FACTOR", 3.0)
+    monkeypatch.setattr(fabric_coordinator, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(fabric_coordinator, "BACKOFF_CAP_S", 0.05)
 
 
 def sealed(payload, record) -> dict:

@@ -34,7 +34,9 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignSpec
-from repro.campaign.fabric import Coordinator
+from repro.campaign.fabric import Coordinator, leases
+from repro.campaign.fabric import coordinator as fabric_coordinator
+from repro.campaign.fabric import journal as fabric_journal
 from repro.campaign.fabric.journal import JOURNAL, SNAPSHOT
 from repro.campaign.runner import new_record
 from repro.campaign.store import RESULTS, TIMINGS
@@ -56,15 +58,17 @@ def golden_spec(sizes) -> CampaignSpec:
 
 
 COMMON = dict(
-    journal_fsync=False,
-    jitter_seed=7,
     lease_ttl_s=10.0,
-    lease_hard_ttl_factor=2.0,
     heartbeat_interval_s=1.0,
     heartbeat_timeout_s=3.0,
     lease_cells=2,
-    backoff_base_s=0.5,
-    backoff_cap_s=2.0,
+)
+#: The constants every session runs under: ``(module, name, value)``.
+CONSTANTS = (
+    (fabric_journal, "FSYNC", False),
+    (fabric_coordinator, "JITTER_SEED", 7),
+    (leases, "HARD_TTL_FACTOR", 2.0),
+    (fabric_coordinator, "BACKOFF_BASE_S", 0.5),
 )
 
 
@@ -344,9 +348,12 @@ def golden_run(name: str) -> dict:
     sink = RingBufferSink(1 << 16)
     global_tracer().add_sink(sink)
     try:
-        session = Session(root, golden_spec(sizes), **options)
-        script(session)
-        session.coordinator.close()
+        with pytest.MonkeyPatch.context() as patch:
+            for module, constant, value in CONSTANTS:
+                patch.setattr(module, constant, value)
+            session = Session(root, golden_spec(sizes), **options)
+            script(session)
+            session.coordinator.close()
     finally:
         global_tracer().remove_sink(sink)
         shutil.rmtree(root, ignore_errors=True)

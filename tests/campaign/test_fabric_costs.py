@@ -12,7 +12,9 @@ import os
 import pytest
 
 from repro.campaign import CampaignSpec
+from repro.campaign import store as store_mod
 from repro.campaign.fabric import Coordinator, FabricWorker, LocalClient
+from repro.campaign.fabric import journal as fabric_journal
 from repro.campaign.runner import new_record
 from repro.campaign.store import RunStore
 from tests.campaign.fabric_helpers import sealed
@@ -50,15 +52,16 @@ class CountingCells(list):
 
 
 @pytest.fixture
-def big(tmp_path):
+def big(tmp_path, monkeypatch):
     """A 10^4-cell grid behind a coordinator that never waits for a disk,
     whose clock stands still (no lease ever expires) and that never
     compacts (a snapshot walks every cell, once per 256 records)."""
     spec = _spec(10_000)
+    monkeypatch.setattr(store_mod, "FSYNC", False)
+    monkeypatch.setattr(fabric_journal, "FSYNC", False)
     coordinator = Coordinator(
         spec,
-        store=RunStore(tmp_path, spec.campaign_id, fsync=False),
-        journal_fsync=False,
+        store=RunStore(tmp_path, spec.campaign_id),
         journal_compact_every=10**9,
         clock=lambda: 0.0,
     )
@@ -140,14 +143,17 @@ class TestStatus:
         _submit(big, slow, held)
         check(12, 0)
 
-    def test_a_reopened_coordinator_tallies_what_is_on_disk(self, tmp_path):
+    def test_a_reopened_coordinator_tallies_what_is_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(fabric_journal, "FSYNC", False)
         spec = _spec(12)
-        first = Coordinator(spec, root=str(tmp_path), journal_fsync=False)
+        first = Coordinator(spec, root=str(tmp_path))
         worker_id = first.register({"name": "w"})["worker_id"]
         _submit(first, worker_id, first.lease(worker_id), status="error")
         _submit(first, worker_id, first.lease(worker_id))
         first.close()
-        second = Coordinator(spec, root=str(tmp_path), journal_fsync=False)
+        second = Coordinator(spec, root=str(tmp_path))
         reply = second.status()
         del reply["fabric"]
         assert reply == second.store.status()

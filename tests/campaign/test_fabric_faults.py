@@ -17,6 +17,7 @@ from repro.campaign.runner import run_cell
 from repro.errors import CampaignError
 from tests.campaign.fabric_helpers import (
     Faults,
+    fast_retries,
     faulty_worker_main,
     run_local_fleet,
     sealed,
@@ -30,14 +31,13 @@ SWEEP = {
 }
 N_CELLS = 8
 
-#: fast-converging fabric knobs for fault scenarios
-FAST = dict(
-    lease_ttl_s=0.25,
-    lease_hard_ttl_factor=3.0,
-    heartbeat_interval_s=0.05,
-    backoff_base_s=0.01,
-    backoff_cap_s=0.05,
-)
+#: fast-converging fabric knobs for fault scenarios (with fast_retries)
+FAST = dict(lease_ttl_s=0.25, heartbeat_interval_s=0.05)
+
+
+@pytest.fixture(autouse=True)
+def _fast_retries(monkeypatch):
+    fast_retries(monkeypatch)
 
 
 @pytest.fixture(scope="module")

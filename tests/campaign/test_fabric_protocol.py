@@ -29,6 +29,8 @@ from repro.campaign.fabric import (
     HttpFabricClient,
     LocalClient,
 )
+from repro.campaign.fabric import coordinator as fabric_coordinator
+from repro.campaign.fabric import worker as fabric_worker
 from repro.campaign.fabric.transport import _REQUIRED, PATHS, VERBS, WHOLE
 from repro.campaign.runner import run_cell
 from repro.errors import CampaignError, HttpStatusError, TransportError
@@ -483,12 +485,15 @@ class TestOneDeliveryLoop:
     )
 
     def test_each_cell_counts_once_through_drops_duplicates_and_an_outage(
-        self, tmp_path, baseline
+        self, tmp_path, baseline, monkeypatch
     ):
+        monkeypatch.setattr(fabric_coordinator, "BACKOFF_BASE_S", 0.01)
+        monkeypatch.setattr(fabric_coordinator, "BACKOFF_CAP_S", 0.02)
+        monkeypatch.setattr(fabric_worker, "RECONNECT_BASE_S", 0.001)
+        monkeypatch.setattr(fabric_worker, "RECONNECT_CAP_S", 0.002)
         live = []
         coordinator = Coordinator(
             SPEC, root=str(tmp_path), lease_cells=3, lease_ttl_s=1.0,
-            backoff_base_s=0.01, backoff_cap_s=0.02,
             # frozen while the chaotic worker runs: no lease of its
             # expires under it
             clock=lambda: 1e3 + time.monotonic() if live else 0.0,
@@ -497,7 +502,6 @@ class TestOneDeliveryLoop:
         link = FaultyClient(LocalClient(coordinator), self.PLAN)
         chaotic = FabricWorker(
             _FlakyLink(link, cells[4], k=2), name="chaotic",
-            reconnect_base_s=0.001, reconnect_cap_s=0.002,
         ).run()
         live.append(True)
         FabricWorker(LocalClient(coordinator), name="finisher").run()

@@ -27,7 +27,11 @@ from repro.campaign.fabric.journal import (
 )
 from repro.campaign.runner import run_cell
 from repro.errors import CampaignError, TransportError
-from tests.campaign.fabric_helpers import run_local_fleet, sealed
+from repro.campaign.fabric import coordinator as fabric_coordinator
+from repro.campaign.fabric import journal as fabric_journal
+from repro.campaign.fabric import worker as fabric_worker
+from repro.rest import http_binding
+from tests.campaign.fabric_helpers import fast_retries, run_local_fleet, sealed
 
 SWEEP = {
     "name": "fabrec",
@@ -47,13 +51,12 @@ TINY = {
     "schedulers": ["peacock"],
 }
 
-FAST = dict(
-    lease_ttl_s=0.25,
-    lease_hard_ttl_factor=3.0,
-    heartbeat_interval_s=0.05,
-    backoff_base_s=0.01,
-    backoff_cap_s=0.05,
-)
+FAST = dict(lease_ttl_s=0.25, heartbeat_interval_s=0.05)
+
+
+@pytest.fixture(autouse=True)
+def _fast_retries(monkeypatch):
+    fast_retries(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +319,11 @@ class _OutageClient:
 
 
 class TestWorkerReconnect:
-    def test_worker_rides_out_outage_and_resubmits(self, tmp_path, baseline):
+    def test_worker_rides_out_outage_and_resubmits(
+        self, tmp_path, baseline, monkeypatch
+    ):
+        monkeypatch.setattr(fabric_worker, "RECONNECT_BASE_S", 0.02)
+        monkeypatch.setattr(fabric_worker, "RECONNECT_CAP_S", 0.05)
         coordinator = _coordinator(tmp_path, lease_cells=1)
         client = _OutageClient(coordinator)
         seen = []
@@ -332,8 +339,6 @@ class TestWorkerReconnect:
             client,
             name="rider",
             max_lease_cells=1,
-            reconnect_base_s=0.02,
-            reconnect_cap_s=0.05,
             max_offline_s=30.0,
             run_cell_fn=run_and_kill_link,
         )
@@ -351,7 +356,9 @@ class TestWorkerReconnect:
         # the in-flight record was resubmitted, not recomputed
         assert seen.count(seen[1]) == 1
 
-    def test_max_offline_budget_gives_up(self, tmp_path):
+    def test_max_offline_budget_gives_up(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fabric_worker, "RECONNECT_BASE_S", 0.02)
+        monkeypatch.setattr(fabric_worker, "RECONNECT_CAP_S", 0.05)
         coordinator = _coordinator(tmp_path, lease_cells=1)
         client = _OutageClient(coordinator)
 
@@ -365,8 +372,6 @@ class TestWorkerReconnect:
             client,
             name="quitter",
             max_lease_cells=1,
-            reconnect_base_s=0.02,
-            reconnect_cap_s=0.05,
             max_offline_s=0.3,
         )
         summary = worker.run()
@@ -578,8 +583,13 @@ def _free_port():
 
 class TestHttpRestartEndToEnd:
     def test_worker_survives_coordinator_restart_over_http(
-        self, tmp_path, baseline
+        self, tmp_path, baseline, monkeypatch
     ):
+        monkeypatch.setattr(http_binding, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(http_binding, "BACKOFF_BASE_S", 0.01)
+        monkeypatch.setattr(http_binding, "BACKOFF_CAP_S", 0.02)
+        monkeypatch.setattr(fabric_worker, "RECONNECT_BASE_S", 0.05)
+        monkeypatch.setattr(fabric_worker, "RECONNECT_CAP_S", 0.2)
         from repro.campaign.fabric import HttpFabricClient
         from repro.rest.api import build_campaign_api
         from repro.rest.http_binding import HttpClient, RestHttpServer
@@ -612,17 +622,10 @@ class TestHttpRestartEndToEnd:
             HttpFabricClient(
                 url,
                 spec.campaign_id,
-                http=PacedClient(
-                    url,
-                    max_attempts=2,
-                    backoff_base_s=0.01,
-                    backoff_cap_s=0.02,
-                ),
+                http=PacedClient(url),
             ),
             name="rider",
             max_lease_cells=1,
-            reconnect_base_s=0.05,
-            reconnect_cap_s=0.2,
             max_offline_s=30.0,
         )
         summaries = []
@@ -688,7 +691,6 @@ class _HostileLife:
         self.tmp_path = tmp_path
         self.options = dict(
             clock=lambda: self.now,
-            journal_fsync=False,
             journal_compact_every=compact_every,
             lease_ttl_s=1000.0,
             heartbeat_timeout_s=1.0,
@@ -784,8 +786,9 @@ class TestEventSourcing:
     as a compacted snapshot -- and whatever was written must be handled."""
 
     def test_compacted_and_uncompacted_histories_recover_alike(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(fabric_journal, "FSYNC", False)
         # the same life, journaled once into a snapshot after every
         # record and once into a journal that is never compacted
         lives = [
@@ -815,18 +818,17 @@ class TestEventSourcing:
         statuses = [json.loads(line)["status"] for line in folds[0].splitlines()]
         assert statuses == ["ok", "error", "ok", "error", "ok", "ok", "ok", "ok"]
 
-    def test_recovered_retries_counts_cells_not_records(self, tmp_path):
+    def test_recovered_retries_counts_cells_not_records(
+        self, tmp_path, monkeypatch
+    ):
         # the drift this class guards against, at its smallest: two
         # failures of one cell used to recover as 2 (journal records)
         # or 1 (snapshot entries) depending on compaction
+        monkeypatch.setattr(fabric_journal, "FSYNC", False)
+        monkeypatch.setattr(fabric_coordinator, "BACKOFF_BASE_S", 0.0)
         counters = []
         for compact_every in (1, NEVER):
-            options = dict(
-                lease_cells=1,
-                journal_fsync=False,
-                journal_compact_every=compact_every,
-                backoff_base_s=0.0,
-            )
+            options = dict(lease_cells=1, journal_compact_every=compact_every)
             root = tmp_path / str(compact_every)
             first = _coordinator(root, TINY, **options)
             worker_id = first.register({"name": "w"})["worker_id"]
@@ -843,7 +845,8 @@ class TestEventSourcing:
         assert counters[0] == counters[1]
         assert counters[0]["recovered_retries"] == 1
 
-    def test_every_journaled_kind_has_a_handler(self, tmp_path):
+    def test_every_journaled_kind_has_a_handler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fabric_journal, "FSYNC", False)
         life = _HostileLife(tmp_path, NEVER)
         journal = life.coordinator._journal
         written = {

@@ -42,7 +42,9 @@ from hypothesis.stateful import (
 )
 
 from repro.campaign import CampaignSpec
-from repro.campaign.fabric import Coordinator
+from repro.campaign.fabric import Coordinator, leases
+from repro.campaign.fabric import coordinator as fabric_coordinator
+from repro.campaign.fabric import journal as fabric_journal
 from repro.campaign.runner import run_cell
 from repro.campaign.store import RESULTS, TIMINGS, RunStore
 from tests.campaign.fabric_helpers import (
@@ -139,6 +141,13 @@ class FabricMachine(RuleBasedStateMachine):
 
         self._sync_patch = mock.patch.object(RunStore, "sync", sync)
         self._sync_patch.start()
+        self._constants = [
+            mock.patch.object(fabric_journal, "FSYNC", False),
+            mock.patch.object(leases, "HARD_TTL_FACTOR", 2.0),
+            mock.patch.object(fabric_coordinator, "BACKOFF_BASE_S", 0.5),
+        ]
+        for patch in self._constants:
+            patch.start()
         self.coordinator = self._open(NEVER)
 
     def _open(self, compact_every, root=None):
@@ -146,16 +155,12 @@ class FabricMachine(RuleBasedStateMachine):
             SPEC,
             root=root or self.root,
             clock=lambda: self.now,
-            journal_fsync=False,
             journal_compact_every=compact_every,
             lease_ttl_s=10.0,
-            lease_hard_ttl_factor=2.0,
             heartbeat_interval_s=1.0,
             heartbeat_timeout_s=HEARTBEAT_TIMEOUT_S,
             lease_cells=2,
             max_transient_retries=2,
-            backoff_base_s=0.5,
-            backoff_cap_s=2.0,
             audit_fraction=0.5,
             poison_kill_threshold=2,
         )
@@ -163,6 +168,8 @@ class FabricMachine(RuleBasedStateMachine):
     def teardown(self):
         self.coordinator.close()
         self._sync_patch.stop()
+        for patch in self._constants:
+            patch.stop()
         shutil.rmtree(self.root, ignore_errors=True)
 
     def losable(self):

@@ -18,7 +18,9 @@ from repro.campaign.fabric import Coordinator
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import payload_identity_hash
 from repro.campaign.store import record_checksum
-from tests.campaign.fabric_helpers import Faults, lie, run_local_fleet, sealed
+from tests.campaign.fabric_helpers import (
+    Faults, fast_retries, lie, run_local_fleet, sealed,
+)
 
 SWEEP = {
     "name": "integ",
@@ -28,13 +30,12 @@ SWEEP = {
 }
 N_CELLS = 8
 
-FAST = dict(
-    lease_ttl_s=0.25,
-    lease_hard_ttl_factor=3.0,
-    heartbeat_interval_s=0.05,
-    backoff_base_s=0.01,
-    backoff_cap_s=0.05,
-)
+FAST = dict(lease_ttl_s=0.25, heartbeat_interval_s=0.05)
+
+
+@pytest.fixture(autouse=True)
+def _fast_retries(monkeypatch):
+    fast_retries(monkeypatch)
 
 
 @pytest.fixture(scope="module")

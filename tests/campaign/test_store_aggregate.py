@@ -187,8 +187,11 @@ class TestRunStore:
         store.initialize(SPEC, n_cells=1)
         assert not list(store.directory.glob("*.tmp"))
 
-    def test_fsync_opt_out_still_writes(self, tmp_path):
-        store = RunStore(str(tmp_path), SPEC.campaign_id, fsync=False)
+    def test_fsync_opt_out_still_writes(self, tmp_path, monkeypatch):
+        import repro.campaign.store as store_mod
+
+        monkeypatch.setattr(store_mod, "FSYNC", False)
+        store = RunStore(str(tmp_path), SPEC.campaign_id)
         store.initialize(SPEC, n_cells=1)
         store.append(_record("a"), {"id": "a", "wall_ms": 1.0})
         store.close()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.channel import base as channel_base
 from repro.channel.base import ControlChannel
 from repro.channel.latency_models import (
     Constant,
@@ -129,10 +130,9 @@ class TestControlChannel:
         sim.run()
         assert at_switch and at_controller
 
-    def test_loss_inflates_latency(self):
-        sim, channel, at_switch, _ = self._channel(
-            latency=1.0, drop_prob=0.9, rto_ms=100.0
-        )
+    def test_loss_inflates_latency(self, monkeypatch):
+        monkeypatch.setattr(channel_base, "RTO_MS", 100.0)
+        sim, channel, at_switch, _ = self._channel(latency=1.0, drop_prob=0.9)
         channel.to_switch("x")
         sim.run()
         assert at_switch == ["x"]

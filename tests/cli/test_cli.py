@@ -25,6 +25,18 @@ class TestParser:
             assert args.command == "campaign"
             assert args.campaign_command == sub
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "run", "spec.json", "-j", "0"],
+        ["campaign", "run", "spec.json", "-j", "65"],
+        ["campaign", "serve", "spec.json", "--local-workers", "65"],
+        ["campaign", "serve", "spec.json", "--local-workers", "-1"],
+    ])
+    def test_worker_counts_past_the_bound_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert "must be an int in" in capsys.readouterr().err
+
     def test_campaign_work_has_no_batch_knob(self, capsys):
         # a finished cell goes back one ``submit`` at a time
         with pytest.raises(SystemExit) as exit_:
@@ -172,6 +184,23 @@ class TestScheduleCommand:
         ])
         assert code == 2
         assert "unknown properties" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, extra, algorithm", [
+        ("reversal", [], "peacock"),
+        ("sawtooth", [], "peacock"),
+        ("fat-tree", [], "peacock"),
+        ("random-update", [], "peacock"),
+        ("random-update", ["--waypointed"], "wayup"),
+        ("slalom", [], "wayup"),
+    ])
+    def test_default_algorithm_follows_the_waypoint(
+        self, family, extra, algorithm, capsys
+    ):
+        code = main(["schedule", "--family", family, *extra, "--json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is True
+        assert data["scheduler"] == algorithm
 
     def test_family_and_paths_conflict(self):
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import cost as cost_mod
 from repro.core.cost import (
     HARDWARE_TCAM,
     OVS_FAST,
@@ -28,9 +29,10 @@ class TestCostModel:
         assert cost.install_time(7) == 30.0
         assert cost.install_time(1) == 0.5
 
-    def test_rules_scale_install(self):
+    def test_rules_scale_install(self, monkeypatch):
+        monkeypatch.setattr(cost_mod, "RULES_PER_SWITCH", 3)
         cost = CostModel(install_ms=2.0)
-        assert cost.install_time(1, n_rules=3) == 6.0
+        assert cost.install_time(1) == 6.0
 
     def test_more_rounds_cost_more(self):
         problem = figure1_problem()

@@ -152,9 +152,11 @@ class TestWalks:
         assert not walk.traversed(99)
 
     def test_trace_walk_step_limit(self):
+        # a next hop off the problem's nodes never repeats one: only the
+        # step limit (one more than the node count) ends the walk
         problem = UpdateProblem([1, 2, 3], [1, 2, 3])
         with pytest.raises(UpdateModelError):
-            trace_walk(problem, lambda n: 1 if n == 2 else 2, max_steps=1)
+            trace_walk(problem, lambda n: n + 10)
 
 
 def reference_next_hop(old, new, updated):

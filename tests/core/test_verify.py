@@ -169,13 +169,6 @@ class TestScheduleLevel:
         assert not report.ok
         assert report.violations[0].round_index == 0
 
-    def test_stop_at_first(self, crossing):
-        schedule = UpdateSchedule(crossing, [[2], [1, 3, 4]])
-        report = verify_schedule(
-            schedule, properties=(Property.WPE,), stop_at_first=True
-        )
-        assert len(report.violations) == 1
-
     def test_by_property_filter(self, crossing):
         schedule = UpdateSchedule(crossing, [[1, 2, 3, 4]])
         report = verify_schedule(

@@ -3,8 +3,8 @@ freedom by induction over the rounds) must report exactly what a fold of
 from-scratch ``verify_round`` calls reports.
 
 Same ``ok``, same ``Violation`` objects (property, round index, witness,
-description), same ``rounds_checked`` / ``conservative_hits``, same
-``stop_at_first`` cut-off and same errors -- on safe schedules and on
+description), same ``rounds_checked`` / ``conservative_hits`` and same
+errors -- on safe schedules and on
 deliberately broken ones, for every property, on random partitions with
 install and cleanup rounds and a violation in the middle, and on
 duck-typed problems that offer nothing but ``next_hop``.
@@ -51,7 +51,7 @@ SLF, RLF, WPE, BH = Property.SLF, Property.RLF, Property.WPE, Property.BLACKHOLE
 RLF_BUDGET = 5_000  # broken rounds may blow the exact search: compare that too
 
 
-def fold_of_verify_round(schedule, properties, exact_rlf, stop_at_first):
+def fold_of_verify_round(schedule, properties, exact_rlf):
     """The reference: every round on a union graph built from scratch."""
     report = VerificationReport(ok=True, properties=tuple(properties))
     for round_index in range(schedule.n_rounds):
@@ -63,8 +63,6 @@ def fold_of_verify_round(schedule, properties, exact_rlf, stop_at_first):
         if violations:
             report.ok = False
             report.violations.extend(violations)
-            if stop_at_first:
-                break
     return report
 
 
@@ -91,17 +89,15 @@ def _compare_under_every_property(schedule, waypointed: bool) -> int:
     everything = (BH, RLF, SLF) + ((WPE,) if waypointed else ())
     for properties in singles + [everything]:
         for exact_rlf in (True, False) if RLF in properties else (True,):
-            for stop_at_first in (False, True):
-                got = _outcome(lambda: verify_schedule(
-                    schedule, properties, exact_rlf=exact_rlf,
-                    stop_at_first=stop_at_first,
-                ))
-                want = _outcome(lambda: fold_of_verify_round(
-                    schedule, properties, exact_rlf, stop_at_first
-                ))
-                assert got == want, (schedule, properties, exact_rlf, stop_at_first)
-                if isinstance(got, VerificationReport):
-                    seen += len(got.violations)
+            got = _outcome(lambda: verify_schedule(
+                schedule, properties, exact_rlf=exact_rlf,
+            ))
+            want = _outcome(lambda: fold_of_verify_round(
+                schedule, properties, exact_rlf
+            ))
+            assert got == want, (schedule, properties, exact_rlf)
+            if isinstance(got, VerificationReport):
+                seen += len(got.violations)
     return seen
 
 

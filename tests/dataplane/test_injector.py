@@ -4,6 +4,7 @@ import pytest
 
 from repro.controller.rules import compile_initial_rules
 from repro.core.problem import UpdateProblem
+from repro.dataplane import injector as injector_mod
 from repro.dataplane.injector import FlowSpec, InjectionResult, PeriodicInjector
 from repro.dataplane.packets import udp_packet
 from repro.dataplane.violations import PacketFate, TraceRecord
@@ -46,38 +47,42 @@ class TestPeriodicInjector:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(abs(gap - 2.0) < 1e-6 for gap in gaps)
 
-    def test_max_packets_cap(self, net):
+    def test_max_packets_cap(self, net, monkeypatch):
+        monkeypatch.setattr(injector_mod, "MAX_PACKETS", 5)
         flow = FlowSpec(source_host="h1", destination_host="h2")
-        injector = PeriodicInjector(net, flow, interval_ms=0.1, max_packets=5)
+        injector = PeriodicInjector(net, flow, interval_ms=0.1)
         injector.start()
         net.flush()
         assert len(injector.result.traces) == 5
 
-    def test_start_idempotent(self, net):
+    def test_start_idempotent(self, net, monkeypatch):
+        monkeypatch.setattr(injector_mod, "MAX_PACKETS", 3)
         flow = FlowSpec(source_host="h1", destination_host="h2")
-        injector = PeriodicInjector(net, flow, interval_ms=1.0, max_packets=3)
+        injector = PeriodicInjector(net, flow, interval_ms=1.0)
         injector.start()
         injector.start()
         net.flush()
         assert len(injector.result.traces) == 3
 
-    def test_custom_packet_factory(self, net):
+    def test_custom_packet_factory(self, net, monkeypatch):
+        monkeypatch.setattr(injector_mod, "MAX_PACKETS", 2)
         h1, h2 = net.host("h1"), net.host("h2")
         flow = FlowSpec(
             source_host="h1",
             destination_host="h2",
             packet_factory=lambda: udp_packet(h1.ip, h2.ip, dst_port=9999),
         )
-        injector = PeriodicInjector(net, flow, interval_ms=1.0, max_packets=2)
+        injector = PeriodicInjector(net, flow, interval_ms=1.0)
         injector.start()
         net.flush()
         # the line's rules match on ipv4_dst, so UDP probes still deliver
         injector.result.finalize()
         assert injector.result.counters.delivered == 2
 
-    def test_waypoint_annotation(self, net):
+    def test_waypoint_annotation(self, net, monkeypatch):
+        monkeypatch.setattr(injector_mod, "MAX_PACKETS", 2)
         flow = FlowSpec(source_host="h1", destination_host="h2", waypoint=2)
-        injector = PeriodicInjector(net, flow, interval_ms=1.0, max_packets=2)
+        injector = PeriodicInjector(net, flow, interval_ms=1.0)
         injector.start()
         net.flush()
         injector.result.finalize()

@@ -147,9 +147,7 @@ class TestInjectionPerHop:
     def test_hop_budget_terminates_loops(self):
         from repro.openflow.flowmod import add_flow
 
-        network = Network(
-            linear(3, with_hosts=True), seed=0, packet_mode="perhop", max_hops=6
-        )
+        network = Network(linear(3, with_hosts=True), seed=0, packet_mode="perhop")
         network.start()
         match = Match(eth_type=0x0800, ipv4_dst=network.host("h2").ip)
         network.send_flow_mods({

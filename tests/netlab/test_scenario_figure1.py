@@ -88,8 +88,9 @@ class TestScenarioMechanics:
         old_path, _, _ = figure1_paths()
         assert path == list(old_path.nodes)
 
-    def test_probe_traffic_spans_update(self):
-        result = run_figure1(algorithm="wayup", seed=1, probe_interval_ms=0.5)
+    def test_probe_traffic_spans_update(self, monkeypatch):
+        monkeypatch.setattr(UpdateScenario, "probe_interval_ms", 0.5)
+        result = run_figure1(algorithm="wayup", seed=1)
         times = [t.injected_ms for t in result.traffic.traces]
         assert min(times) <= result.update_duration_ms
         assert len(times) >= result.update_duration_ms / 0.5 * 0.5

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dataplane import injector as injector_mod
 from repro.dataplane.injector import FlowSpec, PeriodicInjector
 from repro.dataplane.packets import Packet
 from repro.dataplane.violations import PacketFate
@@ -208,11 +209,15 @@ class TestInvalidation:
         assert not any(replayed)
         assert emitted == [2] * 6  # three probes, in each of the two runs
 
-    def test_a_varying_packet_factory_walks_every_time_in_constant_memory(self):
+    def test_a_varying_packet_factory_walks_every_time_in_constant_memory(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(injector_mod, "MAX_PACKETS", 8)
+
         def inject(net):
             ports = itertools.count(40000)
             flow = FlowSpec("h1", "h2", packet_factory=lambda: Packet(tcp_src=next(ports)))
-            injector = PeriodicInjector(net, flow, interval_ms=1.0, max_packets=8)
+            injector = PeriodicInjector(net, flow, interval_ms=1.0)
             injector.start()
             net.flush()
             assert [trace.fate for trace in injector.result.traces] == [DELIVERED] * 8

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from repro.errors import HttpStatusError, TransportError
+from repro.rest import http_binding
 from repro.rest.http_binding import HttpClient
 
 
@@ -65,23 +66,25 @@ def scripted():
 
 
 class TestRetryPolicy:
-    def test_5xx_retries_until_success(self, scripted):
+    def test_5xx_retries_until_success(self, scripted, monkeypatch):
+        monkeypatch.setattr(http_binding, "JITTER_SEED", 0)
         server = scripted([(503, {"error": "warming up"}),
                            (503, {"error": "still warming"}),
                            (200, {"ready": True})])
         sleeps = []
-        client = HttpClient(server.url, jitter_seed=0, sleep=sleeps.append)
+        client = HttpClient(server.url, sleep=sleeps.append)
         assert client.get("/status") == {"ready": True}
         assert len(sleeps) == 2 and client.retries == 2
         assert len(server.requests) == 3
 
-    def test_backoff_grows_and_caps(self, scripted):
+    def test_backoff_grows_and_caps(self, scripted, monkeypatch):
+        monkeypatch.setattr(http_binding, "MAX_ATTEMPTS", 5)
+        monkeypatch.setattr(http_binding, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(http_binding, "BACKOFF_CAP_S", 0.25)
+        monkeypatch.setattr(http_binding, "JITTER_SEED", 0)
         server = scripted([(503, {})] * 4 + [(200, {})])
         sleeps = []
-        client = HttpClient(
-            server.url, max_attempts=5, backoff_base_s=0.1,
-            backoff_cap_s=0.25, jitter_seed=0, sleep=sleeps.append,
-        )
+        client = HttpClient(server.url, sleep=sleeps.append)
         client.get("/x")
         bases = [0.1, 0.2, 0.25, 0.25]  # doubling, then capped
         assert len(sleeps) == 4
@@ -99,16 +102,18 @@ class TestRetryPolicy:
         assert sleeps == [] and client.retries == 0
         assert len(server.requests) == 1
 
-    def test_exhausted_retries_raise_transport_error(self, scripted):
+    def test_exhausted_retries_raise_transport_error(self, scripted, monkeypatch):
+        monkeypatch.setattr(http_binding, "MAX_ATTEMPTS", 3)
         server = scripted([(500, {})] * 10)
         sleeps = []
-        client = HttpClient(server.url, max_attempts=3, sleep=sleeps.append)
+        client = HttpClient(server.url, sleep=sleeps.append)
         with pytest.raises(TransportError, match="after 3 attempts"):
             client.get("/flaky")
         assert len(sleeps) == 2 and client.retries == 2
         assert len(server.requests) == 3
 
-    def test_connection_refused_is_transient(self):
+    def test_connection_refused_is_transient(self, monkeypatch):
+        monkeypatch.setattr(http_binding, "MAX_ATTEMPTS", 2)
         # allocate a port and close it so nothing is listening
         import socket
 
@@ -117,9 +122,7 @@ class TestRetryPolicy:
         port = probe.getsockname()[1]
         probe.close()
         sleeps = []
-        client = HttpClient(
-            f"http://127.0.0.1:{port}", max_attempts=2, sleep=sleeps.append
-        )
+        client = HttpClient(f"http://127.0.0.1:{port}", sleep=sleeps.append)
         with pytest.raises(TransportError):
             client.get("/anything")
         assert len(sleeps) == 1
@@ -175,13 +178,16 @@ class TestConnectionReuse:
         finally:
             server.stop()
 
-    def test_server_restart_costs_exactly_one_retry(self, api, connects):
+    def test_server_restart_costs_exactly_one_retry(
+        self, api, connects, monkeypatch
+    ):
         from repro.rest.http_binding import RestHttpServer
 
+        monkeypatch.setattr(http_binding, "JITTER_SEED", 0)
         first = RestHttpServer(api, port=0)
         first.start()
         sleeps = []
-        client = HttpClient(first.url, jitter_seed=0, sleep=sleeps.append)
+        client = HttpClient(first.url, sleep=sleeps.append)
         assert client.get("/campaigns") == []
         first.stop()
         second = RestHttpServer(api, port=first.port)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.random_source import RandomStreams, derive_seed
+from repro.sim import simulator as simulator_mod
 from repro.sim.simulator import Simulator
 
 
@@ -96,13 +97,15 @@ class TestSimulator:
         sim.run()
         assert not fired
 
-    def test_runaway_guard(self, sim):
+    def test_runaway_guard(self, sim, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "MAX_EVENTS", 100)
+
         def forever():
             sim.schedule(0.0, forever)
 
         sim.schedule(0.0, forever)
         with pytest.raises(SimulationError, match="events"):
-            sim.run(max_events=100)
+            sim.run()
 
     def test_timers_alone_do_not_keep_a_run_going(self, sim):
         fired = []

@@ -79,9 +79,8 @@ class TestLookup:
 
     def test_counters_touched(self, table):
         table.apply_flow_mod(add_flow(Match(in_port=1), out_port=2))
-        table.lookup({"in_port": 1}, now=5.0, n_bytes=100)
+        entry = table.lookup({"in_port": 1}, now=5.0, n_bytes=100)
         table.lookup({"in_port": 1}, now=6.0, n_bytes=50)
-        entry = table.lookup({"in_port": 1}, touch=False)
         assert entry.packet_count == 2
         assert entry.byte_count == 150
         assert entry.last_match_time == 6.0

@@ -25,12 +25,23 @@ set up or observe *other* behaviour, when it is the reference twin a
 test compares a fast path against, or when it is dispatched by a
 string.  Every entry must still be needed: a name the program reaches
 again must leave the list.
+
+The *parameter census* holds the same line for settable values: a
+defaulted parameter of a ``src/`` function, method or constructor is
+*set* when its name occurs as a keyword argument or an identifier-shaped
+string anywhere in ``src/``, ``benchmarks/`` or ``examples/``, or when a
+call by the callee's name (a class's name for ``__init__``) passes its
+position.  A value nothing sets is a constant: it becomes one, read at
+call time so a test can patch it, or its path goes.  The seams tests
+drive the program through stay on :data:`KEEP_PARAMS`, each with its
+reason.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
+import math
 import re
 from pathlib import Path
 
@@ -146,6 +157,20 @@ KEEP = {
         "property tests draw waypointed instances with it",
 }
 
+#: ``"<path under src/repro>::<Qualname>(<parameter>)"`` (fnmatch
+#: patterns) -> why it keeps its default although the program never sets
+#: it.
+KEEP_PARAMS = {
+    "*(clock)": "tests drive leases, heartbeats and backoff with a hand-set clock",
+    "*(store)": "tests hand a coordinator or runner a RunStore they set up",
+    "core/registry.py::register_scheduler(factory)":
+        "tests plug a fake scheduler in by its factory",
+    "rest/api.py::build_campaign_api(service)":
+        "the transport parity test serves a CampaignService it also drives in-process",
+    "dataplane/packets.py::*_packet(dst_port)":
+        "the packet builders serve only tests (KEEP), which choose the port",
+}
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -242,6 +267,91 @@ def unreached(root: Path = ROOT, keep=()) -> list[str]:
     return [qual for (qual, _, _), on in zip(defs, live) if not on]
 
 
+def _callees(func) -> list[str]:
+    """The names a call goes by: ``f(...)``, ``x.f(...)``, and both arms
+    of ``(f if c else g)(...)``."""
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        return [func.attr]
+    if isinstance(func, ast.IfExp):
+        return _callees(func.body) + _callees(func.orelse)
+    return []
+
+
+def _settings(trees) -> tuple[set[str], dict[str, float]]:
+    """Names set by keyword (or as identifier strings), and per callee
+    name the most positional arguments any call passes it."""
+    named: set[str] = set()
+    passed: dict[str, float] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg:
+                named.add(node.arg)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and _IDENT.match(node.value)):
+                named.add(node.value)
+            elif isinstance(node, ast.Call):
+                count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+                for name in _callees(node.func):
+                    passed[name] = max(passed.get(name, 0), count)
+    return named, passed
+
+
+def _defaulted(key: str, tree: ast.Module):
+    """Yield ``(key::qualname(param), param, names it is called by,
+    position)`` for every defaulted parameter of a top-level function or
+    method; ``position`` is ``None`` for a keyword-only one."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS):
+            yield from _parameters(f"{key}::{node.name}", node, [node.name], 0)
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if not isinstance(method, _FUNCTIONS):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in method.decorator_list)
+                names = ([node.name, "__init__"] if method.name == "__init__"
+                         else [method.name])
+                yield from _parameters(f"{key}::{node.name}.{method.name}",
+                                       method, names, 0 if static else 1)
+
+
+def _parameters(qual: str, function, names: list[str], bound: int):
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        name = positional[index].arg
+        yield f"{qual}({name})", name, names, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qual}({arg.arg})", arg.arg, names, None
+
+
+def unset_parameters(root: Path = ROOT, keep=()) -> list[str]:
+    """The parameter census: defaulted parameters under ``root/src/repro``
+    that nothing in ``src/``, ``benchmarks/`` or ``examples/`` sets.
+    ``keep`` patterns count as set."""
+    package = root / "src" / "repro"
+    trees, params = [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        trees.append(tree)
+        params.extend(_defaulted(path.relative_to(package).as_posix(), tree))
+    for folder in ("benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            trees.append(ast.parse(path.read_text(encoding="utf-8")))
+    named, passed = _settings(trees)
+    return [
+        qual for qual, param, names, position in params
+        if param not in named
+        and (position is None or all(passed.get(n, 0) <= position for n in names))
+        and not any(fnmatch.fnmatchcase(qual, pattern) for pattern in keep)
+    ]
+
+
 def test_every_definition_is_reached():
     dead = unreached(keep=KEEP)
     assert not dead, (
@@ -296,3 +406,54 @@ def test_census_finds_code_only_dead_code_or_reexports_reach(tmp_path):
     assert unreached(root, keep=["mod.py::dead"]) == ["mod.py::Box.shrink"]
     (root / "examples" / "demo.py").write_text("from repro.mod import Box\nBox().shrink()\n")
     assert unreached(root, keep=["mod.py::dead"]) == []
+
+
+def test_every_parameter_is_set_by_the_program():
+    unset = unset_parameters(keep=KEEP_PARAMS)
+    assert not unset, (
+        "defaulted in src/ but set by nothing the program runs: make each "
+        "a constant read at call time (a test may patch it), drop the path "
+        "it selects, or add it to KEEP_PARAMS with the reason a test needs "
+        "it:\n  " + "\n  ".join(unset)
+    )
+
+
+def test_every_keep_params_entry_is_still_needed():
+    unset = unset_parameters()
+    stale = [
+        pattern for pattern in KEEP_PARAMS
+        if not any(fnmatch.fnmatchcase(qual, pattern) for qual in unset)
+    ]
+    assert not stale, f"set again or gone, drop from KEEP_PARAMS: {stale}"
+    assert all(isinstance(why, str) and why.strip() for why in KEEP_PARAMS.values())
+
+
+def test_parameter_census_counts_keywords_strings_and_positions(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/mod.py": (
+            "def f(a, b=1, *, c=2, d=3):\n    return a + b + c + d\n"
+            "def g(x=0, y=0):\n    return x + y\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, seal=False):\n        self.size = size\n"
+            "    def fill(self, n=1):\n        return n\n"
+            "    @staticmethod\n"
+            "    def empty(k=0):\n        return k\n"),
+        "src/repro/cli.py": (
+            "from repro.mod import Box, f, g\n"
+            "f(0, 5, c=1)\n"
+            "Box(2).fill()\n"
+            "Box.empty(1)\n"
+            "(g if True else max)(1)\n"),
+        "benchmarks/bench.py": "OPTIONS = {'d': 4}\n",
+        "examples/demo.py": "",
+    })
+    assert unset_parameters(root) == [
+        "mod.py::g(y)", "mod.py::Box.__init__(seal)", "mod.py::Box.fill(n)",
+    ]
+    assert unset_parameters(root, keep=["*(seal)"]) == [
+        "mod.py::g(y)", "mod.py::Box.fill(n)",
+    ]
+    (root / "examples" / "demo.py").write_text(
+        "from repro.mod import Box, g\ng(1, 2)\nBox().fill(n=3)\n")
+    assert unset_parameters(root, keep=["*(seal)"]) == []
