@@ -3,10 +3,13 @@
 Perf numbers are only comparable against their environment: every
 ``BENCH_*.json`` embeds the machine, python build and git revision that
 produced it, so regressions can be told apart from hardware changes.
+:func:`write` is every artifact's one writer, and it never stamps a sha
+on numbers measured from code that commit does not hold.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import platform
 import socket
@@ -45,3 +48,17 @@ def provenance() -> dict:
     except (OSError, subprocess.SubprocessError):
         pass  # not a git checkout (e.g. a source tarball): sha stays None
     return record
+
+
+def write(payload: dict, out: pathlib.Path) -> bool:
+    """Write a ``BENCH_*.json`` artifact -- unless ``src/`` differs from
+    the commit whose sha the payload carries (the ledger's rule for its
+    baseline); returns whether the file was written."""
+    tag = payload["benchmark"]
+    if payload["provenance"]["src_dirty"]:
+        print(f"[{tag}] src/ has uncommitted changes: {out} not rewritten")
+        return False
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"[{tag}] wrote {out} ({payload['wall_seconds']}s)")
+    return True

@@ -43,13 +43,12 @@ Acceptance targets (gated by the exit status, wired into
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import platform
 import sys
 import time
 
-from _provenance import provenance
+from _provenance import provenance, write
 from repro.core.hardness import (
     crossing_clash_instance,
     reversal_instance,
@@ -271,20 +270,12 @@ def bench_misses() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer repeats, for make bench-smoke",
-    )
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
-    args = parser.parse_args(argv)
-
+def measure(quick: bool) -> dict:
+    """Run every section; returns the payload ``BENCH_exact.json`` holds."""
     started = time.time()
     payload = {
         "benchmark": "exact-search-perf",
-        "mode": "quick" if args.quick else "full",
+        "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "provenance": provenance(),
@@ -293,20 +284,20 @@ def main(argv=None) -> int:
     }
     print(f"[bench_perf_exact] mode={payload['mode']}")
     for name, fn in (
-        ("cap_lift", lambda: bench_cap_lift(args.quick)),
+        ("cap_lift", lambda: bench_cap_lift(quick)),
         ("warm_memo", bench_warm_memo),
-        ("bnb", lambda: bench_bnb(args.quick)),
+        ("bnb", lambda: bench_bnb(quick)),
         ("misses", bench_misses),
     ):
         section_start = time.time()
         payload["results"][name] = fn()
         print(f"  {name}: {time.time() - section_start:.1f}s")
     payload["wall_seconds"] = round(time.time() - started, 1)
+    return payload
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"[bench_perf_exact] wrote {args.out} ({payload['wall_seconds']}s)")
 
+def gate(payload: dict) -> int:
+    """Print each target against what was measured; 0 when all are met."""
     cap = payload["results"]["cap_lift"]
     bnb = payload["results"]["bnb"]
     misses = payload["results"]["misses"]
@@ -329,6 +320,20 @@ def main(argv=None) -> int:
         )
     met = (cap["meets_target"], bnb["meets_target"], misses["meets_target"])
     return 0 if all(met) else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="fewer repeats, for make bench-smoke",
+    )
+    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
+    args = parser.parse_args(argv)
+    payload = measure(args.quick)
+    write(payload, args.out)
+    return gate(payload)
 
 
 if __name__ == "__main__":

@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import pathlib
 import platform
 import statistics
 import sys
 import time
 
-from _provenance import provenance
+from _provenance import provenance, write
 from repro.core.api import schedule_update
 from repro.core.greedy_slf import greedy_slf_schedule
 from repro.core.hardness import reversal_instance
@@ -274,17 +273,6 @@ def measure(quick: bool) -> dict:
         print(f"  {name}: {time.time() - section_start:.1f}s")
     payload["wall_seconds"] = round(time.time() - started, 1)
     return payload
-
-
-def write(payload: dict, out: pathlib.Path) -> None:
-    """Write the artifact -- unless ``src/`` differs from the commit whose
-    sha the payload carries (the ledger's rule for its baseline)."""
-    if payload["provenance"]["src_dirty"]:
-        print(f"[bench_perf_oracle] src/ has uncommitted changes: {out} not rewritten")
-        return
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"[bench_perf_oracle] wrote {out} ({payload['wall_seconds']}s)")
 
 
 def gate(payload: dict) -> int:

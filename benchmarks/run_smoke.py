@@ -6,8 +6,11 @@ Peacock's search writes per node, request cost vs live oracles,
 ``BENCH_oracle.json``) and
 :mod:`benchmarks.bench_perf_exact` (the exact search past the old cap,
 the wall of its two modes, the n=24 instances, the oracle misses and
-singleton passes of two default-mode solves, ``BENCH_exact.json``).  Wired as ``make bench-smoke``; exit status is
-non-zero when any perf target regresses, so it can gate CI.
+singleton passes of two default-mode solves, ``BENCH_exact.json``).
+Wired as ``make bench-smoke``; exit status is non-zero when any perf
+target regresses, so it can gate CI.  The gates read what was just
+measured; an artifact is rewritten only when ``src/`` has no uncommitted
+change (:func:`_provenance.write`).
 
 After both benchmarks the runner prints one table of what it measured
 and rewrites the marker-delimited smoke section of
@@ -29,7 +32,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -38,6 +40,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 import bench_perf_exact  # noqa: E402  (sibling import by path)
 import bench_perf_oracle  # noqa: E402
+from _provenance import write  # noqa: E402
 
 TABLES_PATH = pathlib.Path(__file__).parent / "results" / "tables.txt"
 SMOKE_BEGIN = "=== PERF smoke (auto-generated) ==="
@@ -202,21 +205,18 @@ def main(argv=None) -> int:
         for failure in guard_failures:
             print(f"FAIL: {failure}")
         return 1
-    # the oracle artifact is not rewritten over a dirty src/: gate and
-    # tabulate what was just measured, not what the file holds
+    # no artifact is rewritten over a dirty src/: gate and tabulate what
+    # was just measured, not what the files hold
     oracle_payload = bench_perf_oracle.measure(quick=True)
-    bench_perf_oracle.write(oracle_payload, args.oracle_out)
+    write(oracle_payload, args.oracle_out)
     oracle_rc = bench_perf_oracle.gate(oracle_payload)
-    exact_rc = bench_perf_exact.main(["--quick", "--out", str(args.exact_out)])
-    try:
-        exact_payload = json.loads(args.exact_out.read_text(encoding="utf-8"))
-        table = smoke_table(oracle_payload, exact_payload)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"[run_smoke] could not build the smoke table: {exc}")
-    else:
-        print(table)
-        rewrite_smoke_section(table)
-        print(f"[run_smoke] refreshed smoke section of {TABLES_PATH}")
+    exact_payload = bench_perf_exact.measure(quick=True)
+    write(exact_payload, args.exact_out)
+    exact_rc = bench_perf_exact.gate(exact_payload)
+    table = smoke_table(oracle_payload, exact_payload)
+    print(table)
+    rewrite_smoke_section(table)
+    print(f"[run_smoke] refreshed smoke section of {TABLES_PATH}")
     return oracle_rc or exact_rc
 
 

@@ -79,10 +79,6 @@ class LinkFailure(ChurnEvent):
         if len(self.link) != 2 or self.link[0] == self.link[1]:
             raise ChurnError(f"a link failure needs a (u, v) pair, got {self.link!r}")
 
-    def matches(self, u, v) -> bool:
-        a, b = self.link
-        return (u == a and v == b) or (u == b and v == a)
-
 
 def event_sort_key(event: ChurnEvent) -> tuple:
     """Deterministic trace order: time, then kind rank, then identity.

@@ -4,8 +4,8 @@ The online controller feeds three layers of measurement:
 
 * per-request :class:`UpdateLifecycle` records (arrival → settle, with
   the executed :class:`~repro.controller.update_queue.RoundTiming` list
-  -- dumped via the partial-tolerant ``to_dict`` so mid-update snapshots
-  never crash on a still-running round);
+  -- dumped via the partial-tolerant ``to_dict`` so a dump taken mid-update
+  never crashes on a still-running round);
 * a global :class:`~repro.dataplane.violations.ViolationCounters` fed by
   the probe checker -- every rule-walk probe is one "packet" classified
   into the dataplane vocabulary (delivered / bypassed / looped /
@@ -68,7 +68,7 @@ class UpdateLifecycle:
             "time_to_quiescence_ms": self.time_to_quiescence_ms,
             "status": self.status,
             "waypointed": self.waypointed,
-            # partial dumps: a mid-update snapshot may hold a running round
+            # a dump taken mid-run may hold a running round
             "rounds": [timing.to_dict() for timing in self.rounds],
             "n_rounds": len(self.rounds),
             "flips": self.flips,
@@ -163,23 +163,6 @@ class ChurnMetrics:
         if not durations:
             return 0.0
         return sum(durations) / len(durations)
-
-    def snapshot(self, now_ms: float) -> dict:
-        """Mid-run view: safe even while rounds are still executing."""
-        in_flight = [
-            record.to_dict()
-            for record in self.lifecycles.values()
-            if not record.settled
-        ]
-        in_flight.sort(key=lambda item: item["request_id"])
-        return {
-            "now_ms": now_ms,
-            "in_flight": in_flight,
-            "settled": sum(
-                1 for record in self.lifecycles.values() if record.settled
-            ),
-            "violations": self.violations.as_dict(),
-        }
 
     def to_dict(self) -> dict:
         lifecycles = [

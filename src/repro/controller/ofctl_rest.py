@@ -15,7 +15,7 @@ from repro.errors import BadRequestError, ControllerError, OpenFlowError
 from repro.controller.app import RyuLikeApp
 from repro.controller.datapath_handle import Datapath
 from repro.openflow.constants import FlowModCommand
-from repro.openflow.flowmod import FlowMod
+from repro.openflow.flowmod import flow_entry
 from repro.openflow.stats import FlowStatsReply, FlowStatsRequest
 
 
@@ -79,16 +79,11 @@ class OfctlRestApp(RyuLikeApp):
         """POST /stats/flowentry/delete_strict"""
         return self._flowentry(body, FlowModCommand.DELETE_STRICT)
 
-    def _flowentry(
-        self, body: Mapping[str, Any], command: FlowModCommand
-    ) -> dict[str, Any]:
-        if "dpid" not in body:
-            raise BadRequestError("flow entry body needs a 'dpid'")
+    def _flowentry(self, body: Any, command: FlowModCommand) -> dict[str, Any]:
         if self.controller is None:
             raise ControllerError("app not registered with a controller")
-        dpid = int(body["dpid"])
         try:
-            mod = FlowMod.from_ofctl(body, command=command)
+            dpid, mod = flow_entry(body, command)
         except OpenFlowError as exc:
             raise BadRequestError(f"bad flow entry: {exc}") from None
         datapath = self.controller.datapath(dpid)

@@ -18,13 +18,22 @@ REST message format, from the paper::
     }
 
 The explicit per-type FlowMod bodies of the original are accepted too
-(``"add"`` / ``"delete"`` lists of ofctl bodies override the compiler for
-the listed switches); in the common case the app compiles the rules itself
-from the topology, exactly like our scenario runner does.
+(``"add"`` / ``"modify"`` / ``"delete"`` lists of ofctl flow-entry bodies
+override the compiler for the listed switches); in the common case the
+app compiles the rules itself from the topology, exactly like our
+scenario runner does.
+
+The body has one reader, the :data:`UPDATE` table, whose defaults are
+what the app does with a key left out; each override entry is read by
+:func:`~repro.openflow.flowmod.flow_entry`.  :meth:`TransientUpdateApp.submit_update`
+decodes the whole body before it schedules anything, for the REST route
+and for in-process callers (:class:`~repro.netlab.scenario.UpdateScenario`)
+alike.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.errors import (
@@ -45,13 +54,35 @@ from repro.controller.rules import (
 )
 from repro.controller.update_queue import UpdateQueueApp
 from repro.core.api import execute_request, ScheduleRequest
-from repro.core.problem import UpdateProblem
+from repro.core.problem import PROBLEM_FIELDS, UpdateProblem
 from repro.core.registry import REGISTRY, resolve_scheduler, scheduler_names
 from repro.core.twophase import TwoPhaseSchedule
 from repro.core.verify import default_properties
-from repro.openflow.flowmod import FlowMod
+from repro.openflow.constants import FlowModCommand
+from repro.openflow.flowmod import FlowMod, flow_entry
 from repro.openflow.match import Match
+from repro.schema import (Field, Schema, boolean, integer, is_object, list_of,
+                          number, string)
 from repro.topology.graph import Topology
+
+_OVERRIDES = ("add", "modify", "delete")
+#: ``match`` left out: the app's own ``default_match`` (an explicit ``{}``
+#: matches every packet).
+_APP_MATCH: Mapping[str, Any] = MappingProxyType({})
+
+#: The update request (``POST /update[/<algorithm>]``): the paper's header,
+#: this implementation's extensions and the override lists; unknown keys
+#: pass.
+UPDATE = Schema("update request", (
+    *PROBLEM_FIELDS,
+    Field("interval", number(0), "non-negative milliseconds (a finite number)", 0),
+    Field("algorithm", string, "a scheduler spec string", "wayup"),
+    Field("match", is_object, "an object", _APP_MATCH),
+    Field("priority", integer(0, 0xFFFF), "an int in 0..65535", POLICY_PRIORITY),
+    Field("barriers", boolean, "true or false", True),
+    *(Field(key, list_of(is_object), "a list of flow-entry bodies", None)
+      for key in _OVERRIDES),
+), BadRequestError, closed=False)
 
 
 class TransientUpdateApp(RyuLikeApp):
@@ -76,18 +107,22 @@ class TransientUpdateApp(RyuLikeApp):
     # ------------------------------------------------------------------
     # REST entry point
     # ------------------------------------------------------------------
-    def submit_update(self, body: Mapping[str, Any]) -> dict[str, Any]:
-        """POST /update/<algorithm> -- returns a summary dict."""
-        problem = self._parse_problem(body)
-        algorithm = str(body.get("algorithm", "wayup")).lower()
-        interval_ms = float(body.get("interval", 0.0))
+    def submit_update(
+        self, body: Any, algorithm: str | None = None
+    ) -> dict[str, Any]:
+        """POST /update[/<algorithm>] -- returns a summary dict; the path's
+        ``algorithm`` wins over the body's."""
+        request = UPDATE.decode(body)
+        overrides = self._read_overrides(request)
+        problem = self._parse_problem(request)
+        algorithm = (algorithm or request["algorithm"]).lower()
         match = self.default_match
-        if "match" in body:
+        if request["match"] is not _APP_MATCH:
             try:
-                match = Match.from_ofctl(body["match"])
+                match = Match.from_ofctl(request["match"])
             except OpenFlowError as exc:
                 raise BadRequestError(f"bad match: {exc}") from None
-        priority = int(body.get("priority", POLICY_PRIORITY))
+        priority = request["priority"]
 
         try:
             scheduler = resolve_scheduler(algorithm)
@@ -145,12 +180,12 @@ class TransientUpdateApp(RyuLikeApp):
                     ]
             compiled = compile_schedule(self.topology, schedule, match, priority=priority)
 
-        self._apply_body_overrides(compiled, body)
+        self._apply_body_overrides(compiled, overrides)
         execution = self.update_queue.submit(
             compiled,
-            interval_ms=interval_ms,
+            interval_ms=float(request["interval"]),
             metadata={"algorithm": algorithm, "problem": problem.to_dict()},
-            use_barriers=bool(body.get("barriers", True)),
+            use_barriers=request["barriers"],
         )
         summary["update_id"] = execution.update_id
         summary["flow_mods"] = compiled.total_mods()
@@ -160,45 +195,40 @@ class TransientUpdateApp(RyuLikeApp):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _parse_problem(self, body: Mapping[str, Any]) -> UpdateProblem:
-        """The body's update; both paths must run over this app's topology."""
+    def _read_overrides(
+        self, request: Mapping[str, Any]
+    ) -> list[tuple[int, FlowMod]]:
+        """The explicit per-type FlowMod bodies of the original format, in
+        ``add`` / ``modify`` / ``delete`` order."""
+        overrides = []
+        for key in _OVERRIDES:
+            for entry in request[key] or ():
+                try:
+                    overrides.append(flow_entry(entry, FlowModCommand[key.upper()]))
+                except (BadRequestError, OpenFlowError) as exc:
+                    raise BadRequestError(f"bad {key!r} override: {exc}") from None
+        return overrides
+
+    def _parse_problem(self, request: Mapping[str, Any]) -> UpdateProblem:
+        """The request's update; both paths must run over this app's topology."""
         try:
-            problem = UpdateProblem(
-                [int(v) for v in body["oldpath"]],
-                [int(v) for v in body["newpath"]],
-                waypoint=int(body["wp"]) if "wp" in body and body["wp"] is not None else None,
-            )
+            problem = UpdateProblem.from_dict(request)
             problem.validate_in(self.topology)
-        except (UpdateModelError, PathError, KeyError, ValueError) as exc:
+        except (UpdateModelError, PathError) as exc:
             raise BadRequestError(f"bad update request: {exc}") from exc
         return problem
 
     def _apply_body_overrides(
-        self, compiled: CompiledUpdate, body: Mapping[str, Any]
+        self, compiled: CompiledUpdate, overrides: list[tuple[int, FlowMod]]
     ) -> None:
-        """Honor explicit per-type FlowMod bodies from the original format.
-
-        ``{"add": [<ofctl body with dpid>, ...], "delete": [...]}`` replaces
-        the compiled FlowMods of the listed switches in the round where that
-        switch is scheduled.
-        """
-        for command_key in ("add", "modify", "delete"):
-            for entry in body.get(command_key, []) or []:
-                if "dpid" not in entry:
-                    raise BadRequestError(f"{command_key!r} override without 'dpid'")
-                dpid = int(entry["dpid"])
-                try:
-                    mod = FlowMod.from_ofctl(entry, command=command_key.upper())
-                except OpenFlowError as exc:
-                    raise BadRequestError(
-                        f"bad {command_key!r} override: {exc}"
-                    ) from None
-                for compiled_round in compiled.rounds:
-                    if dpid in compiled_round.mods_by_dpid:
-                        compiled_round.mods_by_dpid[dpid] = [mod]
-                        break
-                else:
-                    raise BadRequestError(
-                        f"override for dpid {dpid} which no round updates"
-                    )
-
+        """Each override replaces the compiled FlowMods of its switch in the
+        round where that switch is scheduled."""
+        for dpid, mod in overrides:
+            for compiled_round in compiled.rounds:
+                if dpid in compiled_round.mods_by_dpid:
+                    compiled_round.mods_by_dpid[dpid] = [mod]
+                    break
+            else:
+                raise BadRequestError(
+                    f"override for dpid {dpid} which no round updates"
+                )

@@ -29,15 +29,6 @@ class TraceEntry:
     xid: int
     summary: str
 
-    def as_dict(self) -> dict:
-        return {
-            "time_ms": round(self.time_ms, 6),
-            "dpid": self.dpid,
-            "direction": self.direction,
-            "type": self.msg_type,
-            "xid": self.xid,
-        }
-
 
 @dataclass
 class ControlPlaneTrace:

@@ -124,9 +124,6 @@ class ScheduleResult:
     def n_rounds(self) -> int:
         return self.schedule.n_rounds
 
-    def total_updates(self) -> int:
-        return self.schedule.total_updates()
-
     def to_dict(self) -> dict:
         """JSON-compatible serialization (the REST / CLI wire format)."""
         data: dict = {

@@ -27,11 +27,26 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import UpdateModelError
+from repro.schema import Field, datapath_id, list_of
 from repro.topology.graph import NodeId, Topology
 from repro.topology.paths import Path, as_path
+
+
+#: A path over the wire: at least two datapath ids, none repeated.
+PATH = list_of(datapath_id, 2, distinct=int)
+_PATH_TEXT = "a simple path: at least two datapath ids, no repeats, none non-numeric"
+
+#: The rows of a request body that name its update (the paper's REST
+#: header without ``interval``); :meth:`UpdateProblem.from_dict` builds
+#: the problem from what they decode to.
+PROBLEM_FIELDS = (
+    Field("oldpath", PATH, _PATH_TEXT),
+    Field("newpath", PATH, _PATH_TEXT),
+    Field("wp", datapath_id, "a numeric datapath id", None),
+)
 
 
 class RuleState(enum.Enum):
@@ -300,18 +315,14 @@ class UpdateProblem:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "UpdateProblem":
-        """Inverse of :meth:`to_dict` (accepts the paper's REST field names)."""
-        try:
-            old_path = data["oldpath"]
-            new_path = data["newpath"]
-        except KeyError as exc:
-            raise UpdateModelError(f"missing field {exc.args[0]!r}") from None
+    def from_dict(cls, data: Mapping[str, Any]) -> "UpdateProblem":
+        """The update :data:`PROBLEM_FIELDS` decoded to, or :meth:`to_dict`
+        wrote (datapath ids as ints or digit strings)."""
+        waypoint = data.get("wp")
         return cls(
-            old_path,
-            new_path,
-            waypoint=data.get("wp"),
-            name=data.get("name", "update"),
+            [int(node) for node in data["oldpath"]],
+            [int(node) for node in data["newpath"]],
+            waypoint=None if waypoint is None else int(waypoint),
         )
 
 

@@ -139,19 +139,6 @@ class UpdateSchedule:
             "metadata": dict(self.metadata),
         }
 
-    @classmethod
-    def from_dict(cls, problem: UpdateProblem, data: dict) -> "UpdateSchedule":
-        try:
-            rounds = data["rounds"]
-        except KeyError:
-            raise ScheduleError("schedule dict lacks 'rounds'") from None
-        return cls(
-            problem,
-            rounds,
-            algorithm=data.get("algorithm", "manual"),
-            metadata=data.get("metadata"),
-        )
-
 
 def sequential_schedule(
     problem: UpdateProblem, order: Sequence[NodeId] | None = None

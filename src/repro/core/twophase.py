@@ -93,12 +93,6 @@ class TwoPhaseSchedule:
             return self
         return replace(self, garbage=frozenset())
 
-    def with_cleanup(self) -> "TwoPhaseSchedule":
-        """Restore the garbage-collection phase (no-op if already present)."""
-        if self.garbage:
-            return self
-        return two_phase_schedule(self.problem)
-
     def to_dict(self) -> dict:
         """Wire format, shaped like ``UpdateSchedule.to_dict`` plus phases."""
         return {

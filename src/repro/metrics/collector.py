@@ -116,20 +116,6 @@ class Histogram:
             cumulative += count
         return self.bounds[-1]
 
-    def as_dict(self) -> dict:
-        data = {
-            "name": self.name,
-            "count": self.total,
-            "sum": round(self.sum, 6),
-        }
-        if self.total:
-            data.update(
-                p50=round(self.quantile(0.50), 6),
-                p95=round(self.quantile(0.95), 6),
-                p99=round(self.quantile(0.99), 6),
-            )
-        return data
-
     def snapshot(self) -> "Histogram":
         clone = Histogram(self.name, self.bounds)
         clone.counts = list(self.counts)

@@ -1,15 +1,22 @@
-"""The FlowMod message: the unit of every network update in the paper."""
+"""The FlowMod message: the unit of every network update in the paper.
+
+An ofctl flow-entry body -- Ryu's ``POST /stats/flowentry/<op>`` body,
+and each entry of an update request's ``add`` / ``modify`` / ``delete``
+lists -- has one reader, :func:`flow_entry`: the :data:`FLOWENTRY`
+table states its keys, shapes, defaults and the command parse once.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, ClassVar, Mapping, Sequence
+from typing import Any, ClassVar
 
-from repro.errors import OpenFlowError
+from repro.errors import BadRequestError, OpenFlowError
 from repro.openflow.actions import (
     ApplyActions,
     Instruction,
     OutputAction,
+    action_from_dict,
     instruction_from_dict,
 )
 from repro.openflow.constants import (
@@ -22,6 +29,7 @@ from repro.openflow.constants import (
 )
 from repro.openflow.match import Match
 from repro.openflow.messages import OpenFlowMessage
+from repro.schema import Field, Schema, datapath_id, integer, is_object, list_of
 
 
 @dataclass
@@ -90,10 +98,8 @@ class FlowMod(OpenFlowMessage):
     def with_xid(self, xid: int) -> "FlowMod":
         return replace(self, xid=xid)
 
-    # ------------------------------------------------------------------
-    # ofctl-style dict codec (the paper's REST body items)
-    # ------------------------------------------------------------------
     def to_ofctl(self, dpid: int | None = None) -> dict[str, Any]:
+        """The ofctl body :func:`flow_entry` reads back as this FlowMod."""
         data: dict[str, Any] = {
             "cookie": self.cookie,
             "table_id": self.table_id,
@@ -109,47 +115,63 @@ class FlowMod(OpenFlowMessage):
             data["command"] = self.command.name
         return data
 
-    @classmethod
-    def from_ofctl(
-        cls,
-        data: Mapping[str, Any],
-        command: FlowModCommand | str = FlowModCommand.ADD,
-    ) -> "FlowMod":
-        """Parse an ofctl_rest-style body (``actions`` is accepted as a
-        shorthand for a single APPLY_ACTIONS instruction, as Ryu does)."""
-        raw = data.get("command")
-        if raw is None:
-            raw = command
-        try:
-            command = (FlowModCommand[raw.upper()] if isinstance(raw, str)
-                       else FlowModCommand(raw))
-        except (KeyError, ValueError):
-            raise OpenFlowError(f"unknown FlowMod command {raw!r}") from None
-        match = Match.from_ofctl(data.get("match", {}))
-        instructions: Sequence[Instruction]
-        if "instructions" in data:
-            instructions = tuple(
-                instruction_from_dict(item) for item in data["instructions"]
-            )
-        elif "actions" in data:
-            from repro.openflow.actions import action_from_dict
 
-            instructions = (
-                ApplyActions([action_from_dict(item) for item in data["actions"]]),
-            )
-        else:
-            instructions = ()
-        return cls(
-            cookie=int(data.get("cookie", 0)),
-            table_id=int(data.get("table_id", 0)),
-            command=command,
-            idle_timeout=int(data.get("idle_timeout", 0)),
-            hard_timeout=int(data.get("hard_timeout", 0)),
-            priority=int(data.get("priority", DEFAULT_PRIORITY)),
-            flags=int(data.get("flags", 0)),
-            match=match,
-            instructions=instructions,
-        )
+_COMMANDS = set(map(int, FlowModCommand))
+_U16 = integer(0, 0xFFFF)
+#: The default of ``actions`` and ``instructions``: the key was left out
+#: (a JSON list is never this object), so the entry has no instructions.
+_LEFT_OUT: tuple = ()
+
+
+def _command(value: Any) -> FlowModCommand | None:
+    """A FlowMod command by name (any case) or number; a bool is neither."""
+    if isinstance(value, str):
+        return FlowModCommand.__members__.get(value.upper())
+    return FlowModCommand(value) if type(value) is int and value in _COMMANDS else None
+
+
+#: An ofctl flow-entry body; unknown keys pass, as in ofctl.  What is
+#: nested under ``match`` / ``actions`` / ``instructions`` is the codec's
+#: to refuse (an :class:`~repro.errors.OpenFlowError`).
+FLOWENTRY = Schema("flow entry", (
+    Field("dpid", datapath_id, "a numeric datapath id"),
+    Field("match", is_object, "an object", {}),
+    Field("actions", list_of(is_object), "a list of action objects", _LEFT_OUT),
+    Field("instructions", list_of(is_object), "a list of instruction objects",
+          _LEFT_OUT),
+    Field("command", lambda value: _command(value) is not None,
+          "a FlowMod command name or number", None),
+    Field("cookie", integer(0, (1 << 64) - 1), "an int in 0..2**64-1", 0),
+    Field("table_id", integer(0, 0xFF), "an int in 0..255", 0),
+    Field("idle_timeout", _U16, "an int in 0..65535", 0),
+    Field("hard_timeout", _U16, "an int in 0..65535", 0),
+    Field("priority", _U16, "an int in 0..65535", DEFAULT_PRIORITY),
+    Field("flags", _U16, "an int in 0..65535", 0),
+), BadRequestError, closed=False)
+
+
+def flow_entry(body: Any, command: FlowModCommand) -> tuple[int, FlowMod]:
+    """An ofctl flow-entry body's datapath id and FlowMod.
+
+    The body's own ``command`` wins over ``command`` (the route's);
+    ``actions`` is Ryu's shorthand for one APPLY_ACTIONS instruction, read
+    when ``instructions`` is left out.  A body :data:`FLOWENTRY` refuses
+    raises :class:`~repro.errors.BadRequestError`; a nested value the
+    codec cannot read, :class:`~repro.errors.OpenFlowError`.
+    """
+    entry = FLOWENTRY.decode(body)
+    dpid, raw = int(entry.pop("dpid")), entry.pop("command")
+    instructions, actions = entry.pop("instructions"), entry.pop("actions")
+    if instructions is not _LEFT_OUT:
+        instructions = tuple(map(instruction_from_dict, instructions))
+    elif actions is not _LEFT_OUT:
+        instructions = (ApplyActions(list(map(action_from_dict, actions))),)
+    return dpid, FlowMod(
+        command=command if raw is None else _command(raw),
+        match=Match.from_ofctl(entry.pop("match")),
+        instructions=instructions,
+        **entry,
+    )
 
 
 def add_flow(

@@ -9,11 +9,7 @@ from repro.rest.api import (
     build_rest_api,
 )
 from repro.rest.http_binding import HttpClient, RestHttpServer
-from repro.rest.schemas import (
-    validate_flowentry_body,
-    validate_schedule_body,
-    validate_update_body,
-)
+from repro.rest.schemas import validate_schedule_body
 
 __all__ = [
     "HttpClient",
@@ -24,7 +20,5 @@ __all__ = [
     "Router",
     "build_campaign_api",
     "build_rest_api",
-    "validate_flowentry_body",
     "validate_schedule_body",
-    "validate_update_body",
 ]

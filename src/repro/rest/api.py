@@ -72,7 +72,7 @@ from repro.core.problem import UpdateProblem
 from repro.core.registry import REGISTRY, parse_properties
 from repro.metrics import render_prometheus
 from repro.rest.campaigns import CampaignService
-from repro.rest.schemas import SCHEDULE, validate_flowentry_body, validate_update_body
+from repro.rest.schemas import SCHEDULE
 from repro.schema import datapath_id
 
 #: Wall-clock seconds ``POST /schedule`` gives search plus verification
@@ -209,7 +209,6 @@ def build_rest_api(
 
     def make_flowentry(operation: str) -> Callable[[Any], dict]:
         def handler(body: Any) -> dict:
-            validate_flowentry_body(body)
             try:
                 result = getattr(ofctl, f"flowentry_{operation}")(body)
             except UnknownDatapathError as exc:
@@ -222,13 +221,9 @@ def build_rest_api(
     def post_update(
         body: Any, algorithm: str | None = None
     ) -> dict | RestResponse:
-        validate_update_body(body)
-        request = dict(body)
-        if algorithm is not None:
-            request["algorithm"] = algorithm
         try:
             with time_limit(REQUEST_DEADLINE_S):
-                summary = update_app.submit_update(request)
+                summary = update_app.submit_update(body, algorithm)
         except ScheduleTimeoutError as exc:
             # before anything was queued: the schedule is computed first
             return RestResponse(status=408, body={"error": str(exc)})
@@ -239,11 +234,7 @@ def build_rest_api(
         """Scheduler-service endpoint: the envelope over the wire."""
         request = SCHEDULE.decode(body)
         try:
-            problem = UpdateProblem(
-                [int(v) for v in request["oldpath"]],
-                [int(v) for v in request["newpath"]],
-                waypoint=None if request["wp"] is None else int(request["wp"]),
-            )
+            problem = UpdateProblem.from_dict(request)
         except UpdateModelError as exc:
             raise BadRequestError(f"bad schedule request: {exc}") from None
         spec = request["scheduler"]

@@ -81,18 +81,18 @@ class TestSettlement:
 
 
 class TestDumps:
-    def test_snapshot_tolerates_running_round(self):
+    def test_dump_tolerates_running_round(self):
         metrics = ChurnMetrics()
         record = _record()
         record.rounds.append(RoundTiming(index=0, started_ms=2.0))
         metrics.open_lifecycle(record)
-        snap = metrics.snapshot(now_ms=4.0)
-        assert snap["settled"] == 0
-        [open_record] = snap["in_flight"]
+        dump = metrics.to_dict()
+        assert dump["quiescent"] is False
+        [open_record] = dump["lifecycles"]
         [timing] = open_record["rounds"]
         assert timing["running"] is True
         assert timing["duration_ms"] is None
-        json.dumps(snap)  # must be serializable mid-run
+        json.dumps(dump)  # must be serializable mid-run
 
     def test_to_dict_sorted_and_serializable(self):
         metrics = ChurnMetrics()

@@ -35,12 +35,6 @@ class TestValidation:
         with pytest.raises(ChurnError):
             LinkFailure(time_ms=0.0, link=(3, 3))
 
-    def test_link_failure_matches_both_directions(self):
-        failure = LinkFailure(time_ms=0.0, link=(1, 2))
-        assert failure.matches(1, 2)
-        assert failure.matches(2, 1)
-        assert not failure.matches(1, 3)
-
 
 class TestOrdering:
     def test_time_dominates(self):

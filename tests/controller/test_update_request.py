@@ -6,8 +6,10 @@ calls :meth:`TransientUpdateApp.submit_update` without the REST route in
 front of it, so the app itself must refuse what the route refuses.
 """
 
+import pytest
 
 from repro.controller.rules import POLICY_PRIORITY
+from repro.errors import BadRequestError
 from tests.rest.test_rest import api, figure1_body  # noqa: F401
 
 
@@ -28,3 +30,12 @@ def test_an_update_without_priority_match_or_algorithm_is_wayup_at_policy_priori
     installed = [entry for switch in network.switches.values()
                  for entry in switch.dump_flows()]
     assert any(entry["priority"] == POLICY_PRIORITY for entry in installed)
+
+
+def test_a_direct_caller_gets_the_routes_refusal(api):
+    network, rest = api
+    request = {**figure1_body(), "interval": "soon", "algorithm": "wayup",
+               "barriers": True}
+    with pytest.raises(BadRequestError, match="'interval'"):
+        rest.update_app.submit_update(request)
+    assert not rest.update_app.submitted and not rest.update_queue.completed

@@ -233,7 +233,3 @@ class TestSerialization:
     def test_waypoint_survives(self):
         problem = UpdateProblem([1, 2, 3], [1, 2, 3], waypoint=2)
         assert UpdateProblem.from_dict(problem.to_dict()).waypoint == 2
-
-    def test_missing_field_raises(self):
-        with pytest.raises(UpdateModelError, match="oldpath"):
-            UpdateProblem.from_dict({"newpath": [1, 2]})

@@ -206,12 +206,6 @@ class TestSafetyMonotonicity:
 
 class TestRoundTrips:
     @_RELAXED
-    @given(random_schedules())
-    def test_schedule_dict_roundtrip(self, schedule):
-        back = UpdateSchedule.from_dict(schedule.problem, schedule.to_dict())
-        assert back.rounds == schedule.rounds
-
-    @_RELAXED
     @given(update_instances(with_waypoint=True))
     def test_problem_dict_roundtrip(self, problem):
         back = UpdateProblem.from_dict(problem.to_dict())

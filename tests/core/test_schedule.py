@@ -95,15 +95,3 @@ class TestSequential:
         schedule = sequential_schedule(problem)
         last = next(iter(schedule.rounds[-1]))
         assert problem.kind(last) is UpdateKind.DELETE
-
-
-class TestSerialization:
-    def test_roundtrip(self, problem):
-        schedule = UpdateSchedule(problem, [[5], [3, 2], [1]], algorithm="custom")
-        back = UpdateSchedule.from_dict(problem, schedule.to_dict())
-        assert back.rounds == schedule.rounds
-        assert back.algorithm == "custom"
-
-    def test_missing_rounds_raises(self, problem):
-        with pytest.raises(ScheduleError):
-            UpdateSchedule.from_dict(problem, {"algorithm": "x"})

@@ -47,15 +47,12 @@ class TestHistogram:
         with pytest.raises(ValueError, match="empty"):
             hist.quantile(0.5)
 
-    def test_as_dict_and_snapshot_independence(self):
+    def test_snapshot_independence(self):
         hist = Histogram("h")
         hist.observe(3.0)
         snap = hist.snapshot()
         hist.observe(4.0)
         assert snap.total == 1 and hist.total == 2
-        data = hist.as_dict()
-        assert data["count"] == 2
-        assert {"p50", "p95", "p99"} <= set(data)
 
 
 def _wall_ms(*samples):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import OpenFlowError
+from repro.errors import BadRequestError, OpenFlowError
 from repro.openflow.actions import (
     ApplyActions,
     ClearActions,
@@ -17,7 +17,7 @@ from repro.openflow.actions import (
     instruction_from_dict,
 )
 from repro.openflow.constants import FlowModCommand, MsgType, Port
-from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
+from repro.openflow.flowmod import FlowMod, add_flow, delete_flow, flow_entry
 from repro.openflow.match import Match
 from repro.openflow.messages import (
     BarrierReply,
@@ -117,24 +117,40 @@ class TestFlowMod:
 
     def test_ofctl_roundtrip(self):
         mod = add_flow(Match(eth_type=0x0800, ipv4_dst="10.0.0.2"), out_port=4)
-        back = FlowMod.from_ofctl(mod.to_ofctl())
+        dpid, back = flow_entry(mod.to_ofctl(dpid=7), FlowModCommand.ADD)
+        assert dpid == 7
         assert back.match == mod.match
         assert back.instructions == mod.instructions
         assert back.priority == mod.priority
 
     def test_ofctl_actions_shorthand(self):
-        mod = FlowMod.from_ofctl(
-            {"match": {"in_port": 1}, "actions": [{"type": "OUTPUT", "port": 2}]}
+        _, mod = flow_entry(
+            {"dpid": 1, "match": {"in_port": 1},
+             "actions": [{"type": "OUTPUT", "port": 2}]},
+            FlowModCommand.ADD,
         )
         assert mod.output_ports() == [2]
 
     def test_ofctl_command_field(self):
-        mod = FlowMod.from_ofctl({"command": "DELETE", "match": {}})
+        _, mod = flow_entry({"dpid": 1, "command": "delete", "match": {}},
+                            FlowModCommand.ADD)
         assert mod.is_delete()
 
-    def test_bad_command_rejected(self):
-        with pytest.raises(OpenFlowError):
-            FlowMod.from_ofctl({}, command="EXPLODE")
+    @pytest.mark.parametrize("command", ["EXPLODE", 99, True, ""])
+    def test_bad_command_rejected(self, command):
+        with pytest.raises(BadRequestError, match="'command'"):
+            flow_entry({"dpid": 1, "command": command}, FlowModCommand.ADD)
+
+    def test_bool_priority_rejected(self):
+        # int(True) would install priority 1
+        with pytest.raises(BadRequestError, match="'priority'"):
+            flow_entry({"dpid": 1, "priority": True}, FlowModCommand.ADD)
+
+    def test_empty_action_list_is_one_empty_instruction(self):
+        _, left_out = flow_entry({"dpid": 1}, FlowModCommand.ADD)
+        _, empty = flow_entry({"dpid": 1, "actions": []}, FlowModCommand.ADD)
+        assert left_out.instructions == ()
+        assert empty.instructions == (ApplyActions([]),)
 
 
 class TestMessages:

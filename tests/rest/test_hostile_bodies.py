@@ -30,10 +30,12 @@ from hypothesis import strategies as st
 from repro.campaign.fabric.transport import VERBS
 from repro.campaign.spec import SPEC, CampaignSpec
 from repro.controller.ofctl_rest import OfctlRestApp
-from repro.controller.ofctl_rest_own import TransientUpdateApp
+from repro.controller.ofctl_rest_own import UPDATE, TransientUpdateApp
 from repro.controller.update_queue import UpdateQueueApp
+from repro.core.problem import PATH
 from repro.netlab.figure1 import figure1_problem
 from repro.netlab.network import Network
+from repro.openflow.flowmod import FLOWENTRY
 from repro.openflow.match import Match
 from repro.rest import schemas
 from repro.rest.api import build_rest_api
@@ -110,12 +112,12 @@ def _routes(campaign_id: str, worker_id: str) -> dict[str, Route]:
                      "params": {"exact": False}}
     routes = {
         f"flowentry/{operation}": Route(
-            f"/stats/flowentry/{operation}", schemas.FLOWENTRY, FLOW, FLOW_FULL)
+            f"/stats/flowentry/{operation}", FLOWENTRY, FLOW, FLOW_FULL)
         for operation in ("add", "modify", "modify_strict", "delete",
                           "delete_strict")
     }
-    routes["update"] = Route("/update", schemas.UPDATE, update, update_full)
-    routes["update/wayup"] = Route("/update/wayup", schemas.UPDATE, update,
+    routes["update"] = Route("/update", UPDATE, update, update_full)
+    routes["update/wayup"] = Route("/update/wayup", UPDATE, update,
                                    update_full)
     routes["schedule"] = Route("/schedule", schemas.SCHEDULE, schedule,
                                schedule_full)
@@ -193,7 +195,7 @@ def hostile_bodies(draw, route: Route):
             body[field.wire] = draw(st.sampled_from(ints))
         elif defect == "dpid" and field.shape is datapath_id:
             body[field.wire] = draw(st.sampled_from(ABSENT_DPIDS))
-        elif defect == "dpid" and field.shape is schemas._PATH:
+        elif defect == "dpid" and field.shape is PATH:
             path = list(body.get(field.wire) or route.full[field.wire])
             path[draw(st.integers(0, len(path) - 1))] = draw(
                 st.sampled_from(ABSENT_DPIDS))

@@ -8,9 +8,10 @@ from repro.controller.update_queue import UpdateQueueApp
 from repro.errors import BadRequestError
 from repro.netlab.figure1 import figure1_problem
 from repro.netlab.network import Network
+from repro.openflow.constants import FlowModCommand
+from repro.openflow.flowmod import flow_entry
 from repro.openflow.match import Match
 from repro.rest.api import Router, build_rest_api
-from repro.rest.schemas import validate_flowentry_body, validate_update_body
 from repro.topology.builders import figure1
 
 
@@ -53,6 +54,9 @@ class TestRouter:
 
 
 class TestSchemas:
+    """Each body's one reader: the update app decodes the whole request,
+    ``flow_entry`` an ofctl flow entry."""
+
     def _base(self):
         problem = figure1_problem()
         return {
@@ -62,14 +66,16 @@ class TestSchemas:
             "interval": 0,
         }
 
-    def test_valid_update(self):
-        validate_update_body(self._base())
+    def test_valid_update(self, api):
+        _, rest = api
+        rest.update_app.submit_update(self._base())
 
-    def test_string_dpids_accepted(self):
+    def test_string_dpids_accepted(self, api):
+        _, rest = api
         body = self._base()
         body["oldpath"] = [str(v) for v in body["oldpath"]]
         body["wp"] = str(body["wp"])
-        validate_update_body(body)
+        rest.update_app.submit_update(body)
 
     @pytest.mark.parametrize("mutate,error", [
         (lambda b: b.pop("oldpath"), "oldpath"),
@@ -83,18 +89,20 @@ class TestSchemas:
         (lambda b: b.update(add=[{"match": {}}]), "dpid"),
         (lambda b: b.update(add={"dpid": 1}), "list"),
     ])
-    def test_invalid_updates(self, mutate, error):
+    def test_invalid_updates(self, api, mutate, error):
+        _, rest = api
         body = self._base()
         mutate(body)
         with pytest.raises(BadRequestError, match=error):
-            validate_update_body(body)
+            rest.update_app.submit_update(body)
 
-    def test_not_a_dict(self):
+    def test_not_a_dict(self, api):
+        _, rest = api
         with pytest.raises(BadRequestError):
-            validate_update_body([1, 2])
+            rest.update_app.submit_update([1, 2])
 
     def test_flowentry_valid(self):
-        validate_flowentry_body({"dpid": 1, "match": {"in_port": 1}})
+        flow_entry({"dpid": 1, "match": {"in_port": 1}}, FlowModCommand.ADD)
 
     @pytest.mark.parametrize("body", [
         {},
@@ -106,7 +114,7 @@ class TestSchemas:
     ])
     def test_flowentry_invalid(self, body):
         with pytest.raises(BadRequestError):
-            validate_flowentry_body(body)
+            flow_entry(body, FlowModCommand.ADD)
 
 
 def figure1_body() -> dict:

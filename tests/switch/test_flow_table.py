@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SwitchError, TableFullError
 from repro.openflow.constants import FlowModCommand, FlowModFlags, FlowRemovedReason
-from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
+from repro.openflow.flowmod import FlowMod, add_flow, delete_flow, flow_entry
 from repro.openflow.match import Match
 from repro.switch.flow_table import FlowTable, matches_overlap
 
@@ -100,20 +100,22 @@ class TestModify:
     def test_nonstrict_modify_subsumed(self, table):
         table.apply_flow_mod(add_flow(Match(in_port=1, eth_type=0x0800), out_port=2))
         table.apply_flow_mod(
-            FlowMod.from_ofctl(
-                {"command": "MODIFY", "match": {"in_port": 1},
-                 "actions": [{"type": "OUTPUT", "port": 7}]}
-            )
+            flow_entry(
+                {"dpid": 1, "command": "MODIFY", "match": {"in_port": 1},
+                 "actions": [{"type": "OUTPUT", "port": 7}]},
+                FlowModCommand.ADD,
+            )[1]
         )
         assert table.lookup({"in_port": 1, "eth_type": 0x0800}).instructions[0].actions[0].port == 7
 
     def test_strict_modify_needs_exact_identity(self, table):
         table.apply_flow_mod(add_flow(Match(in_port=1), out_port=2, priority=5))
         table.apply_flow_mod(
-            FlowMod.from_ofctl(
-                {"command": "MODIFY_STRICT", "priority": 6, "match": {"in_port": 1},
-                 "actions": [{"type": "OUTPUT", "port": 7}]}
-            )
+            flow_entry(
+                {"dpid": 1, "command": "MODIFY_STRICT", "priority": 6,
+                 "match": {"in_port": 1}, "actions": [{"type": "OUTPUT", "port": 7}]},
+                FlowModCommand.ADD,
+            )[1]
         )
         # wrong priority: unchanged
         assert table.lookup({"in_port": 1}).instructions[0].actions[0].port == 2
@@ -147,7 +149,7 @@ class TestDelete:
     def test_delete_filtered_by_out_port(self, table):
         table.apply_flow_mod(add_flow(Match(in_port=1), out_port=2))
         table.apply_flow_mod(add_flow(Match(in_port=2), out_port=3))
-        mod = FlowMod.from_ofctl({"command": "DELETE", "match": {}})
+        _, mod = flow_entry({"dpid": 1, "match": {}}, FlowModCommand.DELETE)
         mod = FlowMod(command=mod.command, match=mod.match, out_port=3)
         removed = table.apply_flow_mod(mod)
         assert len(removed) == 1
