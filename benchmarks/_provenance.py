@@ -50,15 +50,14 @@ def provenance() -> dict:
     return record
 
 
-def write(payload: dict, out: pathlib.Path) -> bool:
+def write(payload: dict, out: pathlib.Path) -> None:
     """Write a ``BENCH_*.json`` artifact -- unless ``src/`` differs from
     the commit whose sha the payload carries (the ledger's rule for its
-    baseline); returns whether the file was written."""
+    baseline)."""
     tag = payload["benchmark"]
     if payload["provenance"]["src_dirty"]:
         print(f"[{tag}] src/ has uncommitted changes: {out} not rewritten")
-        return False
+        return
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"[{tag}] wrote {out} ({payload['wall_seconds']}s)")
-    return True

@@ -15,11 +15,11 @@ def test_a_dirty_src_leaves_an_existing_artifact_byte_identical(tmp_path):
     out = tmp_path / "BENCH_probe.json"
     out.write_bytes(b'{"results": {"x": 1}}\n')
     before = out.read_bytes()
-    assert write(_payload(src_dirty=True), out) is False
+    write(_payload(src_dirty=True), out)
     assert out.read_bytes() == before
 
 
 def test_a_clean_src_rewrites_the_artifact(tmp_path):
     out = tmp_path / "results" / "BENCH_probe.json"
-    assert write(_payload(src_dirty=False), out) is True
+    write(_payload(src_dirty=False), out)
     assert b'"x": 2' in out.read_bytes()

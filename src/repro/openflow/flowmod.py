@@ -98,23 +98,6 @@ class FlowMod(OpenFlowMessage):
     def with_xid(self, xid: int) -> "FlowMod":
         return replace(self, xid=xid)
 
-    def to_ofctl(self, dpid: int | None = None) -> dict[str, Any]:
-        """The ofctl body :func:`flow_entry` reads back as this FlowMod."""
-        data: dict[str, Any] = {
-            "cookie": self.cookie,
-            "table_id": self.table_id,
-            "priority": self.priority,
-            "idle_timeout": self.idle_timeout,
-            "hard_timeout": self.hard_timeout,
-            "match": self.match.to_ofctl(),
-            "instructions": [ins.to_dict() for ins in self.instructions],
-        }
-        if dpid is not None:
-            data["dpid"] = dpid
-        if self.command is not FlowModCommand.ADD:
-            data["command"] = self.command.name
-        return data
-
 
 _COMMANDS = set(map(int, FlowModCommand))
 _U16 = integer(0, 0xFFFF)

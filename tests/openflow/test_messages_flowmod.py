@@ -115,9 +115,11 @@ class TestFlowMod:
         with pytest.raises(OpenFlowError):
             delete_flow(Match(), strict=True)
 
-    def test_ofctl_roundtrip(self):
+    def test_ofctl_body_decodes(self):
         mod = add_flow(Match(eth_type=0x0800, ipv4_dst="10.0.0.2"), out_port=4)
-        dpid, back = flow_entry(mod.to_ofctl(dpid=7), FlowModCommand.ADD)
+        body = {"dpid": "7", "match": mod.match.to_ofctl(),
+                "instructions": [ins.to_dict() for ins in mod.instructions]}
+        dpid, back = flow_entry(body, FlowModCommand.ADD)
         assert dpid == 7
         assert back.match == mod.match
         assert back.instructions == mod.instructions
