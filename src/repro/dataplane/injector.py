@@ -60,6 +60,12 @@ class PeriodicInjector:
         self.flow = flow
         self.interval_ms = interval_ms
         self.result = InjectionResult()
+        #: the probe every tick sends, built once (a replayed walk then
+        #: matches its key by identity); a flow's factory makes one per tick
+        self._packet = (
+            None if flow.packet_factory is not None
+            else network.default_packet(flow.source_host, flow.destination_host)
+        )
         self._stopped = False
         self._started = False
 
@@ -95,16 +101,13 @@ class PeriodicInjector:
     def _tick(self) -> None:
         if self._stopped or len(self.result.traces) >= MAX_PACKETS:
             return
-        packet = (
-            self.flow.packet_factory()
-            if self.flow.packet_factory is not None
-            else self.network.default_packet(self.flow.source_host, self.flow.destination_host)
-        )
+        flow = self.flow
+        packet = self._packet if self._packet is not None else flow.packet_factory()
         trace = self.network.inject_from_host(
-            self.flow.source_host,
+            flow.source_host,
             packet,
-            waypoint=self.flow.waypoint,
-            destination_host=self.flow.destination_host,
+            waypoint=flow.waypoint,
+            destination_host=flow.destination_host,
         )
         self.result.traces.append(trace)
         self.network.sim.schedule(self.interval_ms, self._tick)

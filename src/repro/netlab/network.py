@@ -16,13 +16,16 @@ Two packet-transit modes:
   E8 ablation).
 
 An instant-mode walk depends only on the packet, the ingress port, the
-versions of the flow tables it visits and the topology's version -- as
-long as no visited table holds an entry with a timeout, no visited switch
-punts to the controller and none has ``on_output`` set.  So the network
-remembers the last such walk per ingress (switch, port) and, while its
-key and every version it saw still hold, serves the next probe by
-replaying it: the same entry counters touched, the same switch log
-counters bumped, the same path and fate, without re-running a pipeline.
+versions of the flow tables it read and the topology's version -- as
+long as no table it read holds an entry with a timeout, no visited switch
+punts to the controller and none has ``on_output`` set.  A pipeline reads
+table 0 and then the ``GOTO_TABLE`` target of each entry it matches; any
+other table can change the walk only after a table it read has changed.
+So the network remembers the last such walk per ingress (switch, port)
+and, while its key and every version it read still hold, serves the next
+probe by replaying it: the same entry counters touched, the same switch
+log counters bumped, the same path and fate, without re-running a
+pipeline.
 """
 
 from __future__ import annotations
@@ -66,7 +69,13 @@ class Host:
 
 @dataclass(frozen=True)
 class _Walk:
-    """One instant-mode walk: what it did, and what that depended on."""
+    """One instant-mode walk: what it did, and what that depended on.
+
+    ``tables`` are the tables the walk's pipelines read, once each
+    (:attr:`PipelineResult.read`; on a reversal-50 path, 50 tables where
+    the switches hold 200).  :meth:`holds` compares their versions and
+    the topology's.
+    """
 
     key: tuple  # (packet, waypoint, destination host, hop budget)
     #: per hop: the switch's log, the entries matched, the bytes charged to
@@ -74,7 +83,7 @@ class _Walk:
     hops: tuple[tuple[SwitchLog, tuple[FlowEntry, ...], int, bool], ...]
     path: tuple[NodeId, ...]
     fate: PacketFate
-    tables: tuple[FlowTable, ...]  # every table of every visited switch
+    tables: tuple[FlowTable, ...]
     versions: tuple[int, ...]
     topo_version: int
 
@@ -287,6 +296,7 @@ class Network:
         path: list[NodeId] = []
         visited: set[tuple[NodeId, int]] = set()
         switches: dict[NodeId, SwitchSim] = {}
+        read: list[FlowTable] = []
         fate, punted = PacketFate.LOOPED, False
         current, port = dpid, in_port
         for _ in range(hop_budget):
@@ -298,6 +308,7 @@ class Network:
             result, peer, peer_port = self._process_at(current, packet, port)
             switch = switches[current] = self.switches[current]
             hops.append((switch.log, tuple(result.matched), n_bytes, result.forwarded))
+            read += result.read
             if peer is None:
                 fate, punted = PacketFate.DROPPED, result.punt
                 break
@@ -305,7 +316,7 @@ class Network:
                 fate = self._fate_at_host(path, str(peer), waypoint, destination)
                 break
             packet, current, port = result.packet, peer, peer_port
-        tables = tuple(table for switch in switches.values() for table in switch.tables)
+        tables = tuple(dict.fromkeys(read))  # each table read, once
         walk = _Walk(
             key, tuple(hops), tuple(path), fate,
             tables, tuple(map(_version, tables)), self.topo.version,

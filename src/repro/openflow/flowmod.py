@@ -8,7 +8,7 @@ table states its keys, shapes, defaults and the command parse once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 from repro.errors import BadRequestError, OpenFlowError
@@ -96,7 +96,11 @@ class FlowMod(OpenFlowMessage):
         return ports
 
     def with_xid(self, xid: int) -> "FlowMod":
-        return replace(self, xid=xid)
+        """A shallow copy with transaction id ``xid``: a FlowMod is checked
+        once, at construction, and nothing changes it past its xid."""
+        mod = object.__new__(type(self))
+        mod.__dict__.update(self.__dict__, xid=xid)
+        return mod
 
 
 _COMMANDS = set(map(int, FlowModCommand))

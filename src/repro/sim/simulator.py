@@ -9,10 +9,12 @@ is what makes the asynchrony experiments reproducible.
 
 from __future__ import annotations
 
+import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import ScheduledEvent
 
 #: Events one :meth:`Simulator.run` processes before it calls the
 #: scenario runaway.
@@ -21,6 +23,10 @@ MAX_EVENTS = 10_000_000
 
 class Simulator:
     """Deterministic event loop with millisecond time.
+
+    Pending events live in one heap of ``(time, seq, event)`` entries, so
+    simultaneous events fire in scheduling order -- determinism matters
+    more than fairness here.  :meth:`run` is the only code that pops it.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -33,7 +39,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue = EventQueue()
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        self._seq = itertools.count()
+        self._cancelled = 0  # cancelled entries still in the heap
+        self._timers = 0  # pending events pushed by schedule_timer
         self._running = False
         self._events_processed = 0
 
@@ -46,7 +55,10 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` ms of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self.now + delay, callback, *args)
+        time = self.now + delay
+        event = ScheduledEvent(time, callback, args, self)
+        heappush(self._heap, (time, next(self._seq), event))
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -56,7 +68,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        return self._queue.push(time, callback, *args)
+        event = ScheduledEvent(time, callback, args, self)
+        heappush(self._heap, (time, next(self._seq), event))
+        return event
 
     def schedule_timer(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -65,34 +79,31 @@ class Simulator:
         ``time``, but a run without ``until`` returns once only timers
         are pending -- a timeout is not traffic, so draining the queue
         does not wait for one."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        return self._queue.push_timer(time, callback, *args)
+        event = self.schedule_at(time, self._fire_timer, callback, args)
+        self._timers += 1
+        return event
+
+    def _fire_timer(self, callback: Callable[..., None], args: tuple) -> None:
+        self._timers -= 1
+        callback(*args)
 
     def cancel(self, event: ScheduledEvent) -> bool:
         """Retract a scheduled event; True iff this call retracted it."""
         return event.cancel()
 
+    def _note_cancelled(self, event: ScheduledEvent) -> None:
+        self._cancelled += 1
+        if event.callback == self._fire_timer:
+            self._timers -= 1
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("event queue went backwards in time")
-        self.now = event.time
-        self._events_processed += 1
-        event.callback(*event.args)
-        return True
-
     def run(self, until: float | None = None) -> None:
-        """Drain the queue (optionally only up to time ``until``); without
-        ``until``, pending timers alone do not keep it running.
+        """Fire events in ``(time, seq)`` order until the queue is empty
+        or, with ``until``, until the next event lies past it (the clock
+        then reads ``until``).  Without ``until``, pending timers alone do
+        not keep it running.
 
         :data:`MAX_EVENTS` guards against runaway feedback loops in
         scenarios; exceeding it raises :class:`SimulationError`.
@@ -100,22 +111,27 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        queue, drain = self._queue, until is None
+        heap = self._heap
+        ceiling = self._events_processed + MAX_EVENTS
         try:
-            processed = 0
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or (
-                    drain and queue.timers and queue.timers == len(queue)
-                ):
-                    break
-                if until is not None and next_time > until:
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                if until is None:
+                    if self._timers and self._timers == len(heap) - self._cancelled:
+                        break
+                elif time > until:
                     self.now = until
                     break
-                if not self.step():  # pragma: no cover - peek said otherwise
-                    break
-                processed += 1
-                if processed > MAX_EVENTS:
+                heappop(heap)
+                event.fired = True
+                self.now = time
+                self._events_processed += 1
+                event.callback(*event.args)
+                if self._events_processed > ceiling:
                     raise SimulationError(
                         f"exceeded {MAX_EVENTS} events; runaway scenario?"
                     )
@@ -124,7 +140,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        return len(self._heap) - self._cancelled
 
     @property
     def events_processed(self) -> int:

@@ -37,6 +37,8 @@ class PipelineResult:
     punt: bool = False            # table miss -> PacketIn
     dropped: bool = False         # explicit or implicit drop
     matched: list[FlowEntry] = field(default_factory=list)
+    #: the tables looked up, in order: table 0, then each GOTO_TABLE target
+    read: list[FlowTable] = field(default_factory=list)
 
     @property
     def forwarded(self) -> bool:
@@ -59,6 +61,7 @@ class Pipeline:
         table_index = 0
         while table_index < len(self.tables):
             table = self.tables[table_index]
+            result.read.append(table)
             entry = table.lookup(
                 result.packet.fields(in_port=in_port),
                 now=now,

@@ -22,12 +22,13 @@ from repro.dataplane.injector import FlowSpec, PeriodicInjector
 from repro.dataplane.packets import Packet
 from repro.dataplane.violations import PacketFate
 from repro.netlab.network import Network, _Walk
-from repro.openflow.actions import ApplyActions, OutputAction
+from repro.openflow.actions import ApplyActions, GotoTable, OutputAction
 from repro.openflow.constants import DEFAULT_PRIORITY, FlowModCommand, Port
 from repro.openflow.flowmod import FlowMod, add_flow, delete_flow
 from repro.openflow.match import Match
 from repro.topology.builders import linear
 from tests.core.generated import budget
+from tests.netlab.test_update_golden import build as golden_scenario
 
 TO_H2 = Match(eth_type=0x0800, ipv4_dst="10.0.0.2")
 TO_H1 = Match(eth_type=0x0800, ipv4_dst="10.0.0.1")
@@ -117,6 +118,14 @@ def wait(ms):
         net.sim.schedule(ms, lambda: None)
         net.flush()
     return step
+
+
+def goto(dpid, table, target, match=TO_H2, priority=DEFAULT_PRIORITY):
+    """``dpid``'s ``table`` sends ``match`` on to table ``target``."""
+    return send(dpid, FlowMod(
+        table_id=table, match=match, priority=priority,
+        instructions=(GotoTable(table_id=target),),
+    ))
 
 
 def modify_strict(match, priority, out_port):
@@ -235,32 +244,99 @@ class TestInvalidation:
         assert fates == [DELIVERED] * 4
 
 
+# -- multi-table pipelines ----------------------------------------------------
+class TestTablesRead:
+    """A walk depends on the tables it read: table 0 of each switch it
+    crossed and the ``GOTO_TABLE`` target of each entry it matched."""
+
+    def test_a_mod_in_a_table_the_walk_read_forces_a_rewalk(self):
+        script = [
+            forward(1, 2), goto(2, 0, 1), forward(2, 3, table_id=1), forward(3, "h2"),
+            probe(), probe(),
+            # table 1 is read through switch 2's GOTO_TABLE: even a rule
+            # the probe does not match there forces a re-walk
+            forward(2, 1, TO_H1, table_id=1), probe(), probe(),
+            forward(2, 1, table_id=1, priority=HIGH), probe(), probe(),
+        ]
+        replayed, fates = check(script)
+        assert replayed == [False, True] * 3
+        assert fates == [DELIVERED] * 4 + [LOOPED] * 2
+
+    def test_a_mod_in_a_table_the_walk_never_read_keeps_the_replay(self):
+        script = [
+            *line(), probe(), probe(),
+            # no entry the probe matches jumps to table 1 or 2
+            forward(2, 1, table_id=1, priority=HIGH), probe(),
+            send(2, delete_flow(Match(), table_id=2)), probe(),
+            goto(3, 2, 3), probe(),
+        ]
+        replayed, fates = check(script)
+        assert replayed == [False, True, True, True, True]
+        assert fates == [DELIVERED] * 5
+
+    def test_a_new_goto_table_in_table_0_forces_a_rewalk(self):
+        script = [
+            *line(), forward(2, 1, table_id=1), probe(), probe(),
+            # switch 2 now reads table 1, which sends the packet back
+            goto(2, 0, 1, priority=HIGH), probe(), probe(),
+            # ... and table 1 is now one the walk read
+            forward(2, 3, table_id=1, priority=HIGH), probe(), probe(),
+        ]
+        replayed, fates = check(script)
+        assert replayed == [False, True] * 3
+        assert fates == [DELIVERED] * 2 + [LOOPED] * 2 + [DELIVERED] * 2
+
+
+def test_a_replay_compares_one_table_version_per_switch_crossed():
+    """Work count: a replayed probe on reversal-50 compares the versions of
+    the tables its walk read -- 50 on the 50-switch old path -- not those
+    of every table of the switches it crossed (200)."""
+    compared = []
+    replay = _Walk.replay
+
+    def counted(self, now):
+        compared.append((len(set(self.path)), len(self.versions)))
+        replay(self, now)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Walk, "replay", counted)
+        golden_scenario((50, "greedy-slf", 1, "default")).run()
+    assert len(compared) == 452
+    assert all(switches == versions for switches, versions in compared)
+    assert max(compared) == (50, 50)
+
+
 # -- generated interleavings --------------------------------------------------
 COMMANDS = (
     FlowModCommand.ADD, FlowModCommand.MODIFY_STRICT,
     FlowModCommand.DELETE_STRICT, FlowModCommand.DELETE,
 )
 
+#: a mod goes to one of four tables; a goto names how many tables further
+#: on its entry continues (0: no GOTO_TABLE; past table 3 the pipeline ends)
 mod_steps = st.tuples(
     st.just("mod"), st.integers(0, 3), st.sampled_from(COMMANDS),
     st.sampled_from((TO_H2, TO_H1, Match())), st.sampled_from((100, 200)),
     st.integers(0, 4), st.sampled_from((0, 0, 0, 0, 0, 15)),
+    st.integers(0, 3), st.sampled_from((0, 0, 1, 2, 4)),
 )
 probe_steps = st.tuples(st.just("probe"), st.booleans(), st.booleans())
 unlink_steps = st.tuples(st.just("unlink"), st.integers(0, 10))
 wait_steps = st.tuples(st.just("wait"), st.sampled_from((1.0, 20_000.0)))
 
 
-def scripted(n: int, draws) -> list:
-    def mod(index, command, match, priority, port_choice, timeout):
+def scripted(n: int, draws, staged: bool = False) -> list:
+    def mod(index, command, match, priority, port_choice, timeout, table, jump):
         def step(net):
             dpid = 1 + index % n
             ports = [*sorted(net.topo.ports(dpid)), int(Port.IN_PORT), 99]
             out_port = ports[port_choice % len(ports)]
+            instructions = (ApplyActions([OutputAction(port=out_port)]),)
+            if jump:
+                instructions += (GotoTable(table_id=table + jump),)
             send(dpid, FlowMod(
                 command=command, match=match, priority=priority,
-                idle_timeout=timeout,
-                instructions=(ApplyActions([OutputAction(port=out_port)]),),
+                idle_timeout=timeout, table_id=table, instructions=instructions,
             ))(net)
         return step
 
@@ -272,9 +348,18 @@ def scripted(n: int, draws) -> list:
                 net.topo.remove_link(link.a, link.b)
         return step
 
+    def route(dpid, towards, match):
+        # a staged route jumps from table 0 to table 1, which forwards at a
+        # priority the drawn mods share, so that they can replace it there
+        if not staged:
+            return [forward(dpid, towards, match)]
+        return [goto(dpid, 0, 1, match), forward(dpid, towards, match, table_id=1, priority=100)]
+
     # start from working routes both ways, so that probes deliver and repeat
-    script = [forward(d, d + 1) for d in range(1, n)] + [forward(n, "h2")]
-    script += [forward(d, d - 1, TO_H1) for d in range(2, n + 1)] + [forward(1, "h1", TO_H1)]
+    script = []
+    for d in range(1, n + 1):
+        script += route(d, d + 1 if d < n else "h2", TO_H2)
+        script += route(d, d - 1 if d > 1 else "h1", TO_H1)
     for kind, *args in draws:
         if kind == "mod":
             script.append(mod(*args))
@@ -293,16 +378,17 @@ def scripted(n: int, draws) -> list:
 @given(
     n=st.integers(2, 4),
     chord=st.booleans(),
+    staged=st.booleans(),
     draws=st.lists(
         st.one_of(mod_steps, probe_steps, probe_steps, probe_steps, unlink_steps, wait_steps),
         min_size=10, max_size=30,
     ),
 )
-def test_generated_interleavings_replay_exactly(n, chord, draws):
+def test_generated_interleavings_replay_exactly(n, chord, staged, draws):
     def build():
         topo = linear(n, with_hosts=True)
         if chord and n >= 3:
             topo.add_link(1, n)
         return Network(topo, seed=0)
 
-    check(scripted(n, draws), build)
+    check(scripted(n, draws, staged), build)

@@ -1,5 +1,7 @@
 """Tests for message classes, FlowMod semantics and the action codecs."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import BadRequestError, OpenFlowError
@@ -19,6 +21,7 @@ from repro.openflow.actions import (
 from repro.openflow.constants import FlowModCommand, MsgType, Port
 from repro.openflow.flowmod import FlowMod, add_flow, delete_flow, flow_entry
 from repro.openflow.match import Match
+from repro.netlab.network import Network
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
@@ -27,6 +30,7 @@ from repro.openflow.messages import (
     PacketIn,
     summarize,
 )
+from repro.topology.builders import linear
 
 
 class TestActions:
@@ -98,10 +102,42 @@ class TestFlowMod:
         mod = add_flow(Match(), out_port=9)
         assert mod.output_ports() == [9]
 
+    @pytest.mark.parametrize("field, most", [("table_id", 0xFF), ("priority", 0xFFFF)])
+    def test_range_edges(self, field, most):
+        assert getattr(FlowMod(**{field: most}), field) == most
+        assert getattr(FlowMod(**{field: 0}), field) == 0
+        for bad in (most + 1, -1):
+            with pytest.raises(OpenFlowError, match="out of range"):
+                FlowMod(**{field: bad})
+
     def test_with_xid(self):
         mod = add_flow(Match(), out_port=1)
         stamped = mod.with_xid(42)
         assert stamped.xid == 42 and mod.xid == 0
+
+    def test_with_xid_is_a_copy_that_differs_only_in_the_xid(self):
+        mod = FlowMod(
+            xid=5, table_id=3, priority=9, idle_timeout=2, cookie=7,
+            match=Match(in_port=1), instructions=[GotoTable(table_id=4)],
+        )
+        copy = mod.with_xid(0)
+        assert copy is not mod and type(copy) is FlowMod
+        assert copy.xid == 0 and mod.xid == 5
+        assert copy == dataclasses.replace(mod, xid=0)
+        assert copy.instructions is mod.instructions  # shared, never re-built
+
+    def test_the_xid_send_msg_assigns_leaves_the_compiled_original_at_zero(self):
+        net = Network(linear(2, with_hosts=True), seed=0)
+        net.start()
+        sent = []
+        net.channels[1].bind_switch(sent.append)
+        compiled = [add_flow(Match(in_port=1), out_port=2), delete_flow(Match())]
+        net.send_flow_mods({1: compiled})
+        net.flush()
+        assert [mod.xid for mod in compiled] == [0, 0]
+        assert [type(mod) for mod in sent] == [FlowMod, FlowMod]
+        assert all(mod.xid for mod in sent) and sent[0].xid != sent[1].xid
+        assert [dataclasses.replace(mod, xid=0) for mod in sent] == compiled
 
     def test_add_flow_shorthand(self):
         mod = add_flow(Match(in_port=1), out_port=2, priority=7)

@@ -1,10 +1,10 @@
 """What each POST route refuses, and how: the route's schema table first,
 then the codec or the topology -- never an exception out of the router.
 
-The flow-entry routes read every key ``FlowMod.from_ofctl`` reads; a bad
-value nested under ``match`` / ``actions`` / ``instructions`` is the
-OpenFlow codec's "bad flow entry", and a switch the network lacks is a
-404 as on ``GET /stats/flow/<dpid>``.  An update whose paths leave the
+The flow-entry routes read every key ``repro.openflow.flowmod.flow_entry``
+reads; a bad value nested under ``match`` / ``actions`` / ``instructions``
+is the OpenFlow codec's "bad flow entry", and a switch the network lacks
+is a 404 as on ``GET /stats/flow/<dpid>``.  An update whose paths leave the
 topology is a 400 naming the node or link, before anything is queued.
 The campaign routes refuse values they cannot mean instead of coercing
 them (``bool("false")``, a NaN lease TTL, a truncated ``lease_cells``).

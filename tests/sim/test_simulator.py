@@ -7,45 +7,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import ScheduledEvent
 from repro.sim.random_source import RandomStreams, derive_seed
 from repro.sim import simulator as simulator_mod
 from repro.sim.simulator import Simulator
 
 
-class TestEventQueue:
-    def test_ordering_by_time(self):
-        queue = EventQueue()
-        queue.push(5.0, lambda: None)
-        queue.push(1.0, lambda: None)
-        queue.push(3.0, lambda: None)
-        times = [queue.pop().time for _ in range(3)]
-        assert times == [1.0, 3.0, 5.0]
+class TestEventOrder:
+    def test_ordering_by_time(self, sim):
+        fired = []
+        for time in (5.0, 1.0, 3.0):
+            sim.schedule_at(time, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1.0, 3.0, 5.0]
 
-    def test_fifo_for_equal_times(self):
-        queue = EventQueue()
+    def test_fifo_for_equal_times(self, sim):
         order = []
-        queue.push(1.0, order.append, "a")
-        queue.push(1.0, order.append, "b")
-        for _ in range(2):
-            event = queue.pop()
-            event.callback(*event.args)
+        sim.schedule_at(1.0, order.append, "a")
+        sim.schedule_at(1.0, order.append, "b")
+        sim.run()
         assert order == ["a", "b"]
 
-    def test_cancellation(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
+    def test_cancellation(self, sim):
+        fired = []
+        event = sim.schedule_at(1.0, fired.append, 1)
         event.cancel()
-        assert queue.pop() is None
-        assert len(queue) == 0
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == [] and sim.now == 0.0
 
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+    def test_run_until_skips_a_cancelled_head(self, sim):
+        fired = []
+        first = sim.schedule_at(1.0, fired.append, 1)
+        sim.schedule_at(2.0, fired.append, 2)
         first.cancel()
-        assert queue.peek_time() == 2.0
-        assert bool(queue)
+        sim.run(until=1.5)
+        assert fired == [] and sim.now == 1.5 and sim.pending_events == 1
+        sim.run()
+        assert fired == [2] and sim.now == 2.0
 
 
 class TestSimulator:
@@ -125,12 +124,14 @@ class TestSimulator:
         sim.run()
         assert fired == ["timer", "event"] and sim.now == 7.0
 
-    def test_step(self, sim):
+    def test_run_until_an_instant_fires_exactly_that_instant(self, sim):
         fired = []
-        sim.schedule(1.0, fired.append, 1)
-        assert sim.step() is True
-        assert sim.step() is False
-        assert fired == [1]
+        for time in (1.0, 1.0, 2.0):
+            sim.schedule_at(time, fired.append, time)
+        sim.run(until=1.0)
+        assert fired == [1.0, 1.0] and sim.now == 1.0
+        sim.run(until=1.0)
+        assert fired == [1.0, 1.0] and sim.pending_events == 1
 
     def test_counters(self, sim):
         sim.schedule(1.0, lambda: None)
@@ -179,30 +180,30 @@ class TestRandomStreams:
 
 class TestEventCancellation:
     def test_cancel_returns_true_once(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
+        event = Simulator().schedule_at(1.0, lambda: None)
         assert event.pending
         assert event.cancel() is True
         assert event.cancel() is False  # second retraction is a no-op
         assert not event.pending
 
     def test_cancel_after_fire_returns_false(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        popped = queue.pop()
-        assert popped is event and event.fired
+        sim = Simulator()
+        event = sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        assert event.fired and not event.pending
         assert event.cancel() is False
 
-    def test_len_is_live_count(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(5)]
-        assert len(queue) == 5
+    def test_pending_is_live_count(self):
+        sim = Simulator()
+        fired = []
+        events = [sim.schedule_at(float(i), fired.append, float(i)) for i in range(5)]
+        assert sim.pending_events == 5
         events[1].cancel()
         events[3].cancel()
-        assert len(queue) == 3  # counted at cancel time, not at pop time
-        assert [queue.pop().time for _ in range(3)] == [0.0, 2.0, 4.0]
-        assert len(queue) == 0
-        assert queue.pop() is None
+        assert sim.pending_events == 3  # counted at cancel time, not at pop time
+        sim.run()
+        assert fired == [0.0, 2.0, 4.0]
+        assert sim.pending_events == 0
 
     def test_simulator_cancel_returns_retraction_verdict(self):
         sim = Simulator()
@@ -257,14 +258,15 @@ def _never_compared(self, other):
 
 
 class TestQueueOrderAgainstModel:
-    """Random schedule / cancel / step interleavings against a sorted list."""
+    """Random schedule / cancel / run-until interleavings against a sorted
+    list."""
 
     OPS = st.lists(
         st.one_of(
             st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
             st.tuples(st.just("schedule_at"), st.sampled_from([0.0, 1.0, 3.0])),
             st.tuples(st.just("cancel"), st.integers(0, 40)),
-            st.tuples(st.just("step"), st.none()),
+            st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0])),
         ),
         max_size=80,
     )
@@ -277,13 +279,15 @@ class TestQueueOrderAgainstModel:
         handles: list = []
         pending: dict = {}  # id -> (time, id); ids grow in scheduling order
 
-        def fire_next():
-            due = min(pending.values(), default=None)
-            assert sim.step() is (due is not None)
-            if due is not None:
-                assert (sim.now, fired[-1]) == due
-                del pending[due[1]]
-                assert not handles[due[1]].pending
+        def run_until(at):
+            due = sorted(entry for entry in pending.values() if entry[0] <= at)
+            start, before = len(fired), sim.now
+            sim.run(until=at)
+            assert fired[start:] == [ident for _, ident in due]
+            for _, ident in due:
+                del pending[ident]
+                assert not handles[ident].pending
+            assert sim.now == (at if pending else due[-1][0] if due else before)
 
         # a lambda per event and a dict argument: neither can be ordered,
         # and the events themselves refuse to be
@@ -294,8 +298,8 @@ class TestQueueOrderAgainstModel:
                         ident = arg % len(handles)
                         assert handles[ident].cancel() is (ident in pending)
                         pending.pop(ident, None)
-                elif op == "step":
-                    fire_next()
+                elif op == "run":
+                    run_until(sim.now + arg)
                 else:
                     ident = len(handles)
                     callback = lambda payload: fired.append(payload["id"])  # noqa: E731
@@ -305,18 +309,18 @@ class TestQueueOrderAgainstModel:
                     else:
                         handles.append(sim.schedule_at(at, callback, {"id": ident}))
                     pending[ident] = (at, ident)
-                assert sim.pending_events == len(sim._queue) == len(pending)
-            while pending:
-                fire_next()
-            assert not sim.step() and sim.pending_events == 0
+                assert sim.pending_events == len(pending)
+            run_until(float("inf"))
+            assert sim.pending_events == 0
         cancelled = [i for i, handle in enumerate(handles) if handle.cancelled]
         assert sorted(fired + cancelled) == list(range(len(handles)))
         assert not set(fired) & set(cancelled)
 
     def test_equal_times_never_reach_the_event(self):
-        queue = EventQueue()
+        sim = Simulator()
+        order = []
         with mock.patch.object(ScheduledEvent, "__lt__", _never_compared):
             for index in range(50):
-                queue.push(1.0, lambda: None, {"n": index})
-            order = [queue.pop().args[0]["n"] for _ in range(50)]
+                sim.schedule_at(1.0, lambda payload: order.append(payload["n"]), {"n": index})
+            sim.run()
         assert order == list(range(50))
