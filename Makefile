@@ -22,7 +22,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The src/ line count of the last PR that moved it on purpose.
-LOC_CEILING := 20579
+LOC_CEILING := 20582
 
 loc:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \

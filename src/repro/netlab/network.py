@@ -17,15 +17,15 @@ Two packet-transit modes:
 
 An instant-mode walk depends only on the packet, the ingress port, the
 versions of the flow tables it read and the topology's version -- as
-long as no table it read holds an entry with a timeout, no visited switch
-punts to the controller and none has ``on_output`` set.  A pipeline reads
-table 0 and then the ``GOTO_TABLE`` target of each entry it matches; any
-other table can change the walk only after a table it read has changed.
-So the network remembers the last such walk per ingress (switch, port)
-and, while its key and every version it read still hold, serves the next
-probe by replaying it: the same entry counters touched, the same switch
-log counters bumped, the same path and fate, without re-running a
-pipeline.
+long as no table of a visited switch holds an entry with a timeout, no
+visited switch punts to the controller and none has ``on_output`` set.
+A pipeline reads table 0 and then the ``GOTO_TABLE`` target of each entry
+it matches; any other table can change the walk only after a table it
+read has changed.  So the network remembers the last such walk per
+ingress (switch, port) and, while its key and every version it read still
+hold, serves the next probe by replaying it: the same entry counters
+touched, the same switch log counters bumped, the same path and fate,
+without re-running a pipeline.
 """
 
 from __future__ import annotations
@@ -324,7 +324,10 @@ class Network:
         replayable = not (
             punted
             or any(switch.on_output is not None for switch in switches.values())
-            or any(table.has_timeouts() for table in tables)
+            or any(
+                table.has_timeouts()
+                for switch in switches.values() for table in switch.tables
+            )
         )
         return walk, replayable
 
