@@ -16,9 +16,10 @@ those engines no longer exist):
   under SLF (plain deepening vs the incumbent short-cut; forced-chain
   pruning and nogoods in both), and the n=24 cap instances only the
   short-cut settles;
-* **misses** -- deterministic counts: the oracle misses (graph morphs)
-  and the read-only singleton passes
-  (:meth:`~repro.core.oracle.SafetyOracle.safe_singletons`) of a
+* **misses** -- deterministic counts: the oracle misses (graph morphs),
+  the read-only singleton passes
+  (:meth:`~repro.core.oracle.SafetyOracle.safe_singletons`) and the
+  nogood hits (rounds a learned nogood refuted on a read) of a
   default-mode (plain deepening, nogoods learned) SLF solve of
   ``random_update_instance(16, seed=5)`` and of clash-16.
 
@@ -35,7 +36,10 @@ Acceptance targets (gated by the exit status, wired into
   machine; a mode-vs-mode wall ratio stopped meaning anything once
   plain deepening pruned with the forced chains too), and each at most
   10 singleton passes (random-16-5 ran 86 while a state with one round
-  left paid for a pass before asking what was already known);
+  left paid for a pass before asking what was already known), and
+  random-16-5 at most 100 nogood hits, clash-16 at most 10 (83 and 0;
+  random-16-5 read 262 while the round enumeration still read every
+  candidate a learned nogood refutes);
 * the clash-24 infeasibility proof and reversal-24 under RLF and SLF
   settle within the smoke budget.
 """
@@ -67,12 +71,12 @@ DEFAULT_OUT = pathlib.Path(__file__).parent / "results" / "BENCH_exact.json"
 CAP_LIFT_BUDGET_S = 30.0
 BNB_BUDGET_S = 30.0
 
-#: (label, instance, most oracle misses and most singleton passes its
-#: default-mode SLF solve may cost)
+#: (label, instance, most oracle misses, most singleton passes and most
+#: nogood hits its default-mode SLF solve may cost)
 MISSES_GATES = (
     ("random-16-5 (slf)",
-     lambda: UpdateProblem(*random_update_instance(16, seed=5)[:2]), 20, 10),
-    ("clash-16 (slf)", lambda: crossing_clash_instance(16), 8, 10),
+     lambda: UpdateProblem(*random_update_instance(16, seed=5)[:2]), 20, 10, 100),
+    ("clash-16 (slf)", lambda: crossing_clash_instance(16), 8, 10, 10),
 )
 
 
@@ -243,13 +247,14 @@ def bench_misses() -> dict:
     deterministic counts."""
     properties = (Property.SLF,)
     rows = []
-    for label, build, most, most_passes in MISSES_GATES:
+    for label, build, most, most_passes, most_hits in MISSES_GATES:
         problem = build()
         clear_registry()
         schedule, passes = _counting_passes(
             lambda: minimal_round_schedule(problem, properties)
         )
-        misses = oracle_for(problem, properties).stats.memo_misses
+        stats = oracle_for(problem, properties).stats
+        misses, hits = stats.memo_misses, stats.nogood_hits
         rows.append({
             "instance": label,
             "rounds": schedule.n_rounds,
@@ -257,13 +262,17 @@ def bench_misses() -> dict:
             "max_memo_misses": most,
             "singleton_passes": passes,
             "max_singleton_passes": most_passes,
-            "meets_target": misses <= most and passes <= most_passes,
+            "nogood_hits": hits,
+            "max_nogood_hits": most_hits,
+            "meets_target": (
+                misses <= most and passes <= most_passes and hits <= most_hits
+            ),
         })
     return {
         "description": (
-            "oracle misses (graph morphs) and singleton passes of "
-            "default-mode SLF solves; gate: each row at most its "
-            "max_memo_misses and max_singleton_passes"
+            "oracle misses (graph morphs), singleton passes and nogood "
+            "hits of default-mode SLF solves; gate: each row at most its "
+            "max_memo_misses, max_singleton_passes and max_nogood_hits"
         ),
         "rows": rows,
         "meets_target": all(row["meets_target"] for row in rows),
@@ -315,7 +324,8 @@ def gate(payload: dict) -> int:
         print(
             f"  {row['instance']} default mode: {row['memo_misses']} oracle "
             f"misses (<= {row['max_memo_misses']}), {row['singleton_passes']} "
-            f"singleton passes (<= {row['max_singleton_passes']}; "
+            f"singleton passes (<= {row['max_singleton_passes']}), "
+            f"{row['nogood_hits']} nogood hits (<= {row['max_nogood_hits']}; "
             f"meets={row['meets_target']})"
         )
     met = (cap["meets_target"], bnb["meets_target"], misses["meets_target"])

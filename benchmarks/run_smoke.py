@@ -5,8 +5,9 @@ probe counts, what doubling a many-round instance costs, the order labels
 Peacock's search writes per node, request cost vs live oracles,
 ``BENCH_oracle.json``) and
 :mod:`benchmarks.bench_perf_exact` (the exact search past the old cap,
-the wall of its two modes, the n=24 instances, the oracle misses and
-singleton passes of two default-mode solves, ``BENCH_exact.json``).
+the wall of its two modes, the n=24 instances, the oracle misses,
+singleton passes and nogood hits of two default-mode solves,
+``BENCH_exact.json``).
 Wired as ``make bench-smoke``; exit status is non-zero when any perf
 target regresses, so it can gate CI.  The gates read what was just
 measured; an artifact is rewritten only when ``src/`` has no uncommitted
@@ -159,7 +160,8 @@ def smoke_table(oracle_payload: dict, exact_payload: dict) -> str:
             "-",
             f"{row['memo_misses']} oracle misses "
             f"(<= {row['max_memo_misses']}), {row['singleton_passes']} "
-            f"singleton passes (<= {row['max_singleton_passes']})",
+            f"singleton passes (<= {row['max_singleton_passes']}), "
+            f"{row['nogood_hits']} nogood hits (<= {row['max_nogood_hits']})",
         ])
     for row in bnb["rows"]:
         rows.append([

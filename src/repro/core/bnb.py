@@ -43,9 +43,11 @@ maximize.  The first two things below are on in both modes; the
   verdict the search triggers makes the shared
   :class:`~repro.core.oracle.SafetyOracle` distill the violation witness
   into a cross-state ``(need_new, need_old)`` pattern (see
-  :mod:`repro.core.oracle`), rejecting candidates that re-create it in
-  two int ops from *every* state.  Patterns are certificates: verdicts,
-  DFS order and node counts stay; only the graph morphs fall.
+  :mod:`repro.core.oracle`), which refutes a round at *every* state
+  that re-creates it.  Per state the enumeration keeps each pattern's
+  *core* (the nodes it still needs flipped) and jumps, unread, over
+  every candidate holding one.  Patterns are certificates: verdicts,
+  DFS order and node counts stay; only morphs and reads fall.
 
 * **the incumbent short-cut** -- the search starts from the greedy
   witness (:func:`~repro.core.combined.combined_greedy_schedule`) as
@@ -54,19 +56,14 @@ maximize.  The first two things below are on in both modes; the
   ``[lower bound, incumbent - 1]``.
 
 A state with one round left -- nearly every state a deepening pass
-expands -- has one question to ask: is the whole pending set a safe
-round?  It asks what is already known first (the search's verdict cache
-and known-safe rounds, the oracle's memo, a learned nogood), then the
-read-only singleton pass (a pending node unsafe alone refutes the round
-by monotonicity), and morphs only when every pending node is safe alone,
-the same rounds the full expansion would morph.
+expands -- asks one question: is the whole pending set a safe round?
+What is already known answers first, then the read-only singleton pass
+(a node unsafe alone refutes it); only then does it morph.
 
-In both modes an instance without a witness gets its feasibility settled
-in a *single* memoized pass (no deepening re-expansion), and when a node
-or wall-clock budget runs out the search raises
-:class:`~repro.errors.ExactSearchBudgetError` carrying the proven
-``lower``/``upper`` interval, so callers degrade to bounds instead of
-nothing.
+An instance without a witness gets its feasibility settled in a
+*single* pass, and a node or wall-clock budget that runs out raises
+:class:`~repro.errors.ExactSearchBudgetError` with the proven
+``lower``/``upper`` interval.
 
 Reached through the scheduler registry as ``optimal:<props>``; the
 ``bounds`` mode is what runs above n=18 and for
@@ -540,11 +537,14 @@ def search_mask_bnb(
     single pass); then the round limit deepens from the forced-chain
     lower bound of :class:`PrecedenceAnalysis` to the best schedule
     known, and the first limit that succeeds is the optimum.  In both
-    modes a round whose successor's chain no longer fits is never tried:
-    that drops only subtrees without a solution, so the DFS meets the
-    same first solution as without the bound.  A state with one round
-    left asks only whether its whole pending set is safe, and pays the
-    singleton pass only when no known verdict answers that.
+    modes a round whose successor's chain no longer fits is never tried,
+    and neither is one holding the core of a nogood learned before it
+    comes up (:meth:`~repro.core.optimal._MaskSearch.cores`; the loop
+    jumps to the next candidate without that core's lowest free bit):
+    both drop only rounds without a solution, so the DFS meets the same
+    first solution.  A state with one round left asks only whether its
+    whole pending set is safe, and pays the singleton pass only when no
+    known verdict answers that.
 
     With ``bounds`` (the ``"bnb"`` mode) an incumbent that meets the
     bound is returned as proven optimal without deepening to its level;
@@ -558,6 +558,7 @@ def search_mask_bnb(
     properties = tuple(properties)
     full = search.full
     oracle = search.oracle
+    nogoods = search.nogoods
     within = f" within {max_rounds} rounds" if max_rounds is not None else ""
     infeasible = f"no schedule satisfies {[p.value for p in properties]}{within}"
 
@@ -599,9 +600,7 @@ def search_mask_bnb(
     #: re-open the state, smaller ones are settled; ``inf`` = dead)
     proven: dict[int, float] = {}
     expanded = 0
-    deadline = (
-        time.monotonic() + time_limit_s if time_limit_s is not None else None
-    )
+    deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
 
     def current_lower(limit: int | None) -> int:
         return root_lb if limit is None else max(root_lb, limit)
@@ -629,12 +628,8 @@ def search_mask_bnb(
         expanded += 1
         poll(limit)  # an expansion below costs ~1 ms at n = 24
         if expanded % _MILESTONE_EVERY == 0 and obs.tracing_enabled():
-            obs.event(
-                "bnb.milestone",
-                expanded=expanded,
-                lower=current_lower(limit),
-                upper=best,
-            )
+            obs.event("bnb.milestone", expanded=expanded,
+                      lower=current_lower(limit), upper=best)
         if node_budget is not None and expanded > node_budget:
             raise out_of_budget(f"{node_budget} node expansions", limit)
         if remaining == 1:
@@ -663,6 +658,7 @@ def search_mask_bnb(
                     return None
                 fixed = starts
         free = safe_mask & ~fixed
+        cores, seen = search.cores(state, safe_mask), len(nogoods)
         sub = safe_mask
         tried = 0
         while sub:
@@ -671,21 +667,35 @@ def search_mask_bnb(
             tried += 1
             if not tried % _DEADLINE_POLL_EVERY:
                 poll(limit)
-            successor = state | sub
-            if (
-                proven.get(successor, -1) < remaining - 1
-                and search.filter_ok(state, sub)
-                and search.round_ok(state, sub)
-            ):
-                if successor == full:
-                    return [sub]
-                tail = dfs(successor, remaining - 1, limit)
-                if tail is not None:
-                    return [sub, *tail]
-                proven[successor] = remaining - 1
-            if sub == fixed:
-                break
-            sub = ((sub - fixed - 1) & free) | fixed
+            for core in cores:
+                if sub & core == core:
+                    # a nogood refutes ``sub`` and every candidate down to
+                    # the next without ``core``'s lowest free bit
+                    low = core & free
+                    if not low:  # within ``fixed``: in every candidate
+                        return None
+                    low &= -low
+                    sub = (sub & free & -(low << 1)) | (free & (low - 1)) | fixed
+                    break
+            else:
+                successor = state | sub
+                if (
+                    proven.get(successor, -1) < remaining - 1
+                    and search.filter_ok(state, sub)
+                    and search.round_ok(state, sub)
+                ):
+                    if successor == full:
+                        return [sub]
+                    tail = dfs(successor, remaining - 1, limit)
+                    if tail is not None:
+                        return [sub, *tail]
+                    proven[successor] = remaining - 1
+                if len(nogoods) > seen:  # learned by the read or below it
+                    cores += search.cores(state, safe_mask, seen)
+                    seen = len(nogoods)
+                if sub == fixed:
+                    break
+                sub = ((sub - fixed - 1) & free) | fixed
         return None
 
     if best is None:

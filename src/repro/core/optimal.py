@@ -8,28 +8,21 @@ infeasibility prover (e.g. WPE together with strong loop freedom can be
 unachievable).
 
 There is one search: the depth-limited, iteratively deepened DFS of
-:func:`repro.core.bnb.search_mask_bnb`.  Every state, round and memo key
-is a plain int over the problem's canonical node↔bit index
-(:attr:`~repro.core.problem.UpdateProblem.node_bit`); per state the
-candidate rounds are the subsets of the safe singletons, biggest first
-(``sub = (sub - 1) & safe_mask``), minus those a forced chain rules out.
+:func:`repro.core.bnb.search_mask_bnb`, over plain-int states, rounds and
+memo keys (the problem's canonical node↔bit index,
+:attr:`~repro.core.problem.UpdateProblem.node_bit`).  Per state its
+candidate rounds are the subsets of the safe singletons, biggest first,
+minus those a forced chain or a learned nogood rules out.
 :class:`_MaskSearch` is the verdict layer under it: the shared
-:class:`SafetyOracle` behind a monotonicity memo (a round inside a
-known-safe round is safe, so one safe big round settles every candidate
-inside it).  The safe singletons of a state come from one read-only
-oracle pass (:meth:`SafetyOracle.safe_singletons`), which a state with
-one round left runs only when no known verdict settles its one round;
-only rounds of two or more nodes morph the oracle's graph.
+:class:`SafetyOracle` behind a monotonicity memo (one safe big round
+settles every candidate inside it).  Only rounds of two or more nodes
+morph the oracle's graph.
 
-:func:`minimal_round_schedule` runs that DFS in one of two modes and
-picks the mode itself, from the instance size: up to
-:data:`DEEPENING_MAX_UPDATES` required updates it deepens from the
-forced-chain bound up to the greedy witness (``search="iddfs"``);
-above, or when a node or time budget is given, it returns the greedy
-incumbent once it is proven optimal (``search="bnb"``).  Both modes
-prune with the forced chains and learn nogoods, and both answer
-certified-infeasible instances from the polynomial certificates of
-:mod:`repro.core.bnb` without expanding a state.
+:func:`minimal_round_schedule` picks the DFS's mode from the instance
+size: up to :data:`DEEPENING_MAX_UPDATES` required updates it deepens
+from the forced-chain bound up to the greedy witness
+(``search="iddfs"``); above, or under a budget, it returns the greedy
+incumbent once it is proven optimal (``search="bnb"``).
 
 The from-scratch breadth-first reference the search is checked against
 lives in ``tests/core/reference_exact.py``; its verdict function,
@@ -38,6 +31,8 @@ and the nogood tests use it too.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from repro.errors import InfeasibleUpdateError, VerificationError
 from repro.core.bnb import search_mask_bnb
@@ -48,11 +43,8 @@ from repro.core.transient import UnionGraph
 from repro.core.verify import Property, _check_union
 
 #: Safety limit on the number of required updates the exact search
-#: accepts.  Integer states, the monotonicity memo and big-rounds-first
-#: deepening made 18 nodes tractable (the seed-era frozenset BFS was
-#: capped at 12); forced-chain bounds, incumbent seeding and
-#: conflict-learned nogoods lift the default to 24.  Beyond that, wall
-#: clock -- not memory -- is the limit.
+#: accepts (12 in the seed-era frozenset BFS); beyond it, wall clock --
+#: not memory -- is the limit.
 DEFAULT_MAX_NODES = 24
 
 #: Required-update count up to which plain deepening is the mode of
@@ -107,22 +99,22 @@ def round_is_safe(
 # ---------------------------------------------------------------------------
 
 class _MaskSearch:
-    """Shared state of one exact-search invocation.
+    """Shared state of one exact-search invocation: the oracle behind a
+    monotonicity-memoizing verdict layer.
 
-    Wraps the oracle behind a monotonicity-memoizing verdict layer:
-    verdicts are cached under single-int ``(state << k) | round`` keys,
-    and per state the maximal known-safe round masks settle subset
-    candidates without touching the graph (round safety is monotone in
-    the in-flight set).  A minimal-unsafe list would settle nothing: no
-    strict superset of a round found unsafe at a state is asked after
-    it, as (1) candidates are subsets of the safe mask in decreasing
-    numeric order, so every superset of a round comes before it; (2) the
-    forced-chain rule and (3) ``proven`` (keyed by the successor state
-    itself) only ever skip a round, never ask one (pinned by
-    ``tests/core/test_unsafe_rounds.py``).
+    Verdicts are cached under single-int ``(state << k) | round`` keys,
+    and per state the maximal known-safe rounds settle the candidates
+    inside them (round safety is monotone in the in-flight set).  A
+    minimal-unsafe list would settle nothing: no strict superset of a
+    round found unsafe at a state is asked after it, as (1) candidates
+    are subsets of the safe mask in decreasing numeric order, so every
+    superset of a round comes before it; (2) the forced-chain rule, (3)
+    ``proven`` (keyed by the successor state) and (4) a nogood's core
+    only ever skip a round (pinned by ``tests/core/test_unsafe_rounds.py``).
 
-    :meth:`known` is the one read that never morphs; :meth:`round_ok`
-    is that read, then the morph when it is silent.
+    :meth:`known` is the one read that never morphs; :meth:`round_ok` is
+    that read, then the morph.  :meth:`cores` is what the enumeration
+    jumps by: it never reads a round holding a learned nogood's core.
     """
 
     def __init__(self, problem, properties, round_filter):
@@ -130,6 +122,7 @@ class _MaskSearch:
         self.k = len(problem.canonical_updates)
         self.full = (1 << self.k) - 1
         self.oracle = oracle_for(problem, properties)
+        self.nogoods = self.oracle._nogoods  # read in place; a search only appends
         self.round_filter = round_filter
         self._verdicts: dict[int, bool] = {}
         self._safe_masks: dict[int, int] = {}
@@ -160,6 +153,17 @@ class _MaskSearch:
             self._file(state, rmask, verdict)
         return verdict
 
+    def cores(self, state: int, safe_mask: int, start: int = 0) -> list[int]:
+        """``need_new & ~state`` of each nogood from index ``start`` on that
+        can refute a round of ``safe_mask`` nodes at ``state`` (``need_old``
+        misses ``state``): exactly the rounds that hold this *core*."""
+        reach = state | safe_mask
+        return [
+            need_new & ~state
+            for need_new, need_old in islice(self.nogoods, start, None)
+            if not need_old & state and not need_new & ~reach
+        ]
+
     def _file(self, state: int, rmask: int, verdict: bool) -> None:
         self._verdicts[(state << self.k) | rmask] = verdict
         if verdict:
@@ -168,17 +172,12 @@ class _MaskSearch:
             known.append(rmask)
 
     def safe_singleton_mask(self, state: int) -> int:
-        """OR of the pending bits that are safe to flip alone from ``state``.
-
-        A combination containing an unsafe singleton is unsafe by
-        monotonicity, so the search enumerates subsets of this mask
-        only.  All pending singletons are judged by one
-        :meth:`~repro.core.oracle.SafetyOracle.safe_singletons` pass, and
-        the safe ones (the only singletons the enumeration asks about)
-        are filed where :meth:`round_ok` looks first; the mask is kept
-        per state, since deepening re-expands a state once per limit.
-        The whole mask is not probed here: where it can help, it is
-        already the enumeration's first candidate.
+        """OR of the pending bits that are safe to flip alone from ``state``
+        (a round holding an unsafe one is unsafe by monotonicity), from
+        one :meth:`~repro.core.oracle.SafetyOracle.safe_singletons` pass.
+        The safe singletons are filed where :meth:`round_ok` looks first,
+        and the mask is kept per state: deepening re-expands a state once
+        per limit.  The whole mask is the enumeration's first candidate.
         """
         mask = self._safe_masks.get(state)
         if mask is not None:
@@ -235,12 +234,9 @@ def minimal_round_schedule(
     :class:`~repro.errors.ExactSearchBudgetError` carrying the proven
     lower/upper round interval.
 
-    ``search`` is left ``None`` by every caller but the perf ledger: the
-    mode follows from the instance (``"iddfs"``, plain deepening, up to
-    :data:`DEEPENING_MAX_UPDATES` required updates; ``"bnb"``, the same
-    DFS with the incumbent short-cut, above that or when one of the
-    three budgets is given).  Both prune with the forced chains, learn
-    nogoods and return optimal schedules; naming one only compares them.
+    ``search`` (``"iddfs"`` or ``"bnb"``) is named only by the perf
+    ledger, to compare the two; left ``None``, the mode follows from the
+    instance (module docstring).  Both return optimal schedules.
     """
     properties = tuple(properties)
     todo = problem.required_updates

@@ -1016,16 +1016,19 @@ class SafetyOracle:
                     )
             elif prop is Property.WPE:
                 if self._destination in self._fwd_avoid_set():
-                    return self._path_pattern(
+                    return self._pattern_edges(self._path_edges_to(
                         self._destination, avoid=self._waypoint
-                    )
+                    ))
             elif prop is Property.RLF:
                 if self._rlf_witness is not None:
                     return self._pattern_edges(self._rlf_witness)
         return None
 
     def _pattern_edges(self, edges) -> "tuple[int, int] | None":
-        """Classify witness edges into the ``(need_new, need_old)`` pair."""
+        """Classify witness edges into the ``(need_new, need_old)`` pair
+        (``None`` for no edges: the witness was not found)."""
+        if edges is None:
+            return None
         need_new = need_old = 0
         bits = self._node_bit
         for x, y in edges:
@@ -1069,12 +1072,6 @@ class SafetyOracle:
             return self._pattern_edges(edges)
         return None
 
-    def _path_pattern(self, goal: NodeId, avoid) -> "tuple[int, int] | None":
-        edges = self._path_edges_to(goal, avoid)
-        if edges is None:
-            return None
-        return self._pattern_edges(edges)
-
     def _path_edges_to(self, goal: NodeId, avoid) -> "list | None":
         """BFS parent-chain edges from the source to ``goal``."""
         source = self._source
@@ -1102,10 +1099,7 @@ class SafetyOracle:
 
     def _blackhole_pattern(self, node: NodeId) -> "tuple[int, int] | None":
         """A reachable drop: the path to ``node`` plus its dropping rule."""
-        edges = self._path_edges_to(node, avoid=None)
-        if edges is None:
-            return None
-        pattern = self._pattern_edges(edges)
+        pattern = self._pattern_edges(self._path_edges_to(node, avoid=None))
         if pattern is None:
             return None
         need_new, need_old = pattern

@@ -2,8 +2,9 @@
 
 Shared by the differential tests of the exact search's two short-cuts
 (``test_safe_singletons.py``, ``test_precedence_fixpoints.py``): the
-same path pairs go through both, and through the unsafe-superset check
-of ``test_unsafe_rounds.py``.
+same path pairs go through both, through the unsafe-superset check of
+``test_unsafe_rounds.py`` and through the nogood-core check of
+``test_nogood_cores.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from repro.core.problem import UpdateProblem
+from repro.core.verify import Property
 from repro.topology.random_graphs import random_update_instance
+
+#: The property sets the exact-search tests draw for a problem without a
+#: waypoint, and for one with.
+PLAIN = ((Property.SLF,), (Property.RLF,), (Property.SLF, Property.BLACKHOLE))
+WAYPOINTED = PLAIN + ((Property.WPE,), (Property.WPE, Property.SLF))
 
 
 def nightly() -> bool:

@@ -4,6 +4,7 @@ import gc
 import signal
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,12 @@ from repro.core import deadline
 from repro.core.api import schedule_update, time_limit
 from repro.core.deadline import check_deadline
 from repro.core.hardness import crossing_clash_instance, reversal_instance
+from repro.core.optimal import minimal_round_schedule
+from repro.core.oracle import clear_registry
+from repro.core.problem import UpdateProblem
+from repro.core.verify import Property
 from repro.errors import ExactSearchBudgetError, ScheduleTimeoutError
+from repro.topology.random_graphs import random_update_instance
 
 
 def _poll_for(seconds: float) -> None:
@@ -241,3 +247,66 @@ class TestThreadSafety:
         assert wall <= 1.25 * limit
         assert error.lower >= 1 and error.upper is not None
         assert error.lower < error.upper
+
+    @pytest.mark.parametrize(
+        "problem, properties",
+        [
+            # the solve above: 4,096 candidate rounds, no nogood learned
+            (lambda: crossing_clash_instance(24), (Property.RLF,)),
+            # nogoods learned: the enumeration jumps over refuted rounds
+            (
+                lambda: UpdateProblem(*random_update_instance(16, seed=5)[:2]),
+                (Property.SLF,),
+            ),
+        ],
+    )
+    def test_exact_search_polls_every_few_loop_steps(
+        self, problem, properties, monkeypatch
+    ):
+        """Count twin of the wall test above: the round enumeration looks
+        at the clock at least once every ``_DEADLINE_POLL_EVERY`` loop
+        steps, and a jump over rounds a nogood refutes is a step, so no
+        run of refuted rounds puts the poll off."""
+        from repro.core import bnb, optimal
+
+        every = 8
+        counts = SimpleNamespace(polls=0, expansions=0)
+        steps = []  # per enumerating state, the loop steps it took
+
+        class Steps(list):
+            # the loop tests its candidate against the state's cores
+            # once per step, a jump's step included
+            def __iter__(self):
+                steps[self.index] += 1
+                return super().__iter__()
+
+        real_cores = optimal._MaskSearch.cores
+
+        def cores(search, state, safe_mask, start=0):
+            found = real_cores(search, state, safe_mask, start)
+            if start:  # cores learned since: appended to the state's list
+                return found
+            listed = Steps(found)
+            listed.index = len(steps)
+            steps.append(0)
+            return listed
+
+        def check_deadline():
+            counts.polls += 1
+
+        def tracing_enabled():
+            # with a milestone every expansion, each one asks this once
+            counts.expansions += 1
+            return False
+
+        monkeypatch.setattr(bnb, "_DEADLINE_POLL_EVERY", every)
+        monkeypatch.setattr(bnb, "check_deadline", check_deadline)
+        monkeypatch.setattr(bnb, "_MILESTONE_EVERY", 1)
+        monkeypatch.setattr(bnb, "obs", SimpleNamespace(tracing_enabled=tracing_enabled))
+        monkeypatch.setattr(optimal._MaskSearch, "cores", cores)
+        clear_registry()
+        minimal_round_schedule(problem(), properties)
+        # one look per expansion, and one per ``every`` steps of its loop
+        owed = sum(taken // every for taken in steps)
+        assert owed > 0
+        assert counts.polls >= counts.expansions + owed

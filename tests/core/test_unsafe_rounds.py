@@ -7,7 +7,10 @@ the DFS never asks one (candidates are subsets of the safe mask in
 decreasing numeric order, the roof first; see the class docstring).
 This suite wraps ``round_ok`` and holds every first query at a state to
 that fact, over generated problems in both modes, under ``max_rounds``,
-and on the multi-source :class:`TwinFlows` duck.
+and on the multi-source :class:`TwinFlows` duck.  A round the
+enumeration settles by a nogood's core (``_MaskSearch.cores``) never
+reaches ``round_ok``; the wrap counts it as found unsafe at its state
+too, so the non-vacuity guard counts what the search refuted either way.
 """
 
 from __future__ import annotations
@@ -26,20 +29,45 @@ from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
 from repro.errors import InfeasibleUpdateError
 from repro.topology.random_graphs import random_update_instance
-from tests.core.generated import budget, update_problems
+from tests.core.generated import PLAIN, WAYPOINTED, budget, update_problems
 from tests.core.reference_exact import TwinFlows
 
-PLAIN = ((Property.SLF,), (Property.RLF,), (Property.SLF, Property.BLACKHOLE))
-WAYPOINTED = PLAIN + ((Property.WPE,), (Property.WPE, Property.SLF))
+class _Core(int):
+    """A nogood core that files each candidate round it settles.
+
+    The enumeration tests a candidate as ``sub & core == core``; ``core``
+    being an ``int`` subclass, ``&`` asks its reflected ``__rand__``.
+    """
+
+    def __new__(cls, core: int, unsafe: list, unsafe_verdicts: list):
+        self = super().__new__(cls, core)
+        self.unsafe, self.unsafe_verdicts = unsafe, unsafe_verdicts
+        return self
+
+    def __rand__(self, sub: int) -> int:
+        met = int.__and__(sub, int(self))
+        if met == self:
+            self.unsafe_verdicts[0] += 1
+            self.unsafe.append(sub)
+        return met
 
 
 @contextmanager
 def supersets():
-    """Wrap ``round_ok``; the yielded list collects every uncached query
-    that strictly contains a round already found unsafe at the same
-    state of the same search; the second counts unsafe verdicts."""
+    """Wrap ``round_ok`` and ``cores``; the yielded list collects every
+    uncached query that strictly contains a round already found unsafe
+    (or settled by a core) at the same state of the same search; the
+    second counts unsafe verdicts and rounds a core settled."""
     found, unsafe_verdicts = [], [0]
     real = optimal._MaskSearch.round_ok
+    real_cores = optimal._MaskSearch.cores
+
+    def cores(self, state, safe_mask, start=0):
+        unsafe = self.__dict__.setdefault("_unsafe_seen", {})
+        return [
+            _Core(core, unsafe.setdefault(state, []), unsafe_verdicts)
+            for core in real_cores(self, state, safe_mask, start)
+        ]
 
     def round_ok(self, state, rmask):
         unsafe = self.__dict__.setdefault("_unsafe_seen", {})
@@ -55,7 +83,9 @@ def supersets():
             unsafe.setdefault(state, []).append(rmask)
         return verdict
 
-    with patch.object(optimal._MaskSearch, "round_ok", round_ok):
+    with patch.object(optimal._MaskSearch, "round_ok", round_ok), patch.object(
+        optimal._MaskSearch, "cores", cores
+    ):
         yield found, unsafe_verdicts
 
 
@@ -71,7 +101,8 @@ def _supersets_asked(problem, properties, **options) -> list:
 
 @pytest.mark.parametrize("search", ["iddfs", "bnb"])
 def test_the_watch_sees_unsafe_multi_node_rounds(search):
-    """Not vacuous: this solve finds dozens of rounds unsafe."""
+    """Not vacuous: this solve finds dozens of rounds unsafe (by a read,
+    or by a nogood's core at the state)."""
     old, new, _ = random_update_instance(16, seed=5)
     clear_registry()
     with supersets() as (found, unsafe_verdicts):
