@@ -62,7 +62,8 @@ def _solve(problem, properties, options: dict, cores: bool) -> tuple:
             patch.setattr(optimal._MaskSearch, "cores", lambda *args: [])
         try:
             schedule = minimal_round_schedule(problem, properties, **options)
-            outcome = ("rounds", [sorted(map(repr, nodes)) for nodes in schedule.rounds])
+            rounds = [sorted(map(repr, nodes)) for nodes in schedule.rounds]
+            outcome = ("rounds", rounds)
         except InfeasibleUpdateError as error:
             outcome = ("infeasible", str(error))
         except ExactSearchBudgetError as error:

@@ -302,7 +302,9 @@ class TestThreadSafety:
         monkeypatch.setattr(bnb, "_DEADLINE_POLL_EVERY", every)
         monkeypatch.setattr(bnb, "check_deadline", check_deadline)
         monkeypatch.setattr(bnb, "_MILESTONE_EVERY", 1)
-        monkeypatch.setattr(bnb, "obs", SimpleNamespace(tracing_enabled=tracing_enabled))
+        monkeypatch.setattr(
+            bnb, "obs", SimpleNamespace(tracing_enabled=tracing_enabled)
+        )
         monkeypatch.setattr(optimal._MaskSearch, "cores", cores)
         clear_registry()
         minimal_round_schedule(problem(), properties)
