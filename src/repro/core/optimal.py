@@ -155,8 +155,8 @@ class _MaskSearch:
 
     def cores(self, state: int, safe_mask: int, start: int = 0) -> list[int]:
         """``need_new & ~state`` of each nogood from index ``start`` on that
-        can refute a round of ``safe_mask`` nodes at ``state`` (``need_old``
-        misses ``state``): exactly the rounds that hold this *core*."""
+        can match a round of ``safe_mask`` nodes at ``state`` (the oracle's
+        ``_nogood_match`` rule): it matches iff the round holds this *core*."""
         reach = state | safe_mask
         return [
             need_new & ~state
