@@ -15,7 +15,7 @@ help:
 	@echo "campaign-smoke - ~1s tiny campaign (260 cells, 7 family entries, 5 schedulers)"
 	@echo "fabric-smoke   - ~3s faulty 3-worker fleet (one SIGKILLed, one frozen) vs 1-worker baseline"
 	@echo "crash-smoke    - ~5s coordinator SIGKILLed twice mid-campaign, the second time losing the unsynced results/timings tail; journal recovery vs 1-worker baseline"
-	@echo "churn-smoke    - ~5s online-churn grid: quiescence, zero violations, same-seed determinism, planner applies per arrival"
+	@echo "churn-smoke    - ~5s online-churn grid: quiescence, zero violations, same-seed determinism, planner applies and round judgments per arrival"
 	@echo "integrity-smoke - ~3s hostile fleet (liar + corruptor + OOM cell + poison cell) vs 1-worker baseline"
 
 test:

@@ -26,6 +26,11 @@ Acceptance targets (tracked in the emitted JSON):
   takes <= 1.3x the time it takes with none (a ratio of two medians from
   one run, so host speed cancels; summing every live oracle twice per
   request, as PR 13 and earlier did, read 5.9-6.6x);
+* the count twin of that ratio: the ``OracleStats`` objects that request's
+  accounting reads (every read of a counter set in
+  :mod:`repro.core.oracle` goes through ``vars``, which is wrapped to
+  count them) are as many with 1000 live oracles as with none, and more
+  than none;
 * a many-round request is linear in its schedule: greedy-SLF search plus
   verification on reversal(2000) takes <= 2.6x what it takes on
   reversal(1000) (again a ratio from one run; re-slotting the settled
@@ -55,7 +60,8 @@ from repro.core.api import schedule_update
 from repro.core.greedy_slf import greedy_slf_schedule
 from repro.core.hardness import reversal_instance
 from repro.core.optimal import minimal_round_schedule
-from repro.core.oracle import clear_registry, oracle_for
+import repro.core.oracle as oracle_module
+from repro.core.oracle import OracleStats, clear_registry, oracle_for
 from repro.core.peacock import peacock_schedule
 from repro.core.verify import Property, verify_schedule
 
@@ -142,11 +148,37 @@ def bench_memoization() -> dict:
     }
 
 
-def _median_request_us(live: int) -> float:
+def _live_bystanders(live: int) -> list:
+    """``live`` problems whose shared oracle has counted something."""
     clear_registry()
     bystanders = [reversal_instance(6) for _ in range(live)]
     for problem in bystanders:
         oracle_for(problem, (Property.SLF,)).round_is_safe(set(), {2})
+    return bystanders
+
+
+def _stats_read_per_request(live: int) -> int:
+    """``OracleStats`` objects one request's accounting reads while
+    ``live`` shared oracles are alive."""
+    bystanders = _live_bystanders(live)
+    reads = 0
+
+    def counting_vars(obj):
+        nonlocal reads
+        reads += isinstance(obj, OracleStats)
+        return vars(obj)
+
+    oracle_module.vars = counting_vars  # shadows the builtin in that module
+    try:
+        schedule_update(reversal_instance(10), "greedy-slf", verify=True)
+    finally:
+        del oracle_module.vars
+    del bystanders
+    return reads
+
+
+def _median_request_us(live: int) -> float:
+    bystanders = _live_bystanders(live)
     samples = []
     gc.collect()
     gc.disable()
@@ -173,6 +205,7 @@ def bench_live_oracles() -> dict:
     for _ in range(3):
         for live in LIVE_ORACLE_COUNTS:
             best[live] = min(best[live], _median_request_us(live))
+    reads = {live: _stats_read_per_request(live) for live in LIVE_ORACLE_COUNTS}
     clear_registry()
     ratio = best[LIVE_ORACLE_COUNTS[-1]] / best[LIVE_ORACLE_COUNTS[0]]
     return {
@@ -181,12 +214,18 @@ def bench_live_oracles() -> dict:
             "live shared oracles in the process"
         ),
         "rows": [
-            {"live_oracles": live, "request_us": round(best[live], 1)}
+            {
+                "live_oracles": live,
+                "request_us": round(best[live], 1),
+                "stats_read": reads[live],
+            }
             for live in LIVE_ORACLE_COUNTS
         ],
         "cost_ratio_at_1000": round(ratio, 3),
         "max_cost_ratio": MAX_LIVE_ORACLE_COST_RATIO,
         "meets_target": ratio <= MAX_LIVE_ORACLE_COST_RATIO,
+        "meets_count_target": 0 < reads[LIVE_ORACLE_COUNTS[0]]
+        == reads[LIVE_ORACLE_COUNTS[-1]],
     }
 
 
@@ -294,6 +333,13 @@ def gate(payload: dict) -> int:
         + f" (ratio {live['cost_ratio_at_1000']}, bound "
         f"{MAX_LIVE_ORACLE_COST_RATIO}, meets={live['meets_target']})"
     )
+    print(
+        "  OracleStats read per request vs live oracles: "
+        + ", ".join(
+            f"{row['live_oracles']}: {row['stats_read']}" for row in live["rows"]
+        )
+        + f" (equal and nonzero, meets={live['meets_count_target']})"
+    )
     scaling = payload["results"]["oracle_scaling"]
     print(
         "  greedy SLF search+verify: "
@@ -322,7 +368,12 @@ def gate(payload: dict) -> int:
         + f" (bound {MAX_PEACOCK_LABELS_PER_NODE}; ratios and labels "
         f"meet={scaling['meets_target']})"
     )
-    met = greedy["meets_probe_bound"] and live["meets_target"] and scaling["meets_target"]
+    met = (
+        greedy["meets_probe_bound"]
+        and live["meets_target"]
+        and live["meets_count_target"]
+        and scaling["meets_target"]
+    )
     return 0 if met else 1
 
 

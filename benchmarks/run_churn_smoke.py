@@ -11,10 +11,16 @@ online controller and gates on the subsystem's three contracts:
   nonzero count (the gap is the paper's point);
 * **determinism** -- two same-seed runs produce byte-identical metrics
   JSON;
-* **planner cost** -- oracle applies per arrival over the scheduled
-  grid (first runs) stay at most :data:`MAX_APPLIES_PER_ARRIVAL`.  The
-  count is deterministic: it moves only when the planner probes more
-  (10.39 with the unprobed refusals of ``_plan_round``, 18.81 without).
+* **planner cost** -- over the scheduled grid's first runs, oracle
+  applies per arrival stay at most :data:`MAX_APPLIES_PER_ARRIVAL` and
+  round judgments (``SafetyOracle.current_round_safe`` calls, counted by
+  wrapping it here) per arrival at most
+  :data:`MAX_JUDGMENTS_PER_ARRIVAL`.  Both counts are deterministic:
+  applies move only when the planner probes more (10.48 since
+  ``_plan_round`` judges an admitted round once and re-applies only a
+  round judged unsafe, 10.39 before, 18.81 without the unprobed
+  refusals), judgments when it judges more (2.99 since then, 10.39 when
+  every candidate was its own ``try_apply``).
 
 Non-zero exit on any miss, so it can gate CI (``make churn-smoke``).
 
@@ -29,13 +35,29 @@ import json
 import sys
 
 from repro.churn import ChurnPolicy, generate_trace, run_churn
-from repro.core.oracle import aggregate_stats
+from repro.core.oracle import SafetyOracle, aggregate_stats
 
 #: (rate_per_s, duration_ms) arrival grid; fat-tree k=4, seeds both used.
 GRID = [(25.0, 300.0), (50.0, 300.0), (100.0, 300.0)]
 SEEDS = [7, 11]
-#: 10.39 measured, plus a 6 % margin
+#: 10.48 measured, plus a 5 % margin
 MAX_APPLIES_PER_ARRIVAL = 11.0
+#: 2.99 measured, plus a 10 % margin
+MAX_JUDGMENTS_PER_ARRIVAL = 3.3
+
+
+def count_judgments() -> list:
+    """Wrap ``SafetyOracle.current_round_safe`` to count its calls; the
+    one-element list returned holds the count."""
+    count = [0]
+    judge = SafetyOracle.current_round_safe
+
+    def counted(oracle) -> bool:
+        count[0] += 1
+        return judge(oracle)
+
+    SafetyOracle.current_round_safe = counted
+    return count
 
 
 def metrics_bytes(seed: int, rate: float, duration: float, scheduled: bool) -> bytes:
@@ -49,13 +71,15 @@ def metrics_bytes(seed: int, rate: float, duration: float, scheduled: bool) -> b
 def main() -> int:
     failures = []
     baseline_violations = 0
-    applies = arrivals = 0
+    applies = judgments = arrivals = 0
+    judged = count_judgments()
     for seed in SEEDS:
         for rate, duration in GRID:
             name = f"fat-tree/4 seed={seed} rate={rate:g}/s"
-            before = aggregate_stats().applies
+            before, judged_before = aggregate_stats().applies, judged[0]
             first = metrics_bytes(seed, rate, duration, scheduled=True)
             applies += aggregate_stats().applies - before
+            judgments += judged[0] - judged_before
             second = metrics_bytes(seed, rate, duration, scheduled=True)
             if first != second:
                 failures.append(f"{name}: same-seed runs differ")
@@ -85,6 +109,17 @@ def main() -> int:
             f"{applies_per_arrival:.2f} oracle applies per arrival "
             f"(gate {MAX_APPLIES_PER_ARRIVAL:g}): the planner probes "
             "candidates it could refuse"
+        )
+    judgments_per_arrival = judgments / arrivals
+    print(
+        f"round judgments per arrival: {judgments_per_arrival:.2f} "
+        f"(gate {MAX_JUDGMENTS_PER_ARRIVAL:g})"
+    )
+    if judgments_per_arrival > MAX_JUDGMENTS_PER_ARRIVAL:
+        failures.append(
+            f"{judgments_per_arrival:.2f} round judgments per arrival "
+            f"(gate {MAX_JUDGMENTS_PER_ARRIVAL:g}): the planner judges "
+            "candidates one by one, not a round at once"
         )
     # the unscheduled baseline must show why scheduling exists
     for seed in SEEDS:

@@ -8,12 +8,13 @@ transiently safe.  The design centres on three ideas:
 
 **One long-lived oracle per update.**  Each admitted request builds its
 :class:`~repro.core.oracle.SafetyOracle` once and then drives it purely
-through deltas across every round of its lifetime: ``try_apply`` grows a
-round greedily, ``commit_round`` settles it when the switches confirm,
+through deltas across every round of its lifetime: ``apply`` puts a
+round's admitted candidates in flight and one verdict judges them (one
+``try_apply`` each only when it is unsafe), ``commit_round`` settles it,
 ``revert`` retracts a planned-but-unissued round, and the next round
 continues from the committed state -- the union graph is never rebuilt.
 
-**A retractable plan window.**  Planning a round (``try_apply`` calls)
+**A retractable plan window.**  Planning a round (oracle deltas)
 and issuing it to the switches are separated by :data:`PLAN_LATENCY_MS`.
 Until the issue instant the round exists only inside the oracle, so a
 cancellation, preemption, or link failure in that window reverts the
@@ -144,6 +145,7 @@ class _ActiveUpdate:
     cancel_requested: bool = False
     needs_replan: bool = False
     last_walk: object = None  # WalkResult of problem.walk(committed), or None
+    audit: tuple | None = None  # (fate, crossed, failed links) of last_walk
 
     @property
     def record(self) -> UpdateLifecycle:
@@ -358,7 +360,7 @@ class OnlineChurnController:
         target = tuple(request.target_path)
         if self._crosses_failed(target):
             # the requested path died before we could plan it: re-route
-            resampled = self._sample_target(flow, record.request_id)
+            resampled = self._sample_target(flow.current_path, record.request_id)
             if resampled is None:
                 self._settle(record, "aborted")
                 self._pump(flow)
@@ -392,10 +394,8 @@ class OnlineChurnController:
             properties = [Property.BLACKHOLE, Property.RLF]
             if waypoint is not None:
                 properties.append(Property.WPE)
-            oracle = oracle_for(problem, tuple(properties))
-            oracle.reset()
-        remaining = set(problem.required_updates)
-        remaining |= problem.cleanup_updates
+            oracle = oracle_for(problem, tuple(properties))  # fresh: all OLD
+        remaining = {*problem.required_updates, *problem.cleanup_updates}
         active = _ActiveUpdate(
             request=request,
             flow=flow,
@@ -407,9 +407,6 @@ class OnlineChurnController:
         flow.active = active
         self._in_flight += 1
         self.metrics.peak_in_flight = max(self.metrics.peak_in_flight, self._in_flight)
-        if not remaining:  # pragma: no cover - distinct paths always differ
-            self._finish_active(active, "done")
-            return
         self._plan_round(active)
 
     @staticmethod
@@ -439,17 +436,29 @@ class OnlineChurnController:
         else:
             # The oracle holds the committed nodes, none in flight; verdicts
             # are monotone in the in-flight set.  So a required update unsafe
-            # alone, or a cleanup the source reaches (BLACKHOLE), is refused.
-            alone = oracle.nodes_of(
-                oracle.safe_singletons(oracle.mask_of(active.committed))
-            )
+            # alone, or a cleanup the source reaches (BLACKHOLE), is refused,
+            # and a safe round of the rest is what one-by-one try_apply keeps.
             cleanup = active.problem.cleanup_updates
-            round_nodes = [
-                node
-                for node in sorted(active.remaining, key=repr)
-                if (not oracle.reaches(node) if node in cleanup else node in alone)
-                and oracle.try_apply(node)
-            ]
+            alone = ()
+            if not active.remaining <= cleanup:  # a cleanup never reads it
+                committed = oracle.mask_of(active.committed)
+                alone = oracle.nodes_of(oracle.safe_singletons(committed))
+
+            def passes(node) -> bool:
+                return not oracle.reaches(node) if node in cleanup else node in alone
+
+            pending = sorted(active.remaining, key=repr)
+            round_nodes = []
+            for node in pending:
+                if passes(node):
+                    oracle.apply(node)
+                    round_nodes.append(node)
+            if round_nodes and not oracle.current_round_safe():
+                for node in round_nodes:
+                    oracle.revert(node)
+                round_nodes = [
+                    node for node in pending if passes(node) and oracle.try_apply(node)
+                ]
             if not round_nodes:
                 # greedily stuck: a different target may unstick it
                 self._replan_or_abort(active, reason="stuck")
@@ -497,7 +506,7 @@ class OnlineChurnController:
     def _flip(self, active: _ActiveUpdate, node) -> None:
         active.committed.add(node)
         if active.last_walk is not None and node in active.last_walk.visited:
-            active.last_walk = None  # a walk reads only the hops it visits
+            active.last_walk = active.audit = None  # a walk reads its hops only
         active.record.flips += 1
         self.metrics.flips += 1
         self._probe(active)
@@ -506,20 +515,27 @@ class OnlineChurnController:
             self._complete_round(active)
 
     def _probe(self, active: _ActiveUpdate) -> None:
-        """Audit the transient configuration with a dataplane-style walk."""
-        walk = active.walk()
-        if walk.delivered:
-            waypoint = active.problem.waypoint
-            if waypoint is not None and not walk.traversed(waypoint):
-                fate = PacketFate.BYPASSED_WAYPOINT
+        """Audit the transient configuration with a dataplane-style walk.
+
+        A walk is classified once, and again only when links failed since
+        (``failed_links`` only grows, so its size dates the verdict).
+        """
+        audit = active.audit
+        if audit is None or audit[2] != len(self.failed_links):
+            walk = active.walk()
+            if walk.delivered:
+                waypoint = active.problem.waypoint
+                if waypoint is not None and not walk.traversed(waypoint):
+                    fate = PacketFate.BYPASSED_WAYPOINT
+                else:
+                    fate = PacketFate.DELIVERED
+            elif walk.looped:
+                fate = PacketFate.LOOPED
             else:
-                fate = PacketFate.DELIVERED
-        elif walk.looped:
-            fate = PacketFate.LOOPED
-        else:
-            fate = PacketFate.DROPPED
-        crossed = self._crosses_failed(walk.visited)
-        self.metrics.record_probe(active.record, fate, crossed)
+                fate = PacketFate.DROPPED
+            crossed = self._crosses_failed(walk.visited)
+            audit = active.audit = (fate, crossed, len(self.failed_links))
+        self.metrics.record_probe(active.record, audit[0], audit[1])
 
     def _complete_round(self, active: _ActiveUpdate) -> None:
         record = active.record
@@ -557,7 +573,7 @@ class OnlineChurnController:
         # restart from the physically installed state: the walk under the
         # committed-only configuration is the flow's effective path now
         effective = self._effective_path(active)
-        target = self._sample_target_from(effective, record.request_id)
+        target = self._sample_target(effective, record.request_id)
         flow.current_path = effective
         flow.active = None
         self._in_flight -= 1
@@ -614,7 +630,7 @@ class OnlineChurnController:
         self.metrics.open_lifecycle(record)
         self.metrics.restorations += 1
         self._flow_of[request_id] = flow
-        target = self._sample_target(flow, request_id)
+        target = self._sample_target(flow.current_path, request_id)
         if target is None:
             self._settle(record, "aborted")
             return
@@ -628,10 +644,7 @@ class OnlineChurnController:
             ),
         )
 
-    def _sample_target(self, flow: _FlowState, request_id: str):
-        return self._sample_target_from(tuple(flow.current_path), request_id)
-
-    def _sample_target_from(self, current: tuple, request_id: str):
+    def _sample_target(self, current: tuple, request_id: str):
         rng = self.streams.stream(f"replan:{request_id}")
         return sample_simple_path(
             self.trace.topology,

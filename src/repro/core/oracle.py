@@ -180,12 +180,11 @@ class SafetyOracle:
             order.extend(sorted(self._forwarding - set(order), key=repr))
             node_bit = {node: index for index, node in enumerate(order)}
         self._node_bit: dict[NodeId, int] = node_bit
-        inverse = sorted(node_bit.items(), key=lambda item: item[1])
-        self._bit_node: tuple = tuple(node for node, _ in inverse)
+        self._bit_node: tuple = tuple(node_bit)  # built in bit order
         self._width = len(self._bit_node)
 
         # --- persistent union graph -----------------------------------
-        self._state: dict[NodeId, int] = {n: _OLD for n in self._forwarding}
+        self._state: dict[NodeId, int] = dict.fromkeys(self._forwarding, _OLD)
         self._succ: dict[NodeId, set] = {n: set() for n in problem.nodes}
         self._pred: dict[NodeId, set] = {n: set() for n in problem.nodes}
         self._new_mask = 0
@@ -195,29 +194,30 @@ class SafetyOracle:
         # --- Pearce-Kelly topological order over the non-blocked edges
         # (skipped entirely when no property ever consults acyclicity)
         self._needs_pk = Property.SLF in properties or Property.RLF in properties
-        # (labels start as ranks; a reorder writes floats into the gaps)
-        self._ord: dict[NodeId, float] = {}
+        # (labels start as ranks, the old path first; a reorder writes
+        # floats into the gaps)
+        ranked = [*problem.old_path.nodes]
+        ranked += sorted(problem.nodes - set(ranked), key=repr)
+        self._ord: dict[NodeId, float] = dict(zip(ranked, range(len(ranked))))
         self._relabelled = 0  # labels written by reorders (work-bound tests)
         self._blocked: set[tuple[NodeId, NodeId]] = set()
         self._blocked_tails: set[NodeId] = set()  # {u for (u, _) in _blocked}
         self._blocked_stale = False
-        for index, node in enumerate(problem.old_path.nodes):
-            self._ord[node] = index
-        for node in sorted(problem.nodes - set(self._ord), key=repr):
-            self._ord[node] = len(self._ord)
 
         # --- lazily maintained reachability frontiers (None = stale) --
         self._fwd: set | None = None        # reachable from the source
         self._fwd_avoid: set | None = None  # ... avoiding the waypoint
 
-        # The all-OLD base graph is the old path itself: edges follow the
-        # initial topological order, so no reordering can trigger here.
+        # The all-OLD base graph is the old path itself: its edges follow
+        # the initial topological order and no frontier exists yet, so
+        # they go straight in.
         for node in self._forwarding:
             target = self._old_next[node]
             if target is None:
                 self._drop.add(node)
             else:
-                self._add_edge(node, target)
+                self._succ[node].add(target)
+                self._pred[target].add(node)
 
         self._memo: dict[int, bool] = {}
         self._walk_tables: tuple | None = None  # see safe_singletons

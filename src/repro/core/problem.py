@@ -154,39 +154,53 @@ class UpdateProblem:
     # ------------------------------------------------------------------
     # forwarding semantics
     # ------------------------------------------------------------------
-    def _next_table(self, path: Path) -> dict:
-        table = dict.fromkeys(self.forwarding_nodes)
-        nodes = path.nodes
-        table.update(zip(nodes, nodes[1:]))
-        return table
+    def _tables(self) -> dict:
+        """Fill the five per-node tables in one pass over
+        :attr:`forwarding_nodes` (their iteration order); a node is on a
+        path exactly when it has a next hop there."""
+        old_path, new_path = self.old_path.nodes, self.new_path.nodes
+        old_hop = dict(zip(old_path, old_path[1:]))
+        new_hop = dict(zip(new_path, new_path[1:]))
+        old_next, new_next, required, cleanup = {}, {}, [], []
+        kinds: dict = {self.destination: UpdateKind.NOOP}
+        for node in self.forwarding_nodes:
+            old_next[node] = old = old_hop.get(node)
+            new_next[node] = new = new_hop.get(node)
+            if old is None:
+                kinds[node] = UpdateKind.INSTALL
+                required.append(node)
+            elif new is None:
+                kinds[node] = UpdateKind.DELETE
+                cleanup.append(node)
+            elif old == new:
+                kinds[node] = UpdateKind.NOOP
+            else:
+                kinds[node] = UpdateKind.SWITCH
+                required.append(node)
+        tables = vars(self)
+        tables.update(
+            old_next=old_next,
+            new_next=new_next,
+            kind_table=kinds,
+            required_updates=frozenset(required),
+            cleanup_updates=frozenset(cleanup),
+        )
+        return tables
 
     @cached_property
     def old_next(self) -> dict:
         """``{node: old next hop or None}`` for every forwarding node."""
-        return self._next_table(self.old_path)
+        return self._tables()["old_next"]
 
     @cached_property
     def new_next(self) -> dict:
         """``{node: new next hop or None}`` for every forwarding node."""
-        return self._next_table(self.new_path)
+        return self._tables()["new_next"]
 
     @cached_property
     def kind_table(self) -> dict:
-        """``{node: UpdateKind}`` for every node (destination is a NOOP).
-
-        A forwarding node is on a path exactly when it has a next hop there.
-        """
-        table: dict = {self.destination: UpdateKind.NOOP}
-        new_next = self.new_next
-        for node, old in self.old_next.items():
-            new = new_next[node]
-            if old is None:
-                table[node] = UpdateKind.INSTALL
-            elif new is None:
-                table[node] = UpdateKind.DELETE
-            else:
-                table[node] = UpdateKind.NOOP if old == new else UpdateKind.SWITCH
-        return table
+        """``{node: UpdateKind}`` for every node (destination is a NOOP)."""
+        return self._tables()["kind_table"]
 
     def next_hop(self, node: NodeId, state: RuleState) -> NodeId | None:
         """Effective next hop of ``node`` in ``state``; ``None`` means drop.
@@ -223,12 +237,7 @@ class UpdateProblem:
     @cached_property
     def required_updates(self) -> frozenset:
         """Nodes that *must* be updated for traffic to move: INSTALL + SWITCH."""
-        kinds = self.kind_table
-        return frozenset(
-            node
-            for node in self.forwarding_nodes
-            if kinds[node] in (UpdateKind.INSTALL, UpdateKind.SWITCH)
-        )
+        return self._tables()["required_updates"]
 
     @cached_property
     def canonical_updates(self) -> tuple:
@@ -264,11 +273,7 @@ class UpdateProblem:
     @cached_property
     def cleanup_updates(self) -> frozenset:
         """Old-only nodes whose stale rule should eventually be deleted."""
-        kinds = self.kind_table
-        return frozenset(
-            node for node in self.forwarding_nodes
-            if kinds[node] is UpdateKind.DELETE
-        )
+        return self._tables()["cleanup_updates"]
 
     @cached_property
     def all_updates(self) -> frozenset:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.churn.controller import ChurnPolicy, _ActiveUpdate, run_churn
+from repro.churn.controller import ChurnPolicy, OnlineChurnController, run_churn
 from repro.churn.events import (
     ChurnError,
     LinkFailure,
@@ -29,7 +29,9 @@ from repro.churn.events import (
     UpdateCancel,
     event_sort_key,
 )
+from repro.churn.metrics import ChurnMetrics
 from repro.churn.traces import ChurnTrace, FlowSpec, generate_trace
+from repro.dataplane.violations import PacketFate
 from repro.topology.graph import Topology
 
 OLD_PATH = (1, 2, 3, 5)
@@ -317,6 +319,44 @@ class TestSystemContracts:
         assert first == second
 
 
+def fresh_audit(controller, active) -> tuple:
+    """``(fate, crossed a failed link)`` of a fresh walk, classified here."""
+    walk = active.problem.walk(active.committed)
+    waypoint = active.problem.waypoint
+    if walk.delivered:
+        bypassed = waypoint is not None and waypoint not in walk.visited
+        fate = PacketFate.BYPASSED_WAYPOINT if bypassed else PacketFate.DELIVERED
+    else:
+        fate = PacketFate.LOOPED if walk.looped else PacketFate.DROPPED
+    links = zip(walk.visited, walk.visited[1:])
+    return fate, any(link in controller.failed_links for link in links)
+
+
+def audited(monkeypatch) -> dict:
+    """Hold every recorded probe verdict to :func:`fresh_audit`, counting
+    the probes, the verdicts served from the cache and those a link
+    failure made the audit classify again."""
+    counts = dict.fromkeys(("probes", "cached", "reclassified"), 0)
+    recorded = []
+    record_probe, probe = ChurnMetrics.record_probe, OnlineChurnController._probe
+
+    def record(metrics, lifecycle, fate, crossed):
+        recorded.append((fate, crossed))
+        record_probe(metrics, lifecycle, fate, crossed)
+
+    def checked(controller, active):
+        before = active.audit
+        probe(controller, active)
+        assert recorded.pop() == fresh_audit(controller, active)
+        counts["probes"] += 1
+        counts["cached"] += active.audit is before
+        counts["reclassified"] += before is not None and active.audit is not before
+
+    monkeypatch.setattr(ChurnMetrics, "record_probe", record)
+    monkeypatch.setattr(OnlineChurnController, "_probe", checked)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -333,25 +373,22 @@ class TestGoldenReplay:
 
     @pytest.mark.parametrize("row", GOLDEN_ROWS, ids=golden_id)
     def test_replayed_audit_walk_is_a_fresh_walk(self, row, golden, monkeypatch):
-        # the audit keeps its last walk until a flip lands on it; every
-        # walk it reads must be the one a fresh walk would find
-        cached = _ActiveUpdate.walk
-        reads = {"all": 0, "replayed": 0}
-
-        def checked(active):
-            reads["replayed"] += active.last_walk is not None
-            walk = cached(active)
-            assert walk == active.problem.walk(active.committed)
-            reads["all"] += 1
-            return walk
-
-        monkeypatch.setattr(_ActiveUpdate, "walk", checked)
+        # the audit classifies a walk once and keeps the verdict until a
+        # flip lands on the walk or a link fails; every verdict it records
+        # must be the one a fresh walk gives under that moment's failures
+        counts = audited(monkeypatch)
         replayed = golden_run(row)
         assert json.dumps(replayed, sort_keys=True) == json.dumps(
             golden[golden_id(row)], sort_keys=True
         )
-        assert reads["all"] >= replayed["flips"] > 0
-        assert reads["replayed"] > 0, reads
+        assert counts["probes"] == replayed["flips"] > 0
+        assert counts["cached"] > 0, counts
+
+    def test_a_link_failure_reclassifies_a_cached_walk(self, monkeypatch):
+        counts = audited(monkeypatch)
+        for row in GOLDEN_ROWS:
+            golden_run(row)
+        assert counts["reclassified"] > 0, counts
 
     def test_oneshot_rows_exercise_every_violation_kind(self, golden):
         totals = dict.fromkeys(("looped", "dropped", "bypassed_waypoint"), 0)

@@ -80,6 +80,29 @@ class TestScopedToTheRequest:
         monkeypatch.setattr(core_api, "aggregate_stats", boom, raising=False)
         assert _reference()["applies"] > 0
 
+    def test_accounting_reads_as_many_stats_however_many_live(self, monkeypatch):
+        # the count twin of bench-smoke's live-oracle wall ratio: every
+        # read of a counter set in the oracle module goes through ``vars``
+        reads, counts, bystanders = [], [], []
+
+        def counting_vars(obj):
+            reads.append(isinstance(obj, OracleStats))
+            return vars(obj)
+
+        monkeypatch.setattr(oracle_module, "vars", counting_vars, raising=False)
+        for live in (0, 500):
+            bystanders += _worked_oracles(live)
+            gc.collect()
+            aggregate_stats()  # nothing dead is left to fold mid-request
+            reads.clear()
+            gc.disable()
+            try:
+                _reference()
+            finally:
+                gc.enable()
+            counts.append(sum(reads))
+        assert counts[0] == counts[1] > 0, counts
+
     def test_explicit_oracle_is_accounted(self):
         problem = reversal_instance(8)
         oracle = SafetyOracle(problem, (Property.SLF,))  # never registered
