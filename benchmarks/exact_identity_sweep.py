@@ -4,10 +4,9 @@ A change to the exact search that means to keep its behaviour must keep
 this script's output: the status split, the oracle misses, the nogoods
 learned and the digest over every outcome.  The grid:
 
-* the ``exact_search`` ledger pool (32 ops) at ledger seeds 1, 7 and 13,
-  each op solved as the ledger times it (``schedule_update`` on
-  ``optimal:<props>`` with verification, the pool's node budget at
-  n = 20): 96 solves;
+* the ``exact_search`` ledger workload's ops (its 32-op pool) at ledger
+  seeds 1, 7 and 13, taken from the workload itself and solved through
+  its own ``solve`` and ``outcome_of``: 96 solves;
 * ``random_update_instance`` with n = 8..14 x generator seeds 0..5 x the
   seven property sets of :data:`PROPERTY_SETS` (with a waypoint when WPE
   is among them) x four modes of ``minimal_round_schedule`` (default,
@@ -24,10 +23,10 @@ The outcome encoding, one object per solve in the order above:
   (``nodes`` is ``nodes_expanded``);
 
 each with the keys that name the solve: ``"pool"`` (ledger seed, op
-index, n, properties, generator seed) or ``"grid"`` (n, generator seed,
-properties, mode).  The digest is the first 16 hex digits of the SHA-256
-of the outcomes written one per line as ``json.dumps(outcome,
-sort_keys=True)``, joined by newlines.  Misses and nogoods learned are
+index in the workload's order, properties, old path, new path, waypoint)
+or ``"grid"`` (n, generator seed, properties, mode).  The digest is the
+first 16 hex digits of the SHA-256 of the outcomes written one per line
+as ``json.dumps(outcome, sort_keys=True)``, joined by newlines.  Misses and nogoods learned are
 the growth of :func:`repro.core.oracle.aggregate_stats` over the sweep.
 
 Usage::
@@ -40,20 +39,17 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import random
 import sys
 from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent / "ledger"))
 
-from wl_exact import POOL, ExactOp  # noqa: E402  (the ledger's pool, by path)
+from wl_exact import ExactSearch, outcome_of, solve  # noqa: E402  (by path)
 
-from repro.core.api import schedule_update  # noqa: E402
 from repro.core.optimal import minimal_round_schedule  # noqa: E402
 from repro.core.oracle import aggregate_stats, clear_registry  # noqa: E402
 from repro.core.problem import UpdateProblem  # noqa: E402
 from repro.core.registry import parse_properties  # noqa: E402
-from repro.errors import ExactSearchBudgetError, InfeasibleUpdateError  # noqa: E402
 from repro.topology.random_graphs import random_update_instance  # noqa: E402
 
 LEDGER_SEEDS = (1, 7, 13)
@@ -71,48 +67,19 @@ MODES = {
 }
 
 
-def outcome_of(call) -> dict:
-    """Run ``call`` and encode what came back (module docstring)."""
-    try:
-        schedule = call()
-    except InfeasibleUpdateError:
-        return {"status": "infeasible"}
-    except ExactSearchBudgetError as exc:
-        return {
-            "status": "budget-capped",
-            "lower": exc.lower,
-            "upper": exc.upper,
-            "nodes": exc.nodes_expanded,
-        }
-    return {"status": "ok", "rounds": schedule.to_dict()["rounds"]}
-
-
-def pool_ops(seed: int) -> list:
-    """The ledger's ``exact_search`` ops at ``seed``, in its order."""
-    rng = random.Random(f"exact_search-{seed}")
-    shift = 1024 * rng.randrange(1, 1000)
-    ops = [(entry, ExactOp(*entry, shift)) for entry in POOL]
-    rng.shuffle(ops)
-    return ops
-
-
-def sweep():
-    """Yield every outcome of the grid, in order."""
+def sweep(pools: dict):
+    """Yield every outcome of the grid, in order; ``pools`` maps a ledger
+    seed to the workload's ops at that seed."""
     for seed in LEDGER_SEEDS:
-        for index, ((n, properties, generator_seed), op) in enumerate(pool_ops(seed)):
-            verified = []
-
-            def solve(op=op, verified=verified):
-                result = schedule_update(
-                    op.problem(), op.spec, verify=True, params=op.params
-                )
-                verified.append(result.verified)
-                return result.schedule
-
-            outcome = outcome_of(solve)
-            if verified:
-                outcome["verified"] = verified[0]
-            outcome["pool"] = [seed, index, n, properties, generator_seed]
+        for index, op in enumerate(pools[seed]):
+            outcome = outcome_of(lambda: solve(op))
+            result = outcome.pop("result", None)
+            if result is not None:
+                outcome["rounds"] = result.schedule.to_dict()["rounds"]
+                outcome["verified"] = result.verified
+            outcome["pool"] = [
+                seed, index, op.properties, op.old, op.new, op.waypoint
+            ]
             yield outcome
     for n in SIZES:
         for generator_seed in GENERATOR_SEEDS:
@@ -125,14 +92,19 @@ def sweep():
                     outcome = outcome_of(lambda: minimal_round_schedule(
                         problem, parse_properties(properties), **params
                     ))
+                    schedule = outcome.pop("result", None)
+                    if schedule is not None:
+                        outcome["rounds"] = schedule.to_dict()["rounds"]
                     outcome["grid"] = [n, generator_seed, properties, mode]
                     yield outcome
 
 
 def main() -> int:
+    # the workload's set-up solves each op once; that is not the sweep's
+    pools = {seed: ExactSearch(seed, 1.0, None).ops for seed in LEDGER_SEEDS}
     clear_registry()
     before = aggregate_stats()
-    lines = [json.dumps(outcome, sort_keys=True) for outcome in sweep()]
+    lines = [json.dumps(outcome, sort_keys=True) for outcome in sweep(pools)]
     after = aggregate_stats()
     statuses = Counter(json.loads(line)["status"] for line in lines)
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]

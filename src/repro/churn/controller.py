@@ -395,14 +395,13 @@ class OnlineChurnController:
             if waypoint is not None:
                 properties.append(Property.WPE)
             oracle = oracle_for(problem, tuple(properties))  # fresh: all OLD
-        remaining = {*problem.required_updates, *problem.cleanup_updates}
         active = _ActiveUpdate(
             request=request,
             flow=flow,
             problem=problem,
             oracle=oracle,
             target=target,
-            remaining=remaining,
+            remaining=set(problem.all_updates),
         )
         flow.active = active
         self._in_flight += 1

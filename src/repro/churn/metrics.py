@@ -20,7 +20,7 @@ of ``make churn-smoke``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.controller.update_queue import RoundTiming
 from repro.dataplane.violations import PacketFate, ViolationCounters
@@ -59,12 +59,23 @@ class UpdateLifecycle:
         return self.settled_ms - self.arrived_ms
 
     def to_dict(self) -> dict:
-        data = {item.name: getattr(self, item.name) for item in fields(self)}
-        # a dump taken mid-run may hold a running round
-        data["rounds"] = [timing.to_dict() for timing in self.rounds]
-        data["n_rounds"] = len(self.rounds)
-        data["time_to_quiescence_ms"] = self.time_to_quiescence_ms
-        return data
+        return {
+            "request_id": self.request_id,
+            "flow_id": self.flow_id,
+            "arrived_ms": self.arrived_ms,
+            "started_ms": self.started_ms,
+            "settled_ms": self.settled_ms,
+            "time_to_quiescence_ms": self.time_to_quiescence_ms,
+            "status": self.status,
+            "waypointed": self.waypointed,
+            # a dump taken mid-run may hold a running round
+            "rounds": [timing.to_dict() for timing in self.rounds],
+            "n_rounds": len(self.rounds),
+            "flips": self.flips,
+            "replans": self.replans,
+            "probes": self.probes,
+            "violations": self.violations,
+        }
 
 
 @dataclass
@@ -154,20 +165,30 @@ class ChurnMetrics:
         return sum(durations) / len(durations)
 
     def to_dict(self) -> dict:
-        # the plain counters in declaration order, then what is derived
-        data = {
-            item.name: getattr(self, item.name)
-            for item in fields(self)
-            if item.name not in ("violations", "lifecycles")
+        lifecycles = [
+            self.lifecycles[request_id].to_dict()
+            for request_id in sorted(self.lifecycles)
+        ]
+        return {
+            "arrivals": self.arrivals,
+            "completed": self.completed,
+            "cancelled": self.cancelled,
+            "cancels_noop": self.cancels_noop,
+            "aborted": self.aborted,
+            "superseded": self.superseded,
+            "noops": self.noops,
+            "replans": self.replans,
+            "restorations": self.restorations,
+            "rounds_issued": self.rounds_issued,
+            "flips": self.flips,
+            "peak_in_flight": self.peak_in_flight,
+            "failed_link_crossings": self.failed_link_crossings,
+            "time_to_quiescence_ms": self.time_to_quiescence_ms,
+            "mean_time_to_quiescence_ms": round(
+                self.mean_time_to_quiescence_ms(), 6
+            ),
+            "quiescent": self.quiescent,
+            "transient_violations": self.transient_violations,
+            "violations": self.violations.as_dict(),
+            "lifecycles": lifecycles,
         }
-        data.update(
-            mean_time_to_quiescence_ms=round(self.mean_time_to_quiescence_ms(), 6),
-            quiescent=self.quiescent,
-            transient_violations=self.transient_violations,
-            violations=self.violations.as_dict(),
-            lifecycles=[
-                self.lifecycles[request_id].to_dict()
-                for request_id in sorted(self.lifecycles)
-            ],
-        )
-        return data

@@ -237,10 +237,6 @@ class UpdateQueueApp(RyuLikeApp):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return bool(self.queue)
-
     def find_completed(self, update_id: str) -> UpdateExecution:
         for execution in self.completed:
             if execution.update_id == update_id:

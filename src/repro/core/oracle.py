@@ -208,16 +208,15 @@ class SafetyOracle:
         self._fwd: set | None = None        # reachable from the source
         self._fwd_avoid: set | None = None  # ... avoiding the waypoint
 
-        # The all-OLD base graph is the old path itself: its edges follow
-        # the initial topological order and no frontier exists yet, so
-        # they go straight in.
+        # The all-OLD base graph.  Its edges need not follow the initial
+        # order: a multi-policy view's old table also holds the other
+        # policies' old rules, so each edge goes through the order check.
         for node in self._forwarding:
             target = self._old_next[node]
             if target is None:
                 self._drop.add(node)
             else:
-                self._succ[node].add(target)
-                self._pred[target].add(node)
+                self._add_edge(node, target)
 
         self._memo: dict[int, bool] = {}
         self._walk_tables: tuple | None = None  # see safe_singletons

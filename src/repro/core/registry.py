@@ -153,18 +153,6 @@ class Scheduler:
         _check_params(self.base, self.accepts, merged)
         return self.invoke(problem, include_cleanup, oracle, self.properties, merged)
 
-    def capabilities(self) -> dict:
-        """JSON-compatible capability record (REST ``GET /schedulers``)."""
-        return {
-            "name": self.name,
-            "base": self.base,
-            "aliases": list(self.aliases),
-            "guarantee": [PROPERTY_NAMES[p] for p in self.guarantee],
-            "requires_waypoint": self.requires_waypoint,
-            "accepts": sorted(self.accepts),
-            "description": self.description,
-        }
-
 
 #: The built-in schedulers' knobs (``time_limit_s=nan`` would never run out);
 #: a third-party knob no row names passes as given.

@@ -1,5 +1,7 @@
 """Tests for multi-policy (shared-rule and isolated) updates."""
 
+import itertools
+
 import pytest
 
 from repro.core.multipolicy import (
@@ -10,9 +12,11 @@ from repro.core.multipolicy import (
     verify_joint_round,
     verify_joint_schedule,
 )
+from repro.core.oracle import SafetyOracle
 from repro.core.peacock import peacock_schedule
 from repro.core.problem import RuleState, UpdateKind, UpdateProblem
-from repro.core.verify import Property
+from repro.core.transient import UnionGraph
+from repro.core.verify import Property, _check_union
 from repro.errors import InfeasibleUpdateError, UpdateModelError
 from tests.core.reference_exact import reference_joint_schedule
 
@@ -146,6 +150,28 @@ class TestJointOracleEquivalence:
         for packer in (greedy_joint_schedule, reference_joint_schedule):
             with pytest.raises(InfeasibleUpdateError):
                 packer(joint, properties)
+
+    @pytest.mark.parametrize("prop", (Property.RLF, Property.SLF))
+    def test_view_oracles_order_the_other_policies_old_rules(self, prop):
+        """A view's old table holds the other policies' old rules, which
+        may run against the order its own old path gives (b->a here, with
+        a before b on p1's path): a fresh view oracle must judge every
+        round as a union graph built from scratch for that view does."""
+        p1 = UpdateProblem(["s", "a", "d"], ["s", "d"], name="p1")
+        p2 = UpdateProblem(["t", "b", "a", "d"], ["t", "a", "b", "d"], name="p2")
+        joint = JointUpdateProblem([p1, p2])
+        nodes = sorted(joint.forwarding_nodes)
+        for policy in joint.policies:
+            view = PolicyView(joint, policy)
+            for phases in itertools.product(range(3), repeat=len(nodes)):
+                updated = {n for n, phase in zip(nodes, phases) if phase == 1}
+                round_nodes = {n for n, phase in zip(nodes, phases) if phase == 2}
+                union = UnionGraph.from_update_sets(view, updated, round_nodes)
+                violations, _ = _check_union(union, 0, (prop,), True)
+                oracle = SafetyOracle(view, (prop,))  # no morph history
+                assert oracle.round_is_safe(updated, round_nodes) == (
+                    not violations
+                ), (policy.name, updated, round_nodes)
 
     def test_policy_view_duck_surface(self, two_policies):
         joint = JointUpdateProblem(two_policies)
