@@ -6,9 +6,9 @@ events into pluggable sinks (in-memory ring buffer, JSONL files), and
 :mod:`repro.obs.analysis` turns trace files back into per-phase time
 breakdowns.
 
-Tracing is off by default and the off path is a handful of attribute
-reads -- the scheduling hot loops stay un-touched (``bench-smoke`` gates
-the no-op overhead).  Enable it programmatically::
+Tracing is off by default and the off path is a few attribute reads
+that return one shared no-op span (``tests/obs/test_obs_trace.py`` holds
+it to that), so the scheduling hot loops stay un-touched.  Enable it::
 
     from repro.obs import configure_tracing
     configure_tracing(directory="traces/")      # one JSONL file per process

@@ -206,7 +206,7 @@ class TestRegistryParity:
 
 
 class TestEnvelope:
-    def test_result_carries_provenance(self):
+    def test_result_carries_wall_time_and_oracle_counters(self):
         result = schedule_update(reversal_instance(8), "greedy-slf")
         assert result.wall_ms >= 0.0
         assert result.oracle_stats.get("applies", 0) > 0

@@ -198,14 +198,29 @@ class TestIddfs:
                 problem, (Property.WPE, Property.SLF), search="iddfs"
             )
 
-    def test_lifts_the_old_cap(self):
-        # n=14 (13 required updates) was beyond the seed-era default cap
-        # of 12; the iddfs mode settles it in well under a second
-        schedule = minimal_round_schedule(
-            reversal_instance(14), (Property.RLF,), search="iddfs"
-        )
+    @pytest.mark.parametrize(
+        "build, properties",
+        [
+            (lambda: reversal_instance(14), (Property.RLF,)),
+            (lambda: reversal_instance(16), (Property.RLF,)),
+            (lambda: reversal_instance(18), (Property.RLF,)),
+            (lambda: sawtooth_instance(18, 4), (Property.RLF,)),
+            # its update count is 4 whatever the size: only the nodes
+            # next to the crossing switch
+            (
+                lambda: waypoint_slalom_instance(8),
+                (Property.WPE, Property.BLACKHOLE),
+            ),
+        ],
+        ids=["reversal-14", "reversal-16", "reversal-18", "sawtooth-18-4",
+             "slalom-8"],
+    )
+    def test_lifts_the_old_cap(self, build, properties):
+        # 13-17 required updates were beyond the seed-era default cap of
+        # 12; the iddfs mode settles each in a few milliseconds
+        schedule = minimal_round_schedule(build(), properties, search="iddfs")
         assert schedule.n_rounds == 3
-        assert verify_schedule(schedule, properties=(Property.RLF,)).ok
+        assert verify_schedule(schedule, properties=properties).ok
 
 
 class TestSearchKnobValidation:

@@ -81,8 +81,9 @@ class TestScopedToTheRequest:
         assert _reference()["applies"] > 0
 
     def test_accounting_reads_as_many_stats_however_many_live(self, monkeypatch):
-        # the count twin of bench-smoke's live-oracle wall ratio: every
-        # read of a counter set in the oracle module goes through ``vars``
+        # a request's cost must not grow with the oracles alive in the
+        # process: every read of a counter set in the oracle module goes
+        # through ``vars``, so those reads are what is counted
         reads, counts, bystanders = [], [], []
 
         def counting_vars(obj):
@@ -90,8 +91,8 @@ class TestScopedToTheRequest:
             return vars(obj)
 
         monkeypatch.setattr(oracle_module, "vars", counting_vars, raising=False)
-        for live in (0, 500):
-            bystanders += _worked_oracles(live)
+        for live in (0, 500, 1000):
+            bystanders += _worked_oracles(live - len(bystanders))
             gc.collect()
             aggregate_stats()  # nothing dead is left to fold mid-request
             reads.clear()
@@ -101,7 +102,7 @@ class TestScopedToTheRequest:
             finally:
                 gc.enable()
             counts.append(sum(reads))
-        assert counts[0] == counts[1] > 0, counts
+        assert counts[0] == counts[1] == counts[2] > 0, counts
 
     def test_explicit_oracle_is_accounted(self):
         problem = reversal_instance(8)

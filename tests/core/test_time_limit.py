@@ -1,6 +1,5 @@
 """Tests for the polled per-thread deadline (``repro.core.deadline``)."""
 
-import gc
 import signal
 import threading
 import time
@@ -231,20 +230,14 @@ class TestThreadSafety:
         problem = crossing_clash_instance(24)
 
         def body():
-            started = time.monotonic()
             with pytest.raises(ExactSearchBudgetError) as excinfo:
                 schedule_update(problem, f"optimal:rlf?time_limit_s={limit}")
-            return time.monotonic() - started, excinfo.value
+            return excinfo.value
 
-        # a full collection landing in a ~60 ms window is a pause no poll
-        # can cut short; what is asked here is the search's interval
-        gc.collect()
-        gc.disable()
-        try:
-            wall, error = _in_thread(body)["value"]
-        finally:
-            gc.enable()
-        assert wall <= 1.25 * limit
+        # how soon the limit is noticed is held by the poll count below
+        # (a wall bound here failed on an idle host, and passed with the
+        # enumeration's poll removed)
+        error = _in_thread(body)["value"]
         assert error.lower >= 1 and error.upper is not None
         assert error.lower < error.upper
 

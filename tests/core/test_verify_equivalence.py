@@ -32,6 +32,7 @@ from repro.core.multipolicy import (
     greedy_joint_schedule,
 )
 from repro.core.oneshot import oneshot_schedule
+from repro.core.oracle import SafetyOracle
 from repro.core.peacock import peacock_schedule
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule, sequential_schedule
@@ -319,3 +320,76 @@ def test_stretches_crossed_per_round_do_not_grow_with_the_instance(n):
         assert not walked.cycle_through_flexible()
         assert walked._hops - before <= 4 * len(round_nodes)
     assert schedule.n_rounds >= n - 2  # one node a round: the many-round case
+
+
+class _GraphWork:
+    """Wraps the union graph's queries to count the nodes they may cover:
+    a whole-graph or ``within`` cycle search (its node set), a BFS (the
+    nodes it reached), a contracted check (the stretches it crossed) and
+    a step of the RLF trajectory search (one ``successors`` call)."""
+
+    def __init__(self, patch) -> None:
+        self.whole_graph_searches = self.trajectory_steps = self.nodes = 0
+        find_cycle, reachable_from = UnionGraph.find_cycle, UnionGraph.reachable_from
+        successors, contracted = UnionGraph.successors, UnionGraph.cycle_through_flexible
+
+        def counted_find_cycle(graph, within=None):
+            self.whole_graph_searches += within is None
+            self.nodes += len(graph._phases) + 1 if within is None else len(within)
+            return find_cycle(graph, within)
+
+        def counted_reachable_from(graph, start):
+            reached = reachable_from(graph, start)
+            self.nodes += len(reached)
+            return reached
+
+        def counted_successors(graph, node):
+            self.trajectory_steps += 1
+            return successors(graph, node)
+
+        def counted_contracted(graph):
+            before = graph._hops
+            answer = contracted(graph)
+            self.nodes += graph._hops - before
+            return answer
+
+        patch.setattr(UnionGraph, "find_cycle", counted_find_cycle)
+        patch.setattr(UnionGraph, "reachable_from", counted_reachable_from)
+        patch.setattr(UnionGraph, "successors", counted_successors)
+        patch.setattr(UnionGraph, "cycle_through_flexible", counted_contracted)
+
+
+def test_a_many_round_request_is_linear_in_its_schedule(monkeypatch):
+    """Greedy-SLF's search and the SLF verification of its n - 2 rounds
+    cost twice as much work on reversal(2000) as on reversal(1000): the
+    order labels the search writes, plus what the verifier's graph
+    queries cover.  On a clean schedule the settled induction runs no
+    whole-graph cycle search at all.  Re-slotting the settled chain per
+    reorder, or a whole-graph search per round, reads 4x."""
+    work = {}
+    for n in (1000, 2000):
+        oracle = SafetyOracle(reversal_instance(n), (SLF,))
+        schedule = greedy_slf_schedule(
+            oracle.problem, oracle=oracle, include_cleanup=False
+        )
+        with monkeypatch.context() as patch:
+            graph = _GraphWork(patch)
+            assert verify_schedule(schedule, (SLF,)).ok
+        assert graph.whole_graph_searches == 0
+        work[n] = oracle._relabelled + graph.nodes + graph.trajectory_steps
+    assert work[2000] <= 2.2 * work[1000], work
+
+
+def test_verifying_peacocks_wide_rounds_is_linear(monkeypatch):
+    """RLF + blackhole verification of Peacock's three rounds covers
+    twice the nodes on reversal(2000) as on reversal(1000), and no source
+    walk needs the trajectory search (no union cycle is reachable)."""
+    work = {}
+    for n in (1000, 2000):
+        schedule = peacock_schedule(reversal_instance(n), include_cleanup=False)
+        with monkeypatch.context() as patch:
+            graph = _GraphWork(patch)
+            assert verify_schedule(schedule, (RLF, BH)).ok
+        assert graph.trajectory_steps == 0
+        work[n] = graph.nodes
+    assert work[2000] <= 2.2 * work[1000], work

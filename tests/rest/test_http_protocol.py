@@ -4,14 +4,16 @@ Pipelined requests, HTTP/1.0 keep-alive, the header limits, methods the
 server does not serve, ``Expect: 100-continue``, malformed request lines
 and a handler that raises: each is answered with a status line and a
 JSON body, and the connection lives or ends as HTTP says it should.  The
-last class counts the socket calls a kept-alive ``POST /schedule`` costs
-the server.
+last two classes count the socket calls a kept-alive ``POST /schedule``
+costs the server, and drive one connection's receive loop over scripted
+chunks to pin where an unended head is refused.
 """
 
 import json
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -310,3 +312,57 @@ class TestWorkCount:
                 assert counts["recv"] <= requests + 1
         finally:
             server.stop()
+
+
+class _ScriptedSocket:
+    """Hands ``recv`` one scripted chunk a call (then ``b""``, the peer
+    hanging up) and keeps what the server sends."""
+
+    def __init__(self, *chunks: bytes) -> None:
+        self.chunks = list(chunks)
+        self.sent = b""
+
+    def recv(self, size: int) -> bytes:
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def sendall(self, data: bytes) -> None:
+        self.sent += data
+
+
+class _PathEcho:
+    def handle(self, method, path, body):
+        return RestResponse(status=200, body={"path": path})
+
+
+def _serve_one(*chunks: bytes) -> _ScriptedSocket:
+    """One ``_Connection._serve_one`` over ``chunks``, with no thread or
+    listening socket."""
+    sock = _ScriptedSocket(*chunks)
+    connection = object.__new__(http_binding._Connection)
+    connection.request, connection.buffer = sock, bytearray()
+    connection.server = SimpleNamespace(
+        token=None, stopping=False, lock=threading.Lock(), api=_PathEcho()
+    )
+    connection._serve_one()
+    return sock
+
+
+def _head(headers: int) -> bytes:
+    return b"GET /x HTTP/1.1\r\n" + b"".join(
+        b"X-H%d: 1\r\n" % index for index in range(headers)
+    )
+
+
+class TestUnendedHeadLimit:
+    """An unended head is refused as soon as it holds more header lines
+    than :data:`MAX_HEADERS`, and not one line earlier."""
+
+    def test_a_head_at_the_limit_waits_for_its_blank_line(self):
+        sock = _serve_one(_head(http_binding.MAX_HEADERS), b"\r\n")
+        assert sock.sent.startswith(b"HTTP/1.1 200 ")
+        assert b'{"path": "/x"}' in sock.sent and not sock.chunks
+
+    def test_one_header_more_is_a_431_before_the_blank_line(self):
+        sock = _serve_one(_head(http_binding.MAX_HEADERS + 1), b"\r\n")
+        assert sock.sent.startswith(b"HTTP/1.1 431 ")
+        assert sock.chunks == [b"\r\n"]  # never read

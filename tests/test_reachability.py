@@ -67,6 +67,10 @@ KEEP = {
     "core/bnb.py::PrecedenceAnalysis.forced_pairs":
         "pair-wise form test_chain_front / test_precedence_fixpoints hold chain_front to",
     # used by tests to set up or observe other behaviour
+    "core/hardness.py::crossing_clash_instance":
+        "the exact-search, verifier and deadline tests build the WPE+SLF clash family with it",
+    "core/oracle.py::SafetyOracle.memo_size":
+        "test_safe_singletons observes through it that the singleton pass writes no memo entry",
     "core/bnb.py::rounds_lower_bound":
         "test_bnb holds the search's forced-chain bound admissible through it",
     "core/bnb.py::infeasibility_certificate":
