@@ -12,15 +12,19 @@ online controller and gates on the subsystem's three contracts:
 * **determinism** -- two same-seed runs produce byte-identical metrics
   JSON;
 * **planner cost** -- over the scheduled grid's first runs, oracle
-  applies per arrival stay at most :data:`MAX_APPLIES_PER_ARRIVAL` and
+  applies per arrival stay at most :data:`MAX_APPLIES_PER_ARRIVAL`,
   round judgments (``SafetyOracle.current_round_safe`` calls, counted by
   wrapping it here) per arrival at most
-  :data:`MAX_JUDGMENTS_PER_ARRIVAL`.  Both counts are deterministic:
-  applies move only when the planner probes more (10.48 since
-  ``_plan_round`` judges an admitted round once and re-applies only a
-  round judged unsafe, 10.39 before, 18.81 without the unprobed
-  refusals), judgments when it judges more (2.99 since then, 10.39 when
-  every candidate was its own ``try_apply``).
+  :data:`MAX_JUDGMENTS_PER_ARRIVAL`, and Pearce-Kelly reorders per
+  arrival at most :data:`MAX_PK_REORDERS_PER_ARRIVAL`.  All three counts
+  are deterministic: applies move only when the planner probes more
+  (10.48 since ``_plan_round`` judges an admitted round once and
+  re-applies only a round judged unsafe, 10.39 before, 18.81 without the
+  unprobed refusals), judgments when it judges more (2.99 since then,
+  10.39 when every candidate was its own ``try_apply``), reorders when a
+  fresh oracle's labels stop following the new path (0.27 since install
+  runs start just below the old-path node they rejoin, 3.59 with them
+  ranked after the whole old path).
 
 Non-zero exit on any miss, so it can gate CI (``make churn-smoke``).
 
@@ -44,6 +48,8 @@ SEEDS = [7, 11]
 MAX_APPLIES_PER_ARRIVAL = 11.0
 #: 2.99 measured, plus a 10 % margin
 MAX_JUDGMENTS_PER_ARRIVAL = 3.3
+#: 0.27 measured; the install chains against the order read 3.59
+MAX_PK_REORDERS_PER_ARRIVAL = 0.5
 
 
 def count_judgments() -> list:
@@ -71,14 +77,16 @@ def metrics_bytes(seed: int, rate: float, duration: float, scheduled: bool) -> b
 def main() -> int:
     failures = []
     baseline_violations = 0
-    applies = judgments = arrivals = 0
+    applies = judgments = reorders = arrivals = 0
     judged = count_judgments()
     for seed in SEEDS:
         for rate, duration in GRID:
             name = f"fat-tree/4 seed={seed} rate={rate:g}/s"
-            before, judged_before = aggregate_stats().applies, judged[0]
+            before, judged_before = aggregate_stats(), judged[0]
             first = metrics_bytes(seed, rate, duration, scheduled=True)
-            applies += aggregate_stats().applies - before
+            after = aggregate_stats()
+            applies += after.applies - before.applies
+            reorders += after.pk_reorders - before.pk_reorders
             judgments += judged[0] - judged_before
             second = metrics_bytes(seed, rate, duration, scheduled=True)
             if first != second:
@@ -120,6 +128,17 @@ def main() -> int:
             f"{judgments_per_arrival:.2f} round judgments per arrival "
             f"(gate {MAX_JUDGMENTS_PER_ARRIVAL:g}): the planner judges "
             "candidates one by one, not a round at once"
+        )
+    reorders_per_arrival = reorders / arrivals
+    print(
+        f"PK reorders per arrival: {reorders_per_arrival:.2f} "
+        f"(gate {MAX_PK_REORDERS_PER_ARRIVAL:g})"
+    )
+    if reorders_per_arrival > MAX_PK_REORDERS_PER_ARRIVAL:
+        failures.append(
+            f"{reorders_per_arrival:.2f} PK reorders per arrival "
+            f"(gate {MAX_PK_REORDERS_PER_ARRIVAL:g}): a fresh oracle's "
+            "install chains run against its initial order"
         )
     # the unscheduled baseline must show why scheduling exists
     for seed in SEEDS:

@@ -168,6 +168,10 @@ class PolicyView:
     def old_path(self):
         return self.policy.old_path
 
+    @property
+    def new_path(self):
+        return self.policy.new_path
+
     @cached_property
     def old_next(self) -> dict:
         table = self.joint._old_next

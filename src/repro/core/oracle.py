@@ -194,11 +194,23 @@ class SafetyOracle:
         # --- Pearce-Kelly topological order over the non-blocked edges
         # (skipped entirely when no property ever consults acyclicity)
         self._needs_pk = Property.SLF in properties or Property.RLF in properties
-        # (labels start as ranks, the old path first; a reorder writes
-        # floats into the gaps)
-        ranked = [*problem.old_path.nodes]
-        ranked += sorted(problem.nodes - set(ranked), key=repr)
-        self._ord: dict[NodeId, float] = dict(zip(ranked, range(len(ranked))))
+        # (labels: the old path's ranks; each run of new-only nodes evenly
+        # spaced just below the old-path node it rejoins, so an install
+        # chain runs along the order; nodes on neither path last, by repr.
+        # A reorder writes floats into the gaps.)
+        old_path = problem.old_path.nodes
+        order = dict(zip(old_path, range(len(old_path))))
+        run: list = []
+        for node in problem.new_path.nodes:
+            if node in order:
+                for back, member in enumerate(reversed(run), 1):
+                    order[member] = order[node] - back / (len(run) + 1)
+                run = []
+            else:
+                run.append(node)
+        for node in sorted(problem.nodes.difference(order), key=repr):
+            order[node] = len(order)
+        self._ord: dict[NodeId, float] = order
         self._relabelled = 0  # labels written by reorders (work-bound tests)
         self._blocked: set[tuple[NodeId, NodeId]] = set()
         self._blocked_tails: set[NodeId] = set()  # {u for (u, _) in _blocked}
@@ -208,13 +220,16 @@ class SafetyOracle:
         self._fwd: set | None = None        # reachable from the source
         self._fwd_avoid: set | None = None  # ... avoiding the waypoint
 
-        # The all-OLD base graph.  Its edges need not follow the initial
-        # order: a multi-policy view's old table also holds the other
-        # policies' old rules, so each edge goes through the order check.
+        # The all-OLD base graph: an edge along the order is written in
+        # directly, any other goes through the order check (a multi-policy
+        # view's old table also holds the other policies' old rules).
         for node in self._forwarding:
             target = self._old_next[node]
             if target is None:
                 self._drop.add(node)
+            elif order[node] < order[target]:
+                self._succ[node].add(target)
+                self._pred[target].add(node)
             else:
                 self._add_edge(node, target)
 
@@ -811,22 +826,17 @@ class SafetyOracle:
         """Int-indexed next-hop tables for :meth:`safe_singletons` (built
         on its first call: the delta-walk schedulers never need them).
 
-        Positions follow ``_bit_node``, the destination is one extra
-        index and a missing rule is -1.
+        Positions follow ``_bit_node``, the destination -- the one hop
+        without a bit -- is one extra index and a missing rule is -1.
         """
-        index = dict(self._node_bit)
-        n = index[self._destination] = self._width
-        old = [
-            -1 if (hop := self._old_next.get(node)) is None else index[hop]
-            for node in self._bit_node
-        ]
-        new = [
-            -1 if (hop := self._new_next.get(node)) is None else index[hop]
-            for node in self._bit_node
-        ]
+        index, n = self._node_bit, self._width
+        old, new = [], []
         flippable = 0  # the required updates: installs and switches
-        for position in range(n):
-            if new[position] >= 0 and new[position] != old[position]:
+        for position, node in enumerate(self._bit_node):
+            was, now = self._old_next[node], self._new_next[node]
+            old.append(-1 if was is None else index.get(was, n))
+            new.append(-1 if now is None else index.get(now, n))
+            if now is not None and now != was:
                 flippable |= 1 << position
         properties = self.properties
         return (
@@ -1189,6 +1199,9 @@ _LIVE: "dict[weakref.ref[SafetyOracle], OracleStats]" = {}
 _RETIRED = OracleStats()
 _RETIRING: "deque[OracleStats]" = deque()
 _RETIRED_LOCK = threading.Lock()
+#: Queue length at which :func:`oracle_for` folds it: bounded memory where
+#: nobody scrapes, and a request that meets a shorter queue reads no stats.
+_FOLD_AT = 64
 
 
 def _retire(reference: "weakref.ref[SafetyOracle]") -> None:
@@ -1307,8 +1320,8 @@ def oracle_for(
             oracle = SafetyOracle(problem, properties, exact_rlf=exact_rlf)
         cache[key] = oracle
         _LIVE[weakref.ref(oracle, _retire)] = oracle.stats
-        if _RETIRING:
-            _retired_total()  # keeps the queue short where nobody scrapes
+        if len(_RETIRING) >= _FOLD_AT:
+            _retired_total()
     scope = _SCOPE.get()
     if scope is not None:
         scope.note(oracle)

@@ -155,28 +155,33 @@ class UpdateProblem:
     # forwarding semantics
     # ------------------------------------------------------------------
     def _tables(self) -> dict:
-        """Fill the five per-node tables in one pass over
-        :attr:`forwarding_nodes` (their iteration order); a node is on a
-        path exactly when it has a next hop there."""
+        """Fill the per-node tables and the canonical bit order in one
+        pass over :attr:`forwarding_nodes` (their iteration order); a node
+        is on a path exactly when it has a next hop there."""
         old_path, new_path = self.old_path.nodes, self.new_path.nodes
         old_hop = dict(zip(old_path, old_path[1:]))
         new_hop = dict(zip(new_path, new_path[1:]))
-        old_next, new_next, required, cleanup = {}, {}, [], []
-        kinds: dict = {self.destination: UpdateKind.NOOP}
+        old_next, new_next, required, cleanup, rest = {}, {}, [], [], []
+        install, switch, delete, noop = UpdateKind  # in definition order, read once
+        kinds: dict = {self.destination: noop}
         for node in self.forwarding_nodes:
             old_next[node] = old = old_hop.get(node)
             new_next[node] = new = new_hop.get(node)
             if old is None:
-                kinds[node] = UpdateKind.INSTALL
+                kinds[node] = install
                 required.append(node)
             elif new is None:
-                kinds[node] = UpdateKind.DELETE
+                kinds[node] = delete
                 cleanup.append(node)
+                rest.append(node)
             elif old == new:
-                kinds[node] = UpdateKind.NOOP
+                kinds[node] = noop
+                rest.append(node)
             else:
-                kinds[node] = UpdateKind.SWITCH
+                kinds[node] = switch
                 required.append(node)
+        canonical = tuple(sorted(required, key=repr))
+        bits = (*canonical, *sorted(rest, key=repr))
         tables = vars(self)
         tables.update(
             old_next=old_next,
@@ -184,6 +189,8 @@ class UpdateProblem:
             kind_table=kinds,
             required_updates=frozenset(required),
             cleanup_updates=frozenset(cleanup),
+            canonical_updates=canonical,
+            node_bit=dict(zip(bits, range(len(bits)))),
         )
         return tables
 
@@ -247,7 +254,7 @@ class UpdateProblem:
         order many times; computing the sort once per problem keeps those
         loops off the ``sorted(..., key=repr)`` treadmill.
         """
-        return tuple(sorted(self.required_updates, key=repr))
+        return self._tables()["canonical_updates"]
 
     @cached_property
     def node_bit(self) -> dict:
@@ -256,14 +263,10 @@ class UpdateProblem:
         The required updates occupy bits ``0..k-1`` in canonical order, so
         a state of the exact search is a plain int below ``2**k`` and
         ``required_mask`` is the goal state; the remaining forwarding
-        nodes (cleanup deletions, no-ops) follow on the higher bits so
-        arbitrary round-safety queries can be encoded too.
+        nodes (cleanup deletions, no-ops) follow on the higher bits, by
+        repr, so arbitrary round-safety queries can be encoded too.
         """
-        order = list(self.canonical_updates)
-        order.extend(
-            sorted(self.forwarding_nodes - self.required_updates, key=repr)
-        )
-        return {node: index for index, node in enumerate(order)}
+        return self._tables()["node_bit"]
 
     @cached_property
     def required_mask(self) -> int:

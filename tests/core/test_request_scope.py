@@ -104,6 +104,36 @@ class TestScopedToTheRequest:
             counts.append(sum(reads))
         assert counts[0] == counts[1] == counts[2] > 0, counts
 
+    def test_accounting_reads_as_many_stats_however_many_dead_queued(
+        self, monkeypatch
+    ):
+        # dead oracles' counters wait in a queue for a fold; a request
+        # that meets a queue shorter than ``_FOLD_AT`` leaves it there,
+        # so the garbage of earlier requests does not show in its cost
+        reads, counts, dead = [], [], 50
+
+        def counting_vars(obj):
+            reads.append(isinstance(obj, OracleStats))
+            return vars(obj)
+
+        monkeypatch.setattr(oracle_module, "vars", counting_vars, raising=False)
+        for queued in (0, dead):
+            garbage = _worked_oracles(queued)
+            gc.collect()
+            aggregate_stats()  # an empty queue ...
+            del garbage
+            gc.collect()  # ... then ``queued`` dead oracles in it
+            assert len(oracle_module._RETIRING) == queued
+            reads.clear()
+            gc.disable()
+            try:
+                _reference()
+            finally:
+                gc.enable()
+            counts.append(sum(reads))
+        assert counts[0] == counts[1] > 0, counts
+        assert dead < oracle_module._FOLD_AT
+
     def test_explicit_oracle_is_accounted(self):
         problem = reversal_instance(8)
         oracle = SafetyOracle(problem, (Property.SLF,))  # never registered
