@@ -60,8 +60,10 @@ from repro.core.registry import parse_properties, resolve_scheduler
 #: cells keeps every per-problem cache warm -- the canonical node↔bit
 #: index, the kind/next-hop tables, and the SafetyOracles (with their
 #: Pearce-Kelly state and verdict memos) that
-#: :func:`repro.core.oracle.oracle_for` hangs off the problem.  Bounded
-#: FIFO so long campaigns do not accumulate oracle memos without limit.
+#: :func:`repro.core.oracle.oracle_for` hangs off the problem, which owns
+#: them: a unit this cache evicts is freed, oracles and all, once no cell
+#: holds it.  Bounded FIFO so long campaigns do not accumulate oracle
+#: memos without limit.
 #: Thread-local because the cached oracles are mutable and unsynchronized
 #: (the REST service can run inline campaigns from concurrent handler
 #: threads); pool workers are separate processes and unaffected.

@@ -350,7 +350,6 @@ class PrecedenceAnalysis:
     """
 
     def __init__(self, problem, properties: tuple[Property, ...]) -> None:
-        self.problem = problem
         self.properties = tuple(properties)
         canonical = tuple(problem.canonical_updates)
         required = frozenset(problem.required_updates)
@@ -698,26 +697,29 @@ def search_mask_bnb(
                 sub = ((sub - fixed - 1) & free) | fixed
         return None
 
-    if best is None:
-        # No greedy witness (infeasible instance, or a filtered search
-        # the witness cannot speak for): establish feasibility first.
-        incumbent = dfs(0, inf, None)
-        if incumbent is None:
-            raise InfeasibleUpdateError(infeasible)
-        best = len(incumbent)
+    try:
+        if best is None:
+            # No greedy witness (infeasible instance, or a filtered search
+            # the witness cannot speak for): establish feasibility first.
+            incumbent = dfs(0, inf, None)
+            if incumbent is None:
+                raise InfeasibleUpdateError(infeasible)
+            best = len(incumbent)
 
-    # with bounds an incumbent that survives every lower limit is
-    # optimal as it stands; without, its own level is searched as well
-    ceiling = best - 1 if bounds else best
-    if max_rounds is not None:
-        ceiling = min(ceiling, max_rounds)
-    for limit in range(root_lb, ceiling + 1):
-        rounds = dfs(0, limit, limit)
-        if rounds is not None:
-            return _mask_schedule(search, rounds, properties)
-    if max_rounds is not None and best > max_rounds:
-        raise InfeasibleUpdateError(infeasible)
-    return _mask_schedule(search, incumbent, properties)
+        # with bounds an incumbent that survives every lower limit is
+        # optimal as it stands; without, its own level is searched as well
+        ceiling = best - 1 if bounds else best
+        if max_rounds is not None:
+            ceiling = min(ceiling, max_rounds)
+        for limit in range(root_lb, ceiling + 1):
+            rounds = dfs(0, limit, limit)
+            if rounds is not None:
+                return _mask_schedule(search, rounds, properties)
+        if max_rounds is not None and best > max_rounds:
+            raise InfeasibleUpdateError(infeasible)
+        return _mask_schedule(search, incumbent, properties)
+    finally:
+        del dfs  # it calls itself through its own cell: break that cycle
 
 
 def _mask_schedule(

@@ -50,6 +50,11 @@ and fed by :func:`oracle_for`; exact per thread, O(oracles touched)), and
 live and dead, that ``GET /metrics`` renders -- monotone, O(live oracles),
 on no request path.
 
+Ownership runs one way: a problem's cache (:func:`problem_cache`) owns its
+oracles and :mod:`repro.core.bnb`'s precedence analyses, which hold the
+problem weakly or not at all, so all of them die at reference count zero
+when the problem's last user drops it.
+
 The oracle returns **boolean verdicts only** -- plus, for a rejected
 :meth:`SafetyOracle.try_apply_watched` probe, the set of nodes whose commit
 could lift the rejection (what :mod:`repro.core.packing` watches).
@@ -63,7 +68,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -157,7 +161,8 @@ class SafetyOracle:
             raise VerificationError("a safety oracle needs at least one property")
         if Property.WPE in properties and problem.waypoint is None:
             raise VerificationError("cannot check WPE without a waypoint")
-        self.problem = problem
+        self._problem = weakref.ref(problem)  # its cache owns this oracle
+        self._name = problem.name
         self.properties = properties
         self.exact_rlf = exact_rlf
         self.stats = OracleStats()
@@ -1004,7 +1009,7 @@ class SafetyOracle:
         if obs.tracing_enabled():
             obs.event(
                 "oracle.nogood_learned",
-                problem=self.problem.name,
+                problem=self._name,
                 nogoods=len(self._nogoods),
             )
 
@@ -1130,6 +1135,11 @@ class SafetyOracle:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    @property
+    def problem(self) -> UpdateProblem | None:
+        """The problem, while something besides this oracle keeps it."""
+        return self._problem()
+
     def ensure_matches(
         self,
         problem: UpdateProblem,
@@ -1167,7 +1177,7 @@ class SafetyOracle:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         props = "+".join(p.value.split("-")[0] for p in self.properties)
         return (
-            f"SafetyOracle({self.problem.name}, {props}, "
+            f"SafetyOracle({self._name}, {props}, "
             f"updated={self._new_mask.bit_count()}, "
             f"in_flight={self._flex_mask.bit_count()}, "
             f"memo={len(self._memo)})"
@@ -1178,11 +1188,10 @@ class SafetyOracle:
 # per-problem oracle registry
 # ---------------------------------------------------------------------------
 
-#: Attribute under which a problem carries its own cache (its oracles, and
-#: the forced-precedence analyses of :mod:`repro.core.bnb`).  Hanging the
-#: cache off the problem (instead of a module-level map) ties the oracles'
-#: lifetime to the problem's: the problem<->oracle reference cycle is
-#: ordinary garbage once the caller drops the problem.
+#: Attribute under which a problem carries its own cache: its oracles and
+#: the forced-precedence analyses of :mod:`repro.core.bnb`.  It is their
+#: one owner and neither holds the problem strongly, so the problem and
+#: all of it die at reference count zero when the caller drops it.
 _CACHE_ATTR = "_safety_oracle_cache"
 
 #: Weak views over everything handed out, for stats and test isolation:
@@ -1192,38 +1201,20 @@ _PROBLEMS: "weakref.WeakSet[UpdateProblem]" = weakref.WeakSet()
 _LIVE: "dict[weakref.ref[SafetyOracle], OracleStats]" = {}
 
 #: Counters of shared oracles that have died, so that :func:`aggregate_stats`
-#: never decreases.  A dying oracle's weak-reference callback only moves its
-#: stats from ``_LIVE`` to ``_RETIRING`` (two atomic operations, so safe on
-#: whatever thread the collector runs it, even in the middle of a fold);
-#: ordinary code folds them into ``_RETIRED`` under the lock.
+#: never decreases.  They move from ``_LIVE`` only under the lock: a dying
+#: oracle's callback moves its own if it gets the lock without waiting, and
+#: else (a sum on another thread, or one the collector interrupted on this
+#: one) leaves them under its dead reference for the next sum to move.
 _RETIRED = OracleStats()
-_RETIRING: "deque[OracleStats]" = deque()
 _RETIRED_LOCK = threading.Lock()
-#: Queue length at which :func:`oracle_for` folds it: bounded memory where
-#: nobody scrapes, and a request that meets a shorter queue reads no stats.
-_FOLD_AT = 64
 
 
 def _retire(reference: "weakref.ref[SafetyOracle]") -> None:
-    stats = _LIVE.pop(reference, None)
-    if stats is not None:
-        _RETIRING.append(stats)
-
-
-def _retired_total() -> OracleStats:
-    """Fold in what died since the last call; a copy of the total."""
-    total = OracleStats()
-    with _RETIRED_LOCK:
-        while _RETIRING:
-            _RETIRED.add(_RETIRING.popleft())
-        total.add(_RETIRED)
-    return total
-
-
-def _live_oracles() -> "list[SafetyOracle]":
-    return [
-        oracle for reference in list(_LIVE) if (oracle := reference()) is not None
-    ]
+    if _RETIRED_LOCK.acquire(blocking=False):
+        try:
+            _RETIRED.add(_LIVE.pop(reference, OracleStats()))
+        finally:
+            _RETIRED_LOCK.release()
 
 
 #: The innermost open :class:`RequestScope` of this thread / task.
@@ -1320,8 +1311,6 @@ def oracle_for(
             oracle = SafetyOracle(problem, properties, exact_rlf=exact_rlf)
         cache[key] = oracle
         _LIVE[weakref.ref(oracle, _retire)] = oracle.stats
-        if len(_RETIRING) >= _FOLD_AT:
-            _retired_total()
     scope = _SCOPE.get()
     if scope is not None:
         scope.note(oracle)
@@ -1337,16 +1326,15 @@ def clear_registry() -> None:
     :func:`aggregate_stats` starts again from 0.
     """
     global _RETIRED
+    with _RETIRED_LOCK:
+        _LIVE.clear()  # a dropped weak reference never calls back
+        _RETIRED = OracleStats()
     for problem in list(_PROBLEMS):
         try:
             delattr(problem, _CACHE_ATTR)
         except AttributeError:
             pass
     _PROBLEMS.clear()
-    _LIVE.clear()  # a dropped weak reference never calls back
-    with _RETIRED_LOCK:
-        _RETIRING.clear()
-        _RETIRED = OracleStats()
 
 
 def aggregate_stats() -> OracleStats:
@@ -1356,10 +1344,13 @@ def aggregate_stats() -> OracleStats:
     renders it as Prometheus counters).  O(live oracles): no request path
     calls it -- per-request figures come from :class:`RequestScope`.
     """
-    # strong references first: an oracle in ``live`` cannot retire while
-    # it is being summed, one that died earlier is already in the queue
-    live = _live_oracles()
-    total = _retired_total()
-    for oracle in live:
-        total.add(oracle.stats)
+    total = OracleStats()
+    with _RETIRED_LOCK:
+        for reference, stats in _LIVE.copy().items():  # others may add meanwhile
+            if reference() is None:  # its callback found the lock taken
+                del _LIVE[reference]
+                _RETIRED.add(stats)
+            else:
+                total.add(stats)
+        total.add(_RETIRED)
     return total

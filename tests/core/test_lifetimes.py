@@ -1,0 +1,99 @@
+"""A problem and everything cached on it die at reference count zero.
+
+The problem's cache owns its oracles and precedence analyses, and
+neither holds the problem strongly, so no request, churn update or
+search leaves a cycle behind: with the collector off, a full collection
+afterwards finds no ``UpdateProblem``, ``SafetyOracle`` or
+``PrecedenceAnalysis``, and :func:`aggregate_stats` has counted the dead
+oracles' work as they died.
+"""
+
+import gc
+from collections import Counter
+
+import pytest
+
+from repro.churn.controller import run_churn
+from repro.churn.traces import generate_trace
+from repro.controller.ofctl_rest import OfctlRestApp
+from repro.controller.ofctl_rest_own import TransientUpdateApp
+from repro.controller.update_queue import UpdateQueueApp
+from repro.core.api import schedule_update
+from repro.core.hardness import crossing_clash_instance, reversal_instance
+from repro.core.oracle import aggregate_stats
+from repro.core.problem import UpdateProblem
+from repro.errors import ExactSearchBudgetError
+from repro.rest.api import build_rest_api
+from repro.topology.builders import figure1
+from repro.topology.random_graphs import random_update_instance
+
+KINDS = ("UpdateProblem", "SafetyOracle", "PrecedenceAnalysis")
+
+
+def _unreachable() -> Counter:
+    """What a full collection finds, by type name, among ``KINDS``."""
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        found = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()  # what was saved is garbage again: free it now
+    return Counter({kind: found[kind] for kind in KINDS if found[kind]})
+
+
+def _schedule_over_rest(tmp_path):
+    queue = UpdateQueueApp()
+    api = build_rest_api(
+        OfctlRestApp(), TransientUpdateApp(figure1(), queue), queue,
+        campaign_root=str(tmp_path),
+    )
+    body = {"oldpath": [1, 2, 3, 4, 5], "newpath": [1, 6, 3, 7, 5], "wp": 3,
+            "scheduler": "optimal:slf+wpe"}
+    try:
+        assert api.handle("POST", "/schedule", body).status == 200
+    finally:
+        api.campaigns.close()
+
+
+def _over_budget(tmp_path):
+    with pytest.raises(ExactSearchBudgetError):
+        schedule_update(crossing_clash_instance(24), "optimal:rlf?node_budget=50")
+
+
+RUNS = {
+    "churn": lambda tmp_path: run_churn(
+        generate_trace("fat-tree", 4, 7, duration_ms=200.0)
+    ),
+    "optimal:slf": lambda tmp_path: schedule_update(
+        UpdateProblem(*random_update_instance(14, seed=5)[:2]), "optimal:slf"
+    ),
+    "optimal:rlf": lambda tmp_path: schedule_update(
+        crossing_clash_instance(12), "optimal:rlf", verify=True
+    ),
+    "greedy-slf": lambda tmp_path: schedule_update(
+        reversal_instance(12), "greedy-slf", verify=True
+    ),
+    "peacock": lambda tmp_path: schedule_update(
+        reversal_instance(12), "peacock", verify=True
+    ),
+    "rest /schedule": _schedule_over_rest,
+    "exact search over budget": _over_budget,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_nothing_waits_for_the_collector(name, tmp_path):
+    gc.collect()
+    before = aggregate_stats().as_dict()
+    gc.disable()
+    try:
+        RUNS[name](tmp_path)
+        assert _unreachable() == Counter()
+    finally:
+        gc.enable()
+    after = aggregate_stats().as_dict()
+    assert after["applies"] > before["applies"]
+    assert all(after[key] >= value for key, value in before.items())

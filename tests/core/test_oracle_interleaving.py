@@ -402,7 +402,8 @@ def test_peacock_re_ranks_its_wide_round_once_whatever_the_size(n):
     """Committing Peacock's wide backward round unblocks ~n edges: one
     re-rank writes each label once, where re-inserting them edge by edge
     wrote 3.2-3.8 labels per node and counted ~n reorders."""
-    oracle = SafetyOracle(reversal_instance(n), (Property.RLF,))
+    problem = reversal_instance(n)  # an oracle does not keep its problem
+    oracle = SafetyOracle(problem, (Property.RLF,))
     schedule = peacock_schedule(oracle.problem, oracle=oracle, include_cleanup=False)
     assert schedule.n_rounds == 3
     assert oracle._relabelled <= 1.5 * n
@@ -416,7 +417,8 @@ def test_a_reorder_rewrites_a_handful_of_labels_whatever_the_size(n):
     being flipped, not the chain already settled behind it, and the round
     packer probes each node a bounded number of times (~2; probing every
     pending node each round took ~n^2/2)."""
-    oracle = SafetyOracle(reversal_instance(n), (Property.SLF,))
+    problem = reversal_instance(n)  # an oracle does not keep its problem
+    oracle = SafetyOracle(problem, (Property.SLF,))
     schedule = greedy_slf_schedule(oracle.problem, oracle=oracle)
     assert schedule.n_rounds >= n - 2
     assert oracle.stats.pk_reorders >= n - 3

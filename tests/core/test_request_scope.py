@@ -7,6 +7,7 @@ process.
 """
 
 import gc
+import sys
 import threading
 import weakref
 
@@ -66,7 +67,8 @@ class TestScopedToTheRequest:
             garbage = _worked_oracles(50)
             for problem in garbage:
                 oracle_for(problem, (Property.SLF,)).stats.applies += 1000
-            del garbage, problem  # cycles: only the collector frees them
+            garbage.append(garbage)  # a cycle: only the collector frees it
+            del garbage, problem
             assert _reference() == want
         finally:
             gc.enable()
@@ -93,8 +95,6 @@ class TestScopedToTheRequest:
         monkeypatch.setattr(oracle_module, "vars", counting_vars, raising=False)
         for live in (0, 500, 1000):
             bystanders += _worked_oracles(live - len(bystanders))
-            gc.collect()
-            aggregate_stats()  # nothing dead is left to fold mid-request
             reads.clear()
             gc.disable()
             try:
@@ -104,26 +104,21 @@ class TestScopedToTheRequest:
             counts.append(sum(reads))
         assert counts[0] == counts[1] == counts[2] > 0, counts
 
-    def test_accounting_reads_as_many_stats_however_many_dead_queued(
+    def test_problems_dropped_before_the_request_cost_it_no_reads(
         self, monkeypatch
     ):
-        # dead oracles' counters wait in a queue for a fold; a request
-        # that meets a queue shorter than ``_FOLD_AT`` leaves it there,
-        # so the garbage of earlier requests does not show in its cost
-        reads, counts, dead = [], [], 50
+        # a dropped problem's oracle dies at once and its counters are
+        # folded then, so the garbage of earlier requests does not show
+        # in the cost of the next one
+        reads, counts = [], []
 
         def counting_vars(obj):
             reads.append(isinstance(obj, OracleStats))
             return vars(obj)
 
         monkeypatch.setattr(oracle_module, "vars", counting_vars, raising=False)
-        for queued in (0, dead):
-            garbage = _worked_oracles(queued)
-            gc.collect()
-            aggregate_stats()  # an empty queue ...
-            del garbage
-            gc.collect()  # ... then ``queued`` dead oracles in it
-            assert len(oracle_module._RETIRING) == queued
+        for dropped in (0, 50):
+            _worked_oracles(dropped)  # built, worked and dropped
             reads.clear()
             gc.disable()
             try:
@@ -132,7 +127,6 @@ class TestScopedToTheRequest:
                 gc.enable()
             counts.append(sum(reads))
         assert counts[0] == counts[1] > 0, counts
-        assert dead < oracle_module._FOLD_AT
 
     def test_explicit_oracle_is_accounted(self):
         problem = reversal_instance(8)
@@ -228,6 +222,40 @@ class TestAggregateIsMonotone:
         del survivor
         gc.collect()  # armed before the clearing: retires nothing
         assert aggregate_stats() == OracleStats()
+
+    def test_deaths_on_other_threads_never_lower_the_total(self):
+        # oracles die on worker threads, their callbacks often meeting the
+        # lock taken by a sum on the scraping thread; every scrape reads at
+        # least what the one before it did, and the last reads every death
+        workers, each = 4, 150
+        start = aggregate_stats().memo_misses
+        scrapes, done = [], threading.Event()
+
+        def churn():
+            for _ in range(each):
+                _worked_oracles(1)  # built, counted once, dropped
+
+        def scrape():
+            while not done.is_set():
+                scrapes.append(aggregate_stats().memo_misses)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(workers)]
+            scraper = threading.Thread(target=scrape)
+            for thread in [scraper, *threads]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            done.set()
+            scraper.join(timeout=60)
+            assert not scraper.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert scrapes == sorted(scrapes) and len(scrapes) > 1
+        assert aggregate_stats().memo_misses == start + workers * each
 
     def test_as_dict_is_the_field_copy(self):
         from dataclasses import asdict

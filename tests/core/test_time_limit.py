@@ -42,6 +42,22 @@ class _GapClock:
         return now
 
 
+class _PollClock:
+    """Stands in for a module's ``time``: reads 0.0 until it has been read
+    ``expires_after`` times after arming, then a time past any limit.
+    Each read zeroes ``since``, the work counted since the last poll."""
+
+    def __init__(self, expires_after):
+        self.reads, self.expires_after = -1, expires_after  # -1: arming
+        self.since = {"probes": 0, "rounds": 0}
+        self.most = dict(self.since)
+
+    def monotonic(self):
+        self.reads += 1
+        self.since = dict.fromkeys(self.since, 0)
+        return 0.0 if self.reads <= self.expires_after else 1e9
+
+
 def allowed_wall(limit: float, longest_gap: float) -> float:
     """What ``core/deadline.py`` promises a request with ``limit``: exact
     to one poll interval -- and never held to less than a quarter over,
@@ -215,24 +231,28 @@ class TestThreadSafety:
         outcome = _in_thread(body)
         assert "error" not in outcome, outcome
 
-    def test_exact_search_budget_keeps_its_interval(self):
-        # half of what the unbounded solve takes here (0.13 s where this
-        # was written; a fixed 0.5 s stopped cutting it off when the
-        # search got faster)
-        started = time.monotonic()
-        schedule_update(crossing_clash_instance(24), "optimal:rlf")
-        limit = round(0.5 * (time.monotonic() - started), 3)
-        problem = crossing_clash_instance(24)
+    def test_exact_search_budget_keeps_its_interval(self, monkeypatch):
+        # the search's own clock, read once to arm ``time_limit_s`` and
+        # then once per poll, runs out half way through the solve; how
+        # soon the limit is noticed is held by the poll count below
+        from repro.core import bnb
 
-        def body():
-            with pytest.raises(ExactSearchBudgetError) as excinfo:
-                schedule_update(problem, f"optimal:rlf?time_limit_s={limit}")
-            return excinfo.value
+        def run(expires_after):
+            clock = _PollClock(expires_after)
+            monkeypatch.setattr(bnb, "time", clock)
+            problem = crossing_clash_instance(24)
+            outcome = _in_thread(
+                lambda: schedule_update(problem, "optimal:rlf?time_limit_s=1")
+            )
+            return clock, outcome.get("error")
 
-        # how soon the limit is noticed is held by the poll count below
-        # (a wall bound here failed on an idle host, and passed with the
-        # enumeration's poll removed)
-        error = _in_thread(body)["value"]
+        clock, error = run(expires_after=float("inf"))
+        assert error is None, error
+        polls = clock.reads
+        assert polls > 2
+        clock, error = run(expires_after=polls // 2)
+        assert isinstance(error, ExactSearchBudgetError), error
+        assert clock.reads == polls // 2 + 1
         assert error.lower >= 1 and error.upper is not None
         assert error.lower < error.upper
 
@@ -319,17 +339,6 @@ class TestThreadSafety:
         ``_DEADLINE_POLL_EVERY`` packer probes and one verify round run."""
         from repro.core import packing, verify
 
-        class PollClock:
-            def __init__(self, expires_after):
-                self.reads, self.expires_after = -1, expires_after  # -1: arming
-                self.since = {"probes": 0, "rounds": 0}
-                self.most = dict(self.since)
-
-            def monotonic(self):
-                self.reads += 1
-                self.since = dict.fromkeys(self.since, 0)
-                return 0.0 if self.reads <= self.expires_after else 1e9
-
         def counted(kind, real):
             def wrapper(*args, **kwargs):
                 clock = deadline.time
@@ -340,7 +349,7 @@ class TestThreadSafety:
             return wrapper
 
         def run(expires_after):
-            clock = PollClock(expires_after)
+            clock = _PollClock(expires_after)
             monkeypatch.setattr(deadline, "time", clock)
             instance = problem()
             outcome = _in_thread(

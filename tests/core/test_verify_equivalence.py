@@ -368,7 +368,8 @@ def test_a_many_round_request_is_linear_in_its_schedule(monkeypatch):
     reorder, or a whole-graph search per round, reads 4x."""
     work = {}
     for n in (1000, 2000):
-        oracle = SafetyOracle(reversal_instance(n), (SLF,))
+        problem = reversal_instance(n)  # an oracle does not keep its problem
+        oracle = SafetyOracle(problem, (SLF,))
         schedule = greedy_slf_schedule(
             oracle.problem, oracle=oracle, include_cleanup=False
         )

@@ -24,7 +24,7 @@ import math
 from typing import Any, NamedTuple
 
 import pytest
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from repro.campaign.fabric.transport import VERBS
@@ -163,45 +163,68 @@ def gate(tmp_path_factory):
     api.campaigns.close()
 
 
-@st.composite
-def hostile_bodies(draw, route: Route):
-    """A valid body with some optional keys added, then one or two defects."""
+class Defect(NamedTuple):
+    """One defect, drawn without knowing the route: ``row`` and ``pick``
+    are taken modulo the rows, ints, ids or path spots the route offers;
+    ``junk`` is a swap's value, ``key`` an unknown key's name."""
+
+    kind: str
+    row: int
+    pick: int
+    junk: Any
+    key: str
+
+
+#: Indices of the optional keys a body adds (modulo how many its route has).
+EXTRAS = st.lists(st.integers(0, 31), unique=True)
+DEFECTS = st.lists(
+    st.builds(Defect,
+              st.sampled_from(["swap", "drop", "unknown", "range", "dpid",
+                               "whole"]),
+              st.integers(0, 31), st.integers(0, 1023), JUNK_VALUES,
+              st.text(min_size=1, max_size=8)),
+    min_size=1, max_size=2)
+
+
+def hostile_body(route: Route, extras: list[int], defects: list[Defect]) -> Any:
+    """A valid body with some optional keys added, then the defects."""
     fields = [field for field in route.schema if field.wire != WHOLE]
     if not fields:  # the whole body is the value: ``register``
-        return draw(st.one_of(st.sampled_from(NOT_OBJECTS), JUNK_VALUES,
-                              st.dictionaries(st.text(max_size=4), JUNK_VALUES,
-                                              max_size=3)))
+        first = defects[0]
+        if first.kind == "whole":
+            return NOT_OBJECTS[first.pick % len(NOT_OBJECTS)]
+        return {first.key: first.junk} if first.kind == "unknown" else first.junk
     body = dict(route.minimal)
     optional = [field.wire for field in fields
                 if field.default is not _REQUIRED and field.wire in route.full]
-    if optional:
-        for key in draw(st.lists(st.sampled_from(optional), unique=True)):
-            body[key] = route.full[key]
+    for index in extras if optional else ():
+        key = optional[index % len(optional)]
+        body[key] = route.full[key]
     keys = [field.wire for field in fields]
-    for _ in range(draw(st.integers(1, 2))):
-        defect = draw(st.sampled_from(
-            ["swap", "drop", "unknown", "range", "dpid", "whole"]))
-        field = draw(st.sampled_from(fields))
+    for defect in defects:
+        field = fields[defect.row % len(fields)]
         ints = [value for value in INTS if not field.shape(value)]
-        if defect == "whole":
-            return draw(st.sampled_from(NOT_OBJECTS))
-        if defect == "drop" and field.default is _REQUIRED:
+        if defect.kind == "whole":
+            return NOT_OBJECTS[defect.pick % len(NOT_OBJECTS)]
+        if defect.kind == "drop" and field.default is _REQUIRED:
             body.pop(field.wire, None)
-        elif defect == "unknown":
-            key = draw(st.text(min_size=1, max_size=8).filter(
-                lambda key: key not in keys))
-            body[key] = draw(JUNK_VALUES)
-        elif defect == "range" and 0 < len(ints) < len(INTS):  # a ranged int row
-            body[field.wire] = draw(st.sampled_from(ints))
-        elif defect == "dpid" and field.shape is datapath_id:
-            body[field.wire] = draw(st.sampled_from(ABSENT_DPIDS))
-        elif defect == "dpid" and field.shape is PATH:
-            path = list(body.get(field.wire) or route.full[field.wire])
-            path[draw(st.integers(0, len(path) - 1))] = draw(
-                st.sampled_from(ABSENT_DPIDS))
+        elif defect.kind == "unknown":
+            key = defect.key if defect.key not in keys else defect.key + "~"
+            body[key] = defect.junk
+        elif defect.kind == "range" and 0 < len(ints) < len(INTS):  # a ranged int row
+            body[field.wire] = ints[defect.pick % len(ints)]
+        elif defect.kind == "dpid" and field.shape is datapath_id:
+            body[field.wire] = ABSENT_DPIDS[defect.pick % len(ABSENT_DPIDS)]
+        elif defect.kind == "dpid" and field.shape is PATH:
+            # an earlier defect may have left junk here: spoil a path
+            current = body.get(field.wire)
+            path = list(current if isinstance(current, list) and current
+                        else route.full[field.wire])
+            spot, which = divmod(defect.pick, len(ABSENT_DPIDS))
+            path[spot % len(path)] = ABSENT_DPIDS[which]
             body[field.wire] = path
         else:
-            body[field.wire] = draw(JUNK_VALUES)
+            body[field.wire] = defect.junk
     return body
 
 
@@ -223,13 +246,20 @@ def test_every_post_route_is_in_the_gate(gate):
     assert sorted(routes) == ROUTES
 
 
+#: The row ``oldpath`` of ``/update``'s table.
+OLDPATH = [field.wire for field in UPDATE if field.wire != WHOLE].index("oldpath")
+
+
 @pytest.mark.parametrize("name", ROUTES)
 @budget(25)
-@given(data=st.data())
-def test_a_hostile_body_is_answered_never_a_5xx(gate, name, data):
+@given(extras=EXTRAS, defects=DEFECTS)
+# a junk path, then an unknown switch in that path
+@example(extras=[], defects=[Defect("swap", OLDPATH, 0, True, "x"),
+                             Defect("dpid", OLDPATH, 0, None, "x")])
+def test_a_hostile_body_is_answered_never_a_5xx(gate, name, extras, defects):
     api, routes = gate
     route = routes[name]
-    body = data.draw(hostile_bodies(route), label="body")
+    body = hostile_body(route, extras, defects)
     response = api.handle("POST", route.path, body)
     event(f"status {response.status}")  # --hypothesis-show-statistics
     _answered(response.status, response.body)
