@@ -53,7 +53,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import CampaignError, backoff
 from repro.obs import trace as obs
-from repro.campaign.fabric.journal import KINDS, FabricJournal
+from repro.campaign.fabric.journal import FabricJournal
 from repro.campaign.fabric.leases import Lease, LeaseTable
 from repro.campaign.fabric.state import FabricState
 from repro.campaign.spec import CampaignSpec, derive_seed
@@ -148,10 +148,6 @@ class Coordinator:
         self._rng = random.Random(JITTER_SEED)
         self._lock = threading.Lock()
         self.counters: dict[str, int] = {name: 0 for name in COUNTERS}
-        #: The effect table: journal kind -> what committing one such
-        #: event does besides changing the state.  Fired by ``_commit``
-        #: only, never by a replay, which must not count or trace twice.
-        self._effects = {kind: getattr(self, f"_after_{kind}") for kind in KINDS}
 
         cells = spec.expand()
         self.store.initialize(spec, n_cells=len(cells))
@@ -323,7 +319,8 @@ class Coordinator:
             applied = self._state.apply(event, now)
             if self._journal.due_for_compaction:
                 self._compact()
-            self._effects[event["kind"]](event, now, by, applied)
+            # by name: a stored table of bound methods would be a cycle
+            getattr(self, f"_after_{event['kind']}")(event, now, by, applied)
 
     def _compact(self) -> None:
         with obs.span(
@@ -721,8 +718,10 @@ class Coordinator:
 
     # ------------------------------------------------------------------
     # the effect table, one ``_after_<kind>(event, now, by, applied)``
-    # per journal kind: ``by`` is the worker id whose request caused the
-    # event, ``applied`` what ``FabricState.apply`` returned for it
+    # per journal kind, fired by ``_commit`` (never by a replay, which
+    # must not count or trace twice): ``by`` is the worker id whose
+    # request caused the event, ``applied`` what ``FabricState.apply``
+    # returned for it
     # ------------------------------------------------------------------
     def _cell_id(self, event: Mapping[str, Any]) -> str:
         return self._state.cells[event["index"]].cell.cell_id

@@ -86,11 +86,6 @@ class FabricState:
         #: Quarantined worker *names* (ids are per-epoch; a re-registered
         #: bad worker must stay quarantined).
         self.quarantined: set[str] = set()
-        # a kind the journal accepts but nothing here handles fails now,
-        # not at the replay that would have dropped it
-        self._handlers = {
-            kind: getattr(self, f"_on_{kind}") for kind in KINDS
-        }
 
     def apply(self, event: Mapping[str, Any], now: float) -> Any:
         """Fold one journal record into the state; returns what its
@@ -102,18 +97,19 @@ class FabricState:
         journal over a ``results.jsonl`` that is ahead of it safe.
         """
         kind = event.get("kind")
-        if kind not in self._handlers:
+        handler = _HANDLERS.get(kind)
+        if handler is None:
             raise CampaignError(
                 f"journal record of unknown kind {kind!r}; it was written "
                 "by a newer version -- recover with that one"
             )
         if kind in FLEET_KINDS:
-            return self._handlers[kind](event, now)
+            return handler(self, event, now)
         index = event.get("index")
         if isinstance(index, int) and 0 <= index < len(self.cells):
             cell = self.cells[index]
             if cell.status != "done":
-                return self._handlers[kind](index, cell, event, now)
+                return handler(self, index, cell, event, now)
         return None
 
     def release(self, index: int, now: float) -> bool:
@@ -450,3 +446,9 @@ class FabricState:
             self.cells[index].accepted_by = None
             self._reopen(index, now)
         return retracted
+
+
+#: journal kind -> the function that folds it into a :class:`FabricState`
+#: (bound methods on the state would be a cycle); a kind the journal
+#: accepts but nothing here handles fails at import, not at a replay
+_HANDLERS = {kind: getattr(FabricState, f"_on_{kind}") for kind in KINDS}

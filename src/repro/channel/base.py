@@ -8,12 +8,17 @@ latency model, optional loss (modelled as retransmission delay, as TCP
 would surface it) and a choice between FIFO delivery (TCP-like, per
 direction) and free reordering (the adversarial end-to-end behaviour the
 demo guards against).
+
+A channel's endpoints own it, so it holds a method bound as a handler
+weakly, through the method's object: a network dies by reference count.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Callable
 
 from repro.errors import ChannelClosedError, ChannelError
@@ -82,8 +87,9 @@ class ControlChannel:
         self.drop_prob = drop_prob
         self.stats = ChannelStats()
         self._closed = False
-        self._switch_handler: Callable[[Any], None] | None = None
-        self._controller_handler: Callable[[Any], None] | None = None
+        #: per side, ``(owner, receive)`` as :func:`_endpoint` makes it
+        self._switch_end: tuple | None = None
+        self._controller_end: tuple | None = None
         # per-direction FIFO horizon: nothing may be delivered before it
         self._horizon = {"switch": 0.0, "controller": 0.0}
 
@@ -92,11 +98,11 @@ class ControlChannel:
     # ------------------------------------------------------------------
     def bind_switch(self, handler: Callable[[Any], None]) -> None:
         """Register the switch-side receive callback."""
-        self._switch_handler = handler
+        self._switch_end = _endpoint(handler)
 
     def bind_controller(self, handler: Callable[[Any], None]) -> None:
         """Register the controller-side receive callback."""
-        self._controller_handler = handler
+        self._controller_end = _endpoint(handler)
 
     def close(self) -> None:
         """Stop accepting messages (in-flight ones still deliver)."""
@@ -142,13 +148,29 @@ class ControlChannel:
 
     def _deliver(self, message: Any, direction: str) -> None:
         if direction == "switch":
-            handler = self._switch_handler
+            end = self._switch_end
             self.stats.to_switch_delivered += 1
         else:
-            handler = self._controller_handler
+            end = self._controller_end
             self.stats.to_controller_delivered += 1
-        if handler is None:
+        if end is None:
             raise ChannelError(
                 f"channel {self.name!r} has no {direction}-side handler bound"
             )
-        handler(message)
+        owner, receive = end
+        if owner is None:
+            receive(message)
+            return
+        receiver = owner()
+        if receiver is None:
+            raise ChannelError(f"channel {self.name!r}: its {direction} is gone")
+        receive(receiver, message)
+
+
+def _endpoint(handler: Callable[[Any], None]) -> tuple:
+    """``(owner, receive)``: a bound method as a weak reference to its
+    object and its function; any other callable (a list's ``append``, a
+    lambda) as it is, ``owner`` ``None``."""
+    if isinstance(handler, MethodType):
+        return weakref.ref(handler.__self__), handler.__func__
+    return None, handler

@@ -7,6 +7,7 @@ only what they need -- mirroring how Ryu apps subscribe to events.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -20,7 +21,17 @@ class RyuLikeApp:
     name = "app"
 
     def __init__(self) -> None:
-        self.controller: "Controller | None" = None
+        self._controller: "weakref.ref[Controller] | None" = None
+
+    @property
+    def controller(self) -> "Controller | None":
+        """The controller this app is registered with (it owns its apps,
+        so it is held weakly); ``None`` before that or once it is gone."""
+        return self._controller() if self._controller is not None else None
+
+    @controller.setter
+    def controller(self, controller: "Controller") -> None:
+        self._controller = weakref.ref(controller)
 
     # -- lifecycle -----------------------------------------------------
     def on_registered(self, controller: "Controller") -> None:

@@ -4,9 +4,15 @@ Owns switch connections (handshake, dispatch), allocates transaction ids
 and fans incoming messages out to registered apps.  One controller serves
 any number of switches, each over its own asynchronous control channel --
 exactly the deployment the demo runs (Ryu + one TCP connection per OVS).
+
+It owns its datapath handles and apps, and nothing refers back to it
+strongly, so a controller dies by reference count.
 """
 
 from __future__ import annotations
+
+import itertools
+from types import MethodType
 
 from repro.errors import UnknownDatapathError
 from repro.channel.base import ControlChannel
@@ -35,7 +41,7 @@ class Controller:
         self.name = name
         self.datapaths: dict[int, Datapath] = {}
         self.apps: list[RyuLikeApp] = []
-        self._xid = 0
+        self._xids = itertools.count(1)  # shared with every Datapath
         self._pending_channels: dict[int, ControlChannel] = {}
         self._conn_to_dpid: dict[int, int] = {}
         self._next_conn_id = 0
@@ -62,12 +68,16 @@ class Controller:
         conn_id = self._next_conn_id
         self._next_conn_id += 1
         self._pending_channels[conn_id] = channel
-        channel.bind_controller(lambda msg: self._on_message(conn_id, msg))
+
+        def receive(controller: Controller, message: OpenFlowMessage) -> None:
+            controller._on_message(conn_id, message)
+
+        # a method of this controller, so the channel holds it weakly
+        channel.bind_controller(MethodType(receive, self))
         channel.to_switch(Hello(xid=self.next_xid()))
 
     def next_xid(self) -> int:
-        self._xid += 1
-        return self._xid
+        return next(self._xids)
 
     def datapath(self, dpid: int) -> Datapath:
         try:
@@ -92,7 +102,7 @@ class Controller:
             channel = self._pending_channels.pop(conn_id, None)
             if channel is None:
                 return
-            datapath = Datapath(self, message.datapath_id, channel)
+            datapath = Datapath(message.datapath_id, channel, self._xids)
             self.datapaths[message.datapath_id] = datapath
             self._conn_to_dpid[conn_id] = message.datapath_id
             for app in self.apps:

@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Iterator
 
 from repro.channel.base import ControlChannel
 from repro.openflow.messages import BarrierRequest, OpenFlowMessage
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.core import Controller
-
 
 class Datapath:
-    """Send-side view of a switch connection, with xid allocation."""
+    """Send-side view of a switch connection; xids come from its
+    controller's counter, which it shares rather than the controller."""
 
-    def __init__(self, controller: "Controller", dpid: int, channel: ControlChannel) -> None:
-        self.controller = controller
+    def __init__(self, dpid: int, channel: ControlChannel, xids: Iterator[int]) -> None:
         self.dpid = dpid
         self.channel = channel
+        self._xids = xids
         self.messages_sent = 0
 
     def send_msg(self, message: OpenFlowMessage) -> int:
         """Assign an xid (when unset) and ship the message; returns the xid."""
         if message.xid == 0:
-            message.xid = self.controller.next_xid()
+            message.xid = next(self._xids)
         self.messages_sent += 1
         self.channel.to_switch(message)
         return message.xid

@@ -8,6 +8,7 @@ recorded; the counters feed experiment E4.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -84,16 +85,15 @@ class PeriodicInjector:
         """Wire to the round FSM: keep probing a little past completion.
 
         A few extra probes confirm the final state forwards correctly.
+        The queue's hook holds this injector weakly: the queue belongs to
+        the network's controller, which the injector refers to.
         """
-        remaining = {"count": extra_probes}
+        injector = weakref.ref(self)
 
         def on_complete(_event) -> None:
-            def late_stop() -> None:
-                self.stop()
-
-            self.network.sim.schedule(
-                self.interval_ms * remaining["count"], late_stop
-            )
+            live = injector()
+            if live is not None:
+                live.network.sim.schedule(live.interval_ms * extra_probes, live.stop)
 
         update_queue.on_update_complete.append(on_complete)
 

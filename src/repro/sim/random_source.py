@@ -5,6 +5,9 @@ the traffic injector) draws from its *own* stream derived from a master
 seed and a stable name.  Changing one component's consumption pattern then
 never perturbs the randomness any other component sees -- runs stay
 comparable across experiments.
+
+A stream is seeded at its first use, so a component that never draws
+(a channel under a constant latency and no loss) costs no seeding.
 """
 
 from __future__ import annotations
@@ -17,6 +20,21 @@ def derive_seed(master_seed: int, name: str) -> int:
     """Stable 64-bit seed derived from a master seed and a stream name."""
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class _Unseeded(random.Random):
+    """A stream before its first use.  Reading any attribute (every draw
+    does) seeds it with :func:`derive_seed` and turns it into the
+    :class:`random.Random` it would have been had it been seeded eagerly."""
+
+    def __init__(self, master_seed: int, name: str) -> None:  # seeds nothing
+        self._origin = (master_seed, name)
+
+    def __getattribute__(self, attribute: str):
+        master_seed, name = object.__getattribute__(self, "__dict__").pop("_origin")
+        self.__class__ = random.Random
+        self.seed(derive_seed(master_seed, name))
+        return getattr(self, attribute)
 
 
 class RandomStreams:
@@ -34,9 +52,10 @@ class RandomStreams:
         self._streams: dict[str, random.Random] = {}
 
     def stream(self, name: str) -> random.Random:
-        """The stream for ``name`` (created on first use, cached after)."""
+        """The stream for ``name`` (created on first use, cached after;
+        seeded when first drawn from)."""
         if name not in self._streams:
-            self._streams[name] = random.Random(derive_seed(self.master_seed, name))
+            self._streams[name] = _Unseeded(self.master_seed, name)
         return self._streams[name]
 
     def fork(self, name: str) -> "RandomStreams":

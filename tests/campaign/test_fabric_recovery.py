@@ -29,6 +29,7 @@ from repro.campaign.runner import run_cell
 from repro.errors import CampaignError, TransportError
 from repro.campaign.fabric import coordinator as fabric_coordinator
 from repro.campaign.fabric import journal as fabric_journal
+from repro.campaign.fabric import state as fabric_state
 from repro.campaign.fabric import worker as fabric_worker
 from repro.rest import http_binding
 from tests.campaign.fabric_helpers import fast_retries, run_local_fleet, sealed
@@ -856,7 +857,7 @@ class TestEventSourcing:
         # the scripted life exercises the whole vocabulary, and the state
         # machine dispatches on exactly that vocabulary
         assert written == set(KINDS)
-        assert set(life.coordinator._state._handlers) == set(KINDS)
+        assert set(fabric_state._HANDLERS) == set(KINDS)
         # a kind nothing could replay is refused at write time
         reopened = FabricJournal(tmp_path / "other")
         with pytest.raises(CampaignError, match="unknown journal record kind"):

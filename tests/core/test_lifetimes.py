@@ -6,6 +6,14 @@ search leaves a cycle behind: with the collector off, a full collection
 afterwards finds no ``UpdateProblem``, ``SafetyOracle`` or
 ``PrecedenceAnalysis``, and :func:`aggregate_stats` has counted the dead
 oracles' work as they died.
+
+The same holds for an executed update: the network owns its switches,
+channels, controller and simulator, the controller its datapath handles
+and apps, and every reference back (a channel's endpoint handlers, an
+app's controller, the injector's completion hook) is weak, so a finished
+``UpdateScenario`` leaves no ``Network`` and nothing of it.  And a closed
+campaign ``Coordinator`` leaves no ``Coordinator``, ``RunStore`` or
+``CellState``.
 """
 
 import gc
@@ -13,6 +21,8 @@ from collections import Counter
 
 import pytest
 
+from repro.campaign import CampaignSpec
+from repro.campaign.fabric import Coordinator, FabricWorker, LocalClient
 from repro.churn.controller import run_churn
 from repro.churn.traces import generate_trace
 from repro.controller.ofctl_rest import OfctlRestApp
@@ -23,15 +33,23 @@ from repro.core.hardness import crossing_clash_instance, reversal_instance
 from repro.core.oracle import aggregate_stats
 from repro.core.problem import UpdateProblem
 from repro.errors import ExactSearchBudgetError
+from repro.netlab.figure1 import run_figure1
+from repro.netlab.scenario import UpdateScenario
 from repro.rest.api import build_rest_api
 from repro.topology.builders import figure1
 from repro.topology.random_graphs import random_update_instance
+from tests.netlab.test_update_golden import reversal_topology
 
 KINDS = ("UpdateProblem", "SafetyOracle", "PrecedenceAnalysis")
+EXECUTED_KINDS = (
+    "Network", "SwitchSim", "ControlChannel", "Controller", "Datapath",
+    "FlowTable", "PeriodicInjector",
+)
+FABRIC_KINDS = ("Coordinator", "RunStore", "CellState")
 
 
-def _unreachable() -> Counter:
-    """What a full collection finds, by type name, among ``KINDS``."""
+def _unreachable(kinds=KINDS) -> Counter:
+    """What a full collection finds, by type name, among ``kinds``."""
     flags = gc.get_debug()
     gc.set_debug(flags | gc.DEBUG_SAVEALL)
     try:
@@ -41,7 +59,7 @@ def _unreachable() -> Counter:
         gc.set_debug(flags)
         gc.garbage.clear()
         gc.collect()  # what was saved is garbage again: free it now
-    return Counter({kind: found[kind] for kind in KINDS if found[kind]})
+    return Counter({kind: found[kind] for kind in kinds if found[kind]})
 
 
 def _schedule_over_rest(tmp_path):
@@ -97,3 +115,50 @@ def test_nothing_waits_for_the_collector(name, tmp_path):
     after = aggregate_stats().as_dict()
     assert after["applies"] > before["applies"]
     assert all(after[key] >= value for key, value in before.items())
+
+
+def _reversal_update():
+    topo, problem = reversal_topology(20)
+    UpdateScenario(topo, problem, "h1", "h2", algorithm="greedy-slf", seed=1).run()
+
+
+EXECUTED = {
+    "figure-1 wayup": lambda: run_figure1("wayup"),
+    "reversal-20 greedy-slf": _reversal_update,
+    "figure-1 per-hop": lambda: run_figure1(
+        "peacock", seed=3, packet_mode="perhop", channel_latency="uniform:0.5:6"
+    ),
+}
+
+
+def _fabric_campaign(tmp_path):
+    spec = CampaignSpec.from_dict({
+        "name": "lifetime", "seed": 3,
+        "families": [{"family": "reversal", "sizes": [4, 6], "repeats": 2}],
+        "schedulers": ["peacock", "greedy-slf"],
+    })
+    coordinator = Coordinator(spec, root=str(tmp_path))
+    FabricWorker(LocalClient(coordinator), name="only").run()
+    assert coordinator.status()["done"] == 8
+    coordinator.close()
+
+
+@pytest.mark.parametrize("name", sorted(EXECUTED))
+def test_an_executed_update_waits_for_no_collector(name):
+    gc.collect()
+    gc.disable()
+    try:
+        EXECUTED[name]()
+        assert _unreachable(EXECUTED_KINDS) == Counter()
+    finally:
+        gc.enable()
+
+
+def test_a_closed_coordinator_waits_for_no_collector(tmp_path):
+    gc.collect()
+    gc.disable()
+    try:
+        _fabric_campaign(tmp_path)
+        assert _unreachable(FABRIC_KINDS) == Counter()
+    finally:
+        gc.enable()

@@ -26,22 +26,6 @@ def _poll_for(seconds: float) -> None:
         check_deadline()
 
 
-class _GapClock:
-    """Stands in for ``deadline.time`` during a run with a limit armed:
-    the real clock, remembering the longest stretch between two polls."""
-
-    def __init__(self) -> None:
-        self.last = None
-        self.longest_gap = 0.0
-
-    def monotonic(self) -> float:
-        now = time.monotonic()
-        if self.last is not None:
-            self.longest_gap = max(self.longest_gap, now - self.last)
-        self.last = now
-        return now
-
-
 class _PollClock:
     """Stands in for a module's ``time``: reads 0.0 until it has been read
     ``expires_after`` times after arming, then a time past any limit.
@@ -56,13 +40,6 @@ class _PollClock:
         self.reads += 1
         self.since = dict.fromkeys(self.since, 0)
         return 0.0 if self.reads <= self.expires_after else 1e9
-
-
-def allowed_wall(limit: float, longest_gap: float) -> float:
-    """What ``core/deadline.py`` promises a request with ``limit``: exact
-    to one poll interval -- and never held to less than a quarter over,
-    which is what rows whose polls lie microseconds apart are checked by."""
-    return max(1.25 * limit, limit + 1.25 * longest_gap)
 
 
 @pytest.fixture(autouse=True)

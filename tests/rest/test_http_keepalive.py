@@ -17,15 +17,15 @@ import pytest
 
 import repro.rest.api as rest_api
 import repro.rest.http_binding as http_binding
-from repro.core import deadline
+from repro.core import deadline, packing
 from repro.core.hardness import crossing_clash_instance, reversal_instance
+from repro.core.oracle import SafetyOracle
 from repro.core.problem import UpdateProblem
 from repro.netlab.figure1 import build_figure1_scenario
 from repro.rest.api import build_rest_api
 from repro.rest.http_binding import AUTH_HEADER, RestHttpServer
 from repro.topology.random_graphs import random_update_instance
-from tests.core.test_deadline_safe_points import _PollClock
-from tests.core.test_time_limit import _GapClock, allowed_wall
+from tests.core.test_time_limit import _PollClock
 
 BODIES = [
     {"oldpath": [1, 2, 3, 4, 5, 6], "newpath": [1, 5, 4, 3, 2, 6],
@@ -265,34 +265,42 @@ def _schedule_body(problem, scheduler):
 
 class TestRequestDeadline:
     """``POST /schedule`` is bounded on the handler thread that serves it:
-    a body that would compute for seconds is answered 408 close to
-    ``REQUEST_DEADLINE_S``, and the connection goes on serving."""
+    a body that would compute for seconds is answered 408 at the first
+    poll past ``REQUEST_DEADLINE_S``, and the connection goes on serving."""
 
     @pytest.mark.parametrize(
-        "scheduler, problem, fraction",
+        "scheduler, problem",
         [
-            # (~0.19 s in process; crossing-clash-24 fell to ~0.03 s once
-            # a one-round-left state stopped paying for a singleton pass)
             ("optimal:rlf", lambda: UpdateProblem(
-                *random_update_instance(18, seed=3)[:2]), 0.1),
-            ("greedy-slf", lambda: reversal_instance(20000), 0.5),
-            # see tests/core/test_time_limit.py for the quarter
-            ("peacock", lambda: reversal_instance(20000), 0.25),
+                *random_update_instance(18, seed=3)[:2])),
+            ("greedy-slf", lambda: reversal_instance(400)),
+            ("peacock", lambda: reversal_instance(400)),
         ],
     )
     def test_hostile_body_is_408_and_the_connection_lives(
-        self, api, server, monkeypatch, scheduler, problem, fraction
+        self, api, server, monkeypatch, scheduler, problem
     ):
+        """Under the ``deadline.time`` seam the clock is read only by polls
+        (and once to arm the limit), so a clock that runs out after poll
+        ``k`` stops the request at poll ``k + 1`` -- answered 408 by a
+        handler thread, on a connection that serves on -- and at most
+        ``_DEADLINE_POLL_EVERY`` packer probes run between two polls."""
         body = _schedule_body(problem(), scheduler)
-        # the deadline is a fraction of what the body costs on this
-        # machine, measured in-process (0.19 s / 1.0 s / 0.75 s here)
-        # under the stock 30 s deadline, so its polls read the clock
-        clock = _GapClock()
-        with monkeypatch.context() as patch:
-            patch.setattr(deadline, "time", clock)
-            started = time.monotonic()
-            assert api.handle("POST", "/schedule", body).status == 200
-            deadline_s = round(fraction * (time.monotonic() - started), 3)
+        try_apply_watched = SafetyOracle.try_apply_watched
+
+        def probe(*args, **kwargs):
+            clock = deadline.time
+            clock.since["probes"] += 1
+            clock.most["probes"] = max(clock.most["probes"], clock.since["probes"])
+            return try_apply_watched(*args, **kwargs)
+
+        monkeypatch.setattr(SafetyOracle, "try_apply_watched", probe)
+        counting = _PollClock(float("inf"))  # never runs out: counts the polls
+        monkeypatch.setattr(deadline, "time", counting)
+        assert api.handle("POST", "/schedule", body).status == 200
+        polls = counting.reads
+        assert polls > 2
+        assert counting.most["probes"] <= packing._DEADLINE_POLL_EVERY
 
         serving_threads = []
         schedule_update = rest_api.schedule_update
@@ -302,18 +310,16 @@ class TestRequestDeadline:
             return schedule_update(*args, **kwargs)
 
         monkeypatch.setattr(rest_api, "schedule_update", spy)
-        monkeypatch.setattr(rest_api, "REQUEST_DEADLINE_S", deadline_s)
-        payload = json.dumps(body).encode()
         connection = CountingConnection("127.0.0.1", server.port, timeout=30)
         connection.connect()
-        started = time.monotonic()
-        connection.request("POST", "/schedule", body=payload, headers=JSON_HEADERS)
-        reply = connection.getresponse()
-        answer = json.loads(reply.read())
-        wall = time.monotonic() - started
-        assert reply.status == 408 and not reply.will_close
-        assert answer == {"error": f"exceeded {deadline_s}s"}
-        assert wall <= allowed_wall(deadline_s, clock.longest_gap)
+        for expires_after in (1, polls // 2, polls - 1):
+            clock = _PollClock(expires_after)
+            monkeypatch.setattr(deadline, "time", clock)
+            reply, answer = _post(connection, body)
+            assert reply.status == 408 and not reply.will_close
+            assert answer == {"error": f"exceeded {rest_api.REQUEST_DEADLINE_S}s"}
+            assert clock.reads == expires_after + 1
+            assert clock.most["probes"] <= packing._DEADLINE_POLL_EVERY
         assert serving_threads and threading.main_thread() not in serving_threads
         reply, got = _post(connection, BODIES[0])
         assert reply.status == 200 and got["status"] == "ok"
@@ -323,7 +329,7 @@ class TestRequestDeadline:
     def test_in_process_callers_are_bound_too(self, api, monkeypatch):
         # (the body computes for 0.03 s, too close to any real limit:
         # the fifth deadline poll reads a clock past it)
-        monkeypatch.setattr(deadline, "time", _PollClock(fire_at=5))
+        monkeypatch.setattr(deadline, "time", _PollClock(4))
         monkeypatch.setattr(rest_api, "REQUEST_DEADLINE_S", 0.05)
         body = _schedule_body(crossing_clash_instance(24), "optimal:rlf")
         response = api.handle("POST", "/schedule", body)
@@ -342,7 +348,7 @@ class TestRequestDeadline:
         before = len(queue.queue), len(queue.completed)
         connection = CountingConnection("127.0.0.1", server.port, timeout=10)
         with monkeypatch.context() as patch:
-            patch.setattr(deadline, "time", _PollClock(fire_at=1))
+            patch.setattr(deadline, "time", _PollClock(0))
             connection.request(
                 "POST", path, body=json.dumps(body).encode(), headers=JSON_HEADERS
             )

@@ -47,13 +47,15 @@ def _barrier_time(profile: SwitchTimingProfile, n_mods: int) -> float:
     channel = ControlChannel(sim, latency=Constant(0.0), rng=random.Random(0))
     received = []
     channel.bind_controller(received.append)
-    SwitchSim(sim, dpid=1, channel=channel, timing=profile,
-              rng=random.Random(7))
+    # held here: a channel refers to its switch weakly (the switch owns it)
+    switch = SwitchSim(sim, dpid=1, channel=channel, timing=profile,
+                       rng=random.Random(7))
     for index in range(n_mods):
         channel.to_switch(add_flow(Match(in_port=index + 1), out_port=1))
     channel.to_switch(BarrierRequest(xid=1))
     sim.run()
     assert any(isinstance(m, BarrierReply) for m in received)
+    assert switch.log.barriers_answered == 1
     return sim.now
 
 
