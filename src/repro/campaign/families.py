@@ -43,8 +43,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.errors import CampaignSpecError
+from repro.errors import CampaignSpecError, ChurnError
 from repro.campaign.spec import derive_seed
+from repro.churn_options import TRACE_PARAMS
 from repro.core.hardness import (
     crossing_instance,
     double_diamond_instance,
@@ -257,9 +258,6 @@ def _check_trace_params(
     knobs' schema (the trace is only generated when a cell runs), then
     the params with each grid axis at its largest value: every bound
     across knobs grows with each of them, so no cell exceeds it."""
-    from repro.churn.events import ChurnError
-    from repro.churn.traces import TRACE_PARAMS
-
     try:
         TRACE_PARAMS.decode(params)
         for key, values in grid.items():

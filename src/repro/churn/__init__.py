@@ -13,7 +13,6 @@ from repro.churn.controller import (
     run_churn,
 )
 from repro.churn.events import (
-    ChurnError,
     ChurnEvent,
     LinkFailure,
     UpdateArrival,
@@ -21,12 +20,9 @@ from repro.churn.events import (
     event_sort_key,
 )
 from repro.churn.metrics import ChurnMetrics, UpdateLifecycle
-from repro.churn.traces import (
-    ChurnTrace,
-    FlowSpec,
-    generate_trace,
-    trace_params,
-)
+from repro.churn.traces import ChurnTrace, FlowSpec, generate_trace
+from repro.churn_options import trace_params
+from repro.errors import ChurnError
 
 __all__ = [
     "ChurnError",

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ReproError
-
-
-class ChurnError(ReproError):
-    """Malformed churn trace or controller misuse."""
+from repro.errors import ChurnError
 
 
 @dataclass(frozen=True)

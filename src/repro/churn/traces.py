@@ -16,7 +16,7 @@ Generation is a pure function of ``(kind, size, params, seed)``: one
 same inputs reproduce the byte-identical trace on every run, machine,
 and worker -- the campaign determinism contract extended to churn.
 :func:`generate_trace` is the one place ``params`` are checked, against
-:data:`TRACE_PARAMS`, whoever calls it.
+:data:`repro.churn_options.TRACE_PARAMS`, whoever calls it.
 
 Arrival times follow a Poisson process at ``rate_per_s`` over
 ``duration_ms``; each arrival targets a uniformly chosen flow with a
@@ -28,38 +28,22 @@ uniform instants over the trace.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from repro.churn.events import (
-    ChurnError,
     ChurnEvent,
     LinkFailure,
     UpdateArrival,
     UpdateCancel,
     event_sort_key,
 )
-from repro.schema import WHOLE, Field, Schema
+from repro.churn_options import TRACE_KNOBS, trace_params
+from repro.errors import ChurnError
 from repro.topology import builders
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import sample_simple_path, waxman
-
-#: Trace-generator defaults: the defaults of :data:`TRACE_PARAMS`' rows.
-DEFAULT_RATE_PER_S = 50.0
-DEFAULT_DURATION_MS = 400.0
-DEFAULT_FLOWS = 6
-DEFAULT_CANCEL_PROB = 0.1
-DEFAULT_LINK_FAILURES = 1
-DEFAULT_WAYPOINT_PROB = 0.5
-
-#: Upper bounds :data:`TRACE_PARAMS` puts on a spec's trace: the flows,
-#: and the arrivals the Poisson process is expected to draw
-#: (``rate_per_s * duration_ms / 1000``).  Trace and run cost grow with
-#: both; the defaults draw 6 and 20, the churn benchmarks at most 50.
-MAX_TRACE_FLOWS = 1_000
-MAX_EXPECTED_ARRIVALS = 10_000
 
 TRACE_KINDS = ("fat-tree", "wan")
 
@@ -154,10 +138,11 @@ def _build_topology(kind: str, size: int, seed: int) -> Topology:
 def generate_trace(kind: str, size: int, seed: int, **knobs: Any) -> ChurnTrace:
     """Generate one deterministic churn trace (see module docstring).
 
-    ``knobs`` are :data:`TRACE_KNOBS` by name, each defaulting to its
-    row's default.  This is the one place they are checked: the CLI, a
-    campaign cell and a library call all meet :data:`TRACE_PARAMS`'
-    bounds here, and each value is cast to its default's type.
+    ``knobs`` are :data:`~repro.churn_options.TRACE_KNOBS` by name, each
+    defaulting to its row's default.  This is the one place they are
+    checked: the CLI, a campaign cell and a library call all meet
+    :data:`~repro.churn_options.TRACE_PARAMS`' bounds here, and each
+    value is cast to its default's type.
     """
     given = trace_params(knobs)
     params = {row.name: given.get(row.name, row.default) for row in TRACE_KNOBS}
@@ -222,63 +207,3 @@ def generate_trace(kind: str, size: int, seed: int, **knobs: Any) -> ChurnTrace:
         duration_ms=duration_ms,
         params=params,
     )
-
-
-def _knob(cast: type, least: float, most: float = math.inf, *,
-          above: bool = False) -> Callable[[Any], bool]:
-    """A value ``cast`` reads into ``least..most`` (with ``above``, past
-    ``least``): an int, a float too when ``cast`` is float, or a string
-    of one; never a bool, and never a float truncated into an int."""
-    def shape(value: Any) -> bool:
-        if type(value) not in (int, cast, str):
-            return False
-        try:
-            value = cast(value)
-        except (ValueError, OverflowError):
-            return False
-        return (cast is int or math.isfinite(value)) and (
-            least < value if above else least <= value) and value <= most
-    return shape
-
-
-def _expected_arrivals_bounded(params: Mapping) -> bool:
-    """At most :data:`MAX_EXPECTED_ARRIVALS` expected arrivals (read
-    after the knob rows, so both values already have their shape)."""
-    rate = float(params.get("rate_per_s", DEFAULT_RATE_PER_S))
-    duration = float(params.get("duration_ms", DEFAULT_DURATION_MS))
-    return rate * duration / 1000.0 <= MAX_EXPECTED_ARRIVALS
-
-
-#: The six trace knobs of :func:`generate_trace`, each cast to its
-#: default's type, and the arrivals they imply.  :func:`generate_trace`
-#: checks every trace against it; a campaign spec's churn params are
-#: checked against it too when the spec is read, before any cell runs.
-TRACE_PARAMS = Schema("churn trace params", (
-    Field("rate_per_s", _knob(float, 0, above=True), "a number > 0",
-          DEFAULT_RATE_PER_S),
-    Field("duration_ms", _knob(float, 0, above=True), "a number > 0",
-          DEFAULT_DURATION_MS),
-    Field("flows", _knob(int, 1, MAX_TRACE_FLOWS),
-          f"an int in 1..{MAX_TRACE_FLOWS}", DEFAULT_FLOWS),
-    Field("cancel_prob", _knob(float, 0, 1), "a number in 0..1",
-          DEFAULT_CANCEL_PROB),
-    Field("link_failures", _knob(int, 0), "an int >= 0", DEFAULT_LINK_FAILURES),
-    Field("waypoint_prob", _knob(float, 0, 1), "a number in 0..1",
-          DEFAULT_WAYPOINT_PROB),
-    Field("expected_arrivals", _expected_arrivals_bounded,
-          f"a trace of at most {MAX_EXPECTED_ARRIVALS} expected arrivals "
-          "(rate_per_s * duration_ms / 1000)", key=WHOLE),
-), ChurnError)
-
-
-def trace_params(params: Mapping) -> dict:
-    """Check trace knobs against :data:`TRACE_PARAMS` and cast the given
-    ones to their defaults' types (what :func:`generate_trace` reads)."""
-    values = TRACE_PARAMS.decode(params)
-    return {row.name: type(row.default)(values[row.name])
-            for row in TRACE_PARAMS if row.name in params}
-
-
-#: The knob rows alone (the arrivals row reads the whole body): the
-#: parameters of :func:`generate_trace` and the flags of ``repro churn run``.
-TRACE_KNOBS = tuple(row for row in TRACE_PARAMS if row.wire != WHOLE)

@@ -15,7 +15,7 @@ Each prints human-readable tables; ``--json`` switches to machine output
 (and, where verification runs, a non-zero exit code flags failures).
 
 Where the flags come from: ``churn run``'s trace flags are the rows of
-:data:`repro.churn.traces.TRACE_KNOBS`, and ``campaign serve``'s fabric
+:data:`repro.churn_options.TRACE_KNOBS`, and ``campaign serve``'s fabric
 flags those of :data:`repro.fabric_options.FABRIC_OPTIONS`; both pass on
 only what the user gave, and the package checks it.  ``schedule
 --family`` and ``rounds --family`` build their instances through the
@@ -30,7 +30,7 @@ import json
 import sys
 from typing import Sequence
 
-from repro.churn.traces import TRACE_KNOBS
+from repro.churn_options import TRACE_KNOBS
 from repro.core.api import schedule_update
 from repro.core.problem import UpdateProblem
 from repro.core.registry import PROPERTY_NAMES, parse_properties, scheduler_names

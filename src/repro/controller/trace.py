@@ -9,6 +9,7 @@ Export is JSON-lines friendly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -47,28 +48,31 @@ class ControlPlaneTrace:
         return self
 
     def _wrap(self, network: "Network", dpid: Any, channel) -> None:
-        original_to_switch = channel.to_switch
-        original_to_controller = channel.to_controller
+        # The channel owns its wrappers, so they reach it weakly and the
+        # network not at all: a traced network dies by reference count.
+        sim, own = network.sim, weakref.ref(channel)
+        send_to_switch = type(channel).to_switch
+        send_to_controller = type(channel).to_controller
 
         def to_switch(message: Any) -> float:
-            self._record(network, dpid, "to-switch", message)
-            return original_to_switch(message)
+            self._record(sim.now, dpid, "to-switch", message)
+            return send_to_switch(own(), message)
 
         def to_controller(message: Any) -> float:
-            self._record(network, dpid, "to-controller", message)
-            return original_to_controller(message)
+            self._record(sim.now, dpid, "to-controller", message)
+            return send_to_controller(own(), message)
 
         channel.to_switch = to_switch
         channel.to_controller = to_controller
 
-    def _record(self, network: "Network", dpid: Any, direction: str, message: Any) -> None:
+    def _record(self, now: float, dpid: Any, direction: str, message: Any) -> None:
         if isinstance(message, OpenFlowMessage):
             msg_type, xid = message.type_name(), message.xid
         else:  # pragma: no cover - channels carry only OF messages here
             msg_type, xid = type(message).__name__, 0
         self.entries.append(
             TraceEntry(
-                time_ms=network.sim.now,
+                time_ms=now,
                 dpid=dpid,
                 direction=direction,
                 msg_type=msg_type,

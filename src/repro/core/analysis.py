@@ -22,8 +22,6 @@ by :mod:`repro.core.optimal`.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.oracle import oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.schedule import UpdateSchedule
@@ -93,6 +91,8 @@ def dependency_graph(
     only.  The resulting graph is acyclic whenever the instance is
     feasible (a forced cycle would contradict the witness schedule).
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     nodes = problem.canonical_updates
     graph.add_nodes_from(nodes)

@@ -156,6 +156,10 @@ class CampaignSpecError(CampaignError):
     """A campaign specification is malformed or references unknown names."""
 
 
+class ChurnError(ReproError):
+    """Malformed churn trace or controller misuse."""
+
+
 class SimulationError(ReproError):
     """The discrete-event simulator was driven incorrectly."""
 

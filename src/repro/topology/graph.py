@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
 
-import networkx as nx
-
 from repro.errors import TopologyError
 
 NodeId = Hashable
@@ -214,9 +212,12 @@ class Topology:
         }
 
     def neighbors(self, node_id: NodeId) -> list[NodeId]:
-        """Return the neighbors of ``node_id`` in port order."""
-        return [self._ports[node_id][p].other_end(node_id)
-                for p in sorted(self.ports(node_id))]
+        """Return the neighbors of ``node_id`` in port order: ports are
+        never reused, so the port table's insertion order is port order."""
+        links = self._ports.get(node_id)
+        if links is None:
+            raise TopologyError(f"unknown node {node_id!r}")
+        return [link.other_end(node_id) for link in links.values()]
 
     def degree(self, node_id: NodeId) -> int:
         return len(self.ports(node_id))
@@ -256,6 +257,8 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Convert to a :class:`networkx.Graph` (nodes keep their kind)."""
+        import networkx as nx
+
         graph = nx.Graph(name=self.name)
         for node_id, info in self._nodes.items():
             graph.add_node(node_id, kind=info.kind, **info.attrs)
@@ -272,6 +275,8 @@ class Topology:
         """True when every node can reach every other node."""
         if not self._nodes:
             return True
+        import networkx as nx
+
         return nx.is_connected(self.to_networkx())
 
     def validate(self) -> None:

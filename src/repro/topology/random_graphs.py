@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.graph import Topology
 from repro.topology.paths import Path
@@ -39,6 +37,8 @@ def _from_networkx(graph: nx.Graph, name: str) -> Topology:
 
 def _connected(factory, n: int, rng: random.Random, attempts: int = 200) -> nx.Graph:
     """Call ``factory(seed)`` until it yields a connected graph."""
+    import networkx as nx
+
     for _ in range(attempts):
         graph = factory(rng.randrange(2**31))
         if n <= 1 or nx.is_connected(graph):
@@ -50,6 +50,8 @@ def erdos_renyi(n: int, p: float, seed: int | random.Random | None = None) -> To
     """Connected Erdos-Renyi G(n, p) topology."""
     if n < 1:
         raise TopologyError(f"need n >= 1, got {n}")
+    import networkx as nx
+
     rng = _as_rng(seed)
     graph = _connected(lambda s: nx.gnp_random_graph(n, p, seed=s), n, rng)
     return _from_networkx(graph, name=f"er-{n}-{p}")
@@ -64,6 +66,8 @@ def waxman(
     """Connected Waxman random topology (the classic ISP-like model)."""
     if n < 1:
         raise TopologyError(f"need n >= 1, got {n}")
+    import networkx as nx
+
     rng = _as_rng(seed)
     graph = _connected(
         lambda s: nx.waxman_graph(n, alpha=alpha, beta=beta, seed=s), n, rng

@@ -23,7 +23,6 @@ import pytest
 
 from repro.churn.controller import ChurnPolicy, OnlineChurnController, run_churn
 from repro.churn.events import (
-    ChurnError,
     LinkFailure,
     UpdateArrival,
     UpdateCancel,
@@ -32,6 +31,7 @@ from repro.churn.events import (
 from repro.churn.metrics import ChurnMetrics
 from repro.churn.traces import ChurnTrace, FlowSpec, generate_trace
 from repro.dataplane.violations import PacketFate
+from repro.errors import ChurnError
 from repro.topology.graph import Topology
 
 OLD_PATH = (1, 2, 3, 5)

@@ -9,7 +9,8 @@ import pytest
 
 import repro.churn.traces as traces
 from repro.campaign.families import build_unit
-from repro.churn.traces import ChurnError, generate_trace
+from repro.churn.traces import generate_trace
+from repro.errors import ChurnError
 
 
 @pytest.fixture

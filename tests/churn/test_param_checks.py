@@ -6,7 +6,7 @@ import pytest
 
 from repro.campaign import CampaignSpec
 from repro.campaign.families import build_unit
-from repro.churn.traces import MAX_EXPECTED_ARRIVALS, MAX_TRACE_FLOWS, trace_params
+from repro.churn_options import MAX_EXPECTED_ARRIVALS, MAX_TRACE_FLOWS, trace_params
 from repro.errors import CampaignSpecError
 from repro.rest.api import build_campaign_api
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.churn.events import LinkFailure, UpdateArrival, UpdateCancel
-from repro.churn.traces import ChurnError, generate_trace, trace_params
+from repro.churn.traces import generate_trace
+from repro.churn_options import trace_params
+from repro.errors import ChurnError
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import sample_simple_path
 

@@ -1,7 +1,7 @@
 """The CLI reads the package's own tables instead of re-declaring them.
 
 ``repro churn run``'s trace flags are the knob rows of
-``churn.traces.TRACE_PARAMS``, so a knob and its flag cannot drift apart,
+``churn_options.TRACE_PARAMS``, so a knob and its flag cannot drift apart,
 and the trace generator checks whatever the flags carry.  ``repro
 rounds`` builds its instances through the campaign family registry; its
 JSON is pinned byte for byte by ``rounds_golden.json``.
@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 import repro.churn.traces as traces
-from repro.churn.traces import TRACE_PARAMS
+from repro.churn_options import TRACE_PARAMS
 from repro.cli.main import build_parser, main
 from repro.schema import WHOLE
 

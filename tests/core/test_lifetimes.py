@@ -10,8 +10,9 @@ oracles' work as they died.
 The same holds for an executed update: the network owns its switches,
 channels, controller and simulator, the controller its datapath handles
 and apps, and every reference back (a channel's endpoint handlers, an
-app's controller, the injector's completion hook) is weak, so a finished
-``UpdateScenario`` leaves no ``Network`` and nothing of it.  And a closed
+app's controller, the injector's completion hook, a control-plane
+trace's channel wrappers) is weak, so a finished ``UpdateScenario``
+leaves no ``Network`` and nothing of it, traced or not.  And a closed
 campaign ``Coordinator`` leaves no ``Coordinator``, ``RunStore`` or
 ``CellState``.
 """
@@ -27,13 +28,14 @@ from repro.churn.controller import run_churn
 from repro.churn.traces import generate_trace
 from repro.controller.ofctl_rest import OfctlRestApp
 from repro.controller.ofctl_rest_own import TransientUpdateApp
+from repro.controller.trace import ControlPlaneTrace
 from repro.controller.update_queue import UpdateQueueApp
 from repro.core.api import schedule_update
 from repro.core.hardness import crossing_clash_instance, reversal_instance
 from repro.core.oracle import aggregate_stats
 from repro.core.problem import UpdateProblem
 from repro.errors import ExactSearchBudgetError
-from repro.netlab.figure1 import run_figure1
+from repro.netlab.figure1 import build_figure1_scenario, run_figure1
 from repro.netlab.scenario import UpdateScenario
 from repro.rest.api import build_rest_api
 from repro.topology.builders import figure1
@@ -117,6 +119,12 @@ def test_nothing_waits_for_the_collector(name, tmp_path):
     assert all(after[key] >= value for key, value in before.items())
 
 
+def _traced_figure1():
+    scenario = build_figure1_scenario(algorithm="wayup", seed=1)
+    ControlPlaneTrace().attach(scenario.network)
+    scenario.run()
+
+
 def _reversal_update():
     topo, problem = reversal_topology(20)
     UpdateScenario(topo, problem, "h1", "h2", algorithm="greedy-slf", seed=1).run()
@@ -124,6 +132,7 @@ def _reversal_update():
 
 EXECUTED = {
     "figure-1 wayup": lambda: run_figure1("wayup"),
+    "figure-1 traced": _traced_figure1,
     "reversal-20 greedy-slf": _reversal_update,
     "figure-1 per-hop": lambda: run_figure1(
         "peacock", seed=3, packet_mode="perhop", channel_latency="uniform:0.5:6"

@@ -1,9 +1,21 @@
 """Tests for the topology graph model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.graph import Topology
+from tests.core.generated import budget
+
+#: ``add_node`` / ``add_link`` / ``remove_link`` over six node ids; an
+#: invalid step (a duplicate, an unknown node, a missing link) is skipped.
+_NODES = st.integers(0, 5)
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add_node"), _NODES),
+    st.tuples(st.just("add_link"), _NODES, _NODES),
+    st.tuples(st.just("remove_link"), _NODES, _NODES),
+), max_size=40)
 
 
 class TestConstruction:
@@ -79,6 +91,21 @@ class TestPorts:
 
     def test_neighbors_in_port_order(self, topo):
         assert topo.neighbors(1) == [2, 3]
+        with pytest.raises(TopologyError, match="unknown node"):
+            topo.neighbors(9)
+
+    @budget(200)
+    @given(_STEPS)
+    def test_neighbors_read_off_the_port_table_in_port_order(self, steps):
+        topo = Topology()
+        for op, *args in steps:
+            try:
+                getattr(topo, op)(*args)
+            except TopologyError:
+                pass
+        for node in topo:
+            ports = topo.ports(node)
+            assert topo.neighbors(node) == [ports[p] for p in sorted(ports)]
 
     def test_degree(self, topo):
         assert topo.degree(1) == 2
