@@ -59,13 +59,13 @@ from repro.churn.events import (
 )
 from repro.churn.metrics import ChurnMetrics, UpdateLifecycle
 from repro.churn.traces import ChurnTrace
-from repro.controller.update_queue import RoundTiming
 from repro.core.deadline import check_deadline
 from repro.core.oracle import oracle_for
 from repro.core.problem import UpdateProblem
 from repro.core.verify import Property
 from repro.dataplane.violations import PacketFate
 from repro.obs import trace as obs
+from repro.sim.events import RoundTiming
 from repro.sim.random_source import RandomStreams, derive_seed
 from repro.sim.simulator import Simulator
 from repro.topology.random_graphs import sample_simple_path

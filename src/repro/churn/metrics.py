@@ -3,7 +3,7 @@
 The online controller feeds three layers of measurement:
 
 * per-request :class:`UpdateLifecycle` records (arrival → settle, with
-  the executed :class:`~repro.controller.update_queue.RoundTiming` list
+  the executed :class:`~repro.sim.events.RoundTiming` list
   -- dumped via the partial-tolerant ``to_dict`` so a dump taken mid-update
   never crashes on a still-running round);
 * a global :class:`~repro.dataplane.violations.ViolationCounters` fed by
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.controller.update_queue import RoundTiming
 from repro.dataplane.violations import PacketFate, ViolationCounters
+from repro.sim.events import RoundTiming
 
 #: Terminal request statuses (everything else is still moving).
 SETTLED_STATUSES = frozenset(

@@ -24,42 +24,7 @@ from repro.controller.datapath_handle import Datapath
 from repro.controller.events import UpdateCompleted, UpdateRoundCompleted
 from repro.controller.rules import CompiledUpdate
 from repro.openflow.messages import BarrierReply
-
-
-@dataclass
-class RoundTiming:
-    """Start/end instants of one executed round."""
-
-    index: int
-    started_ms: float
-    finished_ms: float | None = None
-
-    @property
-    def duration_ms(self) -> float:
-        if self.finished_ms is None:
-            raise ControllerError(f"round {self.index} still running")
-        return self.finished_ms - self.started_ms
-
-    @property
-    def running(self) -> bool:
-        return self.finished_ms is None
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dump that tolerates an unfinished round.
-
-        Mid-update snapshots (churn metrics, live telemetry) dump timings
-        while a round is still executing; ``duration_ms`` stays ``None``
-        instead of raising until the round finishes.
-        """
-        return {
-            "index": self.index,
-            "started_ms": self.started_ms,
-            "finished_ms": self.finished_ms,
-            "duration_ms": (
-                None if self.finished_ms is None else self.duration_ms
-            ),
-            "running": self.running,
-        }
+from repro.sim.events import RoundTiming
 
 
 @dataclass

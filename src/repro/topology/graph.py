@@ -99,6 +99,9 @@ class Topology:
         self._links: dict[frozenset, Link] = {}
         # node -> port number -> Link
         self._ports: dict[NodeId, dict[int, Link]] = {}
+        # node -> its neighbours in port order (ports are never reused, so
+        # insertion order is port order)
+        self._adjacent: dict[NodeId, list[NodeId]] = {}
         self._next_port: dict[NodeId, int] = {}
         #: bumped by every node or link added and every link removed
         self.version = 0
@@ -114,6 +117,7 @@ class Topology:
         info = NodeInfo(node_id=node_id, kind=kind, attrs=dict(attrs))
         self._nodes[node_id] = info
         self._ports[node_id] = {}
+        self._adjacent[node_id] = []
         self._next_port[node_id] = 1
         return info
 
@@ -158,6 +162,8 @@ class Topology:
         self._links[key] = link
         self._ports[a][port_a] = link
         self._ports[b][port_b] = link
+        self._adjacent[a].append(b)
+        self._adjacent[b].append(a)
         self._next_port[a] = port_a + 1
         self._next_port[b] = port_b + 1
         self.version += 1
@@ -170,6 +176,8 @@ class Topology:
         del self._links[frozenset((a, b))]
         del self._ports[a][link.port_of(a)]
         del self._ports[b][link.port_of(b)]
+        self._adjacent[a].remove(b)
+        self._adjacent[b].remove(a)
 
     # ------------------------------------------------------------------
     # queries
@@ -212,12 +220,11 @@ class Topology:
         }
 
     def neighbors(self, node_id: NodeId) -> list[NodeId]:
-        """Return the neighbors of ``node_id`` in port order: ports are
-        never reused, so the port table's insertion order is port order."""
-        links = self._ports.get(node_id)
-        if links is None:
-            raise TopologyError(f"unknown node {node_id!r}")
-        return [link.other_end(node_id) for link in links.values()]
+        """Return the neighbors of ``node_id`` in port order."""
+        try:
+            return list(self._adjacent[node_id])
+        except KeyError:
+            raise TopologyError(f"unknown node {node_id!r}") from None
 
     def degree(self, node_id: NodeId) -> int:
         return len(self.ports(node_id))
@@ -253,31 +260,18 @@ class Topology:
         )
 
     # ------------------------------------------------------------------
-    # algorithms / conversion
+    # algorithms
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a :class:`networkx.Graph` (nodes keep their kind)."""
-        import networkx as nx
-
-        graph = nx.Graph(name=self.name)
-        for node_id, info in self._nodes.items():
-            graph.add_node(node_id, kind=info.kind, **info.attrs)
-        for link in self._links.values():
-            graph.add_edge(
-                link.a,
-                link.b,
-                latency_ms=link.latency_ms,
-                bandwidth_mbps=link.bandwidth_mbps,
-            )
-        return graph
-
     def is_connected(self) -> bool:
         """True when every node can reach every other node."""
-        if not self._nodes:
-            return True
-        import networkx as nx
-
-        return nx.is_connected(self.to_networkx())
+        frontier = list(self._nodes)[:1]
+        seen = set(frontier)
+        for node in frontier:
+            for other in self._adjacent[node]:
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        return len(seen) == len(self._nodes)
 
     def validate(self) -> None:
         """Check internal invariants; raises :class:`TopologyError` on breakage."""
@@ -289,3 +283,7 @@ class Topology:
                     raise TopologyError(f"link {link} references unknown {node!r}")
                 if self._ports[node].get(link.port_of(node)) is not link:
                     raise TopologyError(f"port table desync at {node!r}")
+        for node, links in self._ports.items():
+            ends = [link.other_end(node) for link in links.values()]
+            if self._adjacent.get(node) != ends:
+                raise TopologyError(f"neighbour table desync at {node!r}")

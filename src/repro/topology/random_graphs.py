@@ -1,20 +1,29 @@
 """Random topologies and random update instances.
 
 All generators take an explicit :class:`random.Random` (or a seed) so every
-experiment is reproducible.  Graph generators delegate to :mod:`networkx`
-and re-wrap the result as a :class:`~repro.topology.graph.Topology`;
-instance generators produce the abstract (old path, new path, waypoint)
-triples the scheduling core consumes.
+experiment is reproducible.  The graph generators draw exactly what
+networkx's ``waxman_graph`` / ``gnp_random_graph`` draw from an int seed
+(a plain ``random.Random(seed)`` per attempt, pairs in ``combinations``
+order), so their topologies match networkx's link for link; instance
+generators produce the abstract (old path, new path, waypoint) triples the
+scheduling core consumes.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 from typing import Iterable
 
 from repro.errors import TopologyError
 from repro.topology.graph import Topology
 from repro.topology.paths import Path
+
+#: Waxman's model: two nodes at distance ``d`` are linked with probability
+#: ``WAXMAN_BETA * exp(-d / (WAXMAN_ALPHA * L))``, ``L`` the largest distance.
+WAXMAN_ALPHA = 0.4
+WAXMAN_BETA = 0.4
 
 
 def _as_rng(seed_or_rng: int | random.Random | None) -> random.Random:
@@ -24,55 +33,49 @@ def _as_rng(seed_or_rng: int | random.Random | None) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-def _from_networkx(graph: nx.Graph, name: str) -> Topology:
-    """Wrap a connected networkx graph as a Topology with 1-based dpids."""
-    topo = Topology(name=name)
-    relabel = {node: i + 1 for i, node in enumerate(sorted(graph.nodes()))}
-    for node in sorted(relabel.values()):
-        topo.add_switch(node)
-    for u, v in sorted(graph.edges(), key=lambda e: (relabel[e[0]], relabel[e[1]])):
-        topo.add_link(relabel[u], relabel[v])
-    return topo
-
-
-def _connected(factory, n: int, rng: random.Random, attempts: int = 200) -> nx.Graph:
-    """Call ``factory(seed)`` until it yields a connected graph."""
-    import networkx as nx
-
-    for _ in range(attempts):
-        graph = factory(rng.randrange(2**31))
-        if n <= 1 or nx.is_connected(graph):
-            return graph
+def _connected(draw_edges, n: int, rng: random.Random, name: str) -> Topology:
+    """Build switches ``1..n`` linked by ``draw_edges``' 0-based pairs, in
+    order, until the topology is connected (at most 200 attempts); each
+    attempt draws from a fresh ``random.Random`` seeded off ``rng``."""
+    if n < 1:
+        raise TopologyError(f"need n >= 1, got {n}")
+    for _ in range(200):
+        topo = Topology(name=name)
+        for node in range(1, n + 1):
+            topo.add_switch(node)
+        for u, v in draw_edges(random.Random(rng.randrange(2**31))):
+            topo.add_link(u + 1, v + 1)
+        if topo.is_connected():
+            return topo
     raise TopologyError(f"could not sample a connected graph with n={n}")
 
 
 def erdos_renyi(n: int, p: float, seed: int | random.Random | None = None) -> Topology:
     """Connected Erdos-Renyi G(n, p) topology."""
-    if n < 1:
-        raise TopologyError(f"need n >= 1, got {n}")
-    import networkx as nx
 
-    rng = _as_rng(seed)
-    graph = _connected(lambda s: nx.gnp_random_graph(n, p, seed=s), n, rng)
-    return _from_networkx(graph, name=f"er-{n}-{p}")
+    def draw_edges(draw: random.Random) -> Iterable[tuple[int, int]]:
+        pairs = combinations(range(n), 2)
+        if p >= 1:
+            return pairs
+        if p <= 0:
+            return ()
+        return [pair for pair in pairs if draw.random() < p]
+
+    return _connected(draw_edges, n, _as_rng(seed), name=f"er-{n}-{p}")
 
 
-def waxman(
-    n: int,
-    alpha: float = 0.4,
-    beta: float = 0.4,
-    seed: int | random.Random | None = None,
-) -> Topology:
+def waxman(n: int, seed: int | random.Random | None = None) -> Topology:
     """Connected Waxman random topology (the classic ISP-like model)."""
-    if n < 1:
-        raise TopologyError(f"need n >= 1, got {n}")
-    import networkx as nx
 
-    rng = _as_rng(seed)
-    graph = _connected(
-        lambda s: nx.waxman_graph(n, alpha=alpha, beta=beta, seed=s), n, rng
-    )
-    return _from_networkx(graph, name=f"waxman-{n}")
+    def draw_edges(draw: random.Random) -> list[tuple[int, int]]:
+        pos = [(draw.uniform(0, 1), draw.uniform(0, 1)) for _ in range(n)]
+        scale = WAXMAN_ALPHA * max(
+            (math.dist(a, b) for a, b in combinations(pos, 2)), default=0.0
+        )
+        return [(u, v) for u, v in combinations(range(n), 2) if draw.random()
+                < WAXMAN_BETA * math.exp(-math.dist(pos[u], pos[v]) / scale)]
+
+    return _connected(draw_edges, n, _as_rng(seed), name=f"waxman-{n}")
 
 
 def sample_simple_path(
@@ -89,6 +92,8 @@ def sample_simple_path(
     = failed links) and :func:`random_simple_path`.  Link avoidance is
     direction-insensitive.
     """
+    topo.node(source)  # an unknown source raises TopologyError
+    adjacent = topo._adjacent  # neighbours in port order, read per step
     dead = set()
     for u, v in avoid_links:
         dead.add((u, v))
@@ -100,7 +105,7 @@ def sample_simple_path(
         while node != destination:
             options = [
                 n
-                for n in topo.neighbors(node)
+                for n in adjacent[node]
                 if n not in seen and (node, n) not in dead
             ]
             if not options:

@@ -7,7 +7,7 @@ import pytest
 from repro.churn.events import LinkFailure, UpdateArrival, UpdateCancel
 from repro.churn.traces import generate_trace
 from repro.churn_options import trace_params
-from repro.errors import ChurnError
+from repro.errors import ChurnError, TopologyError
 from repro.topology.graph import Topology
 from repro.topology.random_graphs import sample_simple_path
 
@@ -92,6 +92,10 @@ class TestValidation:
         with pytest.raises(ChurnError):
             generate_trace("torus", 4, 1)
 
+    def test_a_one_switch_wan_is_a_churn_error(self):
+        with pytest.raises(ChurnError, match="need at least two switches"):
+            generate_trace("wan", 1, 1)
+
     def test_bad_rate_and_duration(self):
         with pytest.raises(ChurnError):
             generate_trace("fat-tree", 4, 1, rate_per_s=0.0)
@@ -128,3 +132,7 @@ class TestSampleSimplePath:
         assert sample_simple_path(
             topo, 1, 2, random.Random(0), avoid_links=[(1, 2)]
         ) is None
+
+    def test_an_unknown_source_is_a_topology_error(self):
+        with pytest.raises(TopologyError, match="unknown node 9"):
+            sample_simple_path(diamond(), 9, 5, random.Random(0))

@@ -2,12 +2,11 @@
 
 The REST service, the CLI and every campaign worker start as fresh
 interpreters, so what importing ``repro`` loads is paid per process.
-networkx is imported inside the functions that build a networkx graph
-(``Topology.to_networkx`` / ``is_connected``, the ``erdos_renyi`` and
-``waxman`` generators, ``analysis.dependency_graph``); a process that
-schedules, serves, executes an update or runs a campaign cell never
-loads it.  The CLI parser loads no churn engine, controller or OpenFlow
-module either.
+networkx is imported only inside ``analysis.dependency_graph``, which
+returns a networkx graph; a process that schedules, serves, executes an
+update, runs a campaign cell or replays a churn trace never loads it.
+The CLI parser loads no churn engine, controller or OpenFlow module, and
+the churn engine no controller module.
 """
 
 import os
@@ -54,12 +53,31 @@ print("networkx" in sys.modules)
 """
 
 
-def test_no_entry_point_loads_networkx():
+CHURN = """
+import sys
+
+from repro.churn import generate_trace, run_churn
+
+assert run_churn(generate_trace("wan", 16, 1)).quiescent
+print(sorted(m for m in sys.modules if m.startswith(
+    ("networkx", "repro.controller"))))
+"""
+
+
+def run_cold(script: str) -> str:
     src = str(Path(repro.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", ENTRY_POINTS],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_no_entry_point_loads_networkx():
+    assert run_cold(ENTRY_POINTS) == "False"
+
+
+def test_a_wan_churn_run_loads_no_networkx_and_no_controller():
+    assert run_cold(CHURN) == "[]"

@@ -103,6 +103,7 @@ class TestPorts:
                 getattr(topo, op)(*args)
             except TopologyError:
                 pass
+            topo.validate()
         for node in topo:
             ports = topo.ports(node)
             assert topo.neighbors(node) == [ports[p] for p in sorted(ports)]
@@ -159,10 +160,14 @@ class TestAlgorithms:
         line5.remove_link(2, 3)
         assert not line5.is_connected()
 
-    def test_to_networkx(self, triangle):
-        graph = triangle.to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 3
-
     def test_validate_passes(self, triangle):
         triangle.validate()
+
+    def test_validate_catches_a_desynced_neighbour_table(self, triangle):
+        triangle._adjacent[1].reverse()  # 3 before 2, against port order
+        with pytest.raises(TopologyError, match="neighbour table desync at 1"):
+            triangle.validate()
+        triangle._adjacent[1].reverse()
+        triangle._adjacent[2].remove(3)
+        with pytest.raises(TopologyError, match="neighbour table desync at 2"):
+            triangle.validate()
