@@ -19,7 +19,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The src/ line count of the last PR that moved it on purpose.
-LOC_CEILING := 20691
+LOC_CEILING := 20667
 
 loc:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \

@@ -129,11 +129,7 @@ class FabricJournal:
         """
         atomic_write_text(
             self.snapshot_path,
-            json.dumps(
-                {"seq": self._seq, "state": dict(state)},
-                indent=2,
-                sort_keys=True,
-            ) + "\n",
+            canonical_json({"seq": self._seq, "state": dict(state)}) + "\n",
         )
         if self._handle is not None:
             self._handle.close()

@@ -151,10 +151,7 @@ class RunStore:
                 )
             self._repair()
             return
-        atomic_write_text(
-            manifest_path,
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
+        atomic_write_text(manifest_path, canonical_json(manifest) + "\n")
 
     def _repair(self) -> None:
         """Cut both files back to the whole records they have in common:

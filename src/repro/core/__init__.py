@@ -7,7 +7,7 @@ strongest, the exact minimum-round search, and the one-shot / sequential
 request/result envelope, shared by the CLI, REST, campaign, and
 benchmark layers::
 
-    from repro.core import schedule_update, scheduler_names
+    from repro import schedule_update, scheduler_names
 
     result = schedule_update(problem, "peacock", verify=True)
     result.schedule      # the UpdateSchedule (TwoPhaseSchedule for "two-phase")
@@ -38,118 +38,63 @@ Public surface:
 * analytic cost -- :class:`CostModel`, :func:`schedule_update_time`
 """
 
-from repro.core.api import (
-    ScheduleRequest,
-    ScheduleResult,
-    execute_request,
-    schedule_update,
-    time_limit,
-)
-from repro.core.analysis import (
-    dependency_graph,
-    explain_schedule,
-    greedy_deadlock_certificate,
-    is_order_forced,
-    unsafe_alone,
-)
-from repro.core.bnb import (
-    infeasibility_certificate,
-    rounds_lower_bound,
-)
-from repro.core.combined import (
-    combined_greedy_schedule,
-    strongest_feasible_schedule,
-)
-from repro.core.cost import (
-    HARDWARE_TCAM,
-    OVS_FAST,
-    CostModel,
-    round_time_breakdown,
-    schedule_update_time,
-)
-from repro.core.greedy_slf import greedy_slf_schedule
-from repro.core.hardness import (
-    crossing_clash_instance,
-    crossing_instance,
-    double_diamond_instance,
-    reversal_instance,
-    sawtooth_instance,
-    waypoint_slalom_instance,
-)
-from repro.core.multipolicy import (
-    JointUpdateProblem,
-    MergedPlan,
-    PolicyView,
-    greedy_joint_schedule,
-    merge_isolated_schedules,
-    verify_joint_round,
-    verify_joint_schedule,
-)
-from repro.core.oneshot import oneshot_schedule
-from repro.core.optimal import (
-    DEFAULT_MAX_NODES,
-    is_feasible,
-    minimal_round_count,
-    minimal_round_schedule,
-    round_is_safe,
-    round_is_safe_reference,
-)
-from repro.core.oracle import (
-    OracleStats,
-    SafetyOracle,
-    aggregate_stats,
-    oracle_for,
-)
-from repro.core.peacock import classify_forward_backward, peacock_schedule
-from repro.core.registry import REGISTRY as SCHEDULER_REGISTRY
-from repro.core.registry import (
-    Scheduler,
-    SchedulerDefinition,
-    SchedulerRun,
-    register_scheduler,
-    resolve_scheduler,
-    scheduler_names,
-)
-from repro.core.problem import (
-    Configuration,
-    RuleState,
-    UpdateKind,
-    UpdateProblem,
-    WalkResult,
-    WaypointClasses,
-    trace_walk,
-)
-from repro.core.schedule import UpdateSchedule, sequential_schedule
-from repro.core.transient import (
-    EdgeChoice,
-    NodePhase,
-    UnionGraph,
-    enumerate_round_configurations,
-    functional_cycle,
-    functional_graph,
-    phases_for_round,
-)
-from repro.core.twophase import (
-    NEW_VERSION_TAG,
-    OLD_VERSION_TAG,
-    TwoPhaseSchedule,
-    two_phase_schedule,
-)
-from repro.core.verify import (
-    Property,
-    VerificationReport,
-    Violation,
-    check_blackhole,
-    check_rlf,
-    check_slf,
-    check_wpe,
-    default_properties,
-    verify_exhaustive,
-    verify_round,
-    verify_schedule,
-)
-from repro.core.wayup import ROUND_NAMES as WAYUP_ROUND_NAMES
-from repro.core.wayup import wayup_schedule
+import repro
+
+_EXPORTS = {
+    "repro.core.analysis": (
+        "dependency_graph", "explain_schedule", "greedy_deadlock_certificate",
+        "is_order_forced", "unsafe_alone",
+    ),
+    "repro.core.api": (
+        "ScheduleRequest", "ScheduleResult", "execute_request", "schedule_update",
+    ),
+    "repro.core.bnb": ("infeasibility_certificate", "rounds_lower_bound"),
+    "repro.core.combined": ("combined_greedy_schedule", "strongest_feasible_schedule"),
+    "repro.core.cost": (
+        "HARDWARE_TCAM", "OVS_FAST", "CostModel", "round_time_breakdown",
+        "schedule_update_time",
+    ),
+    "repro.core.deadline": ("time_limit",),
+    "repro.core.greedy_slf": ("greedy_slf_schedule",),
+    "repro.core.hardness": (
+        "crossing_clash_instance", "crossing_instance", "double_diamond_instance",
+        "reversal_instance", "sawtooth_instance", "waypoint_slalom_instance",
+    ),
+    "repro.core.multipolicy": (
+        "JointUpdateProblem", "MergedPlan", "PolicyView", "greedy_joint_schedule",
+        "merge_isolated_schedules", "verify_joint_round", "verify_joint_schedule",
+    ),
+    "repro.core.oneshot": ("oneshot_schedule",),
+    "repro.core.optimal": (
+        "DEFAULT_MAX_NODES", "is_feasible", "minimal_round_count",
+        "minimal_round_schedule", "round_is_safe", "round_is_safe_reference",
+    ),
+    "repro.core.oracle": ("OracleStats", "SafetyOracle", "aggregate_stats", "oracle_for"),
+    "repro.core.peacock": ("classify_forward_backward", "peacock_schedule"),
+    "repro.core.problem": (
+        "Configuration", "RuleState", "UpdateKind", "UpdateProblem", "WalkResult",
+        "WaypointClasses", "trace_walk",
+    ),
+    "repro.core.registry": (
+        "REGISTRY as SCHEDULER_REGISTRY", "Scheduler", "SchedulerDefinition",
+        "SchedulerRun", "register_scheduler", "resolve_scheduler", "scheduler_names",
+    ),
+    "repro.core.schedule": ("UpdateSchedule", "sequential_schedule"),
+    "repro.core.transient": (
+        "EdgeChoice", "NodePhase", "UnionGraph", "enumerate_round_configurations",
+        "functional_cycle", "functional_graph", "phases_for_round",
+    ),
+    "repro.core.twophase": (
+        "NEW_VERSION_TAG", "OLD_VERSION_TAG", "TwoPhaseSchedule", "two_phase_schedule",
+    ),
+    "repro.core.verify": (
+        "Property", "VerificationReport", "Violation", "check_blackhole", "check_rlf",
+        "check_slf", "check_wpe", "default_properties", "verify_exhaustive",
+        "verify_round", "verify_schedule",
+    ),
+    "repro.core.wayup": ("ROUND_NAMES as WAYUP_ROUND_NAMES", "wayup_schedule"),
+}
+__getattr__, __dir__ = repro.lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "Configuration",

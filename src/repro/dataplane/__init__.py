@@ -1,14 +1,15 @@
 """Dataplane substrate: packets, traffic injection, violation accounting."""
 
-from repro.dataplane.injector import FlowSpec, InjectionResult, PeriodicInjector
-from repro.dataplane.packets import (
-    Packet,
-    icmp_ping,
-    ipv4_checksum,
-    tcp_packet,
-    udp_packet,
-)
-from repro.dataplane.violations import PacketFate, TraceRecord, ViolationCounters
+import repro
+
+_EXPORTS = {
+    "repro.dataplane.injector": ("FlowSpec", "InjectionResult", "PeriodicInjector"),
+    "repro.dataplane.packets": (
+        "Packet", "icmp_ping", "ipv4_checksum", "tcp_packet", "udp_packet",
+    ),
+    "repro.dataplane.violations": ("PacketFate", "TraceRecord", "ViolationCounters"),
+}
+__getattr__, __dir__ = repro.lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "FlowSpec",

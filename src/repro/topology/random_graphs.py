@@ -94,6 +94,7 @@ def sample_simple_path(
     """
     topo.node(source)  # an unknown source raises TopologyError
     adjacent = topo._adjacent  # neighbours in port order, read per step
+    getrandbits = rng.getrandbits
     dead = set()
     for u, v in avoid_links:
         dead.add((u, v))
@@ -103,14 +104,23 @@ def sample_simple_path(
         seen = {source}
         node = source
         while node != destination:
-            options = [
-                n
-                for n in adjacent[node]
-                if n not in seen and (node, n) not in dead
-            ]
+            if dead:
+                options = [
+                    n
+                    for n in adjacent[node]
+                    if n not in seen and (node, n) not in dead
+                ]
+            else:
+                options = [n for n in adjacent[node] if n not in seen]
             if not options:
                 break
-            node = rng.choice(options)
+            # rng.choice(options), inlined: the same getrandbits draws
+            count = len(options)
+            bits = count.bit_length()
+            pick = getrandbits(bits)
+            while pick >= count:
+                pick = getrandbits(bits)
+            node = options[pick]
             path.append(node)
             seen.add(node)
         if node == destination:

@@ -6,8 +6,9 @@ module, or a method of a top-level class (dunder names excluded).  It is
 ships:
 
 * module-level code of a ``src/`` module -- but not a package
-  ``__init__``'s re-exports (``from repro... import``) nor any
-  ``__all__``, which name a definition without using it;
+  ``__init__``'s re-exports (``from repro... import``, or the lazy-export
+  table ``{"repro.<module>": (names...)}`` its ``__getattr__`` reads)
+  nor any ``__all__``, which name a definition without using it;
 * any ``.py`` file under ``benchmarks/`` or ``examples/``;
 * the body of another reached definition (the census is a fixpoint, so
   a helper that only dead code calls is dead too).
@@ -197,12 +198,23 @@ def _names(nodes) -> set[str]:
     return found
 
 
+def _export_table(node) -> bool:
+    """A dict literal keyed by ``repro`` module names: lazy re-exports."""
+    return isinstance(node, ast.Dict) and bool(node.keys) and all(
+        isinstance(key, ast.Constant) and isinstance(key.value, str)
+        and key.value.startswith("repro")
+        for key in node.keys
+    )
+
+
 def _names_nothing(node, in_init: bool) -> bool:
     """``__all__`` anywhere, and a package ``__init__``'s re-exports."""
     if isinstance(node, ast.Assign) and any(
         isinstance(target, ast.Name) and target.id == "__all__"
         for target in node.targets
     ):
+        return True
+    if in_init and isinstance(node, ast.Assign) and _export_table(node.value):
         return True
     return in_init and isinstance(node, ast.ImportFrom) and (
         node.level > 0 or (node.module or "").startswith("repro")
@@ -430,6 +442,33 @@ def test_every_keep_params_entry_is_still_needed():
     ]
     assert not stale, f"set again or gone, drop from KEEP_PARAMS: {stale}"
     assert all(isinstance(why, str) and why.strip() for why in KEEP_PARAMS.values())
+
+
+def test_a_lazy_export_table_reaches_nothing(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/__init__.py": (
+            "def lazy_exports(namespace, table):\n    return table.get, list\n"
+            "_EXPORTS = {'repro.mod': ('dead', 'used', 'Box as Crate')}\n"
+            "__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)\n"
+            "__all__ = ['Crate', 'dead', 'used']\n"),
+        "src/repro/sub/__init__.py": (
+            "import repro\n"
+            "_EXPORTS = {'repro.sub.leaf': ('gone',)}\n"
+            "__getattr__, __dir__ = repro.lazy_exports(globals(), _EXPORTS)\n"),
+        "src/repro/sub/leaf.py": "def gone():\n    return 0\n",
+        "src/repro/mod.py": (
+            "def dead():\n    return 0\n"
+            "def used():\n    return 1\n"
+            "class Box:\n    pass\n"),
+        "src/repro/cli.py": "from repro.mod import used\nused()\n",
+        "benchmarks/bench.py": "",
+        "examples/demo.py": "",
+    })
+    assert unreached(root) == ["mod.py::dead", "mod.py::Box", "sub/leaf.py::gone"]
+    # the same table outside a package __init__ is code that names them
+    (root / "src" / "repro" / "cli.py").write_text(
+        "TABLE = {'repro.mod': ('dead', 'Box')}\nprint(TABLE)\n")
+    assert unreached(root) == ["mod.py::used", "sub/leaf.py::gone"]
 
 
 def test_parameter_census_counts_keywords_strings_and_positions(tmp_path):
